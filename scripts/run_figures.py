@@ -3,7 +3,9 @@
 
 Runs the four campaigns with the packaged defaults. Pass --quick for a
 fast smoke pass (reduced trials), --out / --seed / --config as with the
-CLI. Full-default runtime is roughly 10-15 minutes on a laptop core.
+CLI. Measured on one core of a 2-vCPU x86-64 cloud host: the full
+defaults take about 6 minutes, 4.6 of them in p-los; --quick takes
+13-21 s.
 """
 
 import argparse

@@ -111,8 +111,7 @@ def _single_trial(cfg: SimConfig, seed: int) -> None:
         link_params=cfg.link_params(), seq=seq, gamma_ra=gamma,
         link_states=tuple(states), t_ra_s=cfg.protocol.t_ra_s,
         backhaul_latency_s=cfg.protocol.backhaul_latency_s,
-        grid_resolution_m=cfg.estimation.grid_resolution_m,
-        model_propagation_delay=cfg.preamble.model_propagation_delay)
+        grid_resolution_m=cfg.estimation.grid_resolution_m)
     runner = (run_coordinated if cfg.single_trial.scheme == "coordinated"
               else run_exhaustive)
     out = runner(setup, np.random.default_rng((seed, 4)))

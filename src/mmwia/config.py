@@ -69,7 +69,6 @@ class ChannelConfig:
 class PreambleConfig:
     n_zc: int = 839
     root_u: int = 1
-    model_propagation_delay: bool = False  # map distance to a PDP lag
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,7 @@ _SCHEMA = {
     "channel": {"p_ue_dbm": "float", "noise_density_dbm_hz": "float",
                 "bandwidth_hz": "float", "carrier_hz": "float",
                 "p_blk": "float", "nlos_excess_mean_db": "float"},
-    "preamble": {"n_zc": "int", "root_u": "int",
-                 "model_propagation_delay": "bool"},
+    "preamble": {"n_zc": "int", "root_u": "int"},
     "detection": {"mode": "str", "target": "float",
                   "reference_distance_m": "float",
                   "calibration_margin_db": "float",
@@ -224,12 +222,6 @@ def _parse_value(section: str, key: str, raw: str, kind: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
         if kind == "int_list":
             return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
         if kind == "float_list":
@@ -247,6 +239,13 @@ def _validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("[geometry] side_m: must be positive")
     if a.n_tx < 1 or a.n_rx < 1:
         raise ConfigError("[antenna] codebook sizes must be >= 1")
+    # the default beamwidth 360/n reaches 180 degrees below three beams
+    if a.ue_phi_3db_deg is None and a.n_tx < 3:
+        raise ConfigError("[antenna] n_tx: needs >= 3 beams unless "
+                          "ue_phi_3db_deg is set")
+    if a.sc_phi_3db_deg is None and a.n_rx < 3:
+        raise ConfigError("[antenna] n_rx: needs >= 3 beams unless "
+                          "sc_phi_3db_deg is set")
     for label, deg in (("ue_phi_3db_deg", a.ue_phi_3db_deg),
                        ("sc_phi_3db_deg", a.sc_phi_3db_deg)):
         if deg is not None and not 0.0 < deg < 180.0:
@@ -284,10 +283,14 @@ def _validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("[experiment] p_los_p_blk: probabilities out of range")
     if any(n < 3 for n in exp.p_los_cluster_sizes):
         raise ConfigError("[experiment] p_los_cluster_sizes: sizes must be >= 3")
-    if any(n < 1 for n in exp.cluster_grid):
-        raise ConfigError("[experiment] cluster_grid: sizes must be >= 1")
+    if any(n < 1 or n == 2 for n in exp.cluster_grid):
+        raise ConfigError("[experiment] cluster_grid: sizes must be 1 "
+                          "(the single-cell baseline) or >= 3")
     if any(n < 2 for n in exp.n_tx_values):
         raise ConfigError("[experiment] n_tx_values: need at least 2 beams")
+    if a.ue_phi_3db_deg is None and any(n < 3 for n in exp.n_tx_values):
+        raise ConfigError("[experiment] n_tx_values: needs >= 3 beams unless "
+                          "[antenna] ue_phi_3db_deg is set")
     if cfg.single_trial.scheme not in ("coordinated", "exhaustive"):
         raise ConfigError("[single_trial] scheme: must be coordinated or exhaustive")
     return cfg

@@ -16,9 +16,7 @@ import numpy as np
 from .antenna import best_beam_index
 from .channel import link_bearings, noise_power, pathloss, sample_blocking
 from .config import SimConfig
-from .estimation import MeasurementReport, select_top3
 from .geometry import build_cluster, circular_distance, place_ue
-from .preamble import pdp_matrix, sequence_spectrum
 from .protocol import TrialSetup, run_coordinated, run_exhaustive
 
 
@@ -94,16 +92,16 @@ def _ratio_delta_se(x: np.ndarray, y: np.ndarray) -> float:
 def run_p_los(spec: ExperimentSpec) -> ResultTable:
     """LOS-selection probability over (cluster size, blocking probability).
 
-    Per trial: build the cluster, place the UE, draw blocking, run the
-    noiseless preamble chain with best-aligned beams at every cell, pick
-    the three largest peaks, and score whether all three are unblocked.
+    Per trial: build the cluster, place the UE, draw blocking, take the
+    received power with best-aligned beams at every cell, pick the three
+    largest, and score whether all three are unblocked. The noiseless PDP
+    peak of a cell is N^2 times its received power, so ranking received
+    powers ranks the peaks.
     """
     cfg = spec.config
     table = ResultTable(
         spec.name, ("n_sc", "p_blk", "p_los", "stderr", "trials"),
         config_hash=cfg.config_hash(), master_seed=spec.master_seed)
-    seq = cfg.sequence()
-    spectrum = sequence_spectrum(seq)
     ue_cb = cfg.ue_codebook()
     sc_cb = cfg.sc_codebook()
     params = cfg.link_params()
@@ -131,13 +129,9 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
                 rx_dbm[i] = (params.p_ue_dbm + g_ue + g_sc - pathloss(d)
                              - states[i].nlos_penalty_db)
 
-            amp = np.sqrt(10.0 ** (rx_dbm / 10.0))
-            y = amp[:, None] * seq.samples[None, :]
-            peaks = pdp_matrix(y, seq, spectrum).max(axis=-1)
-            reports = [MeasurementReport(i, np.array([peaks[i]]), 0)
-                       for i in range(n_sc)]
-            top3 = select_top3(reports)
-            if all(not states[r.cell_index].blocked for r in top3):
+            # ties go to the lower cell index
+            top3 = np.argsort(-rx_dbm, kind="stable")[:3]
+            if not any(states[i].blocked for i in top3):
                 wins += 1
         p_hat = wins / spec.trials
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.trials)
@@ -149,17 +143,19 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
 # Paired protocol trials (Figs. 9-11)
 # ---------------------------------------------------------------------------
 
-def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
+def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int,
                   n_sc: int | None = None):
-    """Coordinated and exhaustive IA times over paired trial seeds."""
+    """(setup, protocol seed) of every trial at one grid point.
+
+    Each scheme seeds its own generator from the protocol seed, so a
+    scheme's IA times do not depend on which other schemes run.
+    """
     seq = cfg.sequence()
     ue_cb = cfg.ue_codebook(n_tx)
     sc_cb = cfg.sc_codebook()
     params = cfg.link_params(p_ue_dbm)
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
-    coord = np.empty(trials)
-    exh = np.empty(trials)
     for t in range(trials):
         layout_rng = np.random.default_rng(_trial_seed(master_seed, point, t, 0))
         geom = build_cluster(max(n_cells, 3), cfg.geometry.side_m, layout_rng)
@@ -175,15 +171,25 @@ def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
             link_params=params, seq=seq, gamma_ra=gamma,
             link_states=tuple(states), t_ra_s=cfg.protocol.t_ra_s,
             backhaul_latency_s=cfg.protocol.backhaul_latency_s,
-            grid_resolution_m=cfg.estimation.grid_resolution_m,
-            model_propagation_delay=cfg.preamble.model_propagation_delay)
-        proto_seed = _trial_seed(master_seed, point, t, 2)
-        exh[t] = run_exhaustive(setup, np.random.default_rng(proto_seed)).ia_time_s
-        if n_cells >= 3:
-            coord[t] = run_coordinated(
-                setup, np.random.default_rng(proto_seed)).ia_time_s
-        else:
-            coord[t] = np.nan
+            grid_resolution_m=cfg.estimation.grid_resolution_m)
+        yield setup, _trial_seed(master_seed, point, t, 2)
+
+
+def _ia_times(runner, setups) -> np.ndarray:
+    return np.array([runner(setup, np.random.default_rng(seed)).ia_time_s
+                     for setup, seed in setups])
+
+
+def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
+                  trials: int, master_seed: int, point: int):
+    """Coordinated and exhaustive IA times over paired trial seeds."""
+    setups = list(_trial_setups(cfg, n_tx, p_ue_dbm, gamma, trials,
+                                master_seed, point))
+    exh = _ia_times(run_exhaustive, setups)
+    if cfg.geometry.n_sc >= 3:
+        coord = _ia_times(run_coordinated, setups)
+    else:
+        coord = np.full(trials, np.nan)
     return coord, exh
 
 
@@ -249,7 +255,8 @@ def run_time_vs_cluster(spec: ExperimentSpec) -> ResultTable:
 
     Size 1 runs the exhaustive search against the first triangle vertex;
     sizes >= 3 run the coordinated scheme (with area refinement beyond
-    three cells). The UE placement distribution is identical throughout.
+    three cells). Each size runs only the scheme its row reports. The UE
+    placement distribution is identical throughout.
     """
     cfg = spec.config
     table = ResultTable(
@@ -263,11 +270,10 @@ def run_time_vs_cluster(spec: ExperimentSpec) -> ResultTable:
 
     results = {}
     for point, n_sc in enumerate(sizes):
-        coord, exh = _paired_point(cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm,
-                                   gamma, spec.trials, spec.master_seed, point,
-                                   n_sc=n_sc)
-        times = exh if n_sc < 3 else coord
-        results[n_sc] = times
+        runner = run_exhaustive if n_sc == 1 else run_coordinated
+        results[n_sc] = _ia_times(runner, _trial_setups(
+            cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, spec.trials,
+            spec.master_seed, point, n_sc=n_sc))
 
     base = results[1]
     base_mean, base_se = _mean_se(base)

@@ -3,7 +3,10 @@
 The correlation convention: PDP(l) = |sum_n y(n) * conj(x_u((n+l) mod N))|^2,
 a periodic correlation over all N lags. For a prime-length ZC sequence the
 cyclic shifts form an orthogonal family, so the autocorrelation PDP is
-N^2 at lag 0 and exactly 0 elsewhere.
+N^2 at lag 0 and exactly 0 elsewhere. The same orthogonality fixes the
+distribution of a slot's PDP maximum, which ``sample_peaks`` draws
+directly; the protocol and the miss-mode calibration use it, and the
+FFT correlator ``pdp_matrix`` is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -147,6 +150,31 @@ def false_alarm_threshold(p_fa: float, noise_power_dbm: float, n_zc: int) -> flo
     return -n_zc * sigma2 * math.log(1.0 - (1.0 - p_fa) ** (1.0 / n_zc))
 
 
+def sample_peaks(rx_mw, noise_mw: float, n_zc: int, rng) -> np.ndarray:
+    """PDP maxima of slots that each carry one preamble, drawn exactly.
+
+    The n_zc cyclic shifts of a prime-length ZC sequence are orthogonal
+    with squared norm N, so under white noise of power Pn the N correlator
+    outputs are independent CN(0, N*Pn) and the signal of amplitude a adds
+    a*N at its own lag. The slot's PDP maximum is therefore
+    max(|a*N + sqrt(N*Pn)*g|^2, N*Pn*M) with g ~ CN(0, 1) and M the largest
+    of N-1 i.i.d. Exp(1) draws, which has the distribution of
+    ``pdp_matrix(synthesized slots).max(-1)`` at a cost independent of N.
+    M inverts its CDF (1 - e^-m)^(N-1) as -log(-expm1(log(U)/(N-1))), which
+    keeps its upper tail accurate. With noise_mw = 0 the peak is a^2*N^2.
+
+    rx_mw: received signal power per slot (any shape); returns that shape.
+    """
+    rx_mw = np.asarray(rx_mw, dtype=float)
+    if noise_mw == 0.0:
+        return rx_mw * float(n_zc) ** 2
+    s = math.sqrt(n_zc * noise_mw / 2.0)
+    re = np.sqrt(rx_mw) * n_zc + s * rng.standard_normal(rx_mw.shape)
+    im = s * rng.standard_normal(rx_mw.shape)
+    m = -np.log(-np.expm1(np.log(rng.random(rx_mw.shape)) / (n_zc - 1)))
+    return np.maximum(re * re + im * im, n_zc * noise_mw * m)
+
+
 def miss_threshold(
     p_miss: float,
     reference_rx_dbm: float,
@@ -154,25 +182,15 @@ def miss_threshold(
     seq: ZcSequence,
     trials: int = 10_000,
     seed=None,
-    batch: int = 2_000,
 ) -> float:
     """Monte Carlo threshold: the p_miss quantile of the aligned reference
-    link's PDP peak, so that link is missed with probability p_miss."""
+    link's PDP peak over ``trials`` exact draws, so that link is missed
+    with probability p_miss."""
     if not 0.0 < p_miss < 1.0:
         raise ValueError("p_miss must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    amp = math.sqrt(dbm_to_mw(reference_rx_dbm))
-    sigma = math.sqrt(dbm_to_mw(noise_power_dbm) / 2.0)
-    spectrum = sequence_spectrum(seq)
-    peaks = np.empty(trials)
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        noise = sigma * (rng.standard_normal((m, seq.n_zc))
-                         + 1j * rng.standard_normal((m, seq.n_zc)))
-        values = pdp_matrix(amp * seq.samples + noise, seq, spectrum)
-        peaks[done:done + m] = values.max(axis=-1)
-        done += m
+    peaks = sample_peaks(np.full(trials, dbm_to_mw(reference_rx_dbm)),
+                         dbm_to_mw(noise_power_dbm), seq.n_zc,
+                         np.random.default_rng(seed))
     return float(np.quantile(peaks, p_miss))
 
 

@@ -26,7 +26,7 @@ from .estimation import (
     refine_location,
 )
 from .geometry import ClusterGeometry, Point2D, circular_distance
-from .preamble import ZcSequence, dbm_to_mw, pdp_matrix, sequence_spectrum
+from .preamble import ZcSequence, dbm_to_mw, sample_peaks
 
 EXHAUSTIVE = "exhaustive"
 COORDINATED = "coordinated"
@@ -95,7 +95,6 @@ class TrialSetup:
     noiseless: bool = False
     backhaul_latency_s: float = 0.0
     grid_resolution_m: float = 1.0
-    model_propagation_delay: bool = False  # map distance to a PDP lag
 
     def states(self) -> list[LinkState]:
         if self.link_states is not None:
@@ -120,11 +119,8 @@ def ia_time_reduction(t_new: float, t_con: float) -> float:
     return (t_new - t_con) / t_con * 100.0
 
 
-SPEED_OF_LIGHT = 299_792_458.0
-
-
 class _TrialEngine:
-    """Shared slot machinery: per-round link budget, synthesis, detection."""
+    """Shared slot machinery: per-round link budget, peak draws, detection."""
 
     def __init__(self, setup: TrialSetup, rng: np.random.Generator):
         self.setup = setup
@@ -153,17 +149,8 @@ class _TrialEngine:
         self._rx_gain = sc_cb.pattern.gain(circular_distance(
             sc_cb.beam_centers[:, None], np.asarray(arrive)[None, :]))
 
-        # optional distance-to-lag mapping at the sample rate = bandwidth
-        self.delay_lags = np.zeros(self.n_sc, dtype=int)
-        if setup.model_propagation_delay:
-            t_sample = 1.0 / setup.link_params.bandwidth_hz
-            self.delay_lags = (np.rint(dists / (SPEED_OF_LIGHT * t_sample))
-                               .astype(int) % setup.seq.n_zc)
-
         self.noise_dbm = noise_power(setup.link_params)
-        self._sigma = (0.0 if setup.noiseless
-                       else math.sqrt(dbm_to_mw(self.noise_dbm) / 2.0))
-        self._spectrum = sequence_spectrum(setup.seq)
+        self._noise_mw = 0.0 if setup.noiseless else dbm_to_mw(self.noise_dbm)
 
     def rx_power_dbm(self, rx_beams) -> np.ndarray:
         """(n_tx, n_sc) received power for this round's per-cell Rx beams."""
@@ -172,21 +159,9 @@ class _TrialEngine:
 
     def round_peaks(self, schedule: SweepSchedule) -> np.ndarray:
         """(n_tx slots, n_sc) PDP peak values for one full UE sweep."""
-        n_zc = self.setup.seq.n_zc
-        amp = np.sqrt(10.0 ** (self.rx_power_dbm(schedule.rx_beam_assignment) / 10.0))
-        amp = amp[np.asarray(schedule.ue_tx_order), :]  # slot-major rows
-        base = self.setup.seq.samples
-        if self.setup.model_propagation_delay and np.any(self.delay_lags):
-            shifted = np.stack([np.roll(base, -lag) for lag in self.delay_lags])
-            y = amp[:, :, None] * shifted[None, :, :]
-        else:
-            y = amp[:, :, None] * base[None, None, :]
-        if self._sigma > 0.0:
-            y = y + self._sigma * (
-                self.rng.standard_normal((self.n_tx, self.n_sc, n_zc))
-                + 1j * self.rng.standard_normal((self.n_tx, self.n_sc, n_zc)))
-        values = pdp_matrix(y, self.setup.seq, self._spectrum)
-        return values.max(axis=-1)
+        rx_mw = 10.0 ** (self.rx_power_dbm(schedule.rx_beam_assignment) / 10.0)
+        rx_mw = rx_mw[np.asarray(schedule.ue_tx_order), :]  # slot-major rows
+        return sample_peaks(rx_mw, self._noise_mw, self.setup.seq.n_zc, self.rng)
 
     def first_detection(self, peaks: np.ndarray):
         """Earliest (slot, cell) whose peak clears the threshold, or None."""

@@ -128,45 +128,84 @@ def _check_processing_gain():
     assert abs(gain_db - expect) < 0.5, f"processing gain {gain_db:.2f} dB"
 
 
+NOISE_DBM = -110.67  # noise power of the default link budget
+# received powers of the sampler-equivalence grid; None is noise only
+SAMPLER_GRID_DBM = (None, -140.0, -125.0, -115.0, -105.0)
+
+
+def fft_peaks(rx_dbm: float | None, noise_dbm: float, seq, n: int,
+              rng) -> np.ndarray:
+    """Oracle: PDP maxima of n synthesized slots through the FFT correlator."""
+    batch = 2_000
+    amp = 0.0 if rx_dbm is None else math.sqrt(preamble.dbm_to_mw(rx_dbm))
+    sigma = math.sqrt(preamble.dbm_to_mw(noise_dbm) / 2.0)
+    spectrum = preamble.sequence_spectrum(seq)
+    peaks = np.empty(n)
+    for start in range(0, n, batch):
+        m = min(batch, n - start)
+        noise = sigma * (rng.standard_normal((m, seq.n_zc))
+                         + 1j * rng.standard_normal((m, seq.n_zc)))
+        vals = preamble.pdp_matrix(amp * seq.samples + noise, seq, spectrum)
+        peaks[start:start + m] = vals.max(axis=-1)
+    return peaks
+
+
+def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    fa = np.searchsorted(a, pooled, side="right") / a.size
+    fb = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def ks_critical(n: int, m: int) -> float:
+    """Asymptotic two-sample KS critical value at level alpha = 1e-3."""
+    alpha = 1e-3
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0 * (n + m) / (n * m))
+
+
+def sampler_vs_oracle(rx_dbm: float | None, n: int = 10_000,
+                      seed=0) -> tuple[float, float]:
+    """(KS distance, critical value at 1e-3) between n exact peak draws and
+    n FFT-oracle peaks at one received power (None: noise only)."""
+    seq = preamble.generate_zc(1, 839)
+    rng = np.random.default_rng(seed)
+    rx_mw = 0.0 if rx_dbm is None else preamble.dbm_to_mw(rx_dbm)
+    exact = preamble.sample_peaks(np.full(n, rx_mw),
+                                  preamble.dbm_to_mw(NOISE_DBM), seq.n_zc, rng)
+    oracle = fft_peaks(rx_dbm, NOISE_DBM, seq, n, rng)
+    return ks_distance(exact, oracle), ks_critical(n, n)
+
+
 def _check_false_alarm_rate():
     seq = preamble.generate_zc(1, 839)
-    spectrum = preamble.sequence_spectrum(seq)
     rng = np.random.default_rng(17)
-    sigma = math.sqrt(0.5)  # noise power 0 dBm
     for p_fa, tol in ((0.1, 0.03), (0.01, 0.003)):
         gamma = preamble.false_alarm_threshold(p_fa, 0.0, 839)
-        hits = 0
-        total = 100_000
-        for _ in range(10):
-            m = total // 10
-            noise = sigma * (rng.standard_normal((m, 839))
-                             + 1j * rng.standard_normal((m, 839)))
-            vals = preamble.pdp_matrix(noise, seq, spectrum)
-            hits += int(np.sum(vals.max(axis=-1) > gamma))
-        rate = hits / total
+        rate = float(np.mean(fft_peaks(None, 0.0, seq, 100_000, rng) > gamma))
         assert abs(rate - p_fa) < tol, f"false alarm {rate:.4f} at target {p_fa}"
 
 
 def _check_miss_calibration():
     seq = preamble.generate_zc(1, 839)
-    noise_dbm = -110.67
     ref_dbm = -112.0
-    gamma = preamble.miss_threshold(0.01, ref_dbm, noise_dbm, seq,
+    gamma = preamble.miss_threshold(0.01, ref_dbm, NOISE_DBM, seq,
                                     trials=20_000, seed=23)
-    spectrum = preamble.sequence_spectrum(seq)
-    rng = np.random.default_rng(29)
-    amp = math.sqrt(preamble.dbm_to_mw(ref_dbm))
-    sigma = math.sqrt(preamble.dbm_to_mw(noise_dbm) / 2.0)
-    detected = 0
-    total = 20_000
-    for _ in range(10):
-        m = total // 10
-        noise = sigma * (rng.standard_normal((m, 839))
-                         + 1j * rng.standard_normal((m, 839)))
-        vals = preamble.pdp_matrix(amp * seq.samples + noise, seq, spectrum)
-        detected += int(np.sum(vals.max(axis=-1) > gamma))
-    rate = detected / total
+    peaks = fft_peaks(ref_dbm, NOISE_DBM, seq, 20_000, np.random.default_rng(29))
+    rate = float(np.mean(peaks > gamma))
     assert abs(rate - 0.99) < 0.005, f"reference detection rate {rate:.4f}"
+
+
+def _check_peak_sampler():
+    for rx_dbm in SAMPLER_GRID_DBM:
+        d, crit = sampler_vs_oracle(rx_dbm, seed=41)
+        assert d < crit, f"KS distance {d:.4f} >= {crit:.4f} at {rx_dbm} dBm"
+    gamma = preamble.false_alarm_threshold(0.01, NOISE_DBM, 839)
+    peaks = preamble.sample_peaks(np.zeros(100_000), preamble.dbm_to_mw(NOISE_DBM),
+                                  839, np.random.default_rng(43))
+    rate = float(np.mean(peaks > gamma))
+    assert abs(rate - 0.01) < 0.003, f"sampler false alarm {rate:.4f} at 0.01"
 
 
 def _check_index_angles():
@@ -287,6 +326,7 @@ CHECKS = [
     ("correlation processing gain", _check_processing_gain),
     ("false-alarm threshold closed form", _check_false_alarm_rate),
     ("miss-mode calibration consistency", _check_miss_calibration),
+    ("exact peak sampler vs FFT oracle", _check_peak_sampler),
     ("beam-index angle recovery", _check_index_angles),
     ("cosine-rule range solver", _check_distance_solver),
     ("angle->range->position round trip", _check_round_trip),

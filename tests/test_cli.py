@@ -24,6 +24,14 @@ def test_config_error_exit_code(tmp_path):
     assert main(["p-los", "--config", cfg]) == 2
 
 
+def test_small_codebook_is_config_error(tmp_path):
+    cfg = _write(tmp_path, "[antenna]\nn_rx = 2\n")
+    assert main(["single-trial", "--config", cfg, "--seed", "3"]) == 2
+    cfg = _write(tmp_path, "[experiment]\nn_tx_values = 2\n")
+    assert main(["reduction-pmiss", "--config", cfg, "--trials", "2",
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 def test_experiment_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "[experiment]\ncluster_grid = 3, 5\n")
     assert main(["time-cluster", "--config", cfg, "--trials", "2",

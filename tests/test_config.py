@@ -77,6 +77,37 @@ def test_detection_mode_validated(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("text,match", [
+    ("[antenna]\nn_rx = 2\n", "n_rx"),
+    ("[antenna]\nn_tx = 2\n", "n_tx"),
+    ("[experiment]\nn_tx_values = 2, 4\n", "n_tx_values"),
+])
+def test_small_codebook_without_beamwidth_rejected(tmp_path, text, match):
+    """Below three beams the default beamwidth 360/n is not below 180 deg."""
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_config(p)
+
+
+def test_small_codebook_with_beamwidth_accepted(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[antenna]\nn_rx = 2\nsc_phi_3db_deg = 90\n"
+                 "ue_phi_3db_deg = 90\n[experiment]\nn_tx_values = 2, 4\n")
+    cfg = load_config(p)
+    assert cfg.sc_codebook().n_beams == 2
+    assert cfg.ue_codebook(2).n_beams == 2
+
+
+def test_cluster_grid_size_two_rejected(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[experiment]\ncluster_grid = 1, 2, 3\n")
+    with pytest.raises(ConfigError, match="cluster_grid"):
+        load_config(p)
+    p.write_text("[experiment]\ncluster_grid = 1, 3\n")
+    assert load_config(p).experiment.cluster_grid == (1, 3)
+
+
 def test_beamwidth_defaults_track_codebook_size():
     cfg = SimConfig()
     assert cfg.antenna.ue_phi_3db() == pytest.approx(2 * math.pi / cfg.antenna.n_tx)

@@ -16,9 +16,11 @@ from mmwia.preamble import (
     is_prime,
     miss_threshold,
     pdp_matrix,
+    sample_peaks,
     sequence_spectrum,
     synthesize_rx,
 )
+from mmwia.selftest import NOISE_DBM, SAMPLER_GRID_DBM, fft_peaks, sampler_vs_oracle
 
 
 def test_is_prime_small_values():
@@ -215,3 +217,42 @@ def test_detection_monotone_in_power():
         vals = pdp_matrix(amp * seq.samples + noise, seq, spectrum)
         rates.append(float(np.mean(vals.max(axis=-1) > gamma)))
     assert rates[0] <= rates[1] + 0.02 <= rates[2] + 0.04
+
+
+def test_sample_peaks_noiseless_is_exact():
+    rx_mw = np.array([[1e-12, 2.5e-11], [0.0, 3.0]])
+    peaks = sample_peaks(rx_mw, 0.0, 839, np.random.default_rng(0))
+    assert np.array_equal(peaks, rx_mw * 839.0 ** 2)
+    seq = generate_zc(1, 839)
+    y = synthesize_rx(seq, -100.0, 0.0, noiseless=True)
+    assert compute_pdp(y, seq).peak_value == pytest.approx(
+        dbm_to_mw(-100.0) * 839.0 ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("rx_dbm", SAMPLER_GRID_DBM)
+def test_sample_peaks_matches_fft_oracle(rx_dbm):
+    """Two-sample KS over 10k draws per side, at alpha = 1e-3."""
+    d, crit = sampler_vs_oracle(rx_dbm, n=10_000, seed=7)
+    assert d < crit
+
+
+def test_sample_peaks_false_alarm_rate():
+    for p_fa in (0.1, 0.01):
+        gamma = false_alarm_threshold(p_fa, NOISE_DBM, 839)
+        peaks = sample_peaks(np.zeros(100_000), dbm_to_mw(NOISE_DBM), 839,
+                             np.random.default_rng(12))
+        rate = float(np.mean(peaks > gamma))
+        assert rate == pytest.approx(p_fa, rel=0.30)
+
+
+def test_miss_threshold_oracle_miss_rate():
+    """The FFT oracle misses the reference link at the calibrated rate,
+    within 4 standard errors of the two samples together."""
+    seq = generate_zc(1, 839)
+    n_cal = n_oracle = 20_000
+    ref_dbm = -108.7  # default aligned reference budget
+    gamma = miss_threshold(0.01, ref_dbm, NOISE_DBM, seq, trials=n_cal, seed=13)
+    peaks = fft_peaks(ref_dbm, NOISE_DBM, seq, n_oracle, np.random.default_rng(14))
+    rate = float(np.mean(peaks <= gamma))
+    se = math.sqrt(0.01 * 0.99 * (1.0 / n_cal + 1.0 / n_oracle))
+    assert abs(rate - 0.01) <= 4.0 * se

@@ -178,22 +178,3 @@ def test_outcome_invariants():
     assert out.success
     assert out.detecting_pair is not None and out.detecting_cell is not None
 
-
-def test_propagation_delay_flag_does_not_change_outcomes():
-    """The PDP peak is shift-invariant, so outcomes match with delays on."""
-    from dataclasses import replace
-    base = _setup(p_ue=-14.0, gamma=1e-5)
-    delayed = replace(base, model_propagation_delay=True)
-    for seed in range(8):
-        assert run_exhaustive(base, seed=seed) == run_exhaustive(delayed, seed=seed)
-
-
-def test_propagation_delay_moves_peak_lag():
-    from mmwia.protocol import _TrialEngine, SPEED_OF_LIGHT
-    import numpy as np
-    from dataclasses import replace
-    setup = replace(_setup(noiseless=True), model_propagation_delay=True)
-    engine = _TrialEngine(setup, np.random.default_rng(0))
-    d = setup.geom.ue_position.distance_to(setup.geom.sc_positions[0])
-    expect = round(d * setup.link_params.bandwidth_hz / SPEED_OF_LIGHT) % 839
-    assert engine.delay_lags[0] == expect
