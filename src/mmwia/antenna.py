@@ -55,22 +55,12 @@ def make_pattern(phi_3db: float) -> AntennaPattern:
     )
 
 
-def gain(pattern: AntennaPattern, offset):
-    return pattern.gain(offset)
-
-
 @dataclass(frozen=True)
 class BeamCodebook:
-    """Evenly spaced beam centers sharing one pattern, plus a sweep order."""
+    """Evenly spaced beam centers sharing one pattern; beams sweep in index order."""
 
     beam_centers: np.ndarray  # radians in [0, 2*pi), ascending from start
     pattern: AntennaPattern
-    sweep_order: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.beam_centers)
-        if sorted(self.sweep_order) != list(range(n)):
-            raise ValueError("sweep_order is not a permutation of beam indices")
 
     @property
     def n_beams(self) -> int:
@@ -81,13 +71,11 @@ def make_codebook(
     n_beams: int,
     phi_3db: float | None = None,
     start: float | Bearing = 0.0,
-    order_seed=None,
 ) -> BeamCodebook:
     """Codebook of ``n_beams`` centers spaced 2*pi/n from ``start``.
 
     phi_3db defaults to the beam spacing (beams then overlap at their
-    2.6x main-lobe width). order_seed None keeps the identity sweep
-    order; otherwise the order is a seeded random permutation.
+    2.6x main-lobe width).
     """
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
@@ -99,11 +87,7 @@ def make_codebook(
     centers = np.array(
         [normalize_angle(start_angle + k * TWO_PI / n_beams) for k in range(n_beams)]
     )
-    if order_seed is None:
-        order = tuple(range(n_beams))
-    else:
-        order = tuple(int(i) for i in np.random.default_rng(order_seed).permutation(n_beams))
-    return BeamCodebook(centers, make_pattern(phi_3db), order)
+    return BeamCodebook(centers, make_pattern(phi_3db))
 
 
 def best_beam_index(cb: BeamCodebook, target: float | Bearing) -> int:

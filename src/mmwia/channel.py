@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import AntennaPattern
+from .antenna import AntennaPattern, BeamCodebook
 from .geometry import (
     TWO_PI,
     Bearing,
@@ -26,7 +26,6 @@ class LinkBudgetParams:
     p_ue_dbm: float
     noise_density_dbm_hz: float
     bandwidth_hz: float
-    carrier_hz: float = 28e9  # record-keeping only
 
     def __post_init__(self):
         if self.bandwidth_hz <= 0:
@@ -116,6 +115,31 @@ def link_bearings(geom: ClusterGeometry, cell_index: int,
         return geom.ue_position.bearing_to(cell), cell.bearing_to(geom.ue_position)
     refl = reflector_point(geom, cell_index, link)
     return geom.ue_position.bearing_to(refl), cell.bearing_to(refl)
+
+
+def link_budget_dbm(geom: ClusterGeometry, states, ue_cb: BeamCodebook,
+                    sc_cb: BeamCodebook,
+                    p_ue_dbm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every beam pair's link budget, split at the Rx antenna.
+
+    Returns the (n_tx, n_sc) dBm map of Tx beam t towards cell i before
+    the Rx gain, and the (n_rx, n_sc) Rx gain of cell beam b for the
+    arrival direction at cell i; their sum is ``received_power`` for that
+    (t, i, b), with distances below the pathloss model's 1 m reference
+    clamped to 1 m.
+    """
+    depart, arrive = zip(*(
+        link_bearings(geom, i, states[i]) for i in range(geom.n_sc)
+    ))
+    dists = np.maximum(
+        [geom.ue_position.distance_to(p) for p in geom.sc_positions], 1.0)
+    penalties = np.array([s.nlos_penalty_db for s in states])
+    tx_gains = ue_cb.pattern.gain(circular_distance(
+        ue_cb.beam_centers[:, None], np.asarray(depart)[None, :]))
+    base = p_ue_dbm + tx_gains - pathloss(dists)[None, :] - penalties[None, :]
+    rx_gain = sc_cb.pattern.gain(circular_distance(
+        sc_cb.beam_centers[:, None], np.asarray(arrive)[None, :]))
+    return base, rx_gain
 
 
 def received_power(

@@ -98,7 +98,7 @@ def _emit(table: ResultTable, out_dir: Path, title: str) -> None:
 
 
 def _single_trial(cfg: SimConfig, seed: int) -> None:
-    geom = build_cluster(max(cfg.geometry.n_sc, 3), cfg.geometry.side_m,
+    geom = build_cluster(cfg.geometry.n_sc, cfg.geometry.side_m,
                          np.random.default_rng((seed, 0)))
     geom = geom.with_ue(place_ue(geom, np.random.default_rng((seed, 1))))
     states = sample_blocking(geom.n_sc, cfg.channel.p_blk,

@@ -1,7 +1,7 @@
 """Key=value configuration with strict validation and simulation defaults.
 
-Defaults follow the reference system parameters (28 GHz carrier,
-1.08 MHz bandwidth, -171 dBm/Hz noise density, 200 m inter-cell
+Defaults follow the reference system parameters (28 GHz pathloss
+model, 1.08 MHz bandwidth, -171 dBm/Hz noise density, 200 m inter-cell
 distance, length-839 ZC preamble). Values marked [non-paper default]
 in the docs have no published counterpart and were chosen to put the
 protocol in its alignment-limited operating regime.
@@ -18,13 +18,8 @@ from pathlib import Path
 from .antenna import make_pattern, make_codebook, BeamCodebook
 from .channel import LinkBudgetParams, pathloss
 from .geometry import TWO_PI
-from .preamble import (
-    DetectionConfig,
-    ZcSequence,
-    calibrate_threshold,
-    generate_zc,
-    is_prime,
-)
+from . import preamble
+from .preamble import ZcSequence, false_alarm_threshold, generate_zc, is_prime
 
 
 class ConfigError(Exception):
@@ -44,11 +39,6 @@ class AntennaConfig:
     ue_phi_3db_deg: float | None = None  # None -> 360/n_tx
     sc_phi_3db_deg: float | None = None  # None -> 360/n_rx
 
-    def ue_phi_3db(self) -> float:
-        if self.ue_phi_3db_deg is not None:
-            return math.radians(self.ue_phi_3db_deg)
-        return TWO_PI / self.n_tx
-
     def sc_phi_3db(self) -> float:
         if self.sc_phi_3db_deg is not None:
             return math.radians(self.sc_phi_3db_deg)
@@ -60,7 +50,6 @@ class ChannelConfig:
     p_ue_dbm: float = -14.0  # [non-paper default]
     noise_density_dbm_hz: float = -171.0
     bandwidth_hz: float = 1.08e6
-    carrier_hz: float = 28e9
     p_blk: float = 0.0  # blocking off for the protocol runs [non-paper default]
     nlos_excess_mean_db: float = 26.0  # [non-paper default]
 
@@ -136,7 +125,6 @@ class SimConfig:
             p_ue_dbm=ch.p_ue_dbm if p_ue_dbm is None else p_ue_dbm,
             noise_density_dbm_hz=ch.noise_density_dbm_hz,
             bandwidth_hz=ch.bandwidth_hz,
-            carrier_hz=ch.carrier_hz,
         )
 
     def sequence(self) -> ZcSequence:
@@ -150,11 +138,6 @@ class SimConfig:
 
     def sc_codebook(self) -> BeamCodebook:
         return make_codebook(self.antenna.n_rx, self.antenna.sc_phi_3db())
-
-    def detection_config(self) -> DetectionConfig:
-        if self.detection.mode == "fa":
-            return DetectionConfig(target_p_fa=self.detection.target)
-        return DetectionConfig(target_p_miss=self.detection.target)
 
     def reference_rx_dbm(self) -> float:
         """Nominal aligned link budget the miss-mode threshold calibrates on.
@@ -173,16 +156,14 @@ class SimConfig:
 
     def threshold(self, noise_dbm: float, seq: ZcSequence, seed=None,
                   target: float | None = None) -> float:
+        """gamma_ra for the configured mode: closed form for a false-alarm
+        target, Monte Carlo on the reference link for a miss target."""
         det = self.detection
         t = det.target if target is None else target
-        cfg = (DetectionConfig(target_p_fa=t) if det.mode == "fa"
-               else DetectionConfig(target_p_miss=t))
-        return calibrate_threshold(
-            cfg, noise_dbm, seq,
-            reference_rx_dbm=self.reference_rx_dbm(),
-            trials=det.calibration_trials,
-            seed=seed,
-        )
+        if det.mode == "fa":
+            return false_alarm_threshold(t, noise_dbm, seq.n_zc)
+        return preamble.miss_threshold(t, self.reference_rx_dbm(), noise_dbm, seq,
+                                       trials=det.calibration_trials, seed=seed)
 
     def config_hash(self) -> str:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:12]
@@ -193,8 +174,8 @@ _SCHEMA = {
     "antenna": {"n_tx": "int", "n_rx": "int",
                 "ue_phi_3db_deg": "float", "sc_phi_3db_deg": "float"},
     "channel": {"p_ue_dbm": "float", "noise_density_dbm_hz": "float",
-                "bandwidth_hz": "float", "carrier_hz": "float",
-                "p_blk": "float", "nlos_excess_mean_db": "float"},
+                "bandwidth_hz": "float", "p_blk": "float",
+                "nlos_excess_mean_db": "float"},
     "preamble": {"n_zc": "int", "root_u": "int"},
     "detection": {"mode": "str", "target": "float",
                   "reference_distance_m": "float",
@@ -233,8 +214,9 @@ def _parse_value(section: str, key: str, raw: str, kind: str):
 
 def _validate(cfg: SimConfig) -> SimConfig:
     g, a, ch, pre, det = cfg.geometry, cfg.antenna, cfg.channel, cfg.preamble, cfg.detection
-    if g.n_sc < 1:
-        raise ConfigError("[geometry] n_sc: must be >= 1")
+    # the coordinated scheme needs the three base cells
+    if g.n_sc < 3:
+        raise ConfigError("[geometry] n_sc: must be >= 3")
     if g.side_m <= 0:
         raise ConfigError("[geometry] side_m: must be positive")
     if a.n_tx < 1 or a.n_rx < 1:

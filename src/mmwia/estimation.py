@@ -54,10 +54,9 @@ class MeasurementReport:
 
 @dataclass(frozen=True)
 class AngleEstimate:
-    """Cyclic subtended-angle estimates plus the band halfwidth for areas."""
+    """Cyclic subtended-angle estimates."""
 
     theta_tilde: tuple[float, float, float]
-    band_halfwidth: float = 0.0
 
 
 def select_top3(reports: Sequence[MeasurementReport]) -> list[MeasurementReport]:
@@ -78,11 +77,7 @@ def wrapped_index_angle(n_from: int, n_to: int, n_tx: int) -> float:
     return TWO_PI * delta / n_tx
 
 
-def angles_from_reports(
-    reports: Sequence[MeasurementReport],
-    n_tx: int | None = None,
-    band_halfwidth: float = 0.0,
-) -> AngleEstimate:
+def angles_from_reports(reports: Sequence[MeasurementReport]) -> AngleEstimate:
     """Cyclic angle estimates from three reports in counterclockwise cell order.
 
     theta_i is derived from the wrapped difference of the best Tx indices
@@ -93,15 +88,14 @@ def angles_from_reports(
         raise EstimationError("angle recovery needs exactly three reports")
     if len({r.cell_index for r in reports}) != 3:
         raise EstimationError("reports must come from distinct cells")
-    if n_tx is None:
-        n_tx = reports[0].n_tx
+    n_tx = reports[0].n_tx
     if any(r.n_tx != n_tx for r in reports):
         raise EstimationError("reports disagree on the Tx codebook size")
     idx = [r.best_tx_index for r in reports]
     thetas = tuple(
         wrapped_index_angle(idx[i], idx[(i + 1) % 3], n_tx) for i in range(3)
     )
-    return AngleEstimate(thetas, band_halfwidth)
+    return AngleEstimate(thetas)
 
 
 def _pair_residuals(d: np.ndarray, cos_t: np.ndarray, side2: np.ndarray) -> np.ndarray:
@@ -298,7 +292,7 @@ def subtended_angle(px, py, a: Point2D, b: Point2D):
 
 @dataclass(frozen=True, eq=False)
 class EstimationArea:
-    """Rasterized inscribed-angle band (or an intersection of bands)."""
+    """Rasterized intersection of inscribed-angle bands."""
 
     x_edges: np.ndarray  # cell-center x coordinates
     y_edges: np.ndarray  # cell-center y coordinates
@@ -320,16 +314,6 @@ class EstimationArea:
         ys, xs = np.nonzero(self.mask)
         return Point2D(float(self.x_edges[xs].mean()), float(self.y_edges[ys].mean()))
 
-    def intersect(self, other: "EstimationArea") -> "EstimationArea":
-        if self.mask.shape != other.mask.shape:
-            raise ValueError("areas must share one grid to intersect")
-        mine, theirs = self.contains, other.contains
-        return EstimationArea(
-            self.x_edges, self.y_edges, self.resolution,
-            self.mask & other.mask,
-            contains=lambda p: mine(p) and theirs(p),
-        )
-
 
 def area_grid(geom: ClusterGeometry, resolution: float):
     """Cell-center axes covering the base triangle's bounding box."""
@@ -343,8 +327,14 @@ def area_grid(geom: ClusterGeometry, resolution: float):
     return xs, ys
 
 
-def _band_member(theta_tilde, pair, band_halfwidth, side_reference):
-    """Vectorized membership test for one inscribed-angle band."""
+def band_member(theta_tilde, pair, band_halfwidth, side_reference):
+    """Vectorized membership test ``member(px, py)`` for one estimation area.
+
+    A point is a member when the angle it subtends over the anchor pair
+    lies in [theta_tilde - h, theta_tilde + h] and, when a side reference
+    is given, it lies on the reference's side of the chord (the
+    inscribed-angle locus is mirror-symmetric about it).
+    """
     if band_halfwidth <= 0.0:
         raise ValueError("band halfwidth must be positive")
     a, b = pair
@@ -364,30 +354,6 @@ def _band_member(theta_tilde, pair, band_halfwidth, side_reference):
         return ok
 
     return member
-
-
-def estimation_area(
-    theta_tilde: float,
-    pair: tuple[Point2D, Point2D],
-    band_halfwidth: float,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    resolution: float,
-    side_reference: Point2D | None = None,
-) -> EstimationArea:
-    """Points whose subtended angle over the anchor pair falls in the band.
-
-    Membership requires theta_tilde - h <= subtended <= theta_tilde + h
-    and, when a side reference is given, lying on the reference's side of
-    the chord (the inscribed-angle locus is mirror-symmetric about it).
-    """
-    member = _band_member(theta_tilde, pair, band_halfwidth, side_reference)
-    gx, gy = np.meshgrid(xs, ys)
-    mask = member(gx, gy)
-    return EstimationArea(
-        xs, ys, resolution, mask,
-        contains=lambda p: bool(member(np.asarray(p.x), np.asarray(p.y))),
-    )
 
 
 def _order_ccw(reports: Sequence[MeasurementReport],
@@ -436,7 +402,7 @@ def refine_location(
         a, b = top3[i], top3[(i + 1) % 3]
         # an interior UE always lies on the remaining cell's side of the chord
         third = positions[top3[(i + 2) % 3].cell_index]
-        members.append(_band_member(
+        members.append(band_member(
             est.theta_tilde[i],
             (positions[a.cell_index], positions[b.cell_index]),
             band_halfwidth, third))
@@ -457,7 +423,7 @@ def refine_location(
             theta = min(theta, TWO_PI - theta)  # unsigned angle for a lone pair
             if theta <= 0.0:
                 continue
-            members.append(_band_member(
+            members.append(band_member(
                 theta, (p_extra, positions[anchor.cell_index]),
                 band_halfwidth, point))
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .antenna import best_beam_index
-from .channel import link_bearings, noise_power, pathloss, sample_blocking
+from .channel import link_budget_dbm, noise_power, sample_blocking
 from .config import SimConfig
-from .geometry import build_cluster, circular_distance, place_ue
-from .protocol import TrialSetup, run_coordinated, run_exhaustive
+from .geometry import build_cluster, place_ue
+from .protocol import TrialSetup, ia_time_reduction, run_coordinated, run_exhaustive
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,6 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
         config_hash=cfg.config_hash(), master_seed=spec.master_seed)
     ue_cb = cfg.ue_codebook()
     sc_cb = cfg.sc_codebook()
-    params = cfg.link_params()
 
     grid = [(n, p) for n in cfg.experiment.p_los_cluster_sizes
             for p in cfg.experiment.p_los_p_blk]
@@ -116,19 +114,9 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
             geom = geom.with_ue(place_ue(geom, rng))
             states = sample_blocking(
                 n_sc, p_blk, rng, excess_mean_db=cfg.channel.nlos_excess_mean_db)
-
-            rx_dbm = np.empty(n_sc)
-            for i in range(n_sc):
-                depart, arrive = link_bearings(geom, i, states[i])
-                ue_beam = ue_cb.beam_centers[best_beam_index(ue_cb, depart)]
-                g_ue = ue_cb.pattern.gain(circular_distance(ue_beam, depart))
-                sc_beam = sc_cb.beam_centers[best_beam_index(sc_cb, arrive)]
-                g_sc = sc_cb.pattern.gain(circular_distance(sc_beam, arrive))
-                # clamp at the model's 1 m reference: closer cells saturate
-                d = max(geom.ue_position.distance_to(geom.sc_positions[i]), 1.0)
-                rx_dbm[i] = (params.p_ue_dbm + g_ue + g_sc - pathloss(d)
-                             - states[i].nlos_penalty_db)
-
+            base, rx_gain = link_budget_dbm(geom, states, ue_cb, sc_cb,
+                                            cfg.channel.p_ue_dbm)
+            rx_dbm = base.max(axis=0) + rx_gain.max(axis=0)
             # ties go to the lower cell index
             top3 = np.argsort(-rx_dbm, kind="stable")[:3]
             if not any(states[i].blocked for i in top3):
@@ -182,15 +170,14 @@ def _ia_times(runner, setups) -> np.ndarray:
 
 def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int):
-    """Coordinated and exhaustive IA times over paired trial seeds."""
+    """(p_er_pct, stderr_pct, coordinated mean, exhaustive mean) IA times
+    over paired trial seeds."""
     setups = list(_trial_setups(cfg, n_tx, p_ue_dbm, gamma, trials,
                                 master_seed, point))
     exh = _ia_times(run_exhaustive, setups)
-    if cfg.geometry.n_sc >= 3:
-        coord = _ia_times(run_coordinated, setups)
-    else:
-        coord = np.full(trials, np.nan)
-    return coord, exh
+    coord = _ia_times(run_coordinated, setups)
+    mc, me = float(np.mean(coord)), float(np.mean(exh))
+    return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
 
 
 def _point_threshold(cfg: SimConfig, master_seed: int, point: int,
@@ -218,11 +205,8 @@ def run_reduction_vs_power(spec: ExperimentSpec) -> ResultTable:
     grid = [(p, n) for n in cfg.experiment.n_tx_values
             for p in cfg.experiment.power_grid_dbm]
     for point, (p_ue, n_tx) in enumerate(grid):
-        coord, exh = _paired_point(cfg, n_tx, p_ue, gamma, spec.trials,
-                                   spec.master_seed, point)
-        mc, me = float(np.mean(coord)), float(np.mean(exh))
-        p_er = (mc - me) / me * 100.0
-        table.add(p_ue, n_tx, p_er, _ratio_delta_se(coord, exh), mc, me,
+        table.add(p_ue, n_tx, *_paired_point(cfg, n_tx, p_ue, gamma, spec.trials,
+                                             spec.master_seed, point),
                   spec.trials)
     return table
 
@@ -241,11 +225,9 @@ def run_reduction_vs_pmiss(spec: ExperimentSpec) -> ResultTable:
             for pm in cfg.experiment.pmiss_grid]
     for point, (p_miss, n_tx) in enumerate(grid):
         gamma = _point_threshold(cfg, spec.master_seed, point, target=p_miss)
-        coord, exh = _paired_point(cfg, n_tx, cfg.channel.p_ue_dbm, gamma,
-                                   spec.trials, spec.master_seed, point)
-        mc, me = float(np.mean(coord)), float(np.mean(exh))
-        p_er = (mc - me) / me * 100.0
-        table.add(p_miss, n_tx, p_er, _ratio_delta_se(coord, exh), mc, me,
+        table.add(p_miss, n_tx, *_paired_point(cfg, n_tx, cfg.channel.p_ue_dbm,
+                                               gamma, spec.trials,
+                                               spec.master_seed, point),
                   spec.trials)
     return table
 

@@ -153,16 +153,6 @@ def place_ue(geom: ClusterGeometry, placement_seed=None) -> Point2D:
     )
 
 
-def ue_bearings(geom: ClusterGeometry) -> np.ndarray:
-    """Azimuth from the UE towards every cell."""
-    return np.array([geom.ue_position.bearing_to(p) for p in geom.sc_positions])
-
-
-def true_distances(geom: ClusterGeometry) -> np.ndarray:
-    """Euclidean UE-to-cell distances."""
-    return np.array([geom.ue_position.distance_to(p) for p in geom.sc_positions])
-
-
 def true_angles(geom: ClusterGeometry) -> tuple[float, float, float]:
     """Angles subtended at the UE between consecutive base-triangle cells.
 

@@ -61,21 +61,6 @@ class PdpProfile:
     peak_value: float
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
-    """Exactly one of the two calibration targets is active."""
-
-    target_p_fa: float | None = None
-    target_p_miss: float | None = None
-
-    def __post_init__(self):
-        if (self.target_p_fa is None) == (self.target_p_miss is None):
-            raise ValueError("set exactly one of target_p_fa / target_p_miss")
-        t = self.target_p_fa if self.target_p_fa is not None else self.target_p_miss
-        if not 0.0 < t < 1.0:
-            raise ValueError("target probability must lie in (0, 1)")
-
-
 def synthesize_rx(
     seq: ZcSequence,
     rx_power_dbm: float,
@@ -133,11 +118,6 @@ def compute_pdp(y: np.ndarray, seq: ZcSequence) -> PdpProfile:
     return PdpProfile(values, peak_lag, float(values[peak_lag]))
 
 
-def detect(pdp: PdpProfile, gamma_ra: float) -> tuple[bool, int]:
-    """Threshold test: detected iff the peak strictly exceeds gamma_ra."""
-    return pdp.peak_value > gamma_ra, pdp.peak_lag
-
-
 def false_alarm_threshold(p_fa: float, noise_power_dbm: float, n_zc: int) -> float:
     """Closed-form threshold for a target any-lag false-alarm probability.
 
@@ -193,23 +173,3 @@ def miss_threshold(
                          np.random.default_rng(seed))
     return float(np.quantile(peaks, p_miss))
 
-
-def calibrate_threshold(
-    cfg: DetectionConfig,
-    noise_power_dbm: float,
-    seq: ZcSequence,
-    reference_rx_dbm: float | None = None,
-    trials: int = 10_000,
-    seed=None,
-) -> float:
-    """gamma_ra for either calibration mode.
-
-    False-alarm mode is analytic; miss mode runs Monte Carlo against the
-    supplied reference link (aligned beams at the nominal budget).
-    """
-    if cfg.target_p_fa is not None:
-        return false_alarm_threshold(cfg.target_p_fa, noise_power_dbm, seq.n_zc)
-    if reference_rx_dbm is None:
-        raise ValueError("miss-mode calibration needs a reference rx power")
-    return miss_threshold(cfg.target_p_miss, reference_rx_dbm, noise_power_dbm,
-                          seq, trials=trials, seed=seed)

@@ -13,12 +13,12 @@ Rx sweep towards the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .antenna import BeamCodebook
-from .channel import LinkBudgetParams, LinkState, link_bearings, noise_power, pathloss
+from .channel import LinkBudgetParams, LinkState, link_budget_dbm, noise_power
 from .estimation import (
     EstimationError,
     MeasurementReport,
@@ -30,38 +30,6 @@ from .preamble import ZcSequence, dbm_to_mw, sample_peaks
 
 EXHAUSTIVE = "exhaustive"
 COORDINATED = "coordinated"
-
-
-@dataclass(frozen=True)
-class SweepSchedule:
-    """Slot bookkeeping for one round."""
-
-    t_ra_s: float
-    round_index: int
-    rx_beam_assignment: tuple[int, ...]  # per-cell beam index held this round
-    ue_tx_order: tuple[int, ...]
-
-
-@dataclass
-class BackhaulBus:
-    """Trial-local report exchange between the cluster's cells."""
-
-    latency_s: float = 0.0
-    pending: list[tuple[int, MeasurementReport]] = field(default_factory=list)
-
-    def publish(self, source_cell: int, report: MeasurementReport) -> None:
-        self.pending.append((source_cell, report))
-
-    def collect(self) -> list[MeasurementReport]:
-        reports = [r for _, r in sorted(self.pending, key=lambda sr: sr[0])]
-        self.pending.clear()
-        return reports
-
-    def delay_rounds(self, round_duration_s: float) -> int:
-        """Whole rounds that elapse before published reports are readable."""
-        if self.latency_s <= 0.0:
-            return 0
-        return int(math.ceil(self.latency_s / round_duration_s))
 
 
 @dataclass(frozen=True)
@@ -112,6 +80,11 @@ def reorder_rx_beams(codebook: BeamCodebook, estimate: Point2D,
     return tuple(int(i) for i in np.argsort(dist, kind="stable"))
 
 
+def backhaul_delay_rounds(latency_s: float, round_duration_s: float) -> int:
+    """Whole rounds that elapse before reports sent over the backhaul are readable."""
+    return max(0, math.ceil(latency_s / round_duration_s))
+
+
 def ia_time_reduction(t_new: float, t_con: float) -> float:
     """Signed IA-time change in percent; negative means the new scheme is faster."""
     if t_con <= 0.0:
@@ -129,38 +102,21 @@ class _TrialEngine:
         self.n_sc = geom.n_sc
         self.n_tx = setup.ue_codebook.n_beams
         self.n_rx = setup.sc_codebook.n_beams
-        self.states = setup.states()
-
-        depart, arrive = zip(*(
-            link_bearings(geom, i, self.states[i]) for i in range(self.n_sc)
-        ))
-        # clamp at the pathloss model's 1 m reference distance
-        dists = np.maximum(
-            [geom.ue_position.distance_to(p) for p in geom.sc_positions], 1.0)
-        penalties = np.array([s.nlos_penalty_db for s in self.states])
-        ue_cb, sc_cb = setup.ue_codebook, setup.sc_codebook
-
-        # (n_tx, n_sc) dBm map for Tx beam t towards cell i, before the Rx gain
-        tx_gains = ue_cb.pattern.gain(circular_distance(
-            ue_cb.beam_centers[:, None], np.asarray(depart)[None, :]))
-        self._base_dbm = (setup.link_params.p_ue_dbm + tx_gains
-                          - pathloss(dists)[None, :] - penalties[None, :])
-        # (n_rx, n_sc) Rx gain of beam b at cell i for the arrival direction
-        self._rx_gain = sc_cb.pattern.gain(circular_distance(
-            sc_cb.beam_centers[:, None], np.asarray(arrive)[None, :]))
-
-        self.noise_dbm = noise_power(setup.link_params)
-        self._noise_mw = 0.0 if setup.noiseless else dbm_to_mw(self.noise_dbm)
+        self._base_dbm, self._rx_gain = link_budget_dbm(
+            geom, setup.states(), setup.ue_codebook, setup.sc_codebook,
+            setup.link_params.p_ue_dbm)
+        self._noise_mw = (0.0 if setup.noiseless
+                          else dbm_to_mw(noise_power(setup.link_params)))
 
     def rx_power_dbm(self, rx_beams) -> np.ndarray:
         """(n_tx, n_sc) received power for this round's per-cell Rx beams."""
         gains = self._rx_gain[np.asarray(rx_beams), np.arange(self.n_sc)]
         return self._base_dbm + gains[None, :]
 
-    def round_peaks(self, schedule: SweepSchedule) -> np.ndarray:
-        """(n_tx slots, n_sc) PDP peak values for one full UE sweep."""
-        rx_mw = 10.0 ** (self.rx_power_dbm(schedule.rx_beam_assignment) / 10.0)
-        rx_mw = rx_mw[np.asarray(schedule.ue_tx_order), :]  # slot-major rows
+    def round_peaks(self, rx_beams) -> np.ndarray:
+        """(n_tx slots, n_sc) PDP peak values for one full UE sweep; slot t
+        carries Tx beam t."""
+        rx_mw = 10.0 ** (self.rx_power_dbm(rx_beams) / 10.0)
         return sample_peaks(rx_mw, self._noise_mw, self.setup.seq.n_zc, self.rng)
 
     def first_detection(self, peaks: np.ndarray):
@@ -172,26 +128,17 @@ class _TrialEngine:
                 return slot, int(cells[0])
         return None
 
-    def schedule(self, round_index: int, rx_beams) -> SweepSchedule:
-        return SweepSchedule(
-            t_ra_s=self.setup.t_ra_s,
-            round_index=round_index,
-            rx_beam_assignment=tuple(int(b) for b in rx_beams),
-            ue_tx_order=self.setup.ue_codebook.sweep_order,
-        )
 
-
-def _finish(scheme, engine, setup, schedule, slot, cell, estimate):
-    slots_used = schedule.round_index * engine.n_tx + slot + 1
+def _finish(scheme, engine, setup, round_index, rx_beams, slot, cell, estimate):
+    slots_used = round_index * engine.n_tx + slot + 1
     return IaTrialOutcome(
         scheme=scheme,
         success=True,
         slots_used=slots_used,
         ia_time_s=slots_used * setup.t_ra_s,
-        rounds=schedule.round_index + 1,
+        rounds=round_index + 1,
         detecting_cell=cell,
-        detecting_pair=(int(schedule.ue_tx_order[slot]),
-                        schedule.rx_beam_assignment[cell]),
+        detecting_pair=(slot, rx_beams[cell]),
         estimated_ue=estimate,
     )
 
@@ -221,11 +168,10 @@ def run_exhaustive(setup: TrialSetup, seed=None,
     orders = _sweep_orders(engine)
     rounds = engine.n_rx if max_rounds is None else min(max_rounds, engine.n_rx)
     for r in range(rounds):
-        schedule = engine.schedule(r, (orders[i][r] for i in range(engine.n_sc)))
-        peaks = engine.round_peaks(schedule)
-        hit = engine.first_detection(peaks)
+        rx_beams = tuple(int(order[r]) for order in orders)
+        hit = engine.first_detection(engine.round_peaks(rx_beams))
         if hit is not None:
-            return _finish(EXHAUSTIVE, engine, setup, schedule, *hit, None)
+            return _finish(EXHAUSTIVE, engine, setup, r, rx_beams, *hit, None)
     return _fail(EXHAUSTIVE, setup, engine, rounds)
 
 
@@ -240,22 +186,17 @@ def run_coordinated(setup: TrialSetup, seed=None,
         max_rounds = engine.n_rx + 1
 
     # Round 1: random Rx beams, full UE sweep, reports recorded as measured.
-    schedule = engine.schedule(0, (orders[i][0] for i in range(engine.n_sc)))
-    peaks = engine.round_peaks(schedule)
+    rx_beams = tuple(int(order[0]) for order in orders)
+    peaks = engine.round_peaks(rx_beams)
     hit = engine.first_detection(peaks)
     if hit is not None:
-        return _finish(COORDINATED, engine, setup, schedule, *hit, None)
+        return _finish(COORDINATED, engine, setup, 0, rx_beams, *hit, None)
 
-    bus = BackhaulBus(latency_s=setup.backhaul_latency_s)
-    slot_of_beam = np.argsort(np.asarray(schedule.ue_tx_order))
-    for i in range(engine.n_sc):
-        bus.publish(i, MeasurementReport(
-            cell_index=i,
-            peak_per_tx_beam=peaks[slot_of_beam, i].copy(),  # beam-indexed
-            rx_beam_used=schedule.rx_beam_assignment[i],
-        ))
-    reports = bus.collect()
-    delay = bus.delay_rounds(engine.n_tx * setup.t_ra_s)
+    reports = [MeasurementReport(cell_index=i, peak_per_tx_beam=peaks[:, i].copy(),
+                                 rx_beam_used=rx_beams[i])
+               for i in range(engine.n_sc)]
+    delay = backhaul_delay_rounds(setup.backhaul_latency_s,
+                                  engine.n_tx * setup.t_ra_s)
 
     estimate = None
     try:
@@ -279,14 +220,12 @@ def run_coordinated(setup: TrialSetup, seed=None,
 
     for r in range(1, max_rounds):
         use_reordered = reordered is not None and (r - 1) >= delay
-        rx_beams = [
+        rx_beams = tuple(
             int(reordered[i][(r - 1 - delay) % engine.n_rx]) if use_reordered
             else int(fallback[i][(r - 1) % engine.n_rx])
             for i in range(engine.n_sc)
-        ]
-        schedule = engine.schedule(r, rx_beams)
-        peaks = engine.round_peaks(schedule)
-        hit = engine.first_detection(peaks)
+        )
+        hit = engine.first_detection(engine.round_peaks(rx_beams))
         if hit is not None:
-            return _finish(COORDINATED, engine, setup, schedule, *hit, estimate)
+            return _finish(COORDINATED, engine, setup, r, rx_beams, *hit, estimate)
     return _fail(COORDINATED, setup, engine, max_rounds, estimate)

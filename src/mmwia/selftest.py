@@ -2,8 +2,9 @@
 
 Each check recomputes its expectation from an independent route (hand
 algebra, brute-force correlation, closed-form statistics, grid search)
-and compares the implementation against it. The CLI `selftest` command
-runs the whole list and prints one line per check.
+and compares the implementation against it. This module holds the only
+copy of each oracle: the CLI `selftest` command runs the whole list and
+prints one line per check, and the test suite runs each check as a test.
 """
 
 from __future__ import annotations
@@ -17,6 +18,14 @@ from . import antenna, channel, estimation, geometry, preamble, protocol
 from .config import SimConfig
 
 D = 200.0
+
+
+def _assert_raises(exc, fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except exc:
+        return
+    raise AssertionError(f"{fn.__name__} must raise {exc.__name__}")
 
 
 def _check_cluster_reproducible():
@@ -77,12 +86,38 @@ def _check_link_budget():
         ue_beam=math.pi, ue_pattern=pat, sc_beam=math.pi, sc_pattern=pat,
         cell_index=0)
     assert abs((aligned - backlobe) - (pat.g0 - pat.g_sl)) < 1e-9
+    assert abs((pat.g0 - pat.g_sl) - 24.65) < 0.02
+
+    # the (tx, cell, rx) tensor against the scalar reference, LOS and blocked
+    ue_cb, sc_cb = antenna.make_codebook(8), antenna.make_codebook(6)
+    rng = np.random.default_rng(19)
+    seen = set()
+    for _ in range(20):
+        g = geometry.build_cluster(6, D, rng)
+        g = g.with_ue(geometry.place_ue(g, rng))
+        states = channel.sample_blocking(6, 0.5, rng)
+        base, rx_gain = channel.link_budget_dbm(g, states, ue_cb, sc_cb, 23.0)
+        for i, state in enumerate(states):
+            if g.ue_position.distance_to(g.sc_positions[i]) < 1.0:
+                continue
+            seen.add(state.blocked)
+            for t, ue_beam in enumerate(ue_cb.beam_centers):
+                for b, sc_beam in enumerate(sc_cb.beam_centers):
+                    ref = channel.received_power(
+                        params, g, state, float(ue_beam), ue_cb.pattern,
+                        float(sc_beam), sc_cb.pattern, i)
+                    err = abs(base[t, i] + rx_gain[b, i] - ref)
+                    assert err < 1e-9, f"tensor off by {err:.1e} dB at {(t, i, b)}"
+    assert seen == {False, True}, "both LOS and blocked links must be checked"
 
 
 def _check_blocking_rate():
     states = channel.sample_blocking(100_000, 0.5, seed=42)
     frac = sum(s.blocked for s in states) / len(states)
     assert abs(frac - 0.5) < 0.01, f"blocked fraction {frac:.3f}"
+    assert channel.sample_blocking(100_000, 0.5, seed=42) == states, \
+        "same seed must give the same states"
+    _assert_raises(ValueError, channel.sample_blocking, 10, 1.5, seed=0)
 
 
 def _check_zc_autocorrelation():
@@ -90,7 +125,7 @@ def _check_zc_autocorrelation():
         seq = preamble.generate_zc(u, n)
         pdp = preamble.compute_pdp(seq.samples, seq)
         assert pdp.peak_lag == 0
-        assert abs(pdp.peak_value - n * n) < 1e-6 * n * n
+        assert abs(pdp.peak_value - n * n) <= 1e-9 * n * n
         off = np.delete(pdp.values, 0)
         assert off.max() < 1e-9 * pdp.peak_value, f"off-peak leakage at (u={u}, n={n})"
 
@@ -104,7 +139,8 @@ def _check_brute_force_pdp():
         abs(np.sum(y * np.conj(np.roll(seq.samples, -l)))) ** 2
         for l in range(11)
     ])
-    assert np.allclose(fast, slow, rtol=1e-9), "FFT and O(n^2) correlators differ"
+    assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12), \
+        "FFT and O(n^2) correlators differ"
     shifted = preamble.synthesize_rx(seq, 0.0, 0.0, delay_lag=5, noiseless=True)
     assert preamble.compute_pdp(shifted, seq).peak_lag == 5
 
@@ -181,31 +217,43 @@ def sampler_vs_oracle(rx_dbm: float | None, n: int = 10_000,
 def _check_false_alarm_rate():
     seq = preamble.generate_zc(1, 839)
     rng = np.random.default_rng(17)
-    for p_fa, tol in ((0.1, 0.03), (0.01, 0.003)):
+    # (target, noise-only slots, relative tolerance)
+    for p_fa, n, rel in ((0.1, 100_000, 0.30), (0.01, 100_000, 0.30),
+                         (0.05, 20_000, 0.25)):
         gamma = preamble.false_alarm_threshold(p_fa, 0.0, 839)
-        rate = float(np.mean(fft_peaks(None, 0.0, seq, 100_000, rng) > gamma))
-        assert abs(rate - p_fa) < tol, f"false alarm {rate:.4f} at target {p_fa}"
+        rate = float(np.mean(fft_peaks(None, 0.0, seq, n, rng) > gamma))
+        assert abs(rate - p_fa) < rel * p_fa, f"false alarm {rate:.4f} at target {p_fa}"
 
 
 def _check_miss_calibration():
+    """The FFT oracle misses the reference link at the calibrated rate,
+    within 4 standard errors of the calibration and oracle samples."""
     seq = preamble.generate_zc(1, 839)
-    ref_dbm = -112.0
-    gamma = preamble.miss_threshold(0.01, ref_dbm, NOISE_DBM, seq,
-                                    trials=20_000, seed=23)
-    peaks = fft_peaks(ref_dbm, NOISE_DBM, seq, 20_000, np.random.default_rng(29))
-    rate = float(np.mean(peaks > gamma))
-    assert abs(rate - 0.99) < 0.005, f"reference detection rate {rate:.4f}"
+    n = 20_000  # calibration draws and oracle slots alike
+    # (target, reference power: a -112 dBm link and the default budget)
+    for k, (p_miss, ref_dbm) in enumerate(((0.01, -112.0), (0.01, -108.7),
+                                           (0.1, -112.0))):
+        gamma = preamble.miss_threshold(p_miss, ref_dbm, NOISE_DBM, seq,
+                                        trials=n, seed=23 + k)
+        peaks = fft_peaks(ref_dbm, NOISE_DBM, seq, n, np.random.default_rng(29 + k))
+        rate = float(np.mean(peaks <= gamma))
+        tol = 4.0 * math.sqrt(p_miss * (1.0 - p_miss) * 2.0 / n)
+        assert abs(rate - p_miss) <= tol, \
+            f"oracle miss rate {rate:.4f} at target {p_miss}, {ref_dbm} dBm"
 
 
 def _check_peak_sampler():
     for rx_dbm in SAMPLER_GRID_DBM:
         d, crit = sampler_vs_oracle(rx_dbm, seed=41)
         assert d < crit, f"KS distance {d:.4f} >= {crit:.4f} at {rx_dbm} dBm"
-    gamma = preamble.false_alarm_threshold(0.01, NOISE_DBM, 839)
-    peaks = preamble.sample_peaks(np.zeros(100_000), preamble.dbm_to_mw(NOISE_DBM),
-                                  839, np.random.default_rng(43))
-    rate = float(np.mean(peaks > gamma))
-    assert abs(rate - 0.01) < 0.003, f"sampler false alarm {rate:.4f} at 0.01"
+    rng = np.random.default_rng(43)
+    for p_fa in (0.01, 0.1):
+        gamma = preamble.false_alarm_threshold(p_fa, NOISE_DBM, 839)
+        peaks = preamble.sample_peaks(np.zeros(100_000),
+                                      preamble.dbm_to_mw(NOISE_DBM), 839, rng)
+        rate = float(np.mean(peaks > gamma))
+        assert abs(rate - p_fa) < 0.30 * p_fa, \
+            f"sampler false alarm {rate:.4f} at {p_fa}"
 
 
 def _check_index_angles():
@@ -230,7 +278,7 @@ def _check_distance_solver():
 def _check_round_trip():
     geom = geometry.build_cluster(3, D)
     rng = np.random.default_rng(31)
-    for _ in range(200):
+    for _ in range(1000):
         g = geom.with_ue(geometry.place_ue(geom, rng))
         est = estimation.AngleEstimate(geometry.true_angles(g))
         dists = estimation.solve_distances(est, D)
@@ -312,6 +360,7 @@ def _check_reduction_formula():
     assert abs(protocol.ia_time_reduction(78.0, 100.0) + 22.0) < 1e-12
     assert abs(protocol.ia_time_reduction(82.0, 100.0) + 18.0) < 1e-12
     assert protocol.ia_time_reduction(100.0, 100.0) == 0.0
+    _assert_raises(ValueError, protocol.ia_time_reduction, 1.0, 0.0)
 
 
 CHECKS = [

@@ -32,6 +32,13 @@ def test_small_codebook_is_config_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_small_cluster_is_config_error(tmp_path):
+    cfg = _write(tmp_path, "[geometry]\nn_sc = 2\n")
+    assert main(["reduction-pmiss", "--config", cfg, "--trials", "5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "[experiment]\ncluster_grid = 3, 5\n")
     assert main(["time-cluster", "--config", cfg, "--trials", "2",

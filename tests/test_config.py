@@ -3,11 +3,11 @@ import math
 import pytest
 
 from mmwia.config import ConfigError, SimConfig, load_config
+from mmwia.preamble import false_alarm_threshold, miss_threshold
 
 
 def test_defaults_without_file():
     cfg = load_config(None)
-    assert cfg.channel.carrier_hz == 28e9
     assert cfg.channel.bandwidth_hz == 1.08e6
     assert cfg.channel.noise_density_dbm_hz == -171.0
     assert cfg.geometry.side_m == 200.0
@@ -58,6 +58,9 @@ def test_unknown_key_and_section_rejected(tmp_path):
     p.write_text("[channel]\nbogus = 1\n")
     with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         load_config(p)
+    p.write_text("[channel]\ncarrier_hz = 28e9\n")  # changes no result, so no key
+    with pytest.raises(ConfigError, match="unknown key 'carrier_hz'"):
+        load_config(p)
     p.write_text("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown section \[nonsense\]"):
         load_config(p)
@@ -99,6 +102,15 @@ def test_small_codebook_with_beamwidth_accepted(tmp_path):
     assert cfg.ue_codebook(2).n_beams == 2
 
 
+@pytest.mark.parametrize("n_sc", [1, 2])
+def test_cluster_below_three_cells_rejected(tmp_path, n_sc):
+    """The coordinated scheme needs the three base cells."""
+    p = tmp_path / "c.ini"
+    p.write_text(f"[geometry]\nn_sc = {n_sc}\n")
+    with pytest.raises(ConfigError, match="n_sc"):
+        load_config(p)
+
+
 def test_cluster_grid_size_two_rejected(tmp_path):
     p = tmp_path / "c.ini"
     p.write_text("[experiment]\ncluster_grid = 1, 2, 3\n")
@@ -110,7 +122,7 @@ def test_cluster_grid_size_two_rejected(tmp_path):
 
 def test_beamwidth_defaults_track_codebook_size():
     cfg = SimConfig()
-    assert cfg.antenna.ue_phi_3db() == pytest.approx(2 * math.pi / cfg.antenna.n_tx)
+    assert cfg.ue_codebook().pattern.phi_3db == pytest.approx(2 * math.pi / cfg.antenna.n_tx)
     assert cfg.antenna.sc_phi_3db() == pytest.approx(2 * math.pi / cfg.antenna.n_rx)
 
 
@@ -121,6 +133,19 @@ def test_reference_budget_uses_fixed_gains():
     from dataclasses import replace
     cfg4 = replace(cfg, antenna=replace(cfg.antenna, n_tx=4))
     assert cfg4.reference_rx_dbm() == ref
+
+
+def test_threshold_follows_detection_mode():
+    """fa mode is the closed form; miss mode calibrates on the reference link."""
+    from dataclasses import replace
+    cfg = SimConfig()
+    seq = cfg.sequence()
+    fa = replace(cfg, detection=replace(cfg.detection, mode="fa", target=0.05))
+    assert fa.threshold(-110.67, seq) == false_alarm_threshold(0.05, -110.67, 839)
+    assert fa.threshold(-110.67, seq, target=0.2) == false_alarm_threshold(
+        0.2, -110.67, 839)
+    assert cfg.threshold(-110.67, seq, seed=4) == miss_threshold(
+        0.01, cfg.reference_rx_dbm(), -110.67, seq, trials=10_000, seed=4)
 
 
 def test_config_hash_stable_and_sensitive(tmp_path):

@@ -9,29 +9,27 @@ from mmwia.antenna import best_beam_index, make_codebook
 from mmwia.estimation import (
     AngleEstimate,
     AnglesUnresolvable,
+    EstimationArea,
     EstimationError,
     MeasurementReport,
     TriangulationFailed,
     angles_from_reports,
     area_grid,
+    band_member,
     estimate_point,
-    estimation_area,
     locate_ue,
     refine_location,
     select_top3,
     solve_distances,
     wrapped_index_angle,
 )
-from mmwia.geometry import (
-    Point2D,
-    build_cluster,
-    place_ue,
-    true_angles,
-    true_distances,
-    ue_bearings,
-)
+from mmwia.geometry import Point2D, build_cluster, place_ue, true_angles
 
 D = 200.0
+
+
+def _distances(geom):
+    return [geom.ue_position.distance_to(p) for p in geom.triangle()]
 
 
 def _report(cell, best_idx, n_tx=8, peak=1.0):
@@ -90,16 +88,6 @@ def test_wrapped_differences_telescope(n_tx, a, b, c):
     assert min(abs(total - 2 * math.pi), abs(total - 4 * math.pi)) < 1e-9
 
 
-def test_solve_symmetric_case():
-    d = solve_distances(AngleEstimate((2 * math.pi / 3,) * 3), D)
-    assert d == pytest.approx((D / math.sqrt(3),) * 3)
-
-
-def test_solve_side_midpoint_case():
-    d = solve_distances(AngleEstimate((math.pi, math.pi / 2, math.pi / 2)), D)
-    assert d == pytest.approx((100.0, 100.0, 100.0 * math.sqrt(3)), abs=1e-6)
-
-
 def test_solve_rejects_inconsistent_sum():
     with pytest.raises(TriangulationFailed):
         solve_distances(AngleEstimate((math.pi / 2, math.pi / 2, math.pi / 2)), D)
@@ -113,7 +101,7 @@ def test_solve_noisy_angles_least_squares():
     eps = 0.02
     noisy = AngleEstimate((t[0] + eps, t[1] - eps, t[2]))
     d = solve_distances(noisy, D)
-    assert np.allclose(d, true_distances(geom), atol=8.0)
+    assert np.allclose(d, _distances(geom), atol=8.0)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -123,7 +111,7 @@ def test_round_trip_exact_angles(seed):
     geom = geom.with_ue(place_ue(geom, seed))
     est = AngleEstimate(true_angles(geom))
     d = solve_distances(est, D)
-    assert np.allclose(d, true_distances(geom), atol=1e-6)
+    assert np.allclose(d, _distances(geom), atol=1e-6)
     p = locate_ue(d, geom.triangle())
     assert p.distance_to(geom.ue_position) < 1e-6
 
@@ -147,14 +135,13 @@ def test_estimation_area_membership():
     ue = Point2D(90.0, 50.0)
     geom = geom.with_ue(ue)
     thetas = true_angles(geom)
-    xs, ys = area_grid(geom, 1.0)
+    gx, gy = np.meshgrid(*area_grid(geom, 1.0))
     a, b = geom.sc_positions[0], geom.sc_positions[1]
-    area = estimation_area(thetas[0], (a, b), 0.05, xs, ys, 1.0,
-                           side_reference=geom.triangle_centroid())
-    assert area.contains(ue)
-    assert not area.is_empty
+    member = band_member(thetas[0], (a, b), 0.05, geom.triangle_centroid())
+    assert member(ue.x, ue.y)
+    assert member(gx, gy).any()
     # mirror point across the chord (y -> -y over the S1-S2 edge) is excluded
-    assert not area.contains(Point2D(ue.x, -ue.y))
+    assert not member(ue.x, -ue.y)
 
 
 def test_estimation_area_shrinks_with_band():
@@ -162,10 +149,10 @@ def test_estimation_area_shrinks_with_band():
     ue = Point2D(90.0, 50.0)
     geom = geom.with_ue(ue)
     thetas = true_angles(geom)
-    xs, ys = area_grid(geom, 1.0)
+    gx, gy = np.meshgrid(*area_grid(geom, 1.0))
     pair = (geom.sc_positions[0], geom.sc_positions[1])
     ref = geom.triangle_centroid()
-    sizes = [estimation_area(thetas[0], pair, h, xs, ys, 1.0, ref).cell_count
+    sizes = [int(band_member(thetas[0], pair, h, ref)(gx, gy).sum())
              for h in (0.5, 0.25, 0.1, 0.02)]
     assert sizes == sorted(sizes, reverse=True)
     assert sizes[-1] > 0
@@ -176,15 +163,16 @@ def test_estimation_area_empty_flagged():
     xs, ys = area_grid(geom, 1.0)
     pair = (geom.sc_positions[0], geom.sc_positions[1])
     # no interior point subtends nearly zero angle over a full side
-    area = estimation_area(0.001, pair, 0.0005, xs, ys, 1.0,
-                           side_reference=geom.triangle_centroid())
+    member = band_member(0.001, pair, 0.0005, geom.triangle_centroid())
+    area = EstimationArea(xs, ys, 1.0, member(*np.meshgrid(xs, ys)),
+                          contains=lambda p: bool(member(p.x, p.y)))
     assert area.is_empty
     assert area.centroid() is None
 
 
 def _noiseless_reports(geom, ue_cb, gains_to=None):
     """Best-index reports as an ideal noiseless measurement would produce."""
-    bearings = ue_bearings(geom)
+    bearings = [geom.ue_position.bearing_to(p) for p in geom.sc_positions]
     reports = []
     for i, b in enumerate(bearings):
         idx = best_beam_index(ue_cb, float(b))

@@ -1,17 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwia.antenna import make_codebook
-from mmwia.channel import sample_blocking
+from mmwia.channel import link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
 from mmwia.geometry import Point2D, build_cluster
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
-    BackhaulBus,
     TrialSetup,
-    ia_time_reduction,
+    backhaul_delay_rounds,
     reorder_rx_beams,
     run_coordinated,
     run_exhaustive,
@@ -26,7 +27,6 @@ def _setup(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=Point2D(100.0, 60.0),
            noiseless=False, link_states=None, n_sc=3, latency=0.0):
     geom = build_cluster(n_sc if n_sc >= 3 else 3, D, layout_seed=1)
     if n_sc < 3:
-        from dataclasses import replace
         geom = replace(geom, sc_positions=geom.sc_positions[:n_sc])
     geom = geom.with_ue(ue)
     return TrialSetup(
@@ -61,14 +61,6 @@ def test_reorder_is_permutation(n, x, y):
     cb = make_codebook(n)
     order = reorder_rx_beams(cb, Point2D(x, y), Point2D(0.0, 0.0))
     assert sorted(order) == list(range(n))
-
-
-def test_ia_time_reduction_values():
-    assert ia_time_reduction(78.0, 100.0) == pytest.approx(-22.0)
-    assert ia_time_reduction(82.0, 100.0) == pytest.approx(-18.0)
-    assert ia_time_reduction(100.0, 100.0) == 0.0
-    with pytest.raises(ValueError):
-        ia_time_reduction(1.0, 0.0)
 
 
 def test_exhaustive_worst_case_full_sweep():
@@ -165,10 +157,28 @@ def test_backhaul_latency_defers_reordering():
 
 
 def test_backhaul_bus_rounds():
-    bus = BackhaulBus(latency_s=0.0)
-    assert bus.delay_rounds(0.004) == 0
-    assert BackhaulBus(latency_s=0.004).delay_rounds(0.004) == 1
-    assert BackhaulBus(latency_s=0.0041).delay_rounds(0.004) == 2
+    assert backhaul_delay_rounds(0.0, 0.004) == 0
+    assert backhaul_delay_rounds(0.004, 0.004) == 1
+    assert backhaul_delay_rounds(0.0041, 0.004) == 2
+
+
+def test_detect_strict_inequality():
+    """A peak equal to the threshold is not a detection; just below it, the
+    noiseless trial detects at the slot and cell of the largest peak."""
+    setup = _setup(p_ue=-20.0, n_rx=1, noiseless=True)
+    base, rx_gain = link_budget_dbm(setup.geom, setup.states(), setup.ue_codebook,
+                                    setup.sc_codebook, setup.link_params.p_ue_dbm)
+    # the engine's own arithmetic: one Rx beam, so every round sees this map
+    peaks = 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
+    slot, cell = np.unravel_index(np.argmax(peaks), peaks.shape)
+    assert np.sum(peaks == peaks.max()) == 1
+
+    at_peak = run_exhaustive(replace(setup, gamma_ra=float(peaks.max())), seed=0)
+    assert not at_peak.success and at_peak.slots_used == 4
+    below = run_exhaustive(
+        replace(setup, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), seed=0)
+    assert below.success and below.slots_used == slot + 1
+    assert below.detecting_cell == cell and below.detecting_pair == (slot, 0)
 
 
 def test_outcome_invariants():
@@ -177,4 +187,3 @@ def test_outcome_invariants():
     assert out.ia_time_s == pytest.approx(out.slots_used * setup.t_ra_s)
     assert out.success
     assert out.detecting_pair is not None and out.detecting_cell is not None
-
