@@ -5,6 +5,8 @@ algebra, brute-force correlation, closed-form statistics, grid search)
 and compares the implementation against it. This module holds the only
 copy of each oracle: the CLI `selftest` command runs the whole list and
 prints one line per check, and the test suite runs each check as a test.
+A check with several inputs calls one public function per input, and the
+tests named after an input call that function.
 """
 
 from __future__ import annotations
@@ -67,26 +69,38 @@ def _check_pattern_constants():
     assert abs(p45.gain(p45.phi_3db / 2.0) - (p45.g0 - 3.01)) < 1e-12
 
 
+def _west_link(ue_beam: float):
+    """Received power from a UE 200 m due west of cell 0, whose beam points
+    west, with 45 deg beams at both ends; also returns the pattern."""
+    geom = geometry.build_cluster(3, D).with_ue(geometry.Point2D(-D, 0.0))
+    pat = antenna.make_pattern(math.radians(45.0))
+    p = channel.received_power(
+        channel.LinkBudgetParams(23.0, -171.0, 1.08e6), geom,
+        channel.LinkState(False), ue_beam=ue_beam, ue_pattern=pat,
+        sc_beam=math.pi, sc_pattern=pat, cell_index=0)
+    return p, pat
+
+
+def aligned_link_composition():
+    """The aligned LOS link is P_UE + 2 g0 - PL(200 m), about -61.70 dBm."""
+    aligned, pat = _west_link(0.0)
+    expect = 23.0 + 2.0 * pat.g0 - channel.pathloss(200.0)
+    assert abs(aligned - expect) < 1e-9 and abs(aligned + 61.70) < 0.02, aligned
+
+
+def back_lobe_drop():
+    """Turning the UE beam around costs exactly g0 - g_sl, about 24.65 dB."""
+    (aligned, pat), (backlobe, _) = _west_link(0.0), _west_link(math.pi)
+    assert abs((aligned - backlobe) - (pat.g0 - pat.g_sl)) < 1e-9
+    assert abs((pat.g0 - pat.g_sl) - 24.65) < 0.02
+
+
 def _check_link_budget():
     assert abs(channel.pathloss(200.0) - 109.7224) < 1e-3
     params = channel.LinkBudgetParams(23.0, -171.0, 1.08e6)
     assert abs(channel.noise_power(params) + 110.6658) < 1e-3
-    # UE 200 m due west of cell 0: aligned beams point east (UE) / west (cell)
-    geom = geometry.build_cluster(3, D).with_ue(geometry.Point2D(-D, 0.0))
-    pat = antenna.make_pattern(math.radians(45.0))
-    los = channel.LinkState(False)
-    aligned = channel.received_power(
-        channel.LinkBudgetParams(23.0, -171.0, 1.08e6), geom, los,
-        ue_beam=0.0, ue_pattern=pat, sc_beam=math.pi, sc_pattern=pat,
-        cell_index=0)
-    expect = 23.0 + 2.0 * pat.g0 - channel.pathloss(200.0)
-    assert abs(aligned - expect) < 1e-9 and abs(aligned + 61.70) < 0.02
-    backlobe = channel.received_power(
-        channel.LinkBudgetParams(23.0, -171.0, 1.08e6), geom, los,
-        ue_beam=math.pi, ue_pattern=pat, sc_beam=math.pi, sc_pattern=pat,
-        cell_index=0)
-    assert abs((aligned - backlobe) - (pat.g0 - pat.g_sl)) < 1e-9
-    assert abs((pat.g0 - pat.g_sl) - 24.65) < 0.02
+    aligned_link_composition()
+    back_lobe_drop()
 
     # the (tx, cell, rx) tensor against the scalar reference, LOS and blocked
     ue_cb, sc_cb = antenna.make_codebook(8), antenna.make_codebook(6)
@@ -120,14 +134,24 @@ def _check_blocking_rate():
     _assert_raises(ValueError, channel.sample_blocking, 10, 1.5, seed=0)
 
 
+ZC_CASES = ((1, 11), (1, 839), (25, 839))  # (root u, length N)
+
+
+def zc_autocorrelation(u: int, n: int) -> float:
+    """A ZC sequence correlated with itself peaks at N^2 at lag 0 and leaks
+    nothing elsewhere; returns the largest off-peak value over the peak."""
+    seq = preamble.generate_zc(u, n)
+    pdp = preamble.compute_pdp(seq.samples, seq)
+    assert pdp.peak_lag == 0
+    assert abs(pdp.peak_value - n * n) <= 1e-9 * n * n
+    leak = float(np.delete(pdp.values, 0).max()) / pdp.peak_value
+    assert leak < 1e-9, f"off-peak leakage {leak:.1e} at (u={u}, n={n})"
+    return leak
+
+
 def _check_zc_autocorrelation():
-    for u, n in ((1, 11), (1, 839), (25, 839)):
-        seq = preamble.generate_zc(u, n)
-        pdp = preamble.compute_pdp(seq.samples, seq)
-        assert pdp.peak_lag == 0
-        assert abs(pdp.peak_value - n * n) <= 1e-9 * n * n
-        off = np.delete(pdp.values, 0)
-        assert off.max() < 1e-9 * pdp.peak_value, f"off-peak leakage at (u={u}, n={n})"
+    for u, n in ZC_CASES:
+        zc_autocorrelation(u, n)
 
 
 def _check_brute_force_pdp():
@@ -214,32 +238,60 @@ def sampler_vs_oracle(rx_dbm: float | None, n: int = 10_000,
     return ks_distance(exact, oracle), ks_critical(n, n)
 
 
-def _check_false_alarm_rate():
+# P_fa target -> (noise-only FFT slots, relative tolerance, seed)
+FALSE_ALARM_CASES = {
+    0.1: (100_000, 0.30, 17),
+    0.01: (100_000, 0.30, 18),
+    0.05: (20_000, 0.25, 19),
+}
+
+
+def false_alarm_case(p_fa: float) -> float:
+    """Noise-only FFT slots cross the closed-form threshold at the target
+    rate, within the case's relative tolerance; returns the measured rate."""
+    n, rel, seed = FALSE_ALARM_CASES[p_fa]
     seq = preamble.generate_zc(1, 839)
-    rng = np.random.default_rng(17)
-    # (target, noise-only slots, relative tolerance)
-    for p_fa, n, rel in ((0.1, 100_000, 0.30), (0.01, 100_000, 0.30),
-                         (0.05, 20_000, 0.25)):
-        gamma = preamble.false_alarm_threshold(p_fa, 0.0, 839)
-        rate = float(np.mean(fft_peaks(None, 0.0, seq, n, rng) > gamma))
-        assert abs(rate - p_fa) < rel * p_fa, f"false alarm {rate:.4f} at target {p_fa}"
+    gamma = preamble.false_alarm_threshold(p_fa, 0.0, 839)
+    peaks = fft_peaks(None, 0.0, seq, n, np.random.default_rng(seed))
+    rate = float(np.mean(peaks > gamma))
+    assert abs(rate - p_fa) < rel * p_fa, f"false alarm {rate:.4f} at target {p_fa}"
+    return rate
+
+
+def _check_false_alarm_rate():
+    for p_fa in FALSE_ALARM_CASES:
+        false_alarm_case(p_fa)
+
+
+# (P_miss target, reference power: a -112 dBm link or the default budget)
+# -> (calibration seed, oracle seed)
+MISS_CASES = {
+    (0.01, -112.0): (23, 29),
+    (0.01, -108.7): (24, 30),
+    (0.1, -112.0): (25, 31),
+}
+
+
+def miss_case(p_miss: float, ref_dbm: float) -> float:
+    """The FFT oracle misses the reference link at the calibrated rate,
+    within 4 standard errors of the calibration and oracle samples;
+    returns the oracle miss rate."""
+    cal_seed, oracle_seed = MISS_CASES[(p_miss, ref_dbm)]
+    seq = preamble.generate_zc(1, 839)
+    n = 20_000  # calibration draws and oracle slots alike
+    gamma = preamble.miss_threshold(p_miss, ref_dbm, NOISE_DBM, seq,
+                                    trials=n, seed=cal_seed)
+    peaks = fft_peaks(ref_dbm, NOISE_DBM, seq, n, np.random.default_rng(oracle_seed))
+    rate = float(np.mean(peaks <= gamma))
+    tol = 4.0 * math.sqrt(p_miss * (1.0 - p_miss) * 2.0 / n)
+    assert abs(rate - p_miss) <= tol, \
+        f"oracle miss rate {rate:.4f} at target {p_miss}, {ref_dbm} dBm"
+    return rate
 
 
 def _check_miss_calibration():
-    """The FFT oracle misses the reference link at the calibrated rate,
-    within 4 standard errors of the calibration and oracle samples."""
-    seq = preamble.generate_zc(1, 839)
-    n = 20_000  # calibration draws and oracle slots alike
-    # (target, reference power: a -112 dBm link and the default budget)
-    for k, (p_miss, ref_dbm) in enumerate(((0.01, -112.0), (0.01, -108.7),
-                                           (0.1, -112.0))):
-        gamma = preamble.miss_threshold(p_miss, ref_dbm, NOISE_DBM, seq,
-                                        trials=n, seed=23 + k)
-        peaks = fft_peaks(ref_dbm, NOISE_DBM, seq, n, np.random.default_rng(29 + k))
-        rate = float(np.mean(peaks <= gamma))
-        tol = 4.0 * math.sqrt(p_miss * (1.0 - p_miss) * 2.0 / n)
-        assert abs(rate - p_miss) <= tol, \
-            f"oracle miss rate {rate:.4f} at target {p_miss}, {ref_dbm} dBm"
+    for p_miss, ref_dbm in MISS_CASES:
+        miss_case(p_miss, ref_dbm)
 
 
 def _check_peak_sampler():
@@ -265,14 +317,24 @@ def _check_index_angles():
     assert abs(sum(est.theta_tilde) - 2 * math.pi) < 1e-12
 
 
+# subtended angles -> exact distances to the three cells at D = 200 m
+SOLVER_CASES = {
+    "symmetric": ((2 * math.pi / 3,) * 3, (D / math.sqrt(3.0),) * 3),
+    "side midpoint": ((math.pi, math.pi / 2, math.pi / 2),
+                      (100.0, 100.0, 100.0 * math.sqrt(3.0))),
+}
+
+
+def solver_case(name: str):
+    """The cosine-rule solver recovers the case's distances within 1e-6 m."""
+    thetas, expect = SOLVER_CASES[name]
+    d = estimation.solve_distances(estimation.AngleEstimate(thetas), D)
+    assert all(abs(a - b) < 1e-6 for a, b in zip(d, expect)), (name, d)
+
+
 def _check_distance_solver():
-    sym = estimation.AngleEstimate((2 * math.pi / 3,) * 3)
-    d = estimation.solve_distances(sym, D)
-    assert all(abs(x - D / math.sqrt(3)) < 1e-6 for x in d)
-    mid = estimation.AngleEstimate((math.pi, math.pi / 2, math.pi / 2))
-    d = estimation.solve_distances(mid, D)
-    expect = (100.0, 100.0, 100.0 * math.sqrt(3.0))
-    assert all(abs(a - b) < 1e-6 for a, b in zip(d, expect)), d
+    for name in SOLVER_CASES:
+        solver_case(name)
 
 
 def _check_round_trip():

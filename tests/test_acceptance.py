@@ -1,9 +1,9 @@
 """Acceptance gate: headline reproduction targets and the oracle property
 suite, each criterion at its stated tolerance with one printed verdict line.
 
-Criteria 6a-6c (ZC ideal autocorrelation, noise-only false-alarm rate,
-exact-angle triangulation round trip) are selftest checks and run in
-tests/test_selftest.py.
+Criteria 6a and 6b run the cases of the selftest's ZC and false-alarm
+oracles; criterion 6c (exact-angle triangulation round trip) is the selftest
+check "angle->range->position round trip" and runs in tests/test_selftest.py.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines live.
 """
@@ -26,6 +26,7 @@ from mmwia.experiments import (
 )
 from mmwia.geometry import build_cluster, place_ue
 from mmwia.protocol import run_coordinated, run_exhaustive, TrialSetup
+from mmwia.selftest import ZC_CASES, false_alarm_case, zc_autocorrelation
 
 D = 200.0
 SEED = 1
@@ -125,6 +126,23 @@ def test_criterion_5_cluster_size_shape():
              f"norm(3)={norm[3]:.3f} < 0.8, curve "
              f"{[round(norm[n], 3) for n in (1, 3, 5, 7)]} non-increasing, "
              f"{elapsed:.0f}s < 300s")
+
+
+# 6a and 6b: each oracle asserts its own bound, so a failing case raises
+# with its measured value before the verdict line is printed
+
+
+def test_criterion_6a_zc_autocorrelation():
+    leaks = [zc_autocorrelation(u, n) for u, n in ZC_CASES]
+    _verdict(True, "criterion 6a: ZC ideal autocorrelation", "; ".join(
+        f"(u={u},N={n}): off/peak={x:.1e}" for (u, n), x in zip(ZC_CASES, leaks)))
+
+
+def test_criterion_6b_false_alarm_calibration():
+    targets = (0.1, 0.01)  # 100k noise-only FFT slots each, +/-30 %
+    rates = [false_alarm_case(p_fa) for p_fa in targets]
+    _verdict(True, "criterion 6b: noise-only false-alarm rate within +/-30%",
+             "; ".join(f"target {p}: measured {r:.4f}" for p, r in zip(targets, rates)))
 
 
 def test_criterion_6d_quantized_containment():

@@ -17,6 +17,7 @@ from mmwia.channel import (
     sample_blocking,
 )
 from mmwia.geometry import Bearing, Point2D, build_cluster, circular_distance
+from mmwia.selftest import aligned_link_composition, back_lobe_drop
 
 D = 200.0
 
@@ -53,6 +54,14 @@ def test_noise_power_values():
 def _west_ue_geom():
     # UE 200 m due west of cell 0
     return build_cluster(3, D).with_ue(Point2D(-D, 0.0))
+
+
+def test_received_power_aligned_composition():
+    aligned_link_composition()
+
+
+def test_received_power_back_lobe_drop():
+    back_lobe_drop()
 
 
 def test_blocked_link_below_aligned_los():

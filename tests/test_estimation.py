@@ -24,6 +24,7 @@ from mmwia.estimation import (
     wrapped_index_angle,
 )
 from mmwia.geometry import Point2D, build_cluster, place_ue, true_angles
+from mmwia.selftest import solver_case
 
 D = 200.0
 
@@ -86,6 +87,14 @@ def test_wrapped_differences_telescope(n_tx, a, b, c):
     total = sum(wrapped_index_angle(idx[i], idx[(i + 1) % 3], n_tx) for i in range(3))
     # one full turn for ccw-consistent triples, two turns for mirrored ones
     assert min(abs(total - 2 * math.pi), abs(total - 4 * math.pi)) < 1e-9
+
+
+def test_solve_symmetric_case():
+    solver_case("symmetric")
+
+
+def test_solve_side_midpoint_case():
+    solver_case("side midpoint")
 
 
 def test_solve_rejects_inconsistent_sum():

@@ -16,7 +16,14 @@ from mmwia.preamble import (
     sequence_spectrum,
     synthesize_rx,
 )
-from mmwia.selftest import SAMPLER_GRID_DBM, sampler_vs_oracle
+from mmwia.selftest import (
+    SAMPLER_GRID_DBM,
+    ZC_CASES,
+    false_alarm_case,
+    miss_case,
+    sampler_vs_oracle,
+    zc_autocorrelation,
+)
 
 
 def test_is_prime_small_values():
@@ -42,6 +49,11 @@ def test_zc_first_sample_and_modulus():
         seq = generate_zc(u, n)
         assert seq.samples[0] == pytest.approx(1.0)
         assert np.abs(seq.samples) == pytest.approx(np.ones(n))
+
+
+@pytest.mark.parametrize("u,n", ZC_CASES)
+def test_zc_ideal_autocorrelation(u, n):
+    zc_autocorrelation(u, n)
 
 
 @given(st.integers(min_value=0, max_value=838))
@@ -110,6 +122,17 @@ def test_false_alarm_threshold_inverts_exactly():
         false_alarm_threshold(0.0, 0.0, 839)
 
 
+def test_false_alarm_rate_matches_target():
+    """P_fa 0.05 over 20k noise-only FFT slots, within +/-25 %."""
+    false_alarm_case(0.05)
+
+
+def test_miss_threshold_self_consistent():
+    """P_miss 0.1 calibrated on a -112 dBm link: the FFT oracle misses it at
+    that rate within 4 standard errors (20k draws on each side)."""
+    miss_case(0.1, -112.0)
+
+
 def test_detection_monotone_in_power():
     seq = generate_zc(1, 839)
     spectrum = sequence_spectrum(seq)
@@ -141,3 +164,8 @@ def test_sample_peaks_matches_fft_oracle(rx_dbm):
     """Two-sample KS over 10k draws per side, at alpha = 1e-3."""
     d, crit = sampler_vs_oracle(rx_dbm, n=10_000, seed=7)
     assert d < crit
+
+
+def test_miss_threshold_oracle_miss_rate():
+    """P_miss 0.01 on the default aligned reference budget (-108.7 dBm)."""
+    miss_case(0.01, -108.7)
