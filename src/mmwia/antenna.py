@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Bearing, circular_distance, normalize_angle
+from .geometry import TWO_PI, normalize_angle
 
 MAIN_LOBE_FACTOR = 2.6  # main-lobe width / half-power beamwidth
 
@@ -59,7 +59,7 @@ def make_pattern(phi_3db: float) -> AntennaPattern:
 class BeamCodebook:
     """Evenly spaced beam centers sharing one pattern; beams sweep in index order."""
 
-    beam_centers: np.ndarray  # radians in [0, 2*pi), ascending from start
+    beam_centers: np.ndarray  # radians in [0, 2*pi), ascending from 0
     pattern: AntennaPattern
 
     @property
@@ -67,31 +67,20 @@ class BeamCodebook:
         return len(self.beam_centers)
 
 
-def make_codebook(
-    n_beams: int,
-    phi_3db: float | None = None,
-    start: float | Bearing = 0.0,
-) -> BeamCodebook:
-    """Codebook of ``n_beams`` centers spaced 2*pi/n from ``start``.
+def make_codebook(n_beams: int, phi_3db: float | None = None) -> BeamCodebook:
+    """Codebook of ``n_beams`` centers spaced 2*pi/n from azimuth 0.
 
     phi_3db defaults to the beam spacing (beams then overlap at their
     2.6x main-lobe width).
     """
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
-    start_angle = start.angle if isinstance(start, Bearing) else normalize_angle(start)
     if phi_3db is None:
         # spacing-matched beamwidth, clamped into the pattern's domain for
         # the degenerate 1- and 2-beam codebooks
         phi_3db = min(TWO_PI / n_beams, 0.95 * math.pi)
     centers = np.array(
-        [normalize_angle(start_angle + k * TWO_PI / n_beams) for k in range(n_beams)]
+        [normalize_angle(k * TWO_PI / n_beams) for k in range(n_beams)]
     )
     return BeamCodebook(centers, make_pattern(phi_3db))
 
-
-def best_beam_index(cb: BeamCodebook, target: float | Bearing) -> int:
-    """Index of the beam center closest to ``target``; ties go to the lower index."""
-    t = target.angle if isinstance(target, Bearing) else target
-    d = circular_distance(cb.beam_centers, t)
-    return int(np.argmin(d))  # argmin takes the first (lowest) index on ties

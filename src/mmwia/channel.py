@@ -146,17 +146,15 @@ def received_power(
     params: LinkBudgetParams,
     geom: ClusterGeometry,
     link: LinkState,
-    ue_beam: float | Bearing,
+    ue_beam: float,
     ue_pattern: AntennaPattern,
-    sc_beam: float | Bearing,
+    sc_beam: float,
     sc_pattern: AntennaPattern,
     cell_index: int,
 ) -> float:
-    """Preamble power in dBm at one cell for a given Tx/Rx beam pointing."""
-    ue_center = ue_beam.angle if isinstance(ue_beam, Bearing) else ue_beam
-    sc_center = sc_beam.angle if isinstance(sc_beam, Bearing) else sc_beam
+    """Preamble power in dBm at one cell for beams centred at the given azimuths."""
     depart, arrive = link_bearings(geom, cell_index, link)
     d = geom.ue_position.distance_to(geom.sc_positions[cell_index])
-    g_ue = ue_pattern.gain(circular_distance(ue_center, depart))
-    g_sc = sc_pattern.gain(circular_distance(sc_center, arrive))
+    g_ue = ue_pattern.gain(circular_distance(ue_beam, depart))
+    g_sc = sc_pattern.gain(circular_distance(sc_beam, arrive))
     return params.p_ue_dbm + g_ue + g_sc - pathloss(d) - link.nlos_penalty_db

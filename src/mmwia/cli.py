@@ -24,9 +24,10 @@ from .experiments import (
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
+    setup_builder,
 )
 from .geometry import build_cluster, place_ue
-from .protocol import TrialSetup, run_coordinated, run_exhaustive
+from .protocol import run_coordinated, run_exhaustive
 from .selftest import run_selftest
 from .svgplot import line_plot
 
@@ -104,14 +105,10 @@ def _single_trial(cfg: SimConfig, seed: int) -> None:
     states = sample_blocking(geom.n_sc, cfg.channel.p_blk,
                              np.random.default_rng((seed, 2)),
                              excess_mean_db=cfg.channel.nlos_excess_mean_db)
-    seq = cfg.sequence()
-    gamma = cfg.threshold(noise_power(cfg.link_params()), seq, seed=(seed, 3))
-    setup = TrialSetup(
-        geom=geom, ue_codebook=cfg.ue_codebook(), sc_codebook=cfg.sc_codebook(),
-        link_params=cfg.link_params(), seq=seq, gamma_ra=gamma,
-        link_states=tuple(states), t_ra_s=cfg.protocol.t_ra_s,
-        backhaul_latency_s=cfg.protocol.backhaul_latency_s,
-        grid_resolution_m=cfg.estimation.grid_resolution_m)
+    gamma = cfg.threshold(noise_power(cfg.link_params()), cfg.sequence(),
+                          seed=(seed, 3))
+    setup = setup_builder(cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma)(
+        geom=geom, link_states=tuple(states))
     runner = (run_coordinated if cfg.single_trial.scheme == "coordinated"
               else run_exhaustive)
     out = runner(setup, np.random.default_rng((seed, 4)))

@@ -296,7 +296,6 @@ class EstimationArea:
 
     x_edges: np.ndarray  # cell-center x coordinates
     y_edges: np.ndarray  # cell-center y coordinates
-    resolution: float
     mask: np.ndarray  # (ny, nx) boolean membership of cell centers
     contains: Callable[[Point2D], bool] = field(compare=False)
 
@@ -439,7 +438,7 @@ def refine_location(
         mask[yi[keep], xi[keep]] = True
 
     overlap = EstimationArea(
-        xs, ys, grid_resolution, mask,
+        xs, ys, mask,
         contains=lambda p: all(
             bool(m(np.asarray(p.x), np.asarray(p.y))) for m in members),
     )

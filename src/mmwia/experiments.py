@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace, field
+from functools import partial
 
 import numpy as np
 
@@ -131,6 +132,17 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
 # Paired protocol trials (Figs. 9-11)
 # ---------------------------------------------------------------------------
 
+def setup_builder(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float):
+    """TrialSetup constructor with every field that comes from the config
+    filled in; call it with a trial's ``geom`` and ``link_states``."""
+    return partial(
+        TrialSetup, ue_codebook=cfg.ue_codebook(n_tx), sc_codebook=cfg.sc_codebook(),
+        link_params=cfg.link_params(p_ue_dbm), n_zc=cfg.preamble.n_zc,
+        gamma_ra=gamma, t_ra_s=cfg.protocol.t_ra_s,
+        backhaul_latency_s=cfg.protocol.backhaul_latency_s,
+        grid_resolution_m=cfg.estimation.grid_resolution_m)
+
+
 def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int,
                   n_sc: int | None = None):
@@ -139,10 +151,7 @@ def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     Each scheme seeds its own generator from the protocol seed, so a
     scheme's IA times do not depend on which other schemes run.
     """
-    seq = cfg.sequence()
-    ue_cb = cfg.ue_codebook(n_tx)
-    sc_cb = cfg.sc_codebook()
-    params = cfg.link_params(p_ue_dbm)
+    make_setup = setup_builder(cfg, n_tx, p_ue_dbm, gamma)
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
     for t in range(trials):
         layout_rng = np.random.default_rng(_trial_seed(master_seed, point, t, 0))
@@ -154,13 +163,8 @@ def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
             geom.n_sc, cfg.channel.p_blk,
             np.random.default_rng(_trial_seed(master_seed, point, t, 1)),
             excess_mean_db=cfg.channel.nlos_excess_mean_db)
-        setup = TrialSetup(
-            geom=geom, ue_codebook=ue_cb, sc_codebook=sc_cb,
-            link_params=params, seq=seq, gamma_ra=gamma,
-            link_states=tuple(states), t_ra_s=cfg.protocol.t_ra_s,
-            backhaul_latency_s=cfg.protocol.backhaul_latency_s,
-            grid_resolution_m=cfg.estimation.grid_resolution_m)
-        yield setup, _trial_seed(master_seed, point, t, 2)
+        yield (make_setup(geom=geom, link_states=tuple(states)),
+               _trial_seed(master_seed, point, t, 2))
 
 
 def _ia_times(runner, setups) -> np.ndarray:

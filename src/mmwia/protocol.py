@@ -1,13 +1,15 @@
 """Initial-access procedures: exhaustive baseline and the coordinated scheme.
 
-Both schemes advance in rounds. Every cell holds one Rx beam for a whole
-round while the UE sweeps all its Tx beams, one preamble slot per beam;
-the trial ends at the first slot in which any cell's PDP peak clears the
-detection threshold. The exhaustive baseline walks each cell through an
-independent random Rx order. The coordinated scheme spends round one
-gathering per-cell measurement reports, exchanges them over the
-backhaul, estimates the UE position, and reorders every cell's remaining
-Rx sweep towards the estimate.
+Both schemes run the same slot process. Every cell holds one Rx beam for
+a whole round while the UE sweeps all its Tx beams, one preamble slot per
+beam; the trial ends at the first slot in which any cell's PDP peak
+clears the detection threshold. A scheme is therefore a schedule, the
+(rounds, n_sc) array of the Rx beam each cell holds in each round, and
+one sweep walks it. The exhaustive baseline's schedule walks each cell
+through an independent random Rx order. The coordinated scheme spends
+round one gathering per-cell measurement reports, exchanges them over
+the backhaul, estimates the UE position, and reorders every cell's
+remaining Rx sweep towards the estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .estimation import (
     refine_location,
 )
 from .geometry import ClusterGeometry, Point2D, circular_distance
-from .preamble import ZcSequence, dbm_to_mw, sample_peaks
+from .preamble import dbm_to_mw, sample_peaks
 
 EXHAUSTIVE = "exhaustive"
 COORDINATED = "coordinated"
@@ -56,11 +58,10 @@ class TrialSetup:
     ue_codebook: BeamCodebook
     sc_codebook: BeamCodebook
     link_params: LinkBudgetParams
-    seq: ZcSequence
+    n_zc: int
     gamma_ra: float
     link_states: tuple[LinkState, ...] | None = None
     t_ra_s: float = 1e-3
-    noiseless: bool = False
     backhaul_latency_s: float = 0.0
     grid_resolution_m: float = 1.0
 
@@ -92,115 +93,78 @@ def ia_time_reduction(t_new: float, t_con: float) -> float:
     return (t_new - t_con) / t_con * 100.0
 
 
-class _TrialEngine:
-    """Shared slot machinery: per-round link budget, peak draws, detection."""
+def _start_trial(setup: TrialSetup, seed):
+    """Draw one random Rx order per cell and return the (n_sc, n_rx) orders
+    with the trial's sweep.
 
-    def __init__(self, setup: TrialSetup, rng: np.random.Generator):
-        self.setup = setup
-        self.rng = rng
-        geom = setup.geom
-        self.n_sc = geom.n_sc
-        self.n_tx = setup.ue_codebook.n_beams
-        self.n_rx = setup.sc_codebook.n_beams
-        self._base_dbm, self._rx_gain = link_budget_dbm(
-            geom, setup.states(), setup.ue_codebook, setup.sc_codebook,
-            setup.link_params.p_ue_dbm)
-        self._noise_mw = (0.0 if setup.noiseless
-                          else dbm_to_mw(noise_power(setup.link_params)))
+    ``sweep(schedule, start)`` walks the schedule's rounds from ``start``,
+    drawing one round of PDP peaks (slot t carries Tx beam t) per row, and
+    returns ``(hit, peaks)``: hit is (round, slot, cell) of the earliest slot
+    whose peak clears the threshold, the lowest cell within that slot, or
+    None; peaks are those of the last round drawn. Both schemes draw the
+    orders identically, so their first rounds coincide under a shared seed.
+    """
+    rng = np.random.default_rng(seed)
+    base_dbm, rx_gain = link_budget_dbm(
+        setup.geom, setup.states(), setup.ue_codebook, setup.sc_codebook,
+        setup.link_params.p_ue_dbm)
+    noise_mw = dbm_to_mw(noise_power(setup.link_params))
+    cells = np.arange(setup.geom.n_sc)
+    orders = np.array([rng.permutation(setup.sc_codebook.n_beams) for _ in cells])
 
-    def rx_power_dbm(self, rx_beams) -> np.ndarray:
-        """(n_tx, n_sc) received power for this round's per-cell Rx beams."""
-        gains = self._rx_gain[np.asarray(rx_beams), np.arange(self.n_sc)]
-        return self._base_dbm + gains[None, :]
+    def sweep(schedule: np.ndarray, start: int):
+        for r in range(start, len(schedule)):
+            rx_dbm = base_dbm + rx_gain[schedule[r], cells][None, :]
+            peaks = sample_peaks(10.0 ** (rx_dbm / 10.0), noise_mw, setup.n_zc, rng)
+            # row-major: the earliest slot first, the lowest cell within it
+            slots, hit_cells = np.nonzero(peaks > setup.gamma_ra)
+            if slots.size:
+                return (r, int(slots[0]), int(hit_cells[0])), peaks
+        return None, peaks
 
-    def round_peaks(self, rx_beams) -> np.ndarray:
-        """(n_tx slots, n_sc) PDP peak values for one full UE sweep; slot t
-        carries Tx beam t."""
-        rx_mw = 10.0 ** (self.rx_power_dbm(rx_beams) / 10.0)
-        return sample_peaks(rx_mw, self._noise_mw, self.setup.seq.n_zc, self.rng)
-
-    def first_detection(self, peaks: np.ndarray):
-        """Earliest (slot, cell) whose peak clears the threshold, or None."""
-        hits = peaks > self.setup.gamma_ra
-        for slot in range(self.n_tx):
-            cells = np.nonzero(hits[slot])[0]
-            if cells.size:
-                return slot, int(cells[0])
-        return None
+    return orders, sweep
 
 
-def _finish(scheme, engine, setup, round_index, rx_beams, slot, cell, estimate):
-    slots_used = round_index * engine.n_tx + slot + 1
-    return IaTrialOutcome(
-        scheme=scheme,
-        success=True,
-        slots_used=slots_used,
-        ia_time_s=slots_used * setup.t_ra_s,
-        rounds=round_index + 1,
-        detecting_cell=cell,
-        detecting_pair=(slot, rx_beams[cell]),
-        estimated_ue=estimate,
-    )
+def _outcome(scheme: str, setup: TrialSetup, schedule: np.ndarray, hit,
+             estimate: Point2D | None) -> IaTrialOutcome:
+    """The outcome of a sweep over ``schedule``; a miss uses every round."""
+    n_tx = setup.ue_codebook.n_beams
+    if hit is None:
+        slots_used = len(schedule) * n_tx
+        return IaTrialOutcome(scheme, False, slots_used, slots_used * setup.t_ra_s,
+                              len(schedule), estimated_ue=estimate)
+    r, slot, cell = hit
+    slots_used = r * n_tx + slot + 1
+    return IaTrialOutcome(scheme, True, slots_used, slots_used * setup.t_ra_s,
+                          r + 1, cell, (slot, int(schedule[r, cell])), estimate)
 
 
-def _fail(scheme, setup, engine, rounds, estimate=None):
-    slots_used = rounds * engine.n_tx
-    return IaTrialOutcome(
-        scheme=scheme,
-        success=False,
-        slots_used=slots_used,
-        ia_time_s=slots_used * setup.t_ra_s,
-        rounds=rounds,
-        estimated_ue=estimate,
-    )
-
-
-def _sweep_orders(engine: _TrialEngine) -> list[np.ndarray]:
-    """One independent random Rx order per cell (drawn identically by both
-    schemes so their first rounds coincide under a shared seed)."""
-    return [engine.rng.permutation(engine.n_rx) for _ in range(engine.n_sc)]
-
-
-def run_exhaustive(setup: TrialSetup, seed=None,
-                   max_rounds: int | None = None) -> IaTrialOutcome:
+def run_exhaustive(setup: TrialSetup, seed=None) -> IaTrialOutcome:
     """Uncoordinated baseline: every cell walks its own random Rx order."""
-    engine = _TrialEngine(setup, np.random.default_rng(seed))
-    orders = _sweep_orders(engine)
-    rounds = engine.n_rx if max_rounds is None else min(max_rounds, engine.n_rx)
-    for r in range(rounds):
-        rx_beams = tuple(int(order[r]) for order in orders)
-        hit = engine.first_detection(engine.round_peaks(rx_beams))
-        if hit is not None:
-            return _finish(EXHAUSTIVE, engine, setup, r, rx_beams, *hit, None)
-    return _fail(EXHAUSTIVE, setup, engine, rounds)
+    orders, sweep = _start_trial(setup, seed)
+    schedule = orders.T
+    hit, _ = sweep(schedule, start=0)
+    return _outcome(EXHAUSTIVE, setup, schedule, hit, None)
 
 
-def run_coordinated(setup: TrialSetup, seed=None,
-                    max_rounds: int | None = None) -> IaTrialOutcome:
+def run_coordinated(setup: TrialSetup, seed=None) -> IaTrialOutcome:
     """Measurement round, backhaul exchange, estimate, reordered sweeps."""
-    if setup.geom.n_sc < 3:
+    n_sc, n_rx = setup.geom.n_sc, setup.sc_codebook.n_beams
+    if n_sc < 3:
         raise ValueError("coordinated IA needs a cluster of at least three cells")
-    engine = _TrialEngine(setup, np.random.default_rng(seed))
-    orders = _sweep_orders(engine)
-    if max_rounds is None:
-        max_rounds = engine.n_rx + 1
+    orders, sweep = _start_trial(setup, seed)
 
     # Round 1: random Rx beams, full UE sweep, reports recorded as measured.
-    rx_beams = tuple(int(order[0]) for order in orders)
-    peaks = engine.round_peaks(rx_beams)
-    hit = engine.first_detection(peaks)
+    first = orders[:, :1].T
+    hit, peaks = sweep(first, start=0)
     if hit is not None:
-        return _finish(COORDINATED, engine, setup, 0, rx_beams, *hit, None)
+        return _outcome(COORDINATED, setup, first, hit, None)
 
     reports = [MeasurementReport(cell_index=i, peak_per_tx_beam=peaks[:, i].copy(),
-                                 rx_beam_used=rx_beams[i])
-               for i in range(engine.n_sc)]
-    delay = backhaul_delay_rounds(setup.backhaul_latency_s,
-                                  engine.n_tx * setup.t_ra_s)
-
-    estimate = None
+                                 rx_beam_used=int(first[0, i]))
+               for i in range(n_sc)]
     try:
-        if engine.n_sc > 3:
+        if n_sc > 3:
             band = setup.ue_codebook.pattern.phi_ml
             estimate, _ = refine_location(reports, setup.geom, band,
                                           setup.grid_resolution_m)
@@ -209,23 +173,16 @@ def run_coordinated(setup: TrialSetup, seed=None,
     except EstimationError:
         estimate = None
 
-    # Fallback keeps walking the original order (wrapping past the round-1
-    # beam) so a full sweep still completes within max_rounds.
-    fallback = [np.roll(orders[i], -1) for i in range(engine.n_sc)]
-    reordered = None
+    # n_rx more rounds. Until the reports have crossed the backhaul (and for
+    # good without an estimate) each cell keeps walking its original order,
+    # wrapping past the round-1 beam, so a full sweep still completes.
+    rest = np.roll(orders, -1, axis=1).T
     if estimate is not None:
-        reordered = [reorder_rx_beams(setup.sc_codebook, estimate,
-                                      setup.geom.sc_positions[i])
-                     for i in range(engine.n_sc)]
-
-    for r in range(1, max_rounds):
-        use_reordered = reordered is not None and (r - 1) >= delay
-        rx_beams = tuple(
-            int(reordered[i][(r - 1 - delay) % engine.n_rx]) if use_reordered
-            else int(fallback[i][(r - 1) % engine.n_rx])
-            for i in range(engine.n_sc)
-        )
-        hit = engine.first_detection(engine.round_peaks(rx_beams))
-        if hit is not None:
-            return _finish(COORDINATED, engine, setup, r, rx_beams, *hit, estimate)
-    return _fail(COORDINATED, setup, engine, max_rounds, estimate)
+        delay = backhaul_delay_rounds(setup.backhaul_latency_s,
+                                      setup.ue_codebook.n_beams * setup.t_ra_s)
+        reordered = np.array([reorder_rx_beams(setup.sc_codebook, estimate, p)
+                              for p in setup.geom.sc_positions]).T
+        rest[delay:] = reordered[:max(0, n_rx - delay)]
+    schedule = np.vstack([first, rest])
+    hit, _ = sweep(schedule, start=1)
+    return _outcome(COORDINATED, setup, schedule, hit, estimate)

@@ -17,7 +17,6 @@ import traceback
 import numpy as np
 
 from . import antenna, channel, estimation, geometry, preamble, protocol
-from .config import SimConfig
 
 D = 200.0
 
@@ -369,12 +368,11 @@ def _check_trilateration_vs_grid():
 
 
 def _check_schedule_arithmetic():
-    cfg = SimConfig()
-    seq = preamble.generate_zc(1, 839)
     geom = geometry.build_cluster(3, D).with_ue(geometry.Point2D(100.0, 40.0))
     ue_cb = antenna.make_codebook(4)
     sc_cb = antenna.make_codebook(8)
-    params = cfg.link_params(-20.0)
+    # no noise: the exact peak is N^2 times the received power
+    params = channel.LinkBudgetParams(-20.0, -math.inf, 1.08e6)
 
     # analytic per-(tx, cell, rx) peak map; threshold just below the best pair
     n_tx, n_sc, n_rx = 4, 3, 8
@@ -408,7 +406,7 @@ def _check_schedule_arithmetic():
 
     setup = protocol.TrialSetup(
         geom=geom, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
-        seq=seq, gamma_ra=gamma, noiseless=True)
+        n_zc=839, gamma_ra=gamma)
     out1 = protocol.run_exhaustive(setup, seed=9)
     out2 = protocol.run_exhaustive(setup, seed=9)
     assert out1 == out2, "same seed must reproduce the outcome"

@@ -148,7 +148,7 @@ def test_criterion_6b_false_alarm_calibration():
 def test_criterion_6d_quantized_containment():
     """Noiseless LOS measurement: the true UE lies in the area intersection."""
     from mmwia.estimation import MeasurementReport
-    from mmwia.antenna import best_beam_index
+    from mmwia.protocol import reorder_rx_beams
 
     geom0 = build_cluster(3, D)
     ue_cb = make_codebook(8)
@@ -159,9 +159,9 @@ def test_criterion_6d_quantized_containment():
         geom = geom0.with_ue(place_ue(geom0, rng))
         reports = []
         for i, cell in enumerate(geom.sc_positions):
-            b = geom.ue_position.bearing_to(cell)
             v = np.zeros(ue_cb.n_beams)
-            v[best_beam_index(ue_cb, float(b))] = 1.0
+            # the UE beam nearest the bearing to the cell, lowest index on ties
+            v[reorder_rx_beams(ue_cb, cell, geom.ue_position)[0]] = 1.0
             reports.append(MeasurementReport(i, v, 0))
         _, overlap = refine_location(reports, geom, ue_cb.pattern.phi_ml, 2.0)
         if overlap.contains(geom.ue_position):
@@ -187,7 +187,7 @@ def test_criterion_6e_paired_dominance():
         geom = geom0.with_ue(place_ue(geom0, rng))
         setup = TrialSetup(geom=geom, ue_codebook=cfg.ue_codebook(),
                            sc_codebook=cfg.sc_codebook(),
-                           link_params=cfg.link_params(), seq=seq,
+                           link_params=cfg.link_params(), n_zc=seq.n_zc,
                            gamma_ra=gamma)
         trial_seed = np.random.SeedSequence((SEED, 61, t))
         exh[t] = run_exhaustive(setup, np.random.default_rng(trial_seed)).slots_used

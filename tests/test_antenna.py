@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwia.antenna import best_beam_index, make_codebook, make_pattern
+from mmwia.antenna import make_codebook, make_pattern
+from mmwia.geometry import Point2D
+from mmwia.protocol import reorder_rx_beams
 
 beamwidths = st.floats(min_value=math.radians(2.0), max_value=math.radians(170.0))
 
@@ -81,12 +83,19 @@ def test_codebook_default_beamwidth_ties_to_size():
     assert cb.pattern.phi_3db == pytest.approx(2 * math.pi / 8)
 
 
+def _nearest_beam(cb, angle):
+    """First beam of the reordered sweep towards a target at ``angle``."""
+    origin = Point2D(0.0, 0.0)
+    target = Point2D(100.0 * math.cos(angle), 100.0 * math.sin(angle))
+    return reorder_rx_beams(cb, target, origin)[0]
+
+
 def test_best_beam_nearest_and_ties():
     cb = make_codebook(4, math.radians(90.0))
-    assert best_beam_index(cb, math.radians(100.0)) == 1
-    assert best_beam_index(cb, math.radians(45.0)) == 0  # midway -> lower index
+    assert _nearest_beam(cb, math.radians(100.0)) == 1
+    assert _nearest_beam(cb, math.radians(45.0)) == 0  # midway -> lower index
     for k in range(4):
-        assert best_beam_index(cb, float(cb.beam_centers[k])) == k
+        assert _nearest_beam(cb, float(cb.beam_centers[k])) == k
 
 
 @given(st.integers(min_value=1, max_value=24),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwia.antenna import best_beam_index, make_codebook
+from mmwia.antenna import make_codebook
 from mmwia.estimation import (
     AngleEstimate,
     AnglesUnresolvable,
@@ -24,6 +24,7 @@ from mmwia.estimation import (
     wrapped_index_angle,
 )
 from mmwia.geometry import Point2D, build_cluster, place_ue, true_angles
+from mmwia.protocol import reorder_rx_beams
 from mmwia.selftest import solver_case
 
 D = 200.0
@@ -173,7 +174,7 @@ def test_estimation_area_empty_flagged():
     pair = (geom.sc_positions[0], geom.sc_positions[1])
     # no interior point subtends nearly zero angle over a full side
     member = band_member(0.001, pair, 0.0005, geom.triangle_centroid())
-    area = EstimationArea(xs, ys, 1.0, member(*np.meshgrid(xs, ys)),
+    area = EstimationArea(xs, ys, member(*np.meshgrid(xs, ys)),
                           contains=lambda p: bool(member(p.x, p.y)))
     assert area.is_empty
     assert area.centroid() is None
@@ -181,10 +182,10 @@ def test_estimation_area_empty_flagged():
 
 def _noiseless_reports(geom, ue_cb, gains_to=None):
     """Best-index reports as an ideal noiseless measurement would produce."""
-    bearings = [geom.ue_position.bearing_to(p) for p in geom.sc_positions]
     reports = []
-    for i, b in enumerate(bearings):
-        idx = best_beam_index(ue_cb, float(b))
+    for i, cell in enumerate(geom.sc_positions):
+        # the UE beam nearest the bearing to the cell, lowest index on ties
+        idx = reorder_rx_beams(ue_cb, cell, geom.ue_position)[0]
         v = np.zeros(ue_cb.n_beams)
         v[idx] = 1.0 / (1.0 + geom.ue_position.distance_to(geom.sc_positions[i]))
         reports.append(MeasurementReport(i, v, 0))

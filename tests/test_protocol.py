@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -29,15 +30,18 @@ def _setup(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=Point2D(100.0, 60.0),
     if n_sc < 3:
         geom = replace(geom, sc_positions=geom.sc_positions[:n_sc])
     geom = geom.with_ue(ue)
+    params = CFG.link_params(p_ue)
+    if noiseless:
+        # zero noise power: the peak sampler returns the exact N^2 * power
+        params = replace(params, noise_density_dbm_hz=-math.inf)
     return TrialSetup(
         geom=geom,
         ue_codebook=make_codebook(n_tx),
         sc_codebook=make_codebook(n_rx),
-        link_params=CFG.link_params(p_ue),
-        seq=SEQ,
+        link_params=params,
+        n_zc=839,
         gamma_ra=gamma,
         link_states=link_states,
-        noiseless=noiseless,
         backhaul_latency_s=latency,
     )
 
