@@ -2,7 +2,8 @@
 
 Usage: mmwia <command> --config <path> [--seed N] [--out DIR] [--trials N]
 Commands: p-los, reduction-power, reduction-pmiss, time-cluster,
-single-trial, selftest. Environment overrides: SIM_SEED, SIM_OUT.
+single-trial, selftest. Environment overrides: SIM_SEED, SIM_OUT. --trials must be at least 1;
+--seed and SIM_SEED must be non-negative integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
 """
 
@@ -46,14 +47,41 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+_seed = _int_at_least(0)
+
+
+def _env_seed() -> int | None:
+    """The SIM_SEED override, or None when it is unset or empty."""
+    text = os.environ.get("SIM_SEED")
+    if not text:
+        return None
+    try:
+        return _seed(text)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"SIM_SEED: {exc}") from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="mmwia", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
+    p.add_argument("--seed", type=_seed, default=None, help="master seed override")
     p.add_argument("--out", default=None, help="output directory override")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=_int_at_least(1), default=None,
                    help="trials-per-point override")
     return p
 
@@ -131,6 +159,7 @@ def _single_trial(cfg: SimConfig, seed: int) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        env_seed = _env_seed()
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -142,8 +171,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     seed = cfg.experiment.master_seed
-    if os.environ.get("SIM_SEED"):
-        seed = int(os.environ["SIM_SEED"])
+    if env_seed is not None:
+        seed = env_seed
     if args.seed is not None:
         seed = args.seed
     out_dir = Path(os.environ.get("SIM_OUT") or cfg.output.dir)

@@ -1,3 +1,5 @@
+import pytest
+
 from mmwia.cli import main
 
 
@@ -81,6 +83,36 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert main(["p-los", "--config", cfg, "--trials", "20"]) == 0
     lines = (out / "p_los.csv").read_text().split("\n")
     assert "seed=9" in lines[0]
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_trials_below_one_is_usage_error(tmp_path, trials):
+    out = tmp_path / "o"
+    assert main(["time-cluster", "--trials", trials, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_negative_seed_is_usage_error(tmp_path):
+    out = tmp_path / "o"
+    assert main(["time-cluster", "--seed", "-1", "--trials", "2",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_bad_sim_seed_is_usage_error(tmp_path, monkeypatch, value):
+    out = tmp_path / "o"
+    monkeypatch.setenv("SIM_SEED", value)
+    assert main(["time-cluster", "--trials", "2", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_sim_seed_zero_applies(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, TINY)
+    monkeypatch.setenv("SIM_SEED", "0")
+    assert main(["p-los", "--config", cfg, "--trials", "5",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "seed=0" in (tmp_path / "o" / "p_los.csv").read_text().split("\n")[0]
 
 
 def test_single_trial_output(tmp_path, capsys):
