@@ -6,13 +6,16 @@ and compares the implementation against it. This module holds the only
 copy of each oracle: the CLI `selftest` command runs the whole list and
 prints one line per check, and the test suite runs each check as a test.
 A check with several inputs calls one public function per input, and the
-tests named after an input call that function.
+tests named after an input call that function. Those functions take fixed
+seeds and cache their result, so a test session that runs an input under
+its own name and again inside its check computes it once.
 """
 
 from __future__ import annotations
 
 import math
 import traceback
+from functools import cache
 
 import numpy as np
 
@@ -39,7 +42,9 @@ def _check_cluster_reproducible():
             assert abs(dij - D) < 1e-9, "first three cells must form the triangle"
 
 
-def _check_ue_centroid():
+@cache
+def ue_centroid():
+    """The mean of 100k uniform UE placements is within 2 m of the centroid."""
     geom = geometry.build_cluster(3, D)
     rng = np.random.default_rng(123)
     pts = np.array([[p.x, p.y] for p in (geometry.place_ue(geom, rng)
@@ -58,14 +63,27 @@ def _check_angle_sum():
         assert abs(total - 2.0 * math.pi) < 1e-12, "angles must close to 2*pi"
 
 
-def _check_pattern_constants():
+@cache
+def pattern_45deg():
+    """45 deg beams: g0 = 12.51 dBi, g_sl = -12.14 dBi, a 117 deg main lobe
+    and g0 - 3.01 dB at the half-power offset."""
     p45 = antenna.make_pattern(math.radians(45.0))
     assert abs(p45.g0 - 12.51) < 0.01, f"g0(45deg) = {p45.g0:.3f}"
     assert abs(p45.g_sl + 12.14) < 0.01, f"g_sl(45deg) = {p45.g_sl:.3f}"
     assert abs(math.degrees(p45.phi_ml) - 117.0) < 1e-9
+    assert abs(p45.gain(p45.phi_3db / 2.0) - (p45.g0 - 3.01)) < 1e-12
+
+
+@cache
+def pattern_22p5deg():
+    """22.5 deg beams: g0 = 18.37 dBi."""
     p225 = antenna.make_pattern(math.radians(22.5))
     assert abs(p225.g0 - 18.37) < 0.01, f"g0(22.5deg) = {p225.g0:.3f}"
-    assert abs(p45.gain(p45.phi_3db / 2.0) - (p45.g0 - 3.01)) < 1e-12
+
+
+def _check_pattern_constants():
+    pattern_45deg()
+    pattern_22p5deg()
 
 
 def _west_link(ue_beam: float):
@@ -80,6 +98,7 @@ def _west_link(ue_beam: float):
     return p, pat
 
 
+@cache
 def aligned_link_composition():
     """The aligned LOS link is P_UE + 2 g0 - PL(200 m), about -61.70 dBm."""
     aligned, pat = _west_link(0.0)
@@ -87,6 +106,7 @@ def aligned_link_composition():
     assert abs(aligned - expect) < 1e-9 and abs(aligned + 61.70) < 0.02, aligned
 
 
+@cache
 def back_lobe_drop():
     """Turning the UE beam around costs exactly g0 - g_sl, about 24.65 dB."""
     (aligned, pat), (backlobe, _) = _west_link(0.0), _west_link(math.pi)
@@ -136,6 +156,7 @@ def _check_blocking_rate():
 ZC_CASES = ((1, 11), (1, 839), (25, 839))  # (root u, length N)
 
 
+@cache
 def zc_autocorrelation(u: int, n: int) -> float:
     """A ZC sequence correlated with itself peaks at N^2 at lag 0 and leaks
     nothing elsewhere; returns the largest off-peak value over the peak."""
@@ -224,17 +245,21 @@ def ks_critical(n: int, m: int) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0 * (n + m) / (n * m))
 
 
-def sampler_vs_oracle(rx_dbm: float | None, n: int = 10_000,
-                      seed=0) -> tuple[float, float]:
-    """(KS distance, critical value at 1e-3) between n exact peak draws and
-    n FFT-oracle peaks at one received power (None: noise only)."""
+@cache
+def sampler_case(rx_dbm: float | None) -> tuple[float, float]:
+    """10k exact peak draws and 10k FFT-oracle peaks at one received power
+    (None: noise only) pass a two-sample KS test at alpha = 1e-3; returns
+    the KS distance and the critical value."""
+    n = 10_000
     seq = preamble.generate_zc(1, 839)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(41)
     rx_mw = 0.0 if rx_dbm is None else preamble.dbm_to_mw(rx_dbm)
     exact = preamble.sample_peaks(np.full(n, rx_mw),
                                   preamble.dbm_to_mw(NOISE_DBM), seq.n_zc, rng)
     oracle = fft_peaks(rx_dbm, NOISE_DBM, seq, n, rng)
-    return ks_distance(exact, oracle), ks_critical(n, n)
+    d, crit = ks_distance(exact, oracle), ks_critical(n, n)
+    assert d < crit, f"KS distance {d:.4f} >= {crit:.4f} at {rx_dbm} dBm"
+    return d, crit
 
 
 # P_fa target -> (noise-only FFT slots, relative tolerance, seed)
@@ -245,6 +270,7 @@ FALSE_ALARM_CASES = {
 }
 
 
+@cache
 def false_alarm_case(p_fa: float) -> float:
     """Noise-only FFT slots cross the closed-form threshold at the target
     rate, within the case's relative tolerance; returns the measured rate."""
@@ -271,6 +297,7 @@ MISS_CASES = {
 }
 
 
+@cache
 def miss_case(p_miss: float, ref_dbm: float) -> float:
     """The FFT oracle misses the reference link at the calibrated rate,
     within 4 standard errors of the calibration and oracle samples;
@@ -295,8 +322,7 @@ def _check_miss_calibration():
 
 def _check_peak_sampler():
     for rx_dbm in SAMPLER_GRID_DBM:
-        d, crit = sampler_vs_oracle(rx_dbm, seed=41)
-        assert d < crit, f"KS distance {d:.4f} >= {crit:.4f} at {rx_dbm} dBm"
+        sampler_case(rx_dbm)
     rng = np.random.default_rng(43)
     for p_fa in (0.01, 0.1):
         gamma = preamble.false_alarm_threshold(p_fa, NOISE_DBM, 839)
@@ -324,6 +350,7 @@ SOLVER_CASES = {
 }
 
 
+@cache
 def solver_case(name: str):
     """The cosine-rule solver recovers the case's distances within 1e-6 m."""
     thetas, expect = SOLVER_CASES[name]
@@ -348,7 +375,10 @@ def _check_round_trip():
         assert err < 1e-6, f"round-trip error {err:.2e} m"
 
 
-def _check_trilateration_vs_grid():
+@cache
+def trilateration_vs_grid():
+    """Distances 1 m longer than the centroid's: the solver lands within
+    0.02 m of a brute-force grid minimum and within 2.5 m of the centroid."""
     geom = geometry.build_cluster(3, D)
     truth = geom.triangle_centroid()
     d_true = truth.distance_to(geom.sc_positions[0])
@@ -425,7 +455,7 @@ def _check_reduction_formula():
 
 CHECKS = [
     ("cluster layout reproducible", _check_cluster_reproducible),
-    ("uniform UE placement centroid", _check_ue_centroid),
+    ("uniform UE placement centroid", ue_centroid),
     ("subtended angles close to 2*pi", _check_angle_sum),
     ("antenna pattern closed forms", _check_pattern_constants),
     ("link budget composition", _check_link_budget),
@@ -439,7 +469,7 @@ CHECKS = [
     ("beam-index angle recovery", _check_index_angles),
     ("cosine-rule range solver", _check_distance_solver),
     ("angle->range->position round trip", _check_round_trip),
-    ("trilateration vs grid oracle", _check_trilateration_vs_grid),
+    ("trilateration vs grid oracle", trilateration_vs_grid),
     ("sweep schedule arithmetic", _check_schedule_arithmetic),
     ("IA time reduction formula", _check_reduction_formula),
 ]

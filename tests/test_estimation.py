@@ -25,7 +25,7 @@ from mmwia.estimation import (
 )
 from mmwia.geometry import Point2D, build_cluster, place_ue, true_angles
 from mmwia.protocol import reorder_rx_beams
-from mmwia.selftest import solver_case
+from mmwia.selftest import solver_case, trilateration_vs_grid
 
 D = 200.0
 
@@ -133,11 +133,8 @@ def test_locate_equal_distances_gives_centroid():
 
 
 def test_locate_perturbed_distances_near_truth():
-    geom = build_cluster(3, D)
-    truth = geom.triangle_centroid()
-    d = [truth.distance_to(s) + 1.0 for s in geom.triangle()]
-    p = locate_ue(d, geom.triangle())
-    assert p.distance_to(truth) < 2.5
+    """Distances 1 m long: within 2.5 m of the truth (and of a grid oracle)."""
+    trilateration_vs_grid()
 
 
 def test_estimation_area_membership():

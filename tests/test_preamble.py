@@ -21,7 +21,7 @@ from mmwia.selftest import (
     ZC_CASES,
     false_alarm_case,
     miss_case,
-    sampler_vs_oracle,
+    sampler_case,
     zc_autocorrelation,
 )
 
@@ -162,8 +162,7 @@ def test_sample_peaks_noiseless_is_exact():
 @pytest.mark.parametrize("rx_dbm", SAMPLER_GRID_DBM)
 def test_sample_peaks_matches_fft_oracle(rx_dbm):
     """Two-sample KS over 10k draws per side, at alpha = 1e-3."""
-    d, crit = sampler_vs_oracle(rx_dbm, n=10_000, seed=7)
-    assert d < crit
+    sampler_case(rx_dbm)
 
 
 def test_miss_threshold_oracle_miss_rate():
