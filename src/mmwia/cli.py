@@ -50,28 +50,11 @@ class _Parser(argparse.ArgumentParser):
 def _int_at_least(minimum: int):
     """argparse type: an integer no smaller than ``minimum``."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
+        if not text.removeprefix("-").isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
     return parse
-
-
-_seed = _int_at_least(0)
-
-
-def _env_seed() -> int | None:
-    """The SIM_SEED override, or None when it is unset or empty."""
-    text = os.environ.get("SIM_SEED")
-    if not text:
-        return None
-    try:
-        return _seed(text)
-    except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"SIM_SEED: {exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -79,7 +62,8 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--seed", type=_seed, default=None, help="master seed override")
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="master seed override")
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--trials", type=_int_at_least(1), default=None,
                    help="trials-per-point override")
@@ -159,7 +143,6 @@ def _single_trial(cfg: SimConfig, seed: int) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        env_seed = _env_seed()
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -171,8 +154,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     seed = cfg.experiment.master_seed
-    if env_seed is not None:
-        seed = env_seed
+    if os.environ.get("SIM_SEED"):
+        try:
+            seed = _int_at_least(0)(os.environ["SIM_SEED"])
+        except argparse.ArgumentTypeError as exc:
+            print(f"usage error: SIM_SEED: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if args.seed is not None:
         seed = args.seed
     out_dir = Path(os.environ.get("SIM_OUT") or cfg.output.dir)

@@ -94,16 +94,13 @@ def ia_time_reduction(t_new: float, t_con: float) -> float:
 
 
 def _start_trial(setup: TrialSetup, seed):
-    """Draw one random Rx order per cell and return the (n_sc, n_rx) orders
-    with the trial's sweep.
+    """(n_sc, n_rx) random Rx orders, drawn alike by both schemes so their
+    first rounds coincide under a shared seed, and the trial's sweep.
 
-    ``sweep(schedule, start)`` walks the schedule's rounds from ``start``,
-    drawing one round of PDP peaks (slot t carries Tx beam t) per row, and
-    returns ``(hit, peaks)``: hit is (round, slot, cell) of the earliest slot
-    whose peak clears the threshold, the lowest cell within that slot, or
-    None; peaks are those of the last round drawn. Both schemes draw the
-    orders identically, so their first rounds coincide under a shared seed.
-    """
+    ``sweep(schedule, start)`` draws one round of peaks (slot t carries Tx
+    beam t) per schedule row from ``start`` on and returns (hit, peaks of
+    the last round drawn); hit is the first (round, slot, cell) to clear
+    the threshold, or None."""
     rng = np.random.default_rng(seed)
     base_dbm, rx_gain = link_budget_dbm(
         setup.geom, setup.states(), setup.ue_codebook, setup.sc_codebook,

@@ -79,10 +79,11 @@ def test_env_overrides(tmp_path, monkeypatch):
     cfg = _write(tmp_path, TINY)
     out = tmp_path / "env_out"
     monkeypatch.setenv("SIM_OUT", str(out))
-    monkeypatch.setenv("SIM_SEED", "9")
-    assert main(["p-los", "--config", cfg, "--trials", "20"]) == 0
-    lines = (out / "p_los.csv").read_text().split("\n")
-    assert "seed=9" in lines[0]
+    for seed in ("9", "0"):
+        monkeypatch.setenv("SIM_SEED", seed)
+        assert main(["p-los", "--config", cfg, "--trials", "20"]) == 0
+        lines = (out / "p_los.csv").read_text().split("\n")
+        assert f"seed={seed}" in lines[0]
 
 
 @pytest.mark.parametrize("trials", ["-3", "0"])
@@ -105,14 +106,6 @@ def test_bad_sim_seed_is_usage_error(tmp_path, monkeypatch, value):
     monkeypatch.setenv("SIM_SEED", value)
     assert main(["time-cluster", "--trials", "2", "--out", str(out)]) == 1
     assert not out.exists()
-
-
-def test_sim_seed_zero_applies(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, TINY)
-    monkeypatch.setenv("SIM_SEED", "0")
-    assert main(["p-los", "--config", cfg, "--trials", "5",
-                 "--out", str(tmp_path / "o")]) == 0
-    assert "seed=0" in (tmp_path / "o" / "p_los.csv").read_text().split("\n")[0]
 
 
 def test_single_trial_output(tmp_path, capsys):
