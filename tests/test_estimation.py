@@ -133,7 +133,7 @@ def test_locate_equal_distances_gives_centroid():
 
 
 def test_locate_perturbed_distances_near_truth():
-    """Distances 1 m long: within 2.5 m of the truth (and of a grid oracle)."""
+    """Distances 1 m too long: within 2.5 m of the truth and 0.02 m of a grid oracle."""
     trilateration_vs_grid()
 
 
