@@ -2,8 +2,9 @@
 
 Usage: mmwia <command> --config <path> [--seed N] [--out DIR] [--trials N]
 Commands: p-los, reduction-power, reduction-pmiss, time-cluster,
-single-trial, selftest. Environment overrides: SIM_SEED, SIM_OUT. --trials must be at least 1;
---seed and SIM_SEED must be non-negative integers.
+single-trial, selftest. Environment overrides: SIM_SEED, SIM_OUT.
+--trials must be at least 1; --seed and SIM_SEED must be non-negative
+integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
 """
 
