@@ -57,7 +57,6 @@ class ChannelConfig:
 @dataclass(frozen=True)
 class PreambleConfig:
     n_zc: int = 839
-    root_u: int = 1
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,9 @@ class SimConfig:
         )
 
     def sequence(self) -> ZcSequence:
-        return generate_zc(self.preamble.root_u, self.preamble.n_zc)
+        # only the length reaches a result (the peak statistics), so the
+        # root is fixed
+        return generate_zc(1, self.preamble.n_zc)
 
     def ue_codebook(self, n_tx: int | None = None) -> BeamCodebook:
         n = self.antenna.n_tx if n_tx is None else n_tx
@@ -176,7 +177,7 @@ _SCHEMA = {
     "channel": {"p_ue_dbm": "float", "noise_density_dbm_hz": "float",
                 "bandwidth_hz": "float", "p_blk": "float",
                 "nlos_excess_mean_db": "float"},
-    "preamble": {"n_zc": "int", "root_u": "int"},
+    "preamble": {"n_zc": "int"},
     "detection": {"mode": "str", "target": "float",
                   "reference_distance_m": "float",
                   "calibration_margin_db": "float",
@@ -202,14 +203,21 @@ def _parse_value(section: str, key: str, raw: str, kind: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
-        if kind == "int_list":
-            return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        if kind == "float_list":
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        return raw
+            value = float(raw)
+        elif kind == "int_list":
+            value = tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+        elif kind == "float_list":
+            value = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+        else:
+            return raw
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from exc
+    values = value if kind.endswith("_list") else (value,)
+    if not values:
+        raise ConfigError(f"[{section}] {key}: empty list")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not finite")
+    return value
 
 
 def _validate(cfg: SimConfig) -> SimConfig:
@@ -240,8 +248,6 @@ def _validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("[channel] nlos_excess_mean_db: must be >= 0")
     if not is_prime(pre.n_zc):
         raise ConfigError(f"[preamble] n_zc: {pre.n_zc} is not prime")
-    if not 1 <= pre.root_u <= pre.n_zc - 1:
-        raise ConfigError("[preamble] root_u: must lie in [1, n_zc-1]")
     if det.mode not in ("miss", "fa"):
         raise ConfigError("[detection] mode: must be 'miss' or 'fa'")
     if not 0.0 < det.target < 1.0:
@@ -286,7 +292,8 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#",))
     try:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:

@@ -1,8 +1,10 @@
-"""UE position estimation from beam-index measurement reports.
+"""UE position estimation from the round-1 peak matrix.
 
-Pipeline: wrapped Tx-beam-index differences approximate the angles the
-cell pairs subtend at the UE; the cosine-rule system over the known
-inter-cell distances yields UE-to-cell ranges; least-squares
+Every cell reports its PDP peak per UE Tx beam over the backhaul, so the
+reports of a cluster together are the (n_tx, n_sc) round-1 peak matrix.
+Pipeline: wrapped differences of the cells' best Tx indices approximate
+the angles the cell pairs subtend at the UE; the cosine-rule system over
+the known inter-cell distances yields UE-to-cell ranges; least-squares
 trilateration yields a point. Each angle also bounds an inscribed-arc
 band (an "estimation area"); intersecting the bands refines the point
 when more than three cells report.
@@ -24,47 +26,19 @@ class EstimationError(Exception):
 
 
 class AnglesUnresolvable(EstimationError):
-    """Two reports share a best Tx index: angles degenerate at this codebook size."""
+    """Two cells share a best Tx index: angles degenerate at this codebook size."""
 
 
 class TriangulationFailed(EstimationError):
     """The range system had no acceptable (positive, consistent) solution."""
 
 
-@dataclass(frozen=True)
-class MeasurementReport:
-    """PDP peak per UE Tx beam, recorded at one cell during one full sweep."""
-
-    cell_index: int
-    peak_per_tx_beam: np.ndarray
-    rx_beam_used: int
-
-    @property
-    def n_tx(self) -> int:
-        return len(self.peak_per_tx_beam)
-
-    @property
-    def best_tx_index(self) -> int:
-        return int(np.argmax(self.peak_per_tx_beam))  # lowest index on ties
-
-    @property
-    def best_peak(self) -> float:
-        return float(self.peak_per_tx_beam[self.best_tx_index])
-
-
-@dataclass(frozen=True)
-class AngleEstimate:
-    """Cyclic subtended-angle estimates."""
-
-    theta_tilde: tuple[float, float, float]
-
-
-def select_top3(reports: Sequence[MeasurementReport]) -> list[MeasurementReport]:
-    """The three reports with the largest best peaks; ties to lower cell index."""
-    if len(reports) < 3:
-        raise EstimationError("need at least three measurement reports")
-    ranked = sorted(reports, key=lambda r: (-r.best_peak, r.cell_index))
-    return ranked[:3]
+def select_top3(peaks: np.ndarray) -> np.ndarray:
+    """The three cells with the largest peaks in the (n_tx, n_sc) matrix;
+    ties to the lower cell index."""
+    if peaks.shape[1] < 3:
+        raise EstimationError("need reports from at least three cells")
+    return np.argsort(-peaks.max(axis=0), kind="stable")[:3]
 
 
 def wrapped_index_angle(n_from: int, n_to: int, n_tx: int) -> float:
@@ -77,25 +51,16 @@ def wrapped_index_angle(n_from: int, n_to: int, n_tx: int) -> float:
     return TWO_PI * delta / n_tx
 
 
-def angles_from_reports(reports: Sequence[MeasurementReport]) -> AngleEstimate:
-    """Cyclic angle estimates from three reports in counterclockwise cell order.
+def index_angles(best: Sequence[int], n_tx: int) -> tuple[float, float, float]:
+    """Cyclic angle estimates from three cells' best Tx indices.
 
-    theta_i is derived from the wrapped difference of the best Tx indices
-    of reports i and i+1. The caller is responsible for passing reports
-    ordered counterclockwise as seen from the UE side.
+    theta_i is the wrapped difference of the best indices of cells i and
+    i+1. The caller passes the cells ordered counterclockwise as seen
+    from the UE side.
     """
-    if len(reports) != 3:
-        raise EstimationError("angle recovery needs exactly three reports")
-    if len({r.cell_index for r in reports}) != 3:
-        raise EstimationError("reports must come from distinct cells")
-    n_tx = reports[0].n_tx
-    if any(r.n_tx != n_tx for r in reports):
-        raise EstimationError("reports disagree on the Tx codebook size")
-    idx = [r.best_tx_index for r in reports]
-    thetas = tuple(
-        wrapped_index_angle(idx[i], idx[(i + 1) % 3], n_tx) for i in range(3)
-    )
-    return AngleEstimate(thetas)
+    idx = [int(b) for b in best]
+    return tuple(wrapped_index_angle(idx[i], idx[(i + 1) % 3], n_tx)
+                 for i in range(3))
 
 
 def _pair_residuals(d: np.ndarray, cos_t: np.ndarray, side2: np.ndarray) -> np.ndarray:
@@ -151,7 +116,7 @@ def _grid_seed(cos_t, side2, d_max, n=50):
 
 
 def solve_distances(
-    est: AngleEstimate,
+    thetas: Sequence[float],
     d_side: float | Sequence[float],
 ) -> tuple[float, float, float]:
     """Ranges to the three cells from the cyclic angle estimates.
@@ -165,7 +130,7 @@ def solve_distances(
     sides = np.broadcast_to(np.asarray(d_side, dtype=float), (3,)).copy()
     if np.any(sides <= 0.0):
         raise ValueError("inter-cell distances must be positive")
-    thetas = np.asarray(est.theta_tilde, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas <= 0.0) or np.any(thetas >= TWO_PI):
         raise TriangulationFailed("angle estimates outside (0, 2*pi)")
     if abs(float(np.sum(thetas)) - TWO_PI) > 1e-6:
@@ -299,18 +264,11 @@ class EstimationArea:
     mask: np.ndarray  # (ny, nx) boolean membership of cell centers
     contains: Callable[[Point2D], bool] = field(compare=False)
 
-    @property
-    def is_empty(self) -> bool:
-        return not bool(self.mask.any())
-
-    @property
-    def cell_count(self) -> int:
-        return int(self.mask.sum())
-
     def centroid(self) -> Point2D | None:
-        if self.is_empty:
-            return None
+        """Mean cell center of the area, or None when it is empty."""
         ys, xs = np.nonzero(self.mask)
+        if ys.size == 0:
+            return None
         return Point2D(float(self.x_edges[xs].mean()), float(self.y_edges[ys].mean()))
 
 
@@ -355,32 +313,34 @@ def band_member(theta_tilde, pair, band_halfwidth, side_reference):
     return member
 
 
-def _order_ccw(reports: Sequence[MeasurementReport],
-               positions: Sequence[Point2D]) -> list[MeasurementReport]:
-    """Counterclockwise order around the reports' cell centroid."""
-    cx = sum(positions[r.cell_index].x for r in reports) / len(reports)
-    cy = sum(positions[r.cell_index].y for r in reports) / len(reports)
-    def key(r):
-        p = positions[r.cell_index]
-        return math.atan2(p.y - cy, p.x - cx)
-    return sorted(reports, key=key)
+def _order_ccw(cells: Sequence[int], positions: Sequence[Point2D]) -> list[int]:
+    """Counterclockwise order around the cells' centroid."""
+    cx = sum(positions[i].x for i in cells) / len(cells)
+    cy = sum(positions[i].y for i in cells) / len(cells)
+    return sorted(cells, key=lambda i: math.atan2(positions[i].y - cy,
+                                                   positions[i].x - cx))
 
 
 def estimate_point(
-    reports: Sequence[MeasurementReport],
+    peaks: np.ndarray,
     geom: ClusterGeometry,
-) -> tuple[Point2D, list[MeasurementReport], AngleEstimate]:
-    """Point estimate from the top-3 reports; raises EstimationError subclasses."""
-    top3 = _order_ccw(select_top3(reports), geom.sc_positions)
-    est = angles_from_reports(top3)
-    anchors = [geom.sc_positions[r.cell_index] for r in top3]
+) -> tuple[Point2D, list[int], tuple[float, float, float]]:
+    """Point estimate from the top-3 cells of the (n_tx, n_sc) peak matrix.
+
+    Returns the point, the three cells in counterclockwise order and their
+    cyclic angle estimates; raises EstimationError subclasses.
+    """
+    top3 = _order_ccw([int(i) for i in select_top3(peaks)], geom.sc_positions)
+    best = peaks.argmax(axis=0)  # lowest Tx index on ties
+    thetas = index_angles(best[top3], peaks.shape[0])
+    anchors = [geom.sc_positions[i] for i in top3]
     sides = [anchors[i].distance_to(anchors[(i + 1) % 3]) for i in range(3)]
-    dists = solve_distances(est, sides)
-    return locate_ue(dists, anchors), top3, est
+    dists = solve_distances(thetas, sides)
+    return locate_ue(dists, anchors), top3, thetas
 
 
 def refine_location(
-    reports: Sequence[MeasurementReport],
+    peaks: np.ndarray,
     geom: ClusterGeometry,
     band_halfwidth: float,
     grid_resolution: float = 1.0,
@@ -388,11 +348,11 @@ def refine_location(
     """Intersect every pair's estimation area; fall back to the point solve.
 
     The top-3 cells contribute their three cyclic areas; every further
-    report pairs with its two nearest selected anchors. The returned
-    point is the intersection centroid, or the plain point solve when
-    the intersection rasterizes empty.
+    cell, in index order, pairs with its two nearest selected anchors. The
+    returned point is the intersection centroid, or the plain point solve
+    when the intersection rasterizes empty.
     """
-    point, top3, est = estimate_point(reports, geom)
+    point, top3, thetas = estimate_point(peaks, geom)
     xs, ys = area_grid(geom, grid_resolution)
     positions = geom.sc_positions
 
@@ -400,31 +360,27 @@ def refine_location(
     for i in range(3):
         a, b = top3[i], top3[(i + 1) % 3]
         # an interior UE always lies on the remaining cell's side of the chord
-        third = positions[top3[(i + 2) % 3].cell_index]
+        third = positions[top3[(i + 2) % 3]]
         members.append(band_member(
-            est.theta_tilde[i],
-            (positions[a.cell_index], positions[b.cell_index]),
-            band_halfwidth, third))
+            thetas[i], (positions[a], positions[b]), band_halfwidth, third))
 
-    selected = {r.cell_index for r in top3}
-    n_tx = top3[0].n_tx
-    for extra in reports:
-        if extra.cell_index in selected:
+    n_tx, n_sc = peaks.shape
+    best = peaks.argmax(axis=0)
+    for extra in range(n_sc):
+        if extra in top3:
             continue
-        p_extra = positions[extra.cell_index]
-        nearest = sorted(top3, key=lambda r: p_extra.distance_to(positions[r.cell_index]))[:2]
+        p_extra = positions[extra]
+        nearest = sorted(top3, key=lambda i: p_extra.distance_to(positions[i]))[:2]
         for anchor in nearest:
             try:
-                theta = wrapped_index_angle(
-                    extra.best_tx_index, anchor.best_tx_index, n_tx)
+                theta = wrapped_index_angle(int(best[extra]), int(best[anchor]), n_tx)
             except AnglesUnresolvable:
                 continue
             theta = min(theta, TWO_PI - theta)  # unsigned angle for a lone pair
             if theta <= 0.0:
                 continue
             members.append(band_member(
-                theta, (p_extra, positions[anchor.cell_index]),
-                band_halfwidth, point))
+                theta, (p_extra, positions[anchor]), band_halfwidth, point))
 
     # rasterize incrementally: later bands only look at still-alive cells
     gx, gy = np.meshgrid(xs, ys)

@@ -7,9 +7,10 @@ clears the detection threshold. A scheme is therefore a schedule, the
 (rounds, n_sc) array of the Rx beam each cell holds in each round, and
 one sweep walks it. The exhaustive baseline's schedule walks each cell
 through an independent random Rx order. The coordinated scheme spends
-round one gathering per-cell measurement reports, exchanges them over
-the backhaul, estimates the UE position, and reorders every cell's
-remaining Rx sweep towards the estimate.
+round one measuring every cell's peak per UE Tx beam, exchanges these
+reports (together the round-1 peak matrix) over the backhaul, estimates
+the UE position, and reorders every cell's remaining Rx sweep towards
+the estimate.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ import numpy as np
 
 from .antenna import BeamCodebook
 from .channel import LinkBudgetParams, LinkState, link_budget_dbm, noise_power
-from .estimation import (
-    EstimationError,
-    MeasurementReport,
-    estimate_point,
-    refine_location,
-)
+from .estimation import EstimationError, estimate_point, refine_location
 from .geometry import ClusterGeometry, Point2D, circular_distance
 from .preamble import dbm_to_mw, sample_peaks
 
@@ -151,22 +147,20 @@ def run_coordinated(setup: TrialSetup, seed=None) -> IaTrialOutcome:
         raise ValueError("coordinated IA needs a cluster of at least three cells")
     orders, sweep = _start_trial(setup, seed)
 
-    # Round 1: random Rx beams, full UE sweep, reports recorded as measured.
+    # Round 1: random Rx beams, full UE sweep; its (n_tx, n_sc) peaks are
+    # the cells' reports.
     first = orders[:, :1].T
     hit, peaks = sweep(first, start=0)
     if hit is not None:
         return _outcome(COORDINATED, setup, first, hit, None)
 
-    reports = [MeasurementReport(cell_index=i, peak_per_tx_beam=peaks[:, i].copy(),
-                                 rx_beam_used=int(first[0, i]))
-               for i in range(n_sc)]
     try:
         if n_sc > 3:
             band = setup.ue_codebook.pattern.phi_ml
-            estimate, _ = refine_location(reports, setup.geom, band,
+            estimate, _ = refine_location(peaks, setup.geom, band,
                                           setup.grid_resolution_m)
         else:
-            estimate, _, _ = estimate_point(reports, setup.geom)
+            estimate, _, _ = estimate_point(peaks, setup.geom)
     except EstimationError:
         estimate = None
 

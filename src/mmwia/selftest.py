@@ -334,12 +334,12 @@ def _check_peak_sampler():
 
 
 def _check_index_angles():
-    r = [estimation.MeasurementReport(i, v, 0) for i, v in enumerate((
-        np.eye(8)[1], np.eye(8)[3], np.eye(8)[6]))]
-    est = estimation.angles_from_reports(r)
-    assert abs(est.theta_tilde[0] - math.pi / 2) < 1e-12
+    # three cells whose best Tx indices are 1, 3 and 6 of 8
+    peaks = np.eye(8)[:, [1, 3, 6]]
+    thetas = estimation.index_angles(peaks.argmax(axis=0), 8)
+    assert abs(thetas[0] - math.pi / 2) < 1e-12
     assert abs(estimation.wrapped_index_angle(7, 2, 8) - 3 * math.pi / 4) < 1e-12
-    assert abs(sum(est.theta_tilde) - 2 * math.pi) < 1e-12
+    assert abs(sum(thetas) - 2 * math.pi) < 1e-12
 
 
 # subtended angles -> exact distances to the three cells at D = 200 m
@@ -354,7 +354,7 @@ SOLVER_CASES = {
 def solver_case(name: str):
     """The cosine-rule solver recovers the case's distances within 1e-6 m."""
     thetas, expect = SOLVER_CASES[name]
-    d = estimation.solve_distances(estimation.AngleEstimate(thetas), D)
+    d = estimation.solve_distances(thetas, D)
     assert all(abs(a - b) < 1e-6 for a, b in zip(d, expect)), (name, d)
 
 
@@ -368,8 +368,7 @@ def _check_round_trip():
     rng = np.random.default_rng(31)
     for _ in range(1000):
         g = geom.with_ue(geometry.place_ue(geom, rng))
-        est = estimation.AngleEstimate(geometry.true_angles(g))
-        dists = estimation.solve_distances(est, D)
+        dists = estimation.solve_distances(geometry.true_angles(g), D)
         p = estimation.locate_ue(dists, g.triangle())
         err = p.distance_to(g.ue_position)
         assert err < 1e-6, f"round-trip error {err:.2e} m"

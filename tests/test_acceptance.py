@@ -147,7 +147,6 @@ def test_criterion_6b_false_alarm_calibration():
 
 def test_criterion_6d_quantized_containment():
     """Noiseless LOS measurement: the true UE lies in the area intersection."""
-    from mmwia.estimation import MeasurementReport
     from mmwia.protocol import reorder_rx_beams
 
     geom0 = build_cluster(3, D)
@@ -157,13 +156,11 @@ def test_criterion_6d_quantized_containment():
     trials = 1000
     for _ in range(trials):
         geom = geom0.with_ue(place_ue(geom0, rng))
-        reports = []
+        peaks = np.zeros((ue_cb.n_beams, geom.n_sc))
         for i, cell in enumerate(geom.sc_positions):
-            v = np.zeros(ue_cb.n_beams)
             # the UE beam nearest the bearing to the cell, lowest index on ties
-            v[reorder_rx_beams(ue_cb, cell, geom.ue_position)[0]] = 1.0
-            reports.append(MeasurementReport(i, v, 0))
-        _, overlap = refine_location(reports, geom, ue_cb.pattern.phi_ml, 2.0)
+            peaks[reorder_rx_beams(ue_cb, cell, geom.ue_position)[0], i] = 1.0
+        _, overlap = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
         if overlap.contains(geom.ue_position):
             inside += 1
     rate = inside / trials

@@ -41,6 +41,17 @@ def test_small_cluster_is_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text", ["[channel]\np_ue_dbm = nan\n",
+                                  "[experiment]\ncluster_grid =\n"],
+                         ids=["nan", "empty-grid"])
+def test_non_finite_or_empty_value_is_config_error(tmp_path, text):
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["time-cluster", "--config", cfg, "--trials", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_experiment_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "[experiment]\ncluster_grid = 3, 5\n")
     assert main(["time-cluster", "--config", cfg, "--trials", "2",

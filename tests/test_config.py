@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,12 @@ def test_defaults_without_file():
     assert cfg.channel.noise_density_dbm_hz == -171.0
     assert cfg.geometry.side_m == 200.0
     assert cfg.preamble.n_zc == 839
-    assert cfg.preamble.root_u == 1
+
+
+def test_example_config_is_the_defaults():
+    """The annotated schema loads, inline comments and all, to the defaults."""
+    example = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+    assert load_config(example) == SimConfig()
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -58,9 +64,11 @@ def test_unknown_key_and_section_rejected(tmp_path):
     p.write_text("[channel]\nbogus = 1\n")
     with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         load_config(p)
-    p.write_text("[channel]\ncarrier_hz = 28e9\n")  # changes no result, so no key
-    with pytest.raises(ConfigError, match="unknown key 'carrier_hz'"):
-        load_config(p)
+    # keys that change no result do not exist
+    for section, key in (("channel", "carrier_hz"), ("preamble", "root_u")):
+        p.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(p)
     p.write_text("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown section \[nonsense\]"):
         load_config(p)
@@ -70,6 +78,24 @@ def test_unparsable_value_rejected(tmp_path):
     p = tmp_path / "c.ini"
     p.write_text("[antenna]\nn_tx = eight\n")
     with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("channel", "p_ue_dbm", "nan"),
+    ("protocol", "t_ra_s", "nan"),
+    ("geometry", "side_m", "inf"),
+    ("channel", "noise_density_dbm_hz", "-inf"),
+    ("experiment", "power_grid_dbm", "-14, nan"),
+    ("experiment", "pmiss_grid", ""),
+    ("experiment", "n_tx_values", ""),
+    ("experiment", "p_los_cluster_sizes", ","),
+])
+def test_non_finite_and_empty_values_rejected(tmp_path, section, key, value):
+    p = tmp_path / "c.ini"
+    p.write_text(f"[{section}]\n{key} = {value}\n")
+    match = "not finite" if value.strip(", ") else "empty list"
+    with pytest.raises(ConfigError, match=match):
         load_config(p)
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,16 +9,14 @@ from hypothesis import strategies as st
 
 from mmwia.antenna import make_codebook
 from mmwia.estimation import (
-    AngleEstimate,
     AnglesUnresolvable,
     EstimationArea,
     EstimationError,
-    MeasurementReport,
     TriangulationFailed,
-    angles_from_reports,
     area_grid,
     band_member,
     estimate_point,
+    index_angles,
     locate_ue,
     refine_location,
     select_top3,
@@ -34,29 +34,21 @@ def _distances(geom):
     return [geom.ue_position.distance_to(p) for p in geom.triangle()]
 
 
-def _report(cell, best_idx, n_tx=8, peak=1.0):
-    v = np.zeros(n_tx)
-    v[best_idx] = peak
-    return MeasurementReport(cell, v, rx_beam_used=0)
-
-
-def test_report_argmax_lowest_tie():
-    r = MeasurementReport(0, np.array([3.0, 9.0, 9.0, 1.0]), 0)
-    assert r.best_tx_index == 1
-    assert r.best_peak == 9.0
+def _one_hot(best, n_tx=8, peaks=1.0):
+    """(n_tx, n_sc) peak matrix: cell i peaks at Tx index best[i]."""
+    m = np.zeros((n_tx, len(best)))
+    m[list(best), range(len(best))] = peaks
+    return m
 
 
 def test_select_top3_ordering_and_ties():
-    peaks = (5.0, 9.0, 1.0, 7.0)
-    reports = [_report(i, 0, peak=p) for i, p in enumerate(peaks)]
-    top = select_top3(reports)
-    assert [r.cell_index for r in top] == [1, 3, 0]
-    equal = [_report(i, 0, peak=2.0) for i in range(5)]
-    assert [r.cell_index for r in select_top3(equal)] == [0, 1, 2]
-    three = [_report(i, 0, peak=float(i)) for i in range(3)]
-    assert {r.cell_index for r in select_top3(three)} == {0, 1, 2}
+    top = select_top3(_one_hot([0] * 4, peaks=[5.0, 9.0, 1.0, 7.0]))
+    assert list(top) == [1, 3, 0]
+    assert list(select_top3(_one_hot([0] * 5, peaks=2.0))) == [0, 1, 2]
+    three = _one_hot([0] * 3, peaks=[0.0, 1.0, 2.0])
+    assert set(select_top3(three)) == {0, 1, 2}
     with pytest.raises(EstimationError):
-        select_top3(three[:2])
+        select_top3(three[:, :2])
 
 
 def test_wrapped_index_angle_branches():
@@ -64,16 +56,6 @@ def test_wrapped_index_angle_branches():
     assert wrapped_index_angle(7, 2, 8) == pytest.approx(3 * math.pi / 4)
     with pytest.raises(AnglesUnresolvable):
         wrapped_index_angle(4, 4, 8)
-
-
-def test_angles_from_reports_validation():
-    with pytest.raises(EstimationError):
-        angles_from_reports([_report(0, 1), _report(0, 2), _report(1, 3)])
-    with pytest.raises(EstimationError):
-        angles_from_reports([_report(0, 1), _report(1, 2)])
-    est = angles_from_reports([_report(0, 1), _report(1, 3), _report(2, 6)])
-    assert est.theta_tilde[0] == pytest.approx(math.pi / 2)
-    assert sum(est.theta_tilde) == pytest.approx(2 * math.pi)
 
 
 @given(st.integers(min_value=2, max_value=64),
@@ -100,7 +82,7 @@ def test_solve_side_midpoint_case():
 
 def test_solve_rejects_inconsistent_sum():
     with pytest.raises(TriangulationFailed):
-        solve_distances(AngleEstimate((math.pi / 2, math.pi / 2, math.pi / 2)), D)
+        solve_distances((math.pi / 2, math.pi / 2, math.pi / 2), D)
 
 
 def test_solve_noisy_angles_least_squares():
@@ -109,7 +91,7 @@ def test_solve_noisy_angles_least_squares():
     t = true_angles(geom)
     # perturb while preserving the 2*pi closure
     eps = 0.02
-    noisy = AngleEstimate((t[0] + eps, t[1] - eps, t[2]))
+    noisy = (t[0] + eps, t[1] - eps, t[2])
     d = solve_distances(noisy, D)
     assert np.allclose(d, _distances(geom), atol=8.0)
 
@@ -119,8 +101,7 @@ def test_solve_noisy_angles_least_squares():
 def test_round_trip_exact_angles(seed):
     geom = build_cluster(3, D)
     geom = geom.with_ue(place_ue(geom, seed))
-    est = AngleEstimate(true_angles(geom))
-    d = solve_distances(est, D)
+    d = solve_distances(true_angles(geom), D)
     assert np.allclose(d, _distances(geom), atol=1e-6)
     p = locate_ue(d, geom.triangle())
     assert p.distance_to(geom.ue_position) < 1e-6
@@ -173,20 +154,18 @@ def test_estimation_area_empty_flagged():
     member = band_member(0.001, pair, 0.0005, geom.triangle_centroid())
     area = EstimationArea(xs, ys, member(*np.meshgrid(xs, ys)),
                           contains=lambda p: bool(member(p.x, p.y)))
-    assert area.is_empty
+    assert not area.mask.any()
     assert area.centroid() is None
 
 
-def _noiseless_reports(geom, ue_cb, gains_to=None):
-    """Best-index reports as an ideal noiseless measurement would produce."""
-    reports = []
-    for i, cell in enumerate(geom.sc_positions):
-        # the UE beam nearest the bearing to the cell, lowest index on ties
-        idx = reorder_rx_beams(ue_cb, cell, geom.ue_position)[0]
-        v = np.zeros(ue_cb.n_beams)
-        v[idx] = 1.0 / (1.0 + geom.ue_position.distance_to(geom.sc_positions[i]))
-        reports.append(MeasurementReport(i, v, 0))
-    return reports
+def _noiseless_peaks(geom, ue_cb):
+    """The peak matrix of an ideal noiseless measurement: each cell peaks at
+    the UE beam nearest its bearing (lowest index on ties), nearer cells higher."""
+    best = [reorder_rx_beams(ue_cb, cell, geom.ue_position)[0]
+            for cell in geom.sc_positions]
+    near = [1.0 / (1.0 + geom.ue_position.distance_to(cell))
+            for cell in geom.sc_positions]
+    return _one_hot(best, ue_cb.n_beams, near)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -195,9 +174,9 @@ def test_true_ue_inside_refined_intersection(seed):
     geom = build_cluster(3, D)
     geom = geom.with_ue(place_ue(geom, seed))
     ue_cb = make_codebook(8)
-    reports = _noiseless_reports(geom, ue_cb)
+    peaks = _noiseless_peaks(geom, ue_cb)
     try:
-        point, overlap = refine_location(reports, geom, ue_cb.pattern.phi_ml, 2.0)
+        point, overlap = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
     except EstimationError:
         # equal indices can occur when two cells share the nearest beam
         return
@@ -208,21 +187,25 @@ def test_fourth_report_never_grows_intersection():
     geom = build_cluster(4, D, layout_seed=11)
     geom = geom.with_ue(place_ue(geom, 5))
     ue_cb = make_codebook(8)
-    reports = _noiseless_reports(geom, ue_cb)
+    peaks = _noiseless_peaks(geom, ue_cb)
     try:
-        _, with4 = refine_location(reports, geom, ue_cb.pattern.phi_ml, 2.0)
-        _, with3 = refine_location(reports[:3], geom, ue_cb.pattern.phi_ml, 2.0)
+        _, with4 = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
+        _, with3 = refine_location(peaks[:, :3], geom, ue_cb.pattern.phi_ml, 2.0)
     except EstimationError:
         pytest.skip("degenerate beam indices for this layout")
-    assert with4.cell_count <= with3.cell_count
+    assert with4.mask.sum() <= with3.mask.sum()
 
 
 def test_estimate_point_matches_geometry():
     geom = build_cluster(3, D).with_ue(Point2D(95.0, 55.0))
     ue_cb = make_codebook(64)  # fine codebook -> small quantization error
-    reports = _noiseless_reports(geom, ue_cb)
-    point, _, _ = estimate_point(reports, geom)
+    peaks = _noiseless_peaks(geom, ue_cb)
+    point, _, _ = estimate_point(peaks, geom)
     assert point.distance_to(geom.ue_position) < 12.0
+    # every cell's best peak again at the last Tx index: the lowest index wins
+    tied = peaks.copy()
+    tied[-1] = peaks.max(axis=0)
+    assert estimate_point(tied, geom)[0] == point
 
 
 def test_quantization_bound_on_angle_estimates():
@@ -234,9 +217,9 @@ def test_quantization_bound_on_angle_estimates():
     from mmwia.geometry import true_angles as _angles
     for _ in range(1000):
         geom = geom0.with_ue(place_ue(geom0, rng))
-        reports = _noiseless_reports(geom, ue_cb)
-        est = angles_from_reports(sorted(reports, key=lambda r: r.cell_index))
-        for t_hat, t in zip(est.theta_tilde, _angles(geom)):
+        peaks = _noiseless_peaks(geom, ue_cb)
+        thetas = index_angles(peaks.argmax(axis=0), 8)
+        for t_hat, t in zip(thetas, _angles(geom)):
             assert abs(t_hat - t) <= bound + 1e-12
 
 
@@ -250,10 +233,10 @@ def test_refinement_error_improves_with_more_reports():
         geom = build_cluster(5, D, layout_seed=1000 + k)
         k += 1
         geom = geom.with_ue(place_ue(geom, rng))
-        reports = _noiseless_reports(geom, ue_cb)
+        peaks = _noiseless_peaks(geom, ue_cb)
         try:
-            p5, _ = refine_location(reports, geom, ue_cb.pattern.phi_ml, 2.0)
-            p3, _ = refine_location(reports[:3], geom, ue_cb.pattern.phi_ml, 2.0)
+            p5, _ = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
+            p3, _ = refine_location(peaks[:, :3], geom, ue_cb.pattern.phi_ml, 2.0)
         except EstimationError:
             # degenerate disk layouts (shared beams, mirrored orderings)
             continue
@@ -261,3 +244,55 @@ def test_refinement_error_improves_with_more_reports():
         err3.append(p3.distance_to(geom.ue_position))
     assert len(err3) == 500
     assert np.median(err5) <= np.median(err3) + 1e-9
+
+
+@pytest.mark.parametrize("n_tx,expect", [(4, (40, 12, 12)), (8, (176, 168, 168))])
+def test_every_best_index_triple_resolves_fails_or_locates(n_tx, expect):
+    """On the base triangle every triple of best Tx indices is unresolvable
+    (equal indices), a failed triangulation (mirrored order) or a point, which
+    Point2D keeps finite; the counts are (unresolvable, failed, point)."""
+    geom = build_cluster(3, D)
+    counts = [0, 0, 0]
+    for best in itertools.product(range(n_tx), repeat=3):
+        try:
+            estimate_point(_one_hot(best, n_tx), geom)
+        except AnglesUnresolvable:
+            counts[0] += 1
+        except TriangulationFailed:
+            counts[1] += 1
+        else:
+            counts[2] += 1
+    assert tuple(counts) == expect
+
+
+def test_round_trip_exact_angles_on_triangle_edges():
+    """A UE inside an edge sees that pair at an angle of pi."""
+    geom = build_cluster(3, D)
+    tri = geom.triangle()
+    for i in range(3):
+        a, b = tri[i], tri[(i + 1) % 3]
+        for f in np.linspace(0.05, 0.95, 19):
+            ue = Point2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+            d = solve_distances(true_angles(geom.with_ue(ue)), D)
+            assert locate_ue(d, tri).distance_to(ue) < 1e-6
+
+
+def test_extra_cell_next_to_a_base_cell():
+    """An extra cell 1e-9 to 1 m from a base cell, ranked into the top three
+    by its own peak or (every other draw) below them: the refinement gives a
+    point, which Point2D keeps finite, or an EstimationError."""
+    geom0 = build_cluster(3, D)
+    ue_cb = make_codebook(8)
+    rng = np.random.default_rng(3)
+    for k in range(600):
+        geom = geom0.with_ue(place_ue(geom0, rng))
+        base = geom.sc_positions[rng.integers(3)]
+        r, phi = 10.0 ** rng.uniform(-9.0, 0.0), rng.uniform(0.0, 2 * math.pi)
+        extra = Point2D(base.x + r * math.cos(phi), base.y + r * math.sin(phi))
+        geom = replace(geom, sc_positions=geom.sc_positions + (extra,))
+        peaks = _noiseless_peaks(geom, ue_cb)
+        peaks[:, 3] *= 0.5 if k % 2 else 1.0
+        try:
+            refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
+        except EstimationError:
+            pass

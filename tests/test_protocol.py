@@ -166,14 +166,19 @@ def test_backhaul_bus_rounds():
     assert backhaul_delay_rounds(0.0041, 0.004) == 2
 
 
+def _noiseless_peaks(setup):
+    """(n_tx, n_sc) exact peaks of a one-Rx-beam setup, by the sweep's own
+    arithmetic; every round sees this map."""
+    base, rx_gain = link_budget_dbm(setup.geom, setup.states(), setup.ue_codebook,
+                                    setup.sc_codebook, setup.link_params.p_ue_dbm)
+    return 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
+
+
 def test_detect_strict_inequality():
     """A peak equal to the threshold is not a detection; just below it, the
     noiseless trial detects at the slot and cell of the largest peak."""
     setup = _setup(p_ue=-20.0, n_rx=1, noiseless=True)
-    base, rx_gain = link_budget_dbm(setup.geom, setup.states(), setup.ue_codebook,
-                                    setup.sc_codebook, setup.link_params.p_ue_dbm)
-    # the engine's own arithmetic: one Rx beam, so every round sees this map
-    peaks = 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
+    peaks = _noiseless_peaks(setup)
     slot, cell = np.unravel_index(np.argmax(peaks), peaks.shape)
     assert np.sum(peaks == peaks.max()) == 1
 
@@ -183,6 +188,24 @@ def test_detect_strict_inequality():
         replace(setup, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), seed=0)
     assert below.success and below.slots_used == slot + 1
     assert below.detecting_cell == cell and below.detecting_pair == (slot, 0)
+
+
+@pytest.mark.parametrize("ue,gamma,slot0", [
+    # only cell 1 clears at slot 0
+    ((100.0, 60.0), 2e-7, [False, True, False]),
+    # cells 1 and 2 both clear at slot 0, cell 2 with the larger peak
+    ((100.0, 100.0), 1e-7, [False, True, True]),
+], ids=["earlier-higher-cell", "same-slot"])
+def test_sweep_takes_earliest_slot_then_lowest_cell(ue, gamma, slot0):
+    """The first hit is the earliest slot, then the lowest cell within it,
+    although cell 0 clears the threshold at a later slot."""
+    setup = _setup(p_ue=-20.0, n_rx=1, noiseless=True, ue=Point2D(*ue), gamma=gamma)
+    hits = _noiseless_peaks(setup) > gamma
+    assert hits[0].tolist() == slot0 and hits[1:, 0].any()
+    for runner in (run_exhaustive, run_coordinated):
+        out = runner(setup, seed=0)
+        assert out.success and out.rounds == 1
+        assert (out.slots_used, out.detecting_cell) == (1, 1)
 
 
 def test_outcome_invariants():
