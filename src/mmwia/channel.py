@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .antenna import AntennaPattern, BeamCodebook
 from .geometry import (
     TWO_PI,
-    Bearing,
     ClusterGeometry,
-    Point2D,
+    bearings,
     circular_distance,
+    normalize_angle,
 )
 
 PATHLOSS_INTERCEPT_DB = 61.4  # 1 m reference
@@ -32,24 +33,6 @@ class LinkBudgetParams:
             raise ValueError("bandwidth must be positive")
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """Per (cell, UE) propagation state for one trial."""
-
-    blocked: bool
-    reflector_bearing: Bearing | None = None  # from the UE; present iff blocked
-    nlos_penalty_db: float = 0.0
-
-    def __post_init__(self):
-        if self.blocked:
-            if self.reflector_bearing is None:
-                raise ValueError("blocked link needs a reflector bearing")
-            if self.nlos_penalty_db < NLOS_FLOOR_DB:
-                raise ValueError(f"NLOS penalty must be >= {NLOS_FLOOR_DB} dB")
-        elif self.nlos_penalty_db != 0.0:
-            raise ValueError("LOS link cannot carry an NLOS penalty")
-
-
 def pathloss(d):
     """Pathloss in dB at distance d >= 1 m (array-safe)."""
     d = np.asarray(d, dtype=float)
@@ -64,8 +47,21 @@ def noise_power(params: LinkBudgetParams) -> float:
     return params.noise_density_dbm_hz + 10.0 * math.log10(params.bandwidth_hz)
 
 
+class Blocking(NamedTuple):
+    """Per-link propagation state of one trial, one entry per cell.
+
+    A blocked link runs via a reflector whose bearing from the UE is
+    ``reflector`` (read on blocked links only) and costs ``penalty_db``
+    over the direct path; ``penalty_db`` is 0 on LOS links.
+    """
+
+    blocked: np.ndarray
+    reflector: np.ndarray
+    penalty_db: np.ndarray
+
+
 def sample_blocking(n_sc: int, p_blk: float, seed=None,
-                    excess_mean_db: float = 10.0) -> list[LinkState]:
+                    excess_mean_db: float = 10.0) -> Blocking:
     """Draw independent Bernoulli(p_blk) blocking states for every link.
 
     Blocked links get a uniformly random reflector bearing (as seen from
@@ -76,48 +72,14 @@ def sample_blocking(n_sc: int, p_blk: float, seed=None,
         raise ValueError("p_blk must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     blocked = rng.uniform(size=n_sc) < p_blk
-    bearings = rng.uniform(0.0, TWO_PI, size=n_sc)
+    reflector = rng.uniform(0.0, TWO_PI, size=n_sc)
     excess = rng.exponential(scale=excess_mean_db, size=n_sc)
-    states = []
-    for i in range(n_sc):
-        if blocked[i]:
-            states.append(LinkState(True, Bearing(float(bearings[i])),
-                                    NLOS_FLOOR_DB + float(excess[i])))
-        else:
-            states.append(LinkState(False))
-    return states
+    return Blocking(blocked, reflector,
+                    np.where(blocked, NLOS_FLOOR_DB + excess, 0.0))
 
 
-def reflector_point(geom: ClusterGeometry, cell_index: int, link: LinkState) -> Point2D:
-    """Nominal reflector location: halfway out along the reflector bearing.
-
-    The model fixes only the bearing from the UE; the radial placement at
-    half the direct distance gives the cell a well-defined arrival
-    direction while the pathloss keeps using the direct distance.
-    """
-    d = geom.ue_position.distance_to(geom.sc_positions[cell_index])
-    b = link.reflector_bearing.angle
-    return Point2D(
-        geom.ue_position.x + 0.5 * d * math.cos(b),
-        geom.ue_position.y + 0.5 * d * math.sin(b),
-    )
-
-
-def link_bearings(geom: ClusterGeometry, cell_index: int,
-                  link: LinkState) -> tuple[float, float]:
-    """(departure azimuth at the UE, arrival azimuth seen from the cell).
-
-    LOS links use the direct geometry; blocked links route via the
-    reflector so both ends point at it instead of at each other.
-    """
-    cell = geom.sc_positions[cell_index]
-    if not link.blocked:
-        return geom.ue_position.bearing_to(cell), cell.bearing_to(geom.ue_position)
-    refl = reflector_point(geom, cell_index, link)
-    return geom.ue_position.bearing_to(refl), cell.bearing_to(refl)
-
-
-def link_budget_dbm(geom: ClusterGeometry, states, ue_cb: BeamCodebook,
+def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
+                    blocking: Blocking | None, ue_cb: BeamCodebook,
                     sc_cb: BeamCodebook,
                     p_ue_dbm: float) -> tuple[np.ndarray, np.ndarray]:
     """Every beam pair's link budget, split at the Rx antenna.
@@ -126,35 +88,73 @@ def link_budget_dbm(geom: ClusterGeometry, states, ue_cb: BeamCodebook,
     the Rx gain, and the (n_rx, n_sc) Rx gain of cell beam b for the
     arrival direction at cell i; their sum is ``received_power`` for that
     (t, i, b), with distances below the pathloss model's 1 m reference
-    clamped to 1 m.
+    clamped to 1 m. ``blocking`` None makes every link LOS; a blocked link
+    runs via its nominal reflector (see ``link_bearings``).
     """
-    depart, arrive = zip(*(
-        link_bearings(geom, i, states[i]) for i in range(geom.n_sc)
-    ))
-    dists = np.maximum(
-        [geom.ue_position.distance_to(p) for p in geom.sc_positions], 1.0)
-    penalties = np.array([s.nlos_penalty_db for s in states])
+    to_cell = geom.cells - ue
+    d = np.hypot(to_cell[:, 0], to_cell[:, 1])
+    if not d.all():
+        raise ValueError("link undefined: the UE coincides with a cell")
+    depart, arrive = to_cell, ue - geom.cells
+    if blocking is not None and blocking.blocked.any():
+        b = blocking.reflector
+        refl = np.empty_like(to_cell)
+        refl[:, 0] = ue[0] + 0.5 * d * np.cos(b)
+        refl[:, 1] = ue[1] + 0.5 * d * np.sin(b)
+        via = blocking.blocked[:, None]
+        depart = np.where(via, refl - ue, depart)
+        arrive = np.where(via, refl - geom.cells, arrive)
     tx_gains = ue_cb.pattern.gain(circular_distance(
-        ue_cb.beam_centers[:, None], np.asarray(depart)[None, :]))
-    base = p_ue_dbm + tx_gains - pathloss(dists)[None, :] - penalties[None, :]
+        ue_cb.beam_centers[:, None], bearings(depart)[None, :]))
+    base = p_ue_dbm + tx_gains - pathloss(np.maximum(d, 1.0))[None, :]
+    if blocking is not None:
+        base = base - blocking.penalty_db[None, :]
     rx_gain = sc_cb.pattern.gain(circular_distance(
-        sc_cb.beam_centers[:, None], np.asarray(arrive)[None, :]))
+        sc_cb.beam_centers[:, None], bearings(arrive)[None, :]))
     return base, rx_gain
+
+
+def _bearing(x0: float, y0: float, x1: float, y1: float) -> float:
+    if x0 == x1 and y0 == y1:
+        raise ValueError("bearing undefined between coincident points")
+    return normalize_angle(math.atan2(y1 - y0, x1 - x0))
+
+
+def link_bearings(cell, ue, reflector: float | None = None) -> tuple[float, float]:
+    """(departure azimuth at the UE, arrival azimuth seen from the cell) of
+    one link, in scalar math; ``cell`` and ``ue`` are (x, y) pairs.
+
+    A LOS link (``reflector`` None) uses the direct geometry. A blocked
+    link routes via a nominal reflector, so both ends point at it: the
+    model fixes only the reflector's bearing from the UE, and placing it
+    halfway out along that bearing, at half the direct distance, gives
+    the cell a well-defined arrival direction while the pathloss keeps
+    using the direct distance.
+    """
+    (cx, cy), (ux, uy) = cell, ue
+    if reflector is None:
+        return _bearing(ux, uy, cx, cy), _bearing(cx, cy, ux, uy)
+    half = 0.5 * math.hypot(ux - cx, uy - cy)
+    rx = ux + half * math.cos(reflector)
+    ry = uy + half * math.sin(reflector)
+    return _bearing(ux, uy, rx, ry), _bearing(cx, cy, rx, ry)
 
 
 def received_power(
     params: LinkBudgetParams,
-    geom: ClusterGeometry,
-    link: LinkState,
+    cell,
+    ue,
     ue_beam: float,
     ue_pattern: AntennaPattern,
     sc_beam: float,
     sc_pattern: AntennaPattern,
-    cell_index: int,
+    reflector: float | None = None,
+    penalty_db: float = 0.0,
 ) -> float:
-    """Preamble power in dBm at one cell for beams centred at the given azimuths."""
-    depart, arrive = link_bearings(geom, cell_index, link)
-    d = geom.ue_position.distance_to(geom.sc_positions[cell_index])
+    """Preamble power in dBm at one cell for beams centred at the given
+    azimuths; the scalar reference for ``link_budget_dbm``."""
+    depart, arrive = link_bearings(cell, ue, reflector)
+    d = math.hypot(ue[0] - cell[0], ue[1] - cell[1])
     g_ue = ue_pattern.gain(circular_distance(ue_beam, depart))
     g_sc = sc_pattern.gain(circular_distance(sc_beam, arrive))
-    return params.p_ue_dbm + g_ue + g_sc - pathloss(d) - link.nlos_penalty_db
+    return params.p_ue_dbm + g_ue + g_sc - pathloss(d) - penalty_db

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -114,14 +115,14 @@ def _emit(table: ResultTable, out_dir: Path, title: str) -> None:
 def _single_trial(cfg: SimConfig, seed: int) -> None:
     geom = build_cluster(cfg.geometry.n_sc, cfg.geometry.side_m,
                          np.random.default_rng((seed, 0)))
-    geom = geom.with_ue(place_ue(geom, np.random.default_rng((seed, 1))))
-    states = sample_blocking(geom.n_sc, cfg.channel.p_blk,
-                             np.random.default_rng((seed, 2)),
-                             excess_mean_db=cfg.channel.nlos_excess_mean_db)
+    ue = place_ue(geom, np.random.default_rng((seed, 1)))
+    blocking = sample_blocking(geom.n_sc, cfg.channel.p_blk,
+                               np.random.default_rng((seed, 2)),
+                               excess_mean_db=cfg.channel.nlos_excess_mean_db)
     gamma = cfg.threshold(noise_power(cfg.link_params()), cfg.sequence(),
                           seed=(seed, 3))
     setup = setup_builder(cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma)(
-        geom=geom, link_states=tuple(states))
+        geom=geom, ue=ue, blocking=blocking)
     runner = (run_coordinated if cfg.single_trial.scheme == "coordinated"
               else run_exhaustive)
     out = runner(setup, np.random.default_rng((seed, 4)))
@@ -133,12 +134,12 @@ def _single_trial(cfg: SimConfig, seed: int) -> None:
     print(f"detecting_cell: {out.detecting_cell}")
     print(f"detecting_pair: {out.detecting_pair}")
     if out.estimated_ue is not None:
-        p = out.estimated_ue
-        print(f"estimated_ue:   ({p.x:.2f}, {p.y:.2f})")
-        print(f"estimate_error: {p.distance_to(geom.ue_position):.2f} m")
+        x, y = out.estimated_ue
+        print(f"estimated_ue:   ({x:.2f}, {y:.2f})")
+        print(f"estimate_error: {math.hypot(x - ue[0], y - ue[1]):.2f} m")
     else:
         print("estimated_ue:   none")
-    print(f"true_ue:        ({geom.ue_position.x:.2f}, {geom.ue_position.y:.2f})")
+    print(f"true_ue:        ({ue[0]:.2f}, {ue[1]:.2f})")
 
 
 def main(argv=None) -> int:

@@ -274,6 +274,11 @@ def _validate(cfg: SimConfig) -> SimConfig:
     if any(n < 1 or n == 2 for n in exp.cluster_grid):
         raise ConfigError("[experiment] cluster_grid: sizes must be 1 "
                           "(the single-cell baseline) or >= 3")
+    if 1 not in exp.cluster_grid:
+        raise ConfigError("[experiment] cluster_grid: must include 1, the "
+                          "single-cell baseline every size is normalized by")
+    if len(set(exp.cluster_grid)) != len(exp.cluster_grid):
+        raise ConfigError("[experiment] cluster_grid: sizes must not repeat")
     if any(n < 2 for n in exp.n_tx_values):
         raise ConfigError("[experiment] n_tx_values: need at least 2 beams")
     if a.ue_phi_3db_deg is None and any(n < 3 for n in exp.n_tx_values):

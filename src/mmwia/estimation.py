@@ -7,18 +7,18 @@ the angles the cell pairs subtend at the UE; the cosine-rule system over
 the known inter-cell distances yields UE-to-cell ranges; least-squares
 trilateration yields a point. Each angle also bounds an inscribed-arc
 band (an "estimation area"); intersecting the bands refines the point
-when more than three cells report.
+when more than three cells report. Points are (2,) arrays and anchor
+sets (k, 2) arrays, as in ``geometry``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import TWO_PI, ClusterGeometry, Point2D
+from .geometry import TWO_PI, ClusterGeometry
 
 
 class EstimationError(Exception):
@@ -222,17 +222,20 @@ def _inside_triangle(p: np.ndarray, tri: np.ndarray) -> bool:
     return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
 
 
-def locate_ue(distances: Sequence[float], anchors: Sequence[Point2D]) -> Point2D:
-    """Least-squares trilateration over >= 3 anchors.
+def locate_ue(distances: Sequence[float], anchors: np.ndarray) -> np.ndarray:
+    """Least-squares trilateration over the (k, 2) anchors, k >= 3.
 
     Runs Gauss-Newton from a linearized start and from the anchor
     centroid; ambiguous near-ties resolve towards the point inside the
-    first three anchors' triangle.
+    first three anchors' triangle. Raises ValueError when the point is
+    not finite.
     """
-    S = np.array([[p.x, p.y] for p in anchors], dtype=float)
+    S = np.asarray(anchors, dtype=float)
     d = np.asarray(distances, dtype=float)
-    if len(S) < 3 or len(S) != len(d):
+    if S.ndim != 2 or len(S) < 3 or len(S) != len(d):
         raise ValueError("need matching distances for at least three anchors")
+    if not (np.isfinite(S).all() and np.isfinite(d).all()):
+        raise ValueError("anchors and distances must be finite")
     A = 2.0 * (S[1:] - S[0])
     b = (d[0] ** 2 - d[1:] ** 2) + (np.sum(S[1:] ** 2, axis=1) - np.sum(S[0] ** 2))
     p_lin, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -243,40 +246,24 @@ def locate_ue(distances: Sequence[float], anchors: Sequence[Point2D]) -> Point2D
     if runner[1] - best[1] < 1e-9 * max(best[1], 1.0):
         if _inside_triangle(runner[0], S[:3]) and not _inside_triangle(best[0], S[:3]):
             best = runner
-    return Point2D(float(best[0][0]), float(best[0][1]))
+    if not np.isfinite(best[0]).all():
+        raise ValueError("coordinates must be finite")
+    return best[0]
 
 
-def subtended_angle(px, py, a: Point2D, b: Point2D):
+def subtended_angle(px, py, a, b):
     """Unsigned angle in [0, pi] under which segment ab is seen from (px, py)."""
-    vax, vay = a.x - px, a.y - py
-    vbx, vby = b.x - px, b.y - py
+    vax, vay = a[0] - px, a[1] - py
+    vbx, vby = b[0] - px, b[1] - py
     dot = vax * vbx + vay * vby
     cross = vax * vby - vay * vbx
     return np.abs(np.arctan2(cross, dot))
 
 
-@dataclass(frozen=True, eq=False)
-class EstimationArea:
-    """Rasterized intersection of inscribed-angle bands."""
-
-    x_edges: np.ndarray  # cell-center x coordinates
-    y_edges: np.ndarray  # cell-center y coordinates
-    mask: np.ndarray  # (ny, nx) boolean membership of cell centers
-    contains: Callable[[Point2D], bool] = field(compare=False)
-
-    def centroid(self) -> Point2D | None:
-        """Mean cell center of the area, or None when it is empty."""
-        ys, xs = np.nonzero(self.mask)
-        if ys.size == 0:
-            return None
-        return Point2D(float(self.x_edges[xs].mean()), float(self.y_edges[ys].mean()))
-
-
 def area_grid(geom: ClusterGeometry, resolution: float):
     """Cell-center axes covering the base triangle's bounding box."""
     tri = geom.triangle()
-    x0, x1 = min(p.x for p in tri), max(p.x for p in tri)
-    y0, y1 = min(p.y for p in tri), max(p.y for p in tri)
+    (x0, y0), (x1, y1) = tri.min(axis=0), tri.max(axis=0)
     nx = max(1, int(math.ceil((x1 - x0) / resolution)))
     ny = max(1, int(math.ceil((y1 - y0) / resolution)))
     xs = x0 + (np.arange(nx) + 0.5) * resolution
@@ -299,62 +286,58 @@ def band_member(theta_tilde, pair, band_halfwidth, side_reference):
 
     ref_sign = 0.0
     if side_reference is not None:
-        ref_sign = np.sign((b.x - a.x) * (side_reference.y - a.y)
-                           - (b.y - a.y) * (side_reference.x - a.x))
+        ref_sign = np.sign((b[0] - a[0]) * (side_reference[1] - a[1])
+                           - (b[1] - a[1]) * (side_reference[0] - a[0]))
 
     def member(px, py):
         ang = subtended_angle(px, py, a, b)
         ok = (ang >= lo) & (ang <= hi)
         if ref_sign != 0.0:
-            side = (b.x - a.x) * (py - a.y) - (b.y - a.y) * (px - a.x)
+            side = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
             ok &= (np.sign(side) == ref_sign)
         return ok
 
     return member
 
 
-def _order_ccw(cells: Sequence[int], positions: Sequence[Point2D]) -> list[int]:
-    """Counterclockwise order around the cells' centroid."""
-    cx = sum(positions[i].x for i in cells) / len(cells)
-    cy = sum(positions[i].y for i in cells) / len(cells)
-    return sorted(cells, key=lambda i: math.atan2(positions[i].y - cy,
-                                                   positions[i].x - cx))
+def _order_ccw(cells: Sequence[int], positions) -> list[int]:
+    """Counterclockwise order around the cells' centroid; ``positions`` is
+    a list of (x, y) pairs."""
+    cx = sum(positions[i][0] for i in cells) / len(cells)
+    cy = sum(positions[i][1] for i in cells) / len(cells)
+    return sorted(cells, key=lambda i: math.atan2(positions[i][1] - cy,
+                                                   positions[i][0] - cx))
 
 
 def estimate_point(
     peaks: np.ndarray,
     geom: ClusterGeometry,
-) -> tuple[Point2D, list[int], tuple[float, float, float]]:
+) -> tuple[np.ndarray, list[int], tuple[float, float, float]]:
     """Point estimate from the top-3 cells of the (n_tx, n_sc) peak matrix.
 
     Returns the point, the three cells in counterclockwise order and their
     cyclic angle estimates; raises EstimationError subclasses.
     """
-    top3 = _order_ccw([int(i) for i in select_top3(peaks)], geom.sc_positions)
+    positions = geom.cells.tolist()
+    top3 = _order_ccw(select_top3(peaks).tolist(), positions)
     best = peaks.argmax(axis=0)  # lowest Tx index on ties
     thetas = index_angles(best[top3], peaks.shape[0])
-    anchors = [geom.sc_positions[i] for i in top3]
-    sides = [anchors[i].distance_to(anchors[(i + 1) % 3]) for i in range(3)]
+    sides = [math.dist(positions[top3[i]], positions[top3[(i + 1) % 3]])
+             for i in range(3)]
     dists = solve_distances(thetas, sides)
-    return locate_ue(dists, anchors), top3, thetas
+    return locate_ue(dists, geom.cells[top3]), top3, thetas
 
 
-def refine_location(
-    peaks: np.ndarray,
-    geom: ClusterGeometry,
-    band_halfwidth: float,
-    grid_resolution: float = 1.0,
-) -> tuple[Point2D, EstimationArea]:
-    """Intersect every pair's estimation area; fall back to the point solve.
+def area_members(peaks: np.ndarray, geom: ClusterGeometry,
+                 band_halfwidth: float) -> tuple[np.ndarray, list]:
+    """The point estimate and the membership test ``member(px, py)`` of
+    every pair's estimation area.
 
     The top-3 cells contribute their three cyclic areas; every further
-    cell, in index order, pairs with its two nearest selected anchors. The
-    returned point is the intersection centroid, or the plain point solve
-    when the intersection rasterizes empty.
+    cell, in index order, pairs with its two nearest selected anchors.
     """
     point, top3, thetas = estimate_point(peaks, geom)
-    xs, ys = area_grid(geom, grid_resolution)
-    positions = geom.sc_positions
+    positions = geom.cells.tolist()
 
     members = []
     for i in range(3):
@@ -370,7 +353,7 @@ def refine_location(
         if extra in top3:
             continue
         p_extra = positions[extra]
-        nearest = sorted(top3, key=lambda i: p_extra.distance_to(positions[i]))[:2]
+        nearest = sorted(top3, key=lambda i: math.dist(p_extra, positions[i]))[:2]
         for anchor in nearest:
             try:
                 theta = wrapped_index_angle(int(best[extra]), int(best[anchor]), n_tx)
@@ -381,6 +364,20 @@ def refine_location(
                 continue
             members.append(band_member(
                 theta, (p_extra, positions[anchor]), band_halfwidth, point))
+    return point, members
+
+
+def refine_location(
+    peaks: np.ndarray,
+    geom: ClusterGeometry,
+    band_halfwidth: float,
+    grid_resolution: float = 1.0,
+) -> np.ndarray:
+    """Intersect every pair's estimation area (``area_members``); the point
+    is the mean cell center of the rasterized intersection, or the plain
+    point solve when the intersection rasterizes empty."""
+    point, members = area_members(peaks, geom, band_halfwidth)
+    xs, ys = area_grid(geom, grid_resolution)
 
     # rasterize incrementally: later bands only look at still-alive cells
     gx, gy = np.meshgrid(xs, ys)
@@ -393,10 +390,7 @@ def refine_location(
         mask = np.zeros_like(mask)
         mask[yi[keep], xi[keep]] = True
 
-    overlap = EstimationArea(
-        xs, ys, mask,
-        contains=lambda p: all(
-            bool(m(np.asarray(p.x), np.asarray(p.y))) for m in members),
-    )
-    refined = overlap.centroid()
-    return (refined if refined is not None else point), overlap
+    yi, xi = np.nonzero(mask)
+    if yi.size == 0:
+        return point
+    return np.array([xs[xi].mean(), ys[yi].mean()])

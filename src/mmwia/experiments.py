@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import link_budget_dbm, noise_power, sample_blocking
 from .config import SimConfig
-from .geometry import build_cluster, place_ue
+from .geometry import ClusterGeometry, build_cluster, place_ue
 from .protocol import TrialSetup, ia_time_reduction, run_coordinated, run_exhaustive
 
 
@@ -112,15 +112,15 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
         for t in range(spec.trials):
             rng = np.random.default_rng(_trial_seed(spec.master_seed, point, t, 0))
             geom = build_cluster(n_sc, cfg.geometry.side_m, rng)
-            geom = geom.with_ue(place_ue(geom, rng))
-            states = sample_blocking(
+            ue = place_ue(geom, rng)
+            blocking = sample_blocking(
                 n_sc, p_blk, rng, excess_mean_db=cfg.channel.nlos_excess_mean_db)
-            base, rx_gain = link_budget_dbm(geom, states, ue_cb, sc_cb,
+            base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb,
                                             cfg.channel.p_ue_dbm)
             rx_dbm = base.max(axis=0) + rx_gain.max(axis=0)
             # ties go to the lower cell index
             top3 = np.argsort(-rx_dbm, kind="stable")[:3]
-            if not any(states[i].blocked for i in top3):
+            if not blocking.blocked[top3].any():
                 wins += 1
         p_hat = wins / spec.trials
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.trials)
@@ -134,7 +134,7 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
 
 def setup_builder(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float):
     """TrialSetup constructor with every field that comes from the config
-    filled in; call it with a trial's ``geom`` and ``link_states``."""
+    filled in; call it with a trial's ``geom``, ``ue`` and ``blocking``."""
     return partial(
         TrialSetup, ue_codebook=cfg.ue_codebook(n_tx), sc_codebook=cfg.sc_codebook(),
         link_params=cfg.link_params(p_ue_dbm), n_zc=cfg.preamble.n_zc,
@@ -156,14 +156,14 @@ def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     for t in range(trials):
         layout_rng = np.random.default_rng(_trial_seed(master_seed, point, t, 0))
         geom = build_cluster(max(n_cells, 3), cfg.geometry.side_m, layout_rng)
-        geom = geom.with_ue(place_ue(geom, layout_rng))
+        ue = place_ue(geom, layout_rng)
         if n_cells < 3:
-            geom = replace(geom, sc_positions=geom.sc_positions[:n_cells])
-        states = sample_blocking(
-            geom.n_sc, cfg.channel.p_blk,
+            geom = ClusterGeometry(geom.cells[:n_cells], geom.side_length)
+        blocking = sample_blocking(
+            n_cells, cfg.channel.p_blk,
             np.random.default_rng(_trial_seed(master_seed, point, t, 1)),
             excess_mean_db=cfg.channel.nlos_excess_mean_db)
-        yield (make_setup(geom=geom, link_states=tuple(states)),
+        yield (make_setup(geom=geom, ue=ue, blocking=blocking),
                _trial_seed(master_seed, point, t, 2))
 
 
@@ -251,8 +251,9 @@ def run_time_vs_cluster(spec: ExperimentSpec) -> ResultTable:
         config_hash=cfg.config_hash(), master_seed=spec.master_seed)
     gamma = _point_threshold(cfg, spec.master_seed, 0)
     sizes = cfg.experiment.cluster_grid
-    if 1 not in sizes:
-        raise ValueError("cluster grid must include the single-cell baseline")
+    if 1 not in sizes or len(set(sizes)) != len(sizes):
+        raise ValueError("cluster grid must include the single-cell baseline "
+                         "and no size twice")
 
     results = {}
     for point, n_sc in enumerate(sizes):

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import BeamCodebook
-from .channel import LinkBudgetParams, LinkState, link_budget_dbm, noise_power
+from .channel import Blocking, LinkBudgetParams, link_budget_dbm, noise_power
 from .estimation import EstimationError, estimate_point, refine_location
-from .geometry import ClusterGeometry, Point2D, circular_distance
+from .geometry import ClusterGeometry, bearings, circular_distance
 from .preamble import dbm_to_mw, sample_peaks
 
 EXHAUSTIVE = "exhaustive"
@@ -39,42 +39,45 @@ class IaTrialOutcome:
     rounds: int
     detecting_cell: int | None = None
     detecting_pair: tuple[int, int] | None = None  # (tx beam, rx beam)
-    estimated_ue: Point2D | None = None
+    estimated_ue: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.success and (self.detecting_cell is None or self.detecting_pair is None):
             raise ValueError("successful outcome must name its detecting cell and pair")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialSetup:
     """Everything a single IA trial needs besides its RNG stream."""
 
     geom: ClusterGeometry
+    ue: np.ndarray
     ue_codebook: BeamCodebook
     sc_codebook: BeamCodebook
     link_params: LinkBudgetParams
     n_zc: int
     gamma_ra: float
-    link_states: tuple[LinkState, ...] | None = None
+    blocking: Blocking | None = None  # None: every link LOS
     t_ra_s: float = 1e-3
     backhaul_latency_s: float = 0.0
     grid_resolution_m: float = 1.0
 
-    def states(self) -> list[LinkState]:
-        if self.link_states is not None:
-            if len(self.link_states) != self.geom.n_sc:
-                raise ValueError("one link state per cell required")
-            return list(self.link_states)
-        return [LinkState(False) for _ in range(self.geom.n_sc)]
+    def __post_init__(self):
+        if self.blocking is not None and len(self.blocking.blocked) != self.geom.n_sc:
+            raise ValueError("one blocking state per cell required")
 
 
-def reorder_rx_beams(codebook: BeamCodebook, estimate: Point2D,
-                     cell_position: Point2D) -> tuple[int, ...]:
-    """Beam indices sorted by angular distance to the bearing towards the estimate."""
-    bearing = cell_position.bearing_to(estimate)
-    dist = circular_distance(codebook.beam_centers, bearing)
-    return tuple(int(i) for i in np.argsort(dist, kind="stable"))
+def reorder_rx_beams(codebook: BeamCodebook, estimate,
+                     cells: np.ndarray) -> np.ndarray:
+    """(n_rx, n_sc) Rx sweeps: column i holds the beam indices of the cell
+    at ``cells[i]`` sorted by angular distance to its bearing towards the
+    estimate, the lower index first on ties."""
+    to_estimate = np.asarray(estimate) - cells
+    if not np.hypot(to_estimate[:, 0], to_estimate[:, 1]).all():
+        raise ValueError("no bearing from a cell to an estimate on it")
+    dist = circular_distance(codebook.beam_centers[:, None],
+                             bearings(to_estimate)[None, :])
+    return np.argsort(dist, axis=0, kind="stable")
 
 
 def backhaul_delay_rounds(latency_s: float, round_duration_s: float) -> int:
@@ -99,8 +102,8 @@ def _start_trial(setup: TrialSetup, seed):
     the threshold, or None."""
     rng = np.random.default_rng(seed)
     base_dbm, rx_gain = link_budget_dbm(
-        setup.geom, setup.states(), setup.ue_codebook, setup.sc_codebook,
-        setup.link_params.p_ue_dbm)
+        setup.geom, setup.ue, setup.blocking, setup.ue_codebook,
+        setup.sc_codebook, setup.link_params.p_ue_dbm)
     noise_mw = dbm_to_mw(noise_power(setup.link_params))
     cells = np.arange(setup.geom.n_sc)
     orders = np.array([rng.permutation(setup.sc_codebook.n_beams) for _ in cells])
@@ -119,9 +122,11 @@ def _start_trial(setup: TrialSetup, seed):
 
 
 def _outcome(scheme: str, setup: TrialSetup, schedule: np.ndarray, hit,
-             estimate: Point2D | None) -> IaTrialOutcome:
+             estimate: np.ndarray | None) -> IaTrialOutcome:
     """The outcome of a sweep over ``schedule``; a miss uses every round."""
     n_tx = setup.ue_codebook.n_beams
+    if estimate is not None:
+        estimate = (float(estimate[0]), float(estimate[1]))
     if hit is None:
         slots_used = len(schedule) * n_tx
         return IaTrialOutcome(scheme, False, slots_used, slots_used * setup.t_ra_s,
@@ -157,8 +162,8 @@ def run_coordinated(setup: TrialSetup, seed=None) -> IaTrialOutcome:
     try:
         if n_sc > 3:
             band = setup.ue_codebook.pattern.phi_ml
-            estimate, _ = refine_location(peaks, setup.geom, band,
-                                          setup.grid_resolution_m)
+            estimate = refine_location(peaks, setup.geom, band,
+                                       setup.grid_resolution_m)
         else:
             estimate, _, _ = estimate_point(peaks, setup.geom)
     except EstimationError:
@@ -171,8 +176,7 @@ def run_coordinated(setup: TrialSetup, seed=None) -> IaTrialOutcome:
     if estimate is not None:
         delay = backhaul_delay_rounds(setup.backhaul_latency_s,
                                       setup.ue_codebook.n_beams * setup.t_ra_s)
-        reordered = np.array([reorder_rx_beams(setup.sc_codebook, estimate, p)
-                              for p in setup.geom.sc_positions]).T
+        reordered = reorder_rx_beams(setup.sc_codebook, estimate, setup.geom.cells)
         rest[delay:] = reordered[:max(0, n_rx - delay)]
     schedule = np.vstack([first, rest])
     hit, _ = sweep(schedule, start=1)

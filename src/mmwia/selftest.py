@@ -35,10 +35,10 @@ def _assert_raises(exc, fn, *args, **kwargs):
 def _check_cluster_reproducible():
     g1 = geometry.build_cluster(12, D, layout_seed=7)
     g2 = geometry.build_cluster(12, D, layout_seed=7)
-    assert g1.sc_positions == g2.sc_positions, "same seed must give same layout"
+    assert np.array_equal(g1.cells, g2.cells), "same seed must give same layout"
     for i in range(3):
         for j in range(i + 1, 3):
-            dij = g1.sc_positions[i].distance_to(g1.sc_positions[j])
+            dij = math.dist(g1.cells[i], g1.cells[j])
             assert abs(dij - D) < 1e-9, "first three cells must form the triangle"
 
 
@@ -47,10 +47,8 @@ def ue_centroid():
     """The mean of 100k uniform UE placements is within 2 m of the centroid."""
     geom = geometry.build_cluster(3, D)
     rng = np.random.default_rng(123)
-    pts = np.array([[p.x, p.y] for p in (geometry.place_ue(geom, rng)
-                                         for _ in range(100_000))])
-    c = geom.triangle_centroid()
-    err = math.hypot(pts[:, 0].mean() - c.x, pts[:, 1].mean() - c.y)
+    pts = np.array([geometry.place_ue(geom, rng) for _ in range(100_000)])
+    err = math.dist(pts.mean(axis=0), geom.triangle().mean(axis=0))
     assert err < 2.0, f"empirical centroid off by {err:.2f} m"
 
 
@@ -58,8 +56,7 @@ def _check_angle_sum():
     geom = geometry.build_cluster(3, D)
     rng = np.random.default_rng(5)
     for _ in range(200):
-        geom_t = geom.with_ue(geometry.place_ue(geom, rng))
-        total = sum(geometry.true_angles(geom_t))
+        total = sum(geometry.true_angles(geom, geometry.place_ue(geom, rng)))
         assert abs(total - 2.0 * math.pi) < 1e-12, "angles must close to 2*pi"
 
 
@@ -89,12 +86,11 @@ def _check_pattern_constants():
 def _west_link(ue_beam: float):
     """Received power from a UE 200 m due west of cell 0, whose beam points
     west, with 45 deg beams at both ends; also returns the pattern."""
-    geom = geometry.build_cluster(3, D).with_ue(geometry.Point2D(-D, 0.0))
     pat = antenna.make_pattern(math.radians(45.0))
     p = channel.received_power(
-        channel.LinkBudgetParams(23.0, -171.0, 1.08e6), geom,
-        channel.LinkState(False), ue_beam=ue_beam, ue_pattern=pat,
-        sc_beam=math.pi, sc_pattern=pat, cell_index=0)
+        channel.LinkBudgetParams(23.0, -171.0, 1.08e6),
+        geometry.build_cluster(3, D).cells[0], (-D, 0.0),
+        ue_beam=ue_beam, ue_pattern=pat, sc_beam=math.pi, sc_pattern=pat)
     return p, pat
 
 
@@ -127,29 +123,32 @@ def _check_link_budget():
     seen = set()
     for _ in range(20):
         g = geometry.build_cluster(6, D, rng)
-        g = g.with_ue(geometry.place_ue(g, rng))
-        states = channel.sample_blocking(6, 0.5, rng)
-        base, rx_gain = channel.link_budget_dbm(g, states, ue_cb, sc_cb, 23.0)
-        for i, state in enumerate(states):
-            if g.ue_position.distance_to(g.sc_positions[i]) < 1.0:
+        ue = geometry.place_ue(g, rng)
+        blk = channel.sample_blocking(6, 0.5, rng)
+        base, rx_gain = channel.link_budget_dbm(g, ue, blk, ue_cb, sc_cb, 23.0)
+        for i, cell in enumerate(g.cells.tolist()):
+            if math.dist(ue, cell) < 1.0:
                 continue
-            seen.add(state.blocked)
+            blocked = bool(blk.blocked[i])
+            seen.add(blocked)
+            reflector = float(blk.reflector[i]) if blocked else None
             for t, ue_beam in enumerate(ue_cb.beam_centers):
                 for b, sc_beam in enumerate(sc_cb.beam_centers):
                     ref = channel.received_power(
-                        params, g, state, float(ue_beam), ue_cb.pattern,
-                        float(sc_beam), sc_cb.pattern, i)
+                        params, cell, ue.tolist(), float(ue_beam), ue_cb.pattern,
+                        float(sc_beam), sc_cb.pattern, reflector,
+                        float(blk.penalty_db[i]))
                     err = abs(base[t, i] + rx_gain[b, i] - ref)
                     assert err < 1e-9, f"tensor off by {err:.1e} dB at {(t, i, b)}"
     assert seen == {False, True}, "both LOS and blocked links must be checked"
 
 
 def _check_blocking_rate():
-    states = channel.sample_blocking(100_000, 0.5, seed=42)
-    frac = sum(s.blocked for s in states) / len(states)
+    blk = channel.sample_blocking(100_000, 0.5, seed=42)
+    frac = float(blk.blocked.mean())
     assert abs(frac - 0.5) < 0.01, f"blocked fraction {frac:.3f}"
-    assert channel.sample_blocking(100_000, 0.5, seed=42) == states, \
-        "same seed must give the same states"
+    again = channel.sample_blocking(100_000, 0.5, seed=42)
+    assert all(map(np.array_equal, blk, again)), "same seed must give the same states"
     _assert_raises(ValueError, channel.sample_blocking, 10, 1.5, seed=0)
 
 
@@ -367,10 +366,10 @@ def _check_round_trip():
     geom = geometry.build_cluster(3, D)
     rng = np.random.default_rng(31)
     for _ in range(1000):
-        g = geom.with_ue(geometry.place_ue(geom, rng))
-        dists = estimation.solve_distances(geometry.true_angles(g), D)
-        p = estimation.locate_ue(dists, g.triangle())
-        err = p.distance_to(g.ue_position)
+        ue = geometry.place_ue(geom, rng)
+        dists = estimation.solve_distances(geometry.true_angles(geom, ue), D)
+        p = estimation.locate_ue(dists, geom.triangle())
+        err = math.dist(p, ue)
         assert err < 1e-6, f"round-trip error {err:.2e} m"
 
 
@@ -379,25 +378,26 @@ def trilateration_vs_grid():
     """Distances 1 m longer than the centroid's: the solver lands within
     0.02 m of a brute-force grid minimum and within 2.5 m of the centroid."""
     geom = geometry.build_cluster(3, D)
-    truth = geom.triangle_centroid()
-    d_true = truth.distance_to(geom.sc_positions[0])
+    truth = geom.triangle().mean(axis=0)
+    d_true = math.dist(truth, geom.cells[0])
     dists = [d_true + 1.0] * 3
     p = estimation.locate_ue(dists, geom.triangle())
     # brute-force oracle: 0.01 m grid around the centroid
-    ax = np.arange(truth.x - 5.0, truth.x + 5.0, 0.01)
-    ay = np.arange(truth.y - 5.0, truth.y + 5.0, 0.01)
+    ax = np.arange(truth[0] - 5.0, truth[0] + 5.0, 0.01)
+    ay = np.arange(truth[1] - 5.0, truth[1] + 5.0, 0.01)
     gx, gy = np.meshgrid(ax, ay)
     cost = np.zeros_like(gx)
-    for sp, dd in zip(geom.triangle(), dists):
-        cost += (np.hypot(gx - sp.x, gy - sp.y) - dd) ** 2
+    for (sx, sy), dd in zip(geom.triangle(), dists):
+        cost += (np.hypot(gx - sx, gy - sy) - dd) ** 2
     k = np.unravel_index(np.argmin(cost), cost.shape)
-    grid_best = geometry.Point2D(float(gx[k]), float(gy[k]))
-    assert p.distance_to(grid_best) < 0.02, "solver disagrees with grid oracle"
-    assert p.distance_to(truth) < 2.5, "perturbed estimate drifted too far"
+    grid_best = (gx[k], gy[k])
+    assert math.dist(p, grid_best) < 0.02, "solver disagrees with grid oracle"
+    assert math.dist(p, truth) < 2.5, "perturbed estimate drifted too far"
 
 
 def _check_schedule_arithmetic():
-    geom = geometry.build_cluster(3, D).with_ue(geometry.Point2D(100.0, 40.0))
+    geom = geometry.build_cluster(3, D)
+    ue = np.array([100.0, 40.0])
     ue_cb = antenna.make_codebook(4)
     sc_cb = antenna.make_codebook(8)
     # no noise: the exact peak is N^2 times the received power
@@ -406,15 +406,13 @@ def _check_schedule_arithmetic():
     # analytic per-(tx, cell, rx) peak map; threshold just below the best pair
     n_tx, n_sc, n_rx = 4, 3, 8
     rx_dbm = np.empty((n_tx, n_sc, n_rx))
-    los = channel.LinkState(False)
     for t in range(n_tx):
         for i in range(n_sc):
             for b in range(n_rx):
                 rx_dbm[t, i, b] = channel.received_power(
-                    params, geom, los,
+                    params, geom.cells[i], ue,
                     ue_beam=float(ue_cb.beam_centers[t]), ue_pattern=ue_cb.pattern,
-                    sc_beam=float(sc_cb.beam_centers[b]), sc_pattern=sc_cb.pattern,
-                    cell_index=i)
+                    sc_beam=float(sc_cb.beam_centers[b]), sc_pattern=sc_cb.pattern)
     peak = 839.0 ** 2 * 10.0 ** (rx_dbm / 10.0)
     gamma = 0.95 * peak.max()
 
@@ -434,7 +432,7 @@ def _check_schedule_arithmetic():
             break
 
     setup = protocol.TrialSetup(
-        geom=geom, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
+        geom=geom, ue=ue, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
         n_zc=839, gamma_ra=gamma)
     out1 = protocol.run_exhaustive(setup, seed=9)
     out2 = protocol.run_exhaustive(setup, seed=9)

@@ -16,7 +16,7 @@ import numpy as np
 
 from mmwia.antenna import make_codebook
 from mmwia.config import SimConfig
-from mmwia.estimation import refine_location
+from mmwia.estimation import area_members
 from mmwia.experiments import (
     ExperimentSpec,
     run_p_los,
@@ -155,13 +155,13 @@ def test_criterion_6d_quantized_containment():
     inside = 0
     trials = 1000
     for _ in range(trials):
-        geom = geom0.with_ue(place_ue(geom0, rng))
-        peaks = np.zeros((ue_cb.n_beams, geom.n_sc))
-        for i, cell in enumerate(geom.sc_positions):
-            # the UE beam nearest the bearing to the cell, lowest index on ties
-            peaks[reorder_rx_beams(ue_cb, cell, geom.ue_position)[0], i] = 1.0
-        _, overlap = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
-        if overlap.contains(geom.ue_position):
+        ue = place_ue(geom0, rng)
+        peaks = np.zeros((ue_cb.n_beams, geom0.n_sc))
+        # the UE beam nearest the bearing to each cell, lowest index on ties
+        best = reorder_rx_beams(ue_cb, geom0.cells, ue[None, :])[0]
+        peaks[best, np.arange(geom0.n_sc)] = 1.0
+        _, members = area_members(peaks, geom0, ue_cb.pattern.phi_ml)
+        if all(member(ue[0], ue[1]) for member in members):
             inside += 1
     rate = inside / trials
     _verdict(rate >= 0.99,
@@ -181,8 +181,8 @@ def test_criterion_6e_paired_dominance():
     for t in range(2000):
         ss = np.random.SeedSequence((SEED, 60, t))
         rng = np.random.default_rng(ss)
-        geom = geom0.with_ue(place_ue(geom0, rng))
-        setup = TrialSetup(geom=geom, ue_codebook=cfg.ue_codebook(),
+        setup = TrialSetup(geom=geom0, ue=place_ue(geom0, rng),
+                           ue_codebook=cfg.ue_codebook(),
                            sc_codebook=cfg.sc_codebook(),
                            link_params=cfg.link_params(), n_zc=seq.n_zc,
                            gamma_ra=gamma)

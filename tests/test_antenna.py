@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwia.antenna import make_codebook, make_pattern
-from mmwia.geometry import Point2D
 from mmwia.protocol import reorder_rx_beams
 from mmwia.selftest import pattern_22p5deg, pattern_45deg
 
@@ -82,9 +81,8 @@ def test_codebook_default_beamwidth_ties_to_size():
 
 def _nearest_beam(cb, angle):
     """First beam of the reordered sweep towards a target at ``angle``."""
-    origin = Point2D(0.0, 0.0)
-    target = Point2D(100.0 * math.cos(angle), 100.0 * math.sin(angle))
-    return reorder_rx_beams(cb, target, origin)[0]
+    target = (100.0 * math.cos(angle), 100.0 * math.sin(angle))
+    return reorder_rx_beams(cb, target, np.zeros((1, 2)))[0, 0]
 
 
 def test_best_beam_nearest_and_ties():

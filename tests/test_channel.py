@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from mmwia.antenna import make_codebook, make_pattern
 from mmwia.channel import (
     LinkBudgetParams,
-    LinkState,
     NLOS_FLOOR_DB,
     link_bearings,
+    link_budget_dbm,
     noise_power,
     pathloss,
     received_power,
     sample_blocking,
 )
-from mmwia.geometry import Bearing, Point2D, build_cluster, circular_distance
+from mmwia.geometry import build_cluster, circular_distance
 from mmwia.selftest import aligned_link_composition, back_lobe_drop
 
 D = 200.0
@@ -51,9 +51,8 @@ def test_noise_power_values():
     assert two - one == pytest.approx(10.0 * math.log10(2.0))
 
 
-def _west_ue_geom():
-    # UE 200 m due west of cell 0
-    return build_cluster(3, D).with_ue(Point2D(-D, 0.0))
+CELL0 = (0.0, 0.0)
+WEST_UE = (-D, 0.0)  # 200 m due west of cell 0
 
 
 def test_received_power_aligned_composition():
@@ -68,16 +67,15 @@ def test_blocked_link_below_aligned_los():
     """Best-case blocked reception sits >= 1.55 dB under best-case LOS."""
     pat = make_pattern(math.radians(45.0))
     params = LinkBudgetParams(23.0, -171.0, 1.08e6)
-    geom = _west_ue_geom()
     rng = np.random.default_rng(0)
     for _ in range(25):
-        state = LinkState(True, Bearing(rng.uniform(0, 2 * math.pi)),
-                          NLOS_FLOOR_DB + rng.exponential(5.0))
-        depart, arrive = link_bearings(geom, 0, state)
-        blocked_best = received_power(params, geom, state, depart, pat,
-                                      arrive, pat, 0)
-        los_best = received_power(params, geom, LinkState(False), 0.0, pat,
-                                  math.pi, pat, 0)
+        reflector = rng.uniform(0, 2 * math.pi)
+        penalty = NLOS_FLOOR_DB + rng.exponential(5.0)
+        depart, arrive = link_bearings(CELL0, WEST_UE, reflector)
+        blocked_best = received_power(params, CELL0, WEST_UE, depart, pat,
+                                      arrive, pat, reflector, penalty)
+        los_best = received_power(params, CELL0, WEST_UE, 0.0, pat,
+                                  math.pi, pat)
         assert blocked_best <= los_best - NLOS_FLOOR_DB + 1e-9
 
 
@@ -85,11 +83,10 @@ def test_blocked_argmax_beam_points_at_reflector():
     """The best Tx beam for a blocked link is the one nearest the reflector."""
     cb = make_codebook(8)
     params = LinkBudgetParams(0.0, -171.0, 1.08e6)
-    geom = _west_ue_geom()
-    state = LinkState(True, Bearing(math.radians(222.0)), 3.0)
-    depart, _ = link_bearings(geom, 0, state)
-    powers = [received_power(params, geom, state, float(c), cb.pattern,
-                             math.pi, cb.pattern, 0)
+    reflector = math.radians(222.0)
+    depart, _ = link_bearings(CELL0, WEST_UE, reflector)
+    powers = [received_power(params, CELL0, WEST_UE, float(c), cb.pattern,
+                             math.pi, cb.pattern, reflector, 3.0)
               for c in cb.beam_centers]
     best = int(np.argmax(powers))
     offsets = circular_distance(cb.beam_centers, depart)
@@ -97,17 +94,36 @@ def test_blocked_argmax_beam_points_at_reflector():
 
 
 def test_sample_blocking_degenerate_probabilities():
-    assert not any(s.blocked for s in sample_blocking(50, 0.0, seed=1))
+    """Every link LOS carries no penalty; every link blocked carries at least
+    the NLOS floor and a reflector bearing in [0, 2*pi)."""
+    clear = sample_blocking(50, 0.0, seed=1)
+    assert not clear.blocked.any()
+    assert np.array_equal(clear.penalty_db, np.zeros(50))
     blocked = sample_blocking(50, 1.0, seed=1)
-    assert all(s.blocked for s in blocked)
-    assert all(s.nlos_penalty_db >= NLOS_FLOOR_DB for s in blocked)
-    assert all(s.reflector_bearing is not None for s in blocked)
+    assert blocked.blocked.all()
+    assert (blocked.penalty_db >= NLOS_FLOOR_DB).all()
+    assert ((blocked.reflector >= 0.0) & (blocked.reflector < 2 * math.pi)).all()
+    for blk in (clear, blocked):
+        assert all(a.shape == (50,) for a in blk)
 
 
-def test_link_state_invariants():
+def _link_budget_at(ue, blocking=None):
+    geom = build_cluster(3, D)
+    return link_budget_dbm(geom, np.asarray(ue), blocking, make_codebook(8),
+                           make_codebook(8), 23.0)
+
+
+def test_link_budget_clamps_distance_below_one_metre():
+    """A UE 0.5 m from a LOS cell is charged the 1 m pathloss: its Tx-side
+    budget is P_UE + Tx gain - PL(1 m)."""
+    ue_cb = make_codebook(8)
+    ue = (0.5, 0.0)  # 0.5 m east of cell 0, which the UE sees due west
+    base, _ = _link_budget_at(ue)
+    tx_gain = ue_cb.pattern.gain(circular_distance(ue_cb.beam_centers, math.pi))
+    assert np.array_equal(base[:, 0], 23.0 + tx_gain - pathloss(1.0))
+
+
+@pytest.mark.parametrize("p_blk", [0.0, 1.0], ids=["los", "blocked"])
+def test_link_budget_rejects_ue_on_a_cell(p_blk):
     with pytest.raises(ValueError):
-        LinkState(True, None, 3.0)
-    with pytest.raises(ValueError):
-        LinkState(True, Bearing(0.0), 0.5)  # below the 1.55 dB floor
-    with pytest.raises(ValueError):
-        LinkState(False, None, 1.0)  # LOS with a penalty
+        _link_budget_at((200.0, 0.0), sample_blocking(3, p_blk, seed=0))

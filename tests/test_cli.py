@@ -1,5 +1,6 @@
 import pytest
 
+from mmwia import cli
 from mmwia.cli import main
 
 
@@ -52,10 +53,24 @@ def test_non_finite_or_empty_value_is_config_error(tmp_path, text):
     assert not out.exists()
 
 
-def test_experiment_error_exit_code(tmp_path):
-    cfg = _write(tmp_path, "[experiment]\ncluster_grid = 3, 5\n")
-    assert main(["time-cluster", "--config", cfg, "--trials", "2",
+def test_experiment_error_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(spec):
+        raise RuntimeError("campaign broke")
+    monkeypatch.setattr(cli, "run_time_vs_cluster", fail)
+    assert main(["time-cluster", "--trials", "2",
                  "--out", str(tmp_path / "o")]) == 3
+    assert "experiment error: campaign broke" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["3, 5", "1, 3, 3"], ids=["no-baseline", "repeat"])
+def test_bad_cluster_grid_is_config_error(tmp_path, grid):
+    """A grid without the single-cell baseline, or with a size twice, is
+    rejected before anything is written."""
+    cfg = _write(tmp_path, f"[experiment]\ncluster_grid = {grid}\n")
+    out = tmp_path / "o"
+    assert main(["time-cluster", "--config", cfg, "--trials", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_p_los_writes_csv_and_svg(tmp_path, capsys):

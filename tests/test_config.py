@@ -146,6 +146,20 @@ def test_cluster_grid_size_two_rejected(tmp_path):
     assert load_config(p).experiment.cluster_grid == (1, 3)
 
 
+@pytest.mark.parametrize("grid,match", [
+    ("3, 5", "single-cell baseline"),
+    ("1, 3, 3", "repeat"),
+    ("5, 1, 5", "repeat"),
+], ids=["no-baseline", "repeat", "repeat-unsorted"])
+def test_cluster_grid_needs_baseline_and_distinct_sizes(tmp_path, grid, match):
+    """time-cluster normalizes by the size-1 row and keys its results by
+    size, so a grid without 1 or with a size twice is a config error."""
+    p = tmp_path / "c.ini"
+    p.write_text(f"[experiment]\ncluster_grid = {grid}\n")
+    with pytest.raises(ConfigError, match=match):
+        load_config(p)
+
+
 def test_beamwidth_defaults_track_codebook_size():
     cfg = SimConfig()
     assert cfg.ue_codebook().pattern.phi_3db == pytest.approx(2 * math.pi / cfg.antenna.n_tx)

@@ -1,19 +1,19 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwia import estimation
 from mmwia.antenna import make_codebook
 from mmwia.estimation import (
     AnglesUnresolvable,
-    EstimationArea,
     EstimationError,
     TriangulationFailed,
     area_grid,
+    area_members,
     band_member,
     estimate_point,
     index_angles,
@@ -23,15 +23,15 @@ from mmwia.estimation import (
     solve_distances,
     wrapped_index_angle,
 )
-from mmwia.geometry import Point2D, build_cluster, place_ue, true_angles
+from mmwia.geometry import ClusterGeometry, build_cluster, place_ue, true_angles
 from mmwia.protocol import reorder_rx_beams
 from mmwia.selftest import solver_case, trilateration_vs_grid
 
 D = 200.0
 
 
-def _distances(geom):
-    return [geom.ue_position.distance_to(p) for p in geom.triangle()]
+def _distances(geom, ue):
+    return [math.dist(ue, p) for p in geom.triangle()]
 
 
 def _one_hot(best, n_tx=8, peaks=1.0):
@@ -87,30 +87,48 @@ def test_solve_rejects_inconsistent_sum():
 
 def test_solve_noisy_angles_least_squares():
     geom = build_cluster(3, D)
-    geom = geom.with_ue(Point2D(80.0, 60.0))
-    t = true_angles(geom)
+    ue = (80.0, 60.0)
+    t = true_angles(geom, ue)
     # perturb while preserving the 2*pi closure
     eps = 0.02
     noisy = (t[0] + eps, t[1] - eps, t[2])
     d = solve_distances(noisy, D)
-    assert np.allclose(d, _distances(geom), atol=8.0)
+    assert np.allclose(d, _distances(geom, ue), atol=8.0)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_round_trip_exact_angles(seed):
     geom = build_cluster(3, D)
-    geom = geom.with_ue(place_ue(geom, seed))
-    d = solve_distances(true_angles(geom), D)
-    assert np.allclose(d, _distances(geom), atol=1e-6)
+    ue = place_ue(geom, seed)
+    d = solve_distances(true_angles(geom, ue), D)
+    assert np.allclose(d, _distances(geom, ue), atol=1e-6)
     p = locate_ue(d, geom.triangle())
-    assert p.distance_to(geom.ue_position) < 1e-6
+    assert math.dist(p, ue) < 1e-6
 
 
 def test_locate_equal_distances_gives_centroid():
     geom = build_cluster(3, D)
     p = locate_ue([D / math.sqrt(3)] * 3, geom.triangle())
-    assert p.distance_to(geom.triangle_centroid()) < 1e-9
+    assert math.dist(p, geom.triangle().mean(axis=0)) < 1e-9
+
+
+def test_locate_rejects_bad_anchors():
+    geom = build_cluster(3, D)
+    with pytest.raises(ValueError):
+        locate_ue([1.0, 1.0], geom.triangle()[:2])
+    with pytest.raises(ValueError):
+        locate_ue([1.0, 1.0, 1.0, 1.0], geom.triangle())
+    with pytest.raises(ValueError, match="finite"):
+        locate_ue([math.inf] * 3, geom.triangle())
+
+
+def test_locate_rejects_non_finite_point(monkeypatch):
+    """A solver that diverges raises ValueError instead of returning NaN."""
+    monkeypatch.setattr(estimation, "_gauss_newton_point",
+                        lambda p0, anchors, d: (np.full(2, np.nan), 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        locate_ue([D / math.sqrt(3)] * 3, build_cluster(3, D).triangle())
 
 
 def test_locate_perturbed_distances_near_truth():
@@ -120,92 +138,99 @@ def test_locate_perturbed_distances_near_truth():
 
 def test_estimation_area_membership():
     geom = build_cluster(3, D)
-    ue = Point2D(90.0, 50.0)
-    geom = geom.with_ue(ue)
-    thetas = true_angles(geom)
+    ue = (90.0, 50.0)
+    thetas = true_angles(geom, ue)
     gx, gy = np.meshgrid(*area_grid(geom, 1.0))
-    a, b = geom.sc_positions[0], geom.sc_positions[1]
-    member = band_member(thetas[0], (a, b), 0.05, geom.triangle_centroid())
-    assert member(ue.x, ue.y)
+    a, b = geom.cells[0], geom.cells[1]
+    member = band_member(thetas[0], (a, b), 0.05, geom.triangle().mean(axis=0))
+    assert member(*ue)
     assert member(gx, gy).any()
     # mirror point across the chord (y -> -y over the S1-S2 edge) is excluded
-    assert not member(ue.x, -ue.y)
+    assert not member(ue[0], -ue[1])
 
 
 def test_estimation_area_shrinks_with_band():
     geom = build_cluster(3, D)
-    ue = Point2D(90.0, 50.0)
-    geom = geom.with_ue(ue)
-    thetas = true_angles(geom)
+    thetas = true_angles(geom, (90.0, 50.0))
     gx, gy = np.meshgrid(*area_grid(geom, 1.0))
-    pair = (geom.sc_positions[0], geom.sc_positions[1])
-    ref = geom.triangle_centroid()
+    pair = (geom.cells[0], geom.cells[1])
+    ref = geom.triangle().mean(axis=0)
     sizes = [int(band_member(thetas[0], pair, h, ref)(gx, gy).sum())
              for h in (0.5, 0.25, 0.1, 0.02)]
     assert sizes == sorted(sizes, reverse=True)
     assert sizes[-1] > 0
 
 
-def test_estimation_area_empty_flagged():
-    geom = build_cluster(3, D)
-    xs, ys = area_grid(geom, 1.0)
-    pair = (geom.sc_positions[0], geom.sc_positions[1])
-    # no interior point subtends nearly zero angle over a full side
-    member = band_member(0.001, pair, 0.0005, geom.triangle_centroid())
-    area = EstimationArea(xs, ys, member(*np.meshgrid(xs, ys)),
-                          contains=lambda p: bool(member(p.x, p.y)))
-    assert not area.mask.any()
-    assert area.centroid() is None
-
-
-def _noiseless_peaks(geom, ue_cb):
+def _noiseless_peaks(geom, ue, ue_cb):
     """The peak matrix of an ideal noiseless measurement: each cell peaks at
     the UE beam nearest its bearing (lowest index on ties), nearer cells higher."""
-    best = [reorder_rx_beams(ue_cb, cell, geom.ue_position)[0]
-            for cell in geom.sc_positions]
-    near = [1.0 / (1.0 + geom.ue_position.distance_to(cell))
-            for cell in geom.sc_positions]
+    # the UE's sweep towards each cell: the cells stand in for estimates
+    best = reorder_rx_beams(ue_cb, geom.cells, np.asarray(ue)[None, :])[0]
+    near = [1.0 / (1.0 + math.dist(ue, cell)) for cell in geom.cells]
     return _one_hot(best, ue_cb.n_beams, near)
+
+
+def _inside_all(members, point) -> bool:
+    return all(bool(m(point[0], point[1])) for m in members)
+
+
+def _area_cells(members, geom, resolution) -> int:
+    gx, gy = np.meshgrid(*area_grid(geom, resolution))
+    return int(np.logical_and.reduce([m(gx, gy) for m in members]).sum())
+
+
+def test_empty_intersection_falls_back_to_point():
+    """A band so narrow that no grid cell center falls inside it rasterizes
+    empty, and refine_location returns estimate_point's point."""
+    geom = build_cluster(3, D)
+    ue_cb = make_codebook(8)
+    peaks = _noiseless_peaks(geom, (90.0, 50.0), ue_cb)
+    point = estimate_point(peaks, geom)[0]
+    _, members = area_members(peaks, geom, 1e-9)
+    assert _area_cells(members, geom, 1.0) == 0
+    assert np.array_equal(refine_location(peaks, geom, 1e-9, 1.0), point)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_true_ue_inside_refined_intersection(seed):
     geom = build_cluster(3, D)
-    geom = geom.with_ue(place_ue(geom, seed))
+    ue = place_ue(geom, seed)
     ue_cb = make_codebook(8)
-    peaks = _noiseless_peaks(geom, ue_cb)
+    peaks = _noiseless_peaks(geom, ue, ue_cb)
     try:
-        point, overlap = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
+        _, members = area_members(peaks, geom, ue_cb.pattern.phi_ml)
     except EstimationError:
         # equal indices can occur when two cells share the nearest beam
         return
-    assert overlap.contains(geom.ue_position)
+    assert _inside_all(members, ue)
 
 
 def test_fourth_report_never_grows_intersection():
     geom = build_cluster(4, D, layout_seed=11)
-    geom = geom.with_ue(place_ue(geom, 5))
+    ue = place_ue(geom, 5)
     ue_cb = make_codebook(8)
-    peaks = _noiseless_peaks(geom, ue_cb)
+    peaks = _noiseless_peaks(geom, ue, ue_cb)
     try:
-        _, with4 = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
-        _, with3 = refine_location(peaks[:, :3], geom, ue_cb.pattern.phi_ml, 2.0)
+        _, with4 = area_members(peaks, geom, ue_cb.pattern.phi_ml)
+        _, with3 = area_members(peaks[:, :3], geom, ue_cb.pattern.phi_ml)
     except EstimationError:
         pytest.skip("degenerate beam indices for this layout")
-    assert with4.mask.sum() <= with3.mask.sum()
+    assert len(with4) > len(with3)
+    assert _area_cells(with4, geom, 2.0) <= _area_cells(with3, geom, 2.0)
 
 
 def test_estimate_point_matches_geometry():
-    geom = build_cluster(3, D).with_ue(Point2D(95.0, 55.0))
+    geom = build_cluster(3, D)
+    ue = (95.0, 55.0)
     ue_cb = make_codebook(64)  # fine codebook -> small quantization error
-    peaks = _noiseless_peaks(geom, ue_cb)
+    peaks = _noiseless_peaks(geom, ue, ue_cb)
     point, _, _ = estimate_point(peaks, geom)
-    assert point.distance_to(geom.ue_position) < 12.0
+    assert math.dist(point, ue) < 12.0
     # every cell's best peak again at the last Tx index: the lowest index wins
     tied = peaks.copy()
     tied[-1] = peaks.max(axis=0)
-    assert estimate_point(tied, geom)[0] == point
+    assert np.array_equal(estimate_point(tied, geom)[0], point)
 
 
 def test_quantization_bound_on_angle_estimates():
@@ -216,10 +241,10 @@ def test_quantization_bound_on_angle_estimates():
     bound = 2.0 * (2 * math.pi / 8)
     from mmwia.geometry import true_angles as _angles
     for _ in range(1000):
-        geom = geom0.with_ue(place_ue(geom0, rng))
-        peaks = _noiseless_peaks(geom, ue_cb)
+        ue = place_ue(geom0, rng)
+        peaks = _noiseless_peaks(geom0, ue, ue_cb)
         thetas = index_angles(peaks.argmax(axis=0), 8)
-        for t_hat, t in zip(thetas, _angles(geom)):
+        for t_hat, t in zip(thetas, _angles(geom0, ue)):
             assert abs(t_hat - t) <= bound + 1e-12
 
 
@@ -232,16 +257,16 @@ def test_refinement_error_improves_with_more_reports():
     while len(err3) < 500 and k < 3000:
         geom = build_cluster(5, D, layout_seed=1000 + k)
         k += 1
-        geom = geom.with_ue(place_ue(geom, rng))
-        peaks = _noiseless_peaks(geom, ue_cb)
+        ue = place_ue(geom, rng)
+        peaks = _noiseless_peaks(geom, ue, ue_cb)
         try:
-            p5, _ = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
-            p3, _ = refine_location(peaks[:, :3], geom, ue_cb.pattern.phi_ml, 2.0)
+            p5 = refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)
+            p3 = refine_location(peaks[:, :3], geom, ue_cb.pattern.phi_ml, 2.0)
         except EstimationError:
             # degenerate disk layouts (shared beams, mirrored orderings)
             continue
-        err5.append(p5.distance_to(geom.ue_position))
-        err3.append(p3.distance_to(geom.ue_position))
+        err5.append(math.dist(p5, ue))
+        err3.append(math.dist(p3, ue))
     assert len(err3) == 500
     assert np.median(err5) <= np.median(err3) + 1e-9
 
@@ -250,7 +275,7 @@ def test_refinement_error_improves_with_more_reports():
 def test_every_best_index_triple_resolves_fails_or_locates(n_tx, expect):
     """On the base triangle every triple of best Tx indices is unresolvable
     (equal indices), a failed triangulation (mirrored order) or a point, which
-    Point2D keeps finite; the counts are (unresolvable, failed, point)."""
+    locate_ue keeps finite; the counts are (unresolvable, failed, point)."""
     geom = build_cluster(3, D)
     counts = [0, 0, 0]
     for best in itertools.product(range(n_tx), repeat=3):
@@ -272,25 +297,25 @@ def test_round_trip_exact_angles_on_triangle_edges():
     for i in range(3):
         a, b = tri[i], tri[(i + 1) % 3]
         for f in np.linspace(0.05, 0.95, 19):
-            ue = Point2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
-            d = solve_distances(true_angles(geom.with_ue(ue)), D)
-            assert locate_ue(d, tri).distance_to(ue) < 1e-6
+            ue = a + f * (b - a)
+            d = solve_distances(true_angles(geom, ue), D)
+            assert math.dist(locate_ue(d, tri), ue) < 1e-6
 
 
 def test_extra_cell_next_to_a_base_cell():
     """An extra cell 1e-9 to 1 m from a base cell, ranked into the top three
     by its own peak or (every other draw) below them: the refinement gives a
-    point, which Point2D keeps finite, or an EstimationError."""
+    point, which locate_ue keeps finite, or an EstimationError."""
     geom0 = build_cluster(3, D)
     ue_cb = make_codebook(8)
     rng = np.random.default_rng(3)
     for k in range(600):
-        geom = geom0.with_ue(place_ue(geom0, rng))
-        base = geom.sc_positions[rng.integers(3)]
+        ue = place_ue(geom0, rng)
+        base = geom0.cells[rng.integers(3)]
         r, phi = 10.0 ** rng.uniform(-9.0, 0.0), rng.uniform(0.0, 2 * math.pi)
-        extra = Point2D(base.x + r * math.cos(phi), base.y + r * math.sin(phi))
-        geom = replace(geom, sc_positions=geom.sc_positions + (extra,))
-        peaks = _noiseless_peaks(geom, ue_cb)
+        extra = (base[0] + r * math.cos(phi), base[1] + r * math.sin(phi))
+        geom = ClusterGeometry(np.vstack([geom0.cells, extra]), D)
+        peaks = _noiseless_peaks(geom, ue, ue_cb)
         peaks[:, 3] *= 0.5 if k % 2 else 1.0
         try:
             refine_location(peaks, geom, ue_cb.pattern.phi_ml, 2.0)

@@ -1,12 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwia.geometry import (
-    Bearing,
-    Point2D,
+    ClusterGeometry,
     build_cluster,
     circular_distance,
     normalize_angle,
@@ -18,20 +18,20 @@ from mmwia.selftest import ue_centroid
 D = 200.0
 
 
-def _distances(geom):
-    return [geom.ue_position.distance_to(p) for p in geom.sc_positions]
+def _distances(geom, ue):
+    return [math.dist(ue, p) for p in geom.cells]
 
 
 def test_triangle_side_lengths():
     geom = build_cluster(3, D)
     for i in range(3):
         for j in range(i + 1, 3):
-            assert geom.sc_positions[i].distance_to(geom.sc_positions[j]) == pytest.approx(D)
+            assert math.dist(geom.cells[i], geom.cells[j]) == pytest.approx(D)
 
 
 def test_single_cell_at_origin():
     geom = build_cluster(1, D)
-    assert geom.sc_positions == (Point2D(0.0, 0.0),)
+    assert np.array_equal(geom.cells, [[0.0, 0.0]])
 
 
 def test_bad_arguments_rejected():
@@ -43,40 +43,58 @@ def test_bad_arguments_rejected():
         build_cluster(3, -5.0)
 
 
+@pytest.mark.parametrize("cells,side", [
+    ([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]], D),  # two cells coincide
+    ([[0.0, 0.0], [math.nan, 1.0]], D),
+    ([[0.0, 0.0, 0.0]], D),  # not (n_sc, 2)
+    (np.zeros((0, 2)), D),
+    ([[0.0, 0.0]], 0.0),
+], ids=["coincident", "nan", "shape", "empty", "side"])
+def test_invalid_layout_rejected(cells, side):
+    with pytest.raises(ValueError):
+        ClusterGeometry(cells, side)
+
+
+def test_cells_are_read_only():
+    geom = build_cluster(3, D)
+    with pytest.raises(ValueError):
+        geom.cells[0, 0] = 1.0
+
+
 def test_large_cluster_reproducible_bit_exact():
     a = build_cluster(12, D, layout_seed=7)
     b = build_cluster(12, D, layout_seed=7)
-    assert a.sc_positions == b.sc_positions
-    assert len(a.sc_positions) == 12
+    assert np.array_equal(a.cells, b.cells)
+    assert a.cells.shape == (12, 2)
     # first three are the exact triangle
-    assert a.sc_positions[:3] == build_cluster(3, D).sc_positions
+    assert np.array_equal(a.cells[:3], build_cluster(3, D).cells)
 
 
 def test_extra_cells_inside_circumscribed_disk():
     geom = build_cluster(30, D, layout_seed=3)
-    center = Point2D(D / 2.0, D / (2.0 * math.sqrt(3.0)))
+    center = (D / 2.0, D / (2.0 * math.sqrt(3.0)))
     radius = D / math.sqrt(3.0)
-    for p in geom.sc_positions[3:]:
-        assert p.distance_to(center) <= radius + 1e-9
+    for p in geom.cells[3:]:
+        assert math.dist(p, center) <= radius + 1e-9
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_place_ue_inside_triangle(seed):
     geom = build_cluster(3, D)
-    ue = place_ue(geom, seed)
-    a, b, c = geom.triangle()
+    ux, uy = place_ue(geom, seed)
+    (ax, ay), (bx, by), (cx, cy) = geom.triangle()
     # barycentric coordinates must all be non-negative
-    det = (b.y - c.y) * (a.x - c.x) + (c.x - b.x) * (a.y - c.y)
-    l1 = ((b.y - c.y) * (ue.x - c.x) + (c.x - b.x) * (ue.y - c.y)) / det
-    l2 = ((c.y - a.y) * (ue.x - c.x) + (a.x - c.x) * (ue.y - c.y)) / det
+    det = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
+    l1 = ((by - cy) * (ux - cx) + (cx - bx) * (uy - cy)) / det
+    l2 = ((cy - ay) * (ux - cx) + (ax - cx) * (uy - cy)) / det
     l3 = 1.0 - l1 - l2
     assert min(l1, l2, l3) >= -1e-12
 
 
 def test_place_ue_deterministic():
     geom = build_cluster(3, D)
-    assert place_ue(geom, 42) == place_ue(geom, 42)
+    assert np.array_equal(place_ue(geom, 42), place_ue(geom, 42))
 
 
 def test_place_ue_empirical_centroid():
@@ -86,29 +104,29 @@ def test_place_ue_empirical_centroid():
 
 def test_angles_at_centroid():
     geom = build_cluster(3, D)
-    geom = geom.with_ue(geom.triangle_centroid())
-    assert true_angles(geom) == pytest.approx((2 * math.pi / 3,) * 3)
+    centroid = geom.triangle().mean(axis=0)
+    assert true_angles(geom, centroid) == pytest.approx((2 * math.pi / 3,) * 3)
 
 
 def test_angles_at_side_midpoint():
-    geom = build_cluster(3, D).with_ue(Point2D(D / 2.0, 0.0))
-    assert true_angles(geom) == pytest.approx((math.pi, math.pi / 2, math.pi / 2))
+    geom = build_cluster(3, D)
+    assert true_angles(geom, (D / 2.0, 0.0)) == pytest.approx(
+        (math.pi, math.pi / 2, math.pi / 2))
 
 
 def test_angles_reject_coincident_ue():
-    geom = build_cluster(3, D).with_ue(Point2D(0.0, 0.0))
     with pytest.raises(ValueError):
-        true_angles(geom)
+        true_angles(build_cluster(3, D), (0.0, 0.0))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_angle_sum_and_cosine_rule(seed):
     geom = build_cluster(3, D)
-    geom = geom.with_ue(place_ue(geom, seed))
-    thetas = true_angles(geom)
+    ue = place_ue(geom, seed)
+    thetas = true_angles(geom, ue)
     assert abs(sum(thetas) - 2 * math.pi) < 1e-12
-    d = _distances(geom)
+    d = _distances(geom, ue)
     for i in range(3):
         j = (i + 1) % 3
         lhs = d[i] ** 2 + d[j] ** 2 - 2 * d[i] * d[j] * math.cos(thetas[i])
@@ -117,17 +135,11 @@ def test_angle_sum_and_cosine_rule(seed):
 
 def test_distances_at_centroid_and_midpoint():
     geom = build_cluster(3, D)
-    centroid = geom.with_ue(geom.triangle_centroid())
-    assert _distances(centroid) == pytest.approx([D / math.sqrt(3)] * 3)
-    mid = geom.with_ue(Point2D(D / 2.0, 0.0))
-    assert sorted(_distances(mid)) == pytest.approx([100.0, 100.0, 100.0 * math.sqrt(3)])
-
-
-@given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
-def test_bearing_normalized(angle):
-    b = Bearing(angle)
-    assert 0.0 <= b.angle < 2 * math.pi
-    assert math.cos(b.angle) == pytest.approx(math.cos(angle), abs=1e-9)
+    centroid = geom.triangle().mean(axis=0)
+    assert _distances(geom, centroid) == pytest.approx([D / math.sqrt(3)] * 3)
+    mid = (D / 2.0, 0.0)
+    assert sorted(_distances(geom, mid)) == pytest.approx(
+        [100.0, 100.0, 100.0 * math.sqrt(3)])
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mmwia.antenna import make_codebook
 from mmwia.channel import link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
-from mmwia.geometry import Point2D, build_cluster
+from mmwia.geometry import ClusterGeometry, build_cluster
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
     TrialSetup,
@@ -24,35 +24,41 @@ CFG = SimConfig()
 SEQ = generate_zc(1, 839)
 
 
-def _setup(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=Point2D(100.0, 60.0),
-           noiseless=False, link_states=None, n_sc=3, latency=0.0):
+def _setup(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0),
+           noiseless=False, blocking=None, n_sc=3, latency=0.0):
     geom = build_cluster(n_sc if n_sc >= 3 else 3, D, layout_seed=1)
     if n_sc < 3:
-        geom = replace(geom, sc_positions=geom.sc_positions[:n_sc])
-    geom = geom.with_ue(ue)
+        geom = ClusterGeometry(geom.cells[:n_sc], D)
     params = CFG.link_params(p_ue)
     if noiseless:
         # zero noise power: the peak sampler returns the exact N^2 * power
         params = replace(params, noise_density_dbm_hz=-math.inf)
     return TrialSetup(
         geom=geom,
+        ue=np.asarray(ue, dtype=float),
         ue_codebook=make_codebook(n_tx),
         sc_codebook=make_codebook(n_rx),
         link_params=params,
         n_zc=839,
         gamma_ra=gamma,
-        link_states=link_states,
+        blocking=blocking,
         backhaul_latency_s=latency,
     )
 
 
 def test_reorder_boresight_first_antipodal_last():
     cb = make_codebook(8)
-    cell = Point2D(0.0, 0.0)
-    target = Point2D(100.0, 0.0)  # bearing 0 -> beam 0 boresight
-    order = reorder_rx_beams(cb, target, cell)
-    assert order[0] == 0
-    assert order[-1] == 4  # the antipodal beam
+    cells = np.array([[0.0, 0.0], [200.0, 0.0]])
+    target = (100.0, 0.0)  # bearing 0 from cell 0, pi from cell 1
+    order = reorder_rx_beams(cb, target, cells)
+    assert order.shape == (8, 2)
+    assert order[0].tolist() == [0, 4]  # boresight beams first
+    assert order[-1].tolist() == [4, 0]  # the antipodal beams last
+
+
+def test_reorder_rejects_estimate_on_a_cell():
+    with pytest.raises(ValueError):
+        reorder_rx_beams(make_codebook(8), (0.0, 0.0), build_cluster(3, D).cells)
 
 
 @given(st.integers(min_value=1, max_value=24),
@@ -63,8 +69,8 @@ def test_reorder_is_permutation(n, x, y):
     if abs(x) < 1e-6 and abs(y) < 1e-6:
         return
     cb = make_codebook(n)
-    order = reorder_rx_beams(cb, Point2D(x, y), Point2D(0.0, 0.0))
-    assert sorted(order) == list(range(n))
+    order = reorder_rx_beams(cb, (x, y), np.zeros((1, 2)))
+    assert sorted(order[:, 0]) == list(range(n))
 
 
 def test_exhaustive_worst_case_full_sweep():
@@ -127,7 +133,7 @@ def test_coordinated_detects_by_round_two_when_estimate_good():
     """LOS centroid placement at moderate power: round 2 wraps it up."""
     geom = build_cluster(3, D, layout_seed=1)
     gamma = CFG.threshold(-110.67, SEQ, seed=1)
-    setup = _setup(ue=geom.triangle_centroid(), p_ue=-14.0, gamma=gamma)
+    setup = _setup(ue=geom.triangle().mean(axis=0), p_ue=-14.0, gamma=gamma)
     wins = 0
     for seed in range(25):
         out = run_coordinated(setup, seed=seed)
@@ -145,10 +151,14 @@ def test_estimation_failure_falls_back_and_completes():
 
 
 def test_blocked_links_degrade_but_stay_bounded():
-    states = tuple(sample_blocking(3, 1.0, seed=2, excess_mean_db=10.0))
-    setup = _setup(link_states=states)
+    setup = _setup(blocking=sample_blocking(3, 1.0, seed=2, excess_mean_db=10.0))
     out = run_coordinated(setup, seed=7)
     assert out.slots_used <= 4 * 8 + 4
+
+
+def test_blocking_needs_one_state_per_cell():
+    with pytest.raises(ValueError, match="per cell"):
+        _setup(blocking=sample_blocking(4, 0.5, seed=2))
 
 
 def test_backhaul_latency_defers_reordering():
@@ -169,8 +179,9 @@ def test_backhaul_bus_rounds():
 def _noiseless_peaks(setup):
     """(n_tx, n_sc) exact peaks of a one-Rx-beam setup, by the sweep's own
     arithmetic; every round sees this map."""
-    base, rx_gain = link_budget_dbm(setup.geom, setup.states(), setup.ue_codebook,
-                                    setup.sc_codebook, setup.link_params.p_ue_dbm)
+    base, rx_gain = link_budget_dbm(setup.geom, setup.ue, setup.blocking,
+                                    setup.ue_codebook, setup.sc_codebook,
+                                    setup.link_params.p_ue_dbm)
     return 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
 
 
@@ -199,7 +210,7 @@ def test_detect_strict_inequality():
 def test_sweep_takes_earliest_slot_then_lowest_cell(ue, gamma, slot0):
     """The first hit is the earliest slot, then the lowest cell within it,
     although cell 0 clears the threshold at a later slot."""
-    setup = _setup(p_ue=-20.0, n_rx=1, noiseless=True, ue=Point2D(*ue), gamma=gamma)
+    setup = _setup(p_ue=-20.0, n_rx=1, noiseless=True, ue=ue, gamma=gamma)
     hits = _noiseless_peaks(setup) > gamma
     assert hits[0].tolist() == slot0 and hits[1:, 0].any()
     for runner in (run_exhaustive, run_coordinated):
