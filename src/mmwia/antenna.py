@@ -36,9 +36,14 @@ class AntennaPattern:
         off = np.asarray(offset, dtype=float)
         if np.any(off < 0.0) or np.any(off > math.pi + 1e-12):
             raise ValueError("offset must lie in [0, pi]")
-        main = self.g0 - 3.01 * (2.0 * off / self.phi_3db) ** 2
-        out = np.where(off <= self.phi_ml / 2.0, main, self.g_sl)
+        out = self._gain(off)
         return float(out) if out.ndim == 0 else out
+
+    def _gain(self, off: np.ndarray) -> np.ndarray:
+        """``gain`` without the domain check, for offsets known to lie in
+        [0, pi] (``circular_distance`` output)."""
+        main = self.g0 - 3.01 * (2.0 * off / self.phi_3db) ** 2
+        return np.where(off <= self.phi_ml / 2.0, main, self.g_sl)
 
 
 def make_pattern(phi_3db: float) -> AntennaPattern:

@@ -38,8 +38,13 @@ def pathloss(d):
     d = np.asarray(d, dtype=float)
     if np.any(d < 1.0):
         raise ValueError("pathloss model is valid only for d >= 1 m")
-    out = PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d)
+    out = _pathloss(d)
     return float(out) if out.ndim == 0 else out
+
+
+def _pathloss(d: np.ndarray) -> np.ndarray:
+    """``pathloss`` without the domain check, for distances already >= 1 m."""
+    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d)
 
 
 def noise_power(params: LinkBudgetParams) -> float:
@@ -104,12 +109,14 @@ def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
         via = blocking.blocked[:, None]
         depart = np.where(via, refl - ue, depart)
         arrive = np.where(via, refl - geom.cells, arrive)
-    tx_gains = ue_cb.pattern.gain(circular_distance(
+    # circular_distance keeps every offset in [0, pi] and the distances are
+    # clamped to 1 m, so the unchecked kernels stand in for gain/pathloss
+    tx_gains = ue_cb.pattern._gain(circular_distance(
         ue_cb.beam_centers[:, None], bearings(depart)[None, :]))
-    base = p_ue_dbm + tx_gains - pathloss(np.maximum(d, 1.0))[None, :]
+    base = p_ue_dbm + tx_gains - _pathloss(np.maximum(d, 1.0))[None, :]
     if blocking is not None:
         base = base - blocking.penalty_db[None, :]
-    rx_gain = sc_cb.pattern.gain(circular_distance(
+    rx_gain = sc_cb.pattern._gain(circular_distance(
         sc_cb.beam_centers[:, None], bearings(arrive)[None, :]))
     return base, rx_gain
 

@@ -8,11 +8,14 @@ the known inter-cell distances yields UE-to-cell ranges; least-squares
 trilateration yields a point. Each angle also bounds an inscribed-arc
 band (an "estimation area"); intersecting the bands refines the point
 when more than three cells report. Points are (2,) arrays and anchor
-sets (k, 2) arrays, as in ``geometry``.
+sets (k, 2) arrays, as in ``geometry``. The range solve and
+trilateration of the top three cells run once per distinct (angles,
+anchors) key; later calls read the point from a bounded memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -318,14 +321,27 @@ def estimate_point(
     Returns the point, the three cells in counterclockwise order and their
     cyclic angle estimates; raises EstimationError subclasses.
     """
-    positions = geom.cells.tolist()
-    top3 = _order_ccw(select_top3(peaks).tolist(), positions)
+    top3 = _order_ccw(select_top3(peaks).tolist(), geom.cells.tolist())
     best = peaks.argmax(axis=0)  # lowest Tx index on ties
     thetas = index_angles(best[top3], peaks.shape[0])
-    sides = [math.dist(positions[top3[i]], positions[top3[(i + 1) % 3]])
-             for i in range(3)]
-    dists = solve_distances(thetas, sides)
-    return locate_ue(dists, geom.cells[top3]), top3, thetas
+    point = _solve_point(thetas, geom.cells[top3].tobytes())
+    return point.copy(), top3, thetas
+
+
+@functools.lru_cache(maxsize=1024)
+def _solve_point(thetas: tuple[float, float, float],
+                 anchor_bytes: bytes) -> np.ndarray:
+    """The located point for cyclic angles over three ordered anchors.
+
+    A pure function of its key, so each distinct (angles, anchors) pair is
+    solved once; the anchors travel as the raw bytes of their (3, 2) array,
+    which keeps 0.0 and -0.0 apart where a tuple key would not. Exceptions
+    are not cached. Callers must copy the returned array.
+    """
+    anchors = np.frombuffer(anchor_bytes).reshape(3, 2)
+    positions = anchors.tolist()
+    sides = [math.dist(positions[i], positions[(i + 1) % 3]) for i in range(3)]
+    return locate_ue(solve_distances(thetas, sides), anchors)
 
 
 def area_members(peaks: np.ndarray, geom: ClusterGeometry,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,11 @@ class IaTrialOutcome:
 
 @dataclass(frozen=True, eq=False)
 class TrialSetup:
-    """Everything a single IA trial needs besides its RNG stream."""
+    """Everything a single IA trial needs besides its RNG stream.
+
+    Its link budget is computed on first use and kept, so the schemes of
+    a paired trial share one computation; it draws no random numbers.
+    """
 
     geom: ClusterGeometry
     ue: np.ndarray
@@ -65,6 +70,16 @@ class TrialSetup:
     def __post_init__(self):
         if self.blocking is not None and len(self.blocking.blocked) != self.geom.n_sc:
             raise ValueError("one blocking state per cell required")
+
+    @cached_property
+    def link_budget(self) -> tuple[np.ndarray, np.ndarray]:
+        """``link_budget_dbm`` of this trial: the (n_tx, n_sc) dBm map before
+        the Rx gain and the (n_rx, n_sc) Rx gains, both read-only."""
+        budget = link_budget_dbm(self.geom, self.ue, self.blocking, self.ue_codebook,
+                                 self.sc_codebook, self.link_params.p_ue_dbm)
+        for part in budget:
+            part.flags.writeable = False
+        return budget
 
 
 def reorder_rx_beams(codebook: BeamCodebook, estimate,
@@ -99,11 +114,10 @@ def _start_trial(setup: TrialSetup, seed):
     ``sweep(schedule, start)`` draws one round of peaks (slot t carries Tx
     beam t) per schedule row from ``start`` on and returns (hit, peaks of
     the last round drawn); hit is the first (round, slot, cell) to clear
-    the threshold, or None."""
+    the threshold, or None. The link budget comes from ``setup.link_budget``,
+    computed once per setup whichever schemes run on it."""
     rng = np.random.default_rng(seed)
-    base_dbm, rx_gain = link_budget_dbm(
-        setup.geom, setup.ue, setup.blocking, setup.ue_codebook,
-        setup.sc_codebook, setup.link_params.p_ue_dbm)
+    base_dbm, rx_gain = setup.link_budget
     noise_mw = dbm_to_mw(noise_power(setup.link_params))
     cells = np.arange(setup.geom.n_sc)
     orders = np.array([rng.permutation(setup.sc_codebook.n_beams) for _ in cells])

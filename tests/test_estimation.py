@@ -277,17 +277,54 @@ def test_every_best_index_triple_resolves_fails_or_locates(n_tx, expect):
     (equal indices), a failed triangulation (mirrored order) or a point, which
     locate_ue keeps finite; the counts are (unresolvable, failed, point)."""
     geom = build_cluster(3, D)
-    counts = [0, 0, 0]
-    for best in itertools.product(range(n_tx), repeat=3):
-        try:
-            estimate_point(_one_hot(best, n_tx), geom)
-        except AnglesUnresolvable:
-            counts[0] += 1
-        except TriangulationFailed:
-            counts[1] += 1
-        else:
-            counts[2] += 1
-    assert tuple(counts) == expect
+    estimation._solve_point.cache_clear()
+    passes = []
+    for _ in range(2):  # a cold, then a warm memo
+        counts, outcomes = [0, 0, 0], []
+        for best in itertools.product(range(n_tx), repeat=3):
+            try:
+                point = estimate_point(_one_hot(best, n_tx), geom)[0]
+            except AnglesUnresolvable as exc:
+                counts[0] += 1
+                outcomes.append((type(exc), str(exc)))
+            except TriangulationFailed as exc:
+                counts[1] += 1
+                outcomes.append((type(exc), str(exc)))
+            else:
+                counts[2] += 1
+                outcomes.append(point.tobytes())
+        assert tuple(counts) == expect
+        passes.append(outcomes)
+    assert passes[0] == passes[1]
+    # the points of the second pass all came from the memo
+    assert estimation._solve_point.cache_info().hits >= expect[2]
+
+
+def test_memo_returns_a_fresh_point():
+    geom = build_cluster(3, D)
+    peaks = _one_hot((0, 3, 5))
+    first = estimate_point(peaks, geom)[0]
+    kept = first.copy()
+    first += 1000.0
+    assert np.array_equal(estimate_point(peaks, geom)[0], kept)
+
+
+def test_memo_keys_on_the_anchors():
+    """The same best triple on a triangle twice the size gives a point twice
+    as far from the origin vertex, not the cached point of the smaller one."""
+    peaks = _one_hot((0, 3, 5))
+    small = estimate_point(peaks, build_cluster(3, D))[0]
+    large = estimate_point(peaks, build_cluster(3, 2 * D))[0]
+    assert not np.array_equal(small, large)
+    assert np.allclose(large, 2 * small, rtol=1e-9, atol=1e-9)
+
+
+def test_failed_triangulation_raises_on_every_call():
+    geom = build_cluster(3, D)
+    peaks = _one_hot((0, 2, 1), n_tx=4)  # mirrored order: two full turns
+    for _ in range(3):
+        with pytest.raises(TriangulationFailed):
+            estimate_point(peaks, geom)
 
 
 def test_round_trip_exact_angles_on_triangle_edges():
