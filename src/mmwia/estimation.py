@@ -3,19 +3,18 @@
 Every cell reports its PDP peak per UE Tx beam over the backhaul, so the
 reports of a cluster together are the (n_tx, n_sc) round-1 peak matrix.
 Pipeline: wrapped differences of the cells' best Tx indices approximate
-the angles the cell pairs subtend at the UE; the cosine-rule system over
-the known inter-cell distances yields UE-to-cell ranges; least-squares
-trilateration yields a point. Each angle also bounds an inscribed-arc
-band (an "estimation area"); intersecting the bands refines the point
-when more than three cells report. Points are (2,) arrays and anchor
-sets (k, 2) arrays, as in ``geometry``. The range solve and
-trilateration of the top three cells run once per distinct (angles,
-anchors) key; later calls read the point from a bounded memo.
+the angles the cell pairs subtend at the UE; the point that sees the top
+three cells at those angles follows in closed form, or, for angles that
+no point reproduces, from a least-squares fit of their cosine-rule
+residuals. Each angle also bounds an inscribed-arc band (an "estimation
+area"); intersecting the bands refines the point when more than three
+cells report. Points are (2,) arrays and anchor sets (k, 2) arrays, as
+in ``geometry``.
 """
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from typing import Sequence
 
@@ -33,7 +32,7 @@ class AnglesUnresolvable(EstimationError):
 
 
 class TriangulationFailed(EstimationError):
-    """The range system had no acceptable (positive, consistent) solution."""
+    """The angles give no usable point: they do not close or put the UE on a cell."""
 
 
 def select_top3(peaks: np.ndarray) -> np.ndarray:
@@ -66,192 +65,98 @@ def index_angles(best: Sequence[int], n_tx: int) -> tuple[float, float, float]:
                  for i in range(3))
 
 
-def _pair_residuals(d: np.ndarray, cos_t: np.ndarray, side2: np.ndarray) -> np.ndarray:
-    dn = d[[1, 2, 0]]
-    return d * d + dn * dn - 2.0 * d * dn * cos_t - side2
+def _closed_form_point(thetas, s) -> complex:
+    """The point that sees each pair (s[i], s[i + 1]) of the anchors ``s``
+    (complex numbers; s[i - 2] is s[(i + 1) % 3]) at its angle modulo pi.
+    That locus is a circle through the pair, centred half the chord times
+    cot(theta) left of its midpoint. Two consecutive pairs' circles share an
+    anchor, so their other intersection is that anchor reflected in the
+    line of centres. The pair whose angle lies nearest 0 or pi is left out,
+    as its circle degenerates to a line."""
+    k = min(range(3), key=lambda i: abs(math.sin(thetas[i])))
+    c1, c2 = ((s[i] + s[i - 2]) / 2 + 0.5j * (s[i - 2] - s[i]) / math.tan(thetas[i])
+              for i in ((k + 1) % 3, (k + 2) % 3))
+    if c1 == c2:  # one circle: all its points see both pairs alike
+        return complex(math.nan, math.nan)
+    return c1 + (c2 - c1) * ((s[k - 1] - c1) / (c2 - c1)).conjugate()
 
 
-def _pair_jacobian(d: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-    J = np.zeros((3, 3))
-    for i in range(3):
-        j = (i + 1) % 3
-        J[i, i] = 2.0 * d[i] - 2.0 * d[j] * cos_t[i]
-        J[i, j] = 2.0 * d[j] - 2.0 * d[i] * cos_t[i]
-    return J
+def _least_squares_point(thetas, s, max_iter=200) -> complex:
+    """Levenberg-Marquardt fit in the plane of the cosine-rule residuals
+    |p-a|^2 + |p-b|^2 - 2|p-a||p-b|cos(theta) - |ab|^2 of the pairs (a, b)
+    of the anchors ``s``, from their centroid, until a step is shorter than
+    1e-9 of the longest anchor spacing."""
+    pairs = [(s[i], s[i - 2], math.cos(t), abs(s[i - 2] - s[i]) ** 2)
+             for i, t in enumerate(thetas)]
+    step_tol = 1e-9 * math.sqrt(max(side2 for *_, side2 in pairs))
 
+    def residuals(p):
+        # each residual with its gradient as a complex number, and the cost;
+        # d(|u||v|)/dp = (|v|/|u|) u + (|u|/|v|) v, taken as 0 along u = 0
+        out = []
+        for a, b, cos_t, side2 in pairs:
+            u, v = p - a, p - b
+            du, dv = abs(u), abs(v)
+            duv = (dv / du * u if du else 0.0) + (du / dv * v if dv else 0.0)
+            out.append((du * du + dv * dv - 2.0 * du * dv * cos_t - side2,
+                        2.0 * (u + v - cos_t * duv)))
+        return out, sum(r * r for r, _ in out)
 
-def _damped_newton(d0, cos_t, side2, tol, max_iter=100):
-    d = np.array(d0, dtype=float)
-    r = _pair_residuals(d, cos_t, side2)
+    p, lam = sum(s) / 3.0, 1e-3
+    res, cost = residuals(p)
     for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return d, r, True
-        J = _pair_jacobian(d, cos_t)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        cost0 = float(r @ r)
-        alpha = 1.0
-        moved = False
-        while alpha > 1e-7:
-            cand = d + alpha * step
-            if np.all(cand > 0.0):
-                rc = _pair_residuals(cand, cos_t, side2)
-                if float(rc @ rc) < cost0:
-                    d, r, moved = cand, rc, True
-                    break
-            alpha *= 0.5
-        if not moved:
+        # (J'J + mu I) d = -J'r with mu = lam trace(J'J), in complex form
+        # alpha d + beta conj(d) = -grad
+        half_trace = sum(abs(g) ** 2 for _, g in res) / 2.0
+        if half_trace == 0.0:
             break
-    return d, r, bool(np.max(np.abs(r)) < tol)
-
-
-def _grid_seed(cos_t, side2, d_max, n=50):
-    ax = np.linspace(d_max / n, d_max, n)
-    g1, g2, g3 = np.meshgrid(ax, ax, ax, indexing="ij")
-    r1 = g1 * g1 + g2 * g2 - 2.0 * g1 * g2 * cos_t[0] - side2[0]
-    r2 = g2 * g2 + g3 * g3 - 2.0 * g2 * g3 * cos_t[1] - side2[1]
-    r3 = g3 * g3 + g1 * g1 - 2.0 * g3 * g1 * cos_t[2] - side2[2]
-    cost = r1 * r1 + r2 * r2 + r3 * r3
-    k = np.unravel_index(np.argmin(cost), cost.shape)
-    return np.array([g1[k], g2[k], g3[k]])
-
-
-def solve_distances(
-    thetas: Sequence[float],
-    d_side: float | Sequence[float],
-) -> tuple[float, float, float]:
-    """Ranges to the three cells from the cyclic angle estimates.
-
-    d_side is either the common triangle side or the three cyclic
-    inter-cell distances |S_i S_{i+1}|. Damped Newton from the symmetric
-    start; a coarse grid seed plus Newton polish on stagnation; an
-    inconsistent (noisy) system falls through to the Gauss-Newton
-    least-squares minimizer of the three residuals.
-    """
-    sides = np.broadcast_to(np.asarray(d_side, dtype=float), (3,)).copy()
-    if np.any(sides <= 0.0):
-        raise ValueError("inter-cell distances must be positive")
-    thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas <= 0.0) or np.any(thetas >= TWO_PI):
-        raise TriangulationFailed("angle estimates outside (0, 2*pi)")
-    if abs(float(np.sum(thetas)) - TWO_PI) > 1e-6:
-        raise TriangulationFailed(
-            "cyclic angle estimates do not close to 2*pi (inconsistent reports)"
-        )
-    cos_t = np.cos(thetas)
-    side2 = sides * sides
-    scale = float(np.max(sides))
-    tol = 1e-9 * scale * scale
-
-    start = np.full(3, scale / math.sqrt(3.0))
-    d, r, ok = _damped_newton(start, cos_t, side2, tol)
-    if not ok:
-        seed = _grid_seed(cos_t, side2, scale)
-        d2, r2, ok2 = _damped_newton(seed, cos_t, side2, tol)
-        if float(r2 @ r2) < float(r @ r):
-            d, r, ok = d2, r2, ok2
-    if not ok:
-        # inconsistent (noisy) system: settle for the least-squares minimizer
-        d, r = _levenberg_polish(d, cos_t, side2)
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-        raise TriangulationFailed("no positive range solution")
-    return float(d[0]), float(d[1]), float(d[2])
-
-
-def _levenberg_polish(d0, cos_t, side2, max_iter=200):
-    d = np.array(d0, dtype=float)
-    r = _pair_residuals(d, cos_t, side2)
-    cost = float(r @ r)
-    lam = 1e-3
-    for _ in range(max_iter):
-        J = _pair_jacobian(d, cos_t)
-        g = J.T @ r
-        if np.linalg.norm(g) < 1e-10 * max(cost, 1.0):
+        alpha, beta = half_trace * (1.0 + 2.0 * lam), sum(g * g for _, g in res) / 2.0
+        grad = sum(r * g for r, g in res)
+        step = (beta * grad.conjugate() - alpha * grad) / (alpha ** 2 - abs(beta) ** 2)
+        if abs(step) < step_tol:
             break
-        try:
-            step = np.linalg.solve(J.T @ J + lam * np.eye(3), -g)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        cand = np.maximum(d + step, 1e-9)
-        rc = _pair_residuals(cand, cos_t, side2)
-        cc = float(rc @ rc)
-        if cc < cost:
-            d, r, cost = cand, rc, cc
-            lam = max(lam * 0.3, 1e-12)
+        res_c, cost_c = residuals(p + step)
+        if cost_c < cost:
+            p, res, cost = p + step, res_c, cost_c
+            lam = max(lam * 0.3, 1e-12)  # keeps the damped system positive definite
         else:
             lam *= 10.0
-            if lam > 1e12:
-                break
-    return d, r
+    return p
 
 
-def _trilat_cost(p: np.ndarray, anchors: np.ndarray, d: np.ndarray) -> float:
-    r = np.hypot(*(p - anchors).T)
-    f = r - d
-    return float(f @ f)
-
-
-def _gauss_newton_point(p0, anchors, d, max_iter=60):
-    p = np.array(p0, dtype=float)
-    cost = _trilat_cost(p, anchors, d)
-    for _ in range(max_iter):
-        diff = p - anchors
-        r = np.maximum(np.hypot(diff[:, 0], diff[:, 1]), 1e-12)
-        f = r - d
-        J = diff / r[:, None]
-        step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        alpha = 1.0
-        moved = False
-        while alpha > 1e-9:
-            cand = p + alpha * step
-            c = _trilat_cost(cand, anchors, d)
-            if c < cost:
-                p, cost, moved = cand, c, True
-                break
-            alpha *= 0.5
-        if not moved or np.linalg.norm(alpha * step) < 1e-13:
-            break
-    return p, cost
-
-
-def _inside_triangle(p: np.ndarray, tri: np.ndarray) -> bool:
-    signs = []
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        signs.append((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]))
-    return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
-
-
-def locate_ue(distances: Sequence[float], anchors: np.ndarray) -> np.ndarray:
-    """Least-squares trilateration over the (k, 2) anchors, k >= 3.
-
-    Runs Gauss-Newton from a linearized start and from the anchor
-    centroid; ambiguous near-ties resolve towards the point inside the
-    first three anchors' triangle. Raises ValueError when the point is
-    not finite.
-    """
+def locate_ue(thetas: Sequence[float], anchors: np.ndarray) -> np.ndarray:
+    """The point at which the three ordered (3, 2) anchors subtend the
+    cyclic angles ``thetas`` (theta_i between anchors i and i+1): the
+    closed-form point when it reproduces every angle within 1e-9 rad, else
+    the least-squares point. Raises TriangulationFailed for angles outside
+    (0, 2*pi) or not closing to 2*pi, and for a point that is not finite or
+    lies within 1e-9 of the longest anchor spacing of an anchor; ValueError
+    for anchors that are not three distinct finite points."""
     S = np.asarray(anchors, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    if S.ndim != 2 or len(S) < 3 or len(S) != len(d):
-        raise ValueError("need matching distances for at least three anchors")
-    if not (np.isfinite(S).all() and np.isfinite(d).all()):
-        raise ValueError("anchors and distances must be finite")
-    A = 2.0 * (S[1:] - S[0])
-    b = (d[0] ** 2 - d[1:] ** 2) + (np.sum(S[1:] ** 2, axis=1) - np.sum(S[0] ** 2))
-    p_lin, *_ = np.linalg.lstsq(A, b, rcond=None)
-    candidates = [_gauss_newton_point(p_lin, S, d),
-                  _gauss_newton_point(S.mean(axis=0), S, d)]
-    candidates.sort(key=lambda pc: pc[1])
-    best, runner = candidates[0], candidates[1]
-    if runner[1] - best[1] < 1e-9 * max(best[1], 1.0):
-        if _inside_triangle(runner[0], S[:3]) and not _inside_triangle(best[0], S[:3]):
-            best = runner
-    if not np.isfinite(best[0]).all():
-        raise ValueError("coordinates must be finite")
-    return best[0]
+    if S.shape != (3, 2) or len(thetas) != 3 or not np.isfinite(S).all():
+        raise ValueError("need three angles and three finite (x, y) anchors")
+    s = [complex(x, y) for x, y in S.tolist()]
+    if len(set(s)) < 3:
+        raise ValueError("anchors must be distinct")
+    if not all(0.0 < t < TWO_PI for t in thetas):
+        raise TriangulationFailed("angle estimates outside (0, 2*pi)")
+    if abs(sum(thetas) - TWO_PI) > 1e-6:
+        raise TriangulationFailed("cyclic angle estimates do not close to 2*pi")
+    tol = 1e-9 * max(abs(s[i] - s[i - 1]) for i in range(3))
+
+    p = _closed_form_point(thetas, s)
+    on = [abs(p - z) <= tol for z in s]
+    # a pair's angle is undefined at either of its anchors; a point that is
+    # not finite reproduces nothing
+    if not all(on[i] or on[i - 2] or abs(cmath.phase(
+            (s[i - 2] - p) / (s[i] - p) * cmath.exp(-1j * t))) <= 1e-9
+            for i, t in enumerate(thetas)):
+        p = _least_squares_point(thetas, s)
+    if not cmath.isfinite(p):
+        raise TriangulationFailed("no finite point fits the angles")
+    if min(abs(p - z) for z in s) <= tol:
+        raise TriangulationFailed("the angles place the UE on a cell")
+    return np.array([p.real, p.imag])
 
 
 def subtended_angle(px, py, a, b):
@@ -278,19 +183,16 @@ def band_member(theta_tilde, pair, band_halfwidth, side_reference):
     """Vectorized membership test ``member(px, py)`` for one estimation area.
 
     A point is a member when the angle it subtends over the anchor pair
-    lies in [theta_tilde - h, theta_tilde + h] and, when a side reference
-    is given, it lies on the reference's side of the chord (the
-    inscribed-angle locus is mirror-symmetric about it).
+    lies in [theta_tilde - h, theta_tilde + h] and it lies on the side
+    reference's side of the chord (the inscribed-angle locus is
+    mirror-symmetric about it), unless the reference lies on the chord.
     """
     if band_halfwidth <= 0.0:
         raise ValueError("band halfwidth must be positive")
     a, b = pair
     lo, hi = theta_tilde - band_halfwidth, theta_tilde + band_halfwidth
-
-    ref_sign = 0.0
-    if side_reference is not None:
-        ref_sign = np.sign((b[0] - a[0]) * (side_reference[1] - a[1])
-                           - (b[1] - a[1]) * (side_reference[0] - a[0]))
+    ref_sign = np.sign((b[0] - a[0]) * (side_reference[1] - a[1])
+                       - (b[1] - a[1]) * (side_reference[0] - a[0]))
 
     def member(px, py):
         ang = subtended_angle(px, py, a, b)
@@ -324,24 +226,7 @@ def estimate_point(
     top3 = _order_ccw(select_top3(peaks).tolist(), geom.cells.tolist())
     best = peaks.argmax(axis=0)  # lowest Tx index on ties
     thetas = index_angles(best[top3], peaks.shape[0])
-    point = _solve_point(thetas, geom.cells[top3].tobytes())
-    return point.copy(), top3, thetas
-
-
-@functools.lru_cache(maxsize=1024)
-def _solve_point(thetas: tuple[float, float, float],
-                 anchor_bytes: bytes) -> np.ndarray:
-    """The located point for cyclic angles over three ordered anchors.
-
-    A pure function of its key, so each distinct (angles, anchors) pair is
-    solved once; the anchors travel as the raw bytes of their (3, 2) array,
-    which keeps 0.0 and -0.0 apart where a tuple key would not. Exceptions
-    are not cached. Callers must copy the returned array.
-    """
-    anchors = np.frombuffer(anchor_bytes).reshape(3, 2)
-    positions = anchors.tolist()
-    sides = [math.dist(positions[i], positions[(i + 1) % 3]) for i in range(3)]
-    return locate_ue(solve_distances(thetas, sides), anchors)
+    return locate_ue(thetas, geom.cells[top3]), top3, thetas
 
 
 def area_members(peaks: np.ndarray, geom: ClusterGeometry,
@@ -376,8 +261,6 @@ def area_members(peaks: np.ndarray, geom: ClusterGeometry,
             except AnglesUnresolvable:
                 continue
             theta = min(theta, TWO_PI - theta)  # unsigned angle for a lone pair
-            if theta <= 0.0:
-                continue
             members.append(band_member(
                 theta, (p_extra, positions[anchor]), band_halfwidth, point))
     return point, members
@@ -393,20 +276,11 @@ def refine_location(
     is the mean cell center of the rasterized intersection, or the plain
     point solve when the intersection rasterizes empty."""
     point, members = area_members(peaks, geom, band_halfwidth)
-    xs, ys = area_grid(geom, grid_resolution)
-
-    # rasterize incrementally: later bands only look at still-alive cells
-    gx, gy = np.meshgrid(xs, ys)
-    mask = members[0](gx, gy)
-    for member in members[1:]:
-        yi, xi = np.nonzero(mask)
-        if yi.size == 0:
-            break
-        keep = member(xs[xi], ys[yi])
-        mask = np.zeros_like(mask)
-        mask[yi[keep], xi[keep]] = True
-
-    yi, xi = np.nonzero(mask)
-    if yi.size == 0:
-        return point
-    return np.array([xs[xi].mean(), ys[yi].mean()])
+    # rasterize incrementally: each band only looks at the cells still alive
+    gx, gy = (g.ravel() for g in np.meshgrid(*area_grid(geom, grid_resolution)))
+    for member in members:
+        keep = member(gx, gy)
+        gx, gy = gx[keep], gy[keep]
+        if gx.size == 0:
+            return point
+    return np.array([gx.mean(), gy.mean()])

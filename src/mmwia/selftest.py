@@ -341,58 +341,89 @@ def _check_index_angles():
     assert abs(sum(thetas) - 2 * math.pi) < 1e-12
 
 
-# subtended angles -> exact distances to the three cells at D = 200 m
-SOLVER_CASES = {
-    "symmetric": ((2 * math.pi / 3,) * 3, (D / math.sqrt(3.0),) * 3),
-    "side midpoint": ((math.pi, math.pi / 2, math.pi / 2),
-                      (100.0, 100.0, 100.0 * math.sqrt(3.0))),
+# cyclic subtended angles -> the point that sees them, at D = 200 m
+LOCATE_CASES = {
+    "symmetric": ((2 * math.pi / 3,) * 3, (D / 2.0, D / (2.0 * math.sqrt(3.0)))),
+    "side midpoint": ((math.pi, math.pi / 2, math.pi / 2), (D / 2.0, 0.0)),
+    "exterior": ((3 * math.pi / 2, math.pi / 4, math.pi / 4), (D / 2.0, -D / 2.0)),
 }
 
 
 @cache
-def solver_case(name: str):
-    """The cosine-rule solver recovers the case's distances within 1e-6 m."""
-    thetas, expect = SOLVER_CASES[name]
-    d = estimation.solve_distances(thetas, D)
-    assert all(abs(a - b) < 1e-6 for a, b in zip(d, expect)), (name, d)
+def locate_case(name: str):
+    """The closed-form solve puts the case's angles at its point within 1e-6 m."""
+    thetas, expect = LOCATE_CASES[name]
+    p = estimation.locate_ue(thetas, geometry.build_cluster(3, D).triangle())
+    assert math.dist(p, expect) < 1e-6, (name, p)
 
 
-def _check_distance_solver():
-    for name in SOLVER_CASES:
-        solver_case(name)
-
-
-def _check_round_trip():
-    geom = geometry.build_cluster(3, D)
-    rng = np.random.default_rng(31)
-    for _ in range(1000):
-        ue = geometry.place_ue(geom, rng)
-        dists = estimation.solve_distances(geometry.true_angles(geom, ue), D)
-        p = estimation.locate_ue(dists, geom.triangle())
-        err = math.dist(p, ue)
-        assert err < 1e-6, f"round-trip error {err:.2e} m"
+def _check_closed_form_solve():
+    for name in LOCATE_CASES:
+        locate_case(name)
 
 
 @cache
-def trilateration_vs_grid():
-    """Distances 1 m longer than the centroid's: the solver lands within
-    0.02 m of a brute-force grid minimum and within 2.5 m of the centroid."""
-    geom = geometry.build_cluster(3, D)
-    truth = geom.triangle().mean(axis=0)
-    d_true = math.dist(truth, geom.cells[0])
-    dists = [d_true + 1.0] * 3
-    p = estimation.locate_ue(dists, geom.triangle())
-    # brute-force oracle: 0.01 m grid around the centroid
-    ax = np.arange(truth[0] - 5.0, truth[0] + 5.0, 0.01)
-    ay = np.arange(truth[1] - 5.0, truth[1] + 5.0, 0.01)
-    gx, gy = np.meshgrid(ax, ay)
-    cost = np.zeros_like(gx)
-    for (sx, sy), dd in zip(geom.triangle(), dists):
-        cost += (np.hypot(gx - sx, gy - sy) - dd) ** 2
-    k = np.unravel_index(np.argmin(cost), cost.shape)
-    grid_best = (gx[k], gy[k])
-    assert math.dist(p, grid_best) < 0.02, "solver disagrees with grid oracle"
-    assert math.dist(p, truth) < 2.5, "perturbed estimate drifted too far"
+def round_trip(on_edges: bool):
+    """UEs come back from their true angles within 1e-6 m: 1000 uniform
+    ones, or 19 inside each edge, where that pair subtends pi."""
+    geom, rng = geometry.build_cluster(3, D), np.random.default_rng(31)
+    tri = geom.triangle()
+    ues = ([tri[i] + f * (tri[(i + 1) % 3] - tri[i])
+            for i in range(3) for f in np.linspace(0.05, 0.95, 19)] if on_edges
+           else [geometry.place_ue(geom, rng) for _ in range(1000)])
+    for ue in ues:
+        err = math.dist(estimation.locate_ue(geometry.true_angles(geom, ue), tri), ue)
+        assert err < 1e-6, f"round-trip error {err:.2e} m at {ue}"
+
+
+def _check_round_trip():
+    round_trip(on_edges=False)
+    round_trip(on_edges=True)
+
+
+def reproduces_angles(p, thetas) -> bool:
+    """The base-triangle angles at p match thetas within 1e-9 rad."""
+    true = geometry.true_angles(geometry.build_cluster(3, D), p)
+    return all(abs((a - t + math.pi) % (2 * math.pi) - math.pi) <= 1e-9
+               for a, t in zip(true, thetas))
+
+
+@cache
+def residual_grid_minimum(thetas: tuple[float, float, float]) -> tuple[float, float]:
+    """Brute-force minimum of the summed squared cosine-rule residuals of
+    the base triangle: a 1 m grid over the triangle's box widened by one
+    side, then a 0.01 m grid around the best cell."""
+    tri = geometry.build_cluster(3, D).triangle()
+    lo, hi = tri.min(axis=0) - D, tri.max(axis=0) + D
+    axes = np.arange(lo[0], hi[0], 1.0), np.arange(lo[1], hi[1], 1.0)
+    for _ in range(2):
+        gx, gy = np.meshgrid(*axes)
+        r = np.hypot(gx[..., None] - tri[:, 0], gy[..., None] - tri[:, 1])
+        rn = np.roll(r, -1, axis=-1)  # distance to the pair's second cell
+        cost = ((r * r + rn * rn - 2.0 * r * rn * np.cos(thetas) - D * D) ** 2).sum(-1)
+        k = np.unravel_index(np.argmin(cost), cost.shape)
+        best = gx[k], gy[k]
+        axes = [c + np.arange(-1.0, 1.0, 0.01) for c in best]
+    return best
+
+
+@cache
+def fallback_vs_grid() -> int:
+    """Every closing 8-beam angle set that no point reproduces: the solver's
+    least-squares point lies within 0.02 m of the grid minimum; returns the
+    number of such sets."""
+    tri = geometry.build_cluster(3, D).triangle()
+    inconsistent = 0
+    for d0 in range(1, 7):
+        for d1 in range(1, 8 - d0):
+            thetas = tuple(2 * math.pi * d / 8 for d in (d0, d1, 8 - d0 - d1))
+            p = estimation.locate_ue(thetas, tri)
+            if not reproduces_angles(p, thetas):
+                inconsistent += 1
+                err = math.dist(p, residual_grid_minimum(thetas))
+                assert err < 0.02, f"{thetas}: {err:.3f} m from the grid minimum"
+    assert inconsistent > 0, "no inconsistent angle set was checked"
+    return inconsistent
 
 
 def _check_schedule_arithmetic():
@@ -464,9 +495,9 @@ CHECKS = [
     ("miss-mode calibration consistency", _check_miss_calibration),
     ("exact peak sampler vs FFT oracle", _check_peak_sampler),
     ("beam-index angle recovery", _check_index_angles),
-    ("cosine-rule range solver", _check_distance_solver),
-    ("angle->range->position round trip", _check_round_trip),
-    ("trilateration vs grid oracle", trilateration_vs_grid),
+    ("closed-form angle solve", _check_closed_form_solve),
+    ("angle->position round trip", _check_round_trip),
+    ("least-squares fallback vs grid oracle", fallback_vs_grid),
     ("sweep schedule arithmetic", _check_schedule_arithmetic),
     ("IA time reduction formula", _check_reduction_formula),
 ]

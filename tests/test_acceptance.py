@@ -3,7 +3,7 @@ suite, each criterion at its stated tolerance with one printed verdict line.
 
 Criteria 6a and 6b run the cases of the selftest's ZC and false-alarm
 oracles; criterion 6c (exact-angle triangulation round trip) is the selftest
-check "angle->range->position round trip" and runs in tests/test_selftest.py.
+check "angle->position round trip" and runs in tests/test_selftest.py.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines live.
 """

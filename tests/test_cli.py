@@ -62,6 +62,15 @@ def test_experiment_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "experiment error: campaign broke" in capsys.readouterr().err
 
 
+def test_six_beam_estimate_on_a_cell_takes_the_fallback_sweep(tmp_path):
+    """At 6 beams some angle triples place the UE exactly on a cell; such a
+    trial sweeps unordered instead of failing the campaign."""
+    cfg = _write(tmp_path, "[antenna]\nn_tx = 6\n"
+                           "[experiment]\nn_tx_values = 6\npmiss_grid = 0.01\n")
+    assert main(["reduction-pmiss", "--config", cfg, "--trials", "20",
+                 "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("grid", ["3, 5", "1, 3, 3"], ids=["no-baseline", "repeat"])
 def test_bad_cluster_grid_is_config_error(tmp_path, grid):
     """A grid without the single-cell baseline, or with a size twice, is

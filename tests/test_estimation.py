@@ -20,18 +20,19 @@ from mmwia.estimation import (
     locate_ue,
     refine_location,
     select_top3,
-    solve_distances,
     wrapped_index_angle,
 )
 from mmwia.geometry import ClusterGeometry, build_cluster, place_ue, true_angles
 from mmwia.protocol import reorder_rx_beams
-from mmwia.selftest import solver_case, trilateration_vs_grid
+from mmwia.selftest import (
+    fallback_vs_grid,
+    locate_case,
+    reproduces_angles,
+    residual_grid_minimum,
+    round_trip,
+)
 
 D = 200.0
-
-
-def _distances(geom, ue):
-    return [math.dist(ue, p) for p in geom.triangle()]
 
 
 def _one_hot(best, n_tx=8, peaks=1.0):
@@ -72,28 +73,39 @@ def test_wrapped_differences_telescope(n_tx, a, b, c):
     assert min(abs(total - 2 * math.pi), abs(total - 4 * math.pi)) < 1e-9
 
 
+SYMMETRIC = (2 * math.pi / 3,) * 3
+# a closing 8-beam angle set that no point reproduces
+INCONSISTENT = tuple(2 * math.pi * d / 8 for d in (1, 3, 4))
+
+
 def test_solve_symmetric_case():
-    solver_case("symmetric")
+    locate_case("symmetric")
 
 
 def test_solve_side_midpoint_case():
-    solver_case("side midpoint")
+    locate_case("side midpoint")
+
+
+def test_solve_exterior_case():
+    locate_case("exterior")
 
 
 def test_solve_rejects_inconsistent_sum():
-    with pytest.raises(TriangulationFailed):
-        solve_distances((math.pi / 2, math.pi / 2, math.pi / 2), D)
+    tri = build_cluster(3, D).triangle()
+    with pytest.raises(TriangulationFailed, match="close"):
+        locate_ue((math.pi / 2, math.pi / 2, math.pi / 2), tri)
+    with pytest.raises(TriangulationFailed, match="outside"):
+        locate_ue((0.0, math.pi, math.pi), tri)
 
 
 def test_solve_noisy_angles_least_squares():
+    """Angles 0.02 rad off the truth, still closing, land within 8 m of it."""
     geom = build_cluster(3, D)
     ue = (80.0, 60.0)
     t = true_angles(geom, ue)
-    # perturb while preserving the 2*pi closure
     eps = 0.02
     noisy = (t[0] + eps, t[1] - eps, t[2])
-    d = solve_distances(noisy, D)
-    assert np.allclose(d, _distances(geom, ue), atol=8.0)
+    assert math.dist(locate_ue(noisy, geom.triangle()), ue) < 8.0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -101,39 +113,43 @@ def test_solve_noisy_angles_least_squares():
 def test_round_trip_exact_angles(seed):
     geom = build_cluster(3, D)
     ue = place_ue(geom, seed)
-    d = solve_distances(true_angles(geom, ue), D)
-    assert np.allclose(d, _distances(geom, ue), atol=1e-6)
-    p = locate_ue(d, geom.triangle())
+    p = locate_ue(true_angles(geom, ue), geom.triangle())
     assert math.dist(p, ue) < 1e-6
 
 
 def test_locate_equal_distances_gives_centroid():
-    geom = build_cluster(3, D)
-    p = locate_ue([D / math.sqrt(3)] * 3, geom.triangle())
-    assert math.dist(p, geom.triangle().mean(axis=0)) < 1e-9
+    """Equal angles put the UE at equal distances from the three cells."""
+    tri = build_cluster(3, D).triangle()
+    assert math.dist(locate_ue(SYMMETRIC, tri), tri.mean(axis=0)) < 1e-9
 
 
 def test_locate_rejects_bad_anchors():
-    geom = build_cluster(3, D)
+    tri = build_cluster(3, D).triangle()
     with pytest.raises(ValueError):
-        locate_ue([1.0, 1.0], geom.triangle()[:2])
+        locate_ue(SYMMETRIC, tri[:2])
     with pytest.raises(ValueError):
-        locate_ue([1.0, 1.0, 1.0, 1.0], geom.triangle())
+        locate_ue(SYMMETRIC, np.vstack([tri, tri[:1]]))
+    with pytest.raises(ValueError):
+        locate_ue(SYMMETRIC[:2], tri)
     with pytest.raises(ValueError, match="finite"):
-        locate_ue([math.inf] * 3, geom.triangle())
+        locate_ue(SYMMETRIC, np.where(tri == 0.0, math.inf, tri))
+    with pytest.raises(ValueError, match="distinct"):
+        locate_ue(SYMMETRIC, np.vstack([tri[:2], tri[:1]]))
 
 
 def test_locate_rejects_non_finite_point(monkeypatch):
-    """A solver that diverges raises ValueError instead of returning NaN."""
-    monkeypatch.setattr(estimation, "_gauss_newton_point",
-                        lambda p0, anchors, d: (np.full(2, np.nan), 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        locate_ue([D / math.sqrt(3)] * 3, build_cluster(3, D).triangle())
+    """A fallback that diverges raises TriangulationFailed instead of
+    returning NaN."""
+    monkeypatch.setattr(estimation, "_least_squares_point",
+                        lambda thetas, anchors: complex(math.nan, math.nan))
+    with pytest.raises(TriangulationFailed, match="finite"):
+        locate_ue(INCONSISTENT, build_cluster(3, D).triangle())
 
 
 def test_locate_perturbed_distances_near_truth():
-    """Distances 1 m too long: within 2.5 m of the truth and 0.02 m of a grid oracle."""
-    trilateration_vs_grid()
+    """Angle sets that no point reproduces: the least-squares point lies
+    within 0.02 m of a grid oracle (12 sets at 8 beams)."""
+    assert fallback_vs_grid() == 12
 
 
 def test_estimation_area_membership():
@@ -271,51 +287,68 @@ def test_refinement_error_improves_with_more_reports():
     assert np.median(err5) <= np.median(err3) + 1e-9
 
 
+def _walk_triples(n_tx):
+    """(best indices, point or exception) of every best-index triple on the
+    base triangle."""
+    geom = build_cluster(3, D)
+    for best in itertools.product(range(n_tx), repeat=3):
+        try:
+            yield best, estimate_point(_one_hot(best, n_tx), geom)
+        except EstimationError as exc:
+            yield best, exc
+
+
 @pytest.mark.parametrize("n_tx,expect", [(4, (40, 12, 12)), (8, (176, 168, 168))])
 def test_every_best_index_triple_resolves_fails_or_locates(n_tx, expect):
     """On the base triangle every triple of best Tx indices is unresolvable
-    (equal indices), a failed triangulation (mirrored order) or a point, which
-    locate_ue keeps finite; the counts are (unresolvable, failed, point)."""
-    geom = build_cluster(3, D)
-    estimation._solve_point.cache_clear()
-    passes = []
-    for _ in range(2):  # a cold, then a warm memo
-        counts, outcomes = [0, 0, 0], []
-        for best in itertools.product(range(n_tx), repeat=3):
-            try:
-                point = estimate_point(_one_hot(best, n_tx), geom)[0]
-            except AnglesUnresolvable as exc:
-                counts[0] += 1
-                outcomes.append((type(exc), str(exc)))
-            except TriangulationFailed as exc:
-                counts[1] += 1
-                outcomes.append((type(exc), str(exc)))
-            else:
-                counts[2] += 1
-                outcomes.append(point.tobytes())
-        assert tuple(counts) == expect
-        passes.append(outcomes)
-    assert passes[0] == passes[1]
-    # the points of the second pass all came from the memo
-    assert estimation._solve_point.cache_info().hits >= expect[2]
+    (equal indices), a failed triangulation (mirrored order) or a finite
+    point; the counts are (unresolvable, failed, point)."""
+    counts = [0, 0, 0]
+    for _, out in _walk_triples(n_tx):
+        if isinstance(out, AnglesUnresolvable):
+            counts[0] += 1
+        elif isinstance(out, TriangulationFailed):
+            counts[1] += 1
+        else:
+            assert np.isfinite(out[0]).all()
+            counts[2] += 1
+    assert tuple(counts) == expect
 
 
-def test_memo_returns_a_fresh_point():
-    geom = build_cluster(3, D)
-    peaks = _one_hot((0, 3, 5))
-    first = estimate_point(peaks, geom)[0]
-    kept = first.copy()
-    first += 1000.0
-    assert np.array_equal(estimate_point(peaks, geom)[0], kept)
+def test_every_8_beam_point_is_exact_or_least_squares():
+    """Each located 8-beam triple either reproduces its angles within 1e-9
+    rad or lies within 0.02 m of the residuals' grid minimum."""
+    least_squares = 0
+    for best, out in _walk_triples(8):
+        if isinstance(out, EstimationError):
+            continue
+        point, _, thetas = out
+        if not reproduces_angles(point, thetas):
+            least_squares += 1
+            assert math.dist(point, residual_grid_minimum(thetas)) < 0.02, best
+    assert least_squares == 96  # the 12 inconsistent sets, 8 rotations each
 
 
-def test_memo_keys_on_the_anchors():
+@pytest.mark.parametrize("n_tx", [6, 12])
+def test_no_point_on_a_cell(n_tx):
+    """Codebooks of 6 and 12 beams have triples whose angles place the UE on
+    a cell; they raise TriangulationFailed instead of returning the cell."""
+    cells = build_cluster(3, D).triangle()
+    on_cell = 0
+    for _, out in _walk_triples(n_tx):
+        if isinstance(out, TriangulationFailed) and "on a cell" in str(out):
+            on_cell += 1
+        elif not isinstance(out, EstimationError):
+            assert min(math.dist(out[0], c) for c in cells) > 1e-9 * D
+    assert on_cell > 0
+
+
+def test_point_scales_with_the_triangle():
     """The same best triple on a triangle twice the size gives a point twice
-    as far from the origin vertex, not the cached point of the smaller one."""
+    as far from the origin vertex."""
     peaks = _one_hot((0, 3, 5))
     small = estimate_point(peaks, build_cluster(3, D))[0]
     large = estimate_point(peaks, build_cluster(3, 2 * D))[0]
-    assert not np.array_equal(small, large)
     assert np.allclose(large, 2 * small, rtol=1e-9, atol=1e-9)
 
 
@@ -329,14 +362,7 @@ def test_failed_triangulation_raises_on_every_call():
 
 def test_round_trip_exact_angles_on_triangle_edges():
     """A UE inside an edge sees that pair at an angle of pi."""
-    geom = build_cluster(3, D)
-    tri = geom.triangle()
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        for f in np.linspace(0.05, 0.95, 19):
-            ue = a + f * (b - a)
-            d = solve_distances(true_angles(geom, ue), D)
-            assert math.dist(locate_ue(d, tri), ue) < 1e-6
+    round_trip(on_edges=True)
 
 
 def test_extra_cell_next_to_a_base_cell():

@@ -3,8 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from mmwia import estimation, protocol
-from mmwia.cli import main
+from mmwia import protocol
 from mmwia.config import SimConfig
 from mmwia.experiments import (
     ExperimentSpec,
@@ -94,23 +93,6 @@ def test_stderr_shrinks_with_trials():
     small = run_p_los(ExperimentSpec("p_los", cfg, 300, 9)).column("stderr")[0]
     large = run_p_los(ExperimentSpec("p_los", cfg, 1200, 9)).column("stderr")[0]
     assert large == pytest.approx(small / 2.0, rel=0.4)
-
-
-def test_reduction_pmiss_csv_same_with_cold_and_warm_memo(tmp_path):
-    cfg = tmp_path / "pmiss.ini"
-    cfg.write_text("[experiment]\npmiss_grid = 0.1\nn_tx_values = 4, 8\n")
-    estimation._solve_point.cache_clear()
-    csvs, memo = [], []
-    for run in ("cold", "warm"):
-        out = tmp_path / run
-        assert main(["reduction-pmiss", "--config", str(cfg), "--trials", "20",
-                     "--seed", "5", "--out", str(out)]) == 0
-        csvs.append((out / "reduction_pmiss.csv").read_bytes())
-        memo.append(estimation._solve_point.cache_info())
-    assert csvs[0] == csvs[1]
-    # the warm run found every point it solved in the memo
-    assert memo[1].hits > memo[0].hits
-    assert memo[1].currsize == memo[0].currsize > 0
 
 
 def test_paired_point_computes_each_link_budget_once(monkeypatch):
