@@ -4,8 +4,8 @@
 Runs the four campaigns with the packaged defaults. Pass --quick for a
 fast smoke pass (reduced trials), --out / --seed / --config as with the
 CLI. Measured on one core of a 2-vCPU x86-64 cloud host with numpy
-2.4.6: the full defaults take about 100 s, 48 s of them in p-los;
---quick takes about 8 s.
+2.4.6: the full defaults take about 57 s, 38 s of them in p-los;
+--quick takes about 4.5 s.
 """
 
 import argparse

@@ -65,8 +65,8 @@ class Blocking(NamedTuple):
     penalty_db: np.ndarray
 
 
-def sample_blocking(n_sc: int, p_blk: float, seed=None,
-                    excess_mean_db: float = 10.0) -> Blocking:
+def sample_blocking(n_sc: int, p_blk: float, seed=None, *,
+                    excess_mean_db: float) -> Blocking:
     """Draw independent Bernoulli(p_blk) blocking states for every link.
 
     Blocked links get a uniformly random reflector bearing (as seen from

@@ -12,12 +12,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .antenna import make_pattern, make_codebook, BeamCodebook
+from .antenna import make_codebook, BeamCodebook
 from .channel import LinkBudgetParams, pathloss
-from .geometry import TWO_PI
 from . import preamble
 from .preamble import ZcSequence, false_alarm_threshold, generate_zc, is_prime
 
@@ -38,11 +37,6 @@ class AntennaConfig:
     n_rx: int = 8   # [non-paper default]
     ue_phi_3db_deg: float | None = None  # None -> 360/n_tx
     sc_phi_3db_deg: float | None = None  # None -> 360/n_rx
-
-    def sc_phi_3db(self) -> float:
-        if self.sc_phi_3db_deg is not None:
-            return math.radians(self.sc_phi_3db_deg)
-        return TWO_PI / self.n_rx
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ class DetectionSettings:
     reference_distance_m: float = 200.0
     calibration_margin_db: float = 10.0  # [non-paper default]
     calibration_trials: int = 10_000
-    reference_p_ue_dbm: float | None = None  # None -> channel p_ue at load time
+    reference_p_ue_dbm: float | None = None  # None -> p_ue_dbm, see reference_rx_dbm
 
 
 @dataclass(frozen=True)
@@ -133,12 +127,10 @@ class SimConfig:
 
     def ue_codebook(self, n_tx: int | None = None) -> BeamCodebook:
         n = self.antenna.n_tx if n_tx is None else n_tx
-        phi = (math.radians(self.antenna.ue_phi_3db_deg)
-               if self.antenna.ue_phi_3db_deg is not None else TWO_PI / n)
-        return make_codebook(n, phi)
+        return make_codebook(n, _radians(self.antenna.ue_phi_3db_deg))
 
     def sc_codebook(self) -> BeamCodebook:
-        return make_codebook(self.antenna.n_rx, self.antenna.sc_phi_3db())
+        return make_codebook(self.antenna.n_rx, _radians(self.antenna.sc_phi_3db_deg))
 
     def reference_rx_dbm(self) -> float:
         """Nominal aligned link budget the miss-mode threshold calibrates on.
@@ -151,7 +143,7 @@ class SimConfig:
         det = self.detection
         p_ue = (self.channel.p_ue_dbm if det.reference_p_ue_dbm is None
                 else det.reference_p_ue_dbm)
-        g0 = make_pattern(self.antenna.sc_phi_3db()).g0
+        g0 = self.sc_codebook().pattern.g0
         return (p_ue + 2.0 * g0 - pathloss(det.reference_distance_m)
                 - det.calibration_margin_db)
 
@@ -170,54 +162,35 @@ class SimConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:12]
 
 
-_SCHEMA = {
-    "geometry": {"n_sc": "int", "side_m": "float"},
-    "antenna": {"n_tx": "int", "n_rx": "int",
-                "ue_phi_3db_deg": "float", "sc_phi_3db_deg": "float"},
-    "channel": {"p_ue_dbm": "float", "noise_density_dbm_hz": "float",
-                "bandwidth_hz": "float", "p_blk": "float",
-                "nlos_excess_mean_db": "float"},
-    "preamble": {"n_zc": "int"},
-    "detection": {"mode": "str", "target": "float",
-                  "reference_distance_m": "float",
-                  "calibration_margin_db": "float",
-                  "calibration_trials": "int",
-                  "reference_p_ue_dbm": "float"},
-    "protocol": {"t_ra_s": "float", "backhaul_latency_s": "float"},
-    "estimation": {"grid_resolution_m": "float"},
-    "experiment": {"trials": "int", "master_seed": "int",
-                   "p_los_trials": "int",
-                   "p_los_cluster_sizes": "int_list",
-                   "p_los_p_blk": "float_list",
-                   "power_grid_dbm": "float_list",
-                   "pmiss_grid": "float_list",
-                   "cluster_grid": "int_list",
-                   "n_tx_values": "int_list"},
-    "single_trial": {"scheme": "str"},
-    "output": {"dir": "str"},
+def _radians(deg: float | None) -> float | None:
+    # None keeps make_codebook's default beamwidth, 360/n
+    return None if deg is None else math.radians(deg)
+
+
+# field annotation -> (parser of one value, whether the value is a list)
+_PARSERS = {
+    "int": (int, False),
+    "float": (float, False),
+    "float | None": (float, False),
+    "str": (str, False),
+    "tuple[int, ...]": (int, True),
+    "tuple[float, ...]": (float, True),
 }
 
+
 def _parse_value(section: str, key: str, raw: str, kind: str):
+    parse, is_list = _PARSERS[kind]
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            value = float(raw)
-        elif kind == "int_list":
-            value = tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        elif kind == "float_list":
-            value = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        else:
-            return raw
+        values = (tuple(parse(v.strip()) for v in raw.split(",") if v.strip())
+                  if is_list else (parse(raw),))
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from exc
-    values = value if kind.endswith("_list") else (value,)
     if not values:
         raise ConfigError(f"[{section}] {key}: empty list")
-    if not all(map(math.isfinite, values)):
+    if parse is not str and not all(map(math.isfinite, values)):
         raise ConfigError(f"[{section}] {key}: {raw!r} is not finite")
-    return value
+    return values if is_list else values[0]
 
 
 def _validate(cfg: SimConfig) -> SimConfig:
@@ -304,11 +277,14 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    # every section is a SimConfig field; its keys are its class's fields
+    schema = {f.name: {k.name: k.type for k in fields(f.default_factory)}
+              for f in fields(SimConfig)}
     updates: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in schema:
             raise ConfigError(f"unknown section [{section}]")
-        known = _SCHEMA[section]
+        known = schema[section]
         for key, raw in parser.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")

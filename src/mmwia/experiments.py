@@ -158,7 +158,7 @@ def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
         geom = build_cluster(max(n_cells, 3), cfg.geometry.side_m, layout_rng)
         ue = place_ue(geom, layout_rng)
         if n_cells < 3:
-            geom = ClusterGeometry(geom.cells[:n_cells], geom.side_length)
+            geom = ClusterGeometry(geom.cells[:n_cells])
         blocking = sample_blocking(
             n_cells, cfg.channel.p_blk,
             np.random.default_rng(_trial_seed(master_seed, point, t, 1)),

@@ -47,7 +47,6 @@ class ClusterGeometry:
     """
 
     cells: np.ndarray
-    side_length: float
 
     def __post_init__(self):
         cells = np.array(self.cells, dtype=float)
@@ -55,8 +54,6 @@ class ClusterGeometry:
             raise ValueError("cells must be a non-empty (n_sc, 2) array")
         if not np.isfinite(cells).all():
             raise ValueError("coordinates must be finite")
-        if not self.side_length > 0:
-            raise ValueError("side length must be positive")
         if len(set(map(tuple, cells.tolist()))) < len(cells):
             raise ValueError("two cells coincide")
         cells.flags.writeable = False
@@ -94,7 +91,7 @@ def build_cluster(n_sc: int, d: float, layout_seed=None) -> ClusterGeometry:
         phi = rng.uniform(0.0, TWO_PI, size=k)
         cells.extend((cx + ri * math.cos(pi), cy + ri * math.sin(pi))
                      for ri, pi in zip(r.tolist(), phi.tolist()))
-    return ClusterGeometry(cells, d)
+    return ClusterGeometry(cells)
 
 
 def place_ue(geom: ClusterGeometry, placement_seed=None) -> np.ndarray:

@@ -5,8 +5,9 @@ a periodic correlation over all N lags. For a prime-length ZC sequence the
 cyclic shifts form an orthogonal family, so the autocorrelation PDP is
 N^2 at lag 0 and exactly 0 elsewhere. The same orthogonality fixes the
 distribution of a slot's PDP maximum, which ``sample_peaks`` draws
-directly; the protocol and the miss-mode calibration use it, and the
-FFT correlator ``pdp_matrix`` is the oracle it is tested against.
+directly; the protocol and the miss-mode calibration use it. The oracle
+it is tested against synthesizes slots with ``synthesize_rx``, the only
+slot builder, and correlates them with ``pdp_matrix``, the only PDP.
 """
 
 from __future__ import annotations
@@ -52,50 +53,27 @@ def generate_zc(u: int, n_zc: int) -> ZcSequence:
     return ZcSequence(u, n_zc, samples)
 
 
-@dataclass(frozen=True)
-class PdpProfile:
-    """|z_u(l)|^2 over all lags of one received preamble slot."""
-
-    values: np.ndarray
-    peak_lag: int
-    peak_value: float
-
-
-def synthesize_rx(
-    seq: ZcSequence,
-    rx_power_dbm: float,
-    noise_power_dbm: float,
-    delay_lag: int = 0,
-    seed=None,
-    noiseless: bool = False,
-) -> np.ndarray:
-    """One received preamble slot: scaled shifted sequence plus white noise.
-
-    delay_lag is the lag at which the PDP peak will appear. Noise is
-    circularly-symmetric complex Gaussian with per-sample power equal to
-    the linear noise power; ``noiseless`` drops the noise term entirely
-    (instead of a -inf dBm sentinel).
-    """
+def synthesize_rx(seq: ZcSequence, rx_power_dbm: float, noise_power_dbm: float,
+                  rng, n: int = 1, delay_lag: int = 0) -> np.ndarray:
+    """n received preamble slots, shape (n, n_zc): the scaled sequence,
+    shifted so its PDP peaks at lag ``delay_lag``, plus circularly-symmetric
+    complex Gaussian noise of the given per-sample power, drawn from ``rng``
+    as the real then the imaginary (n, n_zc) normals. Noise of -inf dBm
+    adds nothing and draws nothing (``rng`` may then be None)."""
     if not 0 <= delay_lag < seq.n_zc:
         raise ValueError("delay_lag out of range")
-    amp = math.sqrt(dbm_to_mw(rx_power_dbm))
-    y = amp * np.roll(seq.samples, -delay_lag)
-    if not noiseless:
-        rng = np.random.default_rng(seed)
-        sigma = math.sqrt(dbm_to_mw(noise_power_dbm) / 2.0)
-        y = y + sigma * (rng.standard_normal(seq.n_zc)
-                         + 1j * rng.standard_normal(seq.n_zc))
-    return y
+    x = math.sqrt(dbm_to_mw(rx_power_dbm)) * np.roll(seq.samples, -delay_lag)
+    noise_mw = dbm_to_mw(noise_power_dbm)
+    if noise_mw == 0.0:
+        return np.tile(x, (n, 1))
+    sigma = math.sqrt(noise_mw / 2.0)
+    return x + sigma * (rng.standard_normal((n, seq.n_zc))
+                        + 1j * rng.standard_normal((n, seq.n_zc)))
 
 
-def sequence_spectrum(seq: ZcSequence) -> np.ndarray:
-    """conj(FFT(x_u)), precomputed once for fast batched correlation."""
-    return np.conj(np.fft.fft(seq.samples))
-
-
-def pdp_matrix(y: np.ndarray, seq: ZcSequence,
-               spectrum: np.ndarray | None = None) -> np.ndarray:
-    """PDP values for a batch of received slots, shape (..., n_zc).
+def pdp_matrix(y: np.ndarray, seq: ZcSequence) -> np.ndarray:
+    """PDP values of received slots, shape (..., n_zc); a slot's peak lag
+    is the argmax (the lowest lag on ties).
 
     Uses the identity z(l) = FFT_l{ FFT(y) * conj(FFT(x)) } / N, which
     equals the direct periodic correlation at every lag.
@@ -103,19 +81,9 @@ def pdp_matrix(y: np.ndarray, seq: ZcSequence,
     y = np.asarray(y)
     if y.shape[-1] != seq.n_zc:
         raise ValueError("length mismatch between received slot and sequence")
-    if spectrum is None:
-        spectrum = sequence_spectrum(seq)
+    spectrum = np.conj(np.fft.fft(seq.samples))
     z = np.fft.fft(np.fft.fft(y, axis=-1) * spectrum, axis=-1) / seq.n_zc
     return np.abs(z) ** 2
-
-
-def compute_pdp(y: np.ndarray, seq: ZcSequence) -> PdpProfile:
-    """Full PDP of one received slot."""
-    values = pdp_matrix(np.asarray(y), seq)
-    if values.ndim != 1:
-        raise ValueError("compute_pdp takes a single slot; use pdp_matrix for batches")
-    peak_lag = int(np.argmax(values))  # lowest index on ties
-    return PdpProfile(values, peak_lag, float(values[peak_lag]))
 
 
 def false_alarm_threshold(p_fa: float, noise_power_dbm: float, n_zc: int) -> float:

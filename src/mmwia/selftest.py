@@ -124,7 +124,7 @@ def _check_link_budget():
     for _ in range(20):
         g = geometry.build_cluster(6, D, rng)
         ue = geometry.place_ue(g, rng)
-        blk = channel.sample_blocking(6, 0.5, rng)
+        blk = channel.sample_blocking(6, 0.5, rng, excess_mean_db=10.0)
         base, rx_gain = channel.link_budget_dbm(g, ue, blk, ue_cb, sc_cb, 23.0)
         for i, cell in enumerate(g.cells.tolist()):
             if math.dist(ue, cell) < 1.0:
@@ -144,12 +144,13 @@ def _check_link_budget():
 
 
 def _check_blocking_rate():
-    blk = channel.sample_blocking(100_000, 0.5, seed=42)
+    blk = channel.sample_blocking(100_000, 0.5, seed=42, excess_mean_db=10.0)
     frac = float(blk.blocked.mean())
     assert abs(frac - 0.5) < 0.01, f"blocked fraction {frac:.3f}"
-    again = channel.sample_blocking(100_000, 0.5, seed=42)
+    again = channel.sample_blocking(100_000, 0.5, seed=42, excess_mean_db=10.0)
     assert all(map(np.array_equal, blk, again)), "same seed must give the same states"
-    _assert_raises(ValueError, channel.sample_blocking, 10, 1.5, seed=0)
+    _assert_raises(ValueError, channel.sample_blocking, 10, 1.5, seed=0,
+                   excess_mean_db=10.0)
 
 
 ZC_CASES = ((1, 11), (1, 839), (25, 839))  # (root u, length N)
@@ -160,10 +161,10 @@ def zc_autocorrelation(u: int, n: int) -> float:
     """A ZC sequence correlated with itself peaks at N^2 at lag 0 and leaks
     nothing elsewhere; returns the largest off-peak value over the peak."""
     seq = preamble.generate_zc(u, n)
-    pdp = preamble.compute_pdp(seq.samples, seq)
-    assert pdp.peak_lag == 0
-    assert abs(pdp.peak_value - n * n) <= 1e-9 * n * n
-    leak = float(np.delete(pdp.values, 0).max()) / pdp.peak_value
+    pdp = preamble.pdp_matrix(preamble.synthesize_rx(seq, 0.0, -math.inf, None)[0], seq)
+    assert np.argmax(pdp) == 0
+    assert abs(pdp[0] - n * n) <= 1e-9 * n * n
+    leak = float(pdp[1:].max() / pdp[0])
     assert leak < 1e-9, f"off-peak leakage {leak:.1e} at (u={u}, n={n})"
     return leak
 
@@ -177,31 +178,26 @@ def _check_brute_force_pdp():
     seq = preamble.generate_zc(1, 11)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    fast = preamble.compute_pdp(y, seq).values
+    fast = preamble.pdp_matrix(y, seq)
     slow = np.array([
         abs(np.sum(y * np.conj(np.roll(seq.samples, -l)))) ** 2
         for l in range(11)
     ])
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12), \
         "FFT and O(n^2) correlators differ"
-    shifted = preamble.synthesize_rx(seq, 0.0, 0.0, delay_lag=5, noiseless=True)
-    assert preamble.compute_pdp(shifted, seq).peak_lag == 5
+    shifted = preamble.synthesize_rx(seq, 0.0, -math.inf, None, delay_lag=5)
+    assert np.argmax(preamble.pdp_matrix(shifted, seq)) == 5
 
 
 def _check_processing_gain():
     seq = preamble.generate_zc(1, 839)
     rng = np.random.default_rng(11)
-    spectrum = preamble.sequence_spectrum(seq)
-    sigma = math.sqrt(0.5)
-    peaks = np.empty(10_000)
-    floors = np.empty(10_000)
-    for start in range(0, 10_000, 2_000):
-        m = 2_000
-        noise = sigma * (rng.standard_normal((m, 839))
-                         + 1j * rng.standard_normal((m, 839)))
-        vals = preamble.pdp_matrix(seq.samples + noise, seq, spectrum)
-        peaks[start:start + m] = vals[:, 0]
-        floors[start:start + m] = np.delete(vals, 0, axis=1).mean(axis=1)
+    peaks, floors = [], []
+    for _ in range(5):
+        vals = preamble.pdp_matrix(preamble.synthesize_rx(seq, 0.0, 0.0, rng, n=2_000), seq)
+        peaks.append(vals[:, 0])
+        floors.append(vals[:, 1:].mean(axis=1))
+    peaks, floors = np.concatenate(peaks), np.concatenate(floors)
     gain_db = 10.0 * math.log10(peaks.mean() / floors.mean())
     expect = 10.0 * math.log10(839.0)
     assert abs(gain_db - expect) < 0.5, f"processing gain {gain_db:.2f} dB"
@@ -214,19 +210,13 @@ SAMPLER_GRID_DBM = (None, -140.0, -125.0, -115.0, -105.0)
 
 def fft_peaks(rx_dbm: float | None, noise_dbm: float, seq, n: int,
               rng) -> np.ndarray:
-    """Oracle: PDP maxima of n synthesized slots through the FFT correlator."""
-    batch = 2_000
-    amp = 0.0 if rx_dbm is None else math.sqrt(preamble.dbm_to_mw(rx_dbm))
-    sigma = math.sqrt(preamble.dbm_to_mw(noise_dbm) / 2.0)
-    spectrum = preamble.sequence_spectrum(seq)
-    peaks = np.empty(n)
-    for start in range(0, n, batch):
-        m = min(batch, n - start)
-        noise = sigma * (rng.standard_normal((m, seq.n_zc))
-                         + 1j * rng.standard_normal((m, seq.n_zc)))
-        vals = preamble.pdp_matrix(amp * seq.samples + noise, seq, spectrum)
-        peaks[start:start + m] = vals.max(axis=-1)
-    return peaks
+    """Oracle: PDP maxima of n synthesized slots through the FFT correlator,
+    in batches of 2000 slots (rx_dbm None: noise only)."""
+    rx_dbm = -math.inf if rx_dbm is None else rx_dbm
+    return np.concatenate([
+        preamble.pdp_matrix(preamble.synthesize_rx(
+            seq, rx_dbm, noise_dbm, rng, n=min(2_000, n - start)), seq).max(axis=-1)
+        for start in range(0, n, 2_000)])
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -96,10 +96,10 @@ def test_blocked_argmax_beam_points_at_reflector():
 def test_sample_blocking_degenerate_probabilities():
     """Every link LOS carries no penalty; every link blocked carries at least
     the NLOS floor and a reflector bearing in [0, 2*pi)."""
-    clear = sample_blocking(50, 0.0, seed=1)
+    clear = sample_blocking(50, 0.0, seed=1, excess_mean_db=10.0)
     assert not clear.blocked.any()
     assert np.array_equal(clear.penalty_db, np.zeros(50))
-    blocked = sample_blocking(50, 1.0, seed=1)
+    blocked = sample_blocking(50, 1.0, seed=1, excess_mean_db=10.0)
     assert blocked.blocked.all()
     assert (blocked.penalty_db >= NLOS_FLOOR_DB).all()
     assert ((blocked.reflector >= 0.0) & (blocked.reflector < 2 * math.pi)).all()
@@ -126,4 +126,5 @@ def test_link_budget_clamps_distance_below_one_metre():
 @pytest.mark.parametrize("p_blk", [0.0, 1.0], ids=["los", "blocked"])
 def test_link_budget_rejects_ue_on_a_cell(p_blk):
     with pytest.raises(ValueError):
-        _link_budget_at((200.0, 0.0), sample_blocking(3, p_blk, seed=0))
+        _link_budget_at((200.0, 0.0),
+                        sample_blocking(3, p_blk, seed=0, excess_mean_db=10.0))

@@ -1,9 +1,11 @@
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from mmwia.config import ConfigError, SimConfig, load_config
+from mmwia.config import _PARSERS, ConfigError, SimConfig, load_config
 from mmwia.preamble import false_alarm_threshold, miss_threshold
 
 
@@ -15,10 +17,34 @@ def test_defaults_without_file():
     assert cfg.preamble.n_zc == 839
 
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+
+
 def test_example_config_is_the_defaults():
     """The annotated schema loads, inline comments and all, to the defaults."""
-    example = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
-    assert load_config(example) == SimConfig()
+    assert load_config(EXAMPLE) == SimConfig()
+
+
+def test_every_field_type_has_a_parser():
+    """A section field of a new type fails here, not at the first file
+    that sets it."""
+    for section in fields(SimConfig):
+        for f in fields(section.default_factory):
+            assert f.type in _PARSERS, (section.name, f.name, f.type)
+
+
+def test_example_config_lists_every_key():
+    """Each section of the example names every key of its dataclass, set
+    or commented out, and no other."""
+    listed: dict[str, set] = {}
+    section = None
+    for line in EXAMPLE.read_text().splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = listed.setdefault(m[1], set())
+        elif section is not None and (m := re.match(r"#?\s*(\w+)\s*=", line)):
+            section.add(m[1])
+    assert listed == {s.name: {f.name for f in fields(s.default_factory)}
+                      for s in fields(SimConfig)}
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -163,7 +189,7 @@ def test_cluster_grid_needs_baseline_and_distinct_sizes(tmp_path, grid, match):
 def test_beamwidth_defaults_track_codebook_size():
     cfg = SimConfig()
     assert cfg.ue_codebook().pattern.phi_3db == pytest.approx(2 * math.pi / cfg.antenna.n_tx)
-    assert cfg.antenna.sc_phi_3db() == pytest.approx(2 * math.pi / cfg.antenna.n_rx)
+    assert cfg.sc_codebook().pattern.phi_3db == pytest.approx(2 * math.pi / cfg.antenna.n_rx)
 
 
 def test_reference_budget_uses_fixed_gains():

@@ -377,7 +377,7 @@ def test_extra_cell_next_to_a_base_cell():
         base = geom0.cells[rng.integers(3)]
         r, phi = 10.0 ** rng.uniform(-9.0, 0.0), rng.uniform(0.0, 2 * math.pi)
         extra = (base[0] + r * math.cos(phi), base[1] + r * math.sin(phi))
-        geom = ClusterGeometry(np.vstack([geom0.cells, extra]), D)
+        geom = ClusterGeometry(np.vstack([geom0.cells, extra]))
         peaks = _noiseless_peaks(geom, ue, ue_cb)
         peaks[:, 3] *= 0.5 if k % 2 else 1.0
         try:

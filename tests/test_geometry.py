@@ -43,16 +43,15 @@ def test_bad_arguments_rejected():
         build_cluster(3, -5.0)
 
 
-@pytest.mark.parametrize("cells,side", [
-    ([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]], D),  # two cells coincide
-    ([[0.0, 0.0], [math.nan, 1.0]], D),
-    ([[0.0, 0.0, 0.0]], D),  # not (n_sc, 2)
-    (np.zeros((0, 2)), D),
-    ([[0.0, 0.0]], 0.0),
-], ids=["coincident", "nan", "shape", "empty", "side"])
-def test_invalid_layout_rejected(cells, side):
+@pytest.mark.parametrize("cells", [
+    [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]],  # two cells coincide
+    [[0.0, 0.0], [math.nan, 1.0]],
+    [[0.0, 0.0, 0.0]],  # not (n_sc, 2)
+    np.zeros((0, 2)),
+], ids=["coincident", "nan", "shape", "empty"])
+def test_invalid_layout_rejected(cells):
     with pytest.raises(ValueError):
-        ClusterGeometry(cells, side)
+        ClusterGeometry(cells)
 
 
 def test_cells_are_read_only():

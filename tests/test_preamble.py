@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwia.preamble import (
-    compute_pdp,
     dbm_to_mw,
     false_alarm_threshold,
     generate_zc,
     is_prime,
     pdp_matrix,
     sample_peaks,
-    sequence_spectrum,
     synthesize_rx,
 )
 from mmwia.selftest import (
@@ -60,43 +58,53 @@ def test_zc_ideal_autocorrelation(u, n):
 @settings(max_examples=20, deadline=None)
 def test_shift_theorem(delay):
     seq = generate_zc(1, 839)
-    y = synthesize_rx(seq, 0.0, 0.0, delay_lag=delay, noiseless=True)
-    pdp = compute_pdp(y, seq)
-    assert pdp.peak_lag == delay
+    y = synthesize_rx(seq, 0.0, -math.inf, None, delay_lag=delay)
+    assert np.argmax(pdp_matrix(y, seq)) == delay
 
 
 def test_synthesize_noiseless_is_pure_scaled_shift():
     seq = generate_zc(1, 11)
-    y = synthesize_rx(seq, 20.0, -100.0, delay_lag=3, noiseless=True)
+    y = synthesize_rx(seq, 20.0, -math.inf, None, delay_lag=3)
     expect = math.sqrt(dbm_to_mw(20.0)) * np.roll(seq.samples, -3)
-    assert y == pytest.approx(expect)
+    assert y.shape == (1, 11)
+    assert y[0] == pytest.approx(expect)
+
+
+def test_synthesize_noiseless_batch_draws_nothing():
+    seq = generate_zc(1, 11)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    y = synthesize_rx(seq, -3.0, -math.inf, rng, n=3, delay_lag=4)
+    expect = math.sqrt(dbm_to_mw(-3.0)) * np.roll(seq.samples, -4)
+    assert y.shape == (3, 11)
+    assert np.array_equal(y, np.tile(expect, (3, 1)))
+    assert rng.bit_generator.state == state
 
 
 def test_synthesize_deterministic_per_seed():
     seq = generate_zc(1, 839)
-    a = synthesize_rx(seq, -100.0, -110.0, seed=77)
-    b = synthesize_rx(seq, -100.0, -110.0, seed=77)
+    a = synthesize_rx(seq, -100.0, -110.0, np.random.default_rng(77))
+    b = synthesize_rx(seq, -100.0, -110.0, np.random.default_rng(77))
     assert np.array_equal(a, b)
-    c = synthesize_rx(seq, -100.0, -110.0, seed=78)
+    c = synthesize_rx(seq, -100.0, -110.0, np.random.default_rng(78))
     assert not np.array_equal(a, c)
 
 
 def test_synthesize_rejects_bad_lag():
     seq = generate_zc(1, 11)
     with pytest.raises(ValueError):
-        synthesize_rx(seq, 0.0, 0.0, delay_lag=11)
+        synthesize_rx(seq, 0.0, 0.0, None, delay_lag=11)
 
 
 def test_zero_input_gives_zero_pdp():
     seq = generate_zc(1, 11)
-    pdp = compute_pdp(np.zeros(11, dtype=complex), seq)
-    assert pdp.values == pytest.approx(np.zeros(11))
+    assert pdp_matrix(np.zeros(11, dtype=complex), seq) == pytest.approx(np.zeros(11))
 
 
 def test_pdp_length_mismatch():
     seq = generate_zc(1, 11)
     with pytest.raises(ValueError):
-        compute_pdp(np.zeros(12, dtype=complex), seq)
+        pdp_matrix(np.zeros(12, dtype=complex), seq)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -105,7 +113,7 @@ def test_parseval_identity(seed):
     seq = generate_zc(1, 839)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(839) + 1j * rng.standard_normal(839)
-    values = compute_pdp(y, seq).values
+    values = pdp_matrix(y, seq)
     assert np.sum(values) == pytest.approx(839.0 * np.sum(np.abs(y) ** 2), rel=1e-6)
 
 
@@ -135,16 +143,11 @@ def test_miss_threshold_self_consistent():
 
 def test_detection_monotone_in_power():
     seq = generate_zc(1, 839)
-    spectrum = sequence_spectrum(seq)
     gamma = false_alarm_threshold(0.01, 0.0, 839)
     rng = np.random.default_rng(8)
-    sigma = math.sqrt(0.5)
     rates = []
     for rx_db in (-32.0, -26.0, -20.0):
-        amp = math.sqrt(dbm_to_mw(rx_db))
-        noise = sigma * (rng.standard_normal((2000, 839))
-                         + 1j * rng.standard_normal((2000, 839)))
-        vals = pdp_matrix(amp * seq.samples + noise, seq, spectrum)
+        vals = pdp_matrix(synthesize_rx(seq, rx_db, 0.0, rng, n=2000), seq)
         rates.append(float(np.mean(vals.max(axis=-1) > gamma)))
     assert rates[0] <= rates[1] + 0.02 <= rates[2] + 0.04
 
@@ -154,8 +157,8 @@ def test_sample_peaks_noiseless_is_exact():
     peaks = sample_peaks(rx_mw, 0.0, 839, np.random.default_rng(0))
     assert np.array_equal(peaks, rx_mw * 839.0 ** 2)
     seq = generate_zc(1, 839)
-    y = synthesize_rx(seq, -100.0, 0.0, noiseless=True)
-    assert compute_pdp(y, seq).peak_value == pytest.approx(
+    y = synthesize_rx(seq, -100.0, -math.inf, None)
+    assert pdp_matrix(y, seq).max() == pytest.approx(
         dbm_to_mw(-100.0) * 839.0 ** 2, rel=1e-9)
 
 

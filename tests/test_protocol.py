@@ -28,7 +28,7 @@ def _setup(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0),
            noiseless=False, blocking=None, n_sc=3, latency=0.0):
     geom = build_cluster(n_sc if n_sc >= 3 else 3, D, layout_seed=1)
     if n_sc < 3:
-        geom = ClusterGeometry(geom.cells[:n_sc], D)
+        geom = ClusterGeometry(geom.cells[:n_sc])
     params = CFG.link_params(p_ue)
     if noiseless:
         # zero noise power: the peak sampler returns the exact N^2 * power
@@ -158,7 +158,7 @@ def test_blocked_links_degrade_but_stay_bounded():
 
 def test_blocking_needs_one_state_per_cell():
     with pytest.raises(ValueError, match="per cell"):
-        _setup(blocking=sample_blocking(4, 0.5, seed=2))
+        _setup(blocking=sample_blocking(4, 0.5, seed=2, excess_mean_db=10.0))
 
 
 def test_backhaul_latency_defers_reordering():
