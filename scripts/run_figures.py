@@ -1,23 +1,21 @@
 #!/usr/bin/env python3
 """Regenerate every headline experiment (CSV + SVG) with one command.
 
-Runs the four campaigns with the packaged defaults. Pass --quick for a
-fast smoke pass (reduced trials), --out / --seed / --config as with the
-CLI. Measured on one core of a 2-vCPU x86-64 cloud host with numpy
-2.4.6: the full defaults take about 57 s, 38 s of them in p-los;
---quick takes about 4.5 s.
+Runs every campaign command of the CLI (`mmwia.cli.CAMPAIGNS`) with the
+packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
+--out / --seed / --config as with the CLI. Measured on one core of a 2-vCPU x86-64 cloud host with numpy
+2.4.6: the full defaults take about 56 s, 36 s of them in p-los;
+--quick takes about 4.4 s.
 """
 
 import argparse
 import sys
 import time
 
-from mmwia.cli import main as cli_main
+from mmwia.cli import CAMPAIGNS, main as cli_main
 
-CAMPAIGNS = ("p-los", "reduction-power", "reduction-pmiss", "time-cluster")
-
-QUICK_TRIALS = {"p-los": "400", "reduction-power": "200",
-                "reduction-pmiss": "200", "time-cluster": "200"}
+# --quick trial count per [experiment] trial-count field
+QUICK_TRIALS = {"p_los_trials": "400", "trials": "200"}
 
 
 def main(argv=None) -> int:
@@ -35,7 +33,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cli_args += ["--seed", str(args.seed)]
         if args.quick:
-            cli_args += ["--trials", QUICK_TRIALS[command]]
+            cli_args += ["--trials",
+                         QUICK_TRIALS[CAMPAIGNS[command].trials_field]]
         t0 = time.perf_counter()
         rc = cli_main(cli_args)
         print(f"{command}: exit {rc} in {time.perf_counter() - t0:.0f}s")

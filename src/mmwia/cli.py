@@ -2,7 +2,10 @@
 
 Usage: mmwia <command> --config <path> [--seed N] [--out DIR] [--trials N]
 Commands: p-los, reduction-power, reduction-pmiss, time-cluster,
-single-trial, selftest. Environment overrides: SIM_SEED, SIM_OUT.
+single-trial, selftest. Each campaign command writes <name>.csv and .svg;
+without --trials it runs [experiment] p_los_trials (p-los) or trials
+(the others) per grid point. single-trial prints trial 0 of grid point 0,
+drawn as the campaigns draw it. Environment overrides: SIM_SEED, SIM_OUT.
 --trials must be at least 1; --seed and SIM_SEED must be non-negative
 integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
@@ -15,27 +18,48 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-import numpy as np
-
-from .channel import noise_power, sample_blocking
 from .config import ConfigError, SimConfig, load_config
 from .experiments import (
-    ExperimentSpec,
     ResultTable,
+    point_threshold,
     run_p_los,
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
-    setup_builder,
+    trial_setups,
 )
-from .geometry import build_cluster, place_ue
 from .protocol import run_coordinated, run_exhaustive
 from .selftest import run_selftest
 from .svgplot import line_plot
 
-COMMANDS = ("p-los", "reduction-power", "reduction-pmiss", "time-cluster",
-            "single-trial", "selftest")
+
+class Campaign(NamedTuple):
+    runner: str        # name of its run_* function here, looked up per run
+    trials_field: str  # [experiment] field with its default trial count
+    title: str
+    plot: tuple        # x, y and series (or None) columns; x and y labels
+
+
+CAMPAIGNS = {
+    "p-los": Campaign(
+        "run_p_los", "p_los_trials", "LOS selection probability",
+        ("n_sc", "p_los", "p_blk", "cluster size", "P(top-3 all LOS)")),
+    "reduction-power": Campaign(
+        "run_reduction_vs_power", "trials", "IA time reduction vs UE power",
+        ("p_ue_dbm", "p_er_pct", "n_tx", "UE Tx power (dBm)", "IA time change (%)")),
+    "reduction-pmiss": Campaign(
+        "run_reduction_vs_pmiss", "trials",
+        "IA time reduction vs target miss probability",
+        ("p_miss", "p_er_pct", "n_tx", "target miss probability",
+         "IA time change (%)")),
+    "time-cluster": Campaign(
+        "run_time_vs_cluster", "trials", "Normalized IA time vs cluster size",
+        ("n_sc", "norm_ia_time", None, "cluster size", "normalized IA time")),
+}
+
+COMMANDS = (*CAMPAIGNS, "single-trial", "selftest")
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_EXPERIMENT = 0, 1, 2, 3
 
@@ -74,38 +98,21 @@ def _build_parser() -> _Parser:
 
 def _series_by_group(table: ResultTable, x_col: str, y_col: str,
                      group_col: str | None):
-    if group_col is None:
-        return [("all", table.column(x_col), table.column(y_col))]
-    out = []
-    seen = []
-    groups = table.column(group_col)
     xs, ys = table.column(x_col), table.column(y_col)
-    for g in groups:
-        if g not in seen:
-            seen.append(g)
-    for g in seen:
-        sel = [i for i, gi in enumerate(groups) if gi == g]
-        out.append((f"{group_col}={g}", [xs[i] for i in sel], [ys[i] for i in sel]))
-    return out
+    if group_col is None:
+        return [("all", xs, ys)]
+    groups = table.column(group_col)
+    return [(f"{group_col}={g}", [x for x, gi in zip(xs, groups) if gi == g],
+             [y for y, gi in zip(ys, groups) if gi == g])
+            for g in dict.fromkeys(groups)]
 
 
-_PLOTS = {
-    "p_los": ("n_sc", "p_los", "p_blk", "cluster size", "P(top-3 all LOS)"),
-    "reduction_power": ("p_ue_dbm", "p_er_pct", "n_tx",
-                        "UE Tx power (dBm)", "IA time change (%)"),
-    "reduction_pmiss": ("p_miss", "p_er_pct", "n_tx",
-                        "target miss probability", "IA time change (%)"),
-    "time_cluster": ("n_sc", "norm_ia_time", None,
-                     "cluster size", "normalized IA time"),
-}
-
-
-def _emit(table: ResultTable, out_dir: Path, title: str) -> None:
+def _emit(table: ResultTable, out_dir: Path, campaign: Campaign) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{table.name}.csv"
     table.write_csv(csv_path)
-    x_col, y_col, group, xlabel, ylabel = _PLOTS[table.name]
-    svg = line_plot(title, xlabel, ylabel,
+    x_col, y_col, group, xlabel, ylabel = campaign.plot
+    svg = line_plot(campaign.title, xlabel, ylabel,
                     _series_by_group(table, x_col, y_col, group))
     stamp = f"<!-- config={table.config_hash} seed={table.master_seed} -->\n"
     (out_dir / f"{table.name}.svg").write_text(stamp + svg)
@@ -113,19 +120,14 @@ def _emit(table: ResultTable, out_dir: Path, title: str) -> None:
 
 
 def _single_trial(cfg: SimConfig, seed: int) -> None:
-    geom = build_cluster(cfg.geometry.n_sc, cfg.geometry.side_m,
-                         np.random.default_rng((seed, 0)))
-    ue = place_ue(geom, np.random.default_rng((seed, 1)))
-    blocking = sample_blocking(geom.n_sc, cfg.channel.p_blk,
-                               np.random.default_rng((seed, 2)),
-                               excess_mean_db=cfg.channel.nlos_excess_mean_db)
-    gamma = cfg.threshold(noise_power(cfg.link_params()), cfg.sequence(),
-                          seed=(seed, 3))
-    setup = setup_builder(cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma)(
-        geom=geom, ue=ue, blocking=blocking)
+    """Trial 0 of grid point 0, drawn and seeded as the campaigns draw it."""
+    gamma = point_threshold(cfg, seed, 0)
+    setup, protocol_seed = next(trial_setups(
+        cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, 1, seed, 0))
     runner = (run_coordinated if cfg.single_trial.scheme == "coordinated"
               else run_exhaustive)
-    out = runner(setup, np.random.default_rng((seed, 4)))
+    out = runner(setup, protocol_seed)
+    ue = setup.ue
     print(f"scheme:         {out.scheme}")
     print(f"success:        {out.success}")
     print(f"rounds:         {out.rounds}")
@@ -175,27 +177,10 @@ def main(argv=None) -> int:
         if args.command == "single-trial":
             _single_trial(cfg, seed)
             return EXIT_OK
-
-        trials = args.trials
-        if args.command == "p-los":
-            spec = ExperimentSpec("p_los", cfg,
-                                  trials or cfg.experiment.p_los_trials, seed)
-            _emit(run_p_los(spec), out_dir, "LOS selection probability")
-        elif args.command == "reduction-power":
-            spec = ExperimentSpec("reduction_power", cfg,
-                                  trials or cfg.experiment.trials, seed)
-            _emit(run_reduction_vs_power(spec), out_dir,
-                  "IA time reduction vs UE power")
-        elif args.command == "reduction-pmiss":
-            spec = ExperimentSpec("reduction_pmiss", cfg,
-                                  trials or cfg.experiment.trials, seed)
-            _emit(run_reduction_vs_pmiss(spec), out_dir,
-                  "IA time reduction vs target miss probability")
-        elif args.command == "time-cluster":
-            spec = ExperimentSpec("time_cluster", cfg,
-                                  trials or cfg.experiment.trials, seed)
-            _emit(run_time_vs_cluster(spec), out_dir,
-                  "Normalized IA time vs cluster size")
+        campaign = CAMPAIGNS[args.command]
+        trials = args.trials or getattr(cfg.experiment, campaign.trials_field)
+        table = globals()[campaign.runner](cfg, trials, seed)
+        _emit(table, out_dir, campaign)
     except Exception as exc:  # experiment-level failure -> exit 3
         print(f"experiment error: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT

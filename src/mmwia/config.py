@@ -70,11 +70,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class EstimationConfig:
-    grid_resolution_m: float = 1.0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     trials: int = 2000
     master_seed: int = 1
@@ -105,7 +100,6 @@ class SimConfig:
     preamble: PreambleConfig = field(default_factory=PreambleConfig)
     detection: DetectionSettings = field(default_factory=DetectionSettings)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
-    estimation: EstimationConfig = field(default_factory=EstimationConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     single_trial: SingleTrialConfig = field(default_factory=SingleTrialConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -233,8 +227,6 @@ def _validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("[protocol] t_ra_s: must be positive")
     if cfg.protocol.backhaul_latency_s < 0:
         raise ConfigError("[protocol] backhaul_latency_s: must be >= 0")
-    if cfg.estimation.grid_resolution_m <= 0:
-        raise ConfigError("[estimation] grid_resolution_m: must be positive")
     exp = cfg.experiment
     if exp.trials < 1 or exp.p_los_trials < 1:
         raise ConfigError("[experiment] trial counts must be >= 1")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace, field
-from functools import partial
 
 import numpy as np
 
@@ -18,16 +17,6 @@ from .channel import link_budget_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .geometry import ClusterGeometry, build_cluster, place_ue
 from .protocol import TrialSetup, ia_time_reduction, run_coordinated, run_exhaustive
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One named campaign: a sweep grid over a fixed base configuration."""
-
-    name: str
-    config: SimConfig
-    trials: int
-    master_seed: int
 
 
 @dataclass
@@ -89,7 +78,7 @@ def _ratio_delta_se(x: np.ndarray, y: np.ndarray) -> float:
 # Fig. 7: probability that the three selected cells are all line-of-sight
 # ---------------------------------------------------------------------------
 
-def run_p_los(spec: ExperimentSpec) -> ResultTable:
+def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     """LOS-selection probability over (cluster size, blocking probability).
 
     Per trial: build the cluster, place the UE, draw blocking, take the
@@ -98,10 +87,9 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
     peak of a cell is N^2 times its received power, so ranking received
     powers ranks the peaks.
     """
-    cfg = spec.config
     table = ResultTable(
-        spec.name, ("n_sc", "p_blk", "p_los", "stderr", "trials"),
-        config_hash=cfg.config_hash(), master_seed=spec.master_seed)
+        "p_los", ("n_sc", "p_blk", "p_los", "stderr", "trials"),
+        config_hash=cfg.config_hash(), master_seed=master_seed)
     ue_cb = cfg.ue_codebook()
     sc_cb = cfg.sc_codebook()
 
@@ -109,8 +97,8 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
             for p in cfg.experiment.p_los_p_blk]
     for point, (n_sc, p_blk) in enumerate(grid):
         wins = 0
-        for t in range(spec.trials):
-            rng = np.random.default_rng(_trial_seed(spec.master_seed, point, t, 0))
+        for t in range(trials):
+            rng = np.random.default_rng(_trial_seed(master_seed, point, t, 0))
             geom = build_cluster(n_sc, cfg.geometry.side_m, rng)
             ue = place_ue(geom, rng)
             blocking = sample_blocking(
@@ -122,9 +110,9 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
             top3 = np.argsort(-rx_dbm, kind="stable")[:3]
             if not blocking.blocked[top3].any():
                 wins += 1
-        p_hat = wins / spec.trials
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.trials)
-        table.add(n_sc, p_blk, p_hat, se, spec.trials)
+        p_hat = wins / trials
+        se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+        table.add(n_sc, p_blk, p_hat, se, trials)
     return table
 
 
@@ -132,26 +120,16 @@ def run_p_los(spec: ExperimentSpec) -> ResultTable:
 # Paired protocol trials (Figs. 9-11)
 # ---------------------------------------------------------------------------
 
-def setup_builder(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float):
-    """TrialSetup constructor with every field that comes from the config
-    filled in; call it with a trial's ``geom``, ``ue`` and ``blocking``."""
-    return partial(
-        TrialSetup, ue_codebook=cfg.ue_codebook(n_tx), sc_codebook=cfg.sc_codebook(),
-        link_params=cfg.link_params(p_ue_dbm), n_zc=cfg.preamble.n_zc,
-        gamma_ra=gamma, t_ra_s=cfg.protocol.t_ra_s,
-        backhaul_latency_s=cfg.protocol.backhaul_latency_s,
-        grid_resolution_m=cfg.estimation.grid_resolution_m)
-
-
-def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
-                  trials: int, master_seed: int, point: int,
-                  n_sc: int | None = None):
+def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
+                 trials: int, master_seed: int, point: int,
+                 n_sc: int | None = None):
     """(setup, protocol seed) of every trial at one grid point.
 
     Each scheme seeds its own generator from the protocol seed, so a
     scheme's IA times do not depend on which other schemes run.
     """
-    make_setup = setup_builder(cfg, n_tx, p_ue_dbm, gamma)
+    ue_cb, sc_cb = cfg.ue_codebook(n_tx), cfg.sc_codebook()
+    params = cfg.link_params(p_ue_dbm)
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
     for t in range(trials):
         layout_rng = np.random.default_rng(_trial_seed(master_seed, point, t, 0))
@@ -163,8 +141,10 @@ def _trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
             n_cells, cfg.channel.p_blk,
             np.random.default_rng(_trial_seed(master_seed, point, t, 1)),
             excess_mean_db=cfg.channel.nlos_excess_mean_db)
-        yield (make_setup(geom=geom, ue=ue, blocking=blocking),
-               _trial_seed(master_seed, point, t, 2))
+        setup = TrialSetup(geom, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
+                           blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
+                           backhaul_latency_s=cfg.protocol.backhaul_latency_s)
+        yield setup, _trial_seed(master_seed, point, t, 2)
 
 
 def _ia_times(runner, setups) -> np.ndarray:
@@ -176,16 +156,17 @@ def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int):
     """(p_er_pct, stderr_pct, coordinated mean, exhaustive mean) IA times
     over paired trial seeds."""
-    setups = list(_trial_setups(cfg, n_tx, p_ue_dbm, gamma, trials,
-                                master_seed, point))
+    setups = list(trial_setups(cfg, n_tx, p_ue_dbm, gamma, trials,
+                               master_seed, point))
     exh = _ia_times(run_exhaustive, setups)
     coord = _ia_times(run_coordinated, setups)
     mc, me = float(np.mean(coord)), float(np.mean(exh))
     return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
 
 
-def _point_threshold(cfg: SimConfig, master_seed: int, point: int,
-                     target: float | None = None) -> float:
+def point_threshold(cfg: SimConfig, master_seed: int, point: int,
+                    target: float | None = None) -> float:
+    """gamma_ra calibrated on grid point ``point``'s own seed."""
     seq = cfg.sequence()
     noise_dbm = noise_power(cfg.link_params())
     return cfg.threshold(noise_dbm, seq,
@@ -193,50 +174,50 @@ def _point_threshold(cfg: SimConfig, master_seed: int, point: int,
                          target=target)
 
 
-def run_reduction_vs_power(spec: ExperimentSpec) -> ResultTable:
+def _reduction(name: str, x_col: str, xs, point_setting, cfg: SimConfig,
+               trials: int, master_seed: int) -> ResultTable:
+    """Paired reduction over ``xs`` × ``n_tx_values``; ``point_setting(point,
+    x)`` gives the grid point's (UE power, threshold)."""
+    table = ResultTable(
+        name,
+        (x_col, "n_tx", "p_er_pct", "stderr_pct",
+         "coord_ia_time_s", "exh_ia_time_s", "trials"),
+        config_hash=cfg.config_hash(), master_seed=master_seed)
+    grid = [(x, n) for n in cfg.experiment.n_tx_values for x in xs]
+    for point, (x, n_tx) in enumerate(grid):
+        p_ue, gamma = point_setting(point, x)
+        table.add(x, n_tx, *_paired_point(cfg, n_tx, p_ue, gamma, trials,
+                                          master_seed, point), trials)
+    return table
+
+
+def run_reduction_vs_power(cfg: SimConfig, trials: int,
+                           master_seed: int) -> ResultTable:
     """Mean IA-time reduction (signed percent) across a UE power sweep.
 
     The detection threshold is calibrated once from the base config (a
     receiver property) and held fixed while the transmit power sweeps.
     """
-    cfg = spec.config
-    table = ResultTable(
-        spec.name,
-        ("p_ue_dbm", "n_tx", "p_er_pct", "stderr_pct",
-         "coord_ia_time_s", "exh_ia_time_s", "trials"),
-        config_hash=cfg.config_hash(), master_seed=spec.master_seed)
-    gamma = _point_threshold(cfg, spec.master_seed, 0)
-    grid = [(p, n) for n in cfg.experiment.n_tx_values
-            for p in cfg.experiment.power_grid_dbm]
-    for point, (p_ue, n_tx) in enumerate(grid):
-        table.add(p_ue, n_tx, *_paired_point(cfg, n_tx, p_ue, gamma, spec.trials,
-                                             spec.master_seed, point),
-                  spec.trials)
-    return table
+    gamma = point_threshold(cfg, master_seed, 0)
+    return _reduction("reduction_power", "p_ue_dbm", cfg.experiment.power_grid_dbm,
+                      lambda point, p_ue: (p_ue, gamma), cfg, trials, master_seed)
 
 
-def run_reduction_vs_pmiss(spec: ExperimentSpec) -> ResultTable:
-    """Mean IA-time reduction across miss-detection targets (miss-mode γ)."""
-    cfg = spec.config
+def run_reduction_vs_pmiss(cfg: SimConfig, trials: int,
+                           master_seed: int) -> ResultTable:
+    """Mean IA-time reduction across miss-detection targets (miss-mode γ),
+    calibrated per grid point."""
     if cfg.detection.mode != "miss":
         cfg = replace(cfg, detection=replace(cfg.detection, mode="miss"))
-    table = ResultTable(
-        spec.name,
-        ("p_miss", "n_tx", "p_er_pct", "stderr_pct",
-         "coord_ia_time_s", "exh_ia_time_s", "trials"),
-        config_hash=cfg.config_hash(), master_seed=spec.master_seed)
-    grid = [(pm, n) for n in cfg.experiment.n_tx_values
-            for pm in cfg.experiment.pmiss_grid]
-    for point, (p_miss, n_tx) in enumerate(grid):
-        gamma = _point_threshold(cfg, spec.master_seed, point, target=p_miss)
-        table.add(p_miss, n_tx, *_paired_point(cfg, n_tx, cfg.channel.p_ue_dbm,
-                                               gamma, spec.trials,
-                                               spec.master_seed, point),
-                  spec.trials)
-    return table
+    return _reduction(
+        "reduction_pmiss", "p_miss", cfg.experiment.pmiss_grid,
+        lambda point, p_miss: (cfg.channel.p_ue_dbm, point_threshold(
+            cfg, master_seed, point, target=p_miss)),
+        cfg, trials, master_seed)
 
 
-def run_time_vs_cluster(spec: ExperimentSpec) -> ResultTable:
+def run_time_vs_cluster(cfg: SimConfig, trials: int,
+                        master_seed: int) -> ResultTable:
     """Mean IA time per cluster size, normalized by the single-cell baseline.
 
     Size 1 runs the exhaustive search against the first triangle vertex;
@@ -244,12 +225,11 @@ def run_time_vs_cluster(spec: ExperimentSpec) -> ResultTable:
     three cells). Each size runs only the scheme its row reports. The UE
     placement distribution is identical throughout.
     """
-    cfg = spec.config
     table = ResultTable(
-        spec.name,
+        "time_cluster",
         ("n_sc", "norm_ia_time", "stderr", "mean_ia_time_s", "trials"),
-        config_hash=cfg.config_hash(), master_seed=spec.master_seed)
-    gamma = _point_threshold(cfg, spec.master_seed, 0)
+        config_hash=cfg.config_hash(), master_seed=master_seed)
+    gamma = point_threshold(cfg, master_seed, 0)
     sizes = cfg.experiment.cluster_grid
     if 1 not in sizes or len(set(sizes)) != len(sizes):
         raise ValueError("cluster grid must include the single-cell baseline "
@@ -258,9 +238,9 @@ def run_time_vs_cluster(spec: ExperimentSpec) -> ResultTable:
     results = {}
     for point, n_sc in enumerate(sizes):
         runner = run_exhaustive if n_sc == 1 else run_coordinated
-        results[n_sc] = _ia_times(runner, _trial_setups(
-            cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, spec.trials,
-            spec.master_seed, point, n_sc=n_sc))
+        results[n_sc] = _ia_times(runner, trial_setups(
+            cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, trials,
+            master_seed, point, n_sc=n_sc))
 
     base = results[1]
     base_mean, base_se = _mean_se(base)
@@ -271,5 +251,5 @@ def run_time_vs_cluster(spec: ExperimentSpec) -> ResultTable:
             nse = 0.0  # normalization identity
         else:
             nse = norm * math.sqrt((se / mean) ** 2 + (base_se / base_mean) ** 2)
-        table.add(n_sc, norm, nse, mean, spec.trials)
+        table.add(n_sc, norm, nse, mean, trials)
     return table

@@ -65,7 +65,6 @@ class TrialSetup:
     blocking: Blocking | None = None  # None: every link LOS
     t_ra_s: float = 1e-3
     backhaul_latency_s: float = 0.0
-    grid_resolution_m: float = 1.0
 
     def __post_init__(self):
         if self.blocking is not None and len(self.blocking.blocked) != self.geom.n_sc:
@@ -176,8 +175,7 @@ def run_coordinated(setup: TrialSetup, seed=None) -> IaTrialOutcome:
     try:
         if n_sc > 3:
             band = setup.ue_codebook.pattern.phi_ml
-            estimate = refine_location(peaks, setup.geom, band,
-                                       setup.grid_resolution_m)
+            estimate = refine_location(peaks, setup.geom, band)
         else:
             estimate, _, _ = estimate_point(peaks, setup.geom)
     except EstimationError:

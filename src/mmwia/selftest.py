@@ -493,8 +493,9 @@ CHECKS = [
 ]
 
 
-def run_selftest(verbose: bool = True) -> bool:
-    """Run every oracle check; returns True when all pass."""
+def run_selftest() -> bool:
+    """Run every oracle check, printing one line each; returns True when
+    all pass."""
     all_ok = True
     for name, fn in CHECKS:
         try:
@@ -503,8 +504,6 @@ def run_selftest(verbose: bool = True) -> bool:
         except Exception:
             status = "FAIL"
             all_ok = False
-            if verbose:
-                traceback.print_exc()
-        if verbose:
-            print(f"[{status}] {name}")
+            traceback.print_exc()
+        print(f"[{status}] {name}")
     return all_ok

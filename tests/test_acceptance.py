@@ -18,7 +18,6 @@ from mmwia.antenna import make_codebook
 from mmwia.config import SimConfig
 from mmwia.estimation import area_members
 from mmwia.experiments import (
-    ExperimentSpec,
     run_p_los,
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
@@ -45,7 +44,7 @@ def test_criterion_1_p_los_small_blocking():
     """P_blk=0.1, N_sc=12, 1e4 trials: P_LOS >= 0.88 in under a minute."""
     t0 = time.perf_counter()
     cfg = _exp(SimConfig(), p_los_cluster_sizes=(12,), p_los_p_blk=(0.1,))
-    table = run_p_los(ExperimentSpec("p_los", cfg, 10_000, SEED))
+    table = run_p_los(cfg, 10_000, SEED)
     p_los = table.rows[0][2]
     elapsed = time.perf_counter() - t0
     _verdict(p_los >= 0.88 and elapsed < 60.0,
@@ -57,7 +56,7 @@ def test_criterion_2_p_los_heavy_blocking():
     """P_blk=0.5, N_sc=22, 1e4 trials: P_LOS >= 0.65 in under a minute."""
     t0 = time.perf_counter()
     cfg = _exp(SimConfig(), p_los_cluster_sizes=(22,), p_los_p_blk=(0.5,))
-    table = run_p_los(ExperimentSpec("p_los", cfg, 10_000, SEED))
+    table = run_p_los(cfg, 10_000, SEED)
     p_los = table.rows[0][2]
     elapsed = time.perf_counter() - t0
     _verdict(p_los >= 0.65 and elapsed < 60.0,
@@ -70,8 +69,7 @@ def test_criterion_3_reduction_at_one_percent_miss():
     published bands and ordered (4-beam reduction exceeds 8-beam)."""
     t0 = time.perf_counter()
     cfg = _exp(SimConfig(), pmiss_grid=(0.01,), n_tx_values=(4, 8))
-    table = run_reduction_vs_pmiss(ExperimentSpec("reduction_pmiss", cfg,
-                                                  2000, SEED))
+    table = run_reduction_vs_pmiss(cfg, 2000, SEED)
     by_ntx = {row[1]: -row[2] for row in table.rows}  # reduction magnitudes
     elapsed = time.perf_counter() - t0
     ok = (12.0 <= by_ntx[4] <= 32.0 and 8.0 <= by_ntx[8] <= 28.0
@@ -88,8 +86,7 @@ def test_criterion_4_power_trend():
     t0 = time.perf_counter()
     cfg = _exp(SimConfig(), n_tx_values=(8,))
     assert max(cfg.experiment.power_grid_dbm) - min(cfg.experiment.power_grid_dbm) >= 20.0
-    table = run_reduction_vs_power(ExperimentSpec("reduction_power", cfg,
-                                                  1500, SEED))
+    table = run_reduction_vs_power(cfg, 1500, SEED)
     rows = sorted(table.rows, key=lambda r: r[0])
     times = [r[4] for r in rows]
     p_er = [r[2] for r in rows]
@@ -112,7 +109,7 @@ def test_criterion_5_cluster_size_shape():
     """Normalized IA time: N_sc=3 < 0.8x baseline, non-increasing to N_sc=7."""
     t0 = time.perf_counter()
     cfg = _exp(SimConfig(), cluster_grid=(1, 3, 5, 7))
-    table = run_time_vs_cluster(ExperimentSpec("time_cluster", cfg, 1500, SEED))
+    table = run_time_vs_cluster(cfg, 1500, SEED)
     rows = {r[0]: r for r in table.rows}
     norm = {n: rows[n][1] for n in (1, 3, 5, 7)}
     se = {n: rows[n][2] for n in (1, 3, 5, 7)}
@@ -198,19 +195,19 @@ def test_criterion_6e_paired_dominance():
 def test_criterion_6f_byte_identical_reruns():
     cfg = SimConfig()
     runs = [
-        ("p_los", run_p_los,
+        (run_p_los,
          _exp(cfg, p_los_cluster_sizes=(4,), p_los_p_blk=(0.2,)), 50),
-        ("reduction_power", run_reduction_vs_power,
+        (run_reduction_vs_power,
          _exp(cfg, power_grid_dbm=(-14.0, -6.0), n_tx_values=(4,)), 40),
-        ("reduction_pmiss", run_reduction_vs_pmiss,
+        (run_reduction_vs_pmiss,
          _exp(cfg, pmiss_grid=(0.05,), n_tx_values=(4,)), 40),
-        ("time_cluster", run_time_vs_cluster,
+        (run_time_vs_cluster,
          _exp(cfg, cluster_grid=(1, 3)), 40),
     ]
     ok = True
-    for name, fn, c, trials in runs:
-        a = fn(ExperimentSpec(name, c, trials, SEED)).to_csv()
-        b = fn(ExperimentSpec(name, c, trials, SEED)).to_csv()
+    for fn, c, trials in runs:
+        a = fn(c, trials, SEED).to_csv()
+        b = fn(c, trials, SEED).to_csv()
         ok &= (a == b)
     _verdict(ok, "criterion 6f: byte-identical reruns of every experiment",
              "4/4 experiments reproduce exactly")

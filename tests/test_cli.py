@@ -2,6 +2,9 @@ import pytest
 
 from mmwia import cli
 from mmwia.cli import main
+from mmwia.config import load_config
+from mmwia.experiments import point_threshold, trial_setups
+from mmwia.protocol import run_coordinated, run_exhaustive
 
 
 def _write(tmp_path, text):
@@ -54,7 +57,7 @@ def test_non_finite_or_empty_value_is_config_error(tmp_path, text):
 
 
 def test_experiment_error_exit_code(tmp_path, monkeypatch, capsys):
-    def fail(spec):
+    def fail(cfg, trials, master_seed):
         raise RuntimeError("campaign broke")
     monkeypatch.setattr(cli, "run_time_vs_cluster", fail)
     assert main(["time-cluster", "--trials", "2",
@@ -155,3 +158,57 @@ def test_single_trial_exhaustive_scheme(tmp_path, capsys):
     cfg = _write(tmp_path, "[single_trial]\nscheme = exhaustive\n")
     assert main(["single-trial", "--config", cfg, "--seed", "4"]) == 0
     assert "exhaustive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scheme", ["coordinated", "exhaustive"])
+def test_single_trial_is_trial_zero_of_point_zero(tmp_path, capsys, scheme):
+    """single-trial reports the outcome the campaigns' own trial generator
+    and threshold give trial 0 of grid point 0."""
+    cfg_path = _write(tmp_path, f"[single_trial]\nscheme = {scheme}\n")
+    cfg = load_config(cfg_path)
+    runner = run_coordinated if scheme == "coordinated" else run_exhaustive
+    estimated = 0
+    for seed in range(6):
+        capsys.readouterr()
+        assert main(["single-trial", "--config", cfg_path, "--seed", str(seed)]) == 0
+        report = dict(line.split(":", 1) for line in
+                      capsys.readouterr().out.splitlines())
+        report = {key: value.strip() for key, value in report.items()}
+        setup, protocol_seed = next(trial_setups(
+            cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm,
+            point_threshold(cfg, seed, 0), 1, seed, 0))
+        out = runner(setup, protocol_seed)
+        assert report["scheme"] == scheme
+        assert report["slots_used"] == str(out.slots_used)
+        assert report["rounds"] == str(out.rounds)
+        assert report["detecting_cell"] == str(out.detecting_cell)
+        assert report["detecting_pair"] == str(out.detecting_pair)
+        assert report["true_ue"] == f"({setup.ue[0]:.2f}, {setup.ue[1]:.2f})"
+        if out.estimated_ue is None:
+            assert report["estimated_ue"] == "none"
+        else:
+            x, y = out.estimated_ue
+            assert report["estimated_ue"] == f"({x:.2f}, {y:.2f})"
+            estimated += 1
+    if scheme == "coordinated":
+        assert estimated > 0, "no seed reached the coordinated second round"
+
+
+def test_campaigns_read_their_own_trial_count(tmp_path):
+    """Without --trials, p-los runs p_los_trials per point and the protocol
+    campaigns run trials."""
+    cfg = _write(tmp_path, "[experiment]\np_los_trials = 7\ntrials = 3\n"
+                           "p_los_cluster_sizes = 4\np_los_p_blk = 0.2\n"
+                           "power_grid_dbm = -14\npmiss_grid = 0.1\n"
+                           "n_tx_values = 4\ncluster_grid = 1, 3\n"
+                           "[detection]\ncalibration_trials = 1000\n")
+    out = tmp_path / "o"
+    expected = {"p-los": 7, "reduction-power": 3, "reduction-pmiss": 3,
+                "time-cluster": 3}
+    for command, trials in expected.items():
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        csv_name = command.replace("-", "_")
+        lines = (out / f"{csv_name}.csv").read_text().splitlines()
+        rows = [dict(zip(lines[1].split(","), line.split(",")))
+                for line in lines[2:]]
+        assert rows and all(row["trials"] == str(trials) for row in rows)

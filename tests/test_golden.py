@@ -49,9 +49,9 @@ DIGESTS = {
     "time-cluster":
         "e07c0577c7ff0476296d54609b643e8fdb2e0572eda0b5ec6addd6a0eef333c4",
     "single-trial coordinated 4":
-        "fd388b9e5f1813e3712f8056e69e541fbc30d015be1f474bbe0085407bea73b9",
+        "639038326851ee9228b38d88267ab89265e8da34535c35b541822943033aaed0",
     "single-trial exhaustive 11":
-        "e3ecfede614564105b74788925f8593d7c3e23d81a328324e2c4325a124f7f84",
+        "5790629ee3a24315cec9a1dc9d94fb3d3810dec299b5657d0312acae0b46a9db",
 }
 
 
