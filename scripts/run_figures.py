@@ -4,8 +4,8 @@
 Runs every campaign command of the CLI (`mmwia.cli.CAMPAIGNS`) with the
 packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
 --out / --seed / --config as with the CLI. Measured on one core of a 2-vCPU x86-64 cloud host with numpy
-2.4.6: the full defaults take about 56 s, 36 s of them in p-los;
---quick takes about 4.4 s.
+2.4.6: the full defaults take about 63 s, 42 s of them in p-los and
+4 s in time-cluster; --quick takes 4-5 s.
 """
 
 import argparse

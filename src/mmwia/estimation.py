@@ -6,10 +6,8 @@ Pipeline: wrapped differences of the cells' best Tx indices approximate
 the angles the cell pairs subtend at the UE; the point that sees the top
 three cells at those angles follows in closed form, or, for angles that
 no point reproduces, from a least-squares fit of their cosine-rule
-residuals. Each angle also bounds an inscribed-arc band (an "estimation
-area"); intersecting the bands refines the point when more than three
-cells report. Points are (2,) arrays and anchor sets (k, 2) arrays, as
-in ``geometry``.
+residuals. Points are (2,) arrays and anchor sets (k, 2) arrays, as in
+``geometry``.
 """
 
 from __future__ import annotations
@@ -159,52 +157,6 @@ def locate_ue(thetas: Sequence[float], anchors: np.ndarray) -> np.ndarray:
     return np.array([p.real, p.imag])
 
 
-def subtended_angle(px, py, a, b):
-    """Unsigned angle in [0, pi] under which segment ab is seen from (px, py)."""
-    vax, vay = a[0] - px, a[1] - py
-    vbx, vby = b[0] - px, b[1] - py
-    dot = vax * vbx + vay * vby
-    cross = vax * vby - vay * vbx
-    return np.abs(np.arctan2(cross, dot))
-
-
-def area_grid(geom: ClusterGeometry, resolution: float):
-    """Cell-center axes covering the base triangle's bounding box."""
-    tri = geom.triangle()
-    (x0, y0), (x1, y1) = tri.min(axis=0), tri.max(axis=0)
-    nx = max(1, int(math.ceil((x1 - x0) / resolution)))
-    ny = max(1, int(math.ceil((y1 - y0) / resolution)))
-    xs = x0 + (np.arange(nx) + 0.5) * resolution
-    ys = y0 + (np.arange(ny) + 0.5) * resolution
-    return xs, ys
-
-
-def band_member(theta_tilde, pair, band_halfwidth, side_reference):
-    """Vectorized membership test ``member(px, py)`` for one estimation area.
-
-    A point is a member when the angle it subtends over the anchor pair
-    lies in [theta_tilde - h, theta_tilde + h] and it lies on the side
-    reference's side of the chord (the inscribed-angle locus is
-    mirror-symmetric about it), unless the reference lies on the chord.
-    """
-    if band_halfwidth <= 0.0:
-        raise ValueError("band halfwidth must be positive")
-    a, b = pair
-    lo, hi = theta_tilde - band_halfwidth, theta_tilde + band_halfwidth
-    ref_sign = np.sign((b[0] - a[0]) * (side_reference[1] - a[1])
-                       - (b[1] - a[1]) * (side_reference[0] - a[0]))
-
-    def member(px, py):
-        ang = subtended_angle(px, py, a, b)
-        ok = (ang >= lo) & (ang <= hi)
-        if ref_sign != 0.0:
-            side = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
-            ok &= (np.sign(side) == ref_sign)
-        return ok
-
-    return member
-
-
 def _order_ccw(cells: Sequence[int], positions) -> list[int]:
     """Counterclockwise order around the cells' centroid; ``positions`` is
     a list of (x, y) pairs."""
@@ -227,60 +179,3 @@ def estimate_point(
     best = peaks.argmax(axis=0)  # lowest Tx index on ties
     thetas = index_angles(best[top3], peaks.shape[0])
     return locate_ue(thetas, geom.cells[top3]), top3, thetas
-
-
-def area_members(peaks: np.ndarray, geom: ClusterGeometry,
-                 band_halfwidth: float) -> tuple[np.ndarray, list]:
-    """The point estimate and the membership test ``member(px, py)`` of
-    every pair's estimation area.
-
-    The top-3 cells contribute their three cyclic areas; every further
-    cell, in index order, pairs with its two nearest selected anchors.
-    """
-    point, top3, thetas = estimate_point(peaks, geom)
-    positions = geom.cells.tolist()
-
-    members = []
-    for i in range(3):
-        a, b = top3[i], top3[(i + 1) % 3]
-        # an interior UE always lies on the remaining cell's side of the chord
-        third = positions[top3[(i + 2) % 3]]
-        members.append(band_member(
-            thetas[i], (positions[a], positions[b]), band_halfwidth, third))
-
-    n_tx, n_sc = peaks.shape
-    best = peaks.argmax(axis=0)
-    for extra in range(n_sc):
-        if extra in top3:
-            continue
-        p_extra = positions[extra]
-        nearest = sorted(top3, key=lambda i: math.dist(p_extra, positions[i]))[:2]
-        for anchor in nearest:
-            try:
-                theta = wrapped_index_angle(int(best[extra]), int(best[anchor]), n_tx)
-            except AnglesUnresolvable:
-                continue
-            theta = min(theta, TWO_PI - theta)  # unsigned angle for a lone pair
-            members.append(band_member(
-                theta, (p_extra, positions[anchor]), band_halfwidth, point))
-    return point, members
-
-
-def refine_location(
-    peaks: np.ndarray,
-    geom: ClusterGeometry,
-    band_halfwidth: float,
-    grid_resolution: float = 1.0,
-) -> np.ndarray:
-    """Intersect every pair's estimation area (``area_members``); the point
-    is the mean cell center of the rasterized intersection, or the plain
-    point solve when the intersection rasterizes empty."""
-    point, members = area_members(peaks, geom, band_halfwidth)
-    # rasterize incrementally: each band only looks at the cells still alive
-    gx, gy = (g.ravel() for g in np.meshgrid(*area_grid(geom, grid_resolution)))
-    for member in members:
-        keep = member(gx, gy)
-        gx, gy = gx[keep], gy[keep]
-        if gx.size == 0:
-            return point
-    return np.array([gx.mean(), gy.mean()])

@@ -221,9 +221,8 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
     """Mean IA time per cluster size, normalized by the single-cell baseline.
 
     Size 1 runs the exhaustive search against the first triangle vertex;
-    sizes >= 3 run the coordinated scheme (with area refinement beyond
-    three cells). Each size runs only the scheme its row reports. The UE
-    placement distribution is identical throughout.
+    sizes >= 3 run the coordinated scheme. Each size runs only the scheme
+    its row reports. The UE placement distribution is identical throughout.
     """
     table = ResultTable(
         "time_cluster",

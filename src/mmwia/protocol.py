@@ -23,7 +23,7 @@ import numpy as np
 
 from .antenna import BeamCodebook
 from .channel import Blocking, LinkBudgetParams, link_budget_dbm, noise_power
-from .estimation import EstimationError, estimate_point, refine_location
+from .estimation import EstimationError, estimate_point
 from .geometry import ClusterGeometry, bearings, circular_distance
 from .preamble import dbm_to_mw, sample_peaks
 
@@ -173,11 +173,7 @@ def run_coordinated(setup: TrialSetup, seed=None) -> IaTrialOutcome:
         return _outcome(COORDINATED, setup, first, hit, None)
 
     try:
-        if n_sc > 3:
-            band = setup.ue_codebook.pattern.phi_ml
-            estimate = refine_location(peaks, setup.geom, band)
-        else:
-            estimate, _, _ = estimate_point(peaks, setup.geom)
+        estimate, _, _ = estimate_point(peaks, setup.geom)
     except EstimationError:
         estimate = None
 

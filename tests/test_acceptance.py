@@ -16,14 +16,14 @@ import numpy as np
 
 from mmwia.antenna import make_codebook
 from mmwia.config import SimConfig
-from mmwia.estimation import area_members
+from mmwia.estimation import estimate_point
 from mmwia.experiments import (
     run_p_los,
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
 )
-from mmwia.geometry import build_cluster, place_ue
+from mmwia.geometry import ClusterGeometry, build_cluster, place_ue, true_angles
 from mmwia.protocol import run_coordinated, run_exhaustive, TrialSetup
 from mmwia.selftest import ZC_CASES, false_alarm_case, zc_autocorrelation
 
@@ -143,7 +143,14 @@ def test_criterion_6b_false_alarm_calibration():
 
 
 def test_criterion_6d_quantized_containment():
-    """Noiseless LOS measurement: the true UE lies in the area intersection."""
+    """Noiseless LOS measurement: the true UE lies in the area intersection.
+
+    The estimation area of a cell pair is the band of points that see the
+    pair at an angle within phi_ml of its estimate, on the far cell's side
+    of their chord. A UE inside the base triangle is always on that side,
+    so it lies in all three areas when every angle estimate is within
+    phi_ml of the true angle.
+    """
     from mmwia.protocol import reorder_rx_beams
 
     geom0 = build_cluster(3, D)
@@ -157,8 +164,10 @@ def test_criterion_6d_quantized_containment():
         # the UE beam nearest the bearing to each cell, lowest index on ties
         best = reorder_rx_beams(ue_cb, geom0.cells, ue[None, :])[0]
         peaks[best, np.arange(geom0.n_sc)] = 1.0
-        _, members = area_members(peaks, geom0, ue_cb.pattern.phi_ml)
-        if all(member(ue[0], ue[1]) for member in members):
+        _, top3, thetas = estimate_point(peaks, geom0)
+        truth = true_angles(ClusterGeometry(geom0.cells[top3]), ue)
+        if all(abs(t_hat - t) <= ue_cb.pattern.phi_ml
+               for t_hat, t in zip(thetas, truth)):
             inside += 1
     rate = inside / trials
     _verdict(rate >= 0.99,

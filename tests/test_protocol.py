@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwia import protocol
 from mmwia.antenna import make_codebook
 from mmwia.channel import link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
+from mmwia.estimation import estimate_point
 from mmwia.geometry import ClusterGeometry, build_cluster
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
@@ -148,6 +150,30 @@ def test_estimation_failure_falls_back_and_completes():
     out = run_coordinated(setup, seed=5)
     assert out.slots_used <= 1 * (8 + 1)
     assert out.estimated_ue is None
+
+
+@pytest.mark.parametrize("n_sc", [5, 9])
+def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
+    """Beyond three cells the trial's estimate is the point that
+    estimate_point returns on the round-1 peaks, as at three cells."""
+    calls = []
+
+    def recording(peaks, geom):
+        out = estimate_point(peaks, geom)
+        calls.append((peaks.shape, out[0]))
+        return out
+
+    monkeypatch.setattr(protocol, "estimate_point", recording)
+    setup = _setup(n_sc=n_sc, gamma=1e12)  # no detection: every trial estimates
+    for seed in range(50):
+        calls.clear()
+        out = run_coordinated(setup, seed=seed)
+        if out.estimated_ue is not None:
+            break
+    assert out.estimated_ue is not None
+    [(shape, point)] = calls
+    assert shape == (4, n_sc)
+    assert out.estimated_ue == (float(point[0]), float(point[1]))
 
 
 def test_blocked_links_degrade_but_stay_bounded():
