@@ -3,9 +3,10 @@
 
 Runs every campaign command of the CLI (`mmwia.cli.CAMPAIGNS`) with the
 packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
---out / --seed / --config as with the CLI. Measured on one core of a 2-vCPU x86-64 cloud host with numpy
-2.4.6: the full defaults take about 63 s, 42 s of them in p-los and
-4 s in time-cluster; --quick takes 4-5 s.
+--out / --seed / --config as with the CLI. Measured on one core of a
+shared 2-vCPU x86-64 cloud host with numpy 2.4.6: the full defaults took
+47-73 s over three runs (one: 59 s, 41 s of it in p-los and 3 s in
+time-cluster); --quick took 3.5-4 s. Each campaign's time prints to 0.01 s.
 """
 
 import argparse
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
                          QUICK_TRIALS[CAMPAIGNS[command].trials_field]]
         t0 = time.perf_counter()
         rc = cli_main(cli_args)
-        print(f"{command}: exit {rc} in {time.perf_counter() - t0:.0f}s")
+        print(f"{command}: exit {rc} in {time.perf_counter() - t0:.2f}s")
         if rc != 0:
             return rc
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, normalize_angle
+from .geometry import TWO_PI
 
 MAIN_LOBE_FACTOR = 2.6  # main-lobe width / half-power beamwidth
 
@@ -84,8 +84,6 @@ def make_codebook(n_beams: int, phi_3db: float | None = None) -> BeamCodebook:
         # spacing-matched beamwidth, clamped into the pattern's domain for
         # the degenerate 1- and 2-beam codebooks
         phi_3db = min(TWO_PI / n_beams, 0.95 * math.pi)
-    centers = np.array(
-        [normalize_angle(k * TWO_PI / n_beams) for k in range(n_beams)]
-    )
-    return BeamCodebook(centers, make_pattern(phi_3db))
+    return BeamCodebook(np.arange(n_beams) * TWO_PI / n_beams,
+                        make_pattern(phi_3db))
 

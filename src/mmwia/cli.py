@@ -4,8 +4,9 @@ Usage: mmwia <command> --config <path> [--seed N] [--out DIR] [--trials N]
 Commands: p-los, reduction-power, reduction-pmiss, time-cluster,
 single-trial, selftest. Each campaign command writes <name>.csv and .svg;
 without --trials it runs [experiment] p_los_trials (p-los) or trials
-(the others) per grid point. single-trial prints trial 0 of grid point 0,
-drawn as the campaigns draw it. Environment overrides: SIM_SEED, SIM_OUT.
+(the others) per grid point. single-trial prints trial 0 of grid point 0
+under both schemes, exhaustive then coordinated, drawn as the campaigns
+draw it. Environment overrides: SIM_SEED, SIM_OUT.
 --trials must be at least 1; --seed and SIM_SEED must be non-negative
 integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
@@ -120,28 +121,28 @@ def _emit(table: ResultTable, out_dir: Path, campaign: Campaign) -> None:
 
 
 def _single_trial(cfg: SimConfig, seed: int) -> None:
-    """Trial 0 of grid point 0, drawn and seeded as the campaigns draw it."""
+    """Trial 0 of grid point 0 under both schemes, exhaustive first, drawn
+    and seeded as the paired campaigns draw it."""
     gamma = point_threshold(cfg, seed, 0)
     setup, protocol_seed = next(trial_setups(
         cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, 1, seed, 0))
-    runner = (run_coordinated if cfg.single_trial.scheme == "coordinated"
-              else run_exhaustive)
-    out = runner(setup, protocol_seed)
     ue = setup.ue
-    print(f"scheme:         {out.scheme}")
-    print(f"success:        {out.success}")
-    print(f"rounds:         {out.rounds}")
-    print(f"slots_used:     {out.slots_used}")
-    print(f"ia_time_s:      {out.ia_time_s:.6f}")
-    print(f"detecting_cell: {out.detecting_cell}")
-    print(f"detecting_pair: {out.detecting_pair}")
-    if out.estimated_ue is not None:
-        x, y = out.estimated_ue
-        print(f"estimated_ue:   ({x:.2f}, {y:.2f})")
-        print(f"estimate_error: {math.hypot(x - ue[0], y - ue[1]):.2f} m")
-    else:
-        print("estimated_ue:   none")
-    print(f"true_ue:        ({ue[0]:.2f}, {ue[1]:.2f})")
+    for runner in (run_exhaustive, run_coordinated):
+        out = runner(setup, protocol_seed)
+        print(f"scheme:         {out.scheme}")
+        print(f"success:        {out.success}")
+        print(f"rounds:         {out.rounds}")
+        print(f"slots_used:     {out.slots_used}")
+        print(f"ia_time_s:      {out.ia_time_s:.6f}")
+        print(f"detecting_cell: {out.detecting_cell}")
+        print(f"detecting_pair: {out.detecting_pair}")
+        if out.estimated_ue is not None:
+            x, y = out.estimated_ue
+            print(f"estimated_ue:   ({x:.2f}, {y:.2f})")
+            print(f"estimate_error: {math.hypot(x - ue[0], y - ue[1]):.2f} m")
+        else:
+            print("estimated_ue:   none")
+        print(f"true_ue:        ({ue[0]:.2f}, {ue[1]:.2f})")
 
 
 def main(argv=None) -> int:

@@ -83,11 +83,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SingleTrialConfig:
-    scheme: str = "coordinated"
-
-
-@dataclass(frozen=True)
 class OutputConfig:
     dir: str = "out"
 
@@ -101,7 +96,6 @@ class SimConfig:
     detection: DetectionSettings = field(default_factory=DetectionSettings)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    single_trial: SingleTrialConfig = field(default_factory=SingleTrialConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
     # -- derived helpers -------------------------------------------------
@@ -230,6 +224,8 @@ def _validate(cfg: SimConfig) -> SimConfig:
     exp = cfg.experiment
     if exp.trials < 1 or exp.p_los_trials < 1:
         raise ConfigError("[experiment] trial counts must be >= 1")
+    if exp.master_seed < 0:
+        raise ConfigError("[experiment] master_seed: must be >= 0")
     if any(p <= 0 or p >= 1 for p in exp.pmiss_grid):
         raise ConfigError("[experiment] pmiss_grid: probabilities out of range")
     if any(not 0 <= p <= 1 for p in exp.p_los_p_blk):
@@ -249,8 +245,6 @@ def _validate(cfg: SimConfig) -> SimConfig:
     if a.ue_phi_3db_deg is None and any(n < 3 for n in exp.n_tx_values):
         raise ConfigError("[experiment] n_tx_values: needs >= 3 beams unless "
                           "[antenna] ue_phi_3db_deg is set")
-    if cfg.single_trial.scheme not in ("coordinated", "exhaustive"):
-        raise ConfigError("[single_trial] scheme: must be coordinated or exhaustive")
     return cfg
 
 
@@ -262,8 +256,11 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    # no header can spell a newline, so [DEFAULT] is an ordinary section
+    # (rejected below) rather than keys copied into every section
     parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#",))
+                                       inline_comment_prefixes=("#",),
+                                       default_section="\n")
     try:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:

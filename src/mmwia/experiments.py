@@ -2,8 +2,10 @@
 
 Every random draw descends from (master seed, grid point index, trial
 index), so any point of any experiment reruns bit-identically on its
-own. Paired experiments hand both schemes the same trial seed, which
-makes their first rounds coincide realization-by-realization.
+own. ``draw_trial`` is every campaign's trial: cluster, UE and blocking,
+in that order, from the trial's stream 0. Protocol trials seed both
+schemes from the trial's stream 2, which makes their first rounds
+coincide realization-by-realization.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .channel import link_budget_dbm, noise_power, sample_blocking
 from .config import SimConfig
+from .estimation import select_top3
 from .geometry import ClusterGeometry, build_cluster, place_ue
 from .protocol import TrialSetup, ia_time_reduction, run_coordinated, run_exhaustive
 
@@ -58,6 +61,20 @@ def _trial_seed(master: int, point: int, trial: int, stream: int):
     return np.random.SeedSequence((master, point, trial, stream))
 
 
+def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed):
+    """(cluster, UE, blocking) of one trial, drawn in that order from one
+    generator seeded by ``seed``. A cluster of fewer than three cells is
+    the first cells of the base triangle; the UE lies in the triangle."""
+    rng = np.random.default_rng(seed)
+    geom = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng)
+    ue = place_ue(geom, rng)
+    if n_sc < 3:
+        geom = ClusterGeometry(geom.cells[:n_sc])
+    blocking = sample_blocking(n_sc, p_blk, rng,
+                               excess_mean_db=cfg.channel.nlos_excess_mean_db)
+    return geom, ue, blocking
+
+
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
     n = len(x)
     se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -81,11 +98,11 @@ def _ratio_delta_se(x: np.ndarray, y: np.ndarray) -> float:
 def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     """LOS-selection probability over (cluster size, blocking probability).
 
-    Per trial: build the cluster, place the UE, draw blocking, take the
-    received power with best-aligned beams at every cell, pick the three
-    largest, and score whether all three are unblocked. The noiseless PDP
-    peak of a cell is N^2 times its received power, so ranking received
-    powers ranks the peaks.
+    Per trial: draw the cluster, UE and blocking, take the received power
+    with the best Rx beam at every cell, pick the three strongest cells as
+    the coordinated scheme does, and score whether all three are
+    unblocked. The noiseless PDP peak of a cell is N^2 times its received
+    power, so ranking received powers ranks the peaks.
     """
     table = ResultTable(
         "p_los", ("n_sc", "p_blk", "p_los", "stderr", "trials"),
@@ -98,16 +115,11 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     for point, (n_sc, p_blk) in enumerate(grid):
         wins = 0
         for t in range(trials):
-            rng = np.random.default_rng(_trial_seed(master_seed, point, t, 0))
-            geom = build_cluster(n_sc, cfg.geometry.side_m, rng)
-            ue = place_ue(geom, rng)
-            blocking = sample_blocking(
-                n_sc, p_blk, rng, excess_mean_db=cfg.channel.nlos_excess_mean_db)
+            geom, ue, blocking = draw_trial(
+                cfg, n_sc, p_blk, _trial_seed(master_seed, point, t, 0))
             base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb,
                                             cfg.channel.p_ue_dbm)
-            rx_dbm = base.max(axis=0) + rx_gain.max(axis=0)
-            # ties go to the lower cell index
-            top3 = np.argsort(-rx_dbm, kind="stable")[:3]
+            top3 = select_top3(base + rx_gain.max(axis=0))
             if not blocking.blocked[top3].any():
                 wins += 1
         p_hat = wins / trials
@@ -123,7 +135,8 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
 def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                  trials: int, master_seed: int, point: int,
                  n_sc: int | None = None):
-    """(setup, protocol seed) of every trial at one grid point.
+    """(setup, protocol seed) of every trial at one grid point, each
+    setup from ``draw_trial`` at ``[channel] p_blk``.
 
     Each scheme seeds its own generator from the protocol seed, so a
     scheme's IA times do not depend on which other schemes run.
@@ -132,15 +145,8 @@ def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     params = cfg.link_params(p_ue_dbm)
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
     for t in range(trials):
-        layout_rng = np.random.default_rng(_trial_seed(master_seed, point, t, 0))
-        geom = build_cluster(max(n_cells, 3), cfg.geometry.side_m, layout_rng)
-        ue = place_ue(geom, layout_rng)
-        if n_cells < 3:
-            geom = ClusterGeometry(geom.cells[:n_cells])
-        blocking = sample_blocking(
-            n_cells, cfg.channel.p_blk,
-            np.random.default_rng(_trial_seed(master_seed, point, t, 1)),
-            excess_mean_db=cfg.channel.nlos_excess_mean_db)
+        geom, ue, blocking = draw_trial(
+            cfg, n_cells, cfg.channel.p_blk, _trial_seed(master_seed, point, t, 0))
         setup = TrialSetup(geom, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
                            blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
                            backhaul_latency_s=cfg.protocol.backhaul_latency_s)
@@ -148,8 +154,7 @@ def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
 
 
 def _ia_times(runner, setups) -> np.ndarray:
-    return np.array([runner(setup, np.random.default_rng(seed)).ia_time_s
-                     for setup, seed in setups])
+    return np.array([runner(setup, seed).ia_time_s for setup, seed in setups])
 
 
 def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,

@@ -14,13 +14,12 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    a = math.fmod(angle, TWO_PI)
-    if a < 0.0:
-        a += TWO_PI
-    # adding 2*pi to a denormal-magnitude negative rounds back to 2*pi
-    return 0.0 if a >= TWO_PI else a
+def normalize_angle(angle):
+    """Wrap angle(s) to [0, 2*pi) (array-safe)."""
+    a = np.mod(angle, TWO_PI)
+    # a tiny negative angle plus 2*pi rounds to 2*pi
+    a = np.where(a < TWO_PI, a, 0.0)
+    return float(a) if a.ndim == 0 else a
 
 
 def circular_distance(a, b):
@@ -30,12 +29,10 @@ def circular_distance(a, b):
 
 
 def bearings(vectors: np.ndarray) -> np.ndarray:
-    """Azimuths in [0, 2*pi) of the (..., 2) direction vectors, wrapped as
-    :func:`normalize_angle` wraps (a zero vector reads 0: callers that
-    must reject coincident points check the distances they compute)."""
-    a = np.mod(np.arctan2(vectors[..., 1], vectors[..., 0]), TWO_PI)
-    # a tiny negative angle plus 2*pi rounds to 2*pi
-    return np.where(a < TWO_PI, a, 0.0)
+    """Azimuths in [0, 2*pi) of the (..., 2) direction vectors (a zero
+    vector reads 0: callers that must reject coincident points check the
+    distances they compute)."""
+    return normalize_angle(np.arctan2(vectors[..., 1], vectors[..., 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,5 +112,5 @@ def true_angles(geom: ClusterGeometry, ue) -> tuple[float, float, float]:
     vectors = geom.triangle() - np.asarray(ue)
     if not np.hypot(vectors[:, 0], vectors[:, 1]).all():
         raise ValueError("angles undefined at a UE on a cell")
-    b = bearings(vectors).tolist()
-    return tuple(normalize_angle(b[(i + 1) % 3] - b[i]) for i in range(3))
+    b = bearings(vectors)
+    return tuple(normalize_angle(np.roll(b, -1) - b).tolist())

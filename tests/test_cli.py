@@ -25,9 +25,17 @@ def test_usage_error_exit_code():
     assert main([]) == 1
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[preamble]\nn_zc = 840\n")
     assert main(["p-los", "--config", cfg]) == 2
+    # a negative master seed fails on load, not inside the seed sequence
+    cfg = _write(tmp_path, "[experiment]\nmaster_seed = -1\n")
+    assert main(["p-los", "--config", cfg]) == 2
+    # single-trial prints both schemes; no section picks one
+    cfg = _write(tmp_path, "[single_trial]\nscheme = exhaustive\n")
+    capsys.readouterr()
+    assert main(["single-trial", "--config", cfg]) == 2
+    assert "unknown section [single_trial]" in capsys.readouterr().err
 
 
 def test_small_codebook_is_config_error(tmp_path):
@@ -146,41 +154,47 @@ def test_bad_sim_seed_is_usage_error(tmp_path, monkeypatch, value):
     assert not out.exists()
 
 
+def _single_trial_blocks(text):
+    """single-trial stdout as one {key: value} dict per scheme, in print order."""
+    blocks = []
+    for line in text.splitlines():
+        key, value = line.split(":", 1)
+        if key == "scheme":
+            blocks.append({})
+        blocks[-1][key] = value.strip()
+    return blocks
+
+
 def test_single_trial_output(tmp_path, capsys):
     assert main(["single-trial", "--seed", "3"]) == 0
-    text = capsys.readouterr().out
-    for key in ("scheme:", "success:", "slots_used:", "ia_time_s:",
-                "detecting_cell:", "true_ue:"):
-        assert key in text
-
-
-def test_single_trial_exhaustive_scheme(tmp_path, capsys):
-    cfg = _write(tmp_path, "[single_trial]\nscheme = exhaustive\n")
-    assert main(["single-trial", "--config", cfg, "--seed", "4"]) == 0
-    assert "exhaustive" in capsys.readouterr().out
+    blocks = _single_trial_blocks(capsys.readouterr().out)
+    assert [b["scheme"] for b in blocks] == ["exhaustive", "coordinated"]
+    for block in blocks:
+        for key in ("success", "slots_used", "ia_time_s", "detecting_cell",
+                    "true_ue"):
+            assert key in block
 
 
 @pytest.mark.parametrize("scheme", ["coordinated", "exhaustive"])
-def test_single_trial_is_trial_zero_of_point_zero(tmp_path, capsys, scheme):
-    """single-trial reports the outcome the campaigns' own trial generator
-    and threshold give trial 0 of grid point 0."""
-    cfg_path = _write(tmp_path, f"[single_trial]\nscheme = {scheme}\n")
-    cfg = load_config(cfg_path)
+def test_single_trial_is_trial_zero_of_point_zero(capsys, scheme):
+    """Each scheme's block of single-trial is the outcome the campaigns' own
+    trial generator and threshold give trial 0 of grid point 0."""
+    cfg = load_config(None)
     runner = run_coordinated if scheme == "coordinated" else run_exhaustive
     estimated = 0
     for seed in range(6):
         capsys.readouterr()
-        assert main(["single-trial", "--config", cfg_path, "--seed", str(seed)]) == 0
-        report = dict(line.split(":", 1) for line in
-                      capsys.readouterr().out.splitlines())
-        report = {key: value.strip() for key, value in report.items()}
+        assert main(["single-trial", "--seed", str(seed)]) == 0
+        blocks = _single_trial_blocks(capsys.readouterr().out)
+        (report,) = [b for b in blocks if b["scheme"] == scheme]
         setup, protocol_seed = next(trial_setups(
             cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm,
             point_threshold(cfg, seed, 0), 1, seed, 0))
         out = runner(setup, protocol_seed)
-        assert report["scheme"] == scheme
+        assert report["success"] == str(out.success)
         assert report["slots_used"] == str(out.slots_used)
         assert report["rounds"] == str(out.rounds)
+        assert report["ia_time_s"] == f"{out.ia_time_s:.6f}"
         assert report["detecting_cell"] == str(out.detecting_cell)
         assert report["detecting_pair"] == str(out.detecting_pair)
         assert report["true_ue"] == f"({setup.ue[0]:.2f}, {setup.ue[1]:.2f})"

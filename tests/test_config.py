@@ -98,6 +98,11 @@ def test_unknown_key_and_section_rejected(tmp_path):
     p.write_text("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown section \[nonsense\]"):
         load_config(p)
+    # configparser would copy [DEFAULT] keys into every section
+    for text in ("[DEFAULT]\nbogus = 1\n", "[DEFAULT]\nn_sc = 5\n[geometry]\n"):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config(p)
 
 
 def test_unparsable_value_rejected(tmp_path):

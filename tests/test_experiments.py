@@ -1,17 +1,20 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from mmwia import protocol
+from mmwia import experiments, protocol
 from mmwia.config import SimConfig
 from mmwia.experiments import (
     ResultTable,
     _paired_point,
+    draw_trial,
     run_p_los,
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
+    trial_setups,
 )
 
 
@@ -103,3 +106,43 @@ def test_paired_point_computes_each_link_budget_once(monkeypatch):
     monkeypatch.setattr(protocol, "link_budget_dbm", counting)
     _paired_point(SimConfig(), 4, -14.0, 1e-5, 12, 3, 0)
     assert len(calls) == 12
+
+
+def test_p_los_and_protocol_trials_share_one_draw(monkeypatch):
+    """A P_LOS trial and a protocol trial at the same (master, point, trial,
+    cluster size, p_blk) see the same cells, UE and blocking."""
+    cfg = _cfg(p_los_cluster_sizes=(5,), p_los_p_blk=(0.4,))
+    cfg = replace(cfg, geometry=replace(cfg.geometry, n_sc=5),
+                  channel=replace(cfg.channel, p_blk=0.4))
+    original, drawn = experiments.link_budget_dbm, []
+
+    def recording(geom, ue, blocking, *args):
+        drawn.append((geom, ue, blocking))
+        return original(geom, ue, blocking, *args)
+
+    monkeypatch.setattr(experiments, "link_budget_dbm", recording)
+    run_p_los(cfg, 4, 7)
+    setups = [setup for setup, _ in trial_setups(cfg, 4, -14.0, 1e-5, 4, 7, 0)]
+    assert len(drawn) == len(setups) == 4
+    assert any(blocking.blocked.any() for _, _, blocking in drawn)
+    for (geom, ue, blocking), setup in zip(drawn, setups):
+        np.testing.assert_array_equal(geom.cells, setup.geom.cells)
+        np.testing.assert_array_equal(ue, setup.ue)
+        for ours, theirs in zip(blocking, setup.blocking):
+            np.testing.assert_array_equal(ours, theirs)
+
+
+def test_single_cell_trial_keeps_the_triangle_ue():
+    cfg = SimConfig()
+    for t in range(20):
+        seed = np.random.SeedSequence((3, 0, t, 0))
+        geom, ue, blocking = draw_trial(cfg, 1, 0.5, seed)
+        triangle, ue3, _ = draw_trial(cfg, 3, 0.5, seed)
+        np.testing.assert_array_equal(geom.cells, triangle.cells[:1])
+        np.testing.assert_array_equal(ue, ue3)
+        assert len(blocking.blocked) == 1
+        # barycentric coordinates of the UE in the base triangle
+        (ax, ay), (bx, by), (cx, cy) = triangle.cells
+        m = np.array([[bx - ax, cx - ax], [by - ay, cy - ay]])
+        u, v = np.linalg.solve(m, ue - (ax, ay))
+        assert u >= 0 and v >= 0 and u + v <= 1

@@ -152,3 +152,7 @@ def test_circular_distance_symmetric_and_bounded(a, b):
 def test_normalize_angle_wraps():
     assert normalize_angle(2 * math.pi) == 0.0
     assert normalize_angle(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
+    # arrays wrap alike; a tiny negative angle plus 2*pi would round to 2*pi
+    wrapped = normalize_angle(np.array([2 * math.pi, -math.pi / 2, -1e-300]))
+    np.testing.assert_allclose(wrapped, [0.0, 3 * math.pi / 2, 0.0])
+    assert normalize_angle(-1e-300) == 0.0

@@ -2,11 +2,11 @@
 
 Each digest is the sha256 of a CSV's lines below its `# config=` stamp (the
 stamp hashes the SimConfig repr, so it moves with the schema, not with the
-results), or of `single-trial` stdout. A refactor that keeps the RNG stream
-must leave every digest in place; a change that consumes randomness
-differently updates them and says so in CHANGES.md. Floating-point results
-may differ across numpy releases, so the test runs only on the numpy
-version that produced the digests.
+results), or of one scheme's block of `single-trial` stdout. A refactor
+that keeps the RNG stream must leave every digest in place; a change that
+consumes randomness differently updates them and says so in CHANGES.md.
+Floating-point results may differ across numpy releases, so the test runs
+only on the numpy version that produced the digests.
 """
 
 import hashlib
@@ -43,7 +43,7 @@ DIGESTS = {
     "p-los":
         "1fd068c3a16e87b101ae6c773d992b4a11db829b2fc68b0ee63f764ab17f6665",
     "reduction-power":
-        "a14f764bc325e240bd7f77e59b5a6947a760f594669c2bab9498ceb6cd27dad3",
+        "3e5f3107be5fce2522bbd0848ad1dbebdf6a8cc87acf04271c6dd97eb7506966",
     "reduction-pmiss":
         "529ffcba78ca575d4f375db3564742d3deaa54974e2b8711485687ea6f594eab",
     "time-cluster":
@@ -71,12 +71,14 @@ def campaign_digest(name: str, tmp_path) -> str:
     return _sha("".join(lines[1:]))
 
 
-def single_trial_digest(scheme: str, seed: int, tmp_path, capsys) -> str:
-    cfg = tmp_path / f"{scheme}.ini"
-    cfg.write_text(f"[single_trial]\nscheme = {scheme}\n")
+def single_trial_digest(scheme: str, seed: int, capsys) -> str:
     capsys.readouterr()
-    assert main(["single-trial", "--config", str(cfg), "--seed", str(seed)]) == 0
-    return _sha(capsys.readouterr().out)
+    assert main(["single-trial", "--seed", str(seed)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    starts = [i for i, line in enumerate(lines) if line.startswith("scheme:")]
+    (start,) = [i for i in starts if lines[i] == f"scheme:         {scheme}\n"]
+    end = min([i for i in starts if i > start], default=len(lines))
+    return _sha("".join(lines[start:end]))
 
 
 @pytest.mark.parametrize("name", list(CAMPAIGNS))
@@ -85,6 +87,6 @@ def test_campaign_rows_match_digest(name, tmp_path):
 
 
 @pytest.mark.parametrize("scheme,seed", [("coordinated", 4), ("exhaustive", 11)])
-def test_single_trial_stdout_matches_digest(scheme, seed, tmp_path, capsys):
-    digest = single_trial_digest(scheme, seed, tmp_path, capsys)
+def test_single_trial_stdout_matches_digest(scheme, seed, capsys):
+    digest = single_trial_digest(scheme, seed, capsys)
     assert digest == DIGESTS[f"single-trial {scheme} {seed}"]
