@@ -3,10 +3,11 @@
 
 Runs every campaign command of the CLI (`mmwia.cli.CAMPAIGNS`) with the
 packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
---out / --seed / --config as with the CLI. Measured on one core of a
-shared 2-vCPU x86-64 cloud host with numpy 2.4.6: the full defaults took
-47-73 s over three runs (one: 59 s, 41 s of it in p-los and 3 s in
-time-cluster); --quick took 3.5-4 s. Each campaign's time prints to 0.01 s.
+--out / --seed / --config as with the CLI. Each campaign's time prints to
+0.01 s, and the last line is the total wall time. Measured on one core of
+a shared 2-vCPU x86-64 cloud host with numpy 2.4.6: the full defaults took
+18.8-21.6 s over two runs (p-los 3.6-3.9 s of it, the two reduction
+campaigns 5.6-7.4 s each); --quick took 1.7-1.9 s.
 """
 
 import argparse
@@ -27,6 +28,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="out")
     args = ap.parse_args(argv)
 
+    start = time.perf_counter()
     for command in CAMPAIGNS:
         cli_args = [command, "--out", args.out]
         if args.config:
@@ -41,6 +43,7 @@ def main(argv=None) -> int:
         print(f"{command}: exit {rc} in {time.perf_counter() - t0:.2f}s")
         if rc != 0:
             return rc
+    print(f"total: {time.perf_counter() - start:.2f}s")
     return 0
 
 

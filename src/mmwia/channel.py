@@ -53,7 +53,8 @@ def noise_power(params: LinkBudgetParams) -> float:
 
 
 class Blocking(NamedTuple):
-    """Per-link propagation state of one trial, one entry per cell.
+    """Per-link propagation state of one trial, one entry per cell, or
+    (count, n_sc) arrays for a batch of trials.
 
     A blocked link runs via a reflector whose bearing from the UE is
     ``reflector`` (read on blocked links only) and costs ``penalty_db``
@@ -66,19 +67,22 @@ class Blocking(NamedTuple):
 
 
 def sample_blocking(n_sc: int, p_blk: float, seed=None, *,
-                    excess_mean_db: float) -> Blocking:
-    """Draw independent Bernoulli(p_blk) blocking states for every link.
+                    excess_mean_db: float, count: int | None = None) -> Blocking:
+    """Draw independent Bernoulli(p_blk) blocking states for every link, of
+    one trial or of ``count`` trials.
 
     Blocked links get a uniformly random reflector bearing (as seen from
     the UE) and a penalty of NLOS_FLOOR_DB plus an exponential excess
-    with the given mean, modelling variable reflector geometry.
+    with the given mean, modelling variable reflector geometry. Each of
+    the three fields is drawn for every trial before the next.
     """
     if not 0.0 <= p_blk <= 1.0:
         raise ValueError("p_blk must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    blocked = rng.uniform(size=n_sc) < p_blk
-    reflector = rng.uniform(0.0, TWO_PI, size=n_sc)
-    excess = rng.exponential(scale=excess_mean_db, size=n_sc)
+    size = n_sc if count is None else (count, n_sc)
+    blocked = rng.uniform(size=size) < p_blk
+    reflector = rng.uniform(0.0, TWO_PI, size=size)
+    excess = rng.exponential(scale=excess_mean_db, size=size)
     return Blocking(blocked, reflector,
                     np.where(blocked, NLOS_FLOOR_DB + excess, 0.0))
 
@@ -94,30 +98,33 @@ def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
     arrival direction at cell i; their sum is ``received_power`` for that
     (t, i, b), with distances below the pathloss model's 1 m reference
     clamped to 1 m. ``blocking`` None makes every link LOS; a blocked link
-    runs via its nominal reflector (see ``link_bearings``).
+    runs via its nominal reflector (see ``link_bearings``). A batch of
+    trials, cells (..., n_sc, 2), UE (..., 2) and blocking (..., n_sc),
+    gives (..., n_tx, n_sc) and (..., n_rx, n_sc), each trial's slice
+    equal to its own call.
     """
+    ue = np.asarray(ue)[..., None, :]
     to_cell = geom.cells - ue
-    d = np.hypot(to_cell[:, 0], to_cell[:, 1])
+    d = np.hypot(to_cell[..., 0], to_cell[..., 1])
     if not d.all():
         raise ValueError("link undefined: the UE coincides with a cell")
     depart, arrive = to_cell, ue - geom.cells
     if blocking is not None and blocking.blocked.any():
         b = blocking.reflector
-        refl = np.empty_like(to_cell)
-        refl[:, 0] = ue[0] + 0.5 * d * np.cos(b)
-        refl[:, 1] = ue[1] + 0.5 * d * np.sin(b)
-        via = blocking.blocked[:, None]
+        refl = np.stack([ue[..., 0] + 0.5 * d * np.cos(b),
+                         ue[..., 1] + 0.5 * d * np.sin(b)], axis=-1)
+        via = blocking.blocked[..., None]
         depart = np.where(via, refl - ue, depart)
         arrive = np.where(via, refl - geom.cells, arrive)
     # circular_distance keeps every offset in [0, pi] and the distances are
     # clamped to 1 m, so the unchecked kernels stand in for gain/pathloss
     tx_gains = ue_cb.pattern._gain(circular_distance(
-        ue_cb.beam_centers[:, None], bearings(depart)[None, :]))
-    base = p_ue_dbm + tx_gains - _pathloss(np.maximum(d, 1.0))[None, :]
+        ue_cb.beam_centers[:, None], bearings(depart)[..., None, :]))
+    base = p_ue_dbm + tx_gains - _pathloss(np.maximum(d, 1.0))[..., None, :]
     if blocking is not None:
-        base = base - blocking.penalty_db[None, :]
+        base = base - blocking.penalty_db[..., None, :]
     rx_gain = sc_cb.pattern._gain(circular_distance(
-        sc_cb.beam_centers[:, None], bearings(arrive)[None, :]))
+        sc_cb.beam_centers[:, None], bearings(arrive)[..., None, :]))
     return base, rx_gain
 
 

@@ -34,11 +34,12 @@ class TriangulationFailed(EstimationError):
 
 
 def select_top3(peaks: np.ndarray) -> np.ndarray:
-    """The three cells with the largest peaks in the (n_tx, n_sc) matrix;
-    ties to the lower cell index."""
-    if peaks.shape[1] < 3:
+    """The three cells with the largest peaks in the (n_tx, n_sc) matrix,
+    or (..., 3) from a (..., n_tx, n_sc) stack; ties to the lower cell
+    index."""
+    if peaks.shape[-1] < 3:
         raise EstimationError("need reports from at least three cells")
-    return np.argsort(-peaks.max(axis=0), kind="stable")[:3]
+    return np.argsort(-peaks.max(axis=-2), axis=-1, kind="stable")[..., :3]
 
 
 def wrapped_index_angle(n_from: int, n_to: int, n_tx: int) -> float:

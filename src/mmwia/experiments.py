@@ -1,11 +1,14 @@
 """Seeded Monte Carlo campaigns over the IA protocol and channel models.
 
-Every random draw descends from (master seed, grid point index, trial
-index), so any point of any experiment reruns bit-identically on its
-own. ``draw_trial`` is every campaign's trial: cluster, UE and blocking,
-in that order, from the trial's stream 0. Protocol trials seed both
-schemes from the trial's stream 2, which makes their first rounds
-coincide realization-by-realization.
+Every random draw descends from (master seed, grid point index, index,
+stream), so any point of any experiment reruns bit-identically on its
+own. ``draw_trial`` is every campaign's draw of clusters, UEs and
+blocking, with a leading trial axis. A protocol trial is a draw of one
+from the trial's stream 0, and seeds both schemes from the trial's
+stream 2, which makes their first rounds coincide realization by
+realization. The P_LOS campaign draws ``P_LOS_CHUNK`` trials at a time
+from the chunk's stream 3 and scores each chunk with one link-budget and
+one ranking call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .channel import link_budget_dbm, noise_power, sample_blocking
+from .channel import Blocking, link_budget_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .estimation import select_top3
 from .geometry import ClusterGeometry, build_cluster, place_ue
@@ -57,20 +60,32 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _trial_seed(master: int, point: int, trial: int, stream: int):
-    return np.random.SeedSequence((master, point, trial, stream))
+# trials per P_LOS draw: larger chunks raise peak memory and barely run faster
+P_LOS_CHUNK = 32
 
 
-def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed):
-    """(cluster, UE, blocking) of one trial, drawn in that order from one
-    generator seeded by ``seed``. A cluster of fewer than three cells is
-    the first cells of the base triangle; the UE lies in the triangle."""
+def _seed(master: int, point: int, index: int, stream: int):
+    """Seed of trial (streams 0, 2) or P_LOS chunk (stream 3) ``index``."""
+    return np.random.SeedSequence((master, point, index, stream))
+
+
+def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
+    """(clusters, UEs, blocking) of ``count`` trials from one generator
+    seeded by ``seed``: cells (count, n_sc, 2), UEs (count, 2) and a
+    ``Blocking`` of (count, n_sc) arrays.
+
+    The draw goes field by field across the trials: the extra cells'
+    radii, then their angles, the UEs, then the blocked flags, reflector
+    bearings and excess losses, so a draw of one consumes the stream as
+    one trial always has. A cluster of fewer than three cells is the
+    first cells of the base triangle; the UE lies in the triangle.
+    """
     rng = np.random.default_rng(seed)
-    geom = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng)
-    ue = place_ue(geom, rng)
+    geom = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng, count)
+    ue = place_ue(geom, rng, count)
     if n_sc < 3:
-        geom = ClusterGeometry(geom.cells[:n_sc])
-    blocking = sample_blocking(n_sc, p_blk, rng,
+        geom = ClusterGeometry(geom.cells[:, :n_sc])
+    blocking = sample_blocking(n_sc, p_blk, rng, count=count,
                                excess_mean_db=cfg.channel.nlos_excess_mean_db)
     return geom, ue, blocking
 
@@ -98,9 +113,10 @@ def _ratio_delta_se(x: np.ndarray, y: np.ndarray) -> float:
 def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     """LOS-selection probability over (cluster size, blocking probability).
 
-    Per trial: draw the cluster, UE and blocking, take the received power
-    with the best Rx beam at every cell, pick the three strongest cells as
-    the coordinated scheme does, and score whether all three are
+    Per chunk of ``P_LOS_CHUNK`` trials (the last one holds what is left):
+    draw the clusters, UEs and blocking, take every cell's received power
+    with its best Rx beam, pick each trial's three strongest cells as the
+    coordinated scheme does, and count the trials whose three are all
     unblocked. The noiseless PDP peak of a cell is N^2 times its received
     power, so ranking received powers ranks the peaks.
     """
@@ -114,14 +130,15 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
             for p in cfg.experiment.p_los_p_blk]
     for point, (n_sc, p_blk) in enumerate(grid):
         wins = 0
-        for t in range(trials):
+        for chunk, start in enumerate(range(0, trials, P_LOS_CHUNK)):
             geom, ue, blocking = draw_trial(
-                cfg, n_sc, p_blk, _trial_seed(master_seed, point, t, 0))
+                cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3),
+                min(P_LOS_CHUNK, trials - start))
             base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb,
                                             cfg.channel.p_ue_dbm)
-            top3 = select_top3(base + rx_gain.max(axis=0))
-            if not blocking.blocked[top3].any():
-                wins += 1
+            top3 = select_top3(base + rx_gain.max(axis=-2)[:, None, :])
+            blocked = np.take_along_axis(blocking.blocked, top3, axis=-1)
+            wins += int(np.count_nonzero(~blocked.any(axis=-1)))
         p_hat = wins / trials
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
         table.add(n_sc, p_blk, p_hat, se, trials)
@@ -136,7 +153,7 @@ def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                  trials: int, master_seed: int, point: int,
                  n_sc: int | None = None):
     """(setup, protocol seed) of every trial at one grid point, each
-    setup from ``draw_trial`` at ``[channel] p_blk``.
+    setup a ``draw_trial`` of one trial at ``[channel] p_blk``.
 
     Each scheme seeds its own generator from the protocol seed, so a
     scheme's IA times do not depend on which other schemes run.
@@ -146,11 +163,14 @@ def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
     for t in range(trials):
         geom, ue, blocking = draw_trial(
-            cfg, n_cells, cfg.channel.p_blk, _trial_seed(master_seed, point, t, 0))
-        setup = TrialSetup(geom, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
-                           blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
+            cfg, n_cells, cfg.channel.p_blk, _seed(master_seed, point, t, 0), 1)
+        blocked, reflector, penalty_db = blocking
+        setup = TrialSetup(geom.trial(0), ue[0], ue_cb, sc_cb, params,
+                           cfg.preamble.n_zc, gamma,
+                           blocking=Blocking(blocked[0], reflector[0], penalty_db[0]),
+                           t_ra_s=cfg.protocol.t_ra_s,
                            backhaul_latency_s=cfg.protocol.backhaul_latency_s)
-        yield setup, _trial_seed(master_seed, point, t, 2)
+        yield setup, _seed(master_seed, point, t, 2)
 
 
 def _ia_times(runner, setups) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Cluster layout, UE placement and the exact angular/metric ground truth.
 
 Positions are plain arrays: a cluster is the (n_sc, 2) array of its cell
-coordinates, and a UE is a (2,) array kept apart from the layout.
+coordinates, and a UE is a (2,) array kept apart from the layout. A batch
+of trials puts a leading trial axis on both, (count, n_sc, 2) and
+(count, 2), drawn by passing ``count`` as numpy's ``size`` is passed.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# the base triangle at side 1; scaling by d gives d/2 and d*sqrt(3)/2 exactly
+_UNIT_TRIANGLE = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
 
 
 def normalize_angle(angle):
@@ -37,7 +41,8 @@ def bearings(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClusterGeometry:
-    """Small-cell positions, a read-only (n_sc, 2) array.
+    """Small-cell positions, a read-only (n_sc, 2) array, or (..., n_sc, 2)
+    for a batch of clusters.
 
     The first three cells always form the base triangle (counterclockwise);
     any further cells are auxiliary members of the same cluster.
@@ -47,59 +52,80 @@ class ClusterGeometry:
 
     def __post_init__(self):
         cells = np.array(self.cells, dtype=float)
-        if cells.ndim != 2 or cells.shape[1] != 2 or len(cells) < 1:
+        if cells.ndim < 2 or cells.shape[-1] != 2 or cells.shape[-2] < 1:
             raise ValueError("cells must be a non-empty (n_sc, 2) array")
         if not np.isfinite(cells).all():
             raise ValueError("coordinates must be finite")
-        if len(set(map(tuple, cells.tolist()))) < len(cells):
+        # cells as x + iy sort by x, then y, so equal cells end up side by
+        # side (0.0 and -0.0 compare equal)
+        z = cells.view(complex)[..., 0].copy()
+        z.sort(axis=-1)
+        if np.count_nonzero(z[..., 1:] == z[..., :-1]):
             raise ValueError("two cells coincide")
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
     @property
     def n_sc(self) -> int:
-        return len(self.cells)
+        return self.cells.shape[-2]
+
+    def trial(self, t: int) -> ClusterGeometry:
+        """Cluster ``t`` of a batch; the batch was validated whole."""
+        geom = object.__new__(ClusterGeometry)
+        object.__setattr__(geom, "cells", self.cells[t])
+        return geom
 
     def triangle(self) -> np.ndarray:
         if self.n_sc < 3:
             raise ValueError("no base triangle: cluster has fewer than 3 cells")
-        return self.cells[:3]
+        return self.cells[..., :3, :]
 
 
-def build_cluster(n_sc: int, d: float, layout_seed=None) -> ClusterGeometry:
-    """Build a cluster of ``n_sc`` cells with inter-cell spacing ``d``.
+def _shape(count: int | None, *tail: int) -> tuple[int, ...]:
+    """numpy ``size`` of ``tail`` draws per trial, led by ``count`` trials."""
+    return tail if count is None else (count, *tail)
+
+
+def build_cluster(n_sc: int, d: float, layout_seed=None,
+                  count: int | None = None) -> ClusterGeometry:
+    """Build a cluster of ``n_sc`` cells with inter-cell spacing ``d``, or
+    ``count`` of them as a (count, n_sc, 2) batch.
 
     The first three cells are the vertices of an equilateral triangle of
     side ``d``, counterclockwise from the origin; extra cells are drawn
-    uniformly from the triangle's circumscribed disk.
+    uniformly from the triangle's circumscribed disk: every radius of the
+    batch, then every angle.
     """
     if n_sc < 1:
         raise ValueError("n_sc must be >= 1")
     if d <= 0:
         raise ValueError("inter-cell distance must be positive")
-    cells = [(0.0, 0.0), (d, 0.0), (d / 2.0, d * math.sqrt(3.0) / 2.0)][:n_sc]
+    cells = np.empty(_shape(count, n_sc, 2))
+    cells[..., :3, :] = d * _UNIT_TRIANGLE[:n_sc]
     if n_sc > 3:
         rng = np.random.default_rng(layout_seed)
         cx, cy = d / 2.0, d / (2.0 * math.sqrt(3.0))  # circumcenter
         radius = d / math.sqrt(3.0)
-        k = n_sc - 3
+        size = _shape(count, n_sc - 3)
         # uniform in the disk: r = R*sqrt(u)
-        r = radius * np.sqrt(rng.uniform(size=k))
-        phi = rng.uniform(0.0, TWO_PI, size=k)
-        cells.extend((cx + ri * math.cos(pi), cy + ri * math.sin(pi))
-                     for ri, pi in zip(r.tolist(), phi.tolist()))
+        r = radius * np.sqrt(rng.uniform(size=size))
+        phi = rng.uniform(0.0, TWO_PI, size=size)
+        cells[..., 3:, 0] = cx + r * np.cos(phi)
+        cells[..., 3:, 1] = cy + r * np.sin(phi)
     return ClusterGeometry(cells)
 
 
-def place_ue(geom: ClusterGeometry, placement_seed=None) -> np.ndarray:
-    """Draw a point uniformly inside the base triangle, as a (2,) array."""
-    (ax, ay), (bx, by), (cx, cy) = geom.triangle().tolist()
+def place_ue(geom: ClusterGeometry, placement_seed=None,
+             count: int | None = None) -> np.ndarray:
+    """Draw a point uniformly inside the base triangle, as a (2,) array, or
+    ``count`` points as a (count, 2) array; a batched ``geom`` gives each
+    point its own cluster's triangle."""
+    tri = geom.triangle()
+    a = tri[..., 0, :]
     rng = np.random.default_rng(placement_seed)
-    u, v = rng.uniform(size=2).tolist()
-    if u + v > 1.0:
-        u, v = 1.0 - u, 1.0 - v
-    return np.array([ax + u * (bx - ax) + v * (cx - ax),
-                     ay + u * (by - ay) + v * (cy - ay)])
+    uv = rng.uniform(size=_shape(count, 2))
+    uv = np.where(uv[..., :1] + uv[..., 1:] > 1.0, 1.0 - uv, uv)
+    return a + uv[..., :1] * (tri[..., 1, :] - a) + uv[..., 1:] * (tri[..., 2, :] - a)
 
 
 def true_angles(geom: ClusterGeometry, ue) -> tuple[float, float, float]:

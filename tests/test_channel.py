@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mmwia.antenna import make_codebook, make_pattern
 from mmwia.channel import (
+    Blocking,
     LinkBudgetParams,
     NLOS_FLOOR_DB,
     link_bearings,
@@ -16,7 +17,7 @@ from mmwia.channel import (
     received_power,
     sample_blocking,
 )
-from mmwia.geometry import build_cluster, circular_distance
+from mmwia.geometry import ClusterGeometry, build_cluster, circular_distance, place_ue
 from mmwia.selftest import aligned_link_composition, back_lobe_drop
 
 D = 200.0
@@ -128,3 +129,43 @@ def test_link_budget_rejects_ue_on_a_cell(p_blk):
     with pytest.raises(ValueError):
         _link_budget_at((200.0, 0.0),
                         sample_blocking(3, p_blk, seed=0, excess_mean_db=10.0))
+
+
+@pytest.mark.parametrize("n_sc", [3, 12, 22])
+def test_link_budget_batch_equals_per_trial_calls(n_sc):
+    """A batch of trials with mixed blocking gives, trial by trial, the
+    bytes of that trial's own call."""
+    rng = np.random.default_rng(n_sc)
+    geom = build_cluster(n_sc, D, rng, count=40)
+    ue = place_ue(geom, rng, count=40)
+    blocking = sample_blocking(n_sc, 0.5, rng, excess_mean_db=10.0, count=40)
+    blocked = blocking.blocked.copy()
+    blocked[:5] = False  # a few trials with every link LOS
+    blocking = Blocking(blocked, blocking.reflector,
+                        np.where(blocked, blocking.penalty_db, 0.0))
+    assert blocked.any() and not blocked.all()
+    ue_cb, sc_cb = make_codebook(8), make_codebook(12)
+    base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb, -14.0)
+    assert base.shape == (40, 8, n_sc) and rx_gain.shape == (40, 12, n_sc)
+    for t in range(40):
+        one = link_budget_dbm(ClusterGeometry(geom.cells[t]), ue[t],
+                              Blocking(*(field[t] for field in blocking)),
+                              ue_cb, sc_cb, -14.0)
+        assert np.array_equal(base[t], one[0])
+        assert np.array_equal(rx_gain[t], one[1])
+
+
+def test_link_budget_batch_rejects_ue_on_a_cell():
+    """One trial of a batch with its UE on a cell fails the whole batch."""
+    geom = build_cluster(3, D, count=4)
+    ue = np.array([[100.0, 50.0], [50.0, 20.0], [200.0, 0.0], [90.0, 40.0]])
+    with pytest.raises(ValueError, match="coincides"):
+        link_budget_dbm(geom, ue, None, make_codebook(8), make_codebook(8), 23.0)
+
+
+def test_sample_blocking_count_of_one_is_the_single_draw():
+    one = sample_blocking(7, 0.4, seed=5, excess_mean_db=10.0)
+    batch = sample_blocking(7, 0.4, seed=5, excess_mean_db=10.0, count=1)
+    for single, batched in zip(one, batch):
+        assert batched.shape == (1, 7)
+        assert np.array_equal(batched[0], single)

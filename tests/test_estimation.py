@@ -48,6 +48,18 @@ def test_select_top3_ordering_and_ties():
         select_top3(three[:, :2])
 
 
+def test_select_top3_batch_equals_per_row_calls():
+    """A stack of peak matrices ranks like one call per matrix, ties to the
+    lower cell index included."""
+    rng = np.random.default_rng(4)
+    peaks = rng.integers(0, 3, size=(200, 4, 7)).astype(float)  # many ties
+    top = select_top3(peaks)
+    assert top.shape == (200, 3)
+    for row, matrix in zip(top, peaks):
+        assert np.array_equal(row, select_top3(matrix))
+    assert np.array_equal(select_top3(np.zeros((2, 5, 4, 6))), np.tile([0, 1, 2], (2, 5, 1)))
+
+
 def test_wrapped_index_angle_branches():
     assert wrapped_index_angle(1, 3, 8) == pytest.approx(math.pi / 2)
     assert wrapped_index_angle(7, 2, 8) == pytest.approx(3 * math.pi / 4)

@@ -108,41 +108,67 @@ def test_paired_point_computes_each_link_budget_once(monkeypatch):
     assert len(calls) == 12
 
 
-def test_p_los_and_protocol_trials_share_one_draw(monkeypatch):
-    """A P_LOS trial and a protocol trial at the same (master, point, trial,
-    cluster size, p_blk) see the same cells, UE and blocking."""
-    cfg = _cfg(p_los_cluster_sizes=(5,), p_los_p_blk=(0.4,))
+def test_one_trial_draw_is_what_the_protocol_gets():
+    """Each protocol trial is a draw of one from its trial's stream 0."""
+    cfg = SimConfig()
     cfg = replace(cfg, geometry=replace(cfg.geometry, n_sc=5),
                   channel=replace(cfg.channel, p_blk=0.4))
-    original, drawn = experiments.link_budget_dbm, []
-
-    def recording(geom, ue, blocking, *args):
-        drawn.append((geom, ue, blocking))
-        return original(geom, ue, blocking, *args)
-
-    monkeypatch.setattr(experiments, "link_budget_dbm", recording)
-    run_p_los(cfg, 4, 7)
-    setups = [setup for setup, _ in trial_setups(cfg, 4, -14.0, 1e-5, 4, 7, 0)]
-    assert len(drawn) == len(setups) == 4
-    assert any(blocking.blocked.any() for _, _, blocking in drawn)
-    for (geom, ue, blocking), setup in zip(drawn, setups):
-        np.testing.assert_array_equal(geom.cells, setup.geom.cells)
-        np.testing.assert_array_equal(ue, setup.ue)
+    setups = [setup for setup, _ in trial_setups(cfg, 4, -14.0, 1e-5, 6, 7, 2)]
+    assert any(setup.blocking.blocked.any() for setup in setups)
+    for t, setup in enumerate(setups):
+        geom, ue, blocking = draw_trial(cfg, 5, 0.4, np.random.SeedSequence((7, 2, t, 0)), 1)
+        assert geom.cells.shape == (1, 5, 2) and ue.shape == (1, 2)
+        np.testing.assert_array_equal(geom.cells[0], setup.geom.cells)
+        np.testing.assert_array_equal(ue[0], setup.ue)
         for ours, theirs in zip(blocking, setup.blocking):
-            np.testing.assert_array_equal(ours, theirs)
+            assert ours.shape == (1, 5)
+            np.testing.assert_array_equal(ours[0], theirs)
+
+
+def test_p_los_chunks_cover_every_trial(monkeypatch):
+    """One trial past a whole chunk draws a last chunk of one, and the
+    campaign reruns byte-identically."""
+    cfg = _cfg(p_los_cluster_sizes=(5,), p_los_p_blk=(0.3,))
+    original, counts = experiments.draw_trial, []
+
+    def counting(*args):
+        counts.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "draw_trial", counting)
+    trials = experiments.P_LOS_CHUNK + 1
+    table = run_p_los(cfg, trials, 11)
+    assert counts == [experiments.P_LOS_CHUNK, 1]
+    (row,) = table.rows
+    assert row[4] == trials and (row[2] * trials).is_integer()
+    assert table.to_csv() == run_p_los(cfg, trials, 11).to_csv()
+
+
+def test_p_los_batch_with_a_ue_on_a_cell_raises(monkeypatch):
+    """A UE on a cell in any trial of a chunk fails the campaign."""
+    cfg = _cfg(p_los_cluster_sizes=(4,), p_los_p_blk=(0.5,))
+    original = experiments.place_ue
+
+    def onto_a_cell(geom, rng, count):
+        ue = original(geom, rng, count)
+        ue[count // 2] = geom.cells[count // 2, 1]
+        return ue
+
+    monkeypatch.setattr(experiments, "place_ue", onto_a_cell)
+    with pytest.raises(ValueError, match="coincides"):
+        run_p_los(cfg, 10, 3)
 
 
 def test_single_cell_trial_keeps_the_triangle_ue():
     cfg = SimConfig()
-    for t in range(20):
-        seed = np.random.SeedSequence((3, 0, t, 0))
-        geom, ue, blocking = draw_trial(cfg, 1, 0.5, seed)
-        triangle, ue3, _ = draw_trial(cfg, 3, 0.5, seed)
-        np.testing.assert_array_equal(geom.cells, triangle.cells[:1])
-        np.testing.assert_array_equal(ue, ue3)
-        assert len(blocking.blocked) == 1
-        # barycentric coordinates of the UE in the base triangle
-        (ax, ay), (bx, by), (cx, cy) = triangle.cells
-        m = np.array([[bx - ax, cx - ax], [by - ay, cy - ay]])
-        u, v = np.linalg.solve(m, ue - (ax, ay))
-        assert u >= 0 and v >= 0 and u + v <= 1
+    seed = np.random.SeedSequence((3, 0, 0, 0))
+    geom, ue, blocking = draw_trial(cfg, 1, 0.5, seed, 20)
+    triangle, ue3, _ = draw_trial(cfg, 3, 0.5, seed, 20)
+    np.testing.assert_array_equal(geom.cells, triangle.cells[:, :1])
+    np.testing.assert_array_equal(ue, ue3)
+    assert blocking.blocked.shape == (20, 1)
+    # barycentric coordinates of each UE in the base triangle
+    (ax, ay), (bx, by), (cx, cy) = triangle.cells[0]
+    m = np.array([[bx - ax, cx - ax], [by - ay, cy - ay]])
+    u, v = np.linalg.solve(m, (ue - (ax, ay)).T)
+    assert (u >= 0).all() and (v >= 0).all() and (u + v <= 1).all()

@@ -45,13 +45,44 @@ def test_bad_arguments_rejected():
 
 @pytest.mark.parametrize("cells", [
     [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]],  # two cells coincide
+    [[0.0, 0.0], [1.0, 2.0], [-0.0, 0.0]],
     [[0.0, 0.0], [math.nan, 1.0]],
     [[0.0, 0.0, 0.0]],  # not (n_sc, 2)
     np.zeros((0, 2)),
-], ids=["coincident", "nan", "shape", "empty"])
+], ids=["coincident", "signed-zero", "nan", "shape", "empty"])
 def test_invalid_layout_rejected(cells):
     with pytest.raises(ValueError):
         ClusterGeometry(cells)
+
+
+def test_batch_with_one_bad_cluster_rejected():
+    """Every cluster of a batch shares the triangle, which is no fault; one
+    cluster with two equal cells or a non-finite one fails the batch."""
+    good = build_cluster(5, D, layout_seed=1, count=6).cells
+    ClusterGeometry(good)
+    coincident, nonfinite = good.copy(), good.copy()
+    coincident[4, 3] = coincident[4, 1]
+    nonfinite[2, 4, 0] = math.inf
+    for cells in (coincident, nonfinite):
+        with pytest.raises(ValueError):
+            ClusterGeometry(cells)
+
+
+@pytest.mark.parametrize("n_sc", [1, 3, 5, 22])
+def test_count_of_one_is_the_single_draw(n_sc):
+    """A draw of one trial gives the unbatched values and leaves the
+    generator where the unbatched draw leaves it."""
+    for seed in range(20):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        geom = build_cluster(n_sc, D, rng_a)
+        batch = build_cluster(n_sc, D, rng_b, count=1)
+        assert batch.cells.shape == (1, n_sc, 2)
+        assert np.array_equal(batch.cells[0], geom.cells)
+        if n_sc >= 3:
+            ues = place_ue(batch, rng_b, count=1)
+            assert ues.shape == (1, 2)
+            assert np.array_equal(ues[0], place_ue(geom, rng_a))
+        assert rng_a.uniform() == rng_b.uniform()
 
 
 def test_cells_are_read_only():

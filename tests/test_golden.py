@@ -41,7 +41,7 @@ CAMPAIGNS = {
 
 DIGESTS = {
     "p-los":
-        "1fd068c3a16e87b101ae6c773d992b4a11db829b2fc68b0ee63f764ab17f6665",
+        "c89bf0519dd0d4d9c63f69220e6f2f6a6eda7ae535c0d2831c7c7e4bd4ee98bd",
     "reduction-power":
         "3e5f3107be5fce2522bbd0848ad1dbebdf6a8cc87acf04271c6dd97eb7506966",
     "reduction-pmiss":
