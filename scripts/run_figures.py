@@ -6,8 +6,8 @@ packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
 --out / --seed / --config as with the CLI. Each campaign's time prints to
 0.01 s, and the last line is the total wall time. Measured on one core of
 a shared 2-vCPU x86-64 cloud host with numpy 2.4.6: the full defaults took
-18.8-21.6 s over two runs (p-los 3.6-3.9 s of it, the two reduction
-campaigns 5.6-7.4 s each); --quick took 1.7-1.9 s.
+7.2-7.4 s over two runs (p-los 4.6 s of it, the two reduction campaigns
+1.0-1.4 s each, time-cluster 0.3-0.4 s); --quick took 0.35 s.
 """
 
 import argparse

@@ -6,7 +6,8 @@ single-trial, selftest. Each campaign command writes <name>.csv and .svg;
 without --trials it runs [experiment] p_los_trials (p-los) or trials
 (the others) per grid point. single-trial prints trial 0 of grid point 0
 under both schemes, exhaustive then coordinated, drawn as the campaigns
-draw it. Environment overrides: SIM_SEED, SIM_OUT.
+draw it: as the first trial of a whole chunk. Environment overrides:
+SIM_SEED, SIM_OUT.
 --trials must be at least 1; --seed and SIM_SEED must be non-negative
 integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
@@ -23,15 +24,16 @@ from typing import NamedTuple
 
 from .config import ConfigError, SimConfig, load_config
 from .experiments import (
+    CHUNK,
     ResultTable,
     point_threshold,
     run_p_los,
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
-    trial_setups,
+    trial_batches,
 )
-from .protocol import run_coordinated, run_exhaustive
+from .protocol import run_coordinated_batch, run_exhaustive_batch
 from .selftest import run_selftest
 from .svgplot import line_plot
 
@@ -122,13 +124,14 @@ def _emit(table: ResultTable, out_dir: Path, campaign: Campaign) -> None:
 
 def _single_trial(cfg: SimConfig, seed: int) -> None:
     """Trial 0 of grid point 0 under both schemes, exhaustive first, drawn
-    and seeded as the paired campaigns draw it."""
+    and seeded as the paired campaigns draw it: the first trial of chunk 0,
+    drawn whole."""
     gamma = point_threshold(cfg, seed, 0)
-    setup, protocol_seed = next(trial_setups(
-        cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, 1, seed, 0))
-    ue = setup.ue
-    for runner in (run_exhaustive, run_coordinated):
-        out = runner(setup, protocol_seed)
+    batch, protocol_seed = next(trial_batches(
+        cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, CHUNK, seed, 0))
+    ue = batch.ue[0]
+    for runner in (run_exhaustive_batch, run_coordinated_batch):
+        out = runner(batch, protocol_seed).trial(0)
         print(f"scheme:         {out.scheme}")
         print(f"success:        {out.success}")
         print(f"rounds:         {out.rounds}")

@@ -1,14 +1,15 @@
 """Seeded Monte Carlo campaigns over the IA protocol and channel models.
 
-Every random draw descends from (master seed, grid point index, index,
-stream), so any point of any experiment reruns bit-identically on its
-own. ``draw_trial`` is every campaign's draw of clusters, UEs and
-blocking, with a leading trial axis. A protocol trial is a draw of one
-from the trial's stream 0, and seeds both schemes from the trial's
-stream 2, which makes their first rounds coincide realization by
-realization. The P_LOS campaign draws ``P_LOS_CHUNK`` trials at a time
-from the chunk's stream 3 and scores each chunk with one link-budget and
-one ranking call.
+Every campaign runs its trials in chunks of ``CHUNK`` (the last chunk
+holds what is left), and every random draw descends from (master seed,
+grid point index, chunk index, stream), so any point of any experiment
+reruns bit-identically on its own; the chunk size is part of the
+stream. ``draw_trial`` is every campaign's draw of clusters, UEs and
+blocking, one call per chunk. A chunk of protocol trials is drawn from
+its stream 0 and is one ``TrialBatch``; both schemes seed their own
+generator from the chunk's stream 2, which makes their first rounds
+coincide trial by trial. A P_LOS chunk is drawn from its stream 3 and
+scored with one link-budget and one ranking call.
 """
 
 from __future__ import annotations
@@ -18,11 +19,16 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .channel import Blocking, link_budget_dbm, noise_power, sample_blocking
+from .channel import link_budget_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .estimation import select_top3
 from .geometry import ClusterGeometry, build_cluster, place_ue
-from .protocol import TrialSetup, ia_time_reduction, run_coordinated, run_exhaustive
+from .protocol import (
+    TrialBatch,
+    ia_time_reduction,
+    run_coordinated_batch,
+    run_exhaustive_batch,
+)
 
 
 @dataclass
@@ -60,13 +66,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# trials per P_LOS draw: larger chunks raise peak memory and barely run faster
-P_LOS_CHUNK = 32
+# trials per draw in every campaign: larger chunks raise peak memory and
+# barely run faster
+CHUNK = 32
 
 
-def _seed(master: int, point: int, index: int, stream: int):
-    """Seed of trial (streams 0, 2) or P_LOS chunk (stream 3) ``index``."""
-    return np.random.SeedSequence((master, point, index, stream))
+def _seed(master: int, point: int, chunk: int, stream: int):
+    """Seed of a protocol chunk's draw (stream 0) or protocol (stream 2), or
+    of a P_LOS chunk (stream 3)."""
+    return np.random.SeedSequence((master, point, chunk, stream))
+
+
+def _chunks(trials: int):
+    """(chunk index, trial count) of every chunk of ``trials``."""
+    return [(c, min(CHUNK, trials - start))
+            for c, start in enumerate(range(0, trials, CHUNK))]
 
 
 def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
@@ -113,12 +127,12 @@ def _ratio_delta_se(x: np.ndarray, y: np.ndarray) -> float:
 def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     """LOS-selection probability over (cluster size, blocking probability).
 
-    Per chunk of ``P_LOS_CHUNK`` trials (the last one holds what is left):
-    draw the clusters, UEs and blocking, take every cell's received power
-    with its best Rx beam, pick each trial's three strongest cells as the
-    coordinated scheme does, and count the trials whose three are all
-    unblocked. The noiseless PDP peak of a cell is N^2 times its received
-    power, so ranking received powers ranks the peaks.
+    Per chunk of trials: draw the clusters, UEs and blocking, take every
+    cell's received power with its best Rx beam, pick each trial's three
+    strongest cells as the coordinated scheme does, and count the trials
+    whose three are all unblocked. The noiseless PDP peak of a cell is
+    N^2 times its received power, so ranking received powers ranks the
+    peaks.
     """
     table = ResultTable(
         "p_los", ("n_sc", "p_blk", "p_los", "stderr", "trials"),
@@ -130,10 +144,9 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
             for p in cfg.experiment.p_los_p_blk]
     for point, (n_sc, p_blk) in enumerate(grid):
         wins = 0
-        for chunk, start in enumerate(range(0, trials, P_LOS_CHUNK)):
+        for chunk, count in _chunks(trials):
             geom, ue, blocking = draw_trial(
-                cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3),
-                min(P_LOS_CHUNK, trials - start))
+                cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3), count)
             base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb,
                                             cfg.channel.p_ue_dbm)
             top3 = select_top3(base + rx_gain.max(axis=-2)[:, None, :])
@@ -149,11 +162,11 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
 # Paired protocol trials (Figs. 9-11)
 # ---------------------------------------------------------------------------
 
-def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
-                 trials: int, master_seed: int, point: int,
-                 n_sc: int | None = None):
-    """(setup, protocol seed) of every trial at one grid point, each
-    setup a ``draw_trial`` of one trial at ``[channel] p_blk``.
+def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
+                  trials: int, master_seed: int, point: int,
+                  n_sc: int | None = None):
+    """(batch, protocol seed) of every chunk of trials at one grid point,
+    each batch one ``draw_trial`` at ``[channel] p_blk``.
 
     Each scheme seeds its own generator from the protocol seed, so a
     scheme's IA times do not depend on which other schemes run.
@@ -161,30 +174,31 @@ def trial_setups(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     ue_cb, sc_cb = cfg.ue_codebook(n_tx), cfg.sc_codebook()
     params = cfg.link_params(p_ue_dbm)
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
-    for t in range(trials):
+    for chunk, count in _chunks(trials):
         geom, ue, blocking = draw_trial(
-            cfg, n_cells, cfg.channel.p_blk, _seed(master_seed, point, t, 0), 1)
-        blocked, reflector, penalty_db = blocking
-        setup = TrialSetup(geom.trial(0), ue[0], ue_cb, sc_cb, params,
-                           cfg.preamble.n_zc, gamma,
-                           blocking=Blocking(blocked[0], reflector[0], penalty_db[0]),
-                           t_ra_s=cfg.protocol.t_ra_s,
+            cfg, n_cells, cfg.channel.p_blk, _seed(master_seed, point, chunk, 0), count)
+        batch = TrialBatch(geom, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
+                           blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
                            backhaul_latency_s=cfg.protocol.backhaul_latency_s)
-        yield setup, _seed(master_seed, point, t, 2)
+        yield batch, _seed(master_seed, point, chunk, 2)
 
 
-def _ia_times(runner, setups) -> np.ndarray:
-    return np.array([runner(setup, seed).ia_time_s for setup, seed in setups])
+def _ia_times(batches, *runners) -> list[np.ndarray]:
+    """Every trial's IA time under each runner, over all the chunks."""
+    times = [[] for _ in runners]
+    for batch, seed in batches:
+        for out, runner in zip(times, runners):
+            out.append(runner(batch, seed).ia_time_s)
+    return [np.concatenate(t) for t in times]
 
 
 def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int):
     """(p_er_pct, stderr_pct, coordinated mean, exhaustive mean) IA times
-    over paired trial seeds."""
-    setups = list(trial_setups(cfg, n_tx, p_ue_dbm, gamma, trials,
-                               master_seed, point))
-    exh = _ia_times(run_exhaustive, setups)
-    coord = _ia_times(run_coordinated, setups)
+    over paired trials."""
+    exh, coord = _ia_times(
+        trial_batches(cfg, n_tx, p_ue_dbm, gamma, trials, master_seed, point),
+        run_exhaustive_batch, run_coordinated_batch)
     mc, me = float(np.mean(coord)), float(np.mean(exh))
     return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
 
@@ -261,10 +275,10 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
 
     results = {}
     for point, n_sc in enumerate(sizes):
-        runner = run_exhaustive if n_sc == 1 else run_coordinated
-        results[n_sc] = _ia_times(runner, trial_setups(
+        runner = run_exhaustive_batch if n_sc == 1 else run_coordinated_batch
+        [results[n_sc]] = _ia_times(trial_batches(
             cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, trials,
-            master_seed, point, n_sc=n_sc))
+            master_seed, point, n_sc=n_sc), runner)
 
     base = results[1]
     base_mean, base_se = _mean_se(base)

@@ -51,7 +51,7 @@ class ClusterGeometry:
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=float)
+        cells = np.array(self.cells, dtype=float, order="C")
         if cells.ndim < 2 or cells.shape[-1] != 2 or cells.shape[-2] < 1:
             raise ValueError("cells must be a non-empty (n_sc, 2) array")
         if not np.isfinite(cells).all():

@@ -2,15 +2,16 @@
 
 Both schemes run the same slot process. Every cell holds one Rx beam for
 a whole round while the UE sweeps all its Tx beams, one preamble slot per
-beam; the trial ends at the first slot in which any cell's PDP peak
-clears the detection threshold. A scheme is therefore a schedule, the
-(rounds, n_sc) array of the Rx beam each cell holds in each round, and
-one sweep walks it. The exhaustive baseline's schedule walks each cell
-through an independent random Rx order. The coordinated scheme spends
-round one measuring every cell's peak per UE Tx beam, exchanges these
-reports (together the round-1 peak matrix) over the backhaul, estimates
-the UE position, and reorders every cell's remaining Rx sweep towards
-the estimate.
+beam; a trial ends at the first slot in which any cell's PDP peak clears
+the detection threshold. A scheme is therefore a schedule, the
+(trials, rounds, n_sc) array of the Rx beam each cell holds in each
+round, and one sweep walks it for a whole batch of trials, one
+``sample_peaks`` call per round over the trials still running. The
+exhaustive baseline's schedule walks each cell through an independent
+random Rx order. The coordinated scheme spends round one measuring every
+cell's peak per UE Tx beam, exchanges these reports (together the
+round-1 peak matrix) over the backhaul, estimates the UE position, and
+reorders every cell's remaining Rx sweep towards the estimate.
 """
 
 from __future__ import annotations
@@ -48,11 +49,41 @@ class IaTrialOutcome:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialSetup:
-    """Everything a single IA trial needs besides its RNG stream.
+class IaOutcomes:
+    """One scheme's outcome of every trial of a batch, as (T, ...) arrays.
 
-    Its link budget is computed on first use and kept, so the schemes of
-    a paired trial share one computation; it draws no random numbers.
+    A censored trial (``success`` False) used every slot of its schedule
+    and has detecting cell and pair -1; ``estimated_ue`` is NaN where the
+    trial made no estimate.
+    """
+
+    scheme: str
+    success: np.ndarray         # (T,) bool
+    slots_used: np.ndarray      # (T,) int
+    ia_time_s: np.ndarray       # (T,) float
+    rounds: np.ndarray          # (T,) int
+    detecting_cell: np.ndarray  # (T,) int
+    detecting_pair: np.ndarray  # (T, 2) int: (tx beam, rx beam)
+    estimated_ue: np.ndarray    # (T, 2) float
+
+    def trial(self, t: int) -> IaTrialOutcome:
+        """Trial ``t`` as a single outcome."""
+        hit, estimate = bool(self.success[t]), self.estimated_ue[t]
+        return IaTrialOutcome(
+            self.scheme, hit, int(self.slots_used[t]), float(self.ia_time_s[t]),
+            int(self.rounds[t]), int(self.detecting_cell[t]) if hit else None,
+            tuple(self.detecting_pair[t].tolist()) if hit else None,
+            None if np.isnan(estimate).any() else tuple(estimate.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class TrialBatch:
+    """T trials that share codebooks, link parameters and threshold, each
+    with its own cluster (cells (T, n_sc, 2)), UE ((T, 2)) and blocking
+    ((T, n_sc) arrays). A single trial is a batch of one.
+
+    The link budget is computed on first use and kept, so the schemes of
+    a paired batch share one computation; it draws no random numbers.
     """
 
     geom: ClusterGeometry
@@ -67,13 +98,20 @@ class TrialSetup:
     backhaul_latency_s: float = 0.0
 
     def __post_init__(self):
-        if self.blocking is not None and len(self.blocking.blocked) != self.geom.n_sc:
+        cells = self.geom.cells
+        if cells.ndim != 3 or np.shape(self.ue) != (len(cells), 2):
+            raise ValueError("a batch needs cells (T, n_sc, 2) and UEs (T, 2)")
+        if self.blocking is not None and self.blocking.blocked.shape != cells.shape[:2]:
             raise ValueError("one blocking state per cell required")
+
+    @property
+    def size(self) -> int:
+        return len(self.ue)
 
     @cached_property
     def link_budget(self) -> tuple[np.ndarray, np.ndarray]:
-        """``link_budget_dbm`` of this trial: the (n_tx, n_sc) dBm map before
-        the Rx gain and the (n_rx, n_sc) Rx gains, both read-only."""
+        """``link_budget_dbm`` of every trial: the (T, n_tx, n_sc) dBm map
+        before the Rx gain and the (T, n_rx, n_sc) Rx gains, read-only."""
         budget = link_budget_dbm(self.geom, self.ue, self.blocking, self.ue_codebook,
                                  self.sc_codebook, self.link_params.p_ue_dbm)
         for part in budget:
@@ -81,17 +119,18 @@ class TrialSetup:
         return budget
 
 
-def reorder_rx_beams(codebook: BeamCodebook, estimate,
+def reorder_rx_beams(codebook: BeamCodebook, estimates,
                      cells: np.ndarray) -> np.ndarray:
-    """(n_rx, n_sc) Rx sweeps: column i holds the beam indices of the cell
-    at ``cells[i]`` sorted by angular distance to its bearing towards the
-    estimate, the lower index first on ties."""
-    to_estimate = np.asarray(estimate) - cells
-    if not np.hypot(to_estimate[:, 0], to_estimate[:, 1]).all():
+    """(T, n_rx, n_sc) Rx sweeps for T estimates (T, 2) and their clusters
+    (T, n_sc, 2): column i of trial t holds the beam indices of the cell at
+    ``cells[t, i]`` sorted by angular distance to its bearing towards
+    ``estimates[t]``, the lower index first on ties."""
+    to_estimate = np.asarray(estimates)[..., None, :] - cells
+    if not np.hypot(to_estimate[..., 0], to_estimate[..., 1]).all():
         raise ValueError("no bearing from a cell to an estimate on it")
     dist = circular_distance(codebook.beam_centers[:, None],
-                             bearings(to_estimate)[None, :])
-    return np.argsort(dist, axis=0, kind="stable")
+                             bearings(to_estimate)[..., None, :])
+    return np.argsort(dist, axis=-2, kind="stable")
 
 
 def backhaul_delay_rounds(latency_s: float, round_duration_s: float) -> int:
@@ -106,86 +145,98 @@ def ia_time_reduction(t_new: float, t_con: float) -> float:
     return (t_new - t_con) / t_con * 100.0
 
 
-def _start_trial(setup: TrialSetup, seed):
-    """(n_sc, n_rx) random Rx orders, drawn alike by both schemes so their
-    first rounds coincide under a shared seed, and the trial's sweep.
-
-    ``sweep(schedule, start)`` draws one round of peaks (slot t carries Tx
-    beam t) per schedule row from ``start`` on and returns (hit, peaks of
-    the last round drawn); hit is the first (round, slot, cell) to clear
-    the threshold, or None. The link budget comes from ``setup.link_budget``,
-    computed once per setup whichever schemes run on it."""
-    rng = np.random.default_rng(seed)
-    base_dbm, rx_gain = setup.link_budget
-    noise_mw = dbm_to_mw(noise_power(setup.link_params))
-    cells = np.arange(setup.geom.n_sc)
-    orders = np.array([rng.permutation(setup.sc_codebook.n_beams) for _ in cells])
-
-    def sweep(schedule: np.ndarray, start: int):
-        for r in range(start, len(schedule)):
-            rx_dbm = base_dbm + rx_gain[schedule[r], cells][None, :]
-            peaks = sample_peaks(10.0 ** (rx_dbm / 10.0), noise_mw, setup.n_zc, rng)
-            # row-major: the earliest slot first, the lowest cell within it
-            slots, hit_cells = np.nonzero(peaks > setup.gamma_ra)
-            if slots.size:
-                return (r, int(slots[0]), int(hit_cells[0])), peaks
-        return None, peaks
-
-    return orders, sweep
+def _rx_orders(batch: TrialBatch, rng) -> np.ndarray:
+    """(T, n_sc, n_rx) random Rx orders, one per cell of every trial; both
+    schemes draw them first, so their first rounds coincide under a
+    shared seed."""
+    n_rx = batch.sc_codebook.n_beams
+    beams = np.broadcast_to(np.arange(n_rx), (*batch.geom.cells.shape[:2], n_rx))
+    return rng.permuted(beams, axis=-1)
 
 
-def _outcome(scheme: str, setup: TrialSetup, schedule: np.ndarray, hit,
-             estimate: np.ndarray | None) -> IaTrialOutcome:
-    """The outcome of a sweep over ``schedule``; a miss uses every round."""
-    n_tx = setup.ue_codebook.n_beams
-    if estimate is not None:
-        estimate = (float(estimate[0]), float(estimate[1]))
-    if hit is None:
-        slots_used = len(schedule) * n_tx
-        return IaTrialOutcome(scheme, False, slots_used, slots_used * setup.t_ra_s,
-                              len(schedule), estimated_ue=estimate)
-    r, slot, cell = hit
-    slots_used = r * n_tx + slot + 1
-    return IaTrialOutcome(scheme, True, slots_used, slots_used * setup.t_ra_s,
-                          r + 1, cell, (slot, int(schedule[r, cell])), estimate)
+def _sweep(batch: TrialBatch, schedule: np.ndarray, start: int, hit: np.ndarray, rng):
+    """Walk rounds ``start`` on of ``schedule`` (T, rounds, n_sc) for every
+    trial whose row of ``hit`` is still -1, slot t carrying Tx beam t.
+
+    Fills ``hit`` (T, 3) with each trial's first (round, slot, cell) to
+    clear the threshold and returns the peaks of the last round drawn,
+    one (n_tx, n_sc) matrix per trial that drew it. The first hit is the
+    row-major first of the trial's (n_tx, n_sc) hit map: the earliest
+    slot, then the lowest cell within it."""
+    base_dbm, rx_gain = batch.link_budget
+    noise_mw = dbm_to_mw(noise_power(batch.link_params))
+    n_sc = base_dbm.shape[-1]
+    cells = np.arange(n_sc)
+    peaks = None
+    for r in range(start, schedule.shape[1]):
+        todo = np.flatnonzero(hit[:, 0] < 0)
+        if not todo.size:
+            break
+        gain = rx_gain[todo[:, None], schedule[todo, r], cells]
+        rx_dbm = base_dbm[todo] + gain[:, None, :]
+        peaks = sample_peaks(10.0 ** (rx_dbm / 10.0), noise_mw, batch.n_zc, rng)
+        hits = (peaks > batch.gamma_ra).reshape(todo.size, -1)
+        found = hits.any(axis=1)
+        first = hits[found].argmax(axis=1)
+        hit[todo[found]] = np.stack([np.full_like(first, r), *divmod(first, n_sc)], axis=1)
+    return peaks
 
 
-def run_exhaustive(setup: TrialSetup, seed=None) -> IaTrialOutcome:
+def _outcomes(scheme: str, batch: TrialBatch, schedule: np.ndarray, hit: np.ndarray,
+              estimates: np.ndarray) -> IaOutcomes:
+    """Every trial's outcome of a sweep over ``schedule``; a miss uses
+    every round."""
+    n_tx, n_rounds = batch.ue_codebook.n_beams, schedule.shape[1]
+    r, slot, cell = hit.T
+    success = r >= 0
+    slots_used = np.where(success, r * n_tx + slot + 1, n_rounds * n_tx)
+    rx_beam = schedule[np.arange(batch.size), r, cell]
+    pair = np.where(success[:, None], np.stack([slot, rx_beam], axis=1), -1)
+    return IaOutcomes(scheme, success, slots_used, slots_used * batch.t_ra_s,
+                      np.where(success, r + 1, n_rounds), np.where(success, cell, -1),
+                      pair, estimates)
+
+
+def run_exhaustive_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
     """Uncoordinated baseline: every cell walks its own random Rx order."""
-    orders, sweep = _start_trial(setup, seed)
-    schedule = orders.T
-    hit, _ = sweep(schedule, start=0)
-    return _outcome(EXHAUSTIVE, setup, schedule, hit, None)
+    rng = np.random.default_rng(seed)
+    schedule = _rx_orders(batch, rng).transpose(0, 2, 1)
+    hit = np.full((batch.size, 3), -1)
+    _sweep(batch, schedule, 0, hit, rng)
+    return _outcomes(EXHAUSTIVE, batch, schedule, hit,
+                     np.full((batch.size, 2), np.nan))
 
 
-def run_coordinated(setup: TrialSetup, seed=None) -> IaTrialOutcome:
+def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
     """Measurement round, backhaul exchange, estimate, reordered sweeps."""
-    n_sc, n_rx = setup.geom.n_sc, setup.sc_codebook.n_beams
+    n_sc, n_rx = batch.geom.n_sc, batch.sc_codebook.n_beams
     if n_sc < 3:
         raise ValueError("coordinated IA needs a cluster of at least three cells")
-    orders, sweep = _start_trial(setup, seed)
+    rng = np.random.default_rng(seed)
+    orders = _rx_orders(batch, rng)
 
-    # Round 1: random Rx beams, full UE sweep; its (n_tx, n_sc) peaks are
-    # the cells' reports.
-    first = orders[:, :1].T
-    hit, peaks = sweep(first, start=0)
-    if hit is not None:
-        return _outcome(COORDINATED, setup, first, hit, None)
-
-    try:
-        estimate, _, _ = estimate_point(peaks, setup.geom)
-    except EstimationError:
-        estimate = None
+    # Round 1: random Rx beams, full UE sweep; each trial's (n_tx, n_sc)
+    # peaks are its cells' reports.
+    hit = np.full((batch.size, 3), -1)
+    peaks = _sweep(batch, orders[:, :, :1].transpose(0, 2, 1), 0, hit, rng)
+    estimates = np.full((batch.size, 2), np.nan)
+    for t in np.flatnonzero(hit[:, 0] < 0):
+        try:
+            estimates[t], _, _ = estimate_point(peaks[t], batch.geom.trial(t))
+        except EstimationError:
+            pass
 
     # n_rx more rounds. Until the reports have crossed the backhaul (and for
     # good without an estimate) each cell keeps walking its original order,
     # wrapping past the round-1 beam, so a full sweep still completes.
-    rest = np.roll(orders, -1, axis=1).T
-    if estimate is not None:
-        delay = backhaul_delay_rounds(setup.backhaul_latency_s,
-                                      setup.ue_codebook.n_beams * setup.t_ra_s)
-        reordered = reorder_rx_beams(setup.sc_codebook, estimate, setup.geom.cells)
-        rest[delay:] = reordered[:max(0, n_rx - delay)]
-    schedule = np.vstack([first, rest])
-    hit, _ = sweep(schedule, start=1)
-    return _outcome(COORDINATED, setup, schedule, hit, estimate)
+    schedule = np.concatenate([orders[:, :, :1], np.roll(orders, -1, axis=-1)],
+                              axis=-1).transpose(0, 2, 1)
+    estimated = np.flatnonzero(~np.isnan(estimates[:, 0]))
+    if estimated.size:
+        delay = backhaul_delay_rounds(batch.backhaul_latency_s,
+                                      batch.ue_codebook.n_beams * batch.t_ra_s)
+        reordered = reorder_rx_beams(batch.sc_codebook, estimates[estimated],
+                                     batch.geom.cells[estimated])
+        schedule[estimated, 1 + delay:] = reordered[:, :max(0, n_rx - delay)]
+    _sweep(batch, schedule, 1, hit, rng)
+    return _outcomes(COORDINATED, batch, schedule, hit, estimates)

@@ -418,50 +418,54 @@ def fallback_vs_grid() -> int:
 
 def _check_schedule_arithmetic():
     geom = geometry.build_cluster(3, D)
-    ue = np.array([100.0, 40.0])
+    ues = np.array([[100.0, 40.0], [60.0, 50.0], [140.0, 90.0]])
     ue_cb = antenna.make_codebook(4)
     sc_cb = antenna.make_codebook(8)
     # no noise: the exact peak is N^2 times the received power
     params = channel.LinkBudgetParams(-20.0, -math.inf, 1.08e6)
 
-    # analytic per-(tx, cell, rx) peak map; threshold just below the best pair
-    n_tx, n_sc, n_rx = 4, 3, 8
-    rx_dbm = np.empty((n_tx, n_sc, n_rx))
-    for t in range(n_tx):
-        for i in range(n_sc):
-            for b in range(n_rx):
-                rx_dbm[t, i, b] = channel.received_power(
-                    params, geom.cells[i], ue,
-                    ue_beam=float(ue_cb.beam_centers[t]), ue_pattern=ue_cb.pattern,
-                    sc_beam=float(sc_cb.beam_centers[b]), sc_pattern=sc_cb.pattern)
-    peak = 839.0 ** 2 * 10.0 ** (rx_dbm / 10.0)
-    gamma = 0.95 * peak.max()
-
-    # replay the seeded per-cell sweep orders to predict the detection slot
-    rng = np.random.default_rng(9)
-    orders = [rng.permutation(n_rx) for _ in range(n_sc)]
-    expect = None
-    for r in range(n_rx):
+    # analytic per-(trial, tx, cell, rx) peak map; one threshold for the
+    # batch, just below the weakest trial's best pair
+    n_trials, n_tx, n_sc, n_rx = len(ues), 4, 3, 8
+    rx_dbm = np.empty((n_trials, n_tx, n_sc, n_rx))
+    for k, ue in enumerate(ues):
         for t in range(n_tx):
             for i in range(n_sc):
-                if peak[t, i, orders[i][r]] > gamma:
-                    expect = (r * n_tx + t + 1, i, (t, int(orders[i][r])))
-                    break
-            if expect:
-                break
-        if expect:
-            break
+                for b in range(n_rx):
+                    rx_dbm[k, t, i, b] = channel.received_power(
+                        params, geom.cells[i], ue,
+                        ue_beam=float(ue_cb.beam_centers[t]), ue_pattern=ue_cb.pattern,
+                        sc_beam=float(sc_cb.beam_centers[b]), sc_pattern=sc_cb.pattern)
+    peak = 839.0 ** 2 * 10.0 ** (rx_dbm / 10.0)
+    gamma = 0.95 * peak.max(axis=(1, 2, 3)).min()
 
-    setup = protocol.TrialSetup(
-        geom=geom, ue=ue, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
+    # replay the seeded per-cell sweep orders, drawn for the whole batch in
+    # one call, to predict each trial's detection slot: earliest round,
+    # then slot, then the lowest cell
+    rng = np.random.default_rng(9)
+    orders = rng.permuted(np.broadcast_to(np.arange(n_rx), (n_trials, n_sc, n_rx)),
+                          axis=-1)
+    expect = []
+    for k in range(n_trials):
+        expect.append(next(
+            (r * n_tx + t + 1, i, (t, int(orders[k, i, r])))
+            for r in range(n_rx) for t in range(n_tx) for i in range(n_sc)
+            if peak[k, t, i, orders[k, i, r]] > gamma))
+
+    batch = protocol.TrialBatch(
+        geom=geometry.ClusterGeometry(np.broadcast_to(geom.cells, (n_trials, n_sc, 2))),
+        ue=ues, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
         n_zc=839, gamma_ra=gamma)
-    out1 = protocol.run_exhaustive(setup, seed=9)
-    out2 = protocol.run_exhaustive(setup, seed=9)
-    assert out1 == out2, "same seed must reproduce the outcome"
-    assert expect is not None and out1.success
-    assert out1.slots_used == expect[0], (out1.slots_used, expect)
-    assert out1.detecting_cell == expect[1]
-    assert out1.detecting_pair == expect[2]
+    out1 = protocol.run_exhaustive_batch(batch, seed=9)
+    out2 = protocol.run_exhaustive_batch(batch, seed=9)
+    for k, (slots, cell, pair) in enumerate(expect):
+        one = out1.trial(k)
+        assert one == out2.trial(k), "same seed must reproduce the outcome"
+        assert one.success
+        assert one.slots_used == slots, (k, one.slots_used, slots)
+        assert one.detecting_cell == cell
+        assert one.detecting_pair == pair
+    assert len({slots for slots, _, _ in expect}) > 1, "every trial detects alike"
 
 
 def _check_reduction_formula():

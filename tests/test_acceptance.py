@@ -24,7 +24,7 @@ from mmwia.experiments import (
     run_time_vs_cluster,
 )
 from mmwia.geometry import ClusterGeometry, build_cluster, place_ue, true_angles
-from mmwia.protocol import run_coordinated, run_exhaustive, TrialSetup
+from mmwia.protocol import TrialBatch, run_coordinated_batch, run_exhaustive_batch
 from mmwia.selftest import ZC_CASES, false_alarm_case, zc_autocorrelation
 
 D = 200.0
@@ -162,7 +162,7 @@ def test_criterion_6d_quantized_containment():
         ue = place_ue(geom0, rng)
         peaks = np.zeros((ue_cb.n_beams, geom0.n_sc))
         # the UE beam nearest the bearing to each cell, lowest index on ties
-        best = reorder_rx_beams(ue_cb, geom0.cells, ue[None, :])[0]
+        best = reorder_rx_beams(ue_cb, geom0.cells, ue[None, None, :])[:, 0, 0]
         peaks[best, np.arange(geom0.n_sc)] = 1.0
         _, top3, thetas = estimate_point(peaks, geom0)
         truth = true_angles(ClusterGeometry(geom0.cells[top3]), ue)
@@ -181,20 +181,16 @@ def test_criterion_6e_paired_dominance():
     seq = cfg.sequence()
     from mmwia.channel import noise_power
     gamma = cfg.threshold(noise_power(cfg.link_params()), seq, seed=SEED)
+    trials = 2000
     geom0 = build_cluster(3, D)
-    coord = np.empty(2000)
-    exh = np.empty(2000)
-    for t in range(2000):
-        ss = np.random.SeedSequence((SEED, 60, t))
-        rng = np.random.default_rng(ss)
-        setup = TrialSetup(geom=geom0, ue=place_ue(geom0, rng),
-                           ue_codebook=cfg.ue_codebook(),
-                           sc_codebook=cfg.sc_codebook(),
-                           link_params=cfg.link_params(), n_zc=seq.n_zc,
-                           gamma_ra=gamma)
-        trial_seed = np.random.SeedSequence((SEED, 61, t))
-        exh[t] = run_exhaustive(setup, np.random.default_rng(trial_seed)).slots_used
-        coord[t] = run_coordinated(setup, np.random.default_rng(trial_seed)).slots_used
+    batch = TrialBatch(
+        geom=ClusterGeometry(np.broadcast_to(geom0.cells, (trials, 3, 2))),
+        ue=place_ue(geom0, np.random.SeedSequence((SEED, 60)), trials),
+        ue_codebook=cfg.ue_codebook(), sc_codebook=cfg.sc_codebook(),
+        link_params=cfg.link_params(), n_zc=seq.n_zc, gamma_ra=gamma)
+    trial_seed = np.random.SeedSequence((SEED, 61))
+    exh = run_exhaustive_batch(batch, trial_seed).slots_used
+    coord = run_coordinated_batch(batch, trial_seed).slots_used
     _verdict(coord.mean() <= exh.mean(),
              "criterion 6e: paired-trial dominance at low power",
              f"coordinated {coord.mean():.2f} <= exhaustive {exh.mean():.2f} "

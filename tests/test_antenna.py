@@ -82,7 +82,7 @@ def test_codebook_default_beamwidth_ties_to_size():
 def _nearest_beam(cb, angle):
     """First beam of the reordered sweep towards a target at ``angle``."""
     target = (100.0 * math.cos(angle), 100.0 * math.sin(angle))
-    return reorder_rx_beams(cb, target, np.zeros((1, 2)))[0, 0]
+    return reorder_rx_beams(cb, [target], np.zeros((1, 1, 2)))[0, 0, 0]
 
 
 def test_best_beam_nearest_and_ties():

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
-from mmwia import cli
+from mmwia import cli, experiments
 from mmwia.cli import main
 from mmwia.config import load_config
-from mmwia.experiments import point_threshold, trial_setups
-from mmwia.protocol import run_coordinated, run_exhaustive
+from mmwia.experiments import CHUNK, point_threshold, run_reduction_vs_power, trial_batches
+from mmwia.protocol import run_coordinated_batch, run_exhaustive_batch
 
 
 def _write(tmp_path, text):
@@ -175,37 +177,71 @@ def test_single_trial_output(tmp_path, capsys):
             assert key in block
 
 
+def _assert_block(report, out, ue):
+    """One scheme's block of single-trial stdout prints outcome ``out``."""
+    assert report["success"] == str(out.success)
+    assert report["slots_used"] == str(out.slots_used)
+    assert report["rounds"] == str(out.rounds)
+    assert report["ia_time_s"] == f"{out.ia_time_s:.6f}"
+    assert report["detecting_cell"] == str(out.detecting_cell)
+    assert report["detecting_pair"] == str(out.detecting_pair)
+    assert report["true_ue"] == f"({ue[0]:.2f}, {ue[1]:.2f})"
+    if out.estimated_ue is None:
+        assert report["estimated_ue"] == "none"
+    else:
+        x, y = out.estimated_ue
+        assert report["estimated_ue"] == f"({x:.2f}, {y:.2f})"
+
+
 @pytest.mark.parametrize("scheme", ["coordinated", "exhaustive"])
 def test_single_trial_is_trial_zero_of_point_zero(capsys, scheme):
     """Each scheme's block of single-trial is the outcome the campaigns' own
-    trial generator and threshold give trial 0 of grid point 0."""
+    chunk generator and threshold give trial 0 of grid point 0's chunk 0."""
     cfg = load_config(None)
-    runner = run_coordinated if scheme == "coordinated" else run_exhaustive
+    runner = run_coordinated_batch if scheme == "coordinated" else run_exhaustive_batch
     estimated = 0
     for seed in range(6):
         capsys.readouterr()
         assert main(["single-trial", "--seed", str(seed)]) == 0
         blocks = _single_trial_blocks(capsys.readouterr().out)
         (report,) = [b for b in blocks if b["scheme"] == scheme]
-        setup, protocol_seed = next(trial_setups(
+        batch, protocol_seed = next(trial_batches(
             cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm,
-            point_threshold(cfg, seed, 0), 1, seed, 0))
-        out = runner(setup, protocol_seed)
-        assert report["success"] == str(out.success)
-        assert report["slots_used"] == str(out.slots_used)
-        assert report["rounds"] == str(out.rounds)
-        assert report["ia_time_s"] == f"{out.ia_time_s:.6f}"
-        assert report["detecting_cell"] == str(out.detecting_cell)
-        assert report["detecting_pair"] == str(out.detecting_pair)
-        assert report["true_ue"] == f"({setup.ue[0]:.2f}, {setup.ue[1]:.2f})"
-        if out.estimated_ue is None:
-            assert report["estimated_ue"] == "none"
-        else:
-            x, y = out.estimated_ue
-            assert report["estimated_ue"] == f"({x:.2f}, {y:.2f})"
-            estimated += 1
+            point_threshold(cfg, seed, 0), CHUNK, seed, 0))
+        out = runner(batch, protocol_seed).trial(0)
+        _assert_block(report, out, batch.ue[0])
+        estimated += out.estimated_ue is not None
     if scheme == "coordinated":
         assert estimated > 0, "no seed reached the coordinated second round"
+
+
+def test_single_trial_is_row_zero_of_a_paired_campaign(capsys, monkeypatch):
+    """single-trial prints, per scheme, trial 0 of the first chunk that a
+    paired campaign at the default power and codebook runs."""
+    cfg = load_config(None)
+    cfg = replace(cfg, experiment=replace(
+        cfg.experiment, power_grid_dbm=(cfg.channel.p_ue_dbm,),
+        n_tx_values=(cfg.antenna.n_tx,)))
+    for seed in (2, 9):
+        first = {}
+
+        def keep(runner):
+            def run(batch, protocol_seed):
+                out = runner(batch, protocol_seed)
+                first.setdefault(out.scheme, (out.trial(0), batch.ue[0]))
+                return out
+            return run
+
+        for name in ("run_exhaustive_batch", "run_coordinated_batch"):
+            monkeypatch.setattr(experiments, name, keep(getattr(experiments, name)))
+        run_reduction_vs_power(cfg, CHUNK + 3, seed)
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["single-trial", "--seed", str(seed)]) == 0
+        blocks = _single_trial_blocks(capsys.readouterr().out)
+        assert [b["scheme"] for b in blocks] == list(first)
+        for report in blocks:
+            _assert_block(report, *first[report["scheme"]])
 
 
 def test_campaigns_read_their_own_trial_count(tmp_path):

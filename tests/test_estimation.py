@@ -164,7 +164,7 @@ def _noiseless_peaks(geom, ue, ue_cb):
     """The peak matrix of an ideal noiseless measurement: each cell peaks at
     the UE beam nearest its bearing (lowest index on ties), nearer cells higher."""
     # the UE's sweep towards each cell: the cells stand in for estimates
-    best = reorder_rx_beams(ue_cb, geom.cells, np.asarray(ue)[None, :])[0]
+    best = reorder_rx_beams(ue_cb, geom.cells, np.asarray(ue)[None, None, :])[:, 0, 0]
     near = [1.0 / (1.0 + math.dist(ue, cell)) for cell in geom.cells]
     return _one_hot(best, ue_cb.n_beams, near)
 

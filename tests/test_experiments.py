@@ -8,13 +8,14 @@ from mmwia import experiments, protocol
 from mmwia.config import SimConfig
 from mmwia.experiments import (
     ResultTable,
+    CHUNK,
     _paired_point,
     draw_trial,
     run_p_los,
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
-    trial_setups,
+    trial_batches,
 )
 
 
@@ -100,29 +101,65 @@ def test_paired_point_computes_each_link_budget_once(monkeypatch):
     original, calls = protocol.link_budget_dbm, []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args[1].shape)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "link_budget_dbm", counting)
-    _paired_point(SimConfig(), 4, -14.0, 1e-5, 12, 3, 0)
-    assert len(calls) == 12
+    _paired_point(SimConfig(), 4, -14.0, 1e-5, CHUNK + 12, 3, 0)
+    assert calls == [(CHUNK, 2), (12, 2)]  # one per chunk, both schemes
 
 
 def test_one_trial_draw_is_what_the_protocol_gets():
-    """Each protocol trial is a draw of one from its trial's stream 0."""
+    """Each chunk of protocol trials is one draw from its chunk's stream 0."""
     cfg = SimConfig()
     cfg = replace(cfg, geometry=replace(cfg.geometry, n_sc=5),
                   channel=replace(cfg.channel, p_blk=0.4))
-    setups = [setup for setup, _ in trial_setups(cfg, 4, -14.0, 1e-5, 6, 7, 2)]
-    assert any(setup.blocking.blocked.any() for setup in setups)
-    for t, setup in enumerate(setups):
-        geom, ue, blocking = draw_trial(cfg, 5, 0.4, np.random.SeedSequence((7, 2, t, 0)), 1)
-        assert geom.cells.shape == (1, 5, 2) and ue.shape == (1, 2)
-        np.testing.assert_array_equal(geom.cells[0], setup.geom.cells)
-        np.testing.assert_array_equal(ue[0], setup.ue)
-        for ours, theirs in zip(blocking, setup.blocking):
-            assert ours.shape == (1, 5)
-            np.testing.assert_array_equal(ours[0], theirs)
+    batches = list(trial_batches(cfg, 4, -14.0, 1e-5, CHUNK + 6, 7, 2))
+    assert [batch.size for batch, _ in batches] == [CHUNK, 6]
+    for c, (batch, seed) in enumerate(batches):
+        assert seed.entropy == (7, 2, c, 2)
+        geom, ue, blocking = draw_trial(cfg, 5, 0.4, np.random.SeedSequence((7, 2, c, 0)),
+                                        batch.size)
+        np.testing.assert_array_equal(geom.cells, batch.geom.cells)
+        np.testing.assert_array_equal(ue, batch.ue)
+        assert blocking.blocked.any()
+        for ours, theirs in zip(blocking, batch.blocking):
+            np.testing.assert_array_equal(ours, theirs)
+
+
+def test_paired_campaign_chunks_cover_every_trial(monkeypatch):
+    """One trial past a whole chunk draws a last chunk of one; every
+    trial is averaged once, and the campaign reruns byte-identically."""
+    cfg = _cfg(power_grid_dbm=(-14.0,), n_tx_values=(4,))
+    original, counts = experiments.draw_trial, []
+    sizes = {"exh": 0, "coord": 0}
+
+    def counting(*args):
+        counts.append(args[-1])
+        return original(*args)
+
+    def sized(name, runner):
+        def run(batch, seed):
+            out = runner(batch, seed)
+            sizes[name] += len(out.slots_used)
+            return out
+        return run
+
+    monkeypatch.setattr(experiments, "draw_trial", counting)
+    monkeypatch.setattr(experiments, "run_exhaustive_batch",
+                        sized("exh", experiments.run_exhaustive_batch))
+    monkeypatch.setattr(experiments, "run_coordinated_batch",
+                        sized("coord", experiments.run_coordinated_batch))
+    trials = CHUNK + 1
+    table = run_reduction_vs_power(cfg, trials, 11)
+    assert counts == [CHUNK, 1]
+    assert sizes == {"exh": trials, "coord": trials}
+    (row,) = table.rows
+    t_ra = cfg.protocol.t_ra_s
+    for mean in (row[4], row[5]):  # whole slot counts summed over every trial
+        assert mean * trials / t_ra == pytest.approx(round(mean * trials / t_ra), abs=1e-6)
+    assert row[6] == trials
+    assert table.to_csv() == run_reduction_vs_power(cfg, trials, 11).to_csv()
 
 
 def test_p_los_chunks_cover_every_trial(monkeypatch):
@@ -136,9 +173,9 @@ def test_p_los_chunks_cover_every_trial(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(experiments, "draw_trial", counting)
-    trials = experiments.P_LOS_CHUNK + 1
+    trials = CHUNK + 1
     table = run_p_los(cfg, trials, 11)
-    assert counts == [experiments.P_LOS_CHUNK, 1]
+    assert counts == [CHUNK, 1]
     (row,) = table.rows
     assert row[4] == trials and (row[2] * trials).is_integer()
     assert table.to_csv() == run_p_los(cfg, trials, 11).to_csv()

@@ -68,6 +68,18 @@ def test_batch_with_one_bad_cluster_rejected():
             ClusterGeometry(cells)
 
 
+def test_broadcast_batch_accepted():
+    """A batch that repeats one layout (a stride-0 view) holds a copy of it."""
+    one = build_cluster(4, D, layout_seed=1).cells
+    batch = ClusterGeometry(np.broadcast_to(one, (5, 4, 2)))
+    assert batch.cells.shape == (5, 4, 2) and batch.cells.flags.c_contiguous
+    assert (batch.cells == one).all()
+    bad = one.copy()
+    bad[3] = bad[0]
+    with pytest.raises(ValueError, match="coincide"):
+        ClusterGeometry(np.broadcast_to(bad, (5, 4, 2)))
+
+
 @pytest.mark.parametrize("n_sc", [1, 3, 5, 22])
 def test_count_of_one_is_the_single_draw(n_sc):
     """A draw of one trial gives the unbatched values and leaves the

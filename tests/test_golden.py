@@ -43,11 +43,11 @@ DIGESTS = {
     "p-los":
         "c89bf0519dd0d4d9c63f69220e6f2f6a6eda7ae535c0d2831c7c7e4bd4ee98bd",
     "reduction-power":
-        "3e5f3107be5fce2522bbd0848ad1dbebdf6a8cc87acf04271c6dd97eb7506966",
+        "158aeec24563f279568d6c35cdad53541e1c15b4af3c60ac259f8976d85b3c9f",
     "reduction-pmiss":
-        "529ffcba78ca575d4f375db3564742d3deaa54974e2b8711485687ea6f594eab",
+        "df2790f8664df318961371027100d2eae5f6422a28bbfc71c2b560242b5662ce",
     "time-cluster":
-        "e07c0577c7ff0476296d54609b643e8fdb2e0572eda0b5ec6addd6a0eef333c4",
+        "9ad12cf0eee5f0aabf361ecb5d65efceb31f91a6b899d8b4feda479b1c37e001",
     "single-trial coordinated 4":
         "639038326851ee9228b38d88267ab89265e8da34535c35b541822943033aaed0",
     "single-trial exhaustive 11":

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from mmwia import protocol
 from mmwia.antenna import make_codebook
-from mmwia.channel import link_budget_dbm, sample_blocking
+from mmwia.channel import Blocking, link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
-from mmwia.estimation import estimate_point
-from mmwia.geometry import ClusterGeometry, build_cluster
+from mmwia.estimation import EstimationError, estimate_point
+from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
-    TrialSetup,
+    TrialBatch,
     backhaul_delay_rounds,
     reorder_rx_beams,
-    run_coordinated,
-    run_exhaustive,
+    run_coordinated_batch,
+    run_exhaustive_batch,
 )
 
 D = 200.0
@@ -26,18 +26,21 @@ CFG = SimConfig()
 SEQ = generate_zc(1, 839)
 
 
-def _setup(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0),
+def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
            noiseless=False, blocking=None, n_sc=3, latency=0.0):
-    geom = build_cluster(n_sc if n_sc >= 3 else 3, D, layout_seed=1)
-    if n_sc < 3:
-        geom = ClusterGeometry(geom.cells[:n_sc])
+    """``count`` trials on one layout: ``ue`` is one (2,) point for every
+    trial or a (count, 2) array, ``blocking`` one trial's states."""
+    geom = build_cluster(max(n_sc, 3), D, layout_seed=1)
+    cells = np.broadcast_to(geom.cells[:n_sc], (count, n_sc, 2))
     params = CFG.link_params(p_ue)
     if noiseless:
         # zero noise power: the peak sampler returns the exact N^2 * power
         params = replace(params, noise_density_dbm_hz=-math.inf)
-    return TrialSetup(
-        geom=geom,
-        ue=np.asarray(ue, dtype=float),
+    if blocking is not None:
+        blocking = Blocking(*(np.tile(field, (count, 1)) for field in blocking))
+    return TrialBatch(
+        geom=ClusterGeometry(cells),
+        ue=np.broadcast_to(np.asarray(ue, dtype=float), (count, 2)),
         ue_codebook=make_codebook(n_tx),
         sc_codebook=make_codebook(n_rx),
         link_params=params,
@@ -48,19 +51,51 @@ def _setup(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0),
     )
 
 
+def _trials(outcomes):
+    return [outcomes.trial(t) for t in range(len(outcomes.success))]
+
+
+def _alone(batch: TrialBatch, t: int) -> TrialBatch:
+    """Trial ``t`` of ``batch`` as a batch of one."""
+    blocking = None
+    if batch.blocking is not None:
+        blocking = Blocking(*(field[t:t + 1] for field in batch.blocking))
+    return replace(batch, geom=ClusterGeometry(batch.geom.cells[t:t + 1]),
+                   ue=batch.ue[t:t + 1], blocking=blocking)
+
+
 def test_reorder_boresight_first_antipodal_last():
     cb = make_codebook(8)
-    cells = np.array([[0.0, 0.0], [200.0, 0.0]])
-    target = (100.0, 0.0)  # bearing 0 from cell 0, pi from cell 1
+    cells = np.array([[[0.0, 0.0], [200.0, 0.0]]])
+    target = [(100.0, 0.0)]  # bearing 0 from cell 0, pi from cell 1
     order = reorder_rx_beams(cb, target, cells)
-    assert order.shape == (8, 2)
-    assert order[0].tolist() == [0, 4]  # boresight beams first
-    assert order[-1].tolist() == [4, 0]  # the antipodal beams last
+    assert order.shape == (1, 8, 2)
+    assert order[0, 0].tolist() == [0, 4]  # boresight beams first
+    assert order[0, -1].tolist() == [4, 0]  # the antipodal beams last
 
 
 def test_reorder_rejects_estimate_on_a_cell():
+    cells = build_cluster(3, D, count=3).cells
+    estimates = [(100.0, 50.0), (0.0, 0.0), (60.0, 30.0)]  # trial 1 on a cell
     with pytest.raises(ValueError):
-        reorder_rx_beams(make_codebook(8), (0.0, 0.0), build_cluster(3, D).cells)
+        reorder_rx_beams(make_codebook(8), estimates, cells)
+    with pytest.raises(ValueError):
+        reorder_rx_beams(make_codebook(8), estimates[1:2], cells[1:2])
+
+
+def test_reorder_batch_equals_per_trial_calls():
+    """A batch of estimates and clusters gives, trial by trial, the sweeps
+    of that trial's own call."""
+    rng = np.random.default_rng(3)
+    geom = build_cluster(6, D, rng, count=50)
+    estimates = place_ue(geom, rng, count=50)
+    estimates[:5] = np.round(estimates[:5], -1)  # bearings on beam boundaries
+    cb = make_codebook(8)
+    order = reorder_rx_beams(cb, estimates, geom.cells)
+    assert order.shape == (50, 8, 6)
+    for t in range(50):
+        one = reorder_rx_beams(cb, estimates[t:t + 1], geom.cells[t:t + 1])
+        assert np.array_equal(order[t], one[0])
 
 
 @given(st.integers(min_value=1, max_value=24),
@@ -71,127 +106,126 @@ def test_reorder_is_permutation(n, x, y):
     if abs(x) < 1e-6 and abs(y) < 1e-6:
         return
     cb = make_codebook(n)
-    order = reorder_rx_beams(cb, (x, y), np.zeros((1, 2)))
-    assert sorted(order[:, 0]) == list(range(n))
+    order = reorder_rx_beams(cb, [(x, y)], np.zeros((1, 1, 2)))
+    assert sorted(order[0, :, 0]) == list(range(n))
+
+
+def test_batch_needs_a_trial_axis():
+    one = _batch()
+    with pytest.raises(ValueError, match="batch"):
+        replace(one, geom=ClusterGeometry(one.geom.cells[0]))
+    with pytest.raises(ValueError, match="batch"):
+        replace(one, ue=one.ue[0])
 
 
 def test_exhaustive_worst_case_full_sweep():
-    setup = _setup(gamma=1e12, noiseless=True)  # nothing can clear this
-    out = run_exhaustive(setup, seed=0)
+    batch = _batch(gamma=1e12, noiseless=True)  # nothing can clear this
+    out = run_exhaustive_batch(batch, seed=0).trial(0)
     assert not out.success
     assert out.slots_used == 4 * 8
-    assert out.ia_time_s == pytest.approx(out.slots_used * setup.t_ra_s)
+    assert out.ia_time_s == pytest.approx(out.slots_used * batch.t_ra_s)
     assert out.detecting_cell is None
 
 
 def test_exhaustive_huge_power_detects_first_slot():
-    setup = _setup(p_ue=80.0, gamma=1e-5)  # side lobes alone clear the budget
-    out = run_exhaustive(setup, seed=0)
+    batch = _batch(p_ue=80.0, gamma=1e-5)  # side lobes alone clear the budget
+    out = run_exhaustive_batch(batch, seed=0).trial(0)
     assert out.success and out.slots_used == 1 and out.rounds == 1
 
 
 def test_single_cell_cluster_supported():
-    setup = _setup(n_sc=1, p_ue=80.0)
-    out = run_exhaustive(setup, seed=3)
+    out = run_exhaustive_batch(_batch(n_sc=1, p_ue=80.0), seed=3).trial(0)
     assert out.success and out.detecting_cell == 0
     with pytest.raises(ValueError):
-        run_coordinated(_setup(n_sc=1), seed=3)
+        run_coordinated_batch(_batch(n_sc=1), seed=3)
 
 
 def test_outcome_deterministic_per_seed():
-    setup = _setup()
-    for runner in (run_exhaustive, run_coordinated):
-        a = runner(setup, seed=123)
-        b = runner(setup, seed=123)
-        assert a == b
+    batch = _batch(count=20)
+    for runner in (run_exhaustive_batch, run_coordinated_batch):
+        assert _trials(runner(batch, seed=123)) == _trials(runner(batch, seed=123))
 
 
 def test_round1_shared_between_schemes():
-    """With one seed, a round-1 detection is identical for both schemes."""
-    setup = _setup(p_ue=-8.0)
+    """With one seed, a round-1 detection is identical for both schemes,
+    trial by trial."""
+    batch = _batch(p_ue=-8.0, count=40)
+    exh = _trials(run_exhaustive_batch(batch, seed=0))
+    coord = _trials(run_coordinated_batch(batch, seed=0))
     hits = 0
-    for seed in range(40):
-        e = run_exhaustive(setup, seed=seed)
-        c = run_coordinated(setup, seed=seed)
+    for e, c in zip(exh, coord):
         if e.rounds == 1 or c.rounds == 1:
             hits += 1
             assert e.rounds == 1 and c.rounds == 1
             assert e.slots_used == c.slots_used
             assert e.detecting_cell == c.detecting_cell
             assert e.detecting_pair == c.detecting_pair
-    assert hits > 0  # the power level must make round-1 hits possible
+    assert 0 < hits < 40  # the power level must make round-1 hits possible
 
 
 def test_coordinated_hard_slot_bound():
-    for seed in range(30):
-        setup = _setup(p_ue=-40.0)  # mostly undetectable -> worst case paths
-        out = run_coordinated(setup, seed=seed)
-        assert out.slots_used <= 4 * 8 + 4
-        e = run_exhaustive(setup, seed=seed)
-        assert e.slots_used <= 4 * 8
+    batch = _batch(p_ue=-40.0, count=30)  # mostly undetectable -> worst case paths
+    assert run_coordinated_batch(batch, seed=0).slots_used.max() <= 4 * 8 + 4
+    assert run_exhaustive_batch(batch, seed=0).slots_used.max() <= 4 * 8
 
 
 def test_coordinated_detects_by_round_two_when_estimate_good():
     """LOS centroid placement at moderate power: round 2 wraps it up."""
     geom = build_cluster(3, D, layout_seed=1)
     gamma = CFG.threshold(-110.67, SEQ, seed=1)
-    setup = _setup(ue=geom.triangle().mean(axis=0), p_ue=-14.0, gamma=gamma)
-    wins = 0
-    for seed in range(25):
-        out = run_coordinated(setup, seed=seed)
-        if out.success and out.rounds <= 2:
-            wins += 1
-    assert wins >= 20
+    batch = _batch(ue=geom.triangle().mean(axis=0), p_ue=-14.0, gamma=gamma, count=25)
+    out = run_coordinated_batch(batch, seed=0)
+    assert np.count_nonzero(out.success & (out.rounds <= 2)) >= 20
 
 
 def test_estimation_failure_falls_back_and_completes():
     # a single UE Tx beam makes every index pair equal -> angles unresolvable
-    setup = _setup(n_tx=1, p_ue=-14.0, gamma=1e-8)
-    out = run_coordinated(setup, seed=5)
+    out = run_coordinated_batch(_batch(n_tx=1, p_ue=-14.0, gamma=1e-8), seed=5).trial(0)
     assert out.slots_used <= 1 * (8 + 1)
     assert out.estimated_ue is None
 
 
 @pytest.mark.parametrize("n_sc", [5, 9])
 def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
-    """Beyond three cells the trial's estimate is the point that
-    estimate_point returns on the round-1 peaks, as at three cells."""
+    """Beyond three cells a trial's estimate is the point that
+    estimate_point returns on its round-1 peaks, as at three cells."""
     calls = []
 
     def recording(peaks, geom):
-        out = estimate_point(peaks, geom)
+        try:
+            out = estimate_point(peaks, geom)
+        except EstimationError:
+            calls.append((peaks.shape, None))
+            raise
         calls.append((peaks.shape, out[0]))
         return out
 
     monkeypatch.setattr(protocol, "estimate_point", recording)
-    setup = _setup(n_sc=n_sc, gamma=1e12)  # no detection: every trial estimates
-    for seed in range(50):
-        calls.clear()
-        out = run_coordinated(setup, seed=seed)
-        if out.estimated_ue is not None:
-            break
-    assert out.estimated_ue is not None
-    [(shape, point)] = calls
-    assert shape == (4, n_sc)
-    assert out.estimated_ue == (float(point[0]), float(point[1]))
+    batch = _batch(n_sc=n_sc, gamma=1e12, count=50)  # no detection: every trial estimates
+    out = run_coordinated_batch(batch, seed=0)
+    assert len(calls) == 50
+    assert any(point is not None for _, point in calls)
+    for t, (shape, point) in enumerate(calls):
+        assert shape == (4, n_sc)
+        expected = None if point is None else (float(point[0]), float(point[1]))
+        assert out.trial(t).estimated_ue == expected
 
 
 def test_blocked_links_degrade_but_stay_bounded():
-    setup = _setup(blocking=sample_blocking(3, 1.0, seed=2, excess_mean_db=10.0))
-    out = run_coordinated(setup, seed=7)
-    assert out.slots_used <= 4 * 8 + 4
+    batch = _batch(blocking=sample_blocking(3, 1.0, seed=2, excess_mean_db=10.0))
+    assert run_coordinated_batch(batch, seed=7).trial(0).slots_used <= 4 * 8 + 4
 
 
 def test_blocking_needs_one_state_per_cell():
     with pytest.raises(ValueError, match="per cell"):
-        _setup(blocking=sample_blocking(4, 0.5, seed=2, excess_mean_db=10.0))
+        _batch(blocking=sample_blocking(4, 0.5, seed=2, excess_mean_db=10.0))
 
 
 def test_backhaul_latency_defers_reordering():
-    slow = _setup(latency=1.0)  # far beyond one round: reordering never lands
-    fast = _setup(latency=0.0)
-    slow_out = run_coordinated(slow, seed=11)
-    fast_out = run_coordinated(fast, seed=11)
+    slow = _batch(latency=1.0)  # far beyond one round: reordering never lands
+    fast = _batch(latency=0.0)
+    slow_out = run_coordinated_batch(slow, seed=11).trial(0)
+    fast_out = run_coordinated_batch(fast, seed=11).trial(0)
     assert slow_out.slots_used <= 4 * 8 + 4
     assert fast_out.slots_used <= slow_out.slots_used + 4 * 8  # sanity only
 
@@ -202,27 +236,28 @@ def test_backhaul_bus_rounds():
     assert backhaul_delay_rounds(0.0041, 0.004) == 2
 
 
-def _noiseless_peaks(setup):
-    """(n_tx, n_sc) exact peaks of a one-Rx-beam setup, by the sweep's own
-    arithmetic; every round sees this map."""
-    base, rx_gain = link_budget_dbm(setup.geom, setup.ue, setup.blocking,
-                                    setup.ue_codebook, setup.sc_codebook,
-                                    setup.link_params.p_ue_dbm)
+def _noiseless_peaks(batch):
+    """(n_tx, n_sc) exact peaks of the first trial of a one-Rx-beam batch,
+    by the sweep's own arithmetic; every round sees this map."""
+    base, rx_gain = link_budget_dbm(batch.geom.trial(0), batch.ue[0], None,
+                                    batch.ue_codebook, batch.sc_codebook,
+                                    batch.link_params.p_ue_dbm)
     return 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
 
 
 def test_detect_strict_inequality():
     """A peak equal to the threshold is not a detection; just below it, the
     noiseless trial detects at the slot and cell of the largest peak."""
-    setup = _setup(p_ue=-20.0, n_rx=1, noiseless=True)
-    peaks = _noiseless_peaks(setup)
+    batch = _batch(p_ue=-20.0, n_rx=1, noiseless=True)
+    peaks = _noiseless_peaks(batch)
     slot, cell = np.unravel_index(np.argmax(peaks), peaks.shape)
     assert np.sum(peaks == peaks.max()) == 1
 
-    at_peak = run_exhaustive(replace(setup, gamma_ra=float(peaks.max())), seed=0)
+    at_peak = run_exhaustive_batch(
+        replace(batch, gamma_ra=float(peaks.max())), seed=0).trial(0)
     assert not at_peak.success and at_peak.slots_used == 4
-    below = run_exhaustive(
-        replace(setup, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), seed=0)
+    below = run_exhaustive_batch(
+        replace(batch, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), seed=0).trial(0)
     assert below.success and below.slots_used == slot + 1
     assert below.detecting_cell == cell and below.detecting_pair == (slot, 0)
 
@@ -236,18 +271,49 @@ def test_detect_strict_inequality():
 def test_sweep_takes_earliest_slot_then_lowest_cell(ue, gamma, slot0):
     """The first hit is the earliest slot, then the lowest cell within it,
     although cell 0 clears the threshold at a later slot."""
-    setup = _setup(p_ue=-20.0, n_rx=1, noiseless=True, ue=ue, gamma=gamma)
-    hits = _noiseless_peaks(setup) > gamma
+    batch = _batch(p_ue=-20.0, n_rx=1, noiseless=True, ue=ue, gamma=gamma)
+    hits = _noiseless_peaks(batch) > gamma
     assert hits[0].tolist() == slot0 and hits[1:, 0].any()
-    for runner in (run_exhaustive, run_coordinated):
-        out = runner(setup, seed=0)
+    for runner in (run_exhaustive_batch, run_coordinated_batch):
+        out = runner(batch, seed=0).trial(0)
         assert out.success and out.rounds == 1
         assert (out.slots_used, out.detecting_cell) == (1, 1)
 
 
+def test_batch_equals_each_trial_run_alone(monkeypatch):
+    """In a noiseless chunk every trial gets the slots, cell, pair and
+    estimate it gets run alone on the Rx orders the chunk drew for it. The
+    chunk holds round-1 hits, later-round hits and censored trials."""
+    rng = np.random.default_rng(8)
+    ues = place_ue(build_cluster(3, D, layout_seed=1), rng, count=24)
+    blocking = sample_blocking(3, 0.0, rng, excess_mean_db=10.0, count=24)
+    penalty = blocking.penalty_db.copy()
+    penalty[::5] = 60.0  # every fifth trial too weak to detect
+    blocking = blocking._replace(penalty_db=penalty)
+    chunk = replace(_batch(p_ue=-20.0, noiseless=True, gamma=2e-7, count=24, ue=ues),
+                    blocking=blocking)
+
+    drawn = []
+    draw = protocol._rx_orders
+
+    def recording(batch, rng):
+        drawn.append(draw(batch, rng))
+        return drawn[-1]
+
+    for runner in (run_exhaustive_batch, run_coordinated_batch):
+        monkeypatch.setattr(protocol, "_rx_orders", recording)
+        drawn.clear()
+        whole = runner(chunk, seed=4)
+        (orders,) = drawn
+        assert set(whole.rounds[whole.success]) > {1} and not whole.success.all()
+        for t in range(24):
+            monkeypatch.setattr(protocol, "_rx_orders", lambda b, rng: orders[t:t + 1])
+            assert whole.trial(t) == runner(_alone(chunk, t), seed=4).trial(0)
+
+
 def test_outcome_invariants():
-    setup = _setup(p_ue=80.0)
-    out = run_exhaustive(setup, seed=1)
-    assert out.ia_time_s == pytest.approx(out.slots_used * setup.t_ra_s)
+    batch = _batch(p_ue=80.0)
+    out = run_exhaustive_batch(batch, seed=1).trial(0)
+    assert out.ia_time_s == pytest.approx(out.slots_used * batch.t_ra_s)
     assert out.success
     assert out.detecting_pair is not None and out.detecting_cell is not None
