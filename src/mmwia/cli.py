@@ -34,7 +34,6 @@ from .experiments import (
     trial_batches,
 )
 from .protocol import run_coordinated_batch, run_exhaustive_batch
-from .selftest import run_selftest
 from .svgplot import line_plot
 
 
@@ -175,6 +174,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
 
     if args.command == "selftest":
+        # the oracle suite is large and no other command needs it
+        from .selftest import run_selftest
         return EXIT_OK if run_selftest() else EXIT_EXPERIMENT
 
     try:

@@ -6,31 +6,26 @@ Pipeline: wrapped differences of the cells' best Tx indices approximate
 the angles the cell pairs subtend at the UE; the point that sees the top
 three cells at those angles follows in closed form, or, for angles that
 no point reproduces, from a least-squares fit of their cosine-rule
-residuals. Points are (2,) arrays and anchor sets (k, 2) arrays, as in
+residuals. The estimator takes a stack of T trials in one call and
+reports each trial's outcome as a status code, not as an exception.
+Points are (T, 2) arrays and anchor triples (T, 3, 2) arrays, as in
 ``geometry``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import TWO_PI, ClusterGeometry
+from .geometry import TWO_PI
 
-
-class EstimationError(Exception):
-    """Estimation could not produce a usable result."""
-
-
-class AnglesUnresolvable(EstimationError):
-    """Two cells share a best Tx index: angles degenerate at this codebook size."""
-
-
-class TriangulationFailed(EstimationError):
-    """The angles give no usable point: they do not close or put the UE on a cell."""
+# status of each trial's estimate: a point from the closed form or from the
+# least-squares fit, or none, because two of the top three cells share a
+# best Tx index or because the angles give no usable point
+CLOSED_FORM, LEAST_SQUARES, UNRESOLVABLE, FAILED = range(4)
+_NO_POINT = complex(math.nan, math.nan)
 
 
 def select_top3(peaks: np.ndarray) -> np.ndarray:
@@ -38,49 +33,55 @@ def select_top3(peaks: np.ndarray) -> np.ndarray:
     or (..., 3) from a (..., n_tx, n_sc) stack; ties to the lower cell
     index."""
     if peaks.shape[-1] < 3:
-        raise EstimationError("need reports from at least three cells")
+        raise ValueError("need reports from at least three cells")
     return np.argsort(-peaks.max(axis=-2), axis=-1, kind="stable")[..., :3]
 
 
-def wrapped_index_angle(n_from: int, n_to: int, n_tx: int) -> float:
-    """2*pi * ((n_to - n_from) mod N) / N; raises on equal indices."""
-    delta = (n_to - n_from) % n_tx
-    if delta == 0:
-        raise AnglesUnresolvable(
-            "equal best Tx indices: angles unresolvable at this codebook resolution"
-        )
-    return TWO_PI * delta / n_tx
+def ordered_top3(peaks: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """(T, 3) top three cells of the (T, n_tx, n_sc) peaks, counterclockwise
+    about their centroid in the (T, n_sc, 2) clusters; cells at the same
+    bearing keep their rank order."""
+    top3 = select_top3(peaks)
+    xy = np.take_along_axis(cells, top3[..., None], axis=-2)
+    centroid = (xy[..., 0, :] + xy[..., 1, :] + xy[..., 2, :]) / 3
+    rel = xy - centroid[..., None, :]
+    order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=-1, kind="stable")
+    return np.take_along_axis(top3, order, axis=-1)
 
 
-def index_angles(best: Sequence[int], n_tx: int) -> tuple[float, float, float]:
-    """Cyclic angle estimates from three cells' best Tx indices.
-
-    theta_i is the wrapped difference of the best indices of cells i and
-    i+1. The caller passes the cells ordered counterclockwise as seen
-    from the UE side.
-    """
-    idx = [int(b) for b in best]
-    return tuple(wrapped_index_angle(idx[i], idx[(i + 1) % 3], n_tx)
-                 for i in range(3))
+def index_angles(best, n_tx: int) -> np.ndarray:
+    """Cyclic angle estimates (..., 3) from three cells' best Tx indices
+    (..., 3): theta_i = 2*pi * ((best[i + 1] - best[i]) mod n_tx) / n_tx,
+    0 where the two indices are equal (unresolvable at this codebook
+    size). The caller passes the cells ordered counterclockwise as seen
+    from the UE side."""
+    best = np.asarray(best)
+    return TWO_PI * ((np.roll(best, -1, axis=-1) - best) % n_tx) / n_tx
 
 
-def _closed_form_point(thetas, s) -> complex:
-    """The point that sees each pair (s[i], s[i + 1]) of the anchors ``s``
-    (complex numbers; s[i - 2] is s[(i + 1) % 3]) at its angle modulo pi.
-    That locus is a circle through the pair, centred half the chord times
-    cot(theta) left of its midpoint. Two consecutive pairs' circles share an
-    anchor, so their other intersection is that anchor reflected in the
-    line of centres. The pair whose angle lies nearest 0 or pi is left out,
-    as its circle degenerates to a line."""
-    k = min(range(3), key=lambda i: abs(math.sin(thetas[i])))
-    c1, c2 = ((s[i] + s[i - 2]) / 2 + 0.5j * (s[i - 2] - s[i]) / math.tan(thetas[i])
-              for i in ((k + 1) % 3, (k + 2) % 3))
-    if c1 == c2:  # one circle: all its points see both pairs alike
-        return complex(math.nan, math.nan)
-    return c1 + (c2 - c1) * ((s[k - 1] - c1) / (c2 - c1)).conjugate()
+def _closed_form_points(thetas, s, s_next, tol) -> np.ndarray:
+    """(T,) points that see each pair (s[i], s_next[i]) of the complex
+    anchors ``s`` (T, 3) at its angle modulo pi, ``s_next`` being ``s``
+    rolled by one. That locus is a circle through the pair, centred half
+    the chord times cot(theta) left of its midpoint. Two consecutive pairs'
+    circles share an anchor, so their other intersection is that anchor
+    reflected in the line of centres. The pair whose angle lies nearest 0
+    or pi is left out, as its circle degenerates to a line. Centres within
+    ``tol`` of each other make one circle, whose points all see both pairs
+    alike: the point is NaN."""
+    rows = np.arange(len(s))
+    k = np.argmin(np.abs(np.sin(thetas)), axis=-1)
+    centres = (s + s_next) / 2 + 0.5j * (s_next - s) / np.tan(thetas)
+    c1, c2 = centres[rows, (k + 1) % 3], centres[rows, (k + 2) % 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = c1 + (c2 - c1) * np.conj((s[rows, k - 1] - c1) / (c2 - c1))
+    return np.where(np.abs(c2 - c1) <= tol, _NO_POINT, p)
 
 
-def _least_squares_point(thetas, s, max_iter=200) -> complex:
+# quantized angle sets on the same triangle recur across trials, so fits
+# are kept and reused
+@lru_cache(maxsize=4096)
+def _least_squares_point(thetas: tuple, s: tuple, max_iter=200) -> complex:
     """Levenberg-Marquardt fit in the plane of the cosine-rule residuals
     |p-a|^2 + |p-b|^2 - 2|p-a||p-b|cos(theta) - |ab|^2 of the pairs (a, b)
     of the anchors ``s``, from their centroid, until a step is shorter than
@@ -123,60 +124,62 @@ def _least_squares_point(thetas, s, max_iter=200) -> complex:
     return p
 
 
-def locate_ue(thetas: Sequence[float], anchors: np.ndarray) -> np.ndarray:
-    """The point at which the three ordered (3, 2) anchors subtend the
-    cyclic angles ``thetas`` (theta_i between anchors i and i+1): the
-    closed-form point when it reproduces every angle within 1e-9 rad, else
-    the least-squares point. Raises TriangulationFailed for angles outside
-    (0, 2*pi) or not closing to 2*pi, and for a point that is not finite or
-    lies within 1e-9 of the longest anchor spacing of an anchor; ValueError
-    for anchors that are not three distinct finite points."""
-    S = np.asarray(anchors, dtype=float)
-    if S.shape != (3, 2) or len(thetas) != 3 or not np.isfinite(S).all():
-        raise ValueError("need three angles and three finite (x, y) anchors")
-    s = [complex(x, y) for x, y in S.tolist()]
-    if len(set(s)) < 3:
+def locate_points(thetas, anchors) -> tuple[np.ndarray, np.ndarray]:
+    """Points (T, 2) at which T triples of ordered anchors (T, 3, 2)
+    subtend the cyclic angles ``thetas`` (T, 3) (theta_i between anchors i
+    and i+1), with each row's status. A row's point is the closed-form
+    point when that reproduces every angle within 1e-9 rad (CLOSED_FORM),
+    else the least-squares point (LEAST_SQUARES). The row FAILED, with a
+    NaN point, for angles outside (0, 2*pi) or not closing to 2*pi, and
+    for a point that is not finite or lies within 1e-9 of the longest
+    anchor spacing of an anchor. Raises ValueError unless every triple is
+    three distinct finite points."""
+    thetas = np.asarray(thetas, dtype=float)
+    xy = np.ascontiguousarray(anchors, dtype=float)
+    if xy.ndim != 3 or xy.shape[1:] != (3, 2) or thetas.shape != xy.shape[:2]:
+        raise ValueError("need (T, 3) angles and (T, 3, 2) anchors")
+    if not np.isfinite(xy).all():
+        raise ValueError("anchors must be finite")
+    s = xy.view(complex)[..., 0]
+    s_next = np.roll(s, -1, axis=-1)
+    if (s == s_next).any():
         raise ValueError("anchors must be distinct")
-    if not all(0.0 < t < TWO_PI for t in thetas):
-        raise TriangulationFailed("angle estimates outside (0, 2*pi)")
-    if abs(sum(thetas) - TWO_PI) > 1e-6:
-        raise TriangulationFailed("cyclic angle estimates do not close to 2*pi")
-    tol = 1e-9 * max(abs(s[i] - s[i - 1]) for i in range(3))
+    tol = 1e-9 * np.abs(s_next - s).max(axis=-1)
+    in_range = ((thetas > 0.0) & (thetas < TWO_PI)).all(axis=-1)
+    closes = np.abs((thetas[:, 0] + thetas[:, 1]) + thetas[:, 2] - TWO_PI) <= 1e-6
+    status = np.where(in_range & closes, CLOSED_FORM, FAILED)
+    points = np.full(len(s), _NO_POINT)
 
-    p = _closed_form_point(thetas, s)
-    on = [abs(p - z) <= tol for z in s]
+    rows = np.flatnonzero(status == CLOSED_FORM)
+    t, z, z_next = thetas[rows], s[rows], s_next[rows]
+    p = _closed_form_points(t, z, z_next, tol[rows])[:, None]
+    on = np.abs(p - z) <= tol[rows, None]
     # a pair's angle is undefined at either of its anchors; a point that is
     # not finite reproduces nothing
-    if not all(on[i] or on[i - 2] or abs(cmath.phase(
-            (s[i - 2] - p) / (s[i] - p) * cmath.exp(-1j * t))) <= 1e-9
-            for i, t in enumerate(thetas)):
-        p = _least_squares_point(thetas, s)
-    if not cmath.isfinite(p):
-        raise TriangulationFailed("no finite point fits the angles")
-    if min(abs(p - z) for z in s) <= tol:
-        raise TriangulationFailed("the angles place the UE on a cell")
-    return np.array([p.real, p.imag])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.abs(np.angle((z_next - p) / (z - p) * np.exp(-1j * t)))
+    reproduced = (on | np.roll(on, -1, axis=-1) | (phase <= 1e-9)).all(axis=-1)
+    points[rows] = p[:, 0]
+    for r in rows[~reproduced]:
+        points[r] = _least_squares_point(tuple(thetas[r].tolist()), tuple(s[r].tolist()))
+        status[r] = LEAST_SQUARES
+
+    off_cells = (np.abs(points[:, None] - s) > tol[:, None]).all(axis=-1)
+    status[(status != FAILED) & ~(np.isfinite(points) & off_cells)] = FAILED
+    points[status == FAILED] = _NO_POINT
+    return np.stack([points.real, points.imag], axis=-1), status
 
 
-def _order_ccw(cells: Sequence[int], positions) -> list[int]:
-    """Counterclockwise order around the cells' centroid; ``positions`` is
-    a list of (x, y) pairs."""
-    cx = sum(positions[i][0] for i in cells) / len(cells)
-    cy = sum(positions[i][1] for i in cells) / len(cells)
-    return sorted(cells, key=lambda i: math.atan2(positions[i][1] - cy,
-                                                   positions[i][0] - cx))
-
-
-def estimate_point(
-    peaks: np.ndarray,
-    geom: ClusterGeometry,
-) -> tuple[np.ndarray, list[int], tuple[float, float, float]]:
-    """Point estimate from the top-3 cells of the (n_tx, n_sc) peak matrix.
-
-    Returns the point, the three cells in counterclockwise order and their
-    cyclic angle estimates; raises EstimationError subclasses.
-    """
-    top3 = _order_ccw(select_top3(peaks).tolist(), geom.cells.tolist())
-    best = peaks.argmax(axis=0)  # lowest Tx index on ties
-    thetas = index_angles(best[top3], peaks.shape[0])
-    return locate_ue(thetas, geom.cells[top3]), top3, thetas
+def estimate_points(peaks: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point estimates (T, 2) from the top three cells of each trial's
+    (n_tx, n_sc) peak matrix, stacked (T, n_tx, n_sc), in the trials'
+    clusters (T, n_sc, 2), with each trial's status. A trial whose top
+    three cells share a best Tx index (the lowest index on ties) is
+    UNRESOLVABLE; the others are located by ``locate_points``. Points are
+    NaN where the status is neither CLOSED_FORM nor LEAST_SQUARES."""
+    top3 = ordered_top3(peaks, cells)
+    best = np.take_along_axis(peaks.argmax(axis=-2), top3, axis=-1)
+    thetas = index_angles(best, peaks.shape[-2])
+    points, status = locate_points(thetas, np.take_along_axis(cells, top3[..., None], axis=-2))
+    status[(thetas == 0.0).any(axis=-1)] = UNRESOLVABLE
+    return points, status

@@ -27,8 +27,19 @@ def normalize_angle(angle):
 
 
 def circular_distance(a, b):
-    """Unsigned angular distance in [0, pi] between two azimuths (array-safe)."""
-    d = np.abs(np.mod(np.asarray(a) - np.asarray(b) + np.pi, TWO_PI) - np.pi)
+    """Unsigned angular distance in [0, pi] between two azimuths (array-safe).
+
+    This is |((a - b + pi) mod 2*pi) - pi|, bit for bit. Azimuths less than
+    a turn apart, as any two in [0, 2*pi) are, need at most one wrap, which
+    two selections make faster than a floating-point modulo; a pair further
+    apart takes the modulo.
+    """
+    r = np.asarray(a) - np.asarray(b) + np.pi
+    r = np.where(r < 0.0, r + TWO_PI, r)
+    r = np.where(r < TWO_PI, r, r - TWO_PI)
+    if not ((r >= 0.0) & (r < TWO_PI)).all():
+        r = np.mod(np.asarray(a) - np.asarray(b) + np.pi, TWO_PI)
+    d = np.abs(r - np.pi)
     return float(d) if d.ndim == 0 else d
 
 
@@ -68,12 +79,6 @@ class ClusterGeometry:
     @property
     def n_sc(self) -> int:
         return self.cells.shape[-2]
-
-    def trial(self, t: int) -> ClusterGeometry:
-        """Cluster ``t`` of a batch; the batch was validated whole."""
-        geom = object.__new__(ClusterGeometry)
-        object.__setattr__(geom, "cells", self.cells[t])
-        return geom
 
     def triangle(self) -> np.ndarray:
         if self.n_sc < 3:

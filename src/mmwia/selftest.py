@@ -327,7 +327,7 @@ def _check_index_angles():
     peaks = np.eye(8)[:, [1, 3, 6]]
     thetas = estimation.index_angles(peaks.argmax(axis=0), 8)
     assert abs(thetas[0] - math.pi / 2) < 1e-12
-    assert abs(estimation.wrapped_index_angle(7, 2, 8) - 3 * math.pi / 4) < 1e-12
+    assert abs(estimation.index_angles([7, 2, 4], 8)[0] - 3 * math.pi / 4) < 1e-12
     assert abs(sum(thetas) - 2 * math.pi) < 1e-12
 
 
@@ -343,8 +343,8 @@ LOCATE_CASES = {
 def locate_case(name: str):
     """The closed-form solve puts the case's angles at its point within 1e-6 m."""
     thetas, expect = LOCATE_CASES[name]
-    p = estimation.locate_ue(thetas, geometry.build_cluster(3, D).triangle())
-    assert math.dist(p, expect) < 1e-6, (name, p)
+    (p,), (status,) = estimation.locate_points([thetas], [geometry.build_cluster(3, D).triangle()])
+    assert status == estimation.CLOSED_FORM and math.dist(p, expect) < 1e-6, (name, p)
 
 
 def _check_closed_form_solve():
@@ -361,8 +361,10 @@ def round_trip(on_edges: bool):
     ues = ([tri[i] + f * (tri[(i + 1) % 3] - tri[i])
             for i in range(3) for f in np.linspace(0.05, 0.95, 19)] if on_edges
            else [geometry.place_ue(geom, rng) for _ in range(1000)])
-    for ue in ues:
-        err = math.dist(estimation.locate_ue(geometry.true_angles(geom, ue), tri), ue)
+    thetas = [geometry.true_angles(geom, ue) for ue in ues]
+    points, _ = estimation.locate_points(thetas, np.broadcast_to(tri, (len(ues), 3, 2)))
+    for ue, p in zip(ues, points):
+        err = math.dist(p, ue)
         assert err < 1e-6, f"round-trip error {err:.2e} m at {ue}"
 
 
@@ -403,15 +405,15 @@ def fallback_vs_grid() -> int:
     least-squares point lies within 0.02 m of the grid minimum; returns the
     number of such sets."""
     tri = geometry.build_cluster(3, D).triangle()
+    sets = [tuple(2 * math.pi * d / 8 for d in (d0, d1, 8 - d0 - d1))
+            for d0 in range(1, 7) for d1 in range(1, 8 - d0)]
+    points, _ = estimation.locate_points(sets, np.broadcast_to(tri, (len(sets), 3, 2)))
     inconsistent = 0
-    for d0 in range(1, 7):
-        for d1 in range(1, 8 - d0):
-            thetas = tuple(2 * math.pi * d / 8 for d in (d0, d1, 8 - d0 - d1))
-            p = estimation.locate_ue(thetas, tri)
-            if not reproduces_angles(p, thetas):
-                inconsistent += 1
-                err = math.dist(p, residual_grid_minimum(thetas))
-                assert err < 0.02, f"{thetas}: {err:.3f} m from the grid minimum"
+    for thetas, p in zip(sets, points):
+        if not reproduces_angles(p, thetas):
+            inconsistent += 1
+            err = math.dist(p, residual_grid_minimum(thetas))
+            assert err < 0.02, f"{thetas}: {err:.3f} m from the grid minimum"
     assert inconsistent > 0, "no inconsistent angle set was checked"
     return inconsistent
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from mmwia.antenna import make_codebook
 from mmwia.config import SimConfig
-from mmwia.estimation import estimate_point
+from mmwia.estimation import index_angles, ordered_top3
 from mmwia.experiments import (
     run_p_los,
     run_reduction_vs_power,
@@ -158,16 +158,20 @@ def test_criterion_6d_quantized_containment():
     rng = np.random.default_rng(SEED)
     inside = 0
     trials = 1000
-    for _ in range(trials):
-        ue = place_ue(geom0, rng)
-        peaks = np.zeros((ue_cb.n_beams, geom0.n_sc))
+    ues = np.array([place_ue(geom0, rng) for _ in range(trials)])
+    peaks = np.zeros((trials, ue_cb.n_beams, geom0.n_sc))
+    for t, ue in enumerate(ues):
         # the UE beam nearest the bearing to each cell, lowest index on ties
         best = reorder_rx_beams(ue_cb, geom0.cells, ue[None, None, :])[:, 0, 0]
-        peaks[best, np.arange(geom0.n_sc)] = 1.0
-        _, top3, thetas = estimate_point(peaks, geom0)
-        truth = true_angles(ClusterGeometry(geom0.cells[top3]), ue)
+        peaks[t, best, np.arange(geom0.n_sc)] = 1.0
+    cells = np.broadcast_to(geom0.cells, (trials, geom0.n_sc, 2))
+    top3 = ordered_top3(peaks, cells)
+    thetas = index_angles(np.take_along_axis(peaks.argmax(axis=-2), top3, axis=-1),
+                          ue_cb.n_beams)
+    for ue, order, angles in zip(ues, top3, thetas):
+        truth = true_angles(ClusterGeometry(geom0.cells[order]), ue)
         if all(abs(t_hat - t) <= ue_cb.pattern.phi_ml
-               for t_hat, t in zip(thetas, truth)):
+               for t_hat, t in zip(angles, truth)):
             inside += 1
     rate = inside / trials
     _verdict(rate >= 0.99,

@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
-from mmwia import cli, experiments
+from mmwia import cli, experiments, selftest
 from mmwia.cli import main
 from mmwia.config import load_config
 from mmwia.experiments import CHUNK, point_threshold, run_reduction_vs_power, trial_batches
@@ -25,6 +28,21 @@ p_los_p_blk = 0.2
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_cli_import_leaves_the_selftest_out():
+    """Only the selftest command loads the oracle suite."""
+    code = "import sys, mmwia.cli; print('mmwia.selftest' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])
+def test_selftest_exit_code(monkeypatch, passed, code):
+    monkeypatch.setattr(selftest, "run_selftest", lambda: passed)
+    assert main(["selftest"]) == code
 
 
 def test_config_error_exit_code(tmp_path, capsys):

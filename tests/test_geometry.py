@@ -192,6 +192,32 @@ def test_circular_distance_symmetric_and_bounded(a, b):
     assert d == pytest.approx(circular_distance(b, a))
 
 
+def _mod_distance(a, b):
+    """The floating-point modulo form of the circular distance."""
+    return np.abs(np.mod(np.asarray(a) - np.asarray(b) + np.pi, 2 * math.pi) - np.pi)
+
+
+def test_circular_distance_equals_the_modulo_form_bit_for_bit():
+    """Random azimuths, codebook centres and their float neighbours, and
+    pairs several turns apart give the modulo form's bits."""
+    rng = np.random.default_rng(21)
+    a, b = rng.uniform(0.0, 2 * math.pi, (2, 200_000))
+    assert np.array_equal(circular_distance(a, b), _mod_distance(a, b))
+    edges = [0.0, -0.0, math.pi, np.nextafter(2 * math.pi, 0.0)]
+    for n in (1, 2, 3, 4, 6, 8, 12, 16, 22, 64):
+        centres = np.arange(n) * (2 * math.pi) / n
+        edges.extend(centres)
+        edges.extend(np.nextafter(centres, 10.0))
+        edges.extend(np.nextafter(centres, -10.0))
+    edges = np.array(edges)
+    x, y = np.meshgrid(edges, edges)
+    assert np.array_equal(circular_distance(x, y), _mod_distance(x, y))
+    far = rng.uniform(-30.0, 30.0, (2, 1000))
+    assert np.array_equal(circular_distance(*far), _mod_distance(*far))
+    assert circular_distance(0.5, 6.0) == _mod_distance(0.5, 6.0)
+    assert np.isnan(circular_distance(np.nan, 1.0))
+
+
 def test_normalize_angle_wraps():
     assert normalize_angle(2 * math.pi) == 0.0
     assert normalize_angle(-math.pi / 2) == pytest.approx(3 * math.pi / 2)

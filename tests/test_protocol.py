@@ -10,10 +10,11 @@ from mmwia import protocol
 from mmwia.antenna import make_codebook
 from mmwia.channel import Blocking, link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
-from mmwia.estimation import EstimationError, estimate_point
+from mmwia.estimation import LEAST_SQUARES, estimate_points
 from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
+    ChunkSeeds,
     TrialBatch,
     backhaul_delay_rounds,
     reorder_rx_beams,
@@ -188,27 +189,21 @@ def test_estimation_failure_falls_back_and_completes():
 @pytest.mark.parametrize("n_sc", [5, 9])
 def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
     """Beyond three cells a trial's estimate is the point that
-    estimate_point returns on its round-1 peaks, as at three cells."""
+    estimate_points returns on its round-1 peaks, as at three cells, in
+    one call for every trial without a round-1 hit."""
     calls = []
 
-    def recording(peaks, geom):
-        try:
-            out = estimate_point(peaks, geom)
-        except EstimationError:
-            calls.append((peaks.shape, None))
-            raise
-        calls.append((peaks.shape, out[0]))
-        return out
+    def recording(peaks, cells):
+        calls.append((peaks.shape, cells.shape, *estimate_points(peaks, cells)))
+        return calls[-1][2:]
 
-    monkeypatch.setattr(protocol, "estimate_point", recording)
+    monkeypatch.setattr(protocol, "estimate_points", recording)
     batch = _batch(n_sc=n_sc, gamma=1e12, count=50)  # no detection: every trial estimates
     out = run_coordinated_batch(batch, seed=0)
-    assert len(calls) == 50
-    assert any(point is not None for _, point in calls)
-    for t, (shape, point) in enumerate(calls):
-        assert shape == (4, n_sc)
-        expected = None if point is None else (float(point[0]), float(point[1]))
-        assert out.trial(t).estimated_ue == expected
+    ((peaks_shape, cells_shape, points, status),) = calls
+    assert peaks_shape == (50, 4, n_sc) and cells_shape == (50, n_sc, 2)
+    assert (status <= LEAST_SQUARES).any()
+    np.testing.assert_array_equal(out.estimated_ue, points)
 
 
 def test_blocked_links_degrade_but_stay_bounded():
@@ -239,7 +234,7 @@ def test_backhaul_bus_rounds():
 def _noiseless_peaks(batch):
     """(n_tx, n_sc) exact peaks of the first trial of a one-Rx-beam batch,
     by the sweep's own arithmetic; every round sees this map."""
-    base, rx_gain = link_budget_dbm(batch.geom.trial(0), batch.ue[0], None,
+    base, rx_gain = link_budget_dbm(ClusterGeometry(batch.geom.cells[0]), batch.ue[0], None,
                                     batch.ue_codebook, batch.sc_codebook,
                                     batch.link_params.p_ue_dbm)
     return 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
@@ -309,6 +304,37 @@ def test_batch_equals_each_trial_run_alone(monkeypatch):
         for t in range(24):
             monkeypatch.setattr(protocol, "_rx_orders", lambda b, rng: orders[t:t + 1])
             assert whole.trial(t) == runner(_alone(chunk, t), seed=4).trial(0)
+
+
+@pytest.mark.parametrize("runner", [run_exhaustive_batch, run_coordinated_batch])
+def test_chunks_of_a_batch_equal_each_chunk_run_alone(runner):
+    """A batch of chunks with their own seeds gives every trial the outcome
+    it gets in its chunk run alone on the chunk's seed, field by field."""
+    rng = np.random.default_rng(12)
+    sizes = (7, 1, 12, 5)
+    geom = build_cluster(5, D, rng, count=sum(sizes))
+    ues = place_ue(geom, rng, count=sum(sizes))
+    blocking = sample_blocking(5, 0.3, rng, excess_mean_db=10.0, count=sum(sizes))
+    batch = replace(_batch(p_ue=-26.0, gamma=5e-6, n_sc=5, count=sum(sizes), ue=ues,
+                           latency=0.0015), geom=geom, blocking=blocking)
+    seeds = tuple(np.random.SeedSequence((5, c)) for c in range(len(sizes)))
+    whole = runner(batch, ChunkSeeds(seeds, sizes))
+    assert 1 < len(set(whole.rounds.tolist())) and not whole.success.all()
+    start = 0
+    for seed, size in zip(seeds, sizes):
+        rows = range(start, start + size)
+        alone = runner(replace(batch, geom=ClusterGeometry(geom.cells[start:start + size]),
+                               ue=ues[start:start + size],
+                               blocking=Blocking(*(f[start:start + size] for f in blocking))),
+                       seed)
+        assert [whole.trial(t) for t in rows] == _trials(alone)
+        start += size
+
+
+def test_chunk_seeds_must_cover_the_batch():
+    batch = _batch(count=5)
+    with pytest.raises(ValueError, match="cover"):
+        run_exhaustive_batch(batch, ChunkSeeds((1, 2), (2, 2)))
 
 
 def test_outcome_invariants():
