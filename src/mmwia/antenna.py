@@ -31,16 +31,8 @@ class AntennaPattern:
     g0: float
     g_sl: float
 
-    def gain(self, offset):
-        """Gain in dBi at angular offset(s) from boresight, offsets in [0, pi]."""
-        off = np.asarray(offset, dtype=float)
-        if np.any(off < 0.0) or np.any(off > math.pi + 1e-12):
-            raise ValueError("offset must lie in [0, pi]")
-        out = self._gain(off)
-        return float(out) if out.ndim == 0 else out
-
-    def _gain(self, off: np.ndarray) -> np.ndarray:
-        """``gain`` without the domain check, for offsets known to lie in
+    def gain(self, off: np.ndarray) -> np.ndarray:
+        """Gain in dBi at angular offsets from boresight, which must lie in
         [0, pi] (``circular_distance`` output)."""
         main = self.g0 - 3.01 * (2.0 * off / self.phi_3db) ** 2
         return np.where(off <= self.phi_ml / 2.0, main, self.g_sl)

@@ -8,14 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .antenna import AntennaPattern, BeamCodebook
-from .geometry import (
-    TWO_PI,
-    ClusterGeometry,
-    bearings,
-    circular_distance,
-    normalize_angle,
-)
+from .antenna import BeamCodebook
+from .geometry import TWO_PI, ClusterGeometry, bearings, circular_distance
 
 PATHLOSS_INTERCEPT_DB = 61.4  # 1 m reference
 PATHLOSS_SLOPE = 21.0
@@ -38,13 +32,8 @@ def pathloss(d):
     d = np.asarray(d, dtype=float)
     if np.any(d < 1.0):
         raise ValueError("pathloss model is valid only for d >= 1 m")
-    out = _pathloss(d)
+    out = PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d)
     return float(out) if out.ndim == 0 else out
-
-
-def _pathloss(d: np.ndarray) -> np.ndarray:
-    """``pathloss`` without the domain check, for distances already >= 1 m."""
-    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d)
 
 
 def noise_power(params: LinkBudgetParams) -> float:
@@ -95,13 +84,17 @@ def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
 
     Returns the (n_tx, n_sc) dBm map of Tx beam t towards cell i before
     the Rx gain, and the (n_rx, n_sc) Rx gain of cell beam b for the
-    arrival direction at cell i; their sum is ``received_power`` for that
-    (t, i, b), with distances below the pathloss model's 1 m reference
-    clamped to 1 m. ``blocking`` None makes every link LOS; a blocked link
-    runs via its nominal reflector (see ``link_bearings``). A batch of
-    trials, cells (..., n_sc, 2), UE (..., 2) and blocking (..., n_sc),
-    gives (..., n_tx, n_sc) and (..., n_rx, n_sc), each trial's slice
-    equal to its own call.
+    arrival direction at cell i; their sum is the preamble power at cell i
+    for that (t, i, b): P_UE plus both gains, less the pathloss and the
+    blocking penalty, with distances below the pathloss model's 1 m
+    reference clamped to 1 m. ``blocking`` None makes every link LOS. A
+    blocked link routes via a nominal reflector, so both ends point at it:
+    the model fixes only the reflector's bearing from the UE, and placing
+    it halfway out along that bearing, at half the direct distance, gives
+    the cell a well-defined arrival direction while the pathloss keeps
+    using the direct distance. A batch of trials, cells (..., n_sc, 2), UE
+    (..., 2) and blocking (..., n_sc), gives (..., n_tx, n_sc) and
+    (..., n_rx, n_sc), each trial's slice equal to its own call.
     """
     ue = np.asarray(ue)[..., None, :]
     to_cell = geom.cells - ue
@@ -116,59 +109,12 @@ def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
         via = blocking.blocked[..., None]
         depart = np.where(via, refl - ue, depart)
         arrive = np.where(via, refl - geom.cells, arrive)
-    # circular_distance keeps every offset in [0, pi] and the distances are
-    # clamped to 1 m, so the unchecked kernels stand in for gain/pathloss
-    tx_gains = ue_cb.pattern._gain(circular_distance(
+    tx_gains = ue_cb.pattern.gain(circular_distance(
         ue_cb.beam_centers[:, None], bearings(depart)[..., None, :]))
-    base = p_ue_dbm + tx_gains - _pathloss(np.maximum(d, 1.0))[..., None, :]
+    base = p_ue_dbm + tx_gains - pathloss(np.maximum(d, 1.0))[..., None, :]
     if blocking is not None:
         base = base - blocking.penalty_db[..., None, :]
-    rx_gain = sc_cb.pattern._gain(circular_distance(
+    rx_gain = sc_cb.pattern.gain(circular_distance(
         sc_cb.beam_centers[:, None], bearings(arrive)[..., None, :]))
     return base, rx_gain
 
-
-def _bearing(x0: float, y0: float, x1: float, y1: float) -> float:
-    if x0 == x1 and y0 == y1:
-        raise ValueError("bearing undefined between coincident points")
-    return normalize_angle(math.atan2(y1 - y0, x1 - x0))
-
-
-def link_bearings(cell, ue, reflector: float | None = None) -> tuple[float, float]:
-    """(departure azimuth at the UE, arrival azimuth seen from the cell) of
-    one link, in scalar math; ``cell`` and ``ue`` are (x, y) pairs.
-
-    A LOS link (``reflector`` None) uses the direct geometry. A blocked
-    link routes via a nominal reflector, so both ends point at it: the
-    model fixes only the reflector's bearing from the UE, and placing it
-    halfway out along that bearing, at half the direct distance, gives
-    the cell a well-defined arrival direction while the pathloss keeps
-    using the direct distance.
-    """
-    (cx, cy), (ux, uy) = cell, ue
-    if reflector is None:
-        return _bearing(ux, uy, cx, cy), _bearing(cx, cy, ux, uy)
-    half = 0.5 * math.hypot(ux - cx, uy - cy)
-    rx = ux + half * math.cos(reflector)
-    ry = uy + half * math.sin(reflector)
-    return _bearing(ux, uy, rx, ry), _bearing(cx, cy, rx, ry)
-
-
-def received_power(
-    params: LinkBudgetParams,
-    cell,
-    ue,
-    ue_beam: float,
-    ue_pattern: AntennaPattern,
-    sc_beam: float,
-    sc_pattern: AntennaPattern,
-    reflector: float | None = None,
-    penalty_db: float = 0.0,
-) -> float:
-    """Preamble power in dBm at one cell for beams centred at the given
-    azimuths; the scalar reference for ``link_budget_dbm``."""
-    depart, arrive = link_bearings(cell, ue, reflector)
-    d = math.hypot(ue[0] - cell[0], ue[1] - cell[1])
-    g_ue = ue_pattern.gain(circular_distance(ue_beam, depart))
-    g_sc = sc_pattern.gain(circular_distance(sc_beam, arrive))
-    return params.p_ue_dbm + g_ue + g_sc - pathloss(d) - penalty_db

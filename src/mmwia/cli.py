@@ -130,20 +130,21 @@ def _single_trial(cfg: SimConfig, seed: int) -> None:
         cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, CHUNK, seed, 0))
     ue = batch.ue[0]
     for runner in (run_exhaustive_batch, run_coordinated_batch):
-        out = runner(batch, protocol_seed).trial(0)
+        out = runner(batch, protocol_seed)
+        hit = bool(out.success[0])
         print(f"scheme:         {out.scheme}")
-        print(f"success:        {out.success}")
-        print(f"rounds:         {out.rounds}")
-        print(f"slots_used:     {out.slots_used}")
-        print(f"ia_time_s:      {out.ia_time_s:.6f}")
-        print(f"detecting_cell: {out.detecting_cell}")
-        print(f"detecting_pair: {out.detecting_pair}")
-        if out.estimated_ue is not None:
-            x, y = out.estimated_ue
+        print(f"success:        {hit}")
+        print(f"rounds:         {out.rounds[0]}")
+        print(f"slots_used:     {out.slots_used[0]}")
+        print(f"ia_time_s:      {out.ia_time_s[0]:.6f}")
+        print(f"detecting_cell: {out.detecting_cell[0] if hit else None}")
+        print(f"detecting_pair: {tuple(out.detecting_pair[0].tolist()) if hit else None}")
+        x, y = out.estimated_ue[0]
+        if math.isnan(x):
+            print("estimated_ue:   none")
+        else:
             print(f"estimated_ue:   ({x:.2f}, {y:.2f})")
             print(f"estimate_error: {math.hypot(x - ue[0], y - ue[1]):.2f} m")
-        else:
-            print("estimated_ue:   none")
         print(f"true_ue:        ({ue[0]:.2f}, {ue[1]:.2f})")
 
 

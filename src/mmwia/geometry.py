@@ -1,4 +1,4 @@
-"""Cluster layout, UE placement and the exact angular/metric ground truth.
+"""Cluster layout, UE placement and the angle arithmetic on azimuths.
 
 Positions are plain arrays: a cluster is the (n_sc, 2) array of its cell
 coordinates, and a UE is a (2,) array kept apart from the layout. A batch
@@ -132,16 +132,3 @@ def place_ue(geom: ClusterGeometry, placement_seed=None,
     uv = np.where(uv[..., :1] + uv[..., 1:] > 1.0, 1.0 - uv, uv)
     return a + uv[..., :1] * (tri[..., 1, :] - a) + uv[..., 1:] * (tri[..., 2, :] - a)
 
-
-def true_angles(geom: ClusterGeometry, ue) -> tuple[float, float, float]:
-    """Angles subtended at the UE between consecutive base-triangle cells.
-
-    theta_i is the angle between the UE->cell_i and UE->cell_{i+1}
-    directions (cyclic over the first three cells). For a UE inside the
-    triangle the three angles sum to exactly 2*pi.
-    """
-    vectors = geom.triangle() - np.asarray(ue)
-    if not np.hypot(vectors[:, 0], vectors[:, 1]).all():
-        raise ValueError("angles undefined at a UE on a cell")
-    b = bearings(vectors)
-    return tuple(normalize_angle(np.roll(b, -1) - b).tolist())

@@ -1,13 +1,13 @@
-"""Zadoff-Chu preambles, circular-correlation power delay profiles, detection.
+"""Zadoff-Chu preambles, PDP peak statistics and detection thresholds.
 
 The correlation convention: PDP(l) = |sum_n y(n) * conj(x_u((n+l) mod N))|^2,
 a periodic correlation over all N lags. For a prime-length ZC sequence the
 cyclic shifts form an orthogonal family, so the autocorrelation PDP is
 N^2 at lag 0 and exactly 0 elsewhere. The same orthogonality fixes the
 distribution of a slot's PDP maximum, which ``sample_peaks`` draws
-directly; the protocol and the miss-mode calibration use it. The oracle
-it is tested against synthesizes slots with ``synthesize_rx``, the only
-slot builder, and correlates them with ``pdp_matrix``, the only PDP.
+directly; the protocol and the miss-mode calibration use it. The FFT
+correlator it is tested against, which synthesizes and correlates whole
+slots, is an oracle and lives in ``selftest``.
 """
 
 from __future__ import annotations
@@ -53,39 +53,6 @@ def generate_zc(u: int, n_zc: int) -> ZcSequence:
     return ZcSequence(u, n_zc, samples)
 
 
-def synthesize_rx(seq: ZcSequence, rx_power_dbm: float, noise_power_dbm: float,
-                  rng, n: int = 1, delay_lag: int = 0) -> np.ndarray:
-    """n received preamble slots, shape (n, n_zc): the scaled sequence,
-    shifted so its PDP peaks at lag ``delay_lag``, plus circularly-symmetric
-    complex Gaussian noise of the given per-sample power, drawn from ``rng``
-    as the real then the imaginary (n, n_zc) normals. Noise of -inf dBm
-    adds nothing and draws nothing (``rng`` may then be None)."""
-    if not 0 <= delay_lag < seq.n_zc:
-        raise ValueError("delay_lag out of range")
-    x = math.sqrt(dbm_to_mw(rx_power_dbm)) * np.roll(seq.samples, -delay_lag)
-    noise_mw = dbm_to_mw(noise_power_dbm)
-    if noise_mw == 0.0:
-        return np.tile(x, (n, 1))
-    sigma = math.sqrt(noise_mw / 2.0)
-    return x + sigma * (rng.standard_normal((n, seq.n_zc))
-                        + 1j * rng.standard_normal((n, seq.n_zc)))
-
-
-def pdp_matrix(y: np.ndarray, seq: ZcSequence) -> np.ndarray:
-    """PDP values of received slots, shape (..., n_zc); a slot's peak lag
-    is the argmax (the lowest lag on ties).
-
-    Uses the identity z(l) = FFT_l{ FFT(y) * conj(FFT(x)) } / N, which
-    equals the direct periodic correlation at every lag.
-    """
-    y = np.asarray(y)
-    if y.shape[-1] != seq.n_zc:
-        raise ValueError("length mismatch between received slot and sequence")
-    spectrum = np.conj(np.fft.fft(seq.samples))
-    z = np.fft.fft(np.fft.fft(y, axis=-1) * spectrum, axis=-1) / seq.n_zc
-    return np.abs(z) ** 2
-
-
 def false_alarm_threshold(p_fa: float, noise_power_dbm: float, n_zc: int) -> float:
     """Closed-form threshold for a target any-lag false-alarm probability.
 
@@ -106,8 +73,9 @@ def sample_peaks(rx_mw, noise_mw: float, n_zc: int, rng) -> np.ndarray:
     outputs are independent CN(0, N*Pn) and the signal of amplitude a adds
     a*N at its own lag. The slot's PDP maximum is therefore
     max(|a*N + sqrt(N*Pn)*g|^2, N*Pn*M) with g ~ CN(0, 1) and M the largest
-    of N-1 i.i.d. Exp(1) draws, which has the distribution of
-    ``pdp_matrix(synthesized slots).max(-1)`` at a cost independent of N.
+    of N-1 i.i.d. Exp(1) draws, which has the distribution of the FFT
+    correlator's maximum over synthesized slots (``selftest.fft_peaks``)
+    at a cost independent of N.
     M inverts its CDF (1 - e^-m)^(N-1) as -log(-expm1(log(U)/(N-1))), which
     keeps its upper tail accurate. With noise_mw = 0 the peak is a^2*N^2.
 
@@ -133,11 +101,22 @@ def miss_threshold(
 ) -> float:
     """Monte Carlo threshold: the p_miss quantile of the aligned reference
     link's PDP peak over ``trials`` exact draws, so that link is missed
-    with probability p_miss."""
+    with probability p_miss.
+
+    The quantile is ``np.quantile``'s default (linear) one, bit for bit,
+    from the two order statistics around it; ``np.quantile`` itself would
+    import ``numpy.ma``, which costs more than the draws.
+    """
     if not 0.0 < p_miss < 1.0:
         raise ValueError("p_miss must lie in (0, 1)")
     peaks = sample_peaks(np.full(trials, dbm_to_mw(reference_rx_dbm)),
                          dbm_to_mw(noise_power_dbm), seq.n_zc,
                          np.random.default_rng(seed))
-    return float(np.quantile(peaks, p_miss))
+    v = (trials - 1) * p_miss
+    lo = math.floor(v)
+    hi = min(lo + 1, trials - 1)
+    a, b = np.partition(peaks, (lo, hi))[[lo, hi]]
+    t = v - lo
+    # numpy's lerp: from the nearer end, so t = 0 or 1 returns a or b exactly
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
 

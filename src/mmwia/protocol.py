@@ -36,22 +36,6 @@ EXHAUSTIVE = "exhaustive"
 COORDINATED = "coordinated"
 
 
-@dataclass(frozen=True)
-class IaTrialOutcome:
-    scheme: str
-    success: bool
-    slots_used: int
-    ia_time_s: float
-    rounds: int
-    detecting_cell: int | None = None
-    detecting_pair: tuple[int, int] | None = None  # (tx beam, rx beam)
-    estimated_ue: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.success and (self.detecting_cell is None or self.detecting_pair is None):
-            raise ValueError("successful outcome must name its detecting cell and pair")
-
-
 @dataclass(frozen=True, eq=False)
 class IaOutcomes:
     """One scheme's outcome of every trial of a batch, as (T, ...) arrays.
@@ -69,15 +53,6 @@ class IaOutcomes:
     detecting_cell: np.ndarray  # (T,) int
     detecting_pair: np.ndarray  # (T, 2) int: (tx beam, rx beam)
     estimated_ue: np.ndarray    # (T, 2) float
-
-    def trial(self, t: int) -> IaTrialOutcome:
-        """Trial ``t`` as a single outcome."""
-        hit, estimate = bool(self.success[t]), self.estimated_ue[t]
-        return IaTrialOutcome(
-            self.scheme, hit, int(self.slots_used[t]), float(self.ia_time_s[t]),
-            int(self.rounds[t]), int(self.detecting_cell[t]) if hit else None,
-            tuple(self.detecting_pair[t].tolist()) if hit else None,
-            None if np.isnan(estimate).any() else tuple(estimate.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,11 @@
 Each check recomputes its expectation from an independent route (hand
 algebra, brute-force correlation, closed-form statistics, grid search)
 and compares the implementation against it. This module holds the only
-copy of each oracle: the CLI `selftest` command runs the whole list and
+copy of each oracle, including the reference implementations that no
+campaign runs: the scalar link budget (``received_power``), the exact
+subtended angles (``true_angles``) and the FFT slot correlator
+(``synthesize_rx``, ``pdp_matrix``, ``fft_peaks``); the tests import
+them from here. The CLI `selftest` command runs the whole list and
 prints one line per check, and the test suite runs each check as a test.
 A check with several inputs calls one public function per input, and the
 tests named after an input call that function. Those functions take fixed
@@ -13,6 +17,7 @@ its own name and again inside its check computes it once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import traceback
 from functools import cache
@@ -47,16 +52,31 @@ def ue_centroid():
     """The mean of 100k uniform UE placements is within 2 m of the centroid."""
     geom = geometry.build_cluster(3, D)
     rng = np.random.default_rng(123)
-    pts = np.array([geometry.place_ue(geom, rng) for _ in range(100_000)])
+    pts = geometry.place_ue(geom, rng, count=100_000)
     err = math.dist(pts.mean(axis=0), geom.triangle().mean(axis=0))
     assert err < 2.0, f"empirical centroid off by {err:.2f} m"
+
+
+def true_angles(geom: geometry.ClusterGeometry, ue) -> tuple[float, float, float]:
+    """Oracle: angles subtended at the UE between consecutive base-triangle
+    cells.
+
+    theta_i is the angle between the UE->cell_i and UE->cell_{i+1}
+    directions (cyclic over the first three cells). For a UE inside the
+    triangle the three angles sum to exactly 2*pi.
+    """
+    vectors = geom.triangle() - np.asarray(ue)
+    if not np.hypot(vectors[:, 0], vectors[:, 1]).all():
+        raise ValueError("angles undefined at a UE on a cell")
+    b = geometry.bearings(vectors)
+    return tuple(geometry.normalize_angle(np.roll(b, -1) - b).tolist())
 
 
 def _check_angle_sum():
     geom = geometry.build_cluster(3, D)
     rng = np.random.default_rng(5)
     for _ in range(200):
-        total = sum(geometry.true_angles(geom, geometry.place_ue(geom, rng)))
+        total = sum(true_angles(geom, geometry.place_ue(geom, rng)))
         assert abs(total - 2.0 * math.pi) < 1e-12, "angles must close to 2*pi"
 
 
@@ -83,11 +103,54 @@ def _check_pattern_constants():
     pattern_22p5deg()
 
 
+def _bearing(x0: float, y0: float, x1: float, y1: float) -> float:
+    if x0 == x1 and y0 == y1:
+        raise ValueError("bearing undefined between coincident points")
+    return geometry.normalize_angle(math.atan2(y1 - y0, x1 - x0))
+
+
+def link_bearings(cell, ue, reflector: float | None = None) -> tuple[float, float]:
+    """(departure azimuth at the UE, arrival azimuth seen from the cell) of
+    one link, in scalar math; ``cell`` and ``ue`` are (x, y) pairs.
+
+    A LOS link (``reflector`` None) uses the direct geometry. A blocked
+    link routes via the nominal reflector of ``channel.link_budget_dbm``,
+    half the direct distance out from the UE along ``reflector``.
+    """
+    (cx, cy), (ux, uy) = cell, ue
+    if reflector is None:
+        return _bearing(ux, uy, cx, cy), _bearing(cx, cy, ux, uy)
+    half = 0.5 * math.hypot(ux - cx, uy - cy)
+    rx = ux + half * math.cos(reflector)
+    ry = uy + half * math.sin(reflector)
+    return _bearing(ux, uy, rx, ry), _bearing(cx, cy, rx, ry)
+
+
+def received_power(
+    params: channel.LinkBudgetParams,
+    cell,
+    ue,
+    ue_beam: float,
+    ue_pattern: antenna.AntennaPattern,
+    sc_beam: float,
+    sc_pattern: antenna.AntennaPattern,
+    reflector: float | None = None,
+    penalty_db: float = 0.0,
+) -> float:
+    """Oracle: preamble power in dBm at one cell for beams centred at the
+    given azimuths; the scalar reference for ``channel.link_budget_dbm``."""
+    depart, arrive = link_bearings(cell, ue, reflector)
+    d = math.hypot(ue[0] - cell[0], ue[1] - cell[1])
+    g_ue = ue_pattern.gain(geometry.circular_distance(ue_beam, depart))
+    g_sc = sc_pattern.gain(geometry.circular_distance(sc_beam, arrive))
+    return float(params.p_ue_dbm + g_ue + g_sc - channel.pathloss(d) - penalty_db)
+
+
 def _west_link(ue_beam: float):
     """Received power from a UE 200 m due west of cell 0, whose beam points
     west, with 45 deg beams at both ends; also returns the pattern."""
     pat = antenna.make_pattern(math.radians(45.0))
-    p = channel.received_power(
+    p = received_power(
         channel.LinkBudgetParams(23.0, -171.0, 1.08e6),
         geometry.build_cluster(3, D).cells[0], (-D, 0.0),
         ue_beam=ue_beam, ue_pattern=pat, sc_beam=math.pi, sc_pattern=pat)
@@ -134,7 +197,7 @@ def _check_link_budget():
             reflector = float(blk.reflector[i]) if blocked else None
             for t, ue_beam in enumerate(ue_cb.beam_centers):
                 for b, sc_beam in enumerate(sc_cb.beam_centers):
-                    ref = channel.received_power(
+                    ref = received_power(
                         params, cell, ue.tolist(), float(ue_beam), ue_cb.pattern,
                         float(sc_beam), sc_cb.pattern, reflector,
                         float(blk.penalty_db[i]))
@@ -153,6 +216,52 @@ def _check_blocking_rate():
                    excess_mean_db=10.0)
 
 
+def synthesize_rx(seq: preamble.ZcSequence, rx_power_dbm: float,
+                  noise_power_dbm: float, rng, n: int = 1,
+                  delay_lag: int = 0) -> np.ndarray:
+    """Oracle: n received preamble slots, shape (n, n_zc): the scaled
+    sequence, shifted so its PDP peaks at lag ``delay_lag``, plus
+    circularly-symmetric complex Gaussian noise of the given per-sample
+    power, drawn from ``rng`` as the real then the imaginary (n, n_zc)
+    normals. Noise of -inf dBm adds nothing and draws nothing (``rng``
+    may then be None)."""
+    if not 0 <= delay_lag < seq.n_zc:
+        raise ValueError("delay_lag out of range")
+    x = math.sqrt(preamble.dbm_to_mw(rx_power_dbm)) * np.roll(seq.samples, -delay_lag)
+    noise_mw = preamble.dbm_to_mw(noise_power_dbm)
+    if noise_mw == 0.0:
+        return np.tile(x, (n, 1))
+    sigma = math.sqrt(noise_mw / 2.0)
+    return x + sigma * (rng.standard_normal((n, seq.n_zc))
+                        + 1j * rng.standard_normal((n, seq.n_zc)))
+
+
+def pdp_matrix(y: np.ndarray, seq: preamble.ZcSequence) -> np.ndarray:
+    """Oracle: PDP values of received slots, shape (..., n_zc); a slot's
+    peak lag is the argmax (the lowest lag on ties).
+
+    Uses the identity z(l) = FFT_l{ FFT(y) * conj(FFT(x)) } / N, which
+    equals the direct periodic correlation at every lag.
+    """
+    y = np.asarray(y)
+    if y.shape[-1] != seq.n_zc:
+        raise ValueError("length mismatch between received slot and sequence")
+    spectrum = np.conj(np.fft.fft(seq.samples))
+    z = np.fft.fft(np.fft.fft(y, axis=-1) * spectrum, axis=-1) / seq.n_zc
+    return np.abs(z) ** 2
+
+
+def fft_peaks(rx_dbm: float | None, noise_dbm: float, seq, n: int,
+              rng) -> np.ndarray:
+    """Oracle: PDP maxima of n synthesized slots through the FFT correlator,
+    in batches of 2000 slots (rx_dbm None: noise only)."""
+    rx_dbm = -math.inf if rx_dbm is None else rx_dbm
+    return np.concatenate([
+        pdp_matrix(synthesize_rx(
+            seq, rx_dbm, noise_dbm, rng, n=min(2_000, n - start)), seq).max(axis=-1)
+        for start in range(0, n, 2_000)])
+
+
 ZC_CASES = ((1, 11), (1, 839), (25, 839))  # (root u, length N)
 
 
@@ -161,7 +270,7 @@ def zc_autocorrelation(u: int, n: int) -> float:
     """A ZC sequence correlated with itself peaks at N^2 at lag 0 and leaks
     nothing elsewhere; returns the largest off-peak value over the peak."""
     seq = preamble.generate_zc(u, n)
-    pdp = preamble.pdp_matrix(preamble.synthesize_rx(seq, 0.0, -math.inf, None)[0], seq)
+    pdp = pdp_matrix(synthesize_rx(seq, 0.0, -math.inf, None)[0], seq)
     assert np.argmax(pdp) == 0
     assert abs(pdp[0] - n * n) <= 1e-9 * n * n
     leak = float(pdp[1:].max() / pdp[0])
@@ -178,15 +287,15 @@ def _check_brute_force_pdp():
     seq = preamble.generate_zc(1, 11)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    fast = preamble.pdp_matrix(y, seq)
+    fast = pdp_matrix(y, seq)
     slow = np.array([
         abs(np.sum(y * np.conj(np.roll(seq.samples, -l)))) ** 2
         for l in range(11)
     ])
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12), \
         "FFT and O(n^2) correlators differ"
-    shifted = preamble.synthesize_rx(seq, 0.0, -math.inf, None, delay_lag=5)
-    assert np.argmax(preamble.pdp_matrix(shifted, seq)) == 5
+    shifted = synthesize_rx(seq, 0.0, -math.inf, None, delay_lag=5)
+    assert np.argmax(pdp_matrix(shifted, seq)) == 5
 
 
 def _check_processing_gain():
@@ -194,7 +303,7 @@ def _check_processing_gain():
     rng = np.random.default_rng(11)
     peaks, floors = [], []
     for _ in range(5):
-        vals = preamble.pdp_matrix(preamble.synthesize_rx(seq, 0.0, 0.0, rng, n=2_000), seq)
+        vals = pdp_matrix(synthesize_rx(seq, 0.0, 0.0, rng, n=2_000), seq)
         peaks.append(vals[:, 0])
         floors.append(vals[:, 1:].mean(axis=1))
     peaks, floors = np.concatenate(peaks), np.concatenate(floors)
@@ -206,17 +315,6 @@ def _check_processing_gain():
 NOISE_DBM = -110.67  # noise power of the default link budget
 # received powers of the sampler-equivalence grid; None is noise only
 SAMPLER_GRID_DBM = (None, -140.0, -125.0, -115.0, -105.0)
-
-
-def fft_peaks(rx_dbm: float | None, noise_dbm: float, seq, n: int,
-              rng) -> np.ndarray:
-    """Oracle: PDP maxima of n synthesized slots through the FFT correlator,
-    in batches of 2000 slots (rx_dbm None: noise only)."""
-    rx_dbm = -math.inf if rx_dbm is None else rx_dbm
-    return np.concatenate([
-        preamble.pdp_matrix(preamble.synthesize_rx(
-            seq, rx_dbm, noise_dbm, rng, n=min(2_000, n - start)), seq).max(axis=-1)
-        for start in range(0, n, 2_000)])
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -361,7 +459,7 @@ def round_trip(on_edges: bool):
     ues = ([tri[i] + f * (tri[(i + 1) % 3] - tri[i])
             for i in range(3) for f in np.linspace(0.05, 0.95, 19)] if on_edges
            else [geometry.place_ue(geom, rng) for _ in range(1000)])
-    thetas = [geometry.true_angles(geom, ue) for ue in ues]
+    thetas = [true_angles(geom, ue) for ue in ues]
     points, _ = estimation.locate_points(thetas, np.broadcast_to(tri, (len(ues), 3, 2)))
     for ue, p in zip(ues, points):
         err = math.dist(p, ue)
@@ -375,7 +473,7 @@ def _check_round_trip():
 
 def reproduces_angles(p, thetas) -> bool:
     """The base-triangle angles at p match thetas within 1e-9 rad."""
-    true = geometry.true_angles(geometry.build_cluster(3, D), p)
+    true = true_angles(geometry.build_cluster(3, D), p)
     return all(abs((a - t + math.pi) % (2 * math.pi) - math.pi) <= 1e-9
                for a, t in zip(true, thetas))
 
@@ -434,7 +532,7 @@ def _check_schedule_arithmetic():
         for t in range(n_tx):
             for i in range(n_sc):
                 for b in range(n_rx):
-                    rx_dbm[k, t, i, b] = channel.received_power(
+                    rx_dbm[k, t, i, b] = received_power(
                         params, geom.cells[i], ue,
                         ue_beam=float(ue_cb.beam_centers[t]), ue_pattern=ue_cb.pattern,
                         sc_beam=float(sc_cb.beam_centers[b]), sc_pattern=sc_cb.pattern)
@@ -458,15 +556,18 @@ def _check_schedule_arithmetic():
         geom=geometry.ClusterGeometry(np.broadcast_to(geom.cells, (n_trials, n_sc, 2))),
         ue=ues, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
         n_zc=839, gamma_ra=gamma)
-    out1 = protocol.run_exhaustive_batch(batch, seed=9)
-    out2 = protocol.run_exhaustive_batch(batch, seed=9)
+    out = protocol.run_exhaustive_batch(batch, seed=9)
+    again = protocol.run_exhaustive_batch(batch, seed=9)
+    # NaN, the estimate of a trial that made none, equals NaN
+    assert out.scheme == again.scheme and all(
+        np.array_equal(getattr(out, f.name), getattr(again, f.name),
+                       equal_nan=f.name == "estimated_ue")
+        for f in dataclasses.fields(out)[1:]), "same seed must reproduce the outcome"
     for k, (slots, cell, pair) in enumerate(expect):
-        one = out1.trial(k)
-        assert one == out2.trial(k), "same seed must reproduce the outcome"
-        assert one.success
-        assert one.slots_used == slots, (k, one.slots_used, slots)
-        assert one.detecting_cell == cell
-        assert one.detecting_pair == pair
+        assert out.success[k]
+        assert out.slots_used[k] == slots, (k, out.slots_used[k], slots)
+        assert out.detecting_cell[k] == cell
+        assert tuple(out.detecting_pair[k].tolist()) == pair
     assert len({slots for slots, _, _ in expect}) > 1, "every trial detects alike"
 
 

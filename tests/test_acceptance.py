@@ -23,9 +23,9 @@ from mmwia.experiments import (
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
 )
-from mmwia.geometry import ClusterGeometry, build_cluster, place_ue, true_angles
+from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
 from mmwia.protocol import TrialBatch, run_coordinated_batch, run_exhaustive_batch
-from mmwia.selftest import ZC_CASES, false_alarm_case, zc_autocorrelation
+from mmwia.selftest import ZC_CASES, false_alarm_case, true_angles, zc_autocorrelation
 
 D = 200.0
 SEED = 1

@@ -40,13 +40,6 @@ def test_gain_boresight_halfpower_and_sidelobe():
     assert p.gain(math.pi) == p.g_sl
 
 
-def test_gain_rejects_out_of_range():
-    p = make_pattern(1.0)
-    for bad in (-0.01, math.pi + 0.01):
-        with pytest.raises(ValueError):
-            p.gain(bad)
-
-
 @given(beamwidths, st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=1.0))
 def test_gain_non_increasing_on_main_lobe(phi, f1, f2):

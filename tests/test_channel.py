@@ -10,15 +10,18 @@ from mmwia.channel import (
     Blocking,
     LinkBudgetParams,
     NLOS_FLOOR_DB,
-    link_bearings,
     link_budget_dbm,
     noise_power,
     pathloss,
-    received_power,
     sample_blocking,
 )
 from mmwia.geometry import ClusterGeometry, build_cluster, circular_distance, place_ue
-from mmwia.selftest import aligned_link_composition, back_lobe_drop
+from mmwia.selftest import (
+    aligned_link_composition,
+    back_lobe_drop,
+    link_bearings,
+    received_power,
+)
 
 D = 200.0
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -30,13 +31,29 @@ def test_usage_error_exit_code():
     assert main([]) == 1
 
 
+def _fresh_process(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
 def test_cli_import_leaves_the_selftest_out():
     """Only the selftest command loads the oracle suite."""
     code = "import sys, mmwia.cli; print('mmwia.selftest' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_process(code).strip() == "False"
+
+
+def test_reduction_pmiss_leaves_numpy_ma_out(tmp_path):
+    """The miss-mode calibration takes its quantile without np.quantile,
+    whose first call imports numpy.ma."""
+    cfg = _write(tmp_path, "[experiment]\npmiss_grid = 0.1\nn_tx_values = 4\n"
+                           "[detection]\ncalibration_trials = 1000\n")
+    code = ("import sys, mmwia.cli\n"
+            f"assert mmwia.cli.main(['reduction-pmiss', '--config', {cfg!r}, '--trials', '2',"
+            f" '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _fresh_process(code).splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])
@@ -196,18 +213,22 @@ def test_single_trial_output(tmp_path, capsys):
 
 
 def _assert_block(report, out, ue):
-    """One scheme's block of single-trial stdout prints outcome ``out``."""
-    assert report["success"] == str(out.success)
-    assert report["slots_used"] == str(out.slots_used)
-    assert report["rounds"] == str(out.rounds)
-    assert report["ia_time_s"] == f"{out.ia_time_s:.6f}"
-    assert report["detecting_cell"] == str(out.detecting_cell)
-    assert report["detecting_pair"] == str(out.detecting_pair)
+    """One scheme's block of single-trial stdout prints row 0 of outcomes
+    ``out``: a censored trial names no detecting cell or pair, and a trial
+    without an estimate (NaN) prints none."""
+    hit = bool(out.success[0])
+    assert report["success"] == str(hit)
+    assert report["slots_used"] == str(out.slots_used[0])
+    assert report["rounds"] == str(out.rounds[0])
+    assert report["ia_time_s"] == f"{out.ia_time_s[0]:.6f}"
+    assert report["detecting_cell"] == str(out.detecting_cell[0] if hit else None)
+    assert report["detecting_pair"] == str(tuple(out.detecting_pair[0].tolist())
+                                           if hit else None)
     assert report["true_ue"] == f"({ue[0]:.2f}, {ue[1]:.2f})"
-    if out.estimated_ue is None:
+    x, y = out.estimated_ue[0]
+    if math.isnan(x):
         assert report["estimated_ue"] == "none"
     else:
-        x, y = out.estimated_ue
         assert report["estimated_ue"] == f"({x:.2f}, {y:.2f})"
 
 
@@ -226,9 +247,9 @@ def test_single_trial_is_trial_zero_of_point_zero(capsys, scheme):
         batch, protocol_seed = next(trial_batches(
             cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm,
             point_threshold(cfg, seed, 0), CHUNK, seed, 0))
-        out = runner(batch, protocol_seed).trial(0)
+        out = runner(batch, protocol_seed)
         _assert_block(report, out, batch.ue[0])
-        estimated += out.estimated_ue is not None
+        estimated += not math.isnan(out.estimated_ue[0, 0])
     if scheme == "coordinated":
         assert estimated > 0, "no seed reached the coordinated second round"
 
@@ -246,7 +267,7 @@ def test_single_trial_is_row_zero_of_a_paired_campaign(capsys, monkeypatch):
         def keep(runner):
             def run(batch, protocol_seed):
                 out = runner(batch, protocol_seed)
-                first.setdefault(out.scheme, (out.trial(0), batch.ue[0]))
+                first.setdefault(out.scheme, (out, batch.ue[0]))
                 return out
             return run
 

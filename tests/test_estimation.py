@@ -19,7 +19,7 @@ from mmwia.estimation import (
     ordered_top3,
     select_top3,
 )
-from mmwia.geometry import ClusterGeometry, build_cluster, place_ue, true_angles
+from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
 from mmwia.protocol import reorder_rx_beams
 from mmwia.selftest import (
     fallback_vs_grid,
@@ -27,6 +27,7 @@ from mmwia.selftest import (
     reproduces_angles,
     residual_grid_minimum,
     round_trip,
+    true_angles,
 )
 
 D = 200.0

@@ -11,9 +11,8 @@ from mmwia.geometry import (
     circular_distance,
     normalize_angle,
     place_ue,
-    true_angles,
 )
-from mmwia.selftest import ue_centroid
+from mmwia.selftest import true_angles, ue_centroid
 
 D = 200.0
 

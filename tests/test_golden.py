@@ -48,6 +48,8 @@ DIGESTS = {
         "df2790f8664df318961371027100d2eae5f6422a28bbfc71c2b560242b5662ce",
     "time-cluster":
         "9ad12cf0eee5f0aabf361ecb5d65efceb31f91a6b899d8b4feda479b1c37e001",
+    "single-trial coordinated 3":
+        "7369c0abae5a6138598fd5dcaf3168864e858cf44825a0cd3c6019b8281bab40",
     "single-trial coordinated 4":
         "639038326851ee9228b38d88267ab89265e8da34535c35b541822943033aaed0",
     "single-trial exhaustive 11":
@@ -86,7 +88,9 @@ def test_campaign_rows_match_digest(name, tmp_path):
     assert campaign_digest(name, tmp_path) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("scheme,seed", [("coordinated", 4), ("exhaustive", 11)])
+# seed 3's coordinated trial reaches round 2 and prints its estimate
+@pytest.mark.parametrize("scheme,seed", [("coordinated", 3), ("coordinated", 4),
+                                         ("exhaustive", 11)])
 def test_single_trial_stdout_matches_digest(scheme, seed, capsys):
     digest = single_trial_digest(scheme, seed, capsys)
     assert digest == DIGESTS[f"single-trial {scheme} {seed}"]

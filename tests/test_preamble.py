@@ -10,16 +10,17 @@ from mmwia.preamble import (
     false_alarm_threshold,
     generate_zc,
     is_prime,
-    pdp_matrix,
+    miss_threshold,
     sample_peaks,
-    synthesize_rx,
 )
 from mmwia.selftest import (
     SAMPLER_GRID_DBM,
     ZC_CASES,
     false_alarm_case,
     miss_case,
+    pdp_matrix,
     sampler_case,
+    synthesize_rx,
     zc_autocorrelation,
 )
 
@@ -139,6 +140,20 @@ def test_miss_threshold_self_consistent():
     """P_miss 0.1 calibrated on a -112 dBm link: the FFT oracle misses it at
     that rate within 4 standard errors (20k draws on each side)."""
     miss_case(0.1, -112.0)
+
+
+@pytest.mark.parametrize("trials", [100, 101, 1000, 10_000, 20_000])
+def test_miss_threshold_is_numpys_linear_quantile(trials):
+    """Bit for bit the default np.quantile of the same draws, at targets
+    that land on an order statistic and between two. At 101 draws, 0.857
+    is a target where interpolating from the lower order statistic would
+    differ from numpy in the last bit."""
+    seq = generate_zc(1, 839)
+    for p_miss in (1e-6, 1e-3, 0.01, 0.05, 0.1, 1 / 3, 0.5, 0.7, 0.857, 0.999):
+        peaks = sample_peaks(np.full(trials, dbm_to_mw(-112.0)), dbm_to_mw(-110.67),
+                             839, np.random.default_rng(trials))
+        got = miss_threshold(p_miss, -112.0, -110.67, seq, trials=trials, seed=trials)
+        assert got == float(np.quantile(peaks, p_miss)), p_miss
 
 
 def test_detection_monotone_in_power():
