@@ -6,8 +6,8 @@ packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
 --out / --seed / --config as with the CLI. Each campaign's time prints to
 0.01 s, and the last line is the total wall time. Measured on one core of
 a shared 2-vCPU x86-64 cloud host with numpy 2.4.6: the full defaults took
-7.2-7.4 s over two runs (p-los 4.6 s of it, the two reduction campaigns
-1.0-1.4 s each, time-cluster 0.3-0.4 s); --quick took 0.35 s.
+3.2-4.2 s over five runs (p-los about 3 s of it, the two reduction
+campaigns 0.2-0.3 s each, time-cluster 0.12 s); --quick took 0.20-0.25 s.
 """
 
 import argparse

@@ -1,21 +1,17 @@
 """Seeded Monte Carlo campaigns over the IA protocol and channel models.
 
-The chunk is the unit of randomness. Every campaign draws its trials in
-chunks of ``CHUNK`` (the last chunk holds what is left), and every random
-draw descends from (master seed, grid point index, chunk index, stream),
-so any point of any experiment reruns bit-identically on its own; the
-chunk size is part of the stream. ``draw_trial`` is every campaign's draw
-of clusters, UEs and blocking, one call per chunk. A chunk of protocol
-trials is drawn from its stream 0; both schemes seed their own generator
-from the chunk's stream 2, which makes their first rounds coincide trial
-by trial. A P_LOS chunk is drawn from its stream 3 and scored with one
-link-budget and one ranking call.
-
-The block is the unit of arithmetic for the protocol campaigns: ``BLOCK``
-consecutive chunks make one ``TrialBatch``, which runs one link budget,
-one sweep and one estimator call per scheme while each of its chunks
-draws from its own streams (``protocol.ChunkSeeds``). The block size is
-part of no stream: changing it moves no output byte.
+The chunk is the unit of trials. Every campaign runs its trials in
+chunks (the last chunk holds what is left): ``CHUNK`` trials for the
+protocol campaigns, ``P_LOS_CHUNK`` for P_LOS. Every random draw descends
+from (master seed, grid point index, chunk index, stream), so any point
+of any experiment reruns bit-identically on its own; the chunk size is
+part of the stream. ``draw_trial`` is every campaign's draw of clusters,
+UEs and blocking, one call per chunk. A chunk of protocol trials is
+drawn from its stream 0 and is one ``TrialBatch``, which runs one link
+budget, one sweep and one estimator call per scheme; both schemes seed
+their own generator from the chunk's stream 2, which makes their first
+rounds coincide trial by trial. A P_LOS chunk is drawn from its stream 3
+and scored with one link-budget and one ranking call.
 """
 
 from __future__ import annotations
@@ -25,12 +21,11 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .channel import Blocking, link_budget_dbm, noise_power, sample_blocking
+from .channel import link_budget_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .estimation import select_top3
 from .geometry import ClusterGeometry, build_cluster, place_ue
 from .protocol import (
-    ChunkSeeds,
     TrialBatch,
     ia_time_reduction,
     run_coordinated_batch,
@@ -73,16 +68,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# trials per draw in every campaign; the chunk size is part of every stream
-CHUNK = 32
-# chunks per protocol batch. Blocks of 8 chunks (256 trials) run the
-# 2000-trial time-cluster campaign in half the time of one chunk per batch
-# (0.23 against 0.50 s on a 2-vCPU Xeon) at 2 MB more peak memory (39.6
-# against 37.8 MB); one batch per grid point is barely faster (0.21 s)
-# and peaks at 52.7 MB. P_LOS keeps one chunk per batch: on its clusters
-# of 12 and 22 cells, blocks of 8 chunks saved 5-25 % of the time but
-# raised peak memory from 35.9 to 40.3 MB
-BLOCK = 8
+# trials per protocol chunk. Chunks of 256 run the 2000-trial
+# time-cluster campaign in half the time of chunks of 32 (0.23 against
+# 0.50 s on a 2-vCPU Xeon) at 2 MB more peak memory (39.6 against
+# 37.8 MB); one chunk per grid point is barely faster (0.21 s) and peaks
+# at 52.7 MB
+CHUNK = 256
+# trials per P_LOS chunk. On its clusters of 12 and 22 cells, chunks of
+# 256 saved 5-25 % of the time but raised peak memory from 35.9 to 40.3 MB
+P_LOS_CHUNK = 32
 
 
 def _seed(master: int, point: int, chunk: int, stream: int):
@@ -91,10 +85,10 @@ def _seed(master: int, point: int, chunk: int, stream: int):
     return np.random.SeedSequence((master, point, chunk, stream))
 
 
-def _chunks(trials: int):
-    """(chunk index, trial count) of every chunk of ``trials``."""
-    return [(c, min(CHUNK, trials - start))
-            for c, start in enumerate(range(0, trials, CHUNK))]
+def _chunks(trials: int, size: int):
+    """(chunk index, trial count) of every chunk of ``size`` of ``trials``."""
+    return [(c, min(size, trials - start))
+            for c, start in enumerate(range(0, trials, size))]
 
 
 def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
@@ -158,7 +152,7 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
             for p in cfg.experiment.p_los_p_blk]
     for point, (n_sc, p_blk) in enumerate(grid):
         wins = 0
-        for chunk, count in _chunks(trials):
+        for chunk, count in _chunks(trials, P_LOS_CHUNK):
             geom, ue, blocking = draw_trial(
                 cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3), count)
             base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb,
@@ -179,37 +173,28 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
 def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int,
                   n_sc: int | None = None):
-    """(batch, protocol seeds) of every block of ``BLOCK`` chunks of trials
-    at one grid point: the block's ``draw_trial`` calls at ``[channel]
-    p_blk``, one per chunk from its stream 0, concatenated, with the
-    ``ChunkSeeds`` of the chunks' stream 2.
+    """(batch, protocol seed) of every chunk of trials at one grid point:
+    the chunk's ``draw_trial`` at ``[channel] p_blk`` from its stream 0,
+    and the seed of its stream 2.
 
-    Each scheme seeds its own generators from the protocol seeds, so a
+    Each scheme seeds its own generator from the protocol seed, so a
     scheme's IA times do not depend on which other schemes run.
     """
     ue_cb, sc_cb = cfg.ue_codebook(n_tx), cfg.sc_codebook()
     params = cfg.link_params(p_ue_dbm)
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
-    chunks = _chunks(trials)
-    for first in range(0, len(chunks), BLOCK):
-        block = chunks[first:first + BLOCK]
-        geoms, ues, blockings = zip(*(
-            draw_trial(cfg, n_cells, cfg.channel.p_blk,
-                       _seed(master_seed, point, chunk, 0), count)
-            for chunk, count in block))
+    for chunk, count in _chunks(trials, CHUNK):
+        geom, ue, blocking = draw_trial(cfg, n_cells, cfg.channel.p_blk,
+                                        _seed(master_seed, point, chunk, 0), count)
         batch = TrialBatch(
-            ClusterGeometry(np.concatenate([g.cells for g in geoms])),
-            np.concatenate(ues), ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
-            blocking=Blocking(*map(np.concatenate, zip(*blockings))),
-            t_ra_s=cfg.protocol.t_ra_s,
+            geom, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
+            blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
             backhaul_latency_s=cfg.protocol.backhaul_latency_s)
-        yield batch, ChunkSeeds(
-            tuple(_seed(master_seed, point, chunk, 2) for chunk, _ in block),
-            tuple(count for _, count in block))
+        yield batch, _seed(master_seed, point, chunk, 2)
 
 
 def _ia_times(batches, *runners) -> list[np.ndarray]:
-    """Every trial's IA time under each runner, over all the blocks."""
+    """Every trial's IA time under each runner, over all the chunks."""
     times = [[] for _ in runners]
     for batch, seed in batches:
         for out, runner in zip(times, runners):

@@ -6,15 +6,13 @@ beam; a trial ends at the first slot in which any cell's PDP peak clears
 the detection threshold. A scheme is therefore a schedule, the
 (trials, rounds, n_sc) array of the Rx beam each cell holds in each
 round, and one sweep walks it for a whole batch of trials, one
-``sample_peaks`` call per round over the trials still running. A batch
-may be several chunks of trials, each with its own random stream: the
-sweep does its arithmetic once for the batch and draws each chunk's
-numbers from that chunk's generator (``ChunkSeeds``). The
-exhaustive baseline's schedule walks each cell through an independent
-random Rx order. The coordinated scheme spends round one measuring every
-cell's peak per UE Tx beam, exchanges these reports (together the
-round-1 peak matrix) over the backhaul, estimates the UE position, and
-reorders every cell's remaining Rx sweep towards the estimate.
+``sample_peaks`` call per round over the trials still running, all drawn
+from the scheme's one generator. The exhaustive baseline's schedule
+walks each cell through an independent random Rx order. The coordinated
+scheme spends round one measuring every cell's peak per UE Tx beam,
+exchanges these reports (together the round-1 peak matrix) over the
+backhaul, estimates the UE position, and reorders every cell's remaining
+Rx sweep towards the estimate.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,54 +95,6 @@ class TrialBatch:
         return budget
 
 
-class ChunkSeeds(NamedTuple):
-    """Seeds of a batch made of consecutive chunks of trials: chunk c is
-    the next ``sizes[c]`` trials and draws from its own generator, seeded
-    by ``seeds[c]``."""
-
-    seeds: tuple
-    sizes: tuple[int, ...]
-
-
-class _ChunkStreams:
-    """The generators of a batch's chunks behind the three ``Generator``
-    methods the sweep calls. Each call splits its leading (trial) axis at
-    the chunk bounds and draws each chunk's rows from that chunk's
-    generator, in chunk order, so a chunk draws what it draws as a batch
-    of its own."""
-
-    def __init__(self, generators, bounds):
-        self._generators, self._bounds = generators, bounds
-
-    @classmethod
-    def seeded(cls, seed, size: int) -> _ChunkStreams:
-        """Fresh streams of a batch of ``size`` trials: ``seed`` is a
-        ``ChunkSeeds`` or one seed, which makes the batch one chunk."""
-        chunks = seed if isinstance(seed, ChunkSeeds) else ChunkSeeds((seed,), (size,))
-        if sum(chunks.sizes) != size:
-            raise ValueError("the chunks must cover the batch")
-        bounds = np.cumsum((0, *chunks.sizes)).tolist()
-        return cls([np.random.default_rng(s) for s in chunks.seeds], bounds)
-
-    def running(self, rows: np.ndarray) -> _ChunkStreams:
-        """The same generators over the batch's trials ``rows`` (ascending)."""
-        return _ChunkStreams(self._generators, np.searchsorted(rows, self._bounds).tolist())
-
-    def _split(self, draw):
-        b = self._bounds
-        parts = [draw(g, lo, hi) for g, lo, hi in zip(self._generators, b, b[1:]) if hi > lo]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def permuted(self, x, axis):
-        return self._split(lambda g, lo, hi: g.permuted(x[lo:hi], axis=axis))
-
-    def standard_normal(self, shape):
-        return self._split(lambda g, lo, hi: g.standard_normal((hi - lo, *shape[1:])))
-
-    def random(self, shape):
-        return self._split(lambda g, lo, hi: g.random((hi - lo, *shape[1:])))
-
-
 def reorder_rx_beams(codebook: BeamCodebook, estimates,
                      cells: np.ndarray) -> np.ndarray:
     """(T, n_rx, n_sc) Rx sweeps for T estimates (T, 2) and their clusters
@@ -183,8 +132,8 @@ def _rx_orders(batch: TrialBatch, rng) -> np.ndarray:
 
 def _sweep(batch: TrialBatch, schedule: np.ndarray, start: int, hit: np.ndarray, rng):
     """Walk rounds ``start`` on of ``schedule`` (T, rounds, n_sc) for every
-    trial whose row of ``hit`` is still -1, slot t carrying Tx beam t; each
-    chunk of ``rng`` draws the peaks of its own running trials.
+    trial whose row of ``hit`` is still -1, slot t carrying Tx beam t, with
+    the peaks drawn from ``rng``.
 
     Fills ``hit`` (T, 3) with each trial's first (round, slot, cell) to
     clear the threshold and returns the peaks of the last round drawn,
@@ -202,8 +151,7 @@ def _sweep(batch: TrialBatch, schedule: np.ndarray, start: int, hit: np.ndarray,
             break
         gain = rx_gain[todo[:, None], schedule[todo, r], cells]
         rx_dbm = base_dbm[todo] + gain[:, None, :]
-        peaks = sample_peaks(10.0 ** (rx_dbm / 10.0), noise_mw, batch.n_zc,
-                             rng.running(todo))
+        peaks = sample_peaks(10.0 ** (rx_dbm / 10.0), noise_mw, batch.n_zc, rng)
         hits = (peaks > batch.gamma_ra).reshape(todo.size, -1)
         found = hits.any(axis=1)
         first = hits[found].argmax(axis=1)
@@ -227,9 +175,8 @@ def _outcomes(scheme: str, batch: TrialBatch, schedule: np.ndarray, hit: np.ndar
 
 
 def run_exhaustive_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
-    """Uncoordinated baseline: every cell walks its own random Rx order.
-    ``seed`` is one seed or the batch's ``ChunkSeeds``."""
-    rng = _ChunkStreams.seeded(seed, batch.size)
+    """Uncoordinated baseline: every cell walks its own random Rx order."""
+    rng = np.random.default_rng(seed)
     schedule = _rx_orders(batch, rng).transpose(0, 2, 1)
     hit = np.full((batch.size, 3), -1)
     _sweep(batch, schedule, 0, hit, rng)
@@ -238,12 +185,11 @@ def run_exhaustive_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
 
 
 def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
-    """Measurement round, backhaul exchange, estimate, reordered sweeps.
-    ``seed`` is one seed or the batch's ``ChunkSeeds``."""
+    """Measurement round, backhaul exchange, estimate, reordered sweeps."""
     n_sc, n_rx = batch.geom.n_sc, batch.sc_codebook.n_beams
     if n_sc < 3:
         raise ValueError("coordinated IA needs a cluster of at least three cells")
-    rng = _ChunkStreams.seeded(seed, batch.size)
+    rng = np.random.default_rng(seed)
     orders = _rx_orders(batch, rng)
 
     # Round 1: random Rx beams, full UE sweep; each trial's (n_tx, n_sc)

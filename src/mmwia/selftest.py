@@ -231,24 +231,30 @@ def synthesize_rx(seq: preamble.ZcSequence, rx_power_dbm: float,
     noise_mw = preamble.dbm_to_mw(noise_power_dbm)
     if noise_mw == 0.0:
         return np.tile(x, (n, 1))
-    sigma = math.sqrt(noise_mw / 2.0)
-    return x + sigma * (rng.standard_normal((n, seq.n_zc))
-                        + 1j * rng.standard_normal((n, seq.n_zc)))
+    y = np.empty((n, seq.n_zc), complex)
+    y.real = rng.standard_normal((n, seq.n_zc))
+    y.imag = rng.standard_normal((n, seq.n_zc))
+    y *= math.sqrt(noise_mw / 2.0)
+    y += x
+    return y
 
 
 def pdp_matrix(y: np.ndarray, seq: preamble.ZcSequence) -> np.ndarray:
     """Oracle: PDP values of received slots, shape (..., n_zc); a slot's
     peak lag is the argmax (the lowest lag on ties).
 
-    Uses the identity z(l) = FFT_l{ FFT(y) * conj(FFT(x)) } / N, which
-    equals the direct periodic correlation at every lag.
+    For a ZC root u, x(n + l) = x(n) x(l) e^{-j2pi u n l / N}, so the
+    correlation at lag l is |W(u l mod N)|^2 with W = N * IFFT(y conj(x)):
+    one FFT and a gather, equal to the direct periodic correlation at
+    every lag.
     """
     y = np.asarray(y)
-    if y.shape[-1] != seq.n_zc:
+    n = seq.n_zc
+    if y.shape[-1] != n:
         raise ValueError("length mismatch between received slot and sequence")
-    spectrum = np.conj(np.fft.fft(seq.samples))
-    z = np.fft.fft(np.fft.fft(y, axis=-1) * spectrum, axis=-1) / seq.n_zc
-    return np.abs(z) ** 2
+    w = np.fft.ifft(y * np.conj(seq.samples), axis=-1)
+    power = (w.real * w.real + w.imag * w.imag) * float(n * n)
+    return power[..., seq.root * np.arange(n) % n]
 
 
 def fft_peaks(rx_dbm: float | None, noise_dbm: float, seq, n: int,
@@ -284,18 +290,20 @@ def _check_zc_autocorrelation():
 
 
 def _check_brute_force_pdp():
-    seq = preamble.generate_zc(1, 11)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    fast = pdp_matrix(y, seq)
-    slow = np.array([
-        abs(np.sum(y * np.conj(np.roll(seq.samples, -l)))) ** 2
-        for l in range(11)
-    ])
-    assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12), \
-        "FFT and O(n^2) correlators differ"
-    shifted = synthesize_rx(seq, 0.0, -math.inf, None, delay_lag=5)
-    assert np.argmax(pdp_matrix(shifted, seq)) == 5
+    # root 1 gathers the lags in order; root 3 permutes them
+    for u in (1, 3):
+        seq = preamble.generate_zc(u, 11)
+        fast = pdp_matrix(y, seq)
+        slow = np.array([
+            abs(np.sum(y * np.conj(np.roll(seq.samples, -l)))) ** 2
+            for l in range(11)
+        ])
+        assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12), \
+            f"FFT and O(n^2) correlators differ at root {u}"
+        shifted = synthesize_rx(seq, 0.0, -math.inf, None, delay_lag=5)
+        assert np.argmax(pdp_matrix(shifted, seq)) == 5
 
 
 def _check_processing_gain():

@@ -9,6 +9,7 @@ from mmwia.config import SimConfig
 from mmwia.experiments import (
     ResultTable,
     CHUNK,
+    P_LOS_CHUNK,
     _paired_point,
     draw_trial,
     run_p_los,
@@ -105,54 +106,28 @@ def test_paired_point_computes_each_link_budget_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "link_budget_dbm", counting)
-    # one per block, both schemes
-    for block, expected in ((1, [(CHUNK, 2), (12, 2)]), (8, [(CHUNK + 12, 2)])):
-        monkeypatch.setattr(experiments, "BLOCK", block)
-        calls.clear()
-        _paired_point(SimConfig(), 4, -14.0, 1e-5, CHUNK + 12, 3, 0)
-        assert calls == expected
+    # one per chunk, both schemes
+    _paired_point(SimConfig(), 4, -14.0, 1e-5, CHUNK + 12, 3, 0)
+    assert calls == [(CHUNK, 2), (12, 2)]
 
 
-@pytest.mark.parametrize("runner,grid", [
-    (run_reduction_vs_power, {"power_grid_dbm": (-14.0, -6.0), "n_tx_values": (4, 8)}),
-    (run_time_vs_cluster, {"cluster_grid": (1, 3, 5)}),
-], ids=["reduction-power", "time-cluster"])
-def test_block_size_moves_no_byte(monkeypatch, runner, grid):
-    """Blocks of 1, 3 and 8 chunks write byte-identical CSVs: the block
-    size is part of no stream."""
-    cfg, trials = _cfg(**grid), 3 * CHUNK + 5
-    csvs = set()
-    for block in (1, 3, 8):
-        monkeypatch.setattr(experiments, "BLOCK", block)
-        csvs.add(runner(cfg, trials, 13).to_csv())
-    assert len(csvs) == 1
-
-
-def test_one_trial_draw_is_what_the_protocol_gets(monkeypatch):
-    """Each chunk of protocol trials is one draw from its chunk's stream 0;
-    a block concatenates its chunks and carries their stream-2 seeds."""
+def test_one_trial_draw_is_what_the_protocol_gets():
+    """Each chunk of protocol trials is one batch: the draw from its
+    stream 0, with the seed of its stream 2."""
     cfg = SimConfig()
     cfg = replace(cfg, geometry=replace(cfg.geometry, n_sc=5),
                   channel=replace(cfg.channel, p_blk=0.4))
-    monkeypatch.setattr(experiments, "BLOCK", 2)
-    batches = list(trial_batches(cfg, 4, -14.0, 1e-5, 2 * CHUNK + 6, 7, 2))
-    assert [batch.size for batch, _ in batches] == [2 * CHUNK, 6]
-    assert [seeds.sizes for _, seeds in batches] == [(CHUNK, CHUNK), (6,)]
-    chunk = 0
-    for batch, seeds in batches:
-        start = 0
-        for seed, size in zip(*seeds):
-            assert seed.entropy == (7, 2, chunk, 2)
-            geom, ue, blocking = draw_trial(
-                cfg, 5, 0.4, np.random.SeedSequence((7, 2, chunk, 0)), size)
-            rows = slice(start, start + size)
-            np.testing.assert_array_equal(geom.cells, batch.geom.cells[rows])
-            np.testing.assert_array_equal(ue, batch.ue[rows])
-            assert blocking.blocked.any()
-            for ours, theirs in zip(blocking, batch.blocking):
-                np.testing.assert_array_equal(ours, theirs[rows])
-            chunk, start = chunk + 1, start + size
-    assert chunk == 3
+    batches = list(trial_batches(cfg, 4, -14.0, 1e-5, CHUNK + 6, 7, 2))
+    assert [batch.size for batch, _ in batches] == [CHUNK, 6]
+    for chunk, (batch, seed) in enumerate(batches):
+        assert seed.entropy == (7, 2, chunk, 2)
+        geom, ue, blocking = draw_trial(
+            cfg, 5, 0.4, np.random.SeedSequence((7, 2, chunk, 0)), batch.size)
+        np.testing.assert_array_equal(geom.cells, batch.geom.cells)
+        np.testing.assert_array_equal(ue, batch.ue)
+        assert blocking.blocked.any()
+        for ours, theirs in zip(blocking, batch.blocking):
+            np.testing.assert_array_equal(ours, theirs)
 
 
 def test_paired_campaign_chunks_cover_every_trial(monkeypatch):
@@ -201,9 +176,9 @@ def test_p_los_chunks_cover_every_trial(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(experiments, "draw_trial", counting)
-    trials = CHUNK + 1
+    trials = P_LOS_CHUNK + 1
     table = run_p_los(cfg, trials, 11)
-    assert counts == [CHUNK, 1]
+    assert counts == [P_LOS_CHUNK, 1]
     (row,) = table.rows
     assert row[4] == trials and (row[2] * trials).is_integer()
     assert table.to_csv() == run_p_los(cfg, trials, 11).to_csv()

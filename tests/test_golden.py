@@ -37,6 +37,9 @@ CAMPAIGNS = {
                         20, 5),
     "time-cluster": ("time-cluster", "time_cluster",
                      "[experiment]\ncluster_grid = 1, 3, 5, 9\n", 20, 6),
+    # more trials than one protocol chunk: pins a second chunk's streams
+    "time-cluster two chunks": ("time-cluster", "time_cluster",
+                                "[experiment]\ncluster_grid = 1, 3, 5\n", 300, 7),
 }
 
 DIGESTS = {
@@ -48,8 +51,10 @@ DIGESTS = {
         "df2790f8664df318961371027100d2eae5f6422a28bbfc71c2b560242b5662ce",
     "time-cluster":
         "9ad12cf0eee5f0aabf361ecb5d65efceb31f91a6b899d8b4feda479b1c37e001",
+    "time-cluster two chunks":
+        "b62795e35baf3b30f88d2b5e068b8dacb7e12cb489042c04c35ca596a9f2d8cf",
     "single-trial coordinated 3":
-        "7369c0abae5a6138598fd5dcaf3168864e858cf44825a0cd3c6019b8281bab40",
+        "03407c88df50cf9017473704fcea9393bb5c0b8d6d42a799ceeee81dbb08e89e",
     "single-trial coordinated 4":
         "639038326851ee9228b38d88267ab89265e8da34535c35b541822943033aaed0",
     "single-trial exhaustive 11":

@@ -14,7 +14,6 @@ from mmwia.estimation import LEAST_SQUARES, estimate_points
 from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
-    ChunkSeeds,
     IaOutcomes,
     TrialBatch,
     backhaul_delay_rounds,
@@ -307,36 +306,6 @@ def test_batch_equals_each_trial_run_alone(monkeypatch):
         for t in range(24):
             monkeypatch.setattr(protocol, "_rx_orders", lambda b, rng: orders[t:t + 1])
             _assert_rows_equal(whole, runner(_alone(chunk, t), seed=4), slice(t, t + 1))
-
-
-@pytest.mark.parametrize("runner", [run_exhaustive_batch, run_coordinated_batch])
-def test_chunks_of_a_batch_equal_each_chunk_run_alone(runner):
-    """A batch of chunks with their own seeds gives every trial the outcome
-    it gets in its chunk run alone on the chunk's seed, field by field."""
-    rng = np.random.default_rng(12)
-    sizes = (7, 1, 12, 5)
-    geom = build_cluster(5, D, rng, count=sum(sizes))
-    ues = place_ue(geom, rng, count=sum(sizes))
-    blocking = sample_blocking(5, 0.3, rng, excess_mean_db=10.0, count=sum(sizes))
-    batch = replace(_batch(p_ue=-26.0, gamma=5e-6, n_sc=5, count=sum(sizes), ue=ues,
-                           latency=0.0015), geom=geom, blocking=blocking)
-    seeds = tuple(np.random.SeedSequence((5, c)) for c in range(len(sizes)))
-    whole = runner(batch, ChunkSeeds(seeds, sizes))
-    assert 1 < len(set(whole.rounds.tolist())) and not whole.success.all()
-    start = 0
-    for seed, size in zip(seeds, sizes):
-        alone = runner(replace(batch, geom=ClusterGeometry(geom.cells[start:start + size]),
-                               ue=ues[start:start + size],
-                               blocking=Blocking(*(f[start:start + size] for f in blocking))),
-                       seed)
-        _assert_rows_equal(whole, alone, slice(start, start + size))
-        start += size
-
-
-def test_chunk_seeds_must_cover_the_batch():
-    batch = _batch(count=5)
-    with pytest.raises(ValueError, match="cover"):
-        run_exhaustive_batch(batch, ChunkSeeds((1, 2), (2, 2)))
 
 
 def test_outcome_invariants():
