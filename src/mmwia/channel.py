@@ -76,6 +76,54 @@ def sample_blocking(n_sc: int, p_blk: float, seed=None, *,
                     np.where(blocked, NLOS_FLOOR_DB + excess, 0.0))
 
 
+def _paths(geom: ClusterGeometry, ue: np.ndarray, blocking: Blocking | None):
+    """(distances, departure bearings at the UE, arrival bearings at the
+    cells) of every link, each (..., n_sc); ``link_budget_dbm`` documents
+    the reflector routing of blocked links."""
+    ue = np.asarray(ue)[..., None, :]
+    to_cell = geom.cells - ue
+    d = np.hypot(to_cell[..., 0], to_cell[..., 1])
+    if not d.all():
+        raise ValueError("link undefined: the UE coincides with a cell")
+    depart, arrive = to_cell, ue - geom.cells
+    if blocking is not None and blocking.blocked.any():
+        b = blocking.reflector
+        refl = np.stack([ue[..., 0] + 0.5 * d * np.cos(b),
+                         ue[..., 1] + 0.5 * d * np.sin(b)], axis=-1)
+        via = blocking.blocked[..., None]
+        depart = np.where(via, refl - ue, depart)
+        arrive = np.where(via, refl - geom.cells, arrive)
+    return d, bearings(depart), bearings(arrive)
+
+
+def _before_rx_dbm(tx_gain: np.ndarray, d: np.ndarray, blocking: Blocking | None,
+                   p_ue_dbm: float) -> np.ndarray:
+    """P_UE plus the (..., beams, n_sc) Tx gains, less each link's pathloss
+    and blocking penalty."""
+    base = p_ue_dbm + tx_gain - pathloss(np.maximum(d, 1.0))[..., None, :]
+    if blocking is not None:
+        base = base - blocking.penalty_db[..., None, :]
+    return base
+
+
+def _nearest_beam_gain(cb: BeamCodebook, azimuth: np.ndarray) -> np.ndarray:
+    """(..., 1, n_sc) gain of the beam whose centre lies nearest each of the
+    (..., n_sc) azimuths in [0, 2*pi), which is the largest of any beam.
+
+    The nearest centre is one of the two around ``azimuth * n / 2*pi``,
+    at most pi/n away, and the main lobe falls with the offset. The
+    side-lobe floor beats the main lobe only where the lobe's edge lies
+    below it (beamwidths from 80.5 degrees), and there only beyond 104
+    degrees off, farther than any nearest centre of two or more beams.
+    """
+    n = cb.n_beams
+    k = (azimuth * (n / TWO_PI)).astype(np.intp)
+    centers = cb.beam_centers
+    off = np.minimum(circular_distance(centers[k % n], azimuth),
+                     circular_distance(centers[(k + 1) % n], azimuth))
+    return cb.pattern.gain(off)[..., None, :]
+
+
 def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
                     blocking: Blocking | None, ue_cb: BeamCodebook,
                     sc_cb: BeamCodebook,
@@ -96,25 +144,25 @@ def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
     (..., 2) and blocking (..., n_sc), gives (..., n_tx, n_sc) and
     (..., n_rx, n_sc), each trial's slice equal to its own call.
     """
-    ue = np.asarray(ue)[..., None, :]
-    to_cell = geom.cells - ue
-    d = np.hypot(to_cell[..., 0], to_cell[..., 1])
-    if not d.all():
-        raise ValueError("link undefined: the UE coincides with a cell")
-    depart, arrive = to_cell, ue - geom.cells
-    if blocking is not None and blocking.blocked.any():
-        b = blocking.reflector
-        refl = np.stack([ue[..., 0] + 0.5 * d * np.cos(b),
-                         ue[..., 1] + 0.5 * d * np.sin(b)], axis=-1)
-        via = blocking.blocked[..., None]
-        depart = np.where(via, refl - ue, depart)
-        arrive = np.where(via, refl - geom.cells, arrive)
+    d, depart, arrive = _paths(geom, ue, blocking)
     tx_gains = ue_cb.pattern.gain(circular_distance(
-        ue_cb.beam_centers[:, None], bearings(depart)[..., None, :]))
-    base = p_ue_dbm + tx_gains - pathloss(np.maximum(d, 1.0))[..., None, :]
-    if blocking is not None:
-        base = base - blocking.penalty_db[..., None, :]
+        ue_cb.beam_centers[:, None], depart[..., None, :]))
     rx_gain = sc_cb.pattern.gain(circular_distance(
-        sc_cb.beam_centers[:, None], bearings(arrive)[..., None, :]))
-    return base, rx_gain
+        sc_cb.beam_centers[:, None], arrive[..., None, :]))
+    return _before_rx_dbm(tx_gains, d, blocking, p_ue_dbm), rx_gain
 
+
+def best_pair_dbm(geom: ClusterGeometry, ue: np.ndarray,
+                  blocking: Blocking | None, ue_cb: BeamCodebook,
+                  sc_cb: BeamCodebook, p_ue_dbm: float) -> np.ndarray:
+    """Preamble power at every cell under its best (Tx, Rx) beam pair, (n_sc,)
+    or (..., n_sc) for a batch of trials.
+
+    Equal, bit for bit, to ``(base + rx_gain.max(-2)[..., None, :]).max(-2)``
+    of ``link_budget_dbm``'s maps, which it does not build: each end takes
+    the gain of its beam nearest the link's bearing, and the maximum
+    commutes with the monotone floating-point additions that follow.
+    """
+    d, depart, arrive = _paths(geom, ue, blocking)
+    base = _before_rx_dbm(_nearest_beam_gain(ue_cb, depart), d, blocking, p_ue_dbm)
+    return (base + _nearest_beam_gain(sc_cb, arrive))[..., 0, :]

@@ -1,17 +1,16 @@
 """Seeded Monte Carlo campaigns over the IA protocol and channel models.
 
 The chunk is the unit of trials. Every campaign runs its trials in
-chunks (the last chunk holds what is left): ``CHUNK`` trials for the
-protocol campaigns, ``P_LOS_CHUNK`` for P_LOS. Every random draw descends
-from (master seed, grid point index, chunk index, stream), so any point
-of any experiment reruns bit-identically on its own; the chunk size is
-part of the stream. ``draw_trial`` is every campaign's draw of clusters,
-UEs and blocking, one call per chunk. A chunk of protocol trials is
+chunks of ``CHUNK`` trials (the last chunk holds what is left). Every
+random draw descends from (master seed, grid point index, chunk index,
+stream), so any point of any experiment reruns bit-identically on its
+own; the chunk size is part of the stream. ``draw_trial`` is every
+campaign's draw of clusters, UEs and blocking, one call per chunk. A chunk of protocol trials is
 drawn from its stream 0 and is one ``TrialBatch``, which runs one link
 budget, one sweep and one estimator call per scheme; both schemes seed
 their own generator from the chunk's stream 2, which makes their first
 rounds coincide trial by trial. A P_LOS chunk is drawn from its stream 3
-and scored with one link-budget and one ranking call.
+and scored with one best-beam-pair power and one ranking call.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .channel import link_budget_dbm, noise_power, sample_blocking
+from .channel import best_pair_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .estimation import select_top3
 from .geometry import ClusterGeometry, build_cluster, place_ue
@@ -68,15 +67,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# trials per protocol chunk. Chunks of 256 run the 2000-trial
-# time-cluster campaign in half the time of chunks of 32 (0.23 against
-# 0.50 s on a 2-vCPU Xeon) at 2 MB more peak memory (39.6 against
-# 37.8 MB); one chunk per grid point is barely faster (0.21 s) and peaks
-# at 52.7 MB
+# trials per chunk. Chunks of 256 run the 2000-trial time-cluster
+# campaign in half the time of chunks of 32 (0.23 against 0.50 s on a
+# 2-vCPU Xeon) at 2 MB more peak memory (39.6 against 37.8 MB); one chunk
+# per grid point is barely faster (0.21 s) and peaks at 52.7 MB. P_LOS,
+# which builds no per-beam maps, peaks 0.5 MB higher than with chunks of
+# 32 (37.6 against 37.1 MB on the benchmark's p-los workload)
 CHUNK = 256
-# trials per P_LOS chunk. On its clusters of 12 and 22 cells, chunks of
-# 256 saved 5-25 % of the time but raised peak memory from 35.9 to 40.3 MB
-P_LOS_CHUNK = 32
 
 
 def _seed(master: int, point: int, chunk: int, stream: int):
@@ -136,11 +133,11 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     """LOS-selection probability over (cluster size, blocking probability).
 
     Per chunk of trials: draw the clusters, UEs and blocking, take every
-    cell's received power with its best Rx beam, pick each trial's three
-    strongest cells as the coordinated scheme does, and count the trials
-    whose three are all unblocked. The noiseless PDP peak of a cell is
-    N^2 times its received power, so ranking received powers ranks the
-    peaks.
+    cell's received power under its best beam pair (``best_pair_dbm``),
+    pick each trial's three strongest cells as the coordinated scheme
+    does, and count the trials whose three are all unblocked. The noiseless PDP
+    peak of a cell is N^2 times its received power, so ranking received
+    powers ranks the peaks.
     """
     table = ResultTable(
         "p_los", ("n_sc", "p_blk", "p_los", "stderr", "trials"),
@@ -152,12 +149,12 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
             for p in cfg.experiment.p_los_p_blk]
     for point, (n_sc, p_blk) in enumerate(grid):
         wins = 0
-        for chunk, count in _chunks(trials, P_LOS_CHUNK):
+        for chunk, count in _chunks(trials, CHUNK):
             geom, ue, blocking = draw_trial(
                 cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3), count)
-            base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb,
-                                            cfg.channel.p_ue_dbm)
-            top3 = select_top3(base + rx_gain.max(axis=-2)[:, None, :])
+            power = best_pair_dbm(geom, ue, blocking, ue_cb, sc_cb,
+                                  cfg.channel.p_ue_dbm)
+            top3 = select_top3(power[:, None, :])
             blocked = np.take_along_axis(blocking.blocked, top3, axis=-1)
             wins += int(np.count_nonzero(~blocked.any(axis=-1)))
         p_hat = wins / trials

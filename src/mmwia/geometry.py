@@ -18,14 +18,6 @@ TWO_PI = 2.0 * math.pi
 _UNIT_TRIANGLE = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
 
 
-def normalize_angle(angle):
-    """Wrap angle(s) to [0, 2*pi) (array-safe)."""
-    a = np.mod(angle, TWO_PI)
-    # a tiny negative angle plus 2*pi rounds to 2*pi
-    a = np.where(a < TWO_PI, a, 0.0)
-    return float(a) if a.ndim == 0 else a
-
-
 def circular_distance(a, b):
     """Unsigned angular distance in [0, pi] between two azimuths (array-safe).
 
@@ -46,8 +38,17 @@ def circular_distance(a, b):
 def bearings(vectors: np.ndarray) -> np.ndarray:
     """Azimuths in [0, 2*pi) of the (..., 2) direction vectors (a zero
     vector reads 0: callers that must reject coincident points check the
-    distances they compute)."""
-    return normalize_angle(np.arctan2(vectors[..., 1], vectors[..., 0]))
+    distances they compute).
+
+    This is ``arctan2`` wrapped by ``np.mod(a, 2*pi)``, with 2*pi itself
+    read as 0, bit for bit: ``arctan2`` lies in [-pi, pi], so a negative
+    angle needs one turn added, which two selections make faster than a
+    floating-point modulo. Zeros of either sign and a tiny negative angle,
+    whose sum with 2*pi rounds to 2*pi, all read +0.
+    """
+    a = np.arctan2(vectors[..., 1], vectors[..., 0])
+    a = np.where(a > 0.0, a, a + TWO_PI)
+    return np.where(a < TWO_PI, a, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

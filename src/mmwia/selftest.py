@@ -5,9 +5,10 @@ algebra, brute-force correlation, closed-form statistics, grid search)
 and compares the implementation against it. This module holds the only
 copy of each oracle, including the reference implementations that no
 campaign runs: the scalar link budget (``received_power``), the exact
-subtended angles (``true_angles``) and the FFT slot correlator
-(``synthesize_rx``, ``pdp_matrix``, ``fft_peaks``); the tests import
-them from here. The CLI `selftest` command runs the whole list and
+subtended angles (``true_angles``), the modulo angle wrap that
+``geometry.bearings`` matches (``normalize_angle``) and the FFT slot
+correlator (``synthesize_rx``, ``pdp_matrix``, ``fft_peaks``); the tests
+import them from here. The CLI `selftest` command runs the whole list and
 prints one line per check, and the test suite runs each check as a test.
 A check with several inputs calls one public function per input, and the
 tests named after an input call that function. Those functions take fixed
@@ -57,6 +58,14 @@ def ue_centroid():
     assert err < 2.0, f"empirical centroid off by {err:.2f} m"
 
 
+def normalize_angle(angle):
+    """Wrap angle(s) to [0, 2*pi) (array-safe)."""
+    a = np.mod(angle, geometry.TWO_PI)
+    # a tiny negative angle plus 2*pi rounds to 2*pi
+    a = np.where(a < geometry.TWO_PI, a, 0.0)
+    return float(a) if a.ndim == 0 else a
+
+
 def true_angles(geom: geometry.ClusterGeometry, ue) -> tuple[float, float, float]:
     """Oracle: angles subtended at the UE between consecutive base-triangle
     cells.
@@ -69,7 +78,7 @@ def true_angles(geom: geometry.ClusterGeometry, ue) -> tuple[float, float, float
     if not np.hypot(vectors[:, 0], vectors[:, 1]).all():
         raise ValueError("angles undefined at a UE on a cell")
     b = geometry.bearings(vectors)
-    return tuple(geometry.normalize_angle(np.roll(b, -1) - b).tolist())
+    return tuple(normalize_angle(np.roll(b, -1) - b).tolist())
 
 
 def _check_angle_sum():
@@ -106,7 +115,7 @@ def _check_pattern_constants():
 def _bearing(x0: float, y0: float, x1: float, y1: float) -> float:
     if x0 == x1 and y0 == y1:
         raise ValueError("bearing undefined between coincident points")
-    return geometry.normalize_angle(math.atan2(y1 - y0, x1 - x0))
+    return normalize_angle(math.atan2(y1 - y0, x1 - x0))
 
 
 def link_bearings(cell, ue, reflector: float | None = None) -> tuple[float, float]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwia.antenna import make_codebook, make_pattern
@@ -10,6 +10,7 @@ from mmwia.channel import (
     Blocking,
     LinkBudgetParams,
     NLOS_FLOOR_DB,
+    best_pair_dbm,
     link_budget_dbm,
     noise_power,
     pathloss,
@@ -172,3 +173,78 @@ def test_sample_blocking_count_of_one_is_the_single_draw():
     for single, batched in zip(one, batch):
         assert batched.shape == (1, 7)
         assert np.array_equal(batched[0], single)
+
+
+# unit vectors on the eight compass points; their bearings are exactly the
+# centres of an 8-beam codebook, and every other one a 4-beam midpoint
+COMPASS = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)],
+                   dtype=float)
+# None: the codebook's default beamwidth; the pattern's closed forms
+# overflow below about 1e-152 degrees
+BEAMWIDTHS = st.none() | st.floats(min_value=1e-150, max_value=180.0, exclude_max=True)
+
+
+def test_main_lobe_stays_above_the_floor_out_to_90_degrees():
+    """``best_pair_dbm``'s premise: in a codebook of two or more beams the
+    nearest centre lies at most 90 degrees off, and at any beamwidth the
+    main lobe there, where it still reaches, is no lower than the floor,
+    so no farther beam gains more."""
+    for deg in np.linspace(1e-3, 180.0, 20_001)[:-1]:
+        pat = make_pattern(math.radians(deg))
+        off = min(math.pi / 2.0, pat.phi_ml / 2.0)
+        assert pat.gain(off) >= pat.g_sl, deg
+
+
+def _best_pair_of_trial_0(geom, ue, blocking, ue_cb, sc_cb, p_ue_dbm):
+    """Trial 0's power per cell under its best beam pair, from scalar
+    bearings and every beam's gain."""
+    out = []
+    for i, cell in enumerate(geom.cells[0].tolist()):
+        blocked = bool(blocking.blocked[0, i])
+        depart, arrive = link_bearings(
+            cell, ue[0].tolist(), float(blocking.reflector[0, i]) if blocked else None)
+        g_tx = ue_cb.pattern.gain(circular_distance(ue_cb.beam_centers, depart)).max()
+        g_rx = sc_cb.pattern.gain(circular_distance(sc_cb.beam_centers, arrive)).max()
+        out.append(p_ue_dbm + g_tx - pathloss(max(math.dist(cell, ue[0]), 1.0))
+                   - blocking.penalty_db[0, i] + g_rx)
+    return np.array(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_sc=st.integers(3, 22), n_tx=st.integers(1, 32), n_rx=st.integers(1, 32),
+       ue_deg=BEAMWIDTHS, sc_deg=BEAMWIDTHS, p_blk=st.floats(0.0, 1.0),
+       compass=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# the default 4-beam codebook: its main lobe's edge lies below the floor
+@example(n_sc=22, n_tx=4, n_rx=4, ue_deg=None, sc_deg=None, p_blk=0.5,
+         compass=False, seed=1)
+@example(n_sc=16, n_tx=4, n_rx=8, ue_deg=None, sc_deg=None, p_blk=0.2,
+         compass=True, seed=2)
+@example(n_sc=12, n_tx=2, n_rx=1, ue_deg=179.0, sc_deg=90.0, p_blk=0.5,
+         compass=True, seed=3)
+def test_best_pair_equals_the_maps_maximum_bit_for_bit(n_sc, n_tx, n_rx, ue_deg, sc_deg,
+                                                       p_blk, compass, seed):
+    """``best_pair_dbm`` is the largest entry of every cell's column of the
+    full maps, bit for bit, over cluster sizes, blocking, codebook sizes and
+    beamwidths; a compass layout puts LOS bearings exactly on beam centres
+    and midpoints. Trial 0 also matches the scalar-bearing reference."""
+    rng = np.random.default_rng(seed)
+    count = 8
+    if compass:
+        # the UE at the origin, cells on the compass points at 50, 100, 150 m
+        cells = np.concatenate([COMPASS * r for r in (50.0, 100.0, 150.0)])[:n_sc]
+        geom = ClusterGeometry(np.broadcast_to(cells, (count, n_sc, 2)))
+        ue = np.zeros((count, 2))
+    else:
+        geom = build_cluster(n_sc, D, rng, count=count)
+        ue = place_ue(geom, rng, count=count)
+    blocking = sample_blocking(n_sc, p_blk, rng, excess_mean_db=10.0, count=count)
+    ue_cb = make_codebook(n_tx, None if ue_deg is None else math.radians(ue_deg))
+    sc_cb = make_codebook(n_rx, None if sc_deg is None else math.radians(sc_deg))
+    base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb, -14.0)
+    best = best_pair_dbm(geom, ue, blocking, ue_cb, sc_cb, -14.0)
+    expect = (base + rx_gain.max(axis=-2)[..., None, :]).max(axis=-2)
+    assert best.shape == (count, n_sc)
+    assert np.array_equal(best, expect)
+    np.testing.assert_allclose(
+        best[0], _best_pair_of_trial_0(geom, ue, blocking, ue_cb, sc_cb, -14.0),
+        rtol=0.0, atol=1e-9)

@@ -9,7 +9,6 @@ from mmwia.config import SimConfig
 from mmwia.experiments import (
     ResultTable,
     CHUNK,
-    P_LOS_CHUNK,
     _paired_point,
     draw_trial,
     run_p_los,
@@ -176,9 +175,9 @@ def test_p_los_chunks_cover_every_trial(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(experiments, "draw_trial", counting)
-    trials = P_LOS_CHUNK + 1
+    trials = CHUNK + 1
     table = run_p_los(cfg, trials, 11)
-    assert counts == [P_LOS_CHUNK, 1]
+    assert counts == [CHUNK, 1]
     (row,) = table.rows
     assert row[4] == trials and (row[2] * trials).is_integer()
     assert table.to_csv() == run_p_los(cfg, trials, 11).to_csv()

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from mmwia.geometry import (
     ClusterGeometry,
+    bearings,
     build_cluster,
     circular_distance,
-    normalize_angle,
     place_ue,
 )
-from mmwia.selftest import true_angles, ue_centroid
+from mmwia.selftest import normalize_angle, true_angles, ue_centroid
 
 D = 200.0
 
@@ -215,6 +215,22 @@ def test_circular_distance_equals_the_modulo_form_bit_for_bit():
     assert np.array_equal(circular_distance(*far), _mod_distance(*far))
     assert circular_distance(0.5, 6.0) == _mod_distance(0.5, 6.0)
     assert np.isnan(circular_distance(np.nan, 1.0))
+
+
+def test_bearings_equal_the_wrapped_arctan2_bit_for_bit():
+    """Random vectors, the axes and diagonals with signed zeros, vectors a
+    hair below the +x axis (whose angle plus 2*pi rounds to 2*pi) and a
+    NaN give ``normalize_angle(arctan2)``'s bits, sign of zero included."""
+    rng = np.random.default_rng(22)
+    vectors = [rng.normal(size=(100_000, 2)) * rng.choice([1e-3, 1.0, 1e3], (100_000, 1))]
+    parts = (0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e-17, -1e-17)
+    vectors.append(np.array([(x, y) for x in parts for y in parts]))
+    vectors.append(np.array([[1.0, -1e-17], [200.0, -1.9e-14], [np.nan, 1.0]]))
+    v = np.concatenate(vectors)
+    got = bearings(v)
+    expect = normalize_angle(np.arctan2(v[:, 1], v[:, 0]))
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+    assert ((got >= 0.0) & (got < 2 * math.pi)).all()
 
 
 def test_normalize_angle_wraps():

@@ -44,7 +44,7 @@ CAMPAIGNS = {
 
 DIGESTS = {
     "p-los":
-        "c89bf0519dd0d4d9c63f69220e6f2f6a6eda7ae535c0d2831c7c7e4bd4ee98bd",
+        "bc1611728f443b2c4afe478698c5a3bfe15d2c01ff8d04f1d5921277eb4258d0",
     "reduction-power":
         "158aeec24563f279568d6c35cdad53541e1c15b4af3c60ac259f8976d85b3c9f",
     "reduction-pmiss":
