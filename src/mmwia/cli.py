@@ -1,21 +1,24 @@
 """Command-line entry point: experiment dispatch and CSV/SVG emission.
 
-Usage: mmwia <command> --config <path> [--seed N] [--out DIR] [--trials N]
+Usage: mmwia <command> [--config PATH] [--seed N] [--out DIR] [--trials N]
+       mmwia -h | --help
 Commands: p-los, reduction-power, reduction-pmiss, time-cluster,
 single-trial, selftest. Each campaign command writes <name>.csv and .svg;
 without --trials it runs [experiment] p_los_trials (p-los) or trials
 (the others) per grid point. single-trial prints trial 0 of grid point 0
 under both schemes, exhaustive then coordinated, drawn as the campaigns
-draw it: as the first trial of a whole chunk. Environment overrides:
-SIM_SEED, SIM_OUT.
---trials must be at least 1; --seed and SIM_SEED must be non-negative
-integers.
+draw it: as the first trial of a whole chunk.
+Options go before or after the command, as --opt VALUE or --opt=VALUE,
+under any unique prefix (--conf); the last repeat wins. Without --config
+the defaults apply. Environment overrides, which the options beat:
+SIM_SEED, SIM_OUT. --trials must be at least 1; --seed and SIM_SEED must
+be non-negative integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import math
 import os
 import sys
@@ -70,32 +73,36 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+def _int_at_least(name: str, text: str, minimum: int) -> int:
+    """``text`` as an integer no smaller than ``minimum``; ``name`` labels the error."""
+    if not text.removeprefix("-").isdecimal() or int(text) < minimum:
+        raise _UsageError(f"{name}: expected an integer >= {minimum}, got {text!r}")
+    return int(text)
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
-    def parse(text: str) -> int:
-        if not text.removeprefix("-").isdecimal() or int(text) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}")
-        return int(text)
-    return parse
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="mmwia", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--seed", type=_int_at_least(0), default=None,
-                   help="master seed override")
-    p.add_argument("--out", default=None, help="output directory override")
-    p.add_argument("--trials", type=_int_at_least(1), default=None,
-                   help="trials-per-point override")
-    return p
+def _parse_args(argv: list[str]) -> tuple[str | None, dict]:
+    """The command and {option: value} of a command line; no command if it
+    asks for help."""
+    longopts = ["config=", "seed=", "out=", "trials=", "help"]
+    try:
+        # a POSIX pass on each side of the command: gnu_getopt would stop at
+        # the command whenever POSIXLY_CORRECT is set
+        opts, operands = getopt.getopt(argv, "h", longopts)
+        if operands:
+            more, operands[1:] = getopt.getopt(operands[1:], "h", longopts)
+            opts += more
+    except getopt.GetoptError as exc:
+        raise _UsageError(exc.msg) from None
+    args = {name.lstrip("-"): value for name, value in opts}  # last repeat wins
+    if "h" in args or "help" in args:
+        return None, args
+    if len(operands) != 1 or operands[0] not in COMMANDS:
+        raise _UsageError(f"expected one command of {', '.join(COMMANDS)}, "
+                          f"got {' '.join(operands) or 'none'}")
+    for name, minimum in (("seed", 0), ("trials", 1)):
+        if name in args:
+            args[name] = _int_at_least(f"--{name}", args[name], minimum)
+    return operands[0], args
 
 
 def _series_by_group(table: ResultTable, x_col: str, y_col: str,
@@ -150,41 +157,34 @@ def _single_trial(cfg: SimConfig, seed: int) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        command, args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            print(__doc__ or "", end="")  # python -OO strips it
+            return EXIT_OK
+        cfg = load_config(args.get("config"))
+        env_seed = os.environ.get("SIM_SEED")
+        seed = args.get("seed", _int_at_least("SIM_SEED", env_seed, 0) if env_seed
+                        else cfg.experiment.master_seed)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out_dir = Path(args["out"] if "out" in args
+                   else os.environ.get("SIM_OUT") or cfg.output.dir)
 
-    seed = cfg.experiment.master_seed
-    if os.environ.get("SIM_SEED"):
-        try:
-            seed = _int_at_least(0)(os.environ["SIM_SEED"])
-        except argparse.ArgumentTypeError as exc:
-            print(f"usage error: SIM_SEED: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if args.seed is not None:
-        seed = args.seed
-    out_dir = Path(os.environ.get("SIM_OUT") or cfg.output.dir)
-    if args.out is not None:
-        out_dir = Path(args.out)
-
-    if args.command == "selftest":
+    if command == "selftest":
         # the oracle suite is large and no other command needs it
         from .selftest import run_selftest
         return EXIT_OK if run_selftest() else EXIT_EXPERIMENT
 
     try:
-        if args.command == "single-trial":
+        if command == "single-trial":
             _single_trial(cfg, seed)
             return EXIT_OK
-        campaign = CAMPAIGNS[args.command]
-        trials = args.trials or getattr(cfg.experiment, campaign.trials_field)
+        campaign = CAMPAIGNS[command]
+        trials = args.get("trials") or getattr(cfg.experiment, campaign.trials_field)
         table = globals()[campaign.runner](cfg, trials, seed)
         _emit(table, out_dir, campaign)
     except Exception as exc:  # experiment-level failure -> exit 3

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .antenna import make_codebook, BeamCodebook
+from .antenna import make_codebook, make_pattern, BeamCodebook
 from .channel import LinkBudgetParams, pathloss
 from . import preamble
 from .preamble import ZcSequence, false_alarm_threshold, generate_zc, is_prime
@@ -199,8 +199,18 @@ def _validate(cfg: SimConfig) -> SimConfig:
                           "sc_phi_3db_deg is set")
     for label, deg in (("ue_phi_3db_deg", a.ue_phi_3db_deg),
                        ("sc_phi_3db_deg", a.sc_phi_3db_deg)):
-        if deg is not None and not 0.0 < deg < 180.0:
+        if deg is None:
+            continue
+        if not 0.0 < deg < 180.0:
             raise ConfigError(f"[antenna] {label}: must lie in (0, 180)")
+        # the peak gain's closed form overflows below about 1e-152 degrees
+        try:
+            g0 = make_pattern(math.radians(deg)).g0
+        except (OverflowError, ValueError):
+            g0 = math.inf
+        if not math.isfinite(g0):
+            raise ConfigError(f"[antenna] {label}: {deg} is too narrow, "
+                              "its peak gain overflows")
     if ch.bandwidth_hz <= 0:
         raise ConfigError("[channel] bandwidth_hz: must be positive")
     if not 0.0 <= ch.p_blk <= 1.0:
@@ -262,7 +272,11 @@ def load_config(path: str | Path | None = None) -> SimConfig:
                                        inline_comment_prefixes=("#",),
                                        default_section="\n")
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

@@ -31,11 +31,11 @@ def test_usage_error_exit_code():
     assert main([]) == 1
 
 
-def _fresh_process(code: str) -> str:
+def _fresh_process(code: str, cwd=None) -> str:
     """Standard output of ``code`` run in a new interpreter on this path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True).stdout
+                          env=env, cwd=cwd, check=True).stdout
 
 
 def test_cli_import_leaves_the_selftest_out():
@@ -44,16 +44,69 @@ def test_cli_import_leaves_the_selftest_out():
     assert _fresh_process(code).strip() == "False"
 
 
-def test_reduction_pmiss_leaves_numpy_ma_out(tmp_path):
-    """The miss-mode calibration takes its quantile without np.quantile,
-    whose first call imports numpy.ma."""
+@pytest.mark.parametrize("module", ["numpy.ma", "argparse", "locale"])
+def test_reduction_pmiss_leaves_module_out(tmp_path, module):
+    """A campaign loads neither numpy.ma, which np.quantile's first call
+    imports (the miss-mode calibration takes its quantile without it), nor
+    argparse and the locale module that its first parser's gettext lookups
+    import."""
     cfg = _write(tmp_path, "[experiment]\npmiss_grid = 0.1\nn_tx_values = 4\n"
                            "[detection]\ncalibration_trials = 1000\n")
     code = ("import sys, mmwia.cli\n"
             f"assert mmwia.cli.main(['reduction-pmiss', '--config', {cfg!r}, '--trials', '2',"
             f" '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     assert _fresh_process(code).splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_exits_zero_and_writes_nothing(tmp_path, flag):
+    code = f"import sys, mmwia.cli; sys.exit(mmwia.cli.main([{flag!r}]))"
+    assert "Usage: mmwia <command>" in _fresh_process(code, cwd=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_option_forms_and_places_agree(tmp_path):
+    """--config PATH after the command and --config=PATH before it read the
+    same file, and a repeated option takes its last value: the CSVs match
+    byte for byte."""
+    cfg = _write(tmp_path, TINY)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["p-los", "--config", cfg, "--trials", "20", "--seed", "4",
+                 "--out", str(out_a)]) == 0
+    assert main([f"--config={cfg}", "--seed=9", "--trials=20", "--seed=4",
+                 f"--out={out_b}", "p-los"]) == 0
+    csv_a = (out_a / "p_los.csv").read_bytes()
+    assert csv_a == (out_b / "p_los.csv").read_bytes()
+    assert len(csv_a.splitlines()) == 3  # TINY's one grid point, not the defaults'
+
+
+def test_options_after_the_command_hold_under_posixly_correct(tmp_path, monkeypatch):
+    """POSIXLY_CORRECT, which stops GNU-style parsing at the first operand,
+    leaves the options after the command in force."""
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    cfg = _write(tmp_path, TINY)
+    out = tmp_path / "o"
+    assert main(["p-los", "--config", cfg, "--trials", "2", "--out", str(out)]) == 0
+    assert (out / "p_los.csv").exists()
+
+
+def test_unique_option_prefix_is_accepted(tmp_path):
+    cfg = _write(tmp_path, TINY)
+    out = tmp_path / "o"
+    assert main(["p-los", "--conf", cfg, "--tri", "2", "--out", str(out)]) == 0
+    lines = (out / "p_los.csv").read_text().splitlines()
+    assert lines[2].endswith(",2")
+
+
+@pytest.mark.parametrize("argv", [["p-los", "--bogus"], ["p-los", "--seed"],
+                                  ["p-los", "time-cluster"]],
+                         ids=["unknown-option", "seed-without-value", "two-commands"])
+def test_malformed_command_line_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--trials", "2", *argv]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])
@@ -117,6 +170,27 @@ def test_six_beam_estimate_on_a_cell_takes_the_fallback_sweep(tmp_path):
                            "[experiment]\nn_tx_values = 6\npmiss_grid = 0.01\n")
     assert main(["reduction-pmiss", "--config", cfg, "--trials", "20",
                  "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command,key", [("p-los", "ue_phi_3db_deg"),
+                                         ("time-cluster", "sc_phi_3db_deg")])
+def test_overflowing_beamwidth_is_config_error(tmp_path, command, key):
+    """A beamwidth whose peak gain overflows fails on load, not in the run."""
+    cfg = _write(tmp_path, f"[antenna]\n{key} = 1e-200\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--trials", "4", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["empty-path", "directory", "not-utf-8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[experiment]\ntrials = 2 \xff\n")
+    path = {"empty-path": "", "directory": str(tmp_path), "not-utf-8": str(bad)}[kind]
+    out = tmp_path / "o"
+    assert main(["p-los", "--config", path, "--trials", "2", "--out", str(out)]) == 2
+    assert "config error: cannot read" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["3, 5", "1, 3, 3"], ids=["no-baseline", "repeat"])

@@ -159,6 +159,19 @@ def test_small_codebook_with_beamwidth_accepted(tmp_path):
     assert cfg.ue_codebook(2).n_beams == 2
 
 
+@pytest.mark.parametrize("key", ["ue_phi_3db_deg", "sc_phi_3db_deg"])
+def test_beamwidth_whose_peak_gain_overflows_rejected(tmp_path, key):
+    """(1.6162/sin(phi/2))**2 raises OverflowError below about 1e-152 degrees
+    and gives inf at subnormal widths; both are config errors."""
+    p = tmp_path / "c.ini"
+    for deg in ("1e-200", "1e-320"):
+        p.write_text(f"[antenna]\n{key} = {deg}\n")
+        with pytest.raises(ConfigError, match=rf"\[antenna\] {key}: .* too narrow"):
+            load_config(p)
+    p.write_text(f"[antenna]\n{key} = 1e-150\n")
+    load_config(p)  # finite, however narrow
+
+
 @pytest.mark.parametrize("n_sc", [1, 2])
 def test_cluster_below_three_cells_rejected(tmp_path, n_sc):
     """The coordinated scheme needs the three base cells."""
