@@ -14,6 +14,9 @@ the defaults apply. Environment overrides, which the options beat:
 SIM_SEED, SIM_OUT. --trials must be at least 1; --seed and SIM_SEED must
 be non-negative integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
+A reader that closes standard output early (mmwia single-trial | head -1)
+fails no command but selftest: the rest of the output is dropped, and the
+exit code is 0.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ def _series_by_group(table: ResultTable, x_col: str, y_col: str,
             for g in dict.fromkeys(groups)]
 
 
-def _emit(table: ResultTable, out_dir: Path, campaign: Campaign) -> None:
+def _emit(table: ResultTable, out_dir: Path, campaign: Campaign) -> str:
+    """Write the table's CSV and SVG; returns the line that reports them."""
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{table.name}.csv"
     table.write_csv(csv_path)
@@ -125,41 +129,53 @@ def _emit(table: ResultTable, out_dir: Path, campaign: Campaign) -> None:
                     _series_by_group(table, x_col, y_col, group))
     stamp = f"<!-- config={table.config_hash} seed={table.master_seed} -->\n"
     (out_dir / f"{table.name}.svg").write_text(stamp + svg)
-    print(f"wrote {csv_path} (+.svg), {len(table.rows)} rows")
+    return f"wrote {csv_path} (+.svg), {len(table.rows)} rows\n"
 
 
-def _single_trial(cfg: SimConfig, seed: int) -> None:
-    """Trial 0 of grid point 0 under both schemes, exhaustive first, drawn
-    and seeded as the paired campaigns draw it: the first trial of chunk 0,
-    drawn whole."""
+def _single_trial(cfg: SimConfig, seed: int) -> str:
+    """The report of trial 0 of grid point 0 under both schemes, exhaustive
+    first, drawn and seeded as the paired campaigns draw it: the first
+    trial of chunk 0, drawn whole."""
     gamma = point_threshold(cfg, seed, 0)
     batch, protocol_seed = next(trial_batches(
         cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, CHUNK, seed, 0))
     ue = batch.ue[0]
+    lines = []
     for runner in (run_exhaustive_batch, run_coordinated_batch):
         out = runner(batch, protocol_seed)
         hit = bool(out.success[0])
-        print(f"scheme:         {out.scheme}")
-        print(f"success:        {hit}")
-        print(f"rounds:         {out.rounds[0]}")
-        print(f"slots_used:     {out.slots_used[0]}")
-        print(f"ia_time_s:      {out.ia_time_s[0]:.6f}")
-        print(f"detecting_cell: {out.detecting_cell[0] if hit else None}")
-        print(f"detecting_pair: {tuple(out.detecting_pair[0].tolist()) if hit else None}")
+        lines += [f"scheme:         {out.scheme}",
+                  f"success:        {hit}",
+                  f"rounds:         {out.rounds[0]}",
+                  f"slots_used:     {out.slots_used[0]}",
+                  f"ia_time_s:      {out.ia_time_s[0]:.6f}",
+                  f"detecting_cell: {out.detecting_cell[0] if hit else None}",
+                  f"detecting_pair: {tuple(out.detecting_pair[0].tolist()) if hit else None}"]
         x, y = out.estimated_ue[0]
         if math.isnan(x):
-            print("estimated_ue:   none")
+            lines.append("estimated_ue:   none")
         else:
-            print(f"estimated_ue:   ({x:.2f}, {y:.2f})")
-            print(f"estimate_error: {math.hypot(x - ue[0], y - ue[1]):.2f} m")
-        print(f"true_ue:        ({ue[0]:.2f}, {ue[1]:.2f})")
+            lines += [f"estimated_ue:   ({x:.2f}, {y:.2f})",
+                      f"estimate_error: {math.hypot(x - ue[0], y - ue[1]):.2f} m"]
+        lines.append(f"true_ue:        ({ue[0]:.2f}, {ue[1]:.2f})")
+    return "".join(line + "\n" for line in lines)
+
+
+def _print_report(text: str) -> None:
+    """Print ``text`` to standard output. A reader that has closed its end
+    gets none of it, and standard output then points at os.devnull, so the
+    interpreter's flush at exit reports no broken pipe either."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:
     try:
         command, args = _parse_args(sys.argv[1:] if argv is None else argv)
         if command is None:
-            print(__doc__ or "", end="")  # python -OO strips it
+            _print_report(__doc__ or "")  # python -OO strips it
             return EXIT_OK
         cfg = load_config(args.get("config"))
         env_seed = os.environ.get("SIM_SEED")
@@ -181,15 +197,16 @@ def main(argv=None) -> int:
 
     try:
         if command == "single-trial":
-            _single_trial(cfg, seed)
-            return EXIT_OK
-        campaign = CAMPAIGNS[command]
-        trials = args.get("trials") or getattr(cfg.experiment, campaign.trials_field)
-        table = globals()[campaign.runner](cfg, trials, seed)
-        _emit(table, out_dir, campaign)
+            report = _single_trial(cfg, seed)
+        else:
+            campaign = CAMPAIGNS[command]
+            trials = args.get("trials") or getattr(cfg.experiment, campaign.trials_field)
+            table = globals()[campaign.runner](cfg, trials, seed)
+            report = _emit(table, out_dir, campaign)
     except Exception as exc:  # experiment-level failure -> exit 3
         print(f"experiment error: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT
+    _print_report(report)
     return EXIT_OK
 
 

@@ -5,26 +5,25 @@ reports of a cluster together are the (n_tx, n_sc) round-1 peak matrix.
 Pipeline: wrapped differences of the cells' best Tx indices approximate
 the angles the cell pairs subtend at the UE; the point that sees the top
 three cells at those angles follows in closed form, or, for angles that
-no point reproduces, from a least-squares fit of their cosine-rule
-residuals. The estimator takes a stack of T trials in one call and
-reports each trial's outcome as a status code, not as an exception.
-Points are (T, 2) arrays and anchor triples (T, 3, 2) arrays, as in
-``geometry``.
+no point reproduces, the estimate is the centroid of the three cells.
+The estimator takes a stack of T trials in one call and reports each
+trial's outcome as a status code, not as an exception. Points are (T, 2)
+arrays and anchor triples (T, 3, 2) arrays, as in ``geometry``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .geometry import TWO_PI
 
-# status of each trial's estimate: a point from the closed form or from the
-# least-squares fit, or none, because two of the top three cells share a
-# best Tx index or because the angles give no usable point
-CLOSED_FORM, LEAST_SQUARES, UNRESOLVABLE, FAILED = range(4)
+# status of each trial's estimate: the closed-form point or, for angles that
+# no point reproduces, the top three cells' centroid; or none, because two
+# of the top three cells share a best Tx index or because the angles give
+# no usable point. status <= CENTROID means a point.
+CLOSED_FORM, CENTROID, UNRESOLVABLE, FAILED = range(4)
 _NO_POINT = complex(math.nan, math.nan)
 
 
@@ -78,62 +77,15 @@ def _closed_form_points(thetas, s, s_next, tol) -> np.ndarray:
     return np.where(np.abs(c2 - c1) <= tol, _NO_POINT, p)
 
 
-# quantized angle sets on the same triangle recur across trials, so fits
-# are kept and reused
-@lru_cache(maxsize=4096)
-def _least_squares_point(thetas: tuple, s: tuple, max_iter=200) -> complex:
-    """Levenberg-Marquardt fit in the plane of the cosine-rule residuals
-    |p-a|^2 + |p-b|^2 - 2|p-a||p-b|cos(theta) - |ab|^2 of the pairs (a, b)
-    of the anchors ``s``, from their centroid, until a step is shorter than
-    1e-9 of the longest anchor spacing."""
-    pairs = [(s[i], s[i - 2], math.cos(t), abs(s[i - 2] - s[i]) ** 2)
-             for i, t in enumerate(thetas)]
-    step_tol = 1e-9 * math.sqrt(max(side2 for *_, side2 in pairs))
-
-    def residuals(p):
-        # each residual with its gradient as a complex number, and the cost;
-        # d(|u||v|)/dp = (|v|/|u|) u + (|u|/|v|) v, taken as 0 along u = 0
-        out = []
-        for a, b, cos_t, side2 in pairs:
-            u, v = p - a, p - b
-            du, dv = abs(u), abs(v)
-            duv = (dv / du * u if du else 0.0) + (du / dv * v if dv else 0.0)
-            out.append((du * du + dv * dv - 2.0 * du * dv * cos_t - side2,
-                        2.0 * (u + v - cos_t * duv)))
-        return out, sum(r * r for r, _ in out)
-
-    p, lam = sum(s) / 3.0, 1e-3
-    res, cost = residuals(p)
-    for _ in range(max_iter):
-        # (J'J + mu I) d = -J'r with mu = lam trace(J'J), in complex form
-        # alpha d + beta conj(d) = -grad
-        half_trace = sum(abs(g) ** 2 for _, g in res) / 2.0
-        if half_trace == 0.0:
-            break
-        alpha, beta = half_trace * (1.0 + 2.0 * lam), sum(g * g for _, g in res) / 2.0
-        grad = sum(r * g for r, g in res)
-        step = (beta * grad.conjugate() - alpha * grad) / (alpha ** 2 - abs(beta) ** 2)
-        if abs(step) < step_tol:
-            break
-        res_c, cost_c = residuals(p + step)
-        if cost_c < cost:
-            p, res, cost = p + step, res_c, cost_c
-            lam = max(lam * 0.3, 1e-12)  # keeps the damped system positive definite
-        else:
-            lam *= 10.0
-    return p
-
-
 def locate_points(thetas, anchors) -> tuple[np.ndarray, np.ndarray]:
     """Points (T, 2) at which T triples of ordered anchors (T, 3, 2)
     subtend the cyclic angles ``thetas`` (T, 3) (theta_i between anchors i
     and i+1), with each row's status. A row's point is the closed-form
     point when that reproduces every angle within 1e-9 rad (CLOSED_FORM),
-    else the least-squares point (LEAST_SQUARES). The row FAILED, with a
-    NaN point, for angles outside (0, 2*pi) or not closing to 2*pi, and
-    for a point that is not finite or lies within 1e-9 of the longest
-    anchor spacing of an anchor. Raises ValueError unless every triple is
-    three distinct finite points."""
+    else the anchors' centroid (CENTROID). The row FAILED, with a NaN
+    point, for angles outside (0, 2*pi) or not closing to 2*pi, and for a
+    point within 1e-9 of the longest anchor spacing of an anchor. Raises
+    ValueError unless every triple is three distinct finite points."""
     thetas = np.asarray(thetas, dtype=float)
     xy = np.ascontiguousarray(anchors, dtype=float)
     if xy.ndim != 3 or xy.shape[1:] != (3, 2) or thetas.shape != xy.shape[:2]:
@@ -159,13 +111,11 @@ def locate_points(thetas, anchors) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         phase = np.abs(np.angle((z_next - p) / (z - p) * np.exp(-1j * t)))
     reproduced = (on | np.roll(on, -1, axis=-1) | (phase <= 1e-9)).all(axis=-1)
-    points[rows] = p[:, 0]
-    for r in rows[~reproduced]:
-        points[r] = _least_squares_point(tuple(thetas[r].tolist()), tuple(s[r].tolist()))
-        status[r] = LEAST_SQUARES
+    points[rows] = np.where(reproduced, p[:, 0], xy[rows].mean(axis=1).view(complex)[:, 0])
+    status[rows[~reproduced]] = CENTROID
 
     off_cells = (np.abs(points[:, None] - s) > tol[:, None]).all(axis=-1)
-    status[(status != FAILED) & ~(np.isfinite(points) & off_cells)] = FAILED
+    status[~off_cells] = FAILED
     points[status == FAILED] = _NO_POINT
     return np.stack([points.real, points.imag], axis=-1), status
 
@@ -176,7 +126,7 @@ def estimate_points(peaks: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, n
     clusters (T, n_sc, 2), with each trial's status. A trial whose top
     three cells share a best Tx index (the lowest index on ties) is
     UNRESOLVABLE; the others are located by ``locate_points``. Points are
-    NaN where the status is neither CLOSED_FORM nor LEAST_SQUARES."""
+    NaN where the status is neither CLOSED_FORM nor CENTROID."""
     top3 = ordered_top3(peaks, cells)
     best = np.take_along_axis(peaks.argmax(axis=-2), top3, axis=-1)
     thetas = index_angles(best, peaks.shape[-2])

@@ -1,17 +1,17 @@
 """Built-in oracle suite: every derived expected value, checked analytically.
 
 Each check recomputes its expectation from an independent route (hand
-algebra, brute-force correlation, closed-form statistics, grid search)
-and compares the implementation against it. This module holds the only
-copy of each oracle, including the reference implementations that no
-campaign runs: the scalar link budget (``received_power``), the exact
-subtended angles (``true_angles``), the modulo angle wrap that
-``geometry.bearings`` matches (``normalize_angle``) and the FFT slot
-correlator (``synthesize_rx``, ``pdp_matrix``, ``fft_peaks``); the tests
-import them from here. The CLI `selftest` command runs the whole list and
-prints one line per check, and the test suite runs each check as a test.
-A check with several inputs calls one public function per input, and the
-tests named after an input call that function. Those functions take fixed
+algebra, brute-force correlation, closed-form statistics) and compares
+the implementation against it. This module holds the only copy of each
+oracle, including the reference implementations that no campaign runs:
+the scalar link budget (``received_power``), the exact subtended angles
+(``true_angles``), the modulo angle wrap that ``geometry.bearings``
+matches (``normalize_angle``) and the FFT slot correlator
+(``synthesize_rx``, ``pdp_matrix``, ``fft_peaks``); the tests import them
+from here. The CLI `selftest` command runs the whole list and prints one
+line per check, and the test suite runs each check as a test. A check
+with several inputs calls one public function per input, and the tests
+named after an input call that function. Those functions take fixed
 seeds and cache their result, so a test session that runs an input under
 its own name and again inside its check computes it once.
 """
@@ -495,44 +495,6 @@ def reproduces_angles(p, thetas) -> bool:
                for a, t in zip(true, thetas))
 
 
-@cache
-def residual_grid_minimum(thetas: tuple[float, float, float]) -> tuple[float, float]:
-    """Brute-force minimum of the summed squared cosine-rule residuals of
-    the base triangle: a 1 m grid over the triangle's box widened by one
-    side, then a 0.01 m grid around the best cell."""
-    tri = geometry.build_cluster(3, D).triangle()
-    lo, hi = tri.min(axis=0) - D, tri.max(axis=0) + D
-    axes = np.arange(lo[0], hi[0], 1.0), np.arange(lo[1], hi[1], 1.0)
-    for _ in range(2):
-        gx, gy = np.meshgrid(*axes)
-        r = np.hypot(gx[..., None] - tri[:, 0], gy[..., None] - tri[:, 1])
-        rn = np.roll(r, -1, axis=-1)  # distance to the pair's second cell
-        cost = ((r * r + rn * rn - 2.0 * r * rn * np.cos(thetas) - D * D) ** 2).sum(-1)
-        k = np.unravel_index(np.argmin(cost), cost.shape)
-        best = gx[k], gy[k]
-        axes = [c + np.arange(-1.0, 1.0, 0.01) for c in best]
-    return best
-
-
-@cache
-def fallback_vs_grid() -> int:
-    """Every closing 8-beam angle set that no point reproduces: the solver's
-    least-squares point lies within 0.02 m of the grid minimum; returns the
-    number of such sets."""
-    tri = geometry.build_cluster(3, D).triangle()
-    sets = [tuple(2 * math.pi * d / 8 for d in (d0, d1, 8 - d0 - d1))
-            for d0 in range(1, 7) for d1 in range(1, 8 - d0)]
-    points, _ = estimation.locate_points(sets, np.broadcast_to(tri, (len(sets), 3, 2)))
-    inconsistent = 0
-    for thetas, p in zip(sets, points):
-        if not reproduces_angles(p, thetas):
-            inconsistent += 1
-            err = math.dist(p, residual_grid_minimum(thetas))
-            assert err < 0.02, f"{thetas}: {err:.3f} m from the grid minimum"
-    assert inconsistent > 0, "no inconsistent angle set was checked"
-    return inconsistent
-
-
 def _check_schedule_arithmetic():
     geom = geometry.build_cluster(3, D)
     ues = np.array([[100.0, 40.0], [60.0, 50.0], [140.0, 90.0]])
@@ -611,7 +573,6 @@ CHECKS = [
     ("beam-index angle recovery", _check_index_angles),
     ("closed-form angle solve", _check_closed_form_solve),
     ("angle->position round trip", _check_round_trip),
-    ("least-squares fallback vs grid oracle", fallback_vs_grid),
     ("sweep schedule arithmetic", _check_schedule_arithmetic),
     ("IA time reduction formula", _check_reduction_formula),
 ]

@@ -375,3 +375,19 @@ def test_campaigns_read_their_own_trial_count(tmp_path):
         rows = [dict(zip(lines[1].split(","), line.split(",")))
                 for line in lines[2:]]
         assert rows and all(row["trials"] == str(trials) for row in rows)
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_closed_stdout_is_no_error(lines_read):
+    """A reader that closes the pipe before any output or after one line
+    (mmwia single-trial | head -1) gets exit code 0 and an empty stderr:
+    no experiment error and no broken pipe at the interpreter's exit."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-m", "mmwia.cli", "single-trial", "--seed", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    with proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"scheme:")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0 and err == b""

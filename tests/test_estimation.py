@@ -6,12 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmwia import estimation
 from mmwia.antenna import make_codebook
 from mmwia.estimation import (
+    CENTROID,
     CLOSED_FORM,
     FAILED,
-    LEAST_SQUARES,
     UNRESOLVABLE,
     estimate_points,
     index_angles,
@@ -21,14 +20,7 @@ from mmwia.estimation import (
 )
 from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
 from mmwia.protocol import reorder_rx_beams
-from mmwia.selftest import (
-    fallback_vs_grid,
-    locate_case,
-    reproduces_angles,
-    residual_grid_minimum,
-    round_trip,
-    true_angles,
-)
+from mmwia.selftest import locate_case, reproduces_angles, round_trip, true_angles
 
 D = 200.0
 
@@ -50,6 +42,13 @@ def _estimate(peaks, geom):
     """(point, status) of one peak matrix on one cluster."""
     (point,), (status,) = estimate_points(peaks[None], geom.cells[None])
     return point, status
+
+
+def _assert_centroids(peaks, cells, points, status):
+    """Each CENTROID row's point is the mean of its ordered top three cells."""
+    top3 = np.take_along_axis(cells, ordered_top3(peaks, cells)[..., None], axis=-2)
+    rows = status == CENTROID
+    assert np.array_equal(points[rows], top3[rows].mean(axis=1))
 
 
 def test_select_top3_ordering_and_ties():
@@ -98,8 +97,6 @@ def test_wrapped_differences_telescope(n_tx, a, b, c):
 
 
 SYMMETRIC = (2 * math.pi / 3,) * 3
-# a closing 8-beam angle set that no point reproduces
-INCONSISTENT = tuple(2 * math.pi * d / 8 for d in (1, 3, 4))
 
 
 def test_solve_symmetric_case():
@@ -124,15 +121,16 @@ def test_solve_rejects_inconsistent_sum():
     assert np.isnan(points[:3]).all() and np.isfinite(points[3]).all()
 
 
-def test_solve_noisy_angles_least_squares():
-    """Angles 0.02 rad off the truth, still closing, land within 8 m of it."""
+def test_solve_noisy_angles():
+    """Angles 0.02 rad off the truth, still closing, are seen from a point
+    within 8 m of it."""
     geom = build_cluster(3, D)
     ue = (80.0, 60.0)
     t = true_angles(geom, ue)
     eps = 0.02
     noisy = (t[0] + eps, t[1] - eps, t[2])
     point, status = _locate(noisy, geom.triangle())
-    assert status <= LEAST_SQUARES and math.dist(point, ue) < 8.0
+    assert status == CLOSED_FORM and math.dist(point, ue) < 8.0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -167,23 +165,6 @@ def test_locate_rejects_bad_anchors():
     # one bad triple fails the whole stack
     with pytest.raises(ValueError, match="distinct"):
         locate_points([SYMMETRIC] * 2, [tri, np.vstack([tri[:2], tri[:1]])])
-
-
-def test_locate_rejects_non_finite_point(monkeypatch):
-    """A fallback that diverges fails its row; the other rows keep their
-    points."""
-    monkeypatch.setattr(estimation, "_least_squares_point",
-                        lambda thetas, anchors: complex(math.nan, math.nan))
-    tri = build_cluster(3, D).triangle()
-    points, status = locate_points([INCONSISTENT, SYMMETRIC], [tri, tri])
-    assert status.tolist() == [FAILED, CLOSED_FORM]
-    assert np.isnan(points[0]).all() and np.isfinite(points[1]).all()
-
-
-def test_locate_perturbed_distances_near_truth():
-    """Angle sets that no point reproduces: the least-squares point lies
-    within 0.02 m of a grid oracle (12 sets at 8 beams)."""
-    assert fallback_vs_grid() == 12
 
 
 def _noiseless_peaks(geom, ue, ue_cb):
@@ -255,7 +236,7 @@ def test_every_best_index_triple_resolves_fails_or_locates(n_tx, expect):
     (equal indices), a failed triangulation (mirrored order) or a finite
     point; the counts are (unresolvable, failed, point)."""
     _, points, status = _walk_triples(n_tx)
-    located = status <= LEAST_SQUARES
+    located = status <= CENTROID
     assert np.isfinite(points[located]).all() and np.isnan(points[~located]).all()
     counts = (np.count_nonzero(status == UNRESOLVABLE), np.count_nonzero(status == FAILED),
               np.count_nonzero(located))
@@ -264,17 +245,17 @@ def test_every_best_index_triple_resolves_fails_or_locates(n_tx, expect):
 
 def test_every_8_beam_point_is_exact_or_least_squares():
     """Each closed-form 8-beam point reproduces its angles within 1e-9 rad;
-    each least-squares point does not, and lies within 0.02 m of the
-    residuals' grid minimum."""
+    each other point is the triangle's centroid, which does not."""
     best, points, status = _walk_triples(8)
+    centroid = build_cluster(3, D).cells.mean(axis=0)
     for b, point, st_ in zip(best, points, status):
         thetas = tuple(index_angles(b, 8).tolist())
         if st_ == CLOSED_FORM:
             assert reproduces_angles(point, thetas), b
-        elif st_ == LEAST_SQUARES:
+        elif st_ == CENTROID:
+            assert np.array_equal(point, centroid), b
             assert not reproduces_angles(point, thetas), b
-            assert math.dist(point, residual_grid_minimum(thetas)) < 0.02, b
-    assert np.count_nonzero(status == LEAST_SQUARES) == 96  # 12 sets, 8 rotations each
+    assert np.count_nonzero(status == CENTROID) == 96  # 12 sets, 8 rotations each
 
 
 def _seen_from_a_cell(tri, thetas) -> bool:
@@ -295,7 +276,7 @@ def test_no_point_on_a_cell(n_tx):
     for b, point, st_ in zip(best, points, status):
         if st_ == FAILED and _seen_from_a_cell(cells, index_angles(b, n_tx)):
             on_cell += 1
-        elif st_ <= LEAST_SQUARES:
+        elif st_ <= CENTROID:
             assert min(math.dist(point, c) for c in cells) > 1e-9 * D
     assert on_cell > 0
 
@@ -341,9 +322,10 @@ def test_extra_cell_next_to_a_base_cell():
         peaks[-1][:, 3] *= 0.5 if k % 2 else 1.0
     cells = np.stack(cells)
     points, status = estimate_points(np.stack(peaks), cells)
-    located = status <= LEAST_SQUARES
+    located = status <= CENTROID
     assert located.any() and not located.all()
     assert np.isfinite(points[located]).all() and np.isnan(points[~located]).all()
+    _assert_centroids(np.stack(peaks), cells, points, status)
     gaps = np.hypot(*(points[:, None, :] - cells).transpose(2, 0, 1)).min(axis=-1)
     assert (gaps[located] > 1e-9 * D).all()
 
@@ -401,5 +383,6 @@ def test_a_stack_equals_its_rows_estimated_alone(stack):
         point, st_ = estimate_points(peaks[t:t + 1], cells[t:t + 1])
         assert st_.tolist() == [status[t]]
         assert np.array_equal(point[0], points[t], equal_nan=True)
-    located = status <= LEAST_SQUARES
+    located = status <= CENTROID
     assert np.isfinite(points[located]).all() and np.isnan(points[~located]).all()
+    _assert_centroids(peaks, cells, points, status)

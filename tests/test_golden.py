@@ -52,9 +52,9 @@ DIGESTS = {
     "time-cluster":
         "9ad12cf0eee5f0aabf361ecb5d65efceb31f91a6b899d8b4feda479b1c37e001",
     "time-cluster two chunks":
-        "b62795e35baf3b30f88d2b5e068b8dacb7e12cb489042c04c35ca596a9f2d8cf",
+        "a9f6219b534dcaef307e0c6aac41d5d9589cf46b064f96701420c22b739451ee",
     "single-trial coordinated 3":
-        "03407c88df50cf9017473704fcea9393bb5c0b8d6d42a799ceeee81dbb08e89e",
+        "309d42dd05d4b6bc5820b418b79054de9c03242539256b2268ad68ec66edd1f3",
     "single-trial coordinated 4":
         "639038326851ee9228b38d88267ab89265e8da34535c35b541822943033aaed0",
     "single-trial exhaustive 11":

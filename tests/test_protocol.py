@@ -10,7 +10,7 @@ from mmwia import protocol
 from mmwia.antenna import make_codebook
 from mmwia.channel import Blocking, link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
-from mmwia.estimation import LEAST_SQUARES, estimate_points
+from mmwia.estimation import CENTROID, estimate_points
 from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
@@ -204,7 +204,7 @@ def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
     out = run_coordinated_batch(batch, seed=0)
     ((peaks_shape, cells_shape, points, status),) = calls
     assert peaks_shape == (50, 4, n_sc) and cells_shape == (50, n_sc, 2)
-    assert (status <= LEAST_SQUARES).any()
+    assert (status <= CENTROID).any()
     np.testing.assert_array_equal(out.estimated_ue, points)
 
 

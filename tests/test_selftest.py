@@ -2,10 +2,9 @@
 
 Many inputs of these checks also run under tests named after them (the ZC,
 false-alarm, miss, closed-form solve and sampler cases, the edge round
-trip, the link-budget scalars, the pattern constants, the UE centroid and
-the least-squares fallback oracle). The selftest caches each input's
-result, so within one session an input runs once, under whichever test
-reaches it first.
+trip, the link-budget scalars, the pattern constants and the UE
+centroid). The selftest caches each input's result, so within one session
+an input runs once, under whichever test reaches it first.
 """
 
 import ast
