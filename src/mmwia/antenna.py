@@ -8,7 +8,7 @@ side-lobe gains are closed forms of the half-power beamwidth alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .geometry import TWO_PI
 MAIN_LOBE_FACTOR = 2.6  # main-lobe width / half-power beamwidth
 
 
-@dataclass(frozen=True)
-class AntennaPattern:
+class AntennaPattern(NamedTuple):
     """Closed-form directional pattern parameterized by half-power beamwidth.
 
     phi_3db is in radians; g0 and g_sl in dBi. The side-lobe constant's
@@ -52,8 +51,7 @@ def make_pattern(phi_3db: float) -> AntennaPattern:
     )
 
 
-@dataclass(frozen=True)
-class BeamCodebook:
+class BeamCodebook(NamedTuple):
     """Evenly spaced beam centers sharing one pattern; beams sweep in index order."""
 
     beam_centers: np.ndarray  # radians in [0, 2*pi), ascending from 0

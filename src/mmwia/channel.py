@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,15 +15,10 @@ PATHLOSS_SLOPE = 21.0
 NLOS_FLOOR_DB = 1.55  # -10*log10(0.7): one bounce off a 0.7 reflection coefficient
 
 
-@dataclass(frozen=True)
-class LinkBudgetParams:
+class LinkBudgetParams(NamedTuple):
     p_ue_dbm: float
     noise_density_dbm_hz: float
-    bandwidth_hz: float
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+    bandwidth_hz: float  # > 0, checked where it is read (noise_power)
 
 
 def pathloss(d):
@@ -38,6 +32,8 @@ def pathloss(d):
 
 def noise_power(params: LinkBudgetParams) -> float:
     """Total thermal noise power in dBm over the configured bandwidth."""
+    if not params.bandwidth_hz > 0:
+        raise ValueError("bandwidth must be positive")
     return params.noise_density_dbm_hz + 10.0 * math.log10(params.bandwidth_hz)
 
 

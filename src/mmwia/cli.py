@@ -14,9 +14,9 @@ the defaults apply. Environment overrides, which the options beat:
 SIM_SEED, SIM_OUT. --trials must be at least 1; --seed and SIM_SEED must
 be non-negative integers.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
-A reader that closes standard output early (mmwia single-trial | head -1)
-fails no command but selftest: the rest of the output is dropped, and the
-exit code is 0.
+A reader that closes standard output early (mmwia selftest | head -1)
+fails no command: the rest of the output is dropped, and the exit code is
+the one the command would have returned.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ def _parse_args(argv: list[str]) -> tuple[str | None, dict]:
         # the command whenever POSIXLY_CORRECT is set
         opts, operands = getopt.getopt(argv, "h", longopts)
         if operands:
-            more, operands[1:] = getopt.getopt(operands[1:], "h", longopts)
-            opts += more
+            # operands may be argv itself: bind new lists, change none
+            more, rest = getopt.getopt(operands[1:], "h", longopts)
+            opts, operands = opts + more, [operands[0], *rest]
     except getopt.GetoptError as exc:
         raise _UsageError(exc.msg) from None
     args = {name.lstrip("-"): value for name, value in opts}  # last repeat wins
@@ -193,7 +194,8 @@ def main(argv=None) -> int:
     if command == "selftest":
         # the oracle suite is large and no other command needs it
         from .selftest import run_selftest
-        return EXIT_OK if run_selftest() else EXIT_EXPERIMENT
+        passed = run_selftest(lambda line: _print_report(line + "\n"))
+        return EXIT_OK if passed else EXIT_EXPERIMENT
 
     try:
         if command == "single-trial":

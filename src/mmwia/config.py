@@ -12,8 +12,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .antenna import make_codebook, make_pattern, BeamCodebook
 from .channel import LinkBudgetParams, pathloss
@@ -25,22 +25,19 @@ class ConfigError(Exception):
     """A configuration file failed validation."""
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
+class GeometryConfig(NamedTuple):
     n_sc: int = 3
     side_m: float = 200.0
 
 
-@dataclass(frozen=True)
-class AntennaConfig:
+class AntennaConfig(NamedTuple):
     n_tx: int = 8   # UE codebook size (4 and 8 in the reduction experiments)
     n_rx: int = 8   # [non-paper default]
     ue_phi_3db_deg: float | None = None  # None -> 360/n_tx
     sc_phi_3db_deg: float | None = None  # None -> 360/n_rx
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(NamedTuple):
     p_ue_dbm: float = -14.0  # [non-paper default]
     noise_density_dbm_hz: float = -171.0
     bandwidth_hz: float = 1.08e6
@@ -48,13 +45,11 @@ class ChannelConfig:
     nlos_excess_mean_db: float = 26.0  # [non-paper default]
 
 
-@dataclass(frozen=True)
-class PreambleConfig:
+class PreambleConfig(NamedTuple):
     n_zc: int = 839
 
 
-@dataclass(frozen=True)
-class DetectionSettings:
+class DetectionSettings(NamedTuple):
     mode: str = "miss"  # "miss" or "fa"
     target: float = 0.01
     reference_distance_m: float = 200.0
@@ -63,14 +58,12 @@ class DetectionSettings:
     reference_p_ue_dbm: float | None = None  # None -> p_ue_dbm, see reference_rx_dbm
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(NamedTuple):
     t_ra_s: float = 1e-3
     backhaul_latency_s: float = 0.0
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     trials: int = 2000
     master_seed: int = 1
     p_los_trials: int = 10_000
@@ -82,21 +75,19 @@ class ExperimentConfig:
     n_tx_values: tuple[int, ...] = (4, 8)
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(NamedTuple):
     dir: str = "out"
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    antenna: AntennaConfig = field(default_factory=AntennaConfig)
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
-    preamble: PreambleConfig = field(default_factory=PreambleConfig)
-    detection: DetectionSettings = field(default_factory=DetectionSettings)
-    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
-    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+class SimConfig(NamedTuple):
+    geometry: GeometryConfig = GeometryConfig()
+    antenna: AntennaConfig = AntennaConfig()
+    channel: ChannelConfig = ChannelConfig()
+    preamble: PreambleConfig = PreambleConfig()
+    detection: DetectionSettings = DetectionSettings()
+    protocol: ProtocolConfig = ProtocolConfig()
+    experiment: ExperimentConfig = ExperimentConfig()
+    output: OutputConfig = OutputConfig()
 
     # -- derived helpers -------------------------------------------------
 
@@ -155,24 +146,26 @@ def _radians(deg: float | None) -> float | None:
     return None if deg is None else math.radians(deg)
 
 
-# field annotation -> (parser of one value, whether the value is a list)
-_PARSERS = {
-    "int": (int, False),
-    "float": (float, False),
-    "float | None": (float, False),
-    "str": (str, False),
-    "tuple[int, ...]": (int, True),
-    "tuple[float, ...]": (float, True),
-}
+# type of a field's default -> parser of one value; None stands for a float
+_PARSERS = {int: int, float: float, str: str, type(None): float}
 
 
-def _parse_value(section: str, key: str, raw: str, kind: str):
-    parse, is_list = _PARSERS[kind]
+def _parser(default):
+    """(parser of one value, whether the value is a list) of the field
+    whose default is ``default``: a tuple's values parse as its first does."""
+    if isinstance(default, tuple):
+        return _PARSERS[type(default[0])], True
+    return _PARSERS[type(default)], False
+
+
+def _parse_value(section: str, key: str, raw: str, default):
+    parse, is_list = _parser(default)
     raw = raw.strip()
     try:
         values = (tuple(parse(v.strip()) for v in raw.split(",") if v.strip())
                   if is_list else (parse(raw),))
     except ValueError as exc:
+        kind = f"a list of {parse.__name__}" if is_list else parse.__name__
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from exc
     if not values:
         raise ConfigError(f"[{section}] {key}: empty list")
@@ -280,9 +273,9 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    # every section is a SimConfig field; its keys are its class's fields
-    schema = {f.name: {k.name: k.type for k in fields(f.default_factory)}
-              for f in fields(SimConfig)}
+    # every section is a SimConfig field; its keys are its class's fields,
+    # each parsed as its default
+    schema = {name: section._asdict() for name, section in cfg._asdict().items()}
     updates: dict[str, dict] = {}
     for section in parser.sections():
         if section not in schema:
@@ -295,6 +288,5 @@ def load_config(path: str | Path | None = None) -> SimConfig:
                 section, key, raw, known[key])
 
     for section, kv in updates.items():
-        current = getattr(cfg, section)
-        cfg = replace(cfg, **{section: replace(current, **kv)})
+        cfg = cfg._replace(**{section: getattr(cfg, section)._replace(**kv)})
     return _validate(cfg)

@@ -16,7 +16,6 @@ and scored with one best-beam-pair power and one ranking call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, field
 
 import numpy as np
 
@@ -32,13 +31,12 @@ from .protocol import (
 )
 
 
-@dataclass
 class ResultTable:
-    name: str
-    columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
-    config_hash: str = ""
-    master_seed: int = 0
+    def __init__(self, name: str, columns: tuple[str, ...],
+                 config_hash: str = "", master_seed: int = 0):
+        self.name, self.columns = name, columns
+        self.rows: list[tuple] = []
+        self.config_hash, self.master_seed = config_hash, master_seed
 
     def add(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -254,7 +252,7 @@ def run_reduction_vs_pmiss(cfg: SimConfig, trials: int,
     """Mean IA-time reduction across miss-detection targets (miss-mode γ),
     calibrated per grid point."""
     if cfg.detection.mode != "miss":
-        cfg = replace(cfg, detection=replace(cfg.detection, mode="miss"))
+        cfg = cfg._replace(detection=cfg.detection._replace(mode="miss"))
     return _reduction(
         "reduction_pmiss", "p_miss", cfg.experiment.pmiss_grid,
         lambda point, p_miss: (cfg.channel.p_ue_dbm, point_threshold(

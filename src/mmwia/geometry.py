@@ -9,7 +9,6 @@ of trials puts a leading trial axis on both, (count, n_sc, 2) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,6 @@ def bearings(vectors: np.ndarray) -> np.ndarray:
     return np.where(a < TWO_PI, a, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
 class ClusterGeometry:
     """Small-cell positions, a read-only (n_sc, 2) array, or (..., n_sc, 2)
     for a batch of clusters.
@@ -60,10 +58,8 @@ class ClusterGeometry:
     any further cells are auxiliary members of the same cluster.
     """
 
-    cells: np.ndarray
-
-    def __post_init__(self):
-        cells = np.array(self.cells, dtype=float, order="C")
+    def __init__(self, cells):
+        cells = np.array(cells, dtype=float, order="C")
         if cells.ndim < 2 or cells.shape[-1] != 2 or cells.shape[-2] < 1:
             raise ValueError("cells must be a non-empty (n_sc, 2) array")
         if not np.isfinite(cells).all():
@@ -75,7 +71,7 @@ class ClusterGeometry:
         if np.count_nonzero(z[..., 1:] == z[..., :-1]):
             raise ValueError("two cells coincide")
         cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
+        self.cells = cells
 
     @property
     def n_sc(self) -> int:

@@ -13,7 +13,7 @@ slots, is an oracle and lives in ``selftest``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-@dataclass(frozen=True)
-class ZcSequence:
+class ZcSequence(NamedTuple):
     root: int
     n_zc: int
     samples: np.ndarray  # unit-modulus complex, length n_zc

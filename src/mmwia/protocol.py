@@ -18,8 +18,8 @@ Rx sweep towards the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ EXHAUSTIVE = "exhaustive"
 COORDINATED = "coordinated"
 
 
-@dataclass(frozen=True, eq=False)
-class IaOutcomes:
+class IaOutcomes(NamedTuple):
     """One scheme's outcome of every trial of a batch, as (T, ...) arrays.
 
     A censored trial (``success`` False) used every slot of its schedule
@@ -52,7 +51,6 @@ class IaOutcomes:
     estimated_ue: np.ndarray    # (T, 2) float
 
 
-@dataclass(frozen=True, eq=False)
 class TrialBatch:
     """T trials that share codebooks, link parameters and threshold, each
     with its own cluster (cells (T, n_sc, 2)), UE ((T, 2)) and blocking
@@ -62,23 +60,20 @@ class TrialBatch:
     a paired batch share one computation; it draws no random numbers.
     """
 
-    geom: ClusterGeometry
-    ue: np.ndarray
-    ue_codebook: BeamCodebook
-    sc_codebook: BeamCodebook
-    link_params: LinkBudgetParams
-    n_zc: int
-    gamma_ra: float
-    blocking: Blocking | None = None  # None: every link LOS
-    t_ra_s: float = 1e-3
-    backhaul_latency_s: float = 0.0
-
-    def __post_init__(self):
-        cells = self.geom.cells
-        if cells.ndim != 3 or np.shape(self.ue) != (len(cells), 2):
+    def __init__(self, geom: ClusterGeometry, ue: np.ndarray,
+                 ue_codebook: BeamCodebook, sc_codebook: BeamCodebook,
+                 link_params: LinkBudgetParams, n_zc: int, gamma_ra: float,
+                 blocking: Blocking | None = None,  # None: every link LOS
+                 t_ra_s: float = 1e-3, backhaul_latency_s: float = 0.0):
+        cells = geom.cells
+        if cells.ndim != 3 or np.shape(ue) != (len(cells), 2):
             raise ValueError("a batch needs cells (T, n_sc, 2) and UEs (T, 2)")
-        if self.blocking is not None and self.blocking.blocked.shape != cells.shape[:2]:
+        if blocking is not None and blocking.blocked.shape != cells.shape[:2]:
             raise ValueError("one blocking state per cell required")
+        self.geom, self.ue, self.blocking = geom, ue, blocking
+        self.ue_codebook, self.sc_codebook = ue_codebook, sc_codebook
+        self.link_params, self.n_zc, self.gamma_ra = link_params, n_zc, gamma_ra
+        self.t_ra_s, self.backhaul_latency_s = t_ra_s, backhaul_latency_s
 
     @property
     def size(self) -> int:

@@ -18,7 +18,6 @@ its own name and again inside its check computes it once.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import traceback
 from functools import cache
@@ -538,10 +537,9 @@ def _check_schedule_arithmetic():
     out = protocol.run_exhaustive_batch(batch, seed=9)
     again = protocol.run_exhaustive_batch(batch, seed=9)
     # NaN, the estimate of a trial that made none, equals NaN
-    assert out.scheme == again.scheme and all(
-        np.array_equal(getattr(out, f.name), getattr(again, f.name),
-                       equal_nan=f.name == "estimated_ue")
-        for f in dataclasses.fields(out)[1:]), "same seed must reproduce the outcome"
+    same = all(np.array_equal(a, b, equal_nan=name == "estimated_ue")
+               for name, a, b in zip(out._fields[1:], out[1:], again[1:]))
+    assert out.scheme == again.scheme and same, "same seed must reproduce the outcome"
     for k, (slots, cell, pair) in enumerate(expect):
         assert out.success[k]
         assert out.slots_used[k] == slots, (k, out.slots_used[k], slots)
@@ -578,9 +576,9 @@ CHECKS = [
 ]
 
 
-def run_selftest() -> bool:
-    """Run every oracle check, printing one line each; returns True when
-    all pass."""
+def run_selftest(report) -> bool:
+    """Run every oracle check, passing one line each to ``report``; returns
+    True when all pass."""
     all_ok = True
     for name, fn in CHECKS:
         try:
@@ -590,5 +588,5 @@ def run_selftest() -> bool:
             status = "FAIL"
             all_ok = False
             traceback.print_exc()
-        print(f"[{status}] {name}")
+        report(f"[{status}] {name}")
     return all_ok

@@ -10,7 +10,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the verdict lines live.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +36,7 @@ def _verdict(ok: bool, label: str, detail: str):
 
 
 def _exp(cfg, **kw):
-    return replace(cfg, experiment=replace(cfg.experiment, **kw))
+    return cfg._replace(experiment=cfg.experiment._replace(**kw))
 
 
 def test_criterion_1_p_los_small_blocking():

@@ -56,6 +56,12 @@ def test_noise_power_values():
     assert two - one == pytest.approx(10.0 * math.log10(2.0))
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan])
+def test_noise_power_needs_a_positive_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        noise_power(LinkBudgetParams(23.0, -171.0, bandwidth))
+
+
 CELL0 = (0.0, 0.0)
 WEST_UE = (-D, 0.0)  # 200 m due west of cell 0
 

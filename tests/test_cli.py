@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -44,11 +43,12 @@ def test_cli_import_leaves_the_selftest_out():
     assert _fresh_process(code).strip() == "False"
 
 
-@pytest.mark.parametrize("module", ["numpy.ma", "argparse", "locale"])
+@pytest.mark.parametrize("module", ["numpy.ma", "argparse", "locale", "dataclasses"])
 def test_reduction_pmiss_leaves_module_out(tmp_path, module):
     """A campaign loads neither numpy.ma, which np.quantile's first call
     imports (the miss-mode calibration takes its quantile without it), nor
     argparse and the locale module that its first parser's gettext lookups
+    import, nor dataclasses, whose classes execute generated code at every
     import."""
     cfg = _write(tmp_path, "[experiment]\npmiss_grid = 0.1\nn_tx_values = 4\n"
                            "[detection]\ncalibration_trials = 1000\n")
@@ -81,6 +81,18 @@ def test_option_forms_and_places_agree(tmp_path):
     assert len(csv_a.splitlines()) == 3  # TINY's one grid point, not the defaults'
 
 
+def test_main_leaves_its_argument_list_as_it_was(tmp_path):
+    """A command line whose command comes first survives a run unchanged,
+    so a second run of the same list repeats the first."""
+    cfg = _write(tmp_path, TINY)
+    argv = ["p-los", "--config", cfg, "--trials", "4", "--out", str(tmp_path / "a")]
+    copy = list(argv)
+    assert main(argv) == 0 and argv == copy
+    first = (tmp_path / "a" / "p_los.csv").read_bytes()
+    assert main(argv) == 0 and argv == copy
+    assert (tmp_path / "a" / "p_los.csv").read_bytes() == first
+
+
 def test_options_after_the_command_hold_under_posixly_correct(tmp_path, monkeypatch):
     """POSIXLY_CORRECT, which stops GNU-style parsing at the first operand,
     leaves the options after the command in force."""
@@ -111,7 +123,7 @@ def test_malformed_command_line_is_usage_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])
 def test_selftest_exit_code(monkeypatch, passed, code):
-    monkeypatch.setattr(selftest, "run_selftest", lambda: passed)
+    monkeypatch.setattr(selftest, "run_selftest", lambda report: passed)
     assert main(["selftest"]) == code
 
 
@@ -332,9 +344,8 @@ def test_single_trial_is_row_zero_of_a_paired_campaign(capsys, monkeypatch):
     """single-trial prints, per scheme, trial 0 of the first chunk that a
     paired campaign at the default power and codebook runs."""
     cfg = load_config(None)
-    cfg = replace(cfg, experiment=replace(
-        cfg.experiment, power_grid_dbm=(cfg.channel.p_ue_dbm,),
-        n_tx_values=(cfg.antenna.n_tx,)))
+    cfg = cfg._replace(experiment=cfg.experiment._replace(
+        power_grid_dbm=(cfg.channel.p_ue_dbm,), n_tx_values=(cfg.antenna.n_tx,)))
     for seed in (2, 9):
         first = {}
 
@@ -391,3 +402,31 @@ def test_closed_stdout_is_no_error(lines_read):
         proc.stdout.close()
         err = proc.stderr.read()
     assert proc.returncode == 0 and err == b""
+
+
+@pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])
+def test_selftest_on_a_closed_stdout_keeps_its_exit_code(passed, code):
+    """mmwia selftest | head -1: the lines after the reader has gone are
+    dropped, with no broken pipe on stderr, and the exit code still
+    reports the checks. Two stand-in checks replace the suite; the second
+    ends only once the reader has closed the pipe."""
+    code_text = ("import sys\n"
+                 "from mmwia import cli, selftest\n"
+                 "def second():\n"
+                 "    sys.stdin.read()\n"
+                 f"    assert {passed}\n"
+                 "selftest.CHECKS = [('first', lambda: None), ('second', second)]\n"
+                 "sys.exit(cli.main(['selftest']))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-c", code_text], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    with proc:
+        assert proc.stdout.readline() == b"[PASS] first\n"
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read()
+    assert proc.returncode == code
+    if passed:
+        assert err == b""
+    else:
+        assert b"AssertionError" in err and b"BrokenPipe" not in err

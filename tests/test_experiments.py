@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from mmwia.experiments import (
 
 def _cfg(**exp_kwargs):
     cfg = SimConfig()
-    return replace(cfg, experiment=replace(cfg.experiment, **exp_kwargs))
+    return cfg._replace(experiment=cfg.experiment._replace(**exp_kwargs))
 
 
 def test_result_table_csv_shape():
@@ -114,8 +113,8 @@ def test_one_trial_draw_is_what_the_protocol_gets():
     """Each chunk of protocol trials is one batch: the draw from its
     stream 0, with the seed of its stream 2."""
     cfg = SimConfig()
-    cfg = replace(cfg, geometry=replace(cfg.geometry, n_sc=5),
-                  channel=replace(cfg.channel, p_blk=0.4))
+    cfg = cfg._replace(geometry=cfg.geometry._replace(n_sc=5),
+                       channel=cfg.channel._replace(p_blk=0.4))
     batches = list(trial_batches(cfg, 4, -14.0, 1e-5, CHUNK + 6, 7, 2))
     assert [batch.size for batch, _ in batches] == [CHUNK, 6]
     for chunk, (batch, seed) in enumerate(batches):

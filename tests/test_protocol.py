@@ -1,5 +1,5 @@
+import inspect
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
     params = CFG.link_params(p_ue)
     if noiseless:
         # zero noise power: the peak sampler returns the exact N^2 * power
-        params = replace(params, noise_density_dbm_hz=-math.inf)
+        params = params._replace(noise_density_dbm_hz=-math.inf)
     if blocking is not None:
         blocking = Blocking(*(np.tile(field, (count, 1)) for field in blocking))
     return TrialBatch(
@@ -56,9 +56,15 @@ def _assert_rows_equal(a: IaOutcomes, b: IaOutcomes, rows=slice(None)):
     """Outcomes ``a`` at ``rows`` equal all of ``b``, field by field; NaN,
     the estimate of a trial that made none, equals NaN."""
     assert a.scheme == b.scheme
-    for f in fields(IaOutcomes)[1:]:
-        np.testing.assert_array_equal(getattr(a, f.name)[rows], getattr(b, f.name),
-                                      err_msg=f.name, strict=True)
+    for name in IaOutcomes._fields[1:]:
+        np.testing.assert_array_equal(getattr(a, name)[rows], getattr(b, name),
+                                      err_msg=name, strict=True)
+
+
+def _with(batch: TrialBatch, **changes) -> TrialBatch:
+    """``batch`` rebuilt with the given constructor arguments changed."""
+    names = inspect.signature(TrialBatch).parameters
+    return TrialBatch(**{name: getattr(batch, name) for name in names} | changes)
 
 
 def _alone(batch: TrialBatch, t: int) -> TrialBatch:
@@ -66,8 +72,8 @@ def _alone(batch: TrialBatch, t: int) -> TrialBatch:
     blocking = None
     if batch.blocking is not None:
         blocking = Blocking(*(field[t:t + 1] for field in batch.blocking))
-    return replace(batch, geom=ClusterGeometry(batch.geom.cells[t:t + 1]),
-                   ue=batch.ue[t:t + 1], blocking=blocking)
+    return _with(batch, geom=ClusterGeometry(batch.geom.cells[t:t + 1]),
+                 ue=batch.ue[t:t + 1], blocking=blocking)
 
 
 def test_reorder_boresight_first_antipodal_last():
@@ -119,9 +125,9 @@ def test_reorder_is_permutation(n, x, y):
 def test_batch_needs_a_trial_axis():
     one = _batch()
     with pytest.raises(ValueError, match="batch"):
-        replace(one, geom=ClusterGeometry(one.geom.cells[0]))
+        _with(one, geom=ClusterGeometry(one.geom.cells[0]))
     with pytest.raises(ValueError, match="batch"):
-        replace(one, ue=one.ue[0])
+        _with(one, ue=one.ue[0])
 
 
 def test_exhaustive_worst_case_full_sweep():
@@ -251,10 +257,10 @@ def test_detect_strict_inequality():
     assert np.sum(peaks == peaks.max()) == 1
 
     at_peak = run_exhaustive_batch(
-        replace(batch, gamma_ra=float(peaks.max())), seed=0)
+        _with(batch, gamma_ra=float(peaks.max())), seed=0)
     assert not at_peak.success[0] and at_peak.slots_used[0] == 4
     below = run_exhaustive_batch(
-        replace(batch, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), seed=0)
+        _with(batch, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), seed=0)
     assert below.success[0] and below.slots_used[0] == slot + 1
     assert below.detecting_cell[0] == cell and below.detecting_pair[0].tolist() == [slot, 0]
 
@@ -287,8 +293,8 @@ def test_batch_equals_each_trial_run_alone(monkeypatch):
     penalty = blocking.penalty_db.copy()
     penalty[::5] = 60.0  # every fifth trial too weak to detect
     blocking = blocking._replace(penalty_db=penalty)
-    chunk = replace(_batch(p_ue=-20.0, noiseless=True, gamma=2e-7, count=24, ue=ues),
-                    blocking=blocking)
+    chunk = _with(_batch(p_ue=-20.0, noiseless=True, gamma=2e-7, count=24, ue=ues),
+                  blocking=blocking)
 
     drawn = []
     draw = protocol._rx_orders
