@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .antenna import BeamCodebook
-from .geometry import TWO_PI, ClusterGeometry, bearings, circular_distance
+from .geometry import TWO_PI, bearings, circular_distance
 
 PATHLOSS_INTERCEPT_DB = 61.4  # 1 m reference
 PATHLOSS_SLOPE = 21.0
@@ -72,23 +72,23 @@ def sample_blocking(n_sc: int, p_blk: float, seed=None, *,
                     np.where(blocked, NLOS_FLOOR_DB + excess, 0.0))
 
 
-def _paths(geom: ClusterGeometry, ue: np.ndarray, blocking: Blocking | None):
+def _paths(cells: np.ndarray, ue: np.ndarray, blocking: Blocking | None):
     """(distances, departure bearings at the UE, arrival bearings at the
     cells) of every link, each (..., n_sc); ``link_budget_dbm`` documents
     the reflector routing of blocked links."""
     ue = np.asarray(ue)[..., None, :]
-    to_cell = geom.cells - ue
+    to_cell = cells - ue
     d = np.hypot(to_cell[..., 0], to_cell[..., 1])
     if not d.all():
         raise ValueError("link undefined: the UE coincides with a cell")
-    depart, arrive = to_cell, ue - geom.cells
+    depart, arrive = to_cell, ue - cells
     if blocking is not None and blocking.blocked.any():
         b = blocking.reflector
         refl = np.stack([ue[..., 0] + 0.5 * d * np.cos(b),
                          ue[..., 1] + 0.5 * d * np.sin(b)], axis=-1)
         via = blocking.blocked[..., None]
         depart = np.where(via, refl - ue, depart)
-        arrive = np.where(via, refl - geom.cells, arrive)
+        arrive = np.where(via, refl - cells, arrive)
     return d, bearings(depart), bearings(arrive)
 
 
@@ -120,7 +120,7 @@ def _nearest_beam_gain(cb: BeamCodebook, azimuth: np.ndarray) -> np.ndarray:
     return cb.pattern.gain(off)[..., None, :]
 
 
-def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
+def link_budget_dbm(cells: np.ndarray, ue: np.ndarray,
                     blocking: Blocking | None, ue_cb: BeamCodebook,
                     sc_cb: BeamCodebook,
                     p_ue_dbm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +140,7 @@ def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
     (..., 2) and blocking (..., n_sc), gives (..., n_tx, n_sc) and
     (..., n_rx, n_sc), each trial's slice equal to its own call.
     """
-    d, depart, arrive = _paths(geom, ue, blocking)
+    d, depart, arrive = _paths(cells, ue, blocking)
     tx_gains = ue_cb.pattern.gain(circular_distance(
         ue_cb.beam_centers[:, None], depart[..., None, :]))
     rx_gain = sc_cb.pattern.gain(circular_distance(
@@ -148,7 +148,7 @@ def link_budget_dbm(geom: ClusterGeometry, ue: np.ndarray,
     return _before_rx_dbm(tx_gains, d, blocking, p_ue_dbm), rx_gain
 
 
-def best_pair_dbm(geom: ClusterGeometry, ue: np.ndarray,
+def best_pair_dbm(cells: np.ndarray, ue: np.ndarray,
                   blocking: Blocking | None, ue_cb: BeamCodebook,
                   sc_cb: BeamCodebook, p_ue_dbm: float) -> np.ndarray:
     """Preamble power at every cell under its best (Tx, Rx) beam pair, (n_sc,)
@@ -159,6 +159,6 @@ def best_pair_dbm(geom: ClusterGeometry, ue: np.ndarray,
     the gain of its beam nearest the link's bearing, and the maximum
     commutes with the monotone floating-point additions that follow.
     """
-    d, depart, arrive = _paths(geom, ue, blocking)
+    d, depart, arrive = _paths(cells, ue, blocking)
     base = _before_rx_dbm(_nearest_beam_gain(ue_cb, depart), d, blocking, p_ue_dbm)
     return (base + _nearest_beam_gain(sc_cb, arrive))[..., 0, :]

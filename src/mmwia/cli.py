@@ -10,9 +10,9 @@ under both schemes, exhaustive then coordinated, drawn as the campaigns
 draw it: as the first trial of a whole chunk.
 Options go before or after the command, as --opt VALUE or --opt=VALUE,
 under any unique prefix (--conf); the last repeat wins. Without --config
-the defaults apply. Environment overrides, which the options beat:
-SIM_SEED, SIM_OUT. --trials must be at least 1; --seed and SIM_SEED must
-be non-negative integers.
+the defaults apply; --seed and --out override [experiment] master_seed
+and [output] dir. --trials must be at least 1; --seed must be a
+non-negative integer.
 Exit codes: 0 success, 1 usage, 2 config error, 3 experiment failure.
 A reader that closes standard output early (mmwia selftest | head -1)
 fails no command: the rest of the output is dropped, and the exit code is
@@ -76,13 +76,6 @@ class _UsageError(Exception):
     pass
 
 
-def _int_at_least(name: str, text: str, minimum: int) -> int:
-    """``text`` as an integer no smaller than ``minimum``; ``name`` labels the error."""
-    if not text.removeprefix("-").isdecimal() or int(text) < minimum:
-        raise _UsageError(f"{name}: expected an integer >= {minimum}, got {text!r}")
-    return int(text)
-
-
 def _parse_args(argv: list[str]) -> tuple[str | None, dict]:
     """The command and {option: value} of a command line; no command if it
     asks for help."""
@@ -104,8 +97,12 @@ def _parse_args(argv: list[str]) -> tuple[str | None, dict]:
         raise _UsageError(f"expected one command of {', '.join(COMMANDS)}, "
                           f"got {' '.join(operands) or 'none'}")
     for name, minimum in (("seed", 0), ("trials", 1)):
-        if name in args:
-            args[name] = _int_at_least(f"--{name}", args[name], minimum)
+        text = args.get(name)
+        if text is None:
+            continue
+        if not text.removeprefix("-").isdecimal() or int(text) < minimum:
+            raise _UsageError(f"--{name}: expected an integer >= {minimum}, got {text!r}")
+        args[name] = int(text)
     return operands[0], args
 
 
@@ -179,17 +176,14 @@ def main(argv=None) -> int:
             _print_report(__doc__ or "")  # python -OO strips it
             return EXIT_OK
         cfg = load_config(args.get("config"))
-        env_seed = os.environ.get("SIM_SEED")
-        seed = args.get("seed", _int_at_least("SIM_SEED", env_seed, 0) if env_seed
-                        else cfg.experiment.master_seed)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args["out"] if "out" in args
-                   else os.environ.get("SIM_OUT") or cfg.output.dir)
+    seed = args.get("seed", cfg.experiment.master_seed)
+    out_dir = Path(args.get("out", cfg.output.dir))
 
     if command == "selftest":
         # the oracle suite is large and no other command needs it

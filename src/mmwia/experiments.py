@@ -22,7 +22,7 @@ import numpy as np
 from .channel import best_pair_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .estimation import select_top3
-from .geometry import ClusterGeometry, build_cluster, place_ue
+from .geometry import build_cluster, place_ue
 from .protocol import (
     TrialBatch,
     ia_time_reduction,
@@ -88,8 +88,8 @@ def _chunks(trials: int, size: int):
 
 def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
     """(clusters, UEs, blocking) of ``count`` trials from one generator
-    seeded by ``seed``: cells (count, n_sc, 2), UEs (count, 2) and a
-    ``Blocking`` of (count, n_sc) arrays.
+    seeded by ``seed``: read-only cells (count, n_sc, 2), UEs (count, 2)
+    and a ``Blocking`` of (count, n_sc) arrays.
 
     The draw goes field by field across the trials: the extra cells'
     radii, then their angles, the UEs, then the blocked flags, reflector
@@ -98,13 +98,11 @@ def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
     first cells of the base triangle; the UE lies in the triangle.
     """
     rng = np.random.default_rng(seed)
-    geom = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng, count)
-    ue = place_ue(geom, rng, count)
-    if n_sc < 3:
-        geom = ClusterGeometry(geom.cells[:, :n_sc])
+    cells = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng, count)
+    ue = place_ue(cells, rng, count)
     blocking = sample_blocking(n_sc, p_blk, rng, count=count,
                                excess_mean_db=cfg.channel.nlos_excess_mean_db)
-    return geom, ue, blocking
+    return cells[:, :n_sc], ue, blocking
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -148,9 +146,9 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     for point, (n_sc, p_blk) in enumerate(grid):
         wins = 0
         for chunk, count in _chunks(trials, CHUNK):
-            geom, ue, blocking = draw_trial(
+            cells, ue, blocking = draw_trial(
                 cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3), count)
-            power = best_pair_dbm(geom, ue, blocking, ue_cb, sc_cb,
+            power = best_pair_dbm(cells, ue, blocking, ue_cb, sc_cb,
                                   cfg.channel.p_ue_dbm)
             top3 = select_top3(power[:, None, :])
             blocked = np.take_along_axis(blocking.blocked, top3, axis=-1)
@@ -179,10 +177,10 @@ def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     params = cfg.link_params(p_ue_dbm)
     n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
     for chunk, count in _chunks(trials, CHUNK):
-        geom, ue, blocking = draw_trial(cfg, n_cells, cfg.channel.p_blk,
-                                        _seed(master_seed, point, chunk, 0), count)
+        cells, ue, blocking = draw_trial(cfg, n_cells, cfg.channel.p_blk,
+                                         _seed(master_seed, point, chunk, 0), count)
         batch = TrialBatch(
-            geom, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
+            cells, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
             blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
             backhaul_latency_s=cfg.protocol.backhaul_latency_s)
         yield batch, _seed(master_seed, point, chunk, 2)

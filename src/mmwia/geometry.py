@@ -1,9 +1,12 @@
 """Cluster layout, UE placement and the angle arithmetic on azimuths.
 
-Positions are plain arrays: a cluster is the (n_sc, 2) array of its cell
-coordinates, and a UE is a (2,) array kept apart from the layout. A batch
-of trials puts a leading trial axis on both, (count, n_sc, 2) and
+Positions are plain arrays: a cluster is the read-only (n_sc, 2) array of
+its cell coordinates, whose first three rows are the base triangle
+(counterclockwise), and a UE is a (2,) array kept apart from the layout.
+A batch of trials puts a leading trial axis on both, (count, n_sc, 2) and
 (count, 2), drawn by passing ``count`` as numpy's ``size`` is passed.
+There is no cluster type: each consumer checks what it relies on (the
+estimator rejects coincident anchors, the link budget a UE on a cell).
 """
 
 from __future__ import annotations
@@ -50,60 +53,27 @@ def bearings(vectors: np.ndarray) -> np.ndarray:
     return np.where(a < TWO_PI, a, 0.0)
 
 
-class ClusterGeometry:
-    """Small-cell positions, a read-only (n_sc, 2) array, or (..., n_sc, 2)
-    for a batch of clusters.
-
-    The first three cells always form the base triangle (counterclockwise);
-    any further cells are auxiliary members of the same cluster.
-    """
-
-    def __init__(self, cells):
-        cells = np.array(cells, dtype=float, order="C")
-        if cells.ndim < 2 or cells.shape[-1] != 2 or cells.shape[-2] < 1:
-            raise ValueError("cells must be a non-empty (n_sc, 2) array")
-        if not np.isfinite(cells).all():
-            raise ValueError("coordinates must be finite")
-        # cells as x + iy sort by x, then y, so equal cells end up side by
-        # side (0.0 and -0.0 compare equal)
-        z = cells.view(complex)[..., 0].copy()
-        z.sort(axis=-1)
-        if np.count_nonzero(z[..., 1:] == z[..., :-1]):
-            raise ValueError("two cells coincide")
-        cells.flags.writeable = False
-        self.cells = cells
-
-    @property
-    def n_sc(self) -> int:
-        return self.cells.shape[-2]
-
-    def triangle(self) -> np.ndarray:
-        if self.n_sc < 3:
-            raise ValueError("no base triangle: cluster has fewer than 3 cells")
-        return self.cells[..., :3, :]
-
-
 def _shape(count: int | None, *tail: int) -> tuple[int, ...]:
     """numpy ``size`` of ``tail`` draws per trial, led by ``count`` trials."""
     return tail if count is None else (count, *tail)
 
 
 def build_cluster(n_sc: int, d: float, layout_seed=None,
-                  count: int | None = None) -> ClusterGeometry:
-    """Build a cluster of ``n_sc`` cells with inter-cell spacing ``d``, or
-    ``count`` of them as a (count, n_sc, 2) batch.
+                  count: int | None = None) -> np.ndarray:
+    """The read-only (n_sc, 2) cell positions of a cluster with inter-cell
+    spacing ``d``, or ``count`` of them as a (count, n_sc, 2) batch.
 
     The first three cells are the vertices of an equilateral triangle of
     side ``d``, counterclockwise from the origin; extra cells are drawn
     uniformly from the triangle's circumscribed disk: every radius of the
     batch, then every angle.
     """
-    if n_sc < 1:
-        raise ValueError("n_sc must be >= 1")
+    if n_sc < 3:
+        raise ValueError("n_sc must be >= 3: the base triangle has three cells")
     if d <= 0:
         raise ValueError("inter-cell distance must be positive")
     cells = np.empty(_shape(count, n_sc, 2))
-    cells[..., :3, :] = d * _UNIT_TRIANGLE[:n_sc]
+    cells[..., :3, :] = d * _UNIT_TRIANGLE
     if n_sc > 3:
         rng = np.random.default_rng(layout_seed)
         cx, cy = d / 2.0, d / (2.0 * math.sqrt(3.0))  # circumcenter
@@ -114,15 +84,16 @@ def build_cluster(n_sc: int, d: float, layout_seed=None,
         phi = rng.uniform(0.0, TWO_PI, size=size)
         cells[..., 3:, 0] = cx + r * np.cos(phi)
         cells[..., 3:, 1] = cy + r * np.sin(phi)
-    return ClusterGeometry(cells)
+    cells.flags.writeable = False
+    return cells
 
 
-def place_ue(geom: ClusterGeometry, placement_seed=None,
+def place_ue(cells: np.ndarray, placement_seed=None,
              count: int | None = None) -> np.ndarray:
-    """Draw a point uniformly inside the base triangle, as a (2,) array, or
-    ``count`` points as a (count, 2) array; a batched ``geom`` gives each
-    point its own cluster's triangle."""
-    tri = geom.triangle()
+    """Draw a point uniformly inside the base triangle ``cells[..., :3, :]``,
+    as a (2,) array, or ``count`` points as a (count, 2) array; a batch of
+    clusters gives each point its own cluster's triangle."""
+    tri = cells[..., :3, :]
     a = tri[..., 0, :]
     rng = np.random.default_rng(placement_seed)
     uv = rng.uniform(size=_shape(count, 2))

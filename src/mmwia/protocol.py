@@ -26,7 +26,7 @@ import numpy as np
 from .antenna import BeamCodebook
 from .channel import Blocking, LinkBudgetParams, link_budget_dbm, noise_power
 from .estimation import estimate_points
-from .geometry import ClusterGeometry, bearings, circular_distance
+from .geometry import bearings, circular_distance
 from .preamble import dbm_to_mw, sample_peaks
 
 EXHAUSTIVE = "exhaustive"
@@ -60,17 +60,16 @@ class TrialBatch:
     a paired batch share one computation; it draws no random numbers.
     """
 
-    def __init__(self, geom: ClusterGeometry, ue: np.ndarray,
+    def __init__(self, cells: np.ndarray, ue: np.ndarray,
                  ue_codebook: BeamCodebook, sc_codebook: BeamCodebook,
                  link_params: LinkBudgetParams, n_zc: int, gamma_ra: float,
                  blocking: Blocking | None = None,  # None: every link LOS
-                 t_ra_s: float = 1e-3, backhaul_latency_s: float = 0.0):
-        cells = geom.cells
+                 *, t_ra_s: float, backhaul_latency_s: float):
         if cells.ndim != 3 or np.shape(ue) != (len(cells), 2):
             raise ValueError("a batch needs cells (T, n_sc, 2) and UEs (T, 2)")
         if blocking is not None and blocking.blocked.shape != cells.shape[:2]:
             raise ValueError("one blocking state per cell required")
-        self.geom, self.ue, self.blocking = geom, ue, blocking
+        self.cells, self.ue, self.blocking = cells, ue, blocking
         self.ue_codebook, self.sc_codebook = ue_codebook, sc_codebook
         self.link_params, self.n_zc, self.gamma_ra = link_params, n_zc, gamma_ra
         self.t_ra_s, self.backhaul_latency_s = t_ra_s, backhaul_latency_s
@@ -83,7 +82,7 @@ class TrialBatch:
     def link_budget(self) -> tuple[np.ndarray, np.ndarray]:
         """``link_budget_dbm`` of every trial: the (T, n_tx, n_sc) dBm map
         before the Rx gain and the (T, n_rx, n_sc) Rx gains, read-only."""
-        budget = link_budget_dbm(self.geom, self.ue, self.blocking, self.ue_codebook,
+        budget = link_budget_dbm(self.cells, self.ue, self.blocking, self.ue_codebook,
                                  self.sc_codebook, self.link_params.p_ue_dbm)
         for part in budget:
             part.flags.writeable = False
@@ -121,7 +120,7 @@ def _rx_orders(batch: TrialBatch, rng) -> np.ndarray:
     schemes draw them first, so their first rounds coincide under a
     shared seed."""
     n_rx = batch.sc_codebook.n_beams
-    beams = np.broadcast_to(np.arange(n_rx), (*batch.geom.cells.shape[:2], n_rx))
+    beams = np.broadcast_to(np.arange(n_rx), (*batch.cells.shape[:2], n_rx))
     return rng.permuted(beams, axis=-1)
 
 
@@ -181,7 +180,7 @@ def run_exhaustive_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
 
 def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
     """Measurement round, backhaul exchange, estimate, reordered sweeps."""
-    n_sc, n_rx = batch.geom.n_sc, batch.sc_codebook.n_beams
+    n_sc, n_rx = batch.cells.shape[-2], batch.sc_codebook.n_beams
     if n_sc < 3:
         raise ValueError("coordinated IA needs a cluster of at least three cells")
     rng = np.random.default_rng(seed)
@@ -194,7 +193,7 @@ def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
     estimates = np.full((batch.size, 2), np.nan)
     missed = np.flatnonzero(hit[:, 0] < 0)
     if missed.size:
-        estimates[missed] = estimate_points(peaks[missed], batch.geom.cells[missed])[0]
+        estimates[missed] = estimate_points(peaks[missed], batch.cells[missed])[0]
 
     # n_rx more rounds. Until the reports have crossed the backhaul (and for
     # good without an estimate) each cell keeps walking its original order,
@@ -206,7 +205,7 @@ def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
         delay = backhaul_delay_rounds(batch.backhaul_latency_s,
                                       batch.ue_codebook.n_beams * batch.t_ra_s)
         reordered = reorder_rx_beams(batch.sc_codebook, estimates[estimated],
-                                     batch.geom.cells[estimated])
+                                     batch.cells[estimated])
         schedule[estimated, 1 + delay:] = reordered[:, :max(0, n_rx - delay)]
     _sweep(batch, schedule, 1, hit, rng)
     return _outcomes(COORDINATED, batch, schedule, hit, estimates)

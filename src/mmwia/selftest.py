@@ -25,6 +25,7 @@ from functools import cache
 import numpy as np
 
 from . import antenna, channel, estimation, geometry, preamble, protocol
+from .config import SimConfig
 
 D = 200.0
 
@@ -38,22 +39,22 @@ def _assert_raises(exc, fn, *args, **kwargs):
 
 
 def _check_cluster_reproducible():
-    g1 = geometry.build_cluster(12, D, layout_seed=7)
-    g2 = geometry.build_cluster(12, D, layout_seed=7)
-    assert np.array_equal(g1.cells, g2.cells), "same seed must give same layout"
+    c1 = geometry.build_cluster(12, D, layout_seed=7)
+    c2 = geometry.build_cluster(12, D, layout_seed=7)
+    assert np.array_equal(c1, c2), "same seed must give same layout"
     for i in range(3):
         for j in range(i + 1, 3):
-            dij = math.dist(g1.cells[i], g1.cells[j])
+            dij = math.dist(c1[i], c1[j])
             assert abs(dij - D) < 1e-9, "first three cells must form the triangle"
 
 
 @cache
 def ue_centroid():
     """The mean of 100k uniform UE placements is within 2 m of the centroid."""
-    geom = geometry.build_cluster(3, D)
+    cells = geometry.build_cluster(3, D)
     rng = np.random.default_rng(123)
-    pts = geometry.place_ue(geom, rng, count=100_000)
-    err = math.dist(pts.mean(axis=0), geom.triangle().mean(axis=0))
+    pts = geometry.place_ue(cells, rng, count=100_000)
+    err = math.dist(pts.mean(axis=0), cells.mean(axis=0))
     assert err < 2.0, f"empirical centroid off by {err:.2f} m"
 
 
@@ -65,7 +66,7 @@ def normalize_angle(angle):
     return float(a) if a.ndim == 0 else a
 
 
-def true_angles(geom: geometry.ClusterGeometry, ue) -> tuple[float, float, float]:
+def true_angles(cells: np.ndarray, ue) -> tuple[float, float, float]:
     """Oracle: angles subtended at the UE between consecutive base-triangle
     cells.
 
@@ -73,7 +74,7 @@ def true_angles(geom: geometry.ClusterGeometry, ue) -> tuple[float, float, float
     directions (cyclic over the first three cells). For a UE inside the
     triangle the three angles sum to exactly 2*pi.
     """
-    vectors = geom.triangle() - np.asarray(ue)
+    vectors = cells[:3] - np.asarray(ue)
     if not np.hypot(vectors[:, 0], vectors[:, 1]).all():
         raise ValueError("angles undefined at a UE on a cell")
     b = geometry.bearings(vectors)
@@ -81,10 +82,10 @@ def true_angles(geom: geometry.ClusterGeometry, ue) -> tuple[float, float, float
 
 
 def _check_angle_sum():
-    geom = geometry.build_cluster(3, D)
+    cells = geometry.build_cluster(3, D)
     rng = np.random.default_rng(5)
     for _ in range(200):
-        total = sum(true_angles(geom, geometry.place_ue(geom, rng)))
+        total = sum(true_angles(cells, geometry.place_ue(cells, rng)))
         assert abs(total - 2.0 * math.pi) < 1e-12, "angles must close to 2*pi"
 
 
@@ -160,7 +161,7 @@ def _west_link(ue_beam: float):
     pat = antenna.make_pattern(math.radians(45.0))
     p = received_power(
         channel.LinkBudgetParams(23.0, -171.0, 1.08e6),
-        geometry.build_cluster(3, D).cells[0], (-D, 0.0),
+        geometry.build_cluster(3, D)[0], (-D, 0.0),
         ue_beam=ue_beam, ue_pattern=pat, sc_beam=math.pi, sc_pattern=pat)
     return p, pat
 
@@ -193,11 +194,11 @@ def _check_link_budget():
     rng = np.random.default_rng(19)
     seen = set()
     for _ in range(20):
-        g = geometry.build_cluster(6, D, rng)
-        ue = geometry.place_ue(g, rng)
+        cells = geometry.build_cluster(6, D, rng)
+        ue = geometry.place_ue(cells, rng)
         blk = channel.sample_blocking(6, 0.5, rng, excess_mean_db=10.0)
-        base, rx_gain = channel.link_budget_dbm(g, ue, blk, ue_cb, sc_cb, 23.0)
-        for i, cell in enumerate(g.cells.tolist()):
+        base, rx_gain = channel.link_budget_dbm(cells, ue, blk, ue_cb, sc_cb, 23.0)
+        for i, cell in enumerate(cells.tolist()):
             if math.dist(ue, cell) < 1.0:
                 continue
             blocked = bool(blk.blocked[i])
@@ -457,7 +458,7 @@ LOCATE_CASES = {
 def locate_case(name: str):
     """The closed-form solve puts the case's angles at its point within 1e-6 m."""
     thetas, expect = LOCATE_CASES[name]
-    (p,), (status,) = estimation.locate_points([thetas], [geometry.build_cluster(3, D).triangle()])
+    (p,), (status,) = estimation.locate_points([thetas], [geometry.build_cluster(3, D)])
     assert status == estimation.CLOSED_FORM and math.dist(p, expect) < 1e-6, (name, p)
 
 
@@ -470,12 +471,11 @@ def _check_closed_form_solve():
 def round_trip(on_edges: bool):
     """UEs come back from their true angles within 1e-6 m: 1000 uniform
     ones, or 19 inside each edge, where that pair subtends pi."""
-    geom, rng = geometry.build_cluster(3, D), np.random.default_rng(31)
-    tri = geom.triangle()
+    tri, rng = geometry.build_cluster(3, D), np.random.default_rng(31)
     ues = ([tri[i] + f * (tri[(i + 1) % 3] - tri[i])
             for i in range(3) for f in np.linspace(0.05, 0.95, 19)] if on_edges
-           else [geometry.place_ue(geom, rng) for _ in range(1000)])
-    thetas = [true_angles(geom, ue) for ue in ues]
+           else [geometry.place_ue(tri, rng) for _ in range(1000)])
+    thetas = [true_angles(tri, ue) for ue in ues]
     points, _ = estimation.locate_points(thetas, np.broadcast_to(tri, (len(ues), 3, 2)))
     for ue, p in zip(ues, points):
         err = math.dist(p, ue)
@@ -495,7 +495,7 @@ def reproduces_angles(p, thetas) -> bool:
 
 
 def _check_schedule_arithmetic():
-    geom = geometry.build_cluster(3, D)
+    cells = geometry.build_cluster(3, D)
     ues = np.array([[100.0, 40.0], [60.0, 50.0], [140.0, 90.0]])
     ue_cb = antenna.make_codebook(4)
     sc_cb = antenna.make_codebook(8)
@@ -511,7 +511,7 @@ def _check_schedule_arithmetic():
             for i in range(n_sc):
                 for b in range(n_rx):
                     rx_dbm[k, t, i, b] = received_power(
-                        params, geom.cells[i], ue,
+                        params, cells[i], ue,
                         ue_beam=float(ue_cb.beam_centers[t]), ue_pattern=ue_cb.pattern,
                         sc_beam=float(sc_cb.beam_centers[b]), sc_pattern=sc_cb.pattern)
     peak = 839.0 ** 2 * 10.0 ** (rx_dbm / 10.0)
@@ -530,10 +530,12 @@ def _check_schedule_arithmetic():
             for r in range(n_rx) for t in range(n_tx) for i in range(n_sc)
             if peak[k, t, i, orders[k, i, r]] > gamma))
 
+    timing = SimConfig().protocol
     batch = protocol.TrialBatch(
-        geom=geometry.ClusterGeometry(np.broadcast_to(geom.cells, (n_trials, n_sc, 2))),
+        cells=np.broadcast_to(cells, (n_trials, n_sc, 2)),
         ue=ues, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
-        n_zc=839, gamma_ra=gamma)
+        n_zc=839, gamma_ra=gamma, t_ra_s=timing.t_ra_s,
+        backhaul_latency_s=timing.backhaul_latency_s)
     out = protocol.run_exhaustive_batch(batch, seed=9)
     again = protocol.run_exhaustive_batch(batch, seed=9)
     # NaN, the estimate of a trial that made none, equals NaN

@@ -22,7 +22,7 @@ from mmwia.experiments import (
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
 )
-from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
+from mmwia.geometry import build_cluster, place_ue
 from mmwia.protocol import TrialBatch, run_coordinated_batch, run_exhaustive_batch
 from mmwia.selftest import ZC_CASES, false_alarm_case, true_angles, zc_autocorrelation
 
@@ -152,23 +152,23 @@ def test_criterion_6d_quantized_containment():
     """
     from mmwia.protocol import reorder_rx_beams
 
-    geom0 = build_cluster(3, D)
+    triangle = build_cluster(3, D)
     ue_cb = make_codebook(8)
     rng = np.random.default_rng(SEED)
     inside = 0
     trials = 1000
-    ues = np.array([place_ue(geom0, rng) for _ in range(trials)])
-    peaks = np.zeros((trials, ue_cb.n_beams, geom0.n_sc))
+    ues = np.array([place_ue(triangle, rng) for _ in range(trials)])
+    peaks = np.zeros((trials, ue_cb.n_beams, 3))
     for t, ue in enumerate(ues):
         # the UE beam nearest the bearing to each cell, lowest index on ties
-        best = reorder_rx_beams(ue_cb, geom0.cells, ue[None, None, :])[:, 0, 0]
-        peaks[t, best, np.arange(geom0.n_sc)] = 1.0
-    cells = np.broadcast_to(geom0.cells, (trials, geom0.n_sc, 2))
+        best = reorder_rx_beams(ue_cb, triangle, ue[None, None, :])[:, 0, 0]
+        peaks[t, best, np.arange(3)] = 1.0
+    cells = np.broadcast_to(triangle, (trials, 3, 2))
     top3 = ordered_top3(peaks, cells)
     thetas = index_angles(np.take_along_axis(peaks.argmax(axis=-2), top3, axis=-1),
                           ue_cb.n_beams)
     for ue, order, angles in zip(ues, top3, thetas):
-        truth = true_angles(ClusterGeometry(geom0.cells[order]), ue)
+        truth = true_angles(triangle[order], ue)
         if all(abs(t_hat - t) <= ue_cb.pattern.phi_ml
                for t_hat, t in zip(angles, truth)):
             inside += 1
@@ -185,12 +185,13 @@ def test_criterion_6e_paired_dominance():
     from mmwia.channel import noise_power
     gamma = cfg.threshold(noise_power(cfg.link_params()), seq, seed=SEED)
     trials = 2000
-    geom0 = build_cluster(3, D)
+    triangle = build_cluster(3, D)
     batch = TrialBatch(
-        geom=ClusterGeometry(np.broadcast_to(geom0.cells, (trials, 3, 2))),
-        ue=place_ue(geom0, np.random.SeedSequence((SEED, 60)), trials),
+        cells=np.broadcast_to(triangle, (trials, 3, 2)),
+        ue=place_ue(triangle, np.random.SeedSequence((SEED, 60)), trials),
         ue_codebook=cfg.ue_codebook(), sc_codebook=cfg.sc_codebook(),
-        link_params=cfg.link_params(), n_zc=seq.n_zc, gamma_ra=gamma)
+        link_params=cfg.link_params(), n_zc=seq.n_zc, gamma_ra=gamma,
+        t_ra_s=cfg.protocol.t_ra_s, backhaul_latency_s=cfg.protocol.backhaul_latency_s)
     trial_seed = np.random.SeedSequence((SEED, 61))
     exh = run_exhaustive_batch(batch, trial_seed).slots_used
     coord = run_coordinated_batch(batch, trial_seed).slots_used

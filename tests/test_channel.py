@@ -16,7 +16,7 @@ from mmwia.channel import (
     pathloss,
     sample_blocking,
 )
-from mmwia.geometry import ClusterGeometry, build_cluster, circular_distance, place_ue
+from mmwia.geometry import build_cluster, circular_distance, place_ue
 from mmwia.selftest import (
     aligned_link_composition,
     back_lobe_drop,
@@ -119,8 +119,7 @@ def test_sample_blocking_degenerate_probabilities():
 
 
 def _link_budget_at(ue, blocking=None):
-    geom = build_cluster(3, D)
-    return link_budget_dbm(geom, np.asarray(ue), blocking, make_codebook(8),
+    return link_budget_dbm(build_cluster(3, D), np.asarray(ue), blocking, make_codebook(8),
                            make_codebook(8), 23.0)
 
 
@@ -146,8 +145,8 @@ def test_link_budget_batch_equals_per_trial_calls(n_sc):
     """A batch of trials with mixed blocking gives, trial by trial, the
     bytes of that trial's own call."""
     rng = np.random.default_rng(n_sc)
-    geom = build_cluster(n_sc, D, rng, count=40)
-    ue = place_ue(geom, rng, count=40)
+    cells = build_cluster(n_sc, D, rng, count=40)
+    ue = place_ue(cells, rng, count=40)
     blocking = sample_blocking(n_sc, 0.5, rng, excess_mean_db=10.0, count=40)
     blocked = blocking.blocked.copy()
     blocked[:5] = False  # a few trials with every link LOS
@@ -155,10 +154,10 @@ def test_link_budget_batch_equals_per_trial_calls(n_sc):
                         np.where(blocked, blocking.penalty_db, 0.0))
     assert blocked.any() and not blocked.all()
     ue_cb, sc_cb = make_codebook(8), make_codebook(12)
-    base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb, -14.0)
+    base, rx_gain = link_budget_dbm(cells, ue, blocking, ue_cb, sc_cb, -14.0)
     assert base.shape == (40, 8, n_sc) and rx_gain.shape == (40, 12, n_sc)
     for t in range(40):
-        one = link_budget_dbm(ClusterGeometry(geom.cells[t]), ue[t],
+        one = link_budget_dbm(cells[t], ue[t],
                               Blocking(*(field[t] for field in blocking)),
                               ue_cb, sc_cb, -14.0)
         assert np.array_equal(base[t], one[0])
@@ -167,10 +166,10 @@ def test_link_budget_batch_equals_per_trial_calls(n_sc):
 
 def test_link_budget_batch_rejects_ue_on_a_cell():
     """One trial of a batch with its UE on a cell fails the whole batch."""
-    geom = build_cluster(3, D, count=4)
+    cells = build_cluster(3, D, count=4)
     ue = np.array([[100.0, 50.0], [50.0, 20.0], [200.0, 0.0], [90.0, 40.0]])
     with pytest.raises(ValueError, match="coincides"):
-        link_budget_dbm(geom, ue, None, make_codebook(8), make_codebook(8), 23.0)
+        link_budget_dbm(cells, ue, None, make_codebook(8), make_codebook(8), 23.0)
 
 
 def test_sample_blocking_count_of_one_is_the_single_draw():
@@ -201,11 +200,11 @@ def test_main_lobe_stays_above_the_floor_out_to_90_degrees():
         assert pat.gain(off) >= pat.g_sl, deg
 
 
-def _best_pair_of_trial_0(geom, ue, blocking, ue_cb, sc_cb, p_ue_dbm):
+def _best_pair_of_trial_0(cells, ue, blocking, ue_cb, sc_cb, p_ue_dbm):
     """Trial 0's power per cell under its best beam pair, from scalar
     bearings and every beam's gain."""
     out = []
-    for i, cell in enumerate(geom.cells[0].tolist()):
+    for i, cell in enumerate(cells[0].tolist()):
         blocked = bool(blocking.blocked[0, i])
         depart, arrive = link_bearings(
             cell, ue[0].tolist(), float(blocking.reflector[0, i]) if blocked else None)
@@ -237,20 +236,20 @@ def test_best_pair_equals_the_maps_maximum_bit_for_bit(n_sc, n_tx, n_rx, ue_deg,
     count = 8
     if compass:
         # the UE at the origin, cells on the compass points at 50, 100, 150 m
-        cells = np.concatenate([COMPASS * r for r in (50.0, 100.0, 150.0)])[:n_sc]
-        geom = ClusterGeometry(np.broadcast_to(cells, (count, n_sc, 2)))
+        compass_cells = np.concatenate([COMPASS * r for r in (50.0, 100.0, 150.0)])
+        cells = np.broadcast_to(compass_cells[:n_sc], (count, n_sc, 2))
         ue = np.zeros((count, 2))
     else:
-        geom = build_cluster(n_sc, D, rng, count=count)
-        ue = place_ue(geom, rng, count=count)
+        cells = build_cluster(n_sc, D, rng, count=count)
+        ue = place_ue(cells, rng, count=count)
     blocking = sample_blocking(n_sc, p_blk, rng, excess_mean_db=10.0, count=count)
     ue_cb = make_codebook(n_tx, None if ue_deg is None else math.radians(ue_deg))
     sc_cb = make_codebook(n_rx, None if sc_deg is None else math.radians(sc_deg))
-    base, rx_gain = link_budget_dbm(geom, ue, blocking, ue_cb, sc_cb, -14.0)
-    best = best_pair_dbm(geom, ue, blocking, ue_cb, sc_cb, -14.0)
+    base, rx_gain = link_budget_dbm(cells, ue, blocking, ue_cb, sc_cb, -14.0)
+    best = best_pair_dbm(cells, ue, blocking, ue_cb, sc_cb, -14.0)
     expect = (base + rx_gain.max(axis=-2)[..., None, :]).max(axis=-2)
     assert best.shape == (count, n_sc)
     assert np.array_equal(best, expect)
     np.testing.assert_allclose(
-        best[0], _best_pair_of_trial_0(geom, ue, blocking, ue_cb, sc_cb, -14.0),
+        best[0], _best_pair_of_trial_0(cells, ue, blocking, ue_cb, sc_cb, -14.0),
         rtol=0.0, atol=1e-9)

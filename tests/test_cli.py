@@ -112,8 +112,10 @@ def test_unique_option_prefix_is_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["p-los", "--bogus"], ["p-los", "--seed"],
-                                  ["p-los", "time-cluster"]],
-                         ids=["unknown-option", "seed-without-value", "two-commands"])
+                                  ["p-los", "--seed", "abc"], ["p-los", "--seed=2.5"],
+                                  ["p-los", "--seed=-1"], ["p-los", "time-cluster"]],
+                         ids=["unknown-option", "seed-without-value", "non-integer-seed",
+                              "fractional-seed", "negative-seed", "two-commands"])
 def test_malformed_command_line_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main(["--out", str(out), "--trials", "2", *argv]) == 1
@@ -244,17 +246,6 @@ def test_byte_identical_reruns(tmp_path):
     assert (out_a / "p_los.csv").read_bytes() == (out_b / "p_los.csv").read_bytes()
 
 
-def test_env_overrides(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, TINY)
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("SIM_OUT", str(out))
-    for seed in ("9", "0"):
-        monkeypatch.setenv("SIM_SEED", seed)
-        assert main(["p-los", "--config", cfg, "--trials", "20"]) == 0
-        lines = (out / "p_los.csv").read_text().split("\n")
-        assert f"seed={seed}" in lines[0]
-
-
 @pytest.mark.parametrize("trials", ["-3", "0"])
 def test_trials_below_one_is_usage_error(tmp_path, trials):
     out = tmp_path / "o"
@@ -266,14 +257,6 @@ def test_negative_seed_is_usage_error(tmp_path):
     out = tmp_path / "o"
     assert main(["time-cluster", "--seed", "-1", "--trials", "2",
                  "--out", str(out)]) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
-def test_bad_sim_seed_is_usage_error(tmp_path, monkeypatch, value):
-    out = tmp_path / "o"
-    monkeypatch.setenv("SIM_SEED", value)
-    assert main(["time-cluster", "--trials", "2", "--out", str(out)]) == 1
     assert not out.exists()
 
 

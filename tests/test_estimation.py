@@ -18,7 +18,7 @@ from mmwia.estimation import (
     ordered_top3,
     select_top3,
 )
-from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
+from mmwia.geometry import build_cluster, place_ue
 from mmwia.protocol import reorder_rx_beams
 from mmwia.selftest import locate_case, reproduces_angles, round_trip, true_angles
 
@@ -38,9 +38,9 @@ def _locate(thetas, anchors):
     return point, status
 
 
-def _estimate(peaks, geom):
+def _estimate(peaks, cells):
     """(point, status) of one peak matrix on one cluster."""
-    (point,), (status,) = estimate_points(peaks[None], geom.cells[None])
+    (point,), (status,) = estimate_points(peaks[None], cells[None])
     return point, status
 
 
@@ -113,7 +113,7 @@ def test_solve_exterior_case():
 
 def test_solve_rejects_inconsistent_sum():
     """Angles that do not close to 2*pi, or one outside (0, 2*pi), fail."""
-    tri = build_cluster(3, D).triangle()
+    tri = build_cluster(3, D)
     points, status = locate_points(
         [(math.pi / 2, math.pi / 2, math.pi / 2), (0.0, math.pi, math.pi),
          (-math.pi / 2, math.pi, 3 * math.pi / 2), SYMMETRIC], [tri] * 4)
@@ -124,32 +124,32 @@ def test_solve_rejects_inconsistent_sum():
 def test_solve_noisy_angles():
     """Angles 0.02 rad off the truth, still closing, are seen from a point
     within 8 m of it."""
-    geom = build_cluster(3, D)
+    tri = build_cluster(3, D)
     ue = (80.0, 60.0)
-    t = true_angles(geom, ue)
+    t = true_angles(tri, ue)
     eps = 0.02
     noisy = (t[0] + eps, t[1] - eps, t[2])
-    point, status = _locate(noisy, geom.triangle())
+    point, status = _locate(noisy, tri)
     assert status == CLOSED_FORM and math.dist(point, ue) < 8.0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_round_trip_exact_angles(seed):
-    geom = build_cluster(3, D)
-    ue = place_ue(geom, seed)
-    p, status = _locate(true_angles(geom, ue), geom.triangle())
+    tri = build_cluster(3, D)
+    ue = place_ue(tri, seed)
+    p, status = _locate(true_angles(tri, ue), tri)
     assert status == CLOSED_FORM and math.dist(p, ue) < 1e-6
 
 
 def test_locate_equal_distances_gives_centroid():
     """Equal angles put the UE at equal distances from the three cells."""
-    tri = build_cluster(3, D).triangle()
+    tri = build_cluster(3, D)
     assert math.dist(_locate(SYMMETRIC, tri)[0], tri.mean(axis=0)) < 1e-9
 
 
 def test_locate_rejects_bad_anchors():
-    tri = build_cluster(3, D).triangle()
+    tri = build_cluster(3, D)
     with pytest.raises(ValueError):
         _locate(SYMMETRIC, tri[:2])
     with pytest.raises(ValueError):
@@ -167,38 +167,38 @@ def test_locate_rejects_bad_anchors():
         locate_points([SYMMETRIC] * 2, [tri, np.vstack([tri[:2], tri[:1]])])
 
 
-def _noiseless_peaks(geom, ue, ue_cb):
+def _noiseless_peaks(cells, ue, ue_cb):
     """The peak matrix of an ideal noiseless measurement: each cell peaks at
     the UE beam nearest its bearing (lowest index on ties), nearer cells higher."""
     # the UE's sweep towards each cell: the cells stand in for estimates
-    best = reorder_rx_beams(ue_cb, geom.cells, np.asarray(ue)[None, None, :])[:, 0, 0]
-    near = [1.0 / (1.0 + math.dist(ue, cell)) for cell in geom.cells]
+    best = reorder_rx_beams(ue_cb, cells, np.asarray(ue)[None, None, :])[:, 0, 0]
+    near = [1.0 / (1.0 + math.dist(ue, cell)) for cell in cells]
     return _one_hot(best, ue_cb.n_beams, near)
 
 
 def test_estimate_point_matches_geometry():
-    geom = build_cluster(3, D)
+    cells = build_cluster(3, D)
     ue = (95.0, 55.0)
     ue_cb = make_codebook(64)  # fine codebook -> small quantization error
-    peaks = _noiseless_peaks(geom, ue, ue_cb)
-    point, status = _estimate(peaks, geom)
+    peaks = _noiseless_peaks(cells, ue, ue_cb)
+    point, status = _estimate(peaks, cells)
     assert status == CLOSED_FORM and math.dist(point, ue) < 12.0
     # every cell's best peak again at the last Tx index: the lowest index wins
     tied = peaks.copy()
     tied[-1] = peaks.max(axis=0)
-    assert np.array_equal(_estimate(tied, geom)[0], point)
+    assert np.array_equal(_estimate(tied, cells)[0], point)
 
 
 def test_top3_counterclockwise_about_their_centroid():
     """The strongest three cells come back counterclockwise, whatever
     their rank order."""
-    geom = build_cluster(3, D)
+    tri = build_cluster(3, D)
     for strengths in itertools.permutations([1.0, 2.0, 3.0]):
         peaks = _one_hot([0, 0, 0], peaks=list(strengths))
-        assert ordered_top3(peaks[None], geom.cells[None]).tolist() == [[0, 1, 2]]
+        assert ordered_top3(peaks[None], tri[None]).tolist() == [[0, 1, 2]]
     # a weak fourth cell is left out; a strong one between cells 1 and 2
     # joins them in counterclockwise order
-    cells = np.vstack([geom.cells, [(180.0, 120.0)]])
+    cells = np.vstack([tri, [(180.0, 120.0)]])
     weak = _one_hot([0] * 4, peaks=[3.0, 2.0, 1.5, 1.0])
     strong = _one_hot([0] * 4, peaks=[1.0, 2.0, 1.5, 3.0])
     top = ordered_top3(np.stack([weak, strong]), np.stack([cells, cells]))
@@ -209,24 +209,24 @@ def test_quantization_bound_on_angle_estimates():
     """Noiseless LOS indexing errs by at most half a beam spacing per
     bearing, so an angle, the difference of two bearings, errs by at most
     one spacing."""
-    geom0 = build_cluster(3, D)
+    tri = build_cluster(3, D)
     ue_cb = make_codebook(8)
     rng = np.random.default_rng(13)
     bound = 2 * math.pi / 8
-    ues = place_ue(geom0, rng, count=1000)
-    peaks = np.stack([_noiseless_peaks(geom0, ue, ue_cb) for ue in ues])
+    ues = place_ue(tri, rng, count=1000)
+    peaks = np.stack([_noiseless_peaks(tri, ue, ue_cb) for ue in ues])
     thetas = index_angles(peaks.argmax(axis=-2), 8)
-    truth = np.array([true_angles(geom0, ue) for ue in ues])
+    truth = np.array([true_angles(tri, ue) for ue in ues])
     assert (np.abs(thetas - truth) <= bound + 1e-12).all()
 
 
 def _walk_triples(n_tx):
     """(best indices (K, 3), points (K, 2), statuses (K,)) of every
     best-index triple on the base triangle, in one stack."""
-    geom = build_cluster(3, D)
+    tri = build_cluster(3, D)
     best = np.array(list(itertools.product(range(n_tx), repeat=3)))
     peaks = np.stack([_one_hot(b, n_tx) for b in best])
-    points, status = estimate_points(peaks, np.broadcast_to(geom.cells, (len(best), 3, 2)))
+    points, status = estimate_points(peaks, np.broadcast_to(tri, (len(best), 3, 2)))
     return best, points, status
 
 
@@ -243,11 +243,11 @@ def test_every_best_index_triple_resolves_fails_or_locates(n_tx, expect):
     assert counts == expect
 
 
-def test_every_8_beam_point_is_exact_or_least_squares():
+def test_every_8_beam_point_is_exact_or_centroid():
     """Each closed-form 8-beam point reproduces its angles within 1e-9 rad;
     each other point is the triangle's centroid, which does not."""
     best, points, status = _walk_triples(8)
-    centroid = build_cluster(3, D).cells.mean(axis=0)
+    centroid = build_cluster(3, D).mean(axis=0)
     for b, point, st_ in zip(best, points, status):
         thetas = tuple(index_angles(b, 8).tolist())
         if st_ == CLOSED_FORM:
@@ -270,7 +270,7 @@ def test_no_point_on_a_cell(n_tx):
     """Codebooks of 6 and 12 beams have triples whose angles place the UE on
     a cell, where they are seen; those fail instead of returning the cell,
     and no located point lies on a cell."""
-    cells = build_cluster(3, D).triangle()
+    cells = build_cluster(3, D)
     best, points, status = _walk_triples(n_tx)
     on_cell = 0
     for b, point, st_ in zip(best, points, status):
@@ -291,10 +291,10 @@ def test_point_scales_with_the_triangle():
 
 
 def test_failed_triangulation_on_every_call():
-    geom = build_cluster(3, D)
+    tri = build_cluster(3, D)
     peaks = _one_hot((0, 2, 1), n_tx=4)  # mirrored order: two full turns
     for _ in range(3):
-        point, status = _estimate(peaks, geom)
+        point, status = _estimate(peaks, tri)
         assert status == FAILED and np.isnan(point).all()
 
 
@@ -307,18 +307,17 @@ def test_extra_cell_next_to_a_base_cell():
     """An extra cell 1e-9 to 1 m from a base cell, ranked into the top three
     by its own peak or (every other draw) below them: the estimate fails or
     is a finite point off every cell."""
-    geom0 = build_cluster(3, D)
+    tri = build_cluster(3, D)
     ue_cb = make_codebook(8)
     rng = np.random.default_rng(3)
     cells, peaks = [], []
     for k in range(600):
-        ue = place_ue(geom0, rng)
-        base = geom0.cells[rng.integers(3)]
+        ue = place_ue(tri, rng)
+        base = tri[rng.integers(3)]
         r, phi = 10.0 ** rng.uniform(-9.0, 0.0), rng.uniform(0.0, 2 * math.pi)
         extra = (base[0] + r * math.cos(phi), base[1] + r * math.sin(phi))
-        geom = ClusterGeometry(np.vstack([geom0.cells, extra]))
-        cells.append(geom.cells)
-        peaks.append(_noiseless_peaks(geom, ue, ue_cb))
+        cells.append(np.vstack([tri, extra]))
+        peaks.append(_noiseless_peaks(cells[-1], ue, ue_cb))
         peaks[-1][:, 3] *= 0.5 if k % 2 else 1.0
     cells = np.stack(cells)
     points, status = estimate_points(np.stack(peaks), cells)
@@ -337,7 +336,7 @@ def _degenerate_row(draw, n_tx, n_sc):
     or anywhere in the circumscribed disk. The peaks are best indices drawn
     outright (equal ones and inconsistent 8-beam triples among them) or a
     noiseless UE's, the UE inside the triangle or on an edge."""
-    cells = [tuple(c) for c in build_cluster(3, D).cells]
+    cells = [tuple(c) for c in build_cluster(3, D)]
     for _ in range(n_sc - 3):
         if draw(st.booleans()):
             bx, by = cells[draw(st.integers(0, 2))]
@@ -348,18 +347,18 @@ def _degenerate_row(draw, n_tx, n_sc):
         phi = draw(st.floats(0.0, 2 * math.pi))
         cells.append((bx + r * math.cos(phi), by + r * math.sin(phi)))
     assume(len(set(cells)) == n_sc)  # a cluster's cells are distinct
-    geom = ClusterGeometry(cells)
+    cells = np.array(cells)
     kind = draw(st.sampled_from(["indices", "inside", "edge"]))
     if kind == "indices":
         best = draw(st.lists(st.integers(0, n_tx - 1), min_size=n_sc, max_size=n_sc))
         strength = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
                                  min_size=n_sc, max_size=n_sc))
-        return _one_hot(best, n_tx, strength), geom.cells
+        return _one_hot(best, n_tx, strength), cells
     i, f = draw(st.integers(0, 2)), draw(st.floats(0.01, 0.99))
-    ue = geom.cells[i] + f * (geom.cells[(i + 1) % 3] - geom.cells[i])
+    ue = cells[i] + f * (cells[(i + 1) % 3] - cells[i])
     if kind == "inside":
-        ue = ue + draw(st.floats(0.0, 0.98)) * (geom.cells[(i + 2) % 3] - ue)
-    return _noiseless_peaks(geom, ue, make_codebook(n_tx)), geom.cells
+        ue = ue + draw(st.floats(0.0, 0.98)) * (cells[(i + 2) % 3] - ue)
+    return _noiseless_peaks(cells, ue, make_codebook(n_tx)), cells
 
 
 @st.composite

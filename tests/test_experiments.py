@@ -119,9 +119,9 @@ def test_one_trial_draw_is_what_the_protocol_gets():
     assert [batch.size for batch, _ in batches] == [CHUNK, 6]
     for chunk, (batch, seed) in enumerate(batches):
         assert seed.entropy == (7, 2, chunk, 2)
-        geom, ue, blocking = draw_trial(
+        cells, ue, blocking = draw_trial(
             cfg, 5, 0.4, np.random.SeedSequence((7, 2, chunk, 0)), batch.size)
-        np.testing.assert_array_equal(geom.cells, batch.geom.cells)
+        np.testing.assert_array_equal(cells, batch.cells)
         np.testing.assert_array_equal(ue, batch.ue)
         assert blocking.blocked.any()
         for ours, theirs in zip(blocking, batch.blocking):
@@ -187,9 +187,9 @@ def test_p_los_batch_with_a_ue_on_a_cell_raises(monkeypatch):
     cfg = _cfg(p_los_cluster_sizes=(4,), p_los_p_blk=(0.5,))
     original = experiments.place_ue
 
-    def onto_a_cell(geom, rng, count):
-        ue = original(geom, rng, count)
-        ue[count // 2] = geom.cells[count // 2, 1]
+    def onto_a_cell(cells, rng, count):
+        ue = original(cells, rng, count)
+        ue[count // 2] = cells[count // 2, 1]
         return ue
 
     monkeypatch.setattr(experiments, "place_ue", onto_a_cell)
@@ -198,15 +198,18 @@ def test_p_los_batch_with_a_ue_on_a_cell_raises(monkeypatch):
 
 
 def test_single_cell_trial_keeps_the_triangle_ue():
+    """A one-cell draw is a read-only (count, 1, 2) slice of the base
+    triangle's draw, with the UE in the triangle."""
     cfg = SimConfig()
     seed = np.random.SeedSequence((3, 0, 0, 0))
-    geom, ue, blocking = draw_trial(cfg, 1, 0.5, seed, 20)
+    cells, ue, blocking = draw_trial(cfg, 1, 0.5, seed, 20)
     triangle, ue3, _ = draw_trial(cfg, 3, 0.5, seed, 20)
-    np.testing.assert_array_equal(geom.cells, triangle.cells[:, :1])
+    assert cells.shape == (20, 1, 2) and not cells.flags.writeable
+    np.testing.assert_array_equal(cells, triangle[:, :1])
     np.testing.assert_array_equal(ue, ue3)
     assert blocking.blocked.shape == (20, 1)
     # barycentric coordinates of each UE in the base triangle
-    (ax, ay), (bx, by), (cx, cy) = triangle.cells[0]
+    (ax, ay), (bx, by), (cx, cy) = triangle[0]
     m = np.array([[bx - ax, cx - ax], [by - ay, cy - ay]])
     u, v = np.linalg.solve(m, (ue - (ax, ay)).T)
     assert (u >= 0).all() and (v >= 0).all() and (u + v <= 1).all()

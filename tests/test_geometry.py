@@ -5,126 +5,89 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwia.geometry import (
-    ClusterGeometry,
-    bearings,
-    build_cluster,
-    circular_distance,
-    place_ue,
-)
+from mmwia.config import SimConfig
+from mmwia.experiments import draw_trial
+from mmwia.geometry import bearings, build_cluster, circular_distance, place_ue
 from mmwia.selftest import normalize_angle, true_angles, ue_centroid
 
 D = 200.0
 
 
-def _distances(geom, ue):
-    return [math.dist(ue, p) for p in geom.cells]
+def _distances(cells, ue):
+    return [math.dist(ue, p) for p in cells]
 
 
 def test_triangle_side_lengths():
-    geom = build_cluster(3, D)
+    cells = build_cluster(3, D)
     for i in range(3):
         for j in range(i + 1, 3):
-            assert math.dist(geom.cells[i], geom.cells[j]) == pytest.approx(D)
+            assert math.dist(cells[i], cells[j]) == pytest.approx(D)
 
 
 def test_single_cell_at_origin():
-    geom = build_cluster(1, D)
-    assert np.array_equal(geom.cells, [[0.0, 0.0]])
+    """A one-cell cluster is the base triangle's first cell."""
+    cells, _, _ = draw_trial(SimConfig(), 1, 0.0, 5, 4)
+    assert np.array_equal(cells, np.zeros((4, 1, 2)))
 
 
 def test_bad_arguments_rejected():
-    with pytest.raises(ValueError):
-        build_cluster(0, D)
+    for n_sc in (0, 1, 2):  # fewer cells than the base triangle has
+        with pytest.raises(ValueError, match="base triangle"):
+            build_cluster(n_sc, D)
     with pytest.raises(ValueError):
         build_cluster(3, 0.0)
     with pytest.raises(ValueError):
         build_cluster(3, -5.0)
 
 
-@pytest.mark.parametrize("cells", [
-    [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]],  # two cells coincide
-    [[0.0, 0.0], [1.0, 2.0], [-0.0, 0.0]],
-    [[0.0, 0.0], [math.nan, 1.0]],
-    [[0.0, 0.0, 0.0]],  # not (n_sc, 2)
-    np.zeros((0, 2)),
-], ids=["coincident", "signed-zero", "nan", "shape", "empty"])
-def test_invalid_layout_rejected(cells):
-    with pytest.raises(ValueError):
-        ClusterGeometry(cells)
-
-
-def test_batch_with_one_bad_cluster_rejected():
-    """Every cluster of a batch shares the triangle, which is no fault; one
-    cluster with two equal cells or a non-finite one fails the batch."""
-    good = build_cluster(5, D, layout_seed=1, count=6).cells
-    ClusterGeometry(good)
-    coincident, nonfinite = good.copy(), good.copy()
-    coincident[4, 3] = coincident[4, 1]
-    nonfinite[2, 4, 0] = math.inf
-    for cells in (coincident, nonfinite):
-        with pytest.raises(ValueError):
-            ClusterGeometry(cells)
-
-
-def test_broadcast_batch_accepted():
-    """A batch that repeats one layout (a stride-0 view) holds a copy of it."""
-    one = build_cluster(4, D, layout_seed=1).cells
-    batch = ClusterGeometry(np.broadcast_to(one, (5, 4, 2)))
-    assert batch.cells.shape == (5, 4, 2) and batch.cells.flags.c_contiguous
-    assert (batch.cells == one).all()
-    bad = one.copy()
-    bad[3] = bad[0]
-    with pytest.raises(ValueError, match="coincide"):
-        ClusterGeometry(np.broadcast_to(bad, (5, 4, 2)))
-
-
-@pytest.mark.parametrize("n_sc", [1, 3, 5, 22])
+@pytest.mark.parametrize("n_sc", [3, 5, 22])
 def test_count_of_one_is_the_single_draw(n_sc):
     """A draw of one trial gives the unbatched values and leaves the
     generator where the unbatched draw leaves it."""
     for seed in range(20):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        geom = build_cluster(n_sc, D, rng_a)
+        cells = build_cluster(n_sc, D, rng_a)
         batch = build_cluster(n_sc, D, rng_b, count=1)
-        assert batch.cells.shape == (1, n_sc, 2)
-        assert np.array_equal(batch.cells[0], geom.cells)
-        if n_sc >= 3:
-            ues = place_ue(batch, rng_b, count=1)
-            assert ues.shape == (1, 2)
-            assert np.array_equal(ues[0], place_ue(geom, rng_a))
+        assert batch.shape == (1, n_sc, 2)
+        assert np.array_equal(batch[0], cells)
+        ues = place_ue(batch, rng_b, count=1)
+        assert ues.shape == (1, 2)
+        assert np.array_equal(ues[0], place_ue(cells, rng_a))
         assert rng_a.uniform() == rng_b.uniform()
 
 
 def test_cells_are_read_only():
-    geom = build_cluster(3, D)
-    with pytest.raises(ValueError):
-        geom.cells[0, 0] = 1.0
+    """A cluster, single or batched, is a read-only float ndarray."""
+    for cells in (build_cluster(3, D), build_cluster(5, D, layout_seed=1, count=4)):
+        assert type(cells) is np.ndarray and cells.dtype == float
+        assert not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[..., 0, 0] = 1.0
 
 
 def test_large_cluster_reproducible_bit_exact():
     a = build_cluster(12, D, layout_seed=7)
     b = build_cluster(12, D, layout_seed=7)
-    assert np.array_equal(a.cells, b.cells)
-    assert a.cells.shape == (12, 2)
+    assert np.array_equal(a, b)
+    assert a.shape == (12, 2)
     # first three are the exact triangle
-    assert np.array_equal(a.cells[:3], build_cluster(3, D).cells)
+    assert np.array_equal(a[:3], build_cluster(3, D))
 
 
 def test_extra_cells_inside_circumscribed_disk():
-    geom = build_cluster(30, D, layout_seed=3)
+    cells = build_cluster(30, D, layout_seed=3)
     center = (D / 2.0, D / (2.0 * math.sqrt(3.0)))
     radius = D / math.sqrt(3.0)
-    for p in geom.cells[3:]:
+    for p in cells[3:]:
         assert math.dist(p, center) <= radius + 1e-9
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_place_ue_inside_triangle(seed):
-    geom = build_cluster(3, D)
-    ux, uy = place_ue(geom, seed)
-    (ax, ay), (bx, by), (cx, cy) = geom.triangle()
+    cells = build_cluster(3, D)
+    ux, uy = place_ue(cells, seed)
+    (ax, ay), (bx, by), (cx, cy) = cells
     # barycentric coordinates must all be non-negative
     det = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
     l1 = ((by - cy) * (ux - cx) + (cx - bx) * (uy - cy)) / det
@@ -134,8 +97,8 @@ def test_place_ue_inside_triangle(seed):
 
 
 def test_place_ue_deterministic():
-    geom = build_cluster(3, D)
-    assert np.array_equal(place_ue(geom, 42), place_ue(geom, 42))
+    cells = build_cluster(3, D)
+    assert np.array_equal(place_ue(cells, 42), place_ue(cells, 42))
 
 
 def test_place_ue_empirical_centroid():
@@ -144,14 +107,14 @@ def test_place_ue_empirical_centroid():
 
 
 def test_angles_at_centroid():
-    geom = build_cluster(3, D)
-    centroid = geom.triangle().mean(axis=0)
-    assert true_angles(geom, centroid) == pytest.approx((2 * math.pi / 3,) * 3)
+    cells = build_cluster(3, D)
+    centroid = cells.mean(axis=0)
+    assert true_angles(cells, centroid) == pytest.approx((2 * math.pi / 3,) * 3)
 
 
 def test_angles_at_side_midpoint():
-    geom = build_cluster(3, D)
-    assert true_angles(geom, (D / 2.0, 0.0)) == pytest.approx(
+    cells = build_cluster(3, D)
+    assert true_angles(cells, (D / 2.0, 0.0)) == pytest.approx(
         (math.pi, math.pi / 2, math.pi / 2))
 
 
@@ -163,11 +126,11 @@ def test_angles_reject_coincident_ue():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_angle_sum_and_cosine_rule(seed):
-    geom = build_cluster(3, D)
-    ue = place_ue(geom, seed)
-    thetas = true_angles(geom, ue)
+    cells = build_cluster(3, D)
+    ue = place_ue(cells, seed)
+    thetas = true_angles(cells, ue)
     assert abs(sum(thetas) - 2 * math.pi) < 1e-12
-    d = _distances(geom, ue)
+    d = _distances(cells, ue)
     for i in range(3):
         j = (i + 1) % 3
         lhs = d[i] ** 2 + d[j] ** 2 - 2 * d[i] * d[j] * math.cos(thetas[i])
@@ -175,11 +138,11 @@ def test_angle_sum_and_cosine_rule(seed):
 
 
 def test_distances_at_centroid_and_midpoint():
-    geom = build_cluster(3, D)
-    centroid = geom.triangle().mean(axis=0)
-    assert _distances(geom, centroid) == pytest.approx([D / math.sqrt(3)] * 3)
+    cells = build_cluster(3, D)
+    centroid = cells.mean(axis=0)
+    assert _distances(cells, centroid) == pytest.approx([D / math.sqrt(3)] * 3)
     mid = (D / 2.0, 0.0)
-    assert sorted(_distances(geom, mid)) == pytest.approx(
+    assert sorted(_distances(cells, mid)) == pytest.approx(
         [100.0, 100.0, 100.0 * math.sqrt(3)])
 
 

@@ -11,7 +11,7 @@ from mmwia.antenna import make_codebook
 from mmwia.channel import Blocking, link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
 from mmwia.estimation import CENTROID, estimate_points
-from mmwia.geometry import ClusterGeometry, build_cluster, place_ue
+from mmwia.geometry import build_cluster, place_ue
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
     IaOutcomes,
@@ -28,11 +28,13 @@ SEQ = generate_zc(1, 839)
 
 
 def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
-           noiseless=False, blocking=None, n_sc=3, latency=0.0):
-    """``count`` trials on one layout: ``ue`` is one (2,) point for every
-    trial or a (count, 2) array, ``blocking`` one trial's states."""
-    geom = build_cluster(max(n_sc, 3), D, layout_seed=1)
-    cells = np.broadcast_to(geom.cells[:n_sc], (count, n_sc, 2))
+           noiseless=False, blocking=None, n_sc=3,
+           latency=CFG.protocol.backhaul_latency_s):
+    """``count`` trials on one layout (a stride-0 view): ``ue`` is one (2,)
+    point for every trial or a (count, 2) array, ``blocking`` one trial's
+    states."""
+    layout = build_cluster(max(n_sc, 3), D, layout_seed=1)
+    cells = np.broadcast_to(layout[:n_sc], (count, n_sc, 2))
     params = CFG.link_params(p_ue)
     if noiseless:
         # zero noise power: the peak sampler returns the exact N^2 * power
@@ -40,7 +42,7 @@ def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
     if blocking is not None:
         blocking = Blocking(*(np.tile(field, (count, 1)) for field in blocking))
     return TrialBatch(
-        geom=ClusterGeometry(cells),
+        cells=cells,
         ue=np.broadcast_to(np.asarray(ue, dtype=float), (count, 2)),
         ue_codebook=make_codebook(n_tx),
         sc_codebook=make_codebook(n_rx),
@@ -48,6 +50,7 @@ def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
         n_zc=839,
         gamma_ra=gamma,
         blocking=blocking,
+        t_ra_s=CFG.protocol.t_ra_s,
         backhaul_latency_s=latency,
     )
 
@@ -72,7 +75,7 @@ def _alone(batch: TrialBatch, t: int) -> TrialBatch:
     blocking = None
     if batch.blocking is not None:
         blocking = Blocking(*(field[t:t + 1] for field in batch.blocking))
-    return _with(batch, geom=ClusterGeometry(batch.geom.cells[t:t + 1]),
+    return _with(batch, cells=batch.cells[t:t + 1],
                  ue=batch.ue[t:t + 1], blocking=blocking)
 
 
@@ -87,7 +90,7 @@ def test_reorder_boresight_first_antipodal_last():
 
 
 def test_reorder_rejects_estimate_on_a_cell():
-    cells = build_cluster(3, D, count=3).cells
+    cells = build_cluster(3, D, count=3)
     estimates = [(100.0, 50.0), (0.0, 0.0), (60.0, 30.0)]  # trial 1 on a cell
     with pytest.raises(ValueError):
         reorder_rx_beams(make_codebook(8), estimates, cells)
@@ -99,14 +102,14 @@ def test_reorder_batch_equals_per_trial_calls():
     """A batch of estimates and clusters gives, trial by trial, the sweeps
     of that trial's own call."""
     rng = np.random.default_rng(3)
-    geom = build_cluster(6, D, rng, count=50)
-    estimates = place_ue(geom, rng, count=50)
+    cells = build_cluster(6, D, rng, count=50)
+    estimates = place_ue(cells, rng, count=50)
     estimates[:5] = np.round(estimates[:5], -1)  # bearings on beam boundaries
     cb = make_codebook(8)
-    order = reorder_rx_beams(cb, estimates, geom.cells)
+    order = reorder_rx_beams(cb, estimates, cells)
     assert order.shape == (50, 8, 6)
     for t in range(50):
-        one = reorder_rx_beams(cb, estimates[t:t + 1], geom.cells[t:t + 1])
+        one = reorder_rx_beams(cb, estimates[t:t + 1], cells[t:t + 1])
         assert np.array_equal(order[t], one[0])
 
 
@@ -125,9 +128,24 @@ def test_reorder_is_permutation(n, x, y):
 def test_batch_needs_a_trial_axis():
     one = _batch()
     with pytest.raises(ValueError, match="batch"):
-        _with(one, geom=ClusterGeometry(one.geom.cells[0]))
+        _with(one, cells=one.cells[0])
     with pytest.raises(ValueError, match="batch"):
         _with(one, ue=one.ue[0])
+
+
+def test_a_broadcast_cluster_runs_as_its_copy():
+    """Cells that are a stride-0 view of one layout give, under either
+    scheme, the outcomes of the same batch on a C-contiguous copy."""
+    ues = place_ue(build_cluster(5, D, layout_seed=1), np.random.default_rng(4), count=40)
+    view = _batch(n_sc=5, count=40, ue=ues, p_ue=-25.0,
+                  blocking=sample_blocking(5, 0.5, seed=2, excess_mean_db=10.0))
+    copy = _with(view, cells=np.ascontiguousarray(view.cells))
+    assert view.cells.strides[0] == 0 and copy.cells.flags.c_contiguous
+    for runner in (run_exhaustive_batch, run_coordinated_batch):
+        out = runner(view, seed=6)
+        _assert_rows_equal(out, runner(copy, seed=6))
+    estimated = ~np.isnan(out.estimated_ue[:, 0])
+    assert estimated.any() and out.success.any() and not out.success.all()
 
 
 def test_exhaustive_worst_case_full_sweep():
@@ -180,9 +198,8 @@ def test_coordinated_hard_slot_bound():
 
 def test_coordinated_detects_by_round_two_when_estimate_good():
     """LOS centroid placement at moderate power: round 2 wraps it up."""
-    geom = build_cluster(3, D, layout_seed=1)
     gamma = CFG.threshold(-110.67, SEQ, seed=1)
-    batch = _batch(ue=geom.triangle().mean(axis=0), p_ue=-14.0, gamma=gamma, count=25)
+    batch = _batch(ue=build_cluster(3, D, layout_seed=1).mean(axis=0), p_ue=-14.0, gamma=gamma, count=25)
     out = run_coordinated_batch(batch, seed=0)
     assert np.count_nonzero(out.success & (out.rounds <= 2)) >= 20
 
@@ -242,7 +259,7 @@ def test_backhaul_bus_rounds():
 def _noiseless_peaks(batch):
     """(n_tx, n_sc) exact peaks of the first trial of a one-Rx-beam batch,
     by the sweep's own arithmetic; every round sees this map."""
-    base, rx_gain = link_budget_dbm(ClusterGeometry(batch.geom.cells[0]), batch.ue[0], None,
+    base, rx_gain = link_budget_dbm(batch.cells[0], batch.ue[0], None,
                                     batch.ue_codebook, batch.sc_codebook,
                                     batch.link_params.p_ue_dbm)
     return 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
