@@ -21,12 +21,17 @@ class LinkBudgetParams(NamedTuple):
     bandwidth_hz: float  # > 0, checked where it is read (noise_power)
 
 
+def _pathloss_db(d):
+    """``pathloss`` without its range check, for distances already clamped."""
+    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d)
+
+
 def pathloss(d):
     """Pathloss in dB at distance d >= 1 m (array-safe)."""
     d = np.asarray(d, dtype=float)
     if np.any(d < 1.0):
         raise ValueError("pathloss model is valid only for d >= 1 m")
-    out = PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d)
+    out = _pathloss_db(d)
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,27 +81,29 @@ def _paths(cells: np.ndarray, ue: np.ndarray, blocking: Blocking | None):
     """(distances, departure bearings at the UE, arrival bearings at the
     cells) of every link, each (..., n_sc); ``link_budget_dbm`` documents
     the reflector routing of blocked links."""
-    ue = np.asarray(ue)[..., None, :]
-    to_cell = cells - ue
-    d = np.hypot(to_cell[..., 0], to_cell[..., 1])
+    ue = np.asarray(ue)
+    ux, uy = ue[..., 0, None], ue[..., 1, None]
+    cx, cy = cells[..., 0], cells[..., 1]
+    dx, dy = cx - ux, cy - uy
+    d = np.hypot(dx, dy)
     if not d.all():
         raise ValueError("link undefined: the UE coincides with a cell")
-    depart, arrive = to_cell, ue - cells
+    ax, ay = ux - cx, uy - cy
     if blocking is not None and blocking.blocked.any():
-        b = blocking.reflector
-        refl = np.stack([ue[..., 0] + 0.5 * d * np.cos(b),
-                         ue[..., 1] + 0.5 * d * np.sin(b)], axis=-1)
-        via = blocking.blocked[..., None]
-        depart = np.where(via, refl - ue, depart)
-        arrive = np.where(via, refl - cells, arrive)
-    return d, bearings(depart), bearings(arrive)
+        b, via = blocking.reflector, blocking.blocked
+        rx = ux + 0.5 * d * np.cos(b)
+        ry = uy + 0.5 * d * np.sin(b)
+        dx, dy = np.where(via, rx - ux, dx), np.where(via, ry - uy, dy)
+        ax, ay = np.where(via, rx - cx, ax), np.where(via, ry - cy, ay)
+    return d, bearings(dx, dy), bearings(ax, ay)
 
 
 def _before_rx_dbm(tx_gain: np.ndarray, d: np.ndarray, blocking: Blocking | None,
                    p_ue_dbm: float) -> np.ndarray:
     """P_UE plus the (..., beams, n_sc) Tx gains, less each link's pathloss
-    and blocking penalty."""
-    base = p_ue_dbm + tx_gain - pathloss(np.maximum(d, 1.0))[..., None, :]
+    (at the distance clamped to the model's 1 m reference) and blocking
+    penalty."""
+    base = p_ue_dbm + tx_gain - _pathloss_db(np.maximum(d, 1.0))[..., None, :]
     if blocking is not None:
         base = base - blocking.penalty_db[..., None, :]
     return base
@@ -112,11 +119,10 @@ def _nearest_beam_gain(cb: BeamCodebook, azimuth: np.ndarray) -> np.ndarray:
     below it (beamwidths from 80.5 degrees), and there only beyond 104
     degrees off, farther than any nearest centre of two or more beams.
     """
-    n = cb.n_beams
-    k = (azimuth * (n / TWO_PI)).astype(np.intp)
+    k = (azimuth * (cb.n_beams / TWO_PI)).astype(np.intp)
     centers = cb.beam_centers
-    off = np.minimum(circular_distance(centers[k % n], azimuth),
-                     circular_distance(centers[(k + 1) % n], azimuth))
+    off = np.minimum(circular_distance(np.take(centers, k, mode="wrap"), azimuth),
+                     circular_distance(np.take(centers, k + 1, mode="wrap"), azimuth))
     return cb.pattern.gain(off)[..., None, :]
 
 

@@ -7,9 +7,11 @@ stream), so any point of any experiment reruns bit-identically on its
 own; the chunk size is part of the stream. ``draw_trial`` is every
 campaign's draw of clusters, UEs and blocking, one call per chunk. A chunk of protocol trials is
 drawn from its stream 0 and is one ``TrialBatch``, which runs one link
-budget, one sweep and one estimator call per scheme; both schemes seed
-their own generator from the chunk's stream 2, which makes their first
-rounds coincide trial by trial. A P_LOS chunk is drawn from its stream 3
+budget, one estimator call and one sweep per scheme; both schemes seed
+their generator from the chunk's stream 2, which makes their first
+rounds coincide trial by trial. A paired chunk therefore walks round one
+once (``protocol.run_paired_batch``) and forks its generator, with the
+same bytes as running each scheme alone. A P_LOS chunk is drawn from its stream 3
 and scored with one best-beam-pair power and one ranking call.
 """
 
@@ -28,6 +30,7 @@ from .protocol import (
     ia_time_reduction,
     run_coordinated_batch,
     run_exhaustive_batch,
+    run_paired_batch,
 )
 
 
@@ -170,8 +173,9 @@ def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     the chunk's ``draw_trial`` at ``[channel] p_blk`` from its stream 0,
     and the seed of its stream 2.
 
-    Each scheme seeds its own generator from the protocol seed, so a
-    scheme's IA times do not depend on which other schemes run.
+    Each scheme seeds its own generator from the protocol seed (a paired
+    run forks one after round one), so a scheme's IA times do not depend
+    on which other schemes run.
     """
     ue_cb, sc_cb = cfg.ue_codebook(n_tx), cfg.sc_codebook()
     params = cfg.link_params(p_ue_dbm)
@@ -186,22 +190,19 @@ def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
         yield batch, _seed(master_seed, point, chunk, 2)
 
 
-def _ia_times(batches, *runners) -> list[np.ndarray]:
-    """Every trial's IA time under each runner, over all the chunks."""
-    times = [[] for _ in runners]
-    for batch, seed in batches:
-        for out, runner in zip(times, runners):
-            out.append(runner(batch, seed).ia_time_s)
-    return [np.concatenate(t) for t in times]
+def _ia_times(batches, runner) -> np.ndarray:
+    """Every trial's IA time under ``runner``, over all the chunks."""
+    return np.concatenate([runner(batch, seed).ia_time_s for batch, seed in batches])
 
 
 def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int):
     """(p_er_pct, stderr_pct, coordinated mean, exhaustive mean) IA times
-    over paired trials."""
-    exh, coord = _ia_times(
-        trial_batches(cfg, n_tx, p_ue_dbm, gamma, trials, master_seed, point),
-        run_exhaustive_batch, run_coordinated_batch)
+    over paired trials, both schemes of a chunk from one ``run_paired_batch``."""
+    pairs = [run_paired_batch(batch, seed) for batch, seed in trial_batches(
+        cfg, n_tx, p_ue_dbm, gamma, trials, master_seed, point)]
+    exh, coord = (np.concatenate([out.ia_time_s for out in scheme])
+                  for scheme in zip(*pairs))
     mc, me = float(np.mean(coord)), float(np.mean(exh))
     return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
 
@@ -279,7 +280,7 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
     results = {}
     for point, n_sc in enumerate(sizes):
         runner = run_exhaustive_batch if n_sc == 1 else run_coordinated_batch
-        [results[n_sc]] = _ia_times(trial_batches(
+        results[n_sc] = _ia_times(trial_batches(
             cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, trials,
             master_seed, point, n_sc=n_sc), runner)
 

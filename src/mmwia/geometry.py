@@ -37,10 +37,10 @@ def circular_distance(a, b):
     return float(d) if d.ndim == 0 else d
 
 
-def bearings(vectors: np.ndarray) -> np.ndarray:
-    """Azimuths in [0, 2*pi) of the (..., 2) direction vectors (a zero
-    vector reads 0: callers that must reject coincident points check the
-    distances they compute).
+def bearings(x, y) -> np.ndarray:
+    """Azimuths in [0, 2*pi) of the direction vectors with components
+    ``x`` and ``y`` (a zero vector reads 0: callers that must reject
+    coincident points check the distances they compute).
 
     This is ``arctan2`` wrapped by ``np.mod(a, 2*pi)``, with 2*pi itself
     read as 0, bit for bit: ``arctan2`` lies in [-pi, pi], so a negative
@@ -48,7 +48,7 @@ def bearings(vectors: np.ndarray) -> np.ndarray:
     floating-point modulo. Zeros of either sign and a tiny negative angle,
     whose sum with 2*pi rounds to 2*pi, all read +0.
     """
-    a = np.arctan2(vectors[..., 1], vectors[..., 0])
+    a = np.arctan2(y, x)
     a = np.where(a > 0.0, a, a + TWO_PI)
     return np.where(a < TWO_PI, a, 0.0)
 

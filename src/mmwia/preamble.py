@@ -83,11 +83,33 @@ def sample_peaks(rx_mw, noise_mw: float, n_zc: int, rng) -> np.ndarray:
     rx_mw = np.asarray(rx_mw, dtype=float)
     if noise_mw == 0.0:
         return rx_mw * float(n_zc) ** 2
+    return _noisy_peaks(np.sqrt(rx_mw) * n_zc, rx_mw.shape, noise_mw, n_zc, rng)
+
+
+def _noisy_peaks(amplitude, shape: tuple, noise_mw: float, n_zc: int, rng) -> np.ndarray:
+    """``sample_peaks`` of slots of the given shape whose signal adds
+    ``amplitude`` (a*N, broadcast to the shape) at its lag, under noise of
+    power ``noise_mw`` > 0.
+
+    Both Gaussian parts come from one draw, the same stream as one draw
+    each, and every step works in place; -N*Pn*log(x) is computed as
+    log(x)*(-(N*Pn)), which is exact because negation is."""
     s = math.sqrt(n_zc * noise_mw / 2.0)
-    re = np.sqrt(rx_mw) * n_zc + s * rng.standard_normal(rx_mw.shape)
-    im = s * rng.standard_normal(rx_mw.shape)
-    m = -np.log(-np.expm1(np.log(rng.random(rx_mw.shape)) / (n_zc - 1)))
-    return np.maximum(re * re + im * im, n_zc * noise_mw * m)
+    g = rng.standard_normal((2, *shape))
+    g *= s
+    re, im = g[0, ...], g[1, ...]  # views, 0-d arrays for a 0-d shape
+    re += amplitude
+    re *= re
+    im *= im
+    re += im
+    m = rng.random(shape)
+    np.log(m, out=m)
+    m /= n_zc - 1
+    np.expm1(m, out=m)
+    np.negative(m, out=m)
+    np.log(m, out=m)
+    m *= -(n_zc * noise_mw)
+    return np.maximum(re, m, out=re)
 
 
 def miss_threshold(
@@ -108,7 +130,7 @@ def miss_threshold(
     """
     if not 0.0 < p_miss < 1.0:
         raise ValueError("p_miss must lie in (0, 1)")
-    peaks = sample_peaks(np.full(trials, dbm_to_mw(reference_rx_dbm)),
+    peaks = _noisy_peaks(math.sqrt(dbm_to_mw(reference_rx_dbm)) * seq.n_zc, (trials,),
                          dbm_to_mw(noise_power_dbm), seq.n_zc,
                          np.random.default_rng(seed))
     v = (trials - 1) * p_miss

@@ -13,6 +13,11 @@ scheme spends round one measuring every cell's peak per UE Tx beam,
 exchanges these reports (together the round-1 peak matrix) over the
 backhaul, estimates the UE position, and reorders every cell's remaining
 Rx sweep towards the estimate.
+
+Under one seed both schemes draw the Rx orders and then walk the same
+round one, so ``run_paired_batch`` walks it once and forks the generator
+for the baseline's later rounds: the same bytes as each scheme's own
+runner, with one round-one sweep fewer.
 """
 
 from __future__ import annotations
@@ -95,11 +100,13 @@ def reorder_rx_beams(codebook: BeamCodebook, estimates,
     (T, n_sc, 2): column i of trial t holds the beam indices of the cell at
     ``cells[t, i]`` sorted by angular distance to its bearing towards
     ``estimates[t]``, the lower index first on ties."""
-    to_estimate = np.asarray(estimates)[..., None, :] - cells
-    if not np.hypot(to_estimate[..., 0], to_estimate[..., 1]).all():
+    estimates = np.asarray(estimates)
+    x = estimates[..., 0, None] - cells[..., 0]
+    y = estimates[..., 1, None] - cells[..., 1]
+    if not np.hypot(x, y).all():
         raise ValueError("no bearing from a cell to an estimate on it")
     dist = circular_distance(codebook.beam_centers[:, None],
-                             bearings(to_estimate)[..., None, :])
+                             bearings(x, y)[..., None, :])
     return np.argsort(dist, axis=-2, kind="stable")
 
 
@@ -168,28 +175,34 @@ def _outcomes(scheme: str, batch: TrialBatch, schedule: np.ndarray, hit: np.ndar
                       pair, estimates)
 
 
-def run_exhaustive_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
-    """Uncoordinated baseline: every cell walks its own random Rx order."""
+def _round_one(batch: TrialBatch, seed):
+    """The round both schemes open with: seed the generator, draw the Rx
+    orders, then sweep round 0 on each cell's first beam with the UE's
+    full Tx sweep.
+
+    Returns the generator, the read-only (T, n_sc, n_rx) orders, ``hit``
+    (T, 3) and the round's peaks, one (n_tx, n_sc) matrix per trial."""
     rng = np.random.default_rng(seed)
-    schedule = _rx_orders(batch, rng).transpose(0, 2, 1)
+    orders = _rx_orders(batch, rng)
+    orders.flags.writeable = False
     hit = np.full((batch.size, 3), -1)
-    _sweep(batch, schedule, 0, hit, rng)
+    peaks = _sweep(batch, orders[:, :, :1].transpose(0, 2, 1), 0, hit, rng)
+    return rng, orders, hit, peaks
+
+
+def _exhaustive_rest(batch: TrialBatch, rng, orders: np.ndarray,
+                     hit: np.ndarray) -> IaOutcomes:
+    """Rounds 2 on of the baseline: every cell walks on along its order."""
+    schedule = orders.transpose(0, 2, 1)
+    _sweep(batch, schedule, 1, hit, rng)
     return _outcomes(EXHAUSTIVE, batch, schedule, hit,
                      np.full((batch.size, 2), np.nan))
 
 
-def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
-    """Measurement round, backhaul exchange, estimate, reordered sweeps."""
-    n_sc, n_rx = batch.cells.shape[-2], batch.sc_codebook.n_beams
-    if n_sc < 3:
-        raise ValueError("coordinated IA needs a cluster of at least three cells")
-    rng = np.random.default_rng(seed)
-    orders = _rx_orders(batch, rng)
-
-    # Round 1: random Rx beams, full UE sweep; each trial's (n_tx, n_sc)
-    # peaks are its cells' reports.
-    hit = np.full((batch.size, 3), -1)
-    peaks = _sweep(batch, orders[:, :, :1].transpose(0, 2, 1), 0, hit, rng)
+def _coordinated_rest(batch: TrialBatch, rng, orders: np.ndarray, hit: np.ndarray,
+                      peaks: np.ndarray) -> IaOutcomes:
+    """Backhaul exchange of the round-1 ``peaks``, estimate, reordered sweeps."""
+    n_rx = batch.sc_codebook.n_beams
     estimates = np.full((batch.size, 2), np.nan)
     missed = np.flatnonzero(hit[:, 0] < 0)
     if missed.size:
@@ -209,3 +222,39 @@ def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
         schedule[estimated, 1 + delay:] = reordered[:, :max(0, n_rx - delay)]
     _sweep(batch, schedule, 1, hit, rng)
     return _outcomes(COORDINATED, batch, schedule, hit, estimates)
+
+
+def _check_coordinated(batch: TrialBatch) -> None:
+    if batch.cells.shape[-2] < 3:
+        raise ValueError("coordinated IA needs a cluster of at least three cells")
+
+
+def run_exhaustive_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
+    """Uncoordinated baseline: every cell walks its own random Rx order."""
+    rng, orders, hit, _ = _round_one(batch, seed)
+    return _exhaustive_rest(batch, rng, orders, hit)
+
+
+def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
+    """Measurement round, backhaul exchange, estimate, reordered sweeps.
+
+    Round 1 uses random Rx beams and the full UE sweep; each trial's
+    (n_tx, n_sc) peaks are its cells' reports."""
+    _check_coordinated(batch)
+    return _coordinated_rest(batch, *_round_one(batch, seed))
+
+
+def run_paired_batch(batch: TrialBatch, seed=None) -> tuple[IaOutcomes, IaOutcomes]:
+    """(exhaustive, coordinated) outcomes of one batch under one seed, equal
+    field for field to ``run_exhaustive_batch`` and ``run_coordinated_batch``
+    run alone.
+
+    Round one is the same under both schemes, so it is walked once; the
+    generator and ``hit`` then fork, and each scheme continues on its own
+    copy."""
+    _check_coordinated(batch)
+    rng, orders, hit, peaks = _round_one(batch, seed)
+    fork = np.random.Generator(type(rng.bit_generator)())
+    fork.bit_generator.state = rng.bit_generator.state
+    return (_exhaustive_rest(batch, fork, orders, hit.copy()),
+            _coordinated_rest(batch, rng, orders, hit, peaks))

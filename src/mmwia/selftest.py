@@ -77,7 +77,7 @@ def true_angles(cells: np.ndarray, ue) -> tuple[float, float, float]:
     vectors = cells[:3] - np.asarray(ue)
     if not np.hypot(vectors[:, 0], vectors[:, 1]).all():
         raise ValueError("angles undefined at a UE on a cell")
-    b = geometry.bearings(vectors)
+    b = geometry.bearings(vectors[:, 0], vectors[:, 1])
     return tuple(normalize_angle(np.roll(b, -1) - b).tolist())
 
 

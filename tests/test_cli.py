@@ -334,13 +334,14 @@ def test_single_trial_is_row_zero_of_a_paired_campaign(capsys, monkeypatch):
 
         def keep(runner):
             def run(batch, protocol_seed):
-                out = runner(batch, protocol_seed)
-                first.setdefault(out.scheme, (out, batch.ue[0]))
-                return out
+                outs = runner(batch, protocol_seed)
+                for out in outs:
+                    first.setdefault(out.scheme, (out, batch.ue[0]))
+                return outs
             return run
 
-        for name in ("run_exhaustive_batch", "run_coordinated_batch"):
-            monkeypatch.setattr(experiments, name, keep(getattr(experiments, name)))
+        monkeypatch.setattr(experiments, "run_paired_batch",
+                            keep(experiments.run_paired_batch))
         run_reduction_vs_power(cfg, CHUNK + 3, seed)
         monkeypatch.undo()
         capsys.readouterr()

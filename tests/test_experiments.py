@@ -139,18 +139,17 @@ def test_paired_campaign_chunks_cover_every_trial(monkeypatch):
         counts.append(args[-1])
         return original(*args)
 
-    def sized(name, runner):
+    def sized(runner):
         def run(batch, seed):
-            out = runner(batch, seed)
-            sizes[name] += len(out.slots_used)
-            return out
+            outs = runner(batch, seed)
+            for name, out in zip(("exh", "coord"), outs):
+                sizes[name] += len(out.slots_used)
+            return outs
         return run
 
     monkeypatch.setattr(experiments, "draw_trial", counting)
-    monkeypatch.setattr(experiments, "run_exhaustive_batch",
-                        sized("exh", experiments.run_exhaustive_batch))
-    monkeypatch.setattr(experiments, "run_coordinated_batch",
-                        sized("coord", experiments.run_coordinated_batch))
+    monkeypatch.setattr(experiments, "run_paired_batch",
+                        sized(experiments.run_paired_batch))
     trials = CHUNK + 1
     table = run_reduction_vs_power(cfg, trials, 11)
     assert counts == [CHUNK, 1]

@@ -190,7 +190,7 @@ def test_bearings_equal_the_wrapped_arctan2_bit_for_bit():
     vectors.append(np.array([(x, y) for x in parts for y in parts]))
     vectors.append(np.array([[1.0, -1e-17], [200.0, -1.9e-14], [np.nan, 1.0]]))
     v = np.concatenate(vectors)
-    got = bearings(v)
+    got = bearings(v[:, 0], v[:, 1])
     expect = normalize_angle(np.arctan2(v[:, 1], v[:, 0]))
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
     assert ((got >= 0.0) & (got < 2 * math.pi)).all()

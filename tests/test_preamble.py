@@ -177,6 +177,33 @@ def test_sample_peaks_noiseless_is_exact():
         dbm_to_mw(-100.0) * 839.0 ** 2, rel=1e-9)
 
 
+def _textbook_peaks(rx_mw, noise_mw, n_zc, rng):
+    """The sampler's formula, one draw per Gaussian part and no step in place."""
+    rx_mw = np.asarray(rx_mw, dtype=float)
+    if noise_mw == 0.0:
+        return rx_mw * float(n_zc) ** 2
+    s = math.sqrt(n_zc * noise_mw / 2.0)
+    re = np.sqrt(rx_mw) * n_zc + s * rng.standard_normal(rx_mw.shape)
+    im = s * rng.standard_normal(rx_mw.shape)
+    m = -np.log(-np.expm1(np.log(rng.random(rx_mw.shape)) / (n_zc - 1)))
+    return np.maximum(re * re + im * im, n_zc * noise_mw * m)
+
+
+@pytest.mark.parametrize("noise_dbm", [-110.67, -math.inf], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("shape", [(), (7,), (150, 8, 3)])
+def test_sample_peaks_is_the_textbook_expression_bit_for_bit(shape, noise_dbm):
+    """Same draws, same bits and same shape as the formula written out with
+    two Gaussian draws, and the generator left in the same state; a 0-d
+    input gives a 0-d result."""
+    rx_mw = dbm_to_mw(-112.0) * np.random.default_rng(3).exponential(size=shape)
+    ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+    got = sample_peaks(rx_mw, dbm_to_mw(noise_dbm), 839, ours)
+    expect = _textbook_peaks(rx_mw, dbm_to_mw(noise_dbm), 839, theirs)
+    assert np.shape(got) == shape
+    assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+    assert ours.random() == theirs.random()
+
+
 @pytest.mark.parametrize("rx_dbm", SAMPLER_GRID_DBM)
 def test_sample_peaks_matches_fft_oracle(rx_dbm):
     """Two-sample KS over 10k draws per side, at alpha = 1e-3."""

@@ -20,6 +20,7 @@ from mmwia.protocol import (
     reorder_rx_beams,
     run_coordinated_batch,
     run_exhaustive_batch,
+    run_paired_batch,
 )
 
 D = 200.0
@@ -329,6 +330,32 @@ def test_batch_equals_each_trial_run_alone(monkeypatch):
         for t in range(24):
             monkeypatch.setattr(protocol, "_rx_orders", lambda b, rng: orders[t:t + 1])
             _assert_rows_equal(whole, runner(_alone(chunk, t), seed=4), slice(t, t + 1))
+
+
+def test_paired_batch_equals_each_scheme_run_alone():
+    """Both outcomes of ``run_paired_batch`` equal, field for field, the
+    runner of that scheme run alone under the same seed. The noisy chunk
+    holds round-1 hits, later-round hits and censored trials under both
+    schemes, blocked links, and reorderings that land two rounds late."""
+    count, n_sc = 64, 5
+    rng = np.random.default_rng(12)
+    ues = place_ue(build_cluster(n_sc, D, layout_seed=1), rng, count=count)
+    blocking = sample_blocking(n_sc, 0.3, rng, excess_mean_db=10.0, count=count)
+    penalty = blocking.penalty_db.copy()
+    penalty[::8] = 60.0  # every eighth trial too weak to detect
+    blocking = blocking._replace(penalty_db=penalty)
+    round_s = 4 * CFG.protocol.t_ra_s
+    chunk = _with(_batch(p_ue=-25.0, n_sc=n_sc, count=count, ue=ues,
+                         latency=1.5 * round_s), blocking=blocking)
+    assert backhaul_delay_rounds(chunk.backhaul_latency_s, round_s) == 2
+    assert blocking.blocked.any()
+
+    exh, coord = run_paired_batch(chunk, seed=9)
+    _assert_rows_equal(exh, run_exhaustive_batch(chunk, seed=9))
+    _assert_rows_equal(coord, run_coordinated_batch(chunk, seed=9))
+    for out in (exh, coord):
+        assert {1} < set(out.rounds[out.success]) and not out.success.all()
+    assert (coord.rounds[coord.success & ~np.isnan(coord.estimated_ue[:, 0])] > 3).any()
 
 
 def test_outcome_invariants():
