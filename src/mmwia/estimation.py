@@ -25,6 +25,8 @@ from .geometry import TWO_PI
 # no usable point. status <= CENTROID means a point.
 CLOSED_FORM, CENTROID, UNRESOLVABLE, FAILED = range(4)
 _NO_POINT = complex(math.nan, math.nan)
+# the next and the previous of three: x[..., _NEXT] is np.roll(x, -1, axis=-1)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def select_top3(peaks: np.ndarray) -> np.ndarray:
@@ -41,11 +43,12 @@ def ordered_top3(peaks: np.ndarray, cells: np.ndarray) -> np.ndarray:
     about their centroid in the (T, n_sc, 2) clusters; cells at the same
     bearing keep their rank order."""
     top3 = select_top3(peaks)
-    xy = np.take_along_axis(cells, top3[..., None], axis=-2)
-    centroid = (xy[..., 0, :] + xy[..., 1, :] + xy[..., 2, :]) / 3
-    rel = xy - centroid[..., None, :]
+    rows = np.arange(len(top3))[:, None]
+    xy = cells[rows, top3]
+    centroid = (xy[:, 0] + xy[:, 1] + xy[:, 2]) / 3
+    rel = xy - centroid[:, None]
     order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=-1, kind="stable")
-    return np.take_along_axis(top3, order, axis=-1)
+    return top3[rows, order]
 
 
 def index_angles(best, n_tx: int) -> np.ndarray:
@@ -55,7 +58,7 @@ def index_angles(best, n_tx: int) -> np.ndarray:
     size). The caller passes the cells ordered counterclockwise as seen
     from the UE side."""
     best = np.asarray(best)
-    return TWO_PI * ((np.roll(best, -1, axis=-1) - best) % n_tx) / n_tx
+    return TWO_PI * ((best[..., _NEXT] - best) % n_tx) / n_tx
 
 
 def _closed_form_points(thetas, s, s_next, tol) -> np.ndarray:
@@ -67,14 +70,15 @@ def _closed_form_points(thetas, s, s_next, tol) -> np.ndarray:
     reflected in the line of centres. The pair whose angle lies nearest 0
     or pi is left out, as its circle degenerates to a line. Centres within
     ``tol`` of each other make one circle, whose points all see both pairs
-    alike: the point is NaN."""
+    alike: the point is NaN. Division by zero is the caller's to silence."""
     rows = np.arange(len(s))
     k = np.argmin(np.abs(np.sin(thetas)), axis=-1)
+    j = _PREV[k]
     centres = (s + s_next) / 2 + 0.5j * (s_next - s) / np.tan(thetas)
-    c1, c2 = centres[rows, (k + 1) % 3], centres[rows, (k + 2) % 3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = c1 + (c2 - c1) * np.conj((s[rows, k - 1] - c1) / (c2 - c1))
-    return np.where(np.abs(c2 - c1) <= tol, _NO_POINT, p)
+    c1, c2 = centres[rows, _NEXT[k]], centres[rows, j]
+    d = c2 - c1
+    p = c1 + d * np.conj((s[rows, j] - c1) / d)
+    return np.where(np.abs(d) <= tol, _NO_POINT, p)
 
 
 def locate_points(thetas, anchors) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +97,7 @@ def locate_points(thetas, anchors) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(xy).all():
         raise ValueError("anchors must be finite")
     s = xy.view(complex)[..., 0]
-    s_next = np.roll(s, -1, axis=-1)
+    s_next = s[:, _NEXT]
     if (s == s_next).any():
         raise ValueError("anchors must be distinct")
     tol = 1e-9 * np.abs(s_next - s).max(axis=-1)
@@ -104,20 +108,24 @@ def locate_points(thetas, anchors) -> tuple[np.ndarray, np.ndarray]:
 
     rows = np.flatnonzero(status == CLOSED_FORM)
     t, z, z_next = thetas[rows], s[rows], s_next[rows]
-    p = _closed_form_points(t, z, z_next, tol[rows])[:, None]
-    on = np.abs(p - z) <= tol[rows, None]
     # a pair's angle is undefined at either of its anchors; a point that is
     # not finite reproduces nothing
     with np.errstate(divide="ignore", invalid="ignore"):
-        phase = np.abs(np.angle((z_next - p) / (z - p) * np.exp(-1j * t)))
-    reproduced = (on | np.roll(on, -1, axis=-1) | (phase <= 1e-9)).all(axis=-1)
-    points[rows] = np.where(reproduced, p[:, 0], xy[rows].mean(axis=1).view(complex)[:, 0])
-    status[rows[~reproduced]] = CENTROID
+        p = _closed_form_points(t, z, z_next, tol[rows])
+        w = (z_next - p[:, None]) / (z - p[:, None]) * np.exp(-1j * t)
+    on = np.abs(p[:, None] - z) <= tol[rows, None]
+    phase = np.abs(np.arctan2(w.imag, w.real))  # np.angle(w)
+    reproduced = (on | on[:, _NEXT] | (phase <= 1e-9)).all(axis=-1)
+    points[rows] = p
+    centred = rows[~reproduced]
+    status[centred] = CENTROID
+    a = xy[centred]
+    points[centred] = ((a[:, 0] + a[:, 1] + a[:, 2]) / 3).view(complex)[:, 0]
 
     off_cells = (np.abs(points[:, None] - s) > tol[:, None]).all(axis=-1)
     status[~off_cells] = FAILED
     points[status == FAILED] = _NO_POINT
-    return np.stack([points.real, points.imag], axis=-1), status
+    return points.view(float).reshape(-1, 2), status
 
 
 def estimate_points(peaks: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +136,8 @@ def estimate_points(peaks: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, n
     UNRESOLVABLE; the others are located by ``locate_points``. Points are
     NaN where the status is neither CLOSED_FORM nor CENTROID."""
     top3 = ordered_top3(peaks, cells)
-    best = np.take_along_axis(peaks.argmax(axis=-2), top3, axis=-1)
-    thetas = index_angles(best, peaks.shape[-2])
-    points, status = locate_points(thetas, np.take_along_axis(cells, top3[..., None], axis=-2))
+    rows = np.arange(len(top3))[:, None]
+    thetas = index_angles(peaks.argmax(axis=-2)[rows, top3], peaks.shape[-2])
+    points, status = locate_points(thetas, cells[rows, top3])
     status[(thetas == 0.0).any(axis=-1)] = UNRESOLVABLE
     return points, status

@@ -92,19 +92,22 @@ def _chunks(trials: int, size: int):
 def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
     """(clusters, UEs, blocking) of ``count`` trials from one generator
     seeded by ``seed``: read-only cells (count, n_sc, 2), UEs (count, 2)
-    and a ``Blocking`` of (count, n_sc) arrays.
+    and a ``Blocking`` of (count, n_sc) arrays, or None at ``p_blk`` 0.
 
     The draw goes field by field across the trials: the extra cells'
     radii, then their angles, the UEs, then the blocked flags, reflector
     bearings and excess losses, so a draw of one consumes the stream as
     one trial always has. A cluster of fewer than three cells is the
-    first cells of the base triangle; the UE lies in the triangle.
+    first cells of the base triangle; the UE lies in the triangle. At
+    ``p_blk`` 0 no link is blocked whatever the flags' draws, and the
+    reflector and excess draws are read on blocked links only; as they
+    come last, the draw skips all three and moves no other.
     """
     rng = np.random.default_rng(seed)
     cells = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng, count)
     ue = place_ue(cells, rng, count)
-    blocking = sample_blocking(n_sc, p_blk, rng, count=count,
-                               excess_mean_db=cfg.channel.nlos_excess_mean_db)
+    blocking = None if p_blk == 0 else sample_blocking(
+        n_sc, p_blk, rng, count=count, excess_mean_db=cfg.channel.nlos_excess_mean_db)
     return cells[:, :n_sc], ue, blocking
 
 
@@ -151,6 +154,9 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
         for chunk, count in _chunks(trials, CHUNK):
             cells, ue, blocking = draw_trial(
                 cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3), count)
+            if blocking is None:  # every link LOS
+                wins += count
+                continue
             power = best_pair_dbm(cells, ue, blocking, ue_cb, sc_cb,
                                   cfg.channel.p_ue_dbm)
             top3 = select_top3(power[:, None, :])

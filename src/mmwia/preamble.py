@@ -13,6 +13,7 @@ slots, is an oracle and lives in ``selftest``.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -38,17 +39,22 @@ def dbm_to_mw(dbm: float) -> float:
 class ZcSequence(NamedTuple):
     root: int
     n_zc: int
-    samples: np.ndarray  # unit-modulus complex, length n_zc
+    samples: np.ndarray  # unit-modulus complex, length n_zc, read-only
 
 
+@cache
 def generate_zc(u: int, n_zc: int) -> ZcSequence:
-    """x_u(n) = exp(-j*pi*u*n*(n+1)/n_zc) for prime n_zc and 1 <= u < n_zc."""
+    """x_u(n) = exp(-j*pi*u*n*(n+1)/n_zc) for prime n_zc and 1 <= u < n_zc.
+
+    Each (u, n_zc) is built once per process: every call returns the same
+    sequence, whose samples are read-only."""
     if not is_prime(n_zc):
         raise ValueError(f"n_zc = {n_zc} is not prime")
     if not 1 <= u <= n_zc - 1:
         raise ValueError("root u must satisfy 1 <= u <= n_zc - 1")
     n = np.arange(n_zc, dtype=float)
     samples = np.exp(-1j * math.pi * u * n * (n + 1.0) / n_zc)
+    samples.flags.writeable = False
     return ZcSequence(u, n_zc, samples)
 
 
@@ -91,8 +97,11 @@ def _noisy_peaks(amplitude, shape: tuple, noise_mw: float, n_zc: int, rng) -> np
     ``amplitude`` (a*N, broadcast to the shape) at its lag, under noise of
     power ``noise_mw`` > 0.
 
-    Both Gaussian parts come from one draw, the same stream as one draw
-    each, and every step works in place; -N*Pn*log(x) is computed as
+    Both Gaussian parts, normal(0, s) with s = sqrt(N*Pn/2), come from one
+    standard normal draw scaled in place, the same stream as one draw
+    each. ``rng.normal(0, s)`` would give the same bytes (numpy computes
+    it as 0 + s*z from the same stream) but draws about 5 % slower (numpy
+    2.4). Every step works in place; -N*Pn*log(x) is computed as
     log(x)*(-(N*Pn)), which is exact because negation is."""
     s = math.sqrt(n_zc * noise_mw / 2.0)
     g = rng.standard_normal((2, *shape))
@@ -125,8 +134,10 @@ def miss_threshold(
     with probability p_miss.
 
     The quantile is ``np.quantile``'s default (linear) one, bit for bit,
-    from the two order statistics around it; ``np.quantile`` itself would
-    import ``numpy.ma``, which costs more than the draws.
+    from the two order statistics around it: one partition puts the upper
+    one in place, and the lower one is the largest value before it.
+    ``np.quantile`` itself would import ``numpy.ma``, which costs more
+    than the draws.
     """
     if not 0.0 < p_miss < 1.0:
         raise ValueError("p_miss must lie in (0, 1)")
@@ -136,7 +147,9 @@ def miss_threshold(
     v = (trials - 1) * p_miss
     lo = math.floor(v)
     hi = min(lo + 1, trials - 1)
-    a, b = np.partition(peaks, (lo, hi))[[lo, hi]]
+    peaks.partition(hi)
+    b = peaks[hi]
+    a = peaks[:hi].max() if hi > lo else b
     t = v - lo
     # numpy's lerp: from the nearer end, so t = 0 or 1 returns a or b exactly
     return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))

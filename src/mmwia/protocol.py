@@ -30,7 +30,7 @@ import numpy as np
 
 from .antenna import BeamCodebook
 from .channel import Blocking, LinkBudgetParams, link_budget_dbm, noise_power
-from .estimation import estimate_points
+from .estimation import CENTROID, estimate_points
 from .geometry import bearings, circular_distance
 from .preamble import dbm_to_mw, sample_peaks
 
@@ -133,30 +133,35 @@ def _rx_orders(batch: TrialBatch, rng) -> np.ndarray:
 
 def _sweep(batch: TrialBatch, schedule: np.ndarray, start: int, hit: np.ndarray, rng):
     """Walk rounds ``start`` on of ``schedule`` (T, rounds, n_sc) for every
-    trial whose row of ``hit`` is still -1, slot t carrying Tx beam t, with
-    the peaks drawn from ``rng``.
+    trial whose ``hit`` is still -1, slot t carrying Tx beam t, with the
+    peaks drawn from ``rng``.
 
-    Fills ``hit`` (T, 3) with each trial's first (round, slot, cell) to
-    clear the threshold and returns the peaks of the last round drawn,
-    one (n_tx, n_sc) matrix per trial that drew it. The first hit is the
-    row-major first of the trial's (n_tx, n_sc) hit map: the earliest
-    slot, then the lowest cell within it."""
+    Sets each such trial's ``hit`` (T,) to the index of its first peak to
+    clear the threshold in its (rounds, n_tx, n_sc) hit map, row-major:
+    the earliest round, then slot, then the lowest cell within it. Returns
+    the peaks of the last round drawn, one (n_tx, n_sc) matrix per trial
+    that drew it."""
     base_dbm, rx_gain = batch.link_budget
     noise_mw = dbm_to_mw(noise_power(batch.link_params))
     n_sc = base_dbm.shape[-1]
     cells = np.arange(n_sc)
+    per_round = base_dbm.shape[-2] * n_sc
+    todo = np.flatnonzero(hit < 0)
     peaks = None
     for r in range(start, schedule.shape[1]):
-        todo = np.flatnonzero(hit[:, 0] < 0)
         if not todo.size:
             break
-        gain = rx_gain[todo[:, None], schedule[todo, r], cells]
-        rx_dbm = base_dbm[todo] + gain[:, None, :]
-        peaks = sample_peaks(10.0 ** (rx_dbm / 10.0), noise_mw, batch.n_zc, rng)
+        # the received power in mW, 10 ** (dBm / 10), in one buffer
+        rx = base_dbm[todo]
+        rx += rx_gain[todo[:, None], schedule[todo, r], cells][:, None, :]
+        rx /= 10.0
+        np.power(10.0, rx, out=rx)
+        peaks = sample_peaks(rx, noise_mw, batch.n_zc, rng)
         hits = (peaks > batch.gamma_ra).reshape(todo.size, -1)
-        found = hits.any(axis=1)
-        first = hits[found].argmax(axis=1)
-        hit[todo[found]] = np.stack([np.full_like(first, r), *divmod(first, n_sc)], axis=1)
+        first = hits.argmax(axis=1)
+        found = hits[np.arange(todo.size), first]
+        hit[todo[found]] = r * per_round + first[found]
+        todo = todo[~found]
     return peaks
 
 
@@ -164,15 +169,18 @@ def _outcomes(scheme: str, batch: TrialBatch, schedule: np.ndarray, hit: np.ndar
               estimates: np.ndarray) -> IaOutcomes:
     """Every trial's outcome of a sweep over ``schedule``; a miss uses
     every round."""
-    n_tx, n_rounds = batch.ue_codebook.n_beams, schedule.shape[1]
-    r, slot, cell = hit.T
-    success = r >= 0
-    slots_used = np.where(success, r * n_tx + slot + 1, n_rounds * n_tx)
-    rx_beam = schedule[np.arange(batch.size), r, cell]
-    pair = np.where(success[:, None], np.stack([slot, rx_beam], axis=1), -1)
-    return IaOutcomes(scheme, success, slots_used, slots_used * batch.t_ra_s,
-                      np.where(success, r + 1, n_rounds), np.where(success, cell, -1),
-                      pair, estimates)
+    n_tx, n_rounds, n_sc = batch.ue_codebook.n_beams, *schedule.shape[1:]
+    miss = hit < 0
+    k, cell = np.divmod(hit, n_sc)  # k: the hit's slot, counted over all rounds
+    r, slot = np.divmod(k, n_tx)
+    pair = np.empty((batch.size, 2), dtype=hit.dtype)
+    pair[:, 0], pair[:, 1] = slot, schedule[np.arange(batch.size), r, cell]
+    # a miss uses every slot of every round and detects nothing
+    k[miss], r[miss] = n_rounds * n_tx - 1, n_rounds - 1
+    cell[miss] = pair[miss] = -1
+    slots_used = k + 1
+    return IaOutcomes(scheme, ~miss, slots_used, slots_used * batch.t_ra_s, r + 1,
+                      cell, pair, estimates)
 
 
 def _round_one(batch: TrialBatch, seed):
@@ -181,11 +189,11 @@ def _round_one(batch: TrialBatch, seed):
     full Tx sweep.
 
     Returns the generator, the read-only (T, n_sc, n_rx) orders, ``hit``
-    (T, 3) and the round's peaks, one (n_tx, n_sc) matrix per trial."""
+    (T,) and the round's peaks, one (n_tx, n_sc) matrix per trial."""
     rng = np.random.default_rng(seed)
     orders = _rx_orders(batch, rng)
     orders.flags.writeable = False
-    hit = np.full((batch.size, 3), -1)
+    hit = np.full(batch.size, -1)
     peaks = _sweep(batch, orders[:, :, :1].transpose(0, 2, 1), 0, hit, rng)
     return rng, orders, hit, peaks
 
@@ -204,16 +212,17 @@ def _coordinated_rest(batch: TrialBatch, rng, orders: np.ndarray, hit: np.ndarra
     """Backhaul exchange of the round-1 ``peaks``, estimate, reordered sweeps."""
     n_rx = batch.sc_codebook.n_beams
     estimates = np.full((batch.size, 2), np.nan)
-    missed = np.flatnonzero(hit[:, 0] < 0)
-    if missed.size:
-        estimates[missed] = estimate_points(peaks[missed], batch.cells[missed])[0]
+    estimated = np.flatnonzero(hit < 0)  # the trials round one missed ...
+    if estimated.size:
+        points, status = estimate_points(peaks[estimated], batch.cells[estimated])
+        located = status <= CENTROID
+        estimated = estimated[located]  # ... and of those, the ones located
+        estimates[estimated] = points[located]
 
     # n_rx more rounds. Until the reports have crossed the backhaul (and for
     # good without an estimate) each cell keeps walking its original order,
     # wrapping past the round-1 beam, so a full sweep still completes.
-    schedule = np.concatenate([orders[:, :, :1], np.roll(orders, -1, axis=-1)],
-                              axis=-1).transpose(0, 2, 1)
-    estimated = np.flatnonzero(~np.isnan(estimates[:, 0]))
+    schedule = orders[..., [*range(n_rx), 0]].transpose(0, 2, 1)
     if estimated.size:
         delay = backhaul_delay_rounds(batch.backhaul_latency_s,
                                       batch.ue_codebook.n_beams * batch.t_ra_s)

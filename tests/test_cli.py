@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from mmwia import cli, experiments, selftest
@@ -414,3 +416,26 @@ def test_selftest_on_a_closed_stdout_keeps_its_exit_code(passed, code):
         assert err == b""
     else:
         assert b"AssertionError" in err and b"BrokenPipe" not in err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("p-los", ""),
+    ("reduction-power", ""),
+    ("reduction-pmiss", "[channel]\np_blk = 0.3\n"),  # blocked links routed
+    ("time-cluster", ""),
+    ("single-trial", ""),
+])
+def test_campaign_leaks_no_floating_point_warning(tmp_path, capsys, command, config):
+    """With numpy raising on division by zero, overflow and invalid
+    operations, and every warning an error, a campaign exits 0 and writes
+    nothing to standard error: no step that relies on a masked or silenced
+    invalid operation lets one escape."""
+    args = [command, "--config", _write(tmp_path, config), "--seed", "3",
+            "--out", str(tmp_path / "out")]
+    if command != "single-trial":
+        args += ["--trials", "300"]
+    with np.errstate(divide="raise", over="raise", invalid="raise"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    assert capsys.readouterr().err == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmwia import experiments, protocol
+from mmwia.channel import link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig
 from mmwia.experiments import (
     ResultTable,
@@ -42,6 +43,25 @@ def test_p_los_no_blocking_is_certain():
     table = run_p_los(cfg, 60, 3)
     assert table.columns == ("n_sc", "p_blk", "p_los", "stderr", "trials")
     assert table.rows[0][2] == 1.0
+
+
+def test_a_draw_without_blocking_skips_only_the_blocking_fields():
+    """At p_blk 0 a draw returns no blocking and the same cells and UEs as
+    at p_blk 0.3, whose blocking fields come last; the link budget without
+    blocking equals, bit for bit, the one with the all-LOS state that
+    ``sample_blocking`` draws at p_blk 0; and P_LOS at p_blk 0 reads 1."""
+    cfg = SimConfig()
+    cells, ue, blocking = draw_trial(cfg, 5, 0.0, np.random.SeedSequence((3, 1, 0, 0)), 40)
+    cells_b, ue_b, blocked = draw_trial(cfg, 5, 0.3, np.random.SeedSequence((3, 1, 0, 0)), 40)
+    assert blocking is None and blocked.blocked.any()
+    assert cells.tobytes() == cells_b.tobytes() and ue.tobytes() == ue_b.tobytes()
+    los = sample_blocking(5, 0.0, 8, excess_mean_db=26.0, count=40)
+    ue_cb, sc_cb = cfg.ue_codebook(), cfg.sc_codebook()
+    for ours, theirs in zip(link_budget_dbm(cells, ue, None, ue_cb, sc_cb, -14.0),
+                            link_budget_dbm(cells, ue, los, ue_cb, sc_cb, -14.0)):
+        assert ours.tobytes() == theirs.tobytes()
+    table = run_p_los(_cfg(p_los_cluster_sizes=(5,), p_los_p_blk=(0.0, 0.3)), 40, 3)
+    assert table.column("p_los")[0] == 1.0 and table.column("p_los")[1] < 1.0
 
 
 def test_p_los_decreases_with_blocking():

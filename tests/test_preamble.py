@@ -43,6 +43,14 @@ def test_generate_zc_validation():
         generate_zc(11, 11)
 
 
+def test_generate_zc_builds_each_sequence_once_read_only():
+    seq = generate_zc(1, 839)
+    assert generate_zc(1, 839) is seq
+    assert not seq.samples.flags.writeable
+    with pytest.raises(ValueError):
+        seq.samples[0] = 0.0
+
+
 def test_zc_first_sample_and_modulus():
     for u, n in ((1, 11), (5, 11), (1, 839), (25, 839)):
         seq = generate_zc(u, n)
