@@ -5,10 +5,10 @@ Runs every campaign command of the CLI (`mmwia.cli.CAMPAIGNS`) with the
 packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
 --out / --seed / --config as with the CLI. Each campaign's time prints to
 0.01 s, and the last line is the total wall time. Measured on one core of
-a shared 2-vCPU x86-64 cloud host with numpy 2.4.6, eight runs each: the
-full defaults took 1.15-1.33 s, median 1.22 s (p-los 0.78-0.93 s of it,
-the two reduction campaigns 0.13-0.19 s each, time-cluster 0.08-0.09 s);
---quick took 0.10-0.14 s, median 0.10 s.
+a shared 2-vCPU Intel Xeon cloud host with numpy 2.4.6, five runs each:
+the full defaults took 1.54-2.18 s, median 1.92 s (p-los 1.06-1.49 s of
+it, the two reduction campaigns 0.19-0.29 s each, time-cluster
+0.10-0.15 s); --quick took 0.12-0.18 s, median 0.17 s.
 """
 
 import argparse

@@ -39,7 +39,7 @@ from .experiments import (
     run_time_vs_cluster,
     trial_batches,
 )
-from .protocol import run_paired_batch
+from .protocol import run_batch
 from .svgplot import line_plot
 
 
@@ -139,7 +139,7 @@ def _single_trial(cfg: SimConfig, seed: int) -> str:
         cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, CHUNK, seed, 0))
     ue = batch.ue[0]
     lines = []
-    for out in run_paired_batch(batch, protocol_seed):
+    for out in run_batch(batch, protocol_seed):
         hit = bool(out.success[0])
         lines += [f"scheme:         {out.scheme}",
                   f"success:        {hit}",

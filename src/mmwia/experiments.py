@@ -5,14 +5,14 @@ chunks of ``CHUNK`` trials (the last chunk holds what is left). Every
 random draw descends from (master seed, grid point index, chunk index,
 stream), so any point of any experiment reruns bit-identically on its
 own; the chunk size is part of the stream. ``draw_trial`` is every
-campaign's draw of clusters, UEs and blocking, one call per chunk. A chunk of protocol trials is
-drawn from its stream 0 and is one ``TrialBatch``, which runs one link
-budget, one estimator call and one sweep per scheme; both schemes seed
-their generator from the chunk's stream 2, which makes their first
-rounds coincide trial by trial. A paired chunk therefore walks round one
-once (``protocol.run_paired_batch``) and forks its generator, with the
-same bytes as running each scheme alone. A P_LOS chunk is drawn from its stream 3
-and scored with one best-beam-pair power and one ranking call.
+campaign's draw of clusters, UEs and blocking, one call per chunk. A
+chunk of protocol trials is drawn from its stream 0 and is one
+``TrialBatch``, which ``protocol.run_batch`` runs with one link budget,
+one round one and one estimator call, seeded from the chunk's stream 2;
+each scheme's later rounds start from the generator state round one
+left, so a scheme's IA times are the same whether it runs alone or
+paired. A P_LOS chunk is drawn from its stream 3 and scored with one
+best-beam-pair power and one ranking call.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from .channel import best_pair_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .estimation import select_top3
 from .geometry import build_cluster, place_ue
-from .protocol import (
-    TrialBatch,
-    ia_time_reduction,
-    run_coordinated_batch,
-    run_exhaustive_batch,
-    run_paired_batch,
-)
+from .protocol import COORDINATED, EXHAUSTIVE, TrialBatch, ia_time_reduction, run_batch
 
 
 class ResultTable:
@@ -179,9 +173,9 @@ def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
     the chunk's ``draw_trial`` at ``[channel] p_blk`` from its stream 0,
     and the seed of its stream 2.
 
-    Each scheme seeds its own generator from the protocol seed (a paired
-    run forks one after round one), so a scheme's IA times do not depend
-    on which other schemes run.
+    ``run_batch`` seeds one generator from the protocol seed for every
+    scheme it runs, and a scheme's IA times do not depend on which other
+    schemes run beside it.
     """
     ue_cb, sc_cb = cfg.ue_codebook(n_tx), cfg.sc_codebook()
     params = cfg.link_params(p_ue_dbm)
@@ -196,19 +190,19 @@ def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
         yield batch, _seed(master_seed, point, chunk, 2)
 
 
-def _ia_times(batches, runner) -> np.ndarray:
-    """Every trial's IA time under ``runner``, over all the chunks."""
-    return np.concatenate([runner(batch, seed).ia_time_s for batch, seed in batches])
+def _ia_times(batches, schemes) -> list[np.ndarray]:
+    """Every trial's IA time under each of ``schemes``, over all the chunks,
+    one array per scheme."""
+    runs = [run_batch(batch, seed, schemes) for batch, seed in batches]
+    return [np.concatenate([out.ia_time_s for out in scheme]) for scheme in zip(*runs)]
 
 
 def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
                   trials: int, master_seed: int, point: int):
     """(p_er_pct, stderr_pct, coordinated mean, exhaustive mean) IA times
-    over paired trials, both schemes of a chunk from one ``run_paired_batch``."""
-    pairs = [run_paired_batch(batch, seed) for batch, seed in trial_batches(
-        cfg, n_tx, p_ue_dbm, gamma, trials, master_seed, point)]
-    exh, coord = (np.concatenate([out.ia_time_s for out in scheme])
-                  for scheme in zip(*pairs))
+    over paired trials, both schemes of a chunk from one ``run_batch``."""
+    exh, coord = _ia_times(trial_batches(cfg, n_tx, p_ue_dbm, gamma, trials,
+                                         master_seed, point), (EXHAUSTIVE, COORDINATED))
     mc, me = float(np.mean(coord)), float(np.mean(exh))
     return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
 
@@ -285,10 +279,9 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
 
     results = {}
     for point, n_sc in enumerate(sizes):
-        runner = run_exhaustive_batch if n_sc == 1 else run_coordinated_batch
-        results[n_sc] = _ia_times(trial_batches(
+        (results[n_sc],) = _ia_times(trial_batches(
             cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, trials,
-            master_seed, point, n_sc=n_sc), runner)
+            master_seed, point, n_sc=n_sc), (EXHAUSTIVE,) if n_sc == 1 else (COORDINATED,))
 
     base = results[1]
     base_mean, base_se = _mean_se(base)

@@ -6,24 +6,24 @@ beam; a trial ends at the first slot in which any cell's PDP peak clears
 the detection threshold. A scheme is therefore a schedule, the
 (trials, rounds, n_sc) array of the Rx beam each cell holds in each
 round, and one sweep walks it for a whole batch of trials, one
-``sample_peaks`` call per round over the trials still running, all drawn
-from the scheme's one generator. The exhaustive baseline's schedule
-walks each cell through an independent random Rx order. The coordinated
-scheme spends round one measuring every cell's peak per UE Tx beam,
-exchanges these reports (together the round-1 peak matrix) over the
-backhaul, estimates the UE position, and reorders every cell's remaining
-Rx sweep towards the estimate.
+``sample_peaks`` call per round over the trials still running. Both
+schemes open with the same round one: every cell holds the first beam of
+an independent random Rx order. The exhaustive baseline's schedule then
+walks each cell on along its order. The coordinated scheme spends round
+one measuring every cell's peak per UE Tx beam, exchanges these reports
+(together the round-1 peak matrix) over the backhaul, estimates the UE
+position, and reorders every cell's remaining Rx sweep towards the
+estimate.
 
-Under one seed both schemes draw the Rx orders and then walk the same
-round one, so ``run_paired_batch`` walks it once and forks the generator
-for the baseline's later rounds: the same bytes as each scheme's own
-runner, with one round-one sweep fewer.
+``run_batch`` is the one runner: it walks round one once, then restarts
+the generator from the state round one left for each scheme's later
+rounds, so a scheme's outcomes do not depend on which other schemes run
+beside it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,11 +59,7 @@ class IaOutcomes(NamedTuple):
 class TrialBatch:
     """T trials that share codebooks, link parameters and threshold, each
     with its own cluster (cells (T, n_sc, 2)), UE ((T, 2)) and blocking
-    ((T, n_sc) arrays). A single trial is a batch of one.
-
-    The link budget is computed on first use and kept, so the schemes of
-    a paired batch share one computation; it draws no random numbers.
-    """
+    ((T, n_sc) arrays). A single trial is a batch of one."""
 
     def __init__(self, cells: np.ndarray, ue: np.ndarray,
                  ue_codebook: BeamCodebook, sc_codebook: BeamCodebook,
@@ -82,16 +78,6 @@ class TrialBatch:
     @property
     def size(self) -> int:
         return len(self.ue)
-
-    @cached_property
-    def link_budget(self) -> tuple[np.ndarray, np.ndarray]:
-        """``link_budget_dbm`` of every trial: the (T, n_tx, n_sc) dBm map
-        before the Rx gain and the (T, n_rx, n_sc) Rx gains, read-only."""
-        budget = link_budget_dbm(self.cells, self.ue, self.blocking, self.ue_codebook,
-                                 self.sc_codebook, self.link_params.p_ue_dbm)
-        for part in budget:
-            part.flags.writeable = False
-        return budget
 
 
 def reorder_rx_beams(codebook: BeamCodebook, estimates,
@@ -123,26 +109,26 @@ def ia_time_reduction(t_new: float, t_con: float) -> float:
 
 
 def _rx_orders(batch: TrialBatch, rng) -> np.ndarray:
-    """(T, n_sc, n_rx) random Rx orders, one per cell of every trial; both
-    schemes draw them first, so their first rounds coincide under a
-    shared seed."""
+    """(T, n_sc, n_rx) random Rx orders, one per cell of every trial, the
+    generator's first draw."""
     n_rx = batch.sc_codebook.n_beams
     beams = np.broadcast_to(np.arange(n_rx), (*batch.cells.shape[:2], n_rx))
     return rng.permuted(beams, axis=-1)
 
 
-def _sweep(batch: TrialBatch, schedule: np.ndarray, start: int, hit: np.ndarray, rng):
+def _sweep(batch: TrialBatch, budget, noise_mw: float, schedule: np.ndarray,
+           start: int, hit: np.ndarray, rng):
     """Walk rounds ``start`` on of ``schedule`` (T, rounds, n_sc) for every
     trial whose ``hit`` is still -1, slot t carrying Tx beam t, with the
-    peaks drawn from ``rng``.
+    peaks drawn from ``rng`` on the ``link_budget_dbm`` ``budget`` of the
+    batch.
 
     Sets each such trial's ``hit`` (T,) to the index of its first peak to
     clear the threshold in its (rounds, n_tx, n_sc) hit map, row-major:
     the earliest round, then slot, then the lowest cell within it. Returns
     the peaks of the last round drawn, one (n_tx, n_sc) matrix per trial
     that drew it."""
-    base_dbm, rx_gain = batch.link_budget
-    noise_mw = dbm_to_mw(noise_power(batch.link_params))
+    base_dbm, rx_gain = budget
     n_sc = base_dbm.shape[-1]
     cells = np.arange(n_sc)
     per_round = base_dbm.shape[-2] * n_sc
@@ -183,33 +169,12 @@ def _outcomes(scheme: str, batch: TrialBatch, schedule: np.ndarray, hit: np.ndar
                       cell, pair, estimates)
 
 
-def _round_one(batch: TrialBatch, seed):
-    """The round both schemes open with: seed the generator, draw the Rx
-    orders, then sweep round 0 on each cell's first beam with the UE's
-    full Tx sweep.
-
-    Returns the generator, the read-only (T, n_sc, n_rx) orders, ``hit``
-    (T,) and the round's peaks, one (n_tx, n_sc) matrix per trial."""
-    rng = np.random.default_rng(seed)
-    orders = _rx_orders(batch, rng)
-    orders.flags.writeable = False
-    hit = np.full(batch.size, -1)
-    peaks = _sweep(batch, orders[:, :, :1].transpose(0, 2, 1), 0, hit, rng)
-    return rng, orders, hit, peaks
-
-
-def _exhaustive_rest(batch: TrialBatch, rng, orders: np.ndarray,
-                     hit: np.ndarray) -> IaOutcomes:
-    """Rounds 2 on of the baseline: every cell walks on along its order."""
-    schedule = orders.transpose(0, 2, 1)
-    _sweep(batch, schedule, 1, hit, rng)
-    return _outcomes(EXHAUSTIVE, batch, schedule, hit,
-                     np.full((batch.size, 2), np.nan))
-
-
-def _coordinated_rest(batch: TrialBatch, rng, orders: np.ndarray, hit: np.ndarray,
-                      peaks: np.ndarray) -> IaOutcomes:
-    """Backhaul exchange of the round-1 ``peaks``, estimate, reordered sweeps."""
+def _coordinated_schedule(batch: TrialBatch, orders: np.ndarray, hit: np.ndarray,
+                          peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backhaul exchange of the round-1 ``peaks``, estimate, reordered
+    sweeps: the (T, n_rx + 1, n_sc) schedule and the (T, 2) estimates."""
+    if batch.cells.shape[-2] < 3:
+        raise ValueError("coordinated IA needs a cluster of at least three cells")
     n_rx = batch.sc_codebook.n_beams
     estimates = np.full((batch.size, 2), np.nan)
     estimated = np.flatnonzero(hit < 0)  # the trials round one missed ...
@@ -229,41 +194,37 @@ def _coordinated_rest(batch: TrialBatch, rng, orders: np.ndarray, hit: np.ndarra
         reordered = reorder_rx_beams(batch.sc_codebook, estimates[estimated],
                                      batch.cells[estimated])
         schedule[estimated, 1 + delay:] = reordered[:, :max(0, n_rx - delay)]
-    _sweep(batch, schedule, 1, hit, rng)
-    return _outcomes(COORDINATED, batch, schedule, hit, estimates)
+    return schedule, estimates
 
 
-def _check_coordinated(batch: TrialBatch) -> None:
-    if batch.cells.shape[-2] < 3:
-        raise ValueError("coordinated IA needs a cluster of at least three cells")
+def run_batch(batch: TrialBatch, seed=None,
+              schemes=(EXHAUSTIVE, COORDINATED)) -> tuple[IaOutcomes, ...]:
+    """The outcomes of ``batch`` under each of ``schemes``, in that order.
 
-
-def run_exhaustive_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
-    """Uncoordinated baseline: every cell walks its own random Rx order."""
-    rng, orders, hit, _ = _round_one(batch, seed)
-    return _exhaustive_rest(batch, rng, orders, hit)
-
-
-def run_coordinated_batch(batch: TrialBatch, seed=None) -> IaOutcomes:
-    """Measurement round, backhaul exchange, estimate, reordered sweeps.
-
-    Round 1 uses random Rx beams and the full UE sweep; each trial's
-    (n_tx, n_sc) peaks are its cells' reports."""
-    _check_coordinated(batch)
-    return _coordinated_rest(batch, *_round_one(batch, seed))
-
-
-def run_paired_batch(batch: TrialBatch, seed=None) -> tuple[IaOutcomes, IaOutcomes]:
-    """(exhaustive, coordinated) outcomes of one batch under one seed, equal
-    field for field to ``run_exhaustive_batch`` and ``run_coordinated_batch``
-    run alone.
-
-    Round one is the same under both schemes, so it is walked once; the
-    generator and ``hit`` then fork, and each scheme continues on its own
-    copy."""
-    _check_coordinated(batch)
-    rng, orders, hit, peaks = _round_one(batch, seed)
-    fork = np.random.Generator(type(rng.bit_generator)())
-    fork.bit_generator.state = rng.bit_generator.state
-    return (_exhaustive_rest(batch, fork, orders, hit.copy()),
-            _coordinated_rest(batch, rng, orders, hit, peaks))
+    Seeds the generator, draws the Rx orders and walks round one, each
+    cell on the first beam of its order under the UE's full Tx sweep, once
+    for every scheme. Each scheme then sweeps its own schedule from round
+    two on a copy of round one's hits, with the generator restarted from
+    the state round one left: its outcomes are those it has run alone."""
+    rng = np.random.default_rng(seed)
+    orders = _rx_orders(batch, rng)
+    budget = link_budget_dbm(batch.cells, batch.ue, batch.blocking, batch.ue_codebook,
+                             batch.sc_codebook, batch.link_params.p_ue_dbm)
+    noise_mw = dbm_to_mw(noise_power(batch.link_params))
+    hit = np.full(batch.size, -1)
+    peaks = _sweep(batch, budget, noise_mw, orders[:, :, :1].transpose(0, 2, 1), 0,
+                   hit, rng)
+    state = rng.bit_generator.state
+    outcomes = []
+    for scheme in schemes:
+        if scheme == EXHAUSTIVE:
+            schedule, estimates = orders.transpose(0, 2, 1), np.full((batch.size, 2), np.nan)
+        elif scheme == COORDINATED:
+            schedule, estimates = _coordinated_schedule(batch, orders, hit, peaks)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        rng.bit_generator.state = state
+        scheme_hit = hit.copy()
+        _sweep(batch, budget, noise_mw, schedule, 1, scheme_hit, rng)
+        outcomes.append(_outcomes(scheme, batch, schedule, scheme_hit, estimates))
+    return tuple(outcomes)

@@ -536,8 +536,8 @@ def _check_schedule_arithmetic():
         ue=ues, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
         n_zc=839, gamma_ra=gamma, t_ra_s=timing.t_ra_s,
         backhaul_latency_s=timing.backhaul_latency_s)
-    out = protocol.run_exhaustive_batch(batch, seed=9)
-    again = protocol.run_exhaustive_batch(batch, seed=9)
+    (out,) = protocol.run_batch(batch, seed=9, schemes=(protocol.EXHAUSTIVE,))
+    (again,) = protocol.run_batch(batch, seed=9, schemes=(protocol.EXHAUSTIVE,))
     # NaN, the estimate of a trial that made none, equals NaN
     same = all(np.array_equal(a, b, equal_nan=name == "estimated_ue")
                for name, a, b in zip(out._fields[1:], out[1:], again[1:]))

@@ -23,7 +23,7 @@ from mmwia.experiments import (
     run_time_vs_cluster,
 )
 from mmwia.geometry import build_cluster, place_ue
-from mmwia.protocol import TrialBatch, run_coordinated_batch, run_exhaustive_batch
+from mmwia.protocol import TrialBatch, run_batch
 from mmwia.selftest import ZC_CASES, false_alarm_case, true_angles, zc_autocorrelation
 
 D = 200.0
@@ -193,8 +193,7 @@ def test_criterion_6e_paired_dominance():
         link_params=cfg.link_params(), n_zc=seq.n_zc, gamma_ra=gamma,
         t_ra_s=cfg.protocol.t_ra_s, backhaul_latency_s=cfg.protocol.backhaul_latency_s)
     trial_seed = np.random.SeedSequence((SEED, 61))
-    exh = run_exhaustive_batch(batch, trial_seed).slots_used
-    coord = run_coordinated_batch(batch, trial_seed).slots_used
+    exh, coord = (out.slots_used for out in run_batch(batch, trial_seed))
     _verdict(coord.mean() <= exh.mean(),
              "criterion 6e: paired-trial dominance at low power",
              f"coordinated {coord.mean():.2f} <= exhaustive {exh.mean():.2f} "

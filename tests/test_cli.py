@@ -11,7 +11,7 @@ from mmwia import cli, experiments, selftest
 from mmwia.cli import main
 from mmwia.config import load_config
 from mmwia.experiments import CHUNK, point_threshold, run_reduction_vs_power, trial_batches
-from mmwia.protocol import run_coordinated_batch, run_exhaustive_batch
+from mmwia.protocol import run_batch
 
 
 def _write(tmp_path, text):
@@ -308,7 +308,6 @@ def test_single_trial_is_trial_zero_of_point_zero(capsys, scheme):
     """Each scheme's block of single-trial is the outcome the campaigns' own
     chunk generator and threshold give trial 0 of grid point 0's chunk 0."""
     cfg = load_config(None)
-    runner = run_coordinated_batch if scheme == "coordinated" else run_exhaustive_batch
     estimated = 0
     for seed in range(6):
         capsys.readouterr()
@@ -318,7 +317,7 @@ def test_single_trial_is_trial_zero_of_point_zero(capsys, scheme):
         batch, protocol_seed = next(trial_batches(
             cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm,
             point_threshold(cfg, seed, 0), CHUNK, seed, 0))
-        out = runner(batch, protocol_seed)
+        (out,) = run_batch(batch, protocol_seed, (scheme,))
         _assert_block(report, out, batch.ue[0])
         estimated += not math.isnan(out.estimated_ue[0, 0])
     if scheme == "coordinated":
@@ -335,15 +334,14 @@ def test_single_trial_is_row_zero_of_a_paired_campaign(capsys, monkeypatch):
         first = {}
 
         def keep(runner):
-            def run(batch, protocol_seed):
-                outs = runner(batch, protocol_seed)
+            def run(batch, *args):
+                outs = runner(batch, *args)
                 for out in outs:
                     first.setdefault(out.scheme, (out, batch.ue[0]))
                 return outs
             return run
 
-        monkeypatch.setattr(experiments, "run_paired_batch",
-                            keep(experiments.run_paired_batch))
+        monkeypatch.setattr(experiments, "run_batch", keep(experiments.run_batch))
         run_reduction_vs_power(cfg, CHUNK + 3, seed)
         monkeypatch.undo()
         capsys.readouterr()

@@ -5,18 +5,20 @@ import pytest
 
 from mmwia import experiments, protocol
 from mmwia.channel import link_budget_dbm, sample_blocking
-from mmwia.config import SimConfig
+from mmwia.config import SimConfig, load_config
 from mmwia.experiments import (
     ResultTable,
     CHUNK,
     _paired_point,
     draw_trial,
+    point_threshold,
     run_p_los,
     run_reduction_vs_power,
     run_reduction_vs_pmiss,
     run_time_vs_cluster,
     trial_batches,
 )
+from mmwia.protocol import run_batch
 
 
 def _cfg(**exp_kwargs):
@@ -104,9 +106,47 @@ def test_time_cluster_normalization_identity():
 
 
 def test_time_cluster_requires_baseline():
-    cfg = _cfg(cluster_grid=(3, 5))
-    with pytest.raises(ValueError):
-        run_time_vs_cluster(cfg, 10, 5)
+    """A grid without the single-cell baseline, or with a size twice, is
+    refused by the campaign itself, not only by the config loader."""
+    for grid in ((3, 5), (1, 3, 3)):
+        with pytest.raises(ValueError, match="baseline"):
+            run_time_vs_cluster(_cfg(cluster_grid=grid), 10, 5)
+
+
+def test_reference_ue_power_fixes_the_miss_threshold(tmp_path, monkeypatch):
+    """``[detection] reference_p_ue_dbm`` moves the calibration link by its
+    offset from ``p_ue_dbm``; set to ``p_ue_dbm`` it changes no threshold
+    bit; and the power sweep holds its one threshold at every power."""
+    def load(reference):
+        text = "[detection]\ncalibration_trials = 2000\n"
+        if reference is not None:
+            text += f"reference_p_ue_dbm = {reference}\n"
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        return load_config(path)
+
+    unset, same, louder = load(None), load(-14.0), load(-4.0)
+    assert unset.channel.p_ue_dbm == -14.0 and louder.detection.reference_p_ue_dbm == -4.0
+    assert louder.reference_rx_dbm() == unset._replace(
+        channel=unset.channel._replace(p_ue_dbm=-4.0)).reference_rx_dbm()
+    shift = louder.reference_rx_dbm() - unset.reference_rx_dbm()
+    assert shift == pytest.approx(10.0, abs=1e-12)
+    assert point_threshold(same, 3, 0) == point_threshold(unset, 3, 0)
+    gamma = point_threshold(louder, 3, 0)
+    assert gamma != point_threshold(unset, 3, 0)
+
+    seen = []
+
+    def recording(batch, *args):
+        seen.append((batch.link_params.p_ue_dbm, batch.gamma_ra))
+        return run_batch(batch, *args)
+
+    monkeypatch.setattr(experiments, "run_batch", recording)
+    cfg = louder._replace(experiment=louder.experiment._replace(
+        power_grid_dbm=(-14.0, -4.0, 6.0), n_tx_values=(4,)))
+    run_reduction_vs_power(cfg, 8, 3)
+    assert [p for p, _ in seen] == [-14.0, -4.0, 6.0]
+    assert {g for _, g in seen} == {gamma}
 
 
 def test_stderr_shrinks_with_trials():
@@ -160,16 +200,15 @@ def test_paired_campaign_chunks_cover_every_trial(monkeypatch):
         return original(*args)
 
     def sized(runner):
-        def run(batch, seed):
-            outs = runner(batch, seed)
+        def run(*args):
+            outs = runner(*args)
             for name, out in zip(("exh", "coord"), outs):
                 sizes[name] += len(out.slots_used)
             return outs
         return run
 
     monkeypatch.setattr(experiments, "draw_trial", counting)
-    monkeypatch.setattr(experiments, "run_paired_batch",
-                        sized(experiments.run_paired_batch))
+    monkeypatch.setattr(experiments, "run_batch", sized(experiments.run_batch))
     trials = CHUNK + 1
     table = run_reduction_vs_power(cfg, trials, 11)
     assert counts == [CHUNK, 1]

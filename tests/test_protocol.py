@@ -14,13 +14,13 @@ from mmwia.estimation import CENTROID, estimate_points
 from mmwia.geometry import build_cluster, place_ue
 from mmwia.preamble import generate_zc
 from mmwia.protocol import (
+    COORDINATED,
+    EXHAUSTIVE,
     IaOutcomes,
     TrialBatch,
     backhaul_delay_rounds,
     reorder_rx_beams,
-    run_coordinated_batch,
-    run_exhaustive_batch,
-    run_paired_batch,
+    run_batch,
 )
 
 D = 200.0
@@ -54,6 +54,12 @@ def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
         t_ra_s=CFG.protocol.t_ra_s,
         backhaul_latency_s=latency,
     )
+
+
+def _run(scheme: str, batch: TrialBatch, seed) -> IaOutcomes:
+    """``scheme``'s outcomes of ``batch``, run alone."""
+    (out,) = run_batch(batch, seed, (scheme,))
+    return out
 
 
 def _assert_rows_equal(a: IaOutcomes, b: IaOutcomes, rows=slice(None)):
@@ -139,19 +145,19 @@ def test_a_broadcast_cluster_runs_as_its_copy():
     scheme, the outcomes of the same batch on a C-contiguous copy."""
     ues = place_ue(build_cluster(5, D, layout_seed=1), np.random.default_rng(4), count=40)
     view = _batch(n_sc=5, count=40, ue=ues, p_ue=-25.0,
-                  blocking=sample_blocking(5, 0.5, seed=2, excess_mean_db=10.0))
+                  blocking=sample_blocking(5, 0.5, 2, excess_mean_db=10.0))
     copy = _with(view, cells=np.ascontiguousarray(view.cells))
     assert view.cells.strides[0] == 0 and copy.cells.flags.c_contiguous
-    for runner in (run_exhaustive_batch, run_coordinated_batch):
-        out = runner(view, seed=6)
-        _assert_rows_equal(out, runner(copy, seed=6))
+    for scheme in (EXHAUSTIVE, COORDINATED):
+        out = _run(scheme, view, 6)
+        _assert_rows_equal(out, _run(scheme, copy, 6))
     estimated = ~np.isnan(out.estimated_ue[:, 0])
     assert estimated.any() and out.success.any() and not out.success.all()
 
 
 def test_exhaustive_worst_case_full_sweep():
     batch = _batch(gamma=1e12, noiseless=True)  # nothing can clear this
-    out = run_exhaustive_batch(batch, seed=0)
+    out = _run(EXHAUSTIVE, batch, 0)
     assert not out.success[0]
     assert out.slots_used[0] == 4 * 8
     assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * batch.t_ra_s)
@@ -160,29 +166,29 @@ def test_exhaustive_worst_case_full_sweep():
 
 def test_exhaustive_huge_power_detects_first_slot():
     batch = _batch(p_ue=80.0, gamma=1e-5)  # side lobes alone clear the budget
-    out = run_exhaustive_batch(batch, seed=0)
+    out = _run(EXHAUSTIVE, batch, 0)
     assert out.success[0] and out.slots_used[0] == 1 and out.rounds[0] == 1
 
 
 def test_single_cell_cluster_supported():
-    out = run_exhaustive_batch(_batch(n_sc=1, p_ue=80.0), seed=3)
+    out = _run(EXHAUSTIVE, _batch(n_sc=1, p_ue=80.0), 3)
     assert out.success[0] and out.detecting_cell[0] == 0
     with pytest.raises(ValueError):
-        run_coordinated_batch(_batch(n_sc=1), seed=3)
+        _run(COORDINATED, _batch(n_sc=1), 3)
 
 
 def test_outcome_deterministic_per_seed():
     batch = _batch(count=20)
-    for runner in (run_exhaustive_batch, run_coordinated_batch):
-        _assert_rows_equal(runner(batch, seed=123), runner(batch, seed=123))
+    for scheme in (EXHAUSTIVE, COORDINATED):
+        _assert_rows_equal(_run(scheme, batch, 123), _run(scheme, batch, 123))
 
 
 def test_round1_shared_between_schemes():
     """With one seed, a round-1 detection is identical for both schemes,
     trial by trial."""
     batch = _batch(p_ue=-8.0, count=40)
-    exh = run_exhaustive_batch(batch, seed=0)
-    coord = run_coordinated_batch(batch, seed=0)
+    exh = _run(EXHAUSTIVE, batch, 0)
+    coord = _run(COORDINATED, batch, 0)
     hits = (exh.rounds == 1) | (coord.rounds == 1)
     assert (exh.rounds[hits] == 1).all() and (coord.rounds[hits] == 1).all()
     for name in ("slots_used", "detecting_cell", "detecting_pair"):
@@ -193,21 +199,21 @@ def test_round1_shared_between_schemes():
 
 def test_coordinated_hard_slot_bound():
     batch = _batch(p_ue=-40.0, count=30)  # mostly undetectable -> worst case paths
-    assert run_coordinated_batch(batch, seed=0).slots_used.max() <= 4 * 8 + 4
-    assert run_exhaustive_batch(batch, seed=0).slots_used.max() <= 4 * 8
+    assert _run(COORDINATED, batch, 0).slots_used.max() <= 4 * 8 + 4
+    assert _run(EXHAUSTIVE, batch, 0).slots_used.max() <= 4 * 8
 
 
 def test_coordinated_detects_by_round_two_when_estimate_good():
     """LOS centroid placement at moderate power: round 2 wraps it up."""
-    gamma = CFG.threshold(-110.67, SEQ, seed=1)
+    gamma = CFG.threshold(-110.67, SEQ, 1)
     batch = _batch(ue=build_cluster(3, D, layout_seed=1).mean(axis=0), p_ue=-14.0, gamma=gamma, count=25)
-    out = run_coordinated_batch(batch, seed=0)
+    out = _run(COORDINATED, batch, 0)
     assert np.count_nonzero(out.success & (out.rounds <= 2)) >= 20
 
 
 def test_estimation_failure_falls_back_and_completes():
     # a single UE Tx beam makes every index pair equal -> angles unresolvable
-    out = run_coordinated_batch(_batch(n_tx=1, p_ue=-14.0, gamma=1e-8), seed=5)
+    out = _run(COORDINATED, _batch(n_tx=1, p_ue=-14.0, gamma=1e-8), 5)
     assert out.slots_used[0] <= 1 * (8 + 1)
     assert np.isnan(out.estimated_ue[0]).all()
 
@@ -225,7 +231,7 @@ def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
 
     monkeypatch.setattr(protocol, "estimate_points", recording)
     batch = _batch(n_sc=n_sc, gamma=1e12, count=50)  # no detection: every trial estimates
-    out = run_coordinated_batch(batch, seed=0)
+    out = _run(COORDINATED, batch, 0)
     ((peaks_shape, cells_shape, points, status),) = calls
     assert peaks_shape == (50, 4, n_sc) and cells_shape == (50, n_sc, 2)
     assert (status <= CENTROID).any()
@@ -233,20 +239,20 @@ def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
 
 
 def test_blocked_links_degrade_but_stay_bounded():
-    batch = _batch(blocking=sample_blocking(3, 1.0, seed=2, excess_mean_db=10.0))
-    assert run_coordinated_batch(batch, seed=7).slots_used[0] <= 4 * 8 + 4
+    batch = _batch(blocking=sample_blocking(3, 1.0, 2, excess_mean_db=10.0))
+    assert _run(COORDINATED, batch, 7).slots_used[0] <= 4 * 8 + 4
 
 
 def test_blocking_needs_one_state_per_cell():
     with pytest.raises(ValueError, match="per cell"):
-        _batch(blocking=sample_blocking(4, 0.5, seed=2, excess_mean_db=10.0))
+        _batch(blocking=sample_blocking(4, 0.5, 2, excess_mean_db=10.0))
 
 
 def test_backhaul_latency_defers_reordering():
     slow = _batch(latency=1.0)  # far beyond one round: reordering never lands
     fast = _batch(latency=0.0)
-    slow_slots = run_coordinated_batch(slow, seed=11).slots_used[0]
-    fast_slots = run_coordinated_batch(fast, seed=11).slots_used[0]
+    slow_slots = _run(COORDINATED, slow, 11).slots_used[0]
+    fast_slots = _run(COORDINATED, fast, 11).slots_used[0]
     assert slow_slots <= 4 * 8 + 4
     assert fast_slots <= slow_slots + 4 * 8  # sanity only
 
@@ -274,11 +280,10 @@ def test_detect_strict_inequality():
     slot, cell = np.unravel_index(np.argmax(peaks), peaks.shape)
     assert np.sum(peaks == peaks.max()) == 1
 
-    at_peak = run_exhaustive_batch(
-        _with(batch, gamma_ra=float(peaks.max())), seed=0)
+    at_peak = _run(EXHAUSTIVE, _with(batch, gamma_ra=float(peaks.max())), 0)
     assert not at_peak.success[0] and at_peak.slots_used[0] == 4
-    below = run_exhaustive_batch(
-        _with(batch, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), seed=0)
+    below = _run(EXHAUSTIVE,
+                 _with(batch, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), 0)
     assert below.success[0] and below.slots_used[0] == slot + 1
     assert below.detecting_cell[0] == cell and below.detecting_pair[0].tolist() == [slot, 0]
 
@@ -295,8 +300,8 @@ def test_sweep_takes_earliest_slot_then_lowest_cell(ue, gamma, slot0):
     batch = _batch(p_ue=-20.0, n_rx=1, noiseless=True, ue=ue, gamma=gamma)
     hits = _noiseless_peaks(batch) > gamma
     assert hits[0].tolist() == slot0 and hits[1:, 0].any()
-    for runner in (run_exhaustive_batch, run_coordinated_batch):
-        out = runner(batch, seed=0)
+    for scheme in (EXHAUSTIVE, COORDINATED):
+        out = _run(scheme, batch, 0)
         assert out.success[0] and out.rounds[0] == 1
         assert (out.slots_used[0], out.detecting_cell[0]) == (1, 1)
 
@@ -321,22 +326,23 @@ def test_batch_equals_each_trial_run_alone(monkeypatch):
         drawn.append(draw(batch, rng))
         return drawn[-1]
 
-    for runner in (run_exhaustive_batch, run_coordinated_batch):
+    for scheme in (EXHAUSTIVE, COORDINATED):
         monkeypatch.setattr(protocol, "_rx_orders", recording)
         drawn.clear()
-        whole = runner(chunk, seed=4)
+        whole = _run(scheme, chunk, 4)
         (orders,) = drawn
         assert set(whole.rounds[whole.success]) > {1} and not whole.success.all()
         for t in range(24):
             monkeypatch.setattr(protocol, "_rx_orders", lambda b, rng: orders[t:t + 1])
-            _assert_rows_equal(whole, runner(_alone(chunk, t), seed=4), slice(t, t + 1))
+            _assert_rows_equal(whole, _run(scheme, _alone(chunk, t), 4), slice(t, t + 1))
 
 
-def test_paired_batch_equals_each_scheme_run_alone():
-    """Both outcomes of ``run_paired_batch`` equal, field for field, the
-    runner of that scheme run alone under the same seed. The noisy chunk
-    holds round-1 hits, later-round hits and censored trials under both
-    schemes, blocked links, and reorderings that land two rounds late."""
+def test_each_scheme_runs_alike_alone_paired_or_reversed():
+    """Each scheme's outcomes are equal, field for field, whether it runs
+    alone, paired, or paired in reverse order under the same seed. The
+    noisy chunk holds round-1 hits, later-round hits and censored trials
+    under both schemes, blocked links, and reorderings that land two
+    rounds late."""
     count, n_sc = 64, 5
     rng = np.random.default_rng(12)
     ues = place_ue(build_cluster(n_sc, D, layout_seed=1), rng, count=count)
@@ -350,17 +356,26 @@ def test_paired_batch_equals_each_scheme_run_alone():
     assert backhaul_delay_rounds(chunk.backhaul_latency_s, round_s) == 2
     assert blocking.blocked.any()
 
-    exh, coord = run_paired_batch(chunk, seed=9)
-    _assert_rows_equal(exh, run_exhaustive_batch(chunk, seed=9))
-    _assert_rows_equal(coord, run_coordinated_batch(chunk, seed=9))
-    for out in (exh, coord):
+    alone = {scheme: _run(scheme, chunk, 9) for scheme in (EXHAUSTIVE, COORDINATED)}
+    for schemes in ((EXHAUSTIVE, COORDINATED), (COORDINATED, EXHAUSTIVE)):
+        outs = run_batch(chunk, 9, schemes)
+        assert tuple(out.scheme for out in outs) == schemes
+        for out in outs:
+            _assert_rows_equal(out, alone[out.scheme])
+    for out in alone.values():
         assert {1} < set(out.rounds[out.success]) and not out.success.all()
+    coord = alone[COORDINATED]
     assert (coord.rounds[coord.success & ~np.isnan(coord.estimated_ue[:, 0])] > 3).any()
+
+
+def test_an_unknown_scheme_is_refused():
+    with pytest.raises(ValueError, match="scheme"):
+        run_batch(_batch(), 0, (EXHAUSTIVE, "random"))
 
 
 def test_outcome_invariants():
     batch = _batch(p_ue=80.0)
-    out = run_exhaustive_batch(batch, seed=1)
+    out = _run(EXHAUSTIVE, batch, 1)
     assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * batch.t_ra_s)
     assert out.success[0]
     assert out.detecting_cell[0] >= 0 and (out.detecting_pair[0] >= 0).all()
