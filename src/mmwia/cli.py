@@ -135,8 +135,7 @@ def _single_trial(cfg: SimConfig, seed: int) -> str:
     first, drawn and seeded as the paired campaigns draw it: the first
     trial of chunk 0, drawn whole."""
     gamma = point_threshold(cfg, seed, 0)
-    batch, protocol_seed = next(trial_batches(
-        cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, CHUNK, seed, 0))
+    batch, protocol_seed = next(trial_batches(cfg, gamma, CHUNK, seed, 0))
     ue = batch.ue[0]
     lines = []
     for out in run_batch(batch, protocol_seed):

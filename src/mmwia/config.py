@@ -89,24 +89,26 @@ class SimConfig(NamedTuple):
     experiment: ExperimentConfig = ExperimentConfig()
     output: OutputConfig = OutputConfig()
 
+    def replace(self, **sections: dict) -> SimConfig:
+        """This config with each ``section``'s given fields replaced, e.g.
+        ``cfg.replace(geometry={"n_sc": 5})``; validates nothing. An unknown
+        section raises AttributeError, an unknown key ValueError."""
+        return self._replace(**{name: getattr(self, name)._replace(**fields)
+                                for name, fields in sections.items()})
+
     # -- derived helpers -------------------------------------------------
 
-    def link_params(self, p_ue_dbm: float | None = None) -> LinkBudgetParams:
+    def link_params(self) -> LinkBudgetParams:
         ch = self.channel
-        return LinkBudgetParams(
-            p_ue_dbm=ch.p_ue_dbm if p_ue_dbm is None else p_ue_dbm,
-            noise_density_dbm_hz=ch.noise_density_dbm_hz,
-            bandwidth_hz=ch.bandwidth_hz,
-        )
+        return LinkBudgetParams(ch.p_ue_dbm, ch.noise_density_dbm_hz, ch.bandwidth_hz)
 
     def sequence(self) -> ZcSequence:
         # only the length reaches a result (the peak statistics), so the
         # root is fixed
         return generate_zc(1, self.preamble.n_zc)
 
-    def ue_codebook(self, n_tx: int | None = None) -> BeamCodebook:
-        n = self.antenna.n_tx if n_tx is None else n_tx
-        return make_codebook(n, _radians(self.antenna.ue_phi_3db_deg))
+    def ue_codebook(self) -> BeamCodebook:
+        return make_codebook(self.antenna.n_tx, _radians(self.antenna.ue_phi_3db_deg))
 
     def sc_codebook(self) -> BeamCodebook:
         return make_codebook(self.antenna.n_rx, _radians(self.antenna.sc_phi_3db_deg))
@@ -287,6 +289,4 @@ def load_config(path: str | Path | None = None) -> SimConfig:
             updates.setdefault(section, {})[key] = _parse_value(
                 section, key, raw, known[key])
 
-    for section, kv in updates.items():
-        cfg = cfg._replace(**{section: getattr(cfg, section)._replace(**kv)})
-    return _validate(cfg)
+    return _validate(cfg.replace(**updates))

@@ -1,18 +1,20 @@
 """Seeded Monte Carlo campaigns over the IA protocol and channel models.
 
-The chunk is the unit of trials. Every campaign runs its trials in
-chunks of ``CHUNK`` trials (the last chunk holds what is left). Every
-random draw descends from (master seed, grid point index, chunk index,
-stream), so any point of any experiment reruns bit-identically on its
-own; the chunk size is part of the stream. ``draw_trial`` is every
-campaign's draw of clusters, UEs and blocking, one call per chunk. A
-chunk of protocol trials is drawn from its stream 0 and is one
-``TrialBatch``, which ``protocol.run_batch`` runs with one link budget,
-one round one and one estimator call, seeded from the chunk's stream 2;
-each scheme's later rounds start from the generator state round one
-left, so a scheme's IA times are the same whether it runs alone or
-paired. A P_LOS chunk is drawn from its stream 3 and scored with one
-best-beam-pair power and one ranking call.
+A grid point is the campaign's ``SimConfig`` with the point's axis
+fields replaced (``SimConfig.replace``); every function below it reads
+every setting from that one config. The chunk is the unit of trials.
+Every campaign runs its trials in chunks of ``CHUNK`` trials (the last
+chunk holds what is left). Every random draw descends from (master seed,
+grid point index, chunk index, stream), so any point of any experiment
+reruns bit-identically on its own; the chunk size is part of the stream.
+``draw_trial`` is every campaign's draw of clusters, UEs and blocking,
+one call per chunk. A chunk of protocol trials is drawn from its stream
+0 and is one ``TrialBatch``, which ``protocol.run_batch`` runs with one
+link budget, one round one and one estimator call, seeded from the
+chunk's stream 2; each scheme's later rounds start from the generator
+state round one left, so a scheme's IA times are the same whether it
+runs alone or paired. A P_LOS chunk is drawn from its stream 3 and
+scored with one best-beam-pair power and one ranking call.
 """
 
 from __future__ import annotations
@@ -83,10 +85,11 @@ def _chunks(trials: int, size: int):
             for c, start in enumerate(range(0, trials, size))]
 
 
-def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
-    """(clusters, UEs, blocking) of ``count`` trials from one generator
-    seeded by ``seed``: read-only cells (count, n_sc, 2), UEs (count, 2)
-    and a ``Blocking`` of (count, n_sc) arrays, or None at ``p_blk`` 0.
+def draw_trial(cfg: SimConfig, seed, count: int):
+    """(clusters, UEs, blocking) of ``count`` trials of ``cfg`` from one
+    generator seeded by ``seed``: read-only cells (count, n_sc, 2), UEs
+    (count, 2) and a ``Blocking`` of (count, n_sc) arrays, or None at
+    ``[channel] p_blk`` 0.
 
     The draw goes field by field across the trials: the extra cells'
     radii, then their angles, the UEs, then the blocked flags, reflector
@@ -97,6 +100,7 @@ def draw_trial(cfg: SimConfig, n_sc: int, p_blk: float, seed, count: int):
     reflector and excess draws are read on blocked links only; as they
     come last, the draw skips all three and moves no other.
     """
+    n_sc, p_blk = cfg.geometry.n_sc, cfg.channel.p_blk
     rng = np.random.default_rng(seed)
     cells = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng, count)
     ue = place_ue(cells, rng, count)
@@ -144,10 +148,11 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     grid = [(n, p) for n in cfg.experiment.p_los_cluster_sizes
             for p in cfg.experiment.p_los_p_blk]
     for point, (n_sc, p_blk) in enumerate(grid):
+        point_cfg = cfg.replace(geometry={"n_sc": n_sc}, channel={"p_blk": p_blk})
         wins = 0
         for chunk, count in _chunks(trials, CHUNK):
             cells, ue, blocking = draw_trial(
-                cfg, n_sc, p_blk, _seed(master_seed, point, chunk, 3), count)
+                point_cfg, _seed(master_seed, point, chunk, 3), count)
             if blocking is None:  # every link LOS
                 wins += count
                 continue
@@ -166,23 +171,19 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
 # Paired protocol trials (Figs. 9-11)
 # ---------------------------------------------------------------------------
 
-def trial_batches(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
-                  trials: int, master_seed: int, point: int,
-                  n_sc: int | None = None):
-    """(batch, protocol seed) of every chunk of trials at one grid point:
-    the chunk's ``draw_trial`` at ``[channel] p_blk`` from its stream 0,
-    and the seed of its stream 2.
+def trial_batches(cfg: SimConfig, gamma: float, trials: int,
+                  master_seed: int, point: int):
+    """(batch, protocol seed) of every chunk of trials at grid point
+    ``point``, whose config is ``cfg``: the chunk's ``draw_trial`` from its
+    stream 0, and the seed of its stream 2.
 
     ``run_batch`` seeds one generator from the protocol seed for every
     scheme it runs, and a scheme's IA times do not depend on which other
     schemes run beside it.
     """
-    ue_cb, sc_cb = cfg.ue_codebook(n_tx), cfg.sc_codebook()
-    params = cfg.link_params(p_ue_dbm)
-    n_cells = cfg.geometry.n_sc if n_sc is None else n_sc
+    ue_cb, sc_cb, params = cfg.ue_codebook(), cfg.sc_codebook(), cfg.link_params()
     for chunk, count in _chunks(trials, CHUNK):
-        cells, ue, blocking = draw_trial(cfg, n_cells, cfg.channel.p_blk,
-                                         _seed(master_seed, point, chunk, 0), count)
+        cells, ue, blocking = draw_trial(cfg, _seed(master_seed, point, chunk, 0), count)
         batch = TrialBatch(
             cells, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
             blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
@@ -197,30 +198,28 @@ def _ia_times(batches, schemes) -> list[np.ndarray]:
     return [np.concatenate([out.ia_time_s for out in scheme]) for scheme in zip(*runs)]
 
 
-def _paired_point(cfg: SimConfig, n_tx: int, p_ue_dbm: float, gamma: float,
-                  trials: int, master_seed: int, point: int):
+def _paired_point(cfg: SimConfig, gamma: float, trials: int, master_seed: int,
+                  point: int):
     """(p_er_pct, stderr_pct, coordinated mean, exhaustive mean) IA times
     over paired trials, both schemes of a chunk from one ``run_batch``."""
-    exh, coord = _ia_times(trial_batches(cfg, n_tx, p_ue_dbm, gamma, trials,
-                                         master_seed, point), (EXHAUSTIVE, COORDINATED))
+    exh, coord = _ia_times(trial_batches(cfg, gamma, trials, master_seed, point),
+                           (EXHAUSTIVE, COORDINATED))
     mc, me = float(np.mean(coord)), float(np.mean(exh))
     return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
 
 
-def point_threshold(cfg: SimConfig, master_seed: int, point: int,
-                    target: float | None = None) -> float:
-    """gamma_ra calibrated on grid point ``point``'s own seed."""
-    seq = cfg.sequence()
-    noise_dbm = noise_power(cfg.link_params())
-    return cfg.threshold(noise_dbm, seq,
-                         seed=np.random.SeedSequence((master_seed, point, 0xCA1)),
-                         target=target)
+def point_threshold(cfg: SimConfig, master_seed: int, point: int) -> float:
+    """gamma_ra of ``cfg`` calibrated on grid point ``point``'s own seed."""
+    return cfg.threshold(noise_power(cfg.link_params()), cfg.sequence(),
+                         seed=np.random.SeedSequence((master_seed, point, 0xCA1)))
 
 
-def _reduction(name: str, x_col: str, xs, point_setting, cfg: SimConfig,
-               trials: int, master_seed: int) -> ResultTable:
-    """Paired reduction over ``xs`` × ``n_tx_values``; ``point_setting(point,
-    x)`` gives the grid point's (UE power, threshold)."""
+def _reduction(name: str, x_col: str, axis: tuple[str, str], xs, cfg: SimConfig,
+               trials: int, master_seed: int, gamma: float | None = None) -> ResultTable:
+    """Paired reduction over ``xs`` × ``n_tx_values``: a grid point is
+    ``cfg`` with ``axis``, its (section, key), at x and ``[antenna] n_tx``
+    replaced. ``gamma`` None calibrates each point's own threshold."""
+    section, key = axis
     table = ResultTable(
         name,
         (x_col, "n_tx", "p_er_pct", "stderr_pct",
@@ -228,9 +227,10 @@ def _reduction(name: str, x_col: str, xs, point_setting, cfg: SimConfig,
         config_hash=cfg.config_hash(), master_seed=master_seed)
     grid = [(x, n) for n in cfg.experiment.n_tx_values for x in xs]
     for point, (x, n_tx) in enumerate(grid):
-        p_ue, gamma = point_setting(point, x)
-        table.add(x, n_tx, *_paired_point(cfg, n_tx, p_ue, gamma, trials,
-                                          master_seed, point), trials)
+        point_cfg = cfg.replace(antenna={"n_tx": n_tx}, **{section: {key: x}})
+        g = point_threshold(point_cfg, master_seed, point) if gamma is None else gamma
+        table.add(x, n_tx, *_paired_point(point_cfg, g, trials, master_seed, point),
+                  trials)
     return table
 
 
@@ -241,22 +241,18 @@ def run_reduction_vs_power(cfg: SimConfig, trials: int,
     The detection threshold is calibrated once from the base config (a
     receiver property) and held fixed while the transmit power sweeps.
     """
-    gamma = point_threshold(cfg, master_seed, 0)
-    return _reduction("reduction_power", "p_ue_dbm", cfg.experiment.power_grid_dbm,
-                      lambda point, p_ue: (p_ue, gamma), cfg, trials, master_seed)
+    return _reduction("reduction_power", "p_ue_dbm", ("channel", "p_ue_dbm"),
+                      cfg.experiment.power_grid_dbm, cfg, trials, master_seed,
+                      gamma=point_threshold(cfg, master_seed, 0))
 
 
 def run_reduction_vs_pmiss(cfg: SimConfig, trials: int,
                            master_seed: int) -> ResultTable:
     """Mean IA-time reduction across miss-detection targets (miss-mode γ),
     calibrated per grid point."""
-    if cfg.detection.mode != "miss":
-        cfg = cfg._replace(detection=cfg.detection._replace(mode="miss"))
-    return _reduction(
-        "reduction_pmiss", "p_miss", cfg.experiment.pmiss_grid,
-        lambda point, p_miss: (cfg.channel.p_ue_dbm, point_threshold(
-            cfg, master_seed, point, target=p_miss)),
-        cfg, trials, master_seed)
+    cfg = cfg.replace(detection={"mode": "miss"})
+    return _reduction("reduction_pmiss", "p_miss", ("detection", "target"),
+                      cfg.experiment.pmiss_grid, cfg, trials, master_seed)
 
 
 def run_time_vs_cluster(cfg: SimConfig, trials: int,
@@ -280,8 +276,8 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
     results = {}
     for point, n_sc in enumerate(sizes):
         (results[n_sc],) = _ia_times(trial_batches(
-            cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm, gamma, trials,
-            master_seed, point, n_sc=n_sc), (EXHAUSTIVE,) if n_sc == 1 else (COORDINATED,))
+            cfg.replace(geometry={"n_sc": n_sc}), gamma, trials, master_seed, point),
+            (EXHAUSTIVE,) if n_sc == 1 else (COORDINATED,))
 
     base = results[1]
     base_mean, base_se = _mean_se(base)

@@ -97,8 +97,10 @@ def reorder_rx_beams(codebook: BeamCodebook, estimates,
 
 
 def backhaul_delay_rounds(latency_s: float, round_duration_s: float) -> int:
-    """Whole rounds that elapse before reports sent over the backhaul are readable."""
-    return max(0, math.ceil(latency_s / round_duration_s))
+    """Whole rounds that elapse before reports sent over the backhaul are
+    readable. A latency of k rounds whose quotient lands a rounding error
+    above k is k rounds."""
+    return max(0, math.ceil(latency_s / round_duration_s - 1e-9))
 
 
 def ia_time_reduction(t_new: float, t_con: float) -> float:

@@ -36,7 +36,7 @@ def _verdict(ok: bool, label: str, detail: str):
 
 
 def _exp(cfg, **kw):
-    return cfg._replace(experiment=cfg.experiment._replace(**kw))
+    return cfg.replace(experiment=kw)
 
 
 def test_criterion_1_p_los_small_blocking():

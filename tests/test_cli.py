@@ -315,8 +315,7 @@ def test_single_trial_is_trial_zero_of_point_zero(capsys, scheme):
         blocks = _single_trial_blocks(capsys.readouterr().out)
         (report,) = [b for b in blocks if b["scheme"] == scheme]
         batch, protocol_seed = next(trial_batches(
-            cfg, cfg.antenna.n_tx, cfg.channel.p_ue_dbm,
-            point_threshold(cfg, seed, 0), CHUNK, seed, 0))
+            cfg, point_threshold(cfg, seed, 0), CHUNK, seed, 0))
         (out,) = run_batch(batch, protocol_seed, (scheme,))
         _assert_block(report, out, batch.ue[0])
         estimated += not math.isnan(out.estimated_ue[0, 0])
@@ -328,8 +327,8 @@ def test_single_trial_is_row_zero_of_a_paired_campaign(capsys, monkeypatch):
     """single-trial prints, per scheme, trial 0 of the first chunk that a
     paired campaign at the default power and codebook runs."""
     cfg = load_config(None)
-    cfg = cfg._replace(experiment=cfg.experiment._replace(
-        power_grid_dbm=(cfg.channel.p_ue_dbm,), n_tx_values=(cfg.antenna.n_tx,)))
+    cfg = cfg.replace(experiment={"power_grid_dbm": (cfg.channel.p_ue_dbm,),
+                                  "n_tx_values": (cfg.antenna.n_tx,)})
     for seed in (2, 9):
         first = {}
 

@@ -158,7 +158,7 @@ def test_small_codebook_with_beamwidth_accepted(tmp_path):
                  "ue_phi_3db_deg = 90\n[experiment]\nn_tx_values = 2, 4\n")
     cfg = load_config(p)
     assert cfg.sc_codebook().n_beams == 2
-    assert cfg.ue_codebook(2).n_beams == 2
+    assert cfg.replace(antenna={"n_tx": 2}).ue_codebook().n_beams == 2
 
 
 @pytest.mark.parametrize("key", ["ue_phi_3db_deg", "sc_phi_3db_deg"])
@@ -216,7 +216,7 @@ def test_reference_budget_uses_fixed_gains():
     cfg = SimConfig()
     ref = cfg.reference_rx_dbm()
     # moving the UE codebook size must not move the reference budget
-    cfg4 = cfg._replace(antenna=cfg.antenna._replace(n_tx=4))
+    cfg4 = cfg.replace(antenna={"n_tx": 4})
     assert cfg4.reference_rx_dbm() == ref
 
 
@@ -224,12 +224,35 @@ def test_threshold_follows_detection_mode():
     """fa mode is the closed form; miss mode calibrates on the reference link."""
     cfg = SimConfig()
     seq = cfg.sequence()
-    fa = cfg._replace(detection=cfg.detection._replace(mode="fa", target=0.05))
+    fa = cfg.replace(detection={"mode": "fa", "target": 0.05})
     assert fa.threshold(-110.67, seq) == false_alarm_threshold(0.05, -110.67, 839)
     assert fa.threshold(-110.67, seq, target=0.2) == false_alarm_threshold(
         0.2, -110.67, 839)
     assert cfg.threshold(-110.67, seq, seed=4) == miss_threshold(
         0.01, cfg.reference_rx_dbm(), -110.67, seq, trials=10_000, seed=4)
+
+
+def test_config_hash_is_pinned():
+    """Every CSV and SVG stamp carries this hash of the defaults; it covers
+    the config's repr, so a schema change moves it and fails here."""
+    assert SimConfig().config_hash() == "cb9e1504e2ae"
+    assert load_config(EXAMPLE).config_hash() == "cb9e1504e2ae"
+
+
+def test_replace_sets_fields_and_rejects_unknown_names():
+    """``replace`` swaps the named fields of each section and leaves every
+    other field and the original config as they were; it validates nothing."""
+    cfg = SimConfig()
+    point = cfg.replace(geometry={"n_sc": 1}, channel={"p_blk": 0.25})
+    assert point.geometry == cfg.geometry._replace(n_sc=1)
+    assert point.channel == cfg.channel._replace(p_blk=0.25)
+    assert point.antenna == cfg.antenna and point[3:] == cfg[3:]
+    assert cfg == SimConfig()
+    assert cfg.replace() == cfg
+    with pytest.raises(AttributeError):
+        cfg.replace(geometri={"n_sc": 5})
+    with pytest.raises(ValueError, match="n_cells"):
+        cfg.replace(geometry={"n_cells": 5})
 
 
 def test_config_hash_stable_and_sensitive(tmp_path):

@@ -22,8 +22,7 @@ from mmwia.protocol import run_batch
 
 
 def _cfg(**exp_kwargs):
-    cfg = SimConfig()
-    return cfg._replace(experiment=cfg.experiment._replace(**exp_kwargs))
+    return SimConfig().replace(experiment=exp_kwargs)
 
 
 def test_result_table_csv_shape():
@@ -52,9 +51,10 @@ def test_a_draw_without_blocking_skips_only_the_blocking_fields():
     at p_blk 0.3, whose blocking fields come last; the link budget without
     blocking equals, bit for bit, the one with the all-LOS state that
     ``sample_blocking`` draws at p_blk 0; and P_LOS at p_blk 0 reads 1."""
-    cfg = SimConfig()
-    cells, ue, blocking = draw_trial(cfg, 5, 0.0, np.random.SeedSequence((3, 1, 0, 0)), 40)
-    cells_b, ue_b, blocked = draw_trial(cfg, 5, 0.3, np.random.SeedSequence((3, 1, 0, 0)), 40)
+    cfg = SimConfig().replace(geometry={"n_sc": 5})
+    cells, ue, blocking = draw_trial(cfg, np.random.SeedSequence((3, 1, 0, 0)), 40)
+    cells_b, ue_b, blocked = draw_trial(cfg.replace(channel={"p_blk": 0.3}),
+                                        np.random.SeedSequence((3, 1, 0, 0)), 40)
     assert blocking is None and blocked.blocked.any()
     assert cells.tobytes() == cells_b.tobytes() and ue.tobytes() == ue_b.tobytes()
     los = sample_blocking(5, 0.0, 8, excess_mean_db=26.0, count=40)
@@ -127,8 +127,8 @@ def test_reference_ue_power_fixes_the_miss_threshold(tmp_path, monkeypatch):
 
     unset, same, louder = load(None), load(-14.0), load(-4.0)
     assert unset.channel.p_ue_dbm == -14.0 and louder.detection.reference_p_ue_dbm == -4.0
-    assert louder.reference_rx_dbm() == unset._replace(
-        channel=unset.channel._replace(p_ue_dbm=-4.0)).reference_rx_dbm()
+    assert louder.reference_rx_dbm() == unset.replace(
+        channel={"p_ue_dbm": -4.0}).reference_rx_dbm()
     shift = louder.reference_rx_dbm() - unset.reference_rx_dbm()
     assert shift == pytest.approx(10.0, abs=1e-12)
     assert point_threshold(same, 3, 0) == point_threshold(unset, 3, 0)
@@ -142,8 +142,8 @@ def test_reference_ue_power_fixes_the_miss_threshold(tmp_path, monkeypatch):
         return run_batch(batch, *args)
 
     monkeypatch.setattr(experiments, "run_batch", recording)
-    cfg = louder._replace(experiment=louder.experiment._replace(
-        power_grid_dbm=(-14.0, -4.0, 6.0), n_tx_values=(4,)))
+    cfg = louder.replace(experiment={"power_grid_dbm": (-14.0, -4.0, 6.0),
+                                     "n_tx_values": (4,)})
     run_reduction_vs_power(cfg, 8, 3)
     assert [p for p, _ in seen] == [-14.0, -4.0, 6.0]
     assert {g for _, g in seen} == {gamma}
@@ -165,22 +165,21 @@ def test_paired_point_computes_each_link_budget_once(monkeypatch):
 
     monkeypatch.setattr(protocol, "link_budget_dbm", counting)
     # one per chunk, both schemes
-    _paired_point(SimConfig(), 4, -14.0, 1e-5, CHUNK + 12, 3, 0)
+    _paired_point(SimConfig().replace(antenna={"n_tx": 4}), 1e-5, CHUNK + 12, 3, 0)
     assert calls == [(CHUNK, 2), (12, 2)]
 
 
 def test_one_trial_draw_is_what_the_protocol_gets():
     """Each chunk of protocol trials is one batch: the draw from its
     stream 0, with the seed of its stream 2."""
-    cfg = SimConfig()
-    cfg = cfg._replace(geometry=cfg.geometry._replace(n_sc=5),
-                       channel=cfg.channel._replace(p_blk=0.4))
-    batches = list(trial_batches(cfg, 4, -14.0, 1e-5, CHUNK + 6, 7, 2))
+    cfg = SimConfig().replace(geometry={"n_sc": 5}, channel={"p_blk": 0.4},
+                              antenna={"n_tx": 4})
+    batches = list(trial_batches(cfg, 1e-5, CHUNK + 6, 7, 2))
     assert [batch.size for batch, _ in batches] == [CHUNK, 6]
     for chunk, (batch, seed) in enumerate(batches):
         assert seed.entropy == (7, 2, chunk, 2)
         cells, ue, blocking = draw_trial(
-            cfg, 5, 0.4, np.random.SeedSequence((7, 2, chunk, 0)), batch.size)
+            cfg, np.random.SeedSequence((7, 2, chunk, 0)), batch.size)
         np.testing.assert_array_equal(cells, batch.cells)
         np.testing.assert_array_equal(ue, batch.ue)
         assert blocking.blocked.any()
@@ -221,6 +220,67 @@ def test_paired_campaign_chunks_cover_every_trial(monkeypatch):
     assert table.to_csv() == run_reduction_vs_power(cfg, trials, 11).to_csv()
 
 
+def _spy(monkeypatch, name, record):
+    """Replace ``experiments.<name>`` by a wrapper that appends
+    ``record(*args)`` of each call before calling through."""
+    original, seen = getattr(experiments, name), []
+
+    def spy(*args):
+        seen.append(record(*args))
+        return original(*args)
+
+    monkeypatch.setattr(experiments, name, spy)
+    return seen
+
+
+def test_p_los_point_config_carries_its_axis_values(monkeypatch):
+    """Each P_LOS chunk is drawn from the config with the point's cluster
+    size and blocking probability."""
+    cfg = _cfg(p_los_cluster_sizes=(4, 7), p_los_p_blk=(0.0, 0.3))
+    seen = _spy(monkeypatch, "draw_trial",
+                lambda c, seed, count: (c.geometry.n_sc, c.channel.p_blk, count))
+    run_p_los(cfg, CHUNK + 1, 5)
+    assert seen == [(n, p, count) for n in (4, 7) for p in (0.0, 0.3)
+                    for count in (CHUNK, 1)]
+
+
+def test_reduction_power_point_config_carries_its_axis_values(monkeypatch):
+    """A power point is the config at its UE power and codebook size, every
+    point under the one threshold the base config calibrates."""
+    cfg = _cfg(power_grid_dbm=(-14.0, -2.0), n_tx_values=(4, 8))
+    seen = _spy(monkeypatch, "trial_batches", lambda c, gamma, *rest: (
+        c.channel.p_ue_dbm, c.antenna.n_tx, gamma, c.replace(
+            channel={"p_ue_dbm": cfg.channel.p_ue_dbm},
+            antenna={"n_tx": cfg.antenna.n_tx}) == cfg))
+    run_reduction_vs_power(cfg, 4, 5)
+    gamma = point_threshold(cfg, 5, 0)
+    assert seen == [(p, n, gamma, True) for n in (4, 8) for p in (-14.0, -2.0)]
+
+
+def test_reduction_pmiss_point_config_carries_its_axis_values(monkeypatch):
+    """A miss point is the config in miss mode at its target and codebook
+    size, calibrated on its own seed, whatever the configured mode."""
+    cfg = _cfg(pmiss_grid=(0.01, 0.1), n_tx_values=(4, 6)).replace(
+        detection={"mode": "fa", "calibration_trials": 500})
+    seen = _spy(monkeypatch, "trial_batches", lambda c, gamma, trials, seed, point: (
+        c.detection.target, c.antenna.n_tx, c.detection.mode, gamma, point))
+    run_reduction_vs_pmiss(cfg, 4, 5)
+    expected = []
+    for point, (n, p) in enumerate((n, p) for n in (4, 6) for p in (0.01, 0.1)):
+        point_cfg = cfg.replace(detection={"mode": "miss", "target": p})
+        expected.append((p, n, "miss", point_threshold(point_cfg, 5, point), point))
+    assert seen == expected
+    assert len({gamma for *_, gamma, _ in seen}) == 4
+
+
+def test_time_cluster_point_config_carries_its_axis_value(monkeypatch):
+    """A cluster-size point is the config at that size."""
+    cfg = _cfg(cluster_grid=(1, 3, 5))
+    seen = _spy(monkeypatch, "trial_batches", lambda c, *rest: c.geometry.n_sc)
+    run_time_vs_cluster(cfg, 4, 5)
+    assert seen == [1, 3, 5]
+
+
 def test_p_los_chunks_cover_every_trial(monkeypatch):
     """One trial past a whole chunk draws a last chunk of one, and the
     campaign reruns byte-identically."""
@@ -258,10 +318,10 @@ def test_p_los_batch_with_a_ue_on_a_cell_raises(monkeypatch):
 def test_single_cell_trial_keeps_the_triangle_ue():
     """A one-cell draw is a read-only (count, 1, 2) slice of the base
     triangle's draw, with the UE in the triangle."""
-    cfg = SimConfig()
+    cfg = SimConfig().replace(channel={"p_blk": 0.5})
     seed = np.random.SeedSequence((3, 0, 0, 0))
-    cells, ue, blocking = draw_trial(cfg, 1, 0.5, seed, 20)
-    triangle, ue3, _ = draw_trial(cfg, 3, 0.5, seed, 20)
+    cells, ue, blocking = draw_trial(cfg.replace(geometry={"n_sc": 1}), seed, 20)
+    triangle, ue3, _ = draw_trial(cfg, seed, 20)
     assert cells.shape == (20, 1, 2) and not cells.flags.writeable
     np.testing.assert_array_equal(cells, triangle[:, :1])
     np.testing.assert_array_equal(ue, ue3)

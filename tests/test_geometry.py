@@ -26,7 +26,7 @@ def test_triangle_side_lengths():
 
 def test_single_cell_at_origin():
     """A one-cell cluster is the base triangle's first cell."""
-    cells, _, _ = draw_trial(SimConfig(), 1, 0.0, 5, 4)
+    cells, _, _ = draw_trial(SimConfig().replace(geometry={"n_sc": 1}), 5, 4)
     assert np.array_equal(cells, np.zeros((4, 1, 2)))
 
 

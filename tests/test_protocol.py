@@ -36,7 +36,7 @@ def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
     states."""
     layout = build_cluster(max(n_sc, 3), D, layout_seed=1)
     cells = np.broadcast_to(layout[:n_sc], (count, n_sc, 2))
-    params = CFG.link_params(p_ue)
+    params = CFG.replace(channel={"p_ue_dbm": p_ue}).link_params()
     if noiseless:
         # zero noise power: the peak sampler returns the exact N^2 * power
         params = params._replace(noise_density_dbm_hz=-math.inf)
@@ -261,6 +261,13 @@ def test_backhaul_bus_rounds():
     assert backhaul_delay_rounds(0.0, 0.004) == 0
     assert backhaul_delay_rounds(0.004, 0.004) == 1
     assert backhaul_delay_rounds(0.0041, 0.004) == 2
+    # a latency of exactly k rounds whose quotient lands above k is k rounds
+    for latency, n_tx, rounds in ((0.035, 5, 7), (0.07, 10, 7), (0.099, 11, 9)):
+        round_s = n_tx * CFG.protocol.t_ra_s
+        assert latency / round_s > rounds
+        assert backhaul_delay_rounds(latency, round_s) == rounds
+        # one part per million more is one round more
+        assert backhaul_delay_rounds(latency * (1 + 1e-6), round_s) == rounds + 1
 
 
 def _noiseless_peaks(batch):
