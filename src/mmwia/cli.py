@@ -134,11 +134,10 @@ def _single_trial(cfg: SimConfig, seed: int) -> str:
     """The report of trial 0 of grid point 0 under both schemes, exhaustive
     first, drawn and seeded as the paired campaigns draw it: the first
     trial of chunk 0, drawn whole."""
-    gamma = point_threshold(cfg, seed, 0)
-    batch, protocol_seed = next(trial_batches(cfg, gamma, CHUNK, seed, 0))
-    ue = batch.ue[0]
+    draw, protocol_seed = next(trial_batches(cfg, CHUNK, seed, 0))
+    ue = draw[1][0]  # a draw is (cells, UEs, blocking)
     lines = []
-    for out in run_batch(batch, protocol_seed):
+    for out in run_batch(cfg, point_threshold(cfg, seed, 0), draw, protocol_seed):
         hit = bool(out.success[0])
         lines += [f"scheme:         {out.scheme}",
                   f"success:        {hit}",
@@ -164,7 +163,11 @@ def _print_report(text: str) -> None:
     try:
         print(text, end="", flush=True)
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
 
 
 def main(argv=None) -> int:

@@ -8,12 +8,12 @@ chunk holds what is left). Every random draw descends from (master seed,
 grid point index, chunk index, stream), so any point of any experiment
 reruns bit-identically on its own; the chunk size is part of the stream.
 ``draw_trial`` is every campaign's draw of clusters, UEs and blocking,
-one call per chunk. A chunk of protocol trials is drawn from its stream
-0 and is one ``TrialBatch``, which ``protocol.run_batch`` runs with one
-link budget, one round one and one estimator call, seeded from the
-chunk's stream 2; each scheme's later rounds start from the generator
-state round one left, so a scheme's IA times are the same whether it
-runs alone or paired. A P_LOS chunk is drawn from its stream 3 and
+one call per chunk. A chunk of protocol trials is its grid point's
+config plus the draw from its stream 0, which ``protocol.run_batch``
+runs with one link budget, one round one and one estimator call, seeded
+from the chunk's stream 2; each scheme's later rounds start from the
+generator state round one left, so a scheme's IA times are the same
+whether it runs alone or paired. A P_LOS chunk is drawn from its stream 3 and
 scored with one best-beam-pair power and one ranking call.
 """
 
@@ -27,7 +27,7 @@ from .channel import best_pair_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .estimation import select_top3
 from .geometry import build_cluster, place_ue
-from .protocol import COORDINATED, EXHAUSTIVE, TrialBatch, ia_time_reduction, run_batch
+from .protocol import COORDINATED, EXHAUSTIVE, ia_time_reduction, run_batch
 
 
 class ResultTable:
@@ -171,30 +171,26 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
 # Paired protocol trials (Figs. 9-11)
 # ---------------------------------------------------------------------------
 
-def trial_batches(cfg: SimConfig, gamma: float, trials: int,
-                  master_seed: int, point: int):
-    """(batch, protocol seed) of every chunk of trials at grid point
+def trial_batches(cfg: SimConfig, trials: int, master_seed: int, point: int):
+    """(draw, protocol seed) of every chunk of trials at grid point
     ``point``, whose config is ``cfg``: the chunk's ``draw_trial`` from its
     stream 0, and the seed of its stream 2.
 
-    ``run_batch`` seeds one generator from the protocol seed for every
-    scheme it runs, and a scheme's IA times do not depend on which other
-    schemes run beside it.
+    ``run_batch`` runs a draw at ``cfg`` under a threshold, seeding one
+    generator from the protocol seed for every scheme it runs; a scheme's
+    IA times do not depend on which other schemes run beside it.
     """
-    ue_cb, sc_cb, params = cfg.ue_codebook(), cfg.sc_codebook(), cfg.link_params()
     for chunk, count in _chunks(trials, CHUNK):
-        cells, ue, blocking = draw_trial(cfg, _seed(master_seed, point, chunk, 0), count)
-        batch = TrialBatch(
-            cells, ue, ue_cb, sc_cb, params, cfg.preamble.n_zc, gamma,
-            blocking=blocking, t_ra_s=cfg.protocol.t_ra_s,
-            backhaul_latency_s=cfg.protocol.backhaul_latency_s)
-        yield batch, _seed(master_seed, point, chunk, 2)
+        yield (draw_trial(cfg, _seed(master_seed, point, chunk, 0), count),
+               _seed(master_seed, point, chunk, 2))
 
 
-def _ia_times(batches, schemes) -> list[np.ndarray]:
-    """Every trial's IA time under each of ``schemes``, over all the chunks,
-    one array per scheme."""
-    runs = [run_batch(batch, seed, schemes) for batch, seed in batches]
+def _ia_times(cfg: SimConfig, gamma: float, trials: int, master_seed: int,
+              point: int, schemes) -> list[np.ndarray]:
+    """Every trial's IA time at grid point ``point`` under each of
+    ``schemes``, over all the chunks, one array per scheme."""
+    runs = [run_batch(cfg, gamma, draw, seed, schemes)
+            for draw, seed in trial_batches(cfg, trials, master_seed, point)]
     return [np.concatenate([out.ia_time_s for out in scheme]) for scheme in zip(*runs)]
 
 
@@ -202,7 +198,7 @@ def _paired_point(cfg: SimConfig, gamma: float, trials: int, master_seed: int,
                   point: int):
     """(p_er_pct, stderr_pct, coordinated mean, exhaustive mean) IA times
     over paired trials, both schemes of a chunk from one ``run_batch``."""
-    exh, coord = _ia_times(trial_batches(cfg, gamma, trials, master_seed, point),
+    exh, coord = _ia_times(cfg, gamma, trials, master_seed, point,
                            (EXHAUSTIVE, COORDINATED))
     mc, me = float(np.mean(coord)), float(np.mean(exh))
     return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
@@ -275,8 +271,8 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
 
     results = {}
     for point, n_sc in enumerate(sizes):
-        (results[n_sc],) = _ia_times(trial_batches(
-            cfg.replace(geometry={"n_sc": n_sc}), gamma, trials, master_seed, point),
+        (results[n_sc],) = _ia_times(
+            cfg.replace(geometry={"n_sc": n_sc}), gamma, trials, master_seed, point,
             (EXHAUSTIVE,) if n_sc == 1 else (COORDINATED,))
 
     base = results[1]

@@ -15,10 +15,13 @@ one measuring every cell's peak per UE Tx beam, exchanges these reports
 position, and reorders every cell's remaining Rx sweep towards the
 estimate.
 
-``run_batch`` is the one runner: it walks round one once, then restarts
-the generator from the state round one left for each scheme's later
-rounds, so a scheme's outcomes do not depend on which other schemes run
-beside it.
+``run_batch`` is the one runner. It takes a grid point's ``SimConfig``,
+the calibrated threshold and a draw of trials (cells, UEs, blocking), and
+reads every setting (codebooks, link budget, preamble length, slot
+duration, backhaul latency) from the config. It walks round one once,
+then restarts the generator from the state round one left for each
+scheme's later rounds, so a scheme's outcomes do not depend on which
+other schemes run beside it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .antenna import BeamCodebook
-from .channel import Blocking, LinkBudgetParams, link_budget_dbm, noise_power
+from .channel import link_budget_dbm, noise_power
+from .config import SimConfig
 from .estimation import CENTROID, estimate_points
 from .geometry import bearings, circular_distance
 from .preamble import dbm_to_mw, sample_peaks
@@ -54,30 +58,6 @@ class IaOutcomes(NamedTuple):
     detecting_cell: np.ndarray  # (T,) int
     detecting_pair: np.ndarray  # (T, 2) int: (tx beam, rx beam)
     estimated_ue: np.ndarray    # (T, 2) float
-
-
-class TrialBatch:
-    """T trials that share codebooks, link parameters and threshold, each
-    with its own cluster (cells (T, n_sc, 2)), UE ((T, 2)) and blocking
-    ((T, n_sc) arrays). A single trial is a batch of one."""
-
-    def __init__(self, cells: np.ndarray, ue: np.ndarray,
-                 ue_codebook: BeamCodebook, sc_codebook: BeamCodebook,
-                 link_params: LinkBudgetParams, n_zc: int, gamma_ra: float,
-                 blocking: Blocking | None = None,  # None: every link LOS
-                 *, t_ra_s: float, backhaul_latency_s: float):
-        if cells.ndim != 3 or np.shape(ue) != (len(cells), 2):
-            raise ValueError("a batch needs cells (T, n_sc, 2) and UEs (T, 2)")
-        if blocking is not None and blocking.blocked.shape != cells.shape[:2]:
-            raise ValueError("one blocking state per cell required")
-        self.cells, self.ue, self.blocking = cells, ue, blocking
-        self.ue_codebook, self.sc_codebook = ue_codebook, sc_codebook
-        self.link_params, self.n_zc, self.gamma_ra = link_params, n_zc, gamma_ra
-        self.t_ra_s, self.backhaul_latency_s = t_ra_s, backhaul_latency_s
-
-    @property
-    def size(self) -> int:
-        return len(self.ue)
 
 
 def reorder_rx_beams(codebook: BeamCodebook, estimates,
@@ -110,26 +90,25 @@ def ia_time_reduction(t_new: float, t_con: float) -> float:
     return (t_new - t_con) / t_con * 100.0
 
 
-def _rx_orders(batch: TrialBatch, rng) -> np.ndarray:
-    """(T, n_sc, n_rx) random Rx orders, one per cell of every trial, the
-    generator's first draw."""
-    n_rx = batch.sc_codebook.n_beams
-    beams = np.broadcast_to(np.arange(n_rx), (*batch.cells.shape[:2], n_rx))
+def _rx_orders(cells: np.ndarray, n_rx: int, rng) -> np.ndarray:
+    """(T, n_sc, n_rx) random Rx orders, one per cell of every trial of
+    ``cells`` (T, n_sc, 2), the generator's first draw."""
+    beams = np.broadcast_to(np.arange(n_rx), (*cells.shape[:2], n_rx))
     return rng.permuted(beams, axis=-1)
 
 
-def _sweep(batch: TrialBatch, budget, noise_mw: float, schedule: np.ndarray,
+def _sweep(budget, noise_mw: float, n_zc: int, gamma: float, schedule: np.ndarray,
            start: int, hit: np.ndarray, rng):
     """Walk rounds ``start`` on of ``schedule`` (T, rounds, n_sc) for every
     trial whose ``hit`` is still -1, slot t carrying Tx beam t, with the
-    peaks drawn from ``rng`` on the ``link_budget_dbm`` ``budget`` of the
-    batch.
+    length-``n_zc`` peaks drawn from ``rng`` on the ``link_budget_dbm``
+    ``budget`` of the trials.
 
     Sets each such trial's ``hit`` (T,) to the index of its first peak to
-    clear the threshold in its (rounds, n_tx, n_sc) hit map, row-major:
-    the earliest round, then slot, then the lowest cell within it. Returns
-    the peaks of the last round drawn, one (n_tx, n_sc) matrix per trial
-    that drew it."""
+    clear ``gamma`` in its (rounds, n_tx, n_sc) hit map, row-major: the
+    earliest round, then slot, then the lowest cell within it. Returns the
+    peaks of the last round drawn, one (n_tx, n_sc) matrix per trial that
+    drew it."""
     base_dbm, rx_gain = budget
     n_sc = base_dbm.shape[-1]
     cells = np.arange(n_sc)
@@ -144,8 +123,8 @@ def _sweep(batch: TrialBatch, budget, noise_mw: float, schedule: np.ndarray,
         rx += rx_gain[todo[:, None], schedule[todo, r], cells][:, None, :]
         rx /= 10.0
         np.power(10.0, rx, out=rx)
-        peaks = sample_peaks(rx, noise_mw, batch.n_zc, rng)
-        hits = (peaks > batch.gamma_ra).reshape(todo.size, -1)
+        peaks = sample_peaks(rx, noise_mw, n_zc, rng)
+        hits = (peaks > gamma).reshape(todo.size, -1)
         first = hits.argmax(axis=1)
         found = hits[np.arange(todo.size), first]
         hit[todo[found]] = r * per_round + first[found]
@@ -153,35 +132,37 @@ def _sweep(batch: TrialBatch, budget, noise_mw: float, schedule: np.ndarray,
     return peaks
 
 
-def _outcomes(scheme: str, batch: TrialBatch, schedule: np.ndarray, hit: np.ndarray,
-              estimates: np.ndarray) -> IaOutcomes:
-    """Every trial's outcome of a sweep over ``schedule``; a miss uses
-    every round."""
-    n_tx, n_rounds, n_sc = batch.ue_codebook.n_beams, *schedule.shape[1:]
+def _outcomes(scheme: str, schedule: np.ndarray, hit: np.ndarray,
+              estimates: np.ndarray, n_tx: int, t_ra_s: float) -> IaOutcomes:
+    """Every trial's outcome of a sweep of ``n_tx`` slots of ``t_ra_s`` a
+    round over ``schedule``; a miss uses every round."""
+    n_trials, n_rounds, n_sc = schedule.shape
     miss = hit < 0
     k, cell = np.divmod(hit, n_sc)  # k: the hit's slot, counted over all rounds
     r, slot = np.divmod(k, n_tx)
-    pair = np.empty((batch.size, 2), dtype=hit.dtype)
-    pair[:, 0], pair[:, 1] = slot, schedule[np.arange(batch.size), r, cell]
+    pair = np.empty((n_trials, 2), dtype=hit.dtype)
+    pair[:, 0], pair[:, 1] = slot, schedule[np.arange(n_trials), r, cell]
     # a miss uses every slot of every round and detects nothing
     k[miss], r[miss] = n_rounds * n_tx - 1, n_rounds - 1
     cell[miss] = pair[miss] = -1
     slots_used = k + 1
-    return IaOutcomes(scheme, ~miss, slots_used, slots_used * batch.t_ra_s, r + 1,
+    return IaOutcomes(scheme, ~miss, slots_used, slots_used * t_ra_s, r + 1,
                       cell, pair, estimates)
 
 
-def _coordinated_schedule(batch: TrialBatch, orders: np.ndarray, hit: np.ndarray,
-                          peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backhaul exchange of the round-1 ``peaks``, estimate, reordered
-    sweeps: the (T, n_rx + 1, n_sc) schedule and the (T, 2) estimates."""
-    if batch.cells.shape[-2] < 3:
+def _coordinated_schedule(cells: np.ndarray, sc_codebook: BeamCodebook,
+                          orders: np.ndarray, hit: np.ndarray, peaks: np.ndarray,
+                          delay: int) -> tuple[np.ndarray, np.ndarray]:
+    """Backhaul exchange of the round-1 ``peaks``, estimate, and sweeps
+    reordered ``delay`` rounds after round one: the (T, n_rx + 1, n_sc)
+    schedule and the (T, 2) estimates."""
+    if cells.shape[-2] < 3:
         raise ValueError("coordinated IA needs a cluster of at least three cells")
-    n_rx = batch.sc_codebook.n_beams
-    estimates = np.full((batch.size, 2), np.nan)
+    n_rx = sc_codebook.n_beams
+    estimates = np.full((len(cells), 2), np.nan)
     estimated = np.flatnonzero(hit < 0)  # the trials round one missed ...
     if estimated.size:
-        points, status = estimate_points(peaks[estimated], batch.cells[estimated])
+        points, status = estimate_points(peaks[estimated], cells[estimated])
         located = status <= CENTROID
         estimated = estimated[located]  # ... and of those, the ones located
         estimates[estimated] = points[located]
@@ -191,42 +172,50 @@ def _coordinated_schedule(batch: TrialBatch, orders: np.ndarray, hit: np.ndarray
     # wrapping past the round-1 beam, so a full sweep still completes.
     schedule = orders[..., [*range(n_rx), 0]].transpose(0, 2, 1)
     if estimated.size:
-        delay = backhaul_delay_rounds(batch.backhaul_latency_s,
-                                      batch.ue_codebook.n_beams * batch.t_ra_s)
-        reordered = reorder_rx_beams(batch.sc_codebook, estimates[estimated],
-                                     batch.cells[estimated])
+        reordered = reorder_rx_beams(sc_codebook, estimates[estimated], cells[estimated])
         schedule[estimated, 1 + delay:] = reordered[:, :max(0, n_rx - delay)]
     return schedule, estimates
 
 
-def run_batch(batch: TrialBatch, seed=None,
+def run_batch(cfg: SimConfig, gamma: float, draw, seed=None,
               schemes=(EXHAUSTIVE, COORDINATED)) -> tuple[IaOutcomes, ...]:
-    """The outcomes of ``batch`` under each of ``schemes``, in that order.
+    """The outcomes under each of ``schemes``, in that order, of the trials
+    ``draw`` at the grid point ``cfg`` with detection threshold ``gamma``.
 
-    Seeds the generator, draws the Rx orders and walks round one, each
-    cell on the first beam of its order under the UE's full Tx sweep, once
-    for every scheme. Each scheme then sweeps its own schedule from round
-    two on a copy of round one's hits, with the generator restarted from
-    the state round one left: its outcomes are those it has run alone."""
+    ``draw`` is the (cells (T, n_sc, 2), UEs (T, 2), blocking) triple of
+    ``experiments.draw_trial``; blocking None leaves every link LOS. Seeds
+    the generator, draws the Rx orders and walks round one, each cell on
+    the first beam of its order under the UE's full Tx sweep, once for
+    every scheme. Each scheme then sweeps its own schedule from round two
+    on a copy of round one's hits, with the generator restarted from the
+    state round one left: its outcomes are those it has run alone."""
+    cells, ue, blocking = draw
+    if cells.ndim != 3 or np.shape(ue) != (len(cells), 2):
+        raise ValueError("a batch needs cells (T, n_sc, 2) and UEs (T, 2)")
+    if blocking is not None and blocking.blocked.shape != cells.shape[:2]:
+        raise ValueError("one blocking state per cell required")
+    n_trials, ue_cb, sc_cb = len(cells), cfg.ue_codebook(), cfg.sc_codebook()
+    n_tx, n_zc, t_ra_s = ue_cb.n_beams, cfg.preamble.n_zc, cfg.protocol.t_ra_s
     rng = np.random.default_rng(seed)
-    orders = _rx_orders(batch, rng)
-    budget = link_budget_dbm(batch.cells, batch.ue, batch.blocking, batch.ue_codebook,
-                             batch.sc_codebook, batch.link_params.p_ue_dbm)
-    noise_mw = dbm_to_mw(noise_power(batch.link_params))
-    hit = np.full(batch.size, -1)
-    peaks = _sweep(batch, budget, noise_mw, orders[:, :, :1].transpose(0, 2, 1), 0,
-                   hit, rng)
+    orders = _rx_orders(cells, sc_cb.n_beams, rng)
+    budget = link_budget_dbm(cells, ue, blocking, ue_cb, sc_cb, cfg.channel.p_ue_dbm)
+    noise_mw = dbm_to_mw(noise_power(cfg.link_params()))
+    hit = np.full(n_trials, -1)
+    peaks = _sweep(budget, noise_mw, n_zc, gamma, orders[:, :, :1].transpose(0, 2, 1),
+                   0, hit, rng)
     state = rng.bit_generator.state
     outcomes = []
     for scheme in schemes:
         if scheme == EXHAUSTIVE:
-            schedule, estimates = orders.transpose(0, 2, 1), np.full((batch.size, 2), np.nan)
+            schedule, estimates = orders.transpose(0, 2, 1), np.full((n_trials, 2), np.nan)
         elif scheme == COORDINATED:
-            schedule, estimates = _coordinated_schedule(batch, orders, hit, peaks)
+            delay = backhaul_delay_rounds(cfg.protocol.backhaul_latency_s, n_tx * t_ra_s)
+            schedule, estimates = _coordinated_schedule(cells, sc_cb, orders, hit, peaks,
+                                                        delay)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         rng.bit_generator.state = state
         scheme_hit = hit.copy()
-        _sweep(batch, budget, noise_mw, schedule, 1, scheme_hit, rng)
-        outcomes.append(_outcomes(scheme, batch, schedule, scheme_hit, estimates))
+        _sweep(budget, noise_mw, n_zc, gamma, schedule, 1, scheme_hit, rng)
+        outcomes.append(_outcomes(scheme, schedule, scheme_hit, estimates, n_tx, t_ra_s))
     return tuple(outcomes)

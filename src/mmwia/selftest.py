@@ -497,10 +497,10 @@ def reproduces_angles(p, thetas) -> bool:
 def _check_schedule_arithmetic():
     cells = geometry.build_cluster(3, D)
     ues = np.array([[100.0, 40.0], [60.0, 50.0], [140.0, 90.0]])
-    ue_cb = antenna.make_codebook(4)
-    sc_cb = antenna.make_codebook(8)
     # no noise: the exact peak is N^2 times the received power
-    params = channel.LinkBudgetParams(-20.0, -math.inf, 1.08e6)
+    cfg = SimConfig().replace(antenna={"n_tx": 4, "n_rx": 8}, channel={
+        "p_ue_dbm": -20.0, "noise_density_dbm_hz": -math.inf})
+    ue_cb, sc_cb, params = cfg.ue_codebook(), cfg.sc_codebook(), cfg.link_params()
 
     # analytic per-(trial, tx, cell, rx) peak map; one threshold for the
     # batch, just below the weakest trial's best pair
@@ -530,14 +530,9 @@ def _check_schedule_arithmetic():
             for r in range(n_rx) for t in range(n_tx) for i in range(n_sc)
             if peak[k, t, i, orders[k, i, r]] > gamma))
 
-    timing = SimConfig().protocol
-    batch = protocol.TrialBatch(
-        cells=np.broadcast_to(cells, (n_trials, n_sc, 2)),
-        ue=ues, ue_codebook=ue_cb, sc_codebook=sc_cb, link_params=params,
-        n_zc=839, gamma_ra=gamma, t_ra_s=timing.t_ra_s,
-        backhaul_latency_s=timing.backhaul_latency_s)
-    (out,) = protocol.run_batch(batch, seed=9, schemes=(protocol.EXHAUSTIVE,))
-    (again,) = protocol.run_batch(batch, seed=9, schemes=(protocol.EXHAUSTIVE,))
+    draw = (np.broadcast_to(cells, (n_trials, n_sc, 2)), ues, None)
+    (out,) = protocol.run_batch(cfg, gamma, draw, seed=9, schemes=(protocol.EXHAUSTIVE,))
+    (again,) = protocol.run_batch(cfg, gamma, draw, seed=9, schemes=(protocol.EXHAUSTIVE,))
     # NaN, the estimate of a trial that made none, equals NaN
     same = all(np.array_equal(a, b, equal_nan=name == "estimated_ue")
                for name, a, b in zip(out._fields[1:], out[1:], again[1:]))

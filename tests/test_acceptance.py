@@ -23,7 +23,7 @@ from mmwia.experiments import (
     run_time_vs_cluster,
 )
 from mmwia.geometry import build_cluster, place_ue
-from mmwia.protocol import TrialBatch, run_batch
+from mmwia.protocol import run_batch
 from mmwia.selftest import ZC_CASES, false_alarm_case, true_angles, zc_autocorrelation
 
 D = 200.0
@@ -181,19 +181,14 @@ def test_criterion_6d_quantized_containment():
 def test_criterion_6e_paired_dominance():
     """Coordinated never loses on average at alignment-limited power."""
     cfg = SimConfig()
-    seq = cfg.sequence()
     from mmwia.channel import noise_power
-    gamma = cfg.threshold(noise_power(cfg.link_params()), seq, seed=SEED)
+    gamma = cfg.threshold(noise_power(cfg.link_params()), cfg.sequence(), seed=SEED)
     trials = 2000
     triangle = build_cluster(3, D)
-    batch = TrialBatch(
-        cells=np.broadcast_to(triangle, (trials, 3, 2)),
-        ue=place_ue(triangle, np.random.SeedSequence((SEED, 60)), trials),
-        ue_codebook=cfg.ue_codebook(), sc_codebook=cfg.sc_codebook(),
-        link_params=cfg.link_params(), n_zc=seq.n_zc, gamma_ra=gamma,
-        t_ra_s=cfg.protocol.t_ra_s, backhaul_latency_s=cfg.protocol.backhaul_latency_s)
+    draw = (np.broadcast_to(triangle, (trials, 3, 2)),
+            place_ue(triangle, np.random.SeedSequence((SEED, 60)), trials), None)
     trial_seed = np.random.SeedSequence((SEED, 61))
-    exh, coord = (out.slots_used for out in run_batch(batch, trial_seed))
+    exh, coord = (out.slots_used for out in run_batch(cfg, gamma, draw, trial_seed))
     _verdict(coord.mean() <= exh.mean(),
              "criterion 6e: paired-trial dominance at low power",
              f"coordinated {coord.mean():.2f} <= exhaustive {exh.mean():.2f} "

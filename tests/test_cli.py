@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,10 +315,10 @@ def test_single_trial_is_trial_zero_of_point_zero(capsys, scheme):
         assert main(["single-trial", "--seed", str(seed)]) == 0
         blocks = _single_trial_blocks(capsys.readouterr().out)
         (report,) = [b for b in blocks if b["scheme"] == scheme]
-        batch, protocol_seed = next(trial_batches(
-            cfg, point_threshold(cfg, seed, 0), CHUNK, seed, 0))
-        (out,) = run_batch(batch, protocol_seed, (scheme,))
-        _assert_block(report, out, batch.ue[0])
+        draw, protocol_seed = next(trial_batches(cfg, CHUNK, seed, 0))
+        (out,) = run_batch(cfg, point_threshold(cfg, seed, 0), draw, protocol_seed,
+                           (scheme,))
+        _assert_block(report, out, draw[1][0])
         estimated += not math.isnan(out.estimated_ue[0, 0])
     if scheme == "coordinated":
         assert estimated > 0, "no seed reached the coordinated second round"
@@ -333,10 +334,10 @@ def test_single_trial_is_row_zero_of_a_paired_campaign(capsys, monkeypatch):
         first = {}
 
         def keep(runner):
-            def run(batch, *args):
-                outs = runner(batch, *args)
+            def run(point_cfg, gamma, draw, *args):
+                outs = runner(point_cfg, gamma, draw, *args)
                 for out in outs:
-                    first.setdefault(out.scheme, (out, batch.ue[0]))
+                    first.setdefault(out.scheme, (out, draw[1][0]))
                 return outs
             return run
 
@@ -385,6 +386,24 @@ def test_closed_stdout_is_no_error(lines_read):
         proc.stdout.close()
         err = proc.stderr.read()
     assert proc.returncode == 0 and err == b""
+
+
+def test_a_broken_pipe_leaves_no_descriptor_open(monkeypatch):
+    """On a broken pipe the report points standard output at os.devnull and
+    closes the descriptor it opened to do so."""
+    sources = []
+
+    def broken_pipe(*args, **kwargs):
+        raise BrokenPipeError
+
+    # print and dup2 are stand-ins: the test's own standard output stays put
+    monkeypatch.setattr(cli, "print", broken_pipe, raising=False)
+    monkeypatch.setattr(cli.os, "dup2", lambda fd, fd2: sources.append(fd))
+    monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(fileno=lambda: 1))
+    cli._print_report("lost\n")
+    (fd,) = sources
+    with pytest.raises(OSError):
+        os.fstat(fd)
 
 
 @pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])

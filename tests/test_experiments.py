@@ -137,9 +137,9 @@ def test_reference_ue_power_fixes_the_miss_threshold(tmp_path, monkeypatch):
 
     seen = []
 
-    def recording(batch, *args):
-        seen.append((batch.link_params.p_ue_dbm, batch.gamma_ra))
-        return run_batch(batch, *args)
+    def recording(point_cfg, gamma, *args):
+        seen.append((point_cfg.channel.p_ue_dbm, gamma))
+        return run_batch(point_cfg, gamma, *args)
 
     monkeypatch.setattr(experiments, "run_batch", recording)
     cfg = louder.replace(experiment={"power_grid_dbm": (-14.0, -4.0, 6.0),
@@ -170,21 +170,20 @@ def test_paired_point_computes_each_link_budget_once(monkeypatch):
 
 
 def test_one_trial_draw_is_what_the_protocol_gets():
-    """Each chunk of protocol trials is one batch: the draw from its
-    stream 0, with the seed of its stream 2."""
+    """Each chunk of protocol trials is the draw from its stream 0, with
+    the seed of its stream 2."""
     cfg = SimConfig().replace(geometry={"n_sc": 5}, channel={"p_blk": 0.4},
                               antenna={"n_tx": 4})
-    batches = list(trial_batches(cfg, 1e-5, CHUNK + 6, 7, 2))
-    assert [batch.size for batch, _ in batches] == [CHUNK, 6]
-    for chunk, (batch, seed) in enumerate(batches):
+    chunks = list(trial_batches(cfg, CHUNK + 6, 7, 2))
+    assert [len(draw[0]) for draw, _ in chunks] == [CHUNK, 6]
+    for chunk, ((cells, ue, blocking), seed) in enumerate(chunks):
         assert seed.entropy == (7, 2, chunk, 2)
-        cells, ue, blocking = draw_trial(
-            cfg, np.random.SeedSequence((7, 2, chunk, 0)), batch.size)
-        np.testing.assert_array_equal(cells, batch.cells)
-        np.testing.assert_array_equal(ue, batch.ue)
+        ours = draw_trial(cfg, np.random.SeedSequence((7, 2, chunk, 0)), len(cells))
+        np.testing.assert_array_equal(ours[0], cells)
+        np.testing.assert_array_equal(ours[1], ue)
         assert blocking.blocked.any()
-        for ours, theirs in zip(blocking, batch.blocking):
-            np.testing.assert_array_equal(ours, theirs)
+        for mine, theirs in zip(ours[2], blocking):
+            np.testing.assert_array_equal(mine, theirs)
 
 
 def test_paired_campaign_chunks_cover_every_trial(monkeypatch):
@@ -248,7 +247,7 @@ def test_reduction_power_point_config_carries_its_axis_values(monkeypatch):
     """A power point is the config at its UE power and codebook size, every
     point under the one threshold the base config calibrates."""
     cfg = _cfg(power_grid_dbm=(-14.0, -2.0), n_tx_values=(4, 8))
-    seen = _spy(monkeypatch, "trial_batches", lambda c, gamma, *rest: (
+    seen = _spy(monkeypatch, "run_batch", lambda c, gamma, *rest: (
         c.channel.p_ue_dbm, c.antenna.n_tx, gamma, c.replace(
             channel={"p_ue_dbm": cfg.channel.p_ue_dbm},
             antenna={"n_tx": cfg.antenna.n_tx}) == cfg))
@@ -262,7 +261,7 @@ def test_reduction_pmiss_point_config_carries_its_axis_values(monkeypatch):
     size, calibrated on its own seed, whatever the configured mode."""
     cfg = _cfg(pmiss_grid=(0.01, 0.1), n_tx_values=(4, 6)).replace(
         detection={"mode": "fa", "calibration_trials": 500})
-    seen = _spy(monkeypatch, "trial_batches", lambda c, gamma, trials, seed, point: (
+    seen = _spy(monkeypatch, "_ia_times", lambda c, gamma, trials, seed, point, _: (
         c.detection.target, c.antenna.n_tx, c.detection.mode, gamma, point))
     run_reduction_vs_pmiss(cfg, 4, 5)
     expected = []

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from mmwia.protocol import (
     COORDINATED,
     EXHAUSTIVE,
     IaOutcomes,
-    TrialBatch,
     backhaul_delay_rounds,
     reorder_rx_beams,
     run_batch,
@@ -28,37 +26,32 @@ CFG = SimConfig()
 SEQ = generate_zc(1, 839)
 
 
-def _batch(p_ue=-14.0, gamma=1e-5, n_tx=4, n_rx=8, ue=(100.0, 60.0), count=1,
-           noiseless=False, blocking=None, n_sc=3,
-           latency=CFG.protocol.backhaul_latency_s):
-    """``count`` trials on one layout (a stride-0 view): ``ue`` is one (2,)
-    point for every trial or a (count, 2) array, ``blocking`` one trial's
-    states."""
+def _cfg(p_ue=-14.0, n_tx=4, n_rx=8, noiseless=False, **timing) -> SimConfig:
+    """The grid point: ``CFG`` at UE power ``p_ue`` and codebook sizes
+    ``n_tx``, ``n_rx``, with the ``[protocol]`` fields ``timing``. ``noiseless``
+    zeroes the noise power: the peak sampler then returns the exact
+    N^2 * power."""
+    channel = {"p_ue_dbm": p_ue}
+    if noiseless:
+        channel["noise_density_dbm_hz"] = -math.inf
+    return CFG.replace(antenna={"n_tx": n_tx, "n_rx": n_rx}, channel=channel,
+                       protocol=timing)
+
+
+def _draw(ue=(100.0, 60.0), count=1, blocking=None, n_sc=3):
+    """(cells, UEs, blocking) of ``count`` trials on one layout (a stride-0
+    view): ``ue`` is one (2,) point for every trial or a (count, 2) array,
+    ``blocking`` one trial's states."""
     layout = build_cluster(max(n_sc, 3), D, layout_seed=1)
     cells = np.broadcast_to(layout[:n_sc], (count, n_sc, 2))
-    params = CFG.replace(channel={"p_ue_dbm": p_ue}).link_params()
-    if noiseless:
-        # zero noise power: the peak sampler returns the exact N^2 * power
-        params = params._replace(noise_density_dbm_hz=-math.inf)
     if blocking is not None:
         blocking = Blocking(*(np.tile(field, (count, 1)) for field in blocking))
-    return TrialBatch(
-        cells=cells,
-        ue=np.broadcast_to(np.asarray(ue, dtype=float), (count, 2)),
-        ue_codebook=make_codebook(n_tx),
-        sc_codebook=make_codebook(n_rx),
-        link_params=params,
-        n_zc=839,
-        gamma_ra=gamma,
-        blocking=blocking,
-        t_ra_s=CFG.protocol.t_ra_s,
-        backhaul_latency_s=latency,
-    )
+    return cells, np.broadcast_to(np.asarray(ue, dtype=float), (count, 2)), blocking
 
 
-def _run(scheme: str, batch: TrialBatch, seed) -> IaOutcomes:
-    """``scheme``'s outcomes of ``batch``, run alone."""
-    (out,) = run_batch(batch, seed, (scheme,))
+def _run(scheme: str, cfg: SimConfig, gamma: float, draw, seed) -> IaOutcomes:
+    """``scheme``'s outcomes of ``draw`` at ``cfg`` and ``gamma``, run alone."""
+    (out,) = run_batch(cfg, gamma, draw, seed, (scheme,))
     return out
 
 
@@ -71,19 +64,12 @@ def _assert_rows_equal(a: IaOutcomes, b: IaOutcomes, rows=slice(None)):
                                       err_msg=name, strict=True)
 
 
-def _with(batch: TrialBatch, **changes) -> TrialBatch:
-    """``batch`` rebuilt with the given constructor arguments changed."""
-    names = inspect.signature(TrialBatch).parameters
-    return TrialBatch(**{name: getattr(batch, name) for name in names} | changes)
-
-
-def _alone(batch: TrialBatch, t: int) -> TrialBatch:
-    """Trial ``t`` of ``batch`` as a batch of one."""
-    blocking = None
-    if batch.blocking is not None:
-        blocking = Blocking(*(field[t:t + 1] for field in batch.blocking))
-    return _with(batch, cells=batch.cells[t:t + 1],
-                 ue=batch.ue[t:t + 1], blocking=blocking)
+def _alone(draw, t: int):
+    """Trial ``t`` of ``draw`` as a draw of one."""
+    cells, ue, blocking = draw
+    if blocking is not None:
+        blocking = Blocking(*(field[t:t + 1] for field in blocking))
+    return cells[t:t + 1], ue[t:t + 1], blocking
 
 
 def test_reorder_boresight_first_antipodal_last():
@@ -133,62 +119,63 @@ def test_reorder_is_permutation(n, x, y):
 
 
 def test_batch_needs_a_trial_axis():
-    one = _batch()
-    with pytest.raises(ValueError, match="batch"):
-        _with(one, cells=one.cells[0])
-    with pytest.raises(ValueError, match="batch"):
-        _with(one, ue=one.ue[0])
+    cells, ue, _ = _draw()
+    for draw in ((cells[0], ue, None), (cells, ue[0], None)):
+        with pytest.raises(ValueError, match="batch"):
+            run_batch(_cfg(), 1e-5, draw)
 
 
 def test_a_broadcast_cluster_runs_as_its_copy():
     """Cells that are a stride-0 view of one layout give, under either
     scheme, the outcomes of the same batch on a C-contiguous copy."""
     ues = place_ue(build_cluster(5, D, layout_seed=1), np.random.default_rng(4), count=40)
-    view = _batch(n_sc=5, count=40, ue=ues, p_ue=-25.0,
-                  blocking=sample_blocking(5, 0.5, 2, excess_mean_db=10.0))
-    copy = _with(view, cells=np.ascontiguousarray(view.cells))
-    assert view.cells.strides[0] == 0 and copy.cells.flags.c_contiguous
+    cfg = _cfg(p_ue=-25.0)
+    view = _draw(n_sc=5, count=40, ue=ues,
+                 blocking=sample_blocking(5, 0.5, 2, excess_mean_db=10.0))
+    copy = (np.ascontiguousarray(view[0]), *view[1:])
+    assert view[0].strides[0] == 0 and copy[0].flags.c_contiguous
     for scheme in (EXHAUSTIVE, COORDINATED):
-        out = _run(scheme, view, 6)
-        _assert_rows_equal(out, _run(scheme, copy, 6))
+        out = _run(scheme, cfg, 1e-5, view, 6)
+        _assert_rows_equal(out, _run(scheme, cfg, 1e-5, copy, 6))
     estimated = ~np.isnan(out.estimated_ue[:, 0])
     assert estimated.any() and out.success.any() and not out.success.all()
 
 
 def test_exhaustive_worst_case_full_sweep():
-    batch = _batch(gamma=1e12, noiseless=True)  # nothing can clear this
-    out = _run(EXHAUSTIVE, batch, 0)
+    cfg = _cfg(noiseless=True)
+    out = _run(EXHAUSTIVE, cfg, 1e12, _draw(), 0)  # nothing can clear this
     assert not out.success[0]
     assert out.slots_used[0] == 4 * 8
-    assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * batch.t_ra_s)
+    assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * cfg.protocol.t_ra_s)
     assert out.detecting_cell[0] == -1
 
 
 def test_exhaustive_huge_power_detects_first_slot():
-    batch = _batch(p_ue=80.0, gamma=1e-5)  # side lobes alone clear the budget
-    out = _run(EXHAUSTIVE, batch, 0)
+    # side lobes alone clear the budget
+    out = _run(EXHAUSTIVE, _cfg(p_ue=80.0), 1e-5, _draw(), 0)
     assert out.success[0] and out.slots_used[0] == 1 and out.rounds[0] == 1
 
 
 def test_single_cell_cluster_supported():
-    out = _run(EXHAUSTIVE, _batch(n_sc=1, p_ue=80.0), 3)
+    out = _run(EXHAUSTIVE, _cfg(p_ue=80.0), 1e-5, _draw(n_sc=1), 3)
     assert out.success[0] and out.detecting_cell[0] == 0
     with pytest.raises(ValueError):
-        _run(COORDINATED, _batch(n_sc=1), 3)
+        _run(COORDINATED, _cfg(), 1e-5, _draw(n_sc=1), 3)
 
 
 def test_outcome_deterministic_per_seed():
-    batch = _batch(count=20)
+    cfg, draw = _cfg(), _draw(count=20)
     for scheme in (EXHAUSTIVE, COORDINATED):
-        _assert_rows_equal(_run(scheme, batch, 123), _run(scheme, batch, 123))
+        _assert_rows_equal(_run(scheme, cfg, 1e-5, draw, 123),
+                           _run(scheme, cfg, 1e-5, draw, 123))
 
 
 def test_round1_shared_between_schemes():
     """With one seed, a round-1 detection is identical for both schemes,
     trial by trial."""
-    batch = _batch(p_ue=-8.0, count=40)
-    exh = _run(EXHAUSTIVE, batch, 0)
-    coord = _run(COORDINATED, batch, 0)
+    cfg, draw = _cfg(p_ue=-8.0), _draw(count=40)
+    exh = _run(EXHAUSTIVE, cfg, 1e-5, draw, 0)
+    coord = _run(COORDINATED, cfg, 1e-5, draw, 0)
     hits = (exh.rounds == 1) | (coord.rounds == 1)
     assert (exh.rounds[hits] == 1).all() and (coord.rounds[hits] == 1).all()
     for name in ("slots_used", "detecting_cell", "detecting_pair"):
@@ -198,22 +185,23 @@ def test_round1_shared_between_schemes():
 
 
 def test_coordinated_hard_slot_bound():
-    batch = _batch(p_ue=-40.0, count=30)  # mostly undetectable -> worst case paths
-    assert _run(COORDINATED, batch, 0).slots_used.max() <= 4 * 8 + 4
-    assert _run(EXHAUSTIVE, batch, 0).slots_used.max() <= 4 * 8
+    # mostly undetectable -> worst case paths
+    cfg, draw = _cfg(p_ue=-40.0), _draw(count=30)
+    assert _run(COORDINATED, cfg, 1e-5, draw, 0).slots_used.max() <= 4 * 8 + 4
+    assert _run(EXHAUSTIVE, cfg, 1e-5, draw, 0).slots_used.max() <= 4 * 8
 
 
 def test_coordinated_detects_by_round_two_when_estimate_good():
     """LOS centroid placement at moderate power: round 2 wraps it up."""
     gamma = CFG.threshold(-110.67, SEQ, 1)
-    batch = _batch(ue=build_cluster(3, D, layout_seed=1).mean(axis=0), p_ue=-14.0, gamma=gamma, count=25)
-    out = _run(COORDINATED, batch, 0)
+    draw = _draw(ue=build_cluster(3, D, layout_seed=1).mean(axis=0), count=25)
+    out = _run(COORDINATED, _cfg(p_ue=-14.0), gamma, draw, 0)
     assert np.count_nonzero(out.success & (out.rounds <= 2)) >= 20
 
 
 def test_estimation_failure_falls_back_and_completes():
     # a single UE Tx beam makes every index pair equal -> angles unresolvable
-    out = _run(COORDINATED, _batch(n_tx=1, p_ue=-14.0, gamma=1e-8), 5)
+    out = _run(COORDINATED, _cfg(n_tx=1, p_ue=-14.0), 1e-8, _draw(), 5)
     assert out.slots_used[0] <= 1 * (8 + 1)
     assert np.isnan(out.estimated_ue[0]).all()
 
@@ -230,8 +218,8 @@ def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
         return calls[-1][2:]
 
     monkeypatch.setattr(protocol, "estimate_points", recording)
-    batch = _batch(n_sc=n_sc, gamma=1e12, count=50)  # no detection: every trial estimates
-    out = _run(COORDINATED, batch, 0)
+    # no detection: every trial estimates
+    out = _run(COORDINATED, _cfg(), 1e12, _draw(n_sc=n_sc, count=50), 0)
     ((peaks_shape, cells_shape, points, status),) = calls
     assert peaks_shape == (50, 4, n_sc) and cells_shape == (50, n_sc, 2)
     assert (status <= CENTROID).any()
@@ -239,20 +227,20 @@ def test_larger_clusters_take_the_point_estimate(monkeypatch, n_sc):
 
 
 def test_blocked_links_degrade_but_stay_bounded():
-    batch = _batch(blocking=sample_blocking(3, 1.0, 2, excess_mean_db=10.0))
-    assert _run(COORDINATED, batch, 7).slots_used[0] <= 4 * 8 + 4
+    draw = _draw(blocking=sample_blocking(3, 1.0, 2, excess_mean_db=10.0))
+    assert _run(COORDINATED, _cfg(), 1e-5, draw, 7).slots_used[0] <= 4 * 8 + 4
 
 
 def test_blocking_needs_one_state_per_cell():
+    draw = _draw(blocking=sample_blocking(4, 0.5, 2, excess_mean_db=10.0))
     with pytest.raises(ValueError, match="per cell"):
-        _batch(blocking=sample_blocking(4, 0.5, 2, excess_mean_db=10.0))
+        run_batch(_cfg(), 1e-5, draw)
 
 
 def test_backhaul_latency_defers_reordering():
-    slow = _batch(latency=1.0)  # far beyond one round: reordering never lands
-    fast = _batch(latency=0.0)
-    slow_slots = _run(COORDINATED, slow, 11).slots_used[0]
-    fast_slots = _run(COORDINATED, fast, 11).slots_used[0]
+    slow, fast = (_run(COORDINATED, _cfg(backhaul_latency_s=latency), 1e-5, _draw(), 11)
+                  for latency in (1.0, 0.0))  # 1 s: the reordering never lands
+    slow_slots, fast_slots = slow.slots_used[0], fast.slots_used[0]
     assert slow_slots <= 4 * 8 + 4
     assert fast_slots <= slow_slots + 4 * 8  # sanity only
 
@@ -270,27 +258,27 @@ def test_backhaul_bus_rounds():
         assert backhaul_delay_rounds(latency * (1 + 1e-6), round_s) == rounds + 1
 
 
-def _noiseless_peaks(batch):
-    """(n_tx, n_sc) exact peaks of the first trial of a one-Rx-beam batch,
-    by the sweep's own arithmetic; every round sees this map."""
-    base, rx_gain = link_budget_dbm(batch.cells[0], batch.ue[0], None,
-                                    batch.ue_codebook, batch.sc_codebook,
-                                    batch.link_params.p_ue_dbm)
+def _noiseless_peaks(cfg, draw):
+    """(n_tx, n_sc) exact peaks of the first trial of ``draw`` at a
+    one-Rx-beam ``cfg``, by the sweep's own arithmetic; every round sees
+    this map."""
+    cells, ue, _ = draw
+    base, rx_gain = link_budget_dbm(cells[0], ue[0], None, cfg.ue_codebook(),
+                                    cfg.sc_codebook(), cfg.channel.p_ue_dbm)
     return 10.0 ** ((base + rx_gain[0][None, :]) / 10.0) * 839.0 ** 2
 
 
 def test_detect_strict_inequality():
     """A peak equal to the threshold is not a detection; just below it, the
     noiseless trial detects at the slot and cell of the largest peak."""
-    batch = _batch(p_ue=-20.0, n_rx=1, noiseless=True)
-    peaks = _noiseless_peaks(batch)
+    cfg, draw = _cfg(p_ue=-20.0, n_rx=1, noiseless=True), _draw()
+    peaks = _noiseless_peaks(cfg, draw)
     slot, cell = np.unravel_index(np.argmax(peaks), peaks.shape)
     assert np.sum(peaks == peaks.max()) == 1
 
-    at_peak = _run(EXHAUSTIVE, _with(batch, gamma_ra=float(peaks.max())), 0)
+    at_peak = _run(EXHAUSTIVE, cfg, float(peaks.max()), draw, 0)
     assert not at_peak.success[0] and at_peak.slots_used[0] == 4
-    below = _run(EXHAUSTIVE,
-                 _with(batch, gamma_ra=float(np.nextafter(peaks.max(), 0.0))), 0)
+    below = _run(EXHAUSTIVE, cfg, float(np.nextafter(peaks.max(), 0.0)), draw, 0)
     assert below.success[0] and below.slots_used[0] == slot + 1
     assert below.detecting_cell[0] == cell and below.detecting_pair[0].tolist() == [slot, 0]
 
@@ -304,11 +292,11 @@ def test_detect_strict_inequality():
 def test_sweep_takes_earliest_slot_then_lowest_cell(ue, gamma, slot0):
     """The first hit is the earliest slot, then the lowest cell within it,
     although cell 0 clears the threshold at a later slot."""
-    batch = _batch(p_ue=-20.0, n_rx=1, noiseless=True, ue=ue, gamma=gamma)
-    hits = _noiseless_peaks(batch) > gamma
+    cfg, draw = _cfg(p_ue=-20.0, n_rx=1, noiseless=True), _draw(ue=ue)
+    hits = _noiseless_peaks(cfg, draw) > gamma
     assert hits[0].tolist() == slot0 and hits[1:, 0].any()
     for scheme in (EXHAUSTIVE, COORDINATED):
-        out = _run(scheme, batch, 0)
+        out = _run(scheme, cfg, gamma, draw, 0)
         assert out.success[0] and out.rounds[0] == 1
         assert (out.slots_used[0], out.detecting_cell[0]) == (1, 1)
 
@@ -323,25 +311,27 @@ def test_batch_equals_each_trial_run_alone(monkeypatch):
     penalty = blocking.penalty_db.copy()
     penalty[::5] = 60.0  # every fifth trial too weak to detect
     blocking = blocking._replace(penalty_db=penalty)
-    chunk = _with(_batch(p_ue=-20.0, noiseless=True, gamma=2e-7, count=24, ue=ues),
-                  blocking=blocking)
+    cfg = _cfg(p_ue=-20.0, noiseless=True)
+    cells, ue, _ = _draw(count=24, ue=ues)
+    chunk = cells, ue, blocking
 
     drawn = []
-    draw = protocol._rx_orders
+    rx_orders = protocol._rx_orders
 
-    def recording(batch, rng):
-        drawn.append(draw(batch, rng))
+    def recording(*args):
+        drawn.append(rx_orders(*args))
         return drawn[-1]
 
     for scheme in (EXHAUSTIVE, COORDINATED):
         monkeypatch.setattr(protocol, "_rx_orders", recording)
         drawn.clear()
-        whole = _run(scheme, chunk, 4)
+        whole = _run(scheme, cfg, 2e-7, chunk, 4)
         (orders,) = drawn
         assert set(whole.rounds[whole.success]) > {1} and not whole.success.all()
         for t in range(24):
-            monkeypatch.setattr(protocol, "_rx_orders", lambda b, rng: orders[t:t + 1])
-            _assert_rows_equal(whole, _run(scheme, _alone(chunk, t), 4), slice(t, t + 1))
+            monkeypatch.setattr(protocol, "_rx_orders", lambda *args: orders[t:t + 1])
+            _assert_rows_equal(whole, _run(scheme, cfg, 2e-7, _alone(chunk, t), 4),
+                               slice(t, t + 1))
 
 
 def test_each_scheme_runs_alike_alone_paired_or_reversed():
@@ -358,14 +348,16 @@ def test_each_scheme_runs_alike_alone_paired_or_reversed():
     penalty[::8] = 60.0  # every eighth trial too weak to detect
     blocking = blocking._replace(penalty_db=penalty)
     round_s = 4 * CFG.protocol.t_ra_s
-    chunk = _with(_batch(p_ue=-25.0, n_sc=n_sc, count=count, ue=ues,
-                         latency=1.5 * round_s), blocking=blocking)
-    assert backhaul_delay_rounds(chunk.backhaul_latency_s, round_s) == 2
+    cfg = _cfg(p_ue=-25.0, backhaul_latency_s=1.5 * round_s)
+    cells, ue, _ = _draw(n_sc=n_sc, count=count, ue=ues)
+    chunk = cells, ue, blocking
+    assert backhaul_delay_rounds(cfg.protocol.backhaul_latency_s, round_s) == 2
     assert blocking.blocked.any()
 
-    alone = {scheme: _run(scheme, chunk, 9) for scheme in (EXHAUSTIVE, COORDINATED)}
+    alone = {scheme: _run(scheme, cfg, 1e-5, chunk, 9)
+             for scheme in (EXHAUSTIVE, COORDINATED)}
     for schemes in ((EXHAUSTIVE, COORDINATED), (COORDINATED, EXHAUSTIVE)):
-        outs = run_batch(chunk, 9, schemes)
+        outs = run_batch(cfg, 1e-5, chunk, 9, schemes)
         assert tuple(out.scheme for out in outs) == schemes
         for out in outs:
             _assert_rows_equal(out, alone[out.scheme])
@@ -377,12 +369,57 @@ def test_each_scheme_runs_alike_alone_paired_or_reversed():
 
 def test_an_unknown_scheme_is_refused():
     with pytest.raises(ValueError, match="scheme"):
-        run_batch(_batch(), 0, (EXHAUSTIVE, "random"))
+        run_batch(_cfg(), 1e-5, _draw(), 0, (EXHAUSTIVE, "random"))
 
 
 def test_outcome_invariants():
-    batch = _batch(p_ue=80.0)
-    out = _run(EXHAUSTIVE, batch, 1)
-    assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * batch.t_ra_s)
+    cfg = _cfg(p_ue=80.0)
+    out = _run(EXHAUSTIVE, cfg, 1e-5, _draw(), 1)
+    assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * cfg.protocol.t_ra_s)
     assert out.success[0]
     assert out.detecting_cell[0] >= 0 and (out.detecting_pair[0] >= 0).all()
+
+
+def test_a_shorter_slot_sets_ia_time_and_backhaul_delay(monkeypatch):
+    """At ``[protocol] t_ra_s`` 0.5 ms an IA time is its slot count times
+    0.5 ms, and the coordinated reordering lands
+    ``backhaul_delay_rounds(latency, n_tx * 0.5 ms)`` rounds after round
+    one: both read from the config that ``run_batch`` gets. The latency of
+    3 ms is two 2 ms rounds, where at the default 1 ms slot it is one."""
+    t_ra, latency, count, n_sc = 5e-4, 3e-3, 64, 5
+    delay = backhaul_delay_rounds(latency, 4 * t_ra)
+    assert delay == 2 and backhaul_delay_rounds(latency, 4 * CFG.protocol.t_ra_s) == 1
+    cfg = _cfg(p_ue=-25.0, t_ra_s=t_ra, backhaul_latency_s=latency)
+    ues = place_ue(build_cluster(n_sc, D, layout_seed=1), np.random.default_rng(12),
+                   count=count)
+    draw = _draw(n_sc=n_sc, count=count, ue=ues)
+
+    drawn, rx_orders, reorder = {}, protocol._rx_orders, protocol.reorder_rx_beams
+
+    def recording(name, fn):
+        def record(*args):
+            drawn[name] = fn(*args)
+            return drawn[name]
+        return record
+
+    monkeypatch.setattr(protocol, "_rx_orders", recording("orders", rx_orders))
+    monkeypatch.setattr(protocol, "reorder_rx_beams", recording("reordered", reorder))
+    exh, coord = run_batch(cfg, 1e-5, draw, 9)
+    for out in (exh, coord):
+        np.testing.assert_array_equal(out.ia_time_s, out.slots_used * t_ra)
+        assert out.success.any() and not out.success.all()
+
+    # the Rx beam of each hit of a located trial (round one missed it): its
+    # original order up to round 1 + delay, its reordered sweep from then on
+    located = np.flatnonzero(~np.isnan(coord.estimated_ue[:, 0]))
+    original = reordered = 0
+    for j, t in enumerate(located):
+        r, cell = coord.rounds[t] - 1, coord.detecting_cell[t]
+        if not coord.success[t]:
+            continue
+        if r <= delay:
+            beam, original = drawn["orders"][t, cell, r], original + 1
+        else:
+            beam, reordered = drawn["reordered"][j, r - 1 - delay, cell], reordered + 1
+        assert coord.detecting_pair[t, 1] == beam, (t, r)
+    assert original and reordered, (original, reordered)
