@@ -26,14 +26,16 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true", help="reduced trial counts")
     ap.add_argument("--config", default=None)
     ap.add_argument("--seed", default=None)
-    ap.add_argument("--out", default="out")
+    ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
     start = time.perf_counter()
     for command in CAMPAIGNS:
-        cli_args = [command, "--out", args.out]
+        cli_args = [command]
         if args.config:
             cli_args += ["--config", args.config]
+        if args.out is not None:
+            cli_args += ["--out", args.out]
         if args.seed is not None:
             cli_args += ["--seed", str(args.seed)]
         if args.quick:

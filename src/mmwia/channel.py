@@ -15,12 +15,6 @@ PATHLOSS_SLOPE = 21.0
 NLOS_FLOOR_DB = 1.55  # -10*log10(0.7): one bounce off a 0.7 reflection coefficient
 
 
-class LinkBudgetParams(NamedTuple):
-    p_ue_dbm: float
-    noise_density_dbm_hz: float
-    bandwidth_hz: float  # > 0, checked where it is read (noise_power)
-
-
 def _pathloss_db(d):
     """``pathloss`` without its range check, for distances already clamped."""
     return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d)
@@ -35,11 +29,12 @@ def pathloss(d):
     return float(out) if out.ndim == 0 else out
 
 
-def noise_power(params: LinkBudgetParams) -> float:
-    """Total thermal noise power in dBm over the configured bandwidth."""
-    if not params.bandwidth_hz > 0:
+def noise_power(ch) -> float:
+    """Total thermal noise power in dBm over the bandwidth of ``ch``, a
+    ``config.ChannelConfig``; the bandwidth must be positive."""
+    if not ch.bandwidth_hz > 0:
         raise ValueError("bandwidth must be positive")
-    return params.noise_density_dbm_hz + 10.0 * math.log10(params.bandwidth_hz)
+    return ch.noise_density_dbm_hz + 10.0 * math.log10(ch.bandwidth_hz)
 
 
 class Blocking(NamedTuple):

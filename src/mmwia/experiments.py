@@ -31,8 +31,8 @@ from .protocol import COORDINATED, EXHAUSTIVE, ia_time_reduction, run_batch
 
 
 class ResultTable:
-    def __init__(self, name: str, columns: tuple[str, ...],
-                 config_hash: str = "", master_seed: int = 0):
+    def __init__(self, name: str, columns: tuple[str, ...], config_hash: str,
+                 master_seed: int):
         self.name, self.columns = name, columns
         self.rows: list[tuple] = []
         self.config_hash, self.master_seed = config_hash, master_seed
@@ -206,7 +206,7 @@ def _paired_point(cfg: SimConfig, gamma: float, trials: int, master_seed: int,
 
 def point_threshold(cfg: SimConfig, master_seed: int, point: int) -> float:
     """gamma_ra of ``cfg`` calibrated on grid point ``point``'s own seed."""
-    return cfg.threshold(noise_power(cfg.link_params()), cfg.sequence(),
+    return cfg.threshold(noise_power(cfg.channel), cfg.sequence(),
                          seed=np.random.SeedSequence((master_seed, point, 0xCA1)))
 
 

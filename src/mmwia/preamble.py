@@ -126,12 +126,12 @@ def miss_threshold(
     reference_rx_dbm: float,
     noise_power_dbm: float,
     seq: ZcSequence,
-    trials: int = 10_000,
-    seed=None,
+    trials: int,
+    seed,
 ) -> float:
     """Monte Carlo threshold: the p_miss quantile of the aligned reference
-    link's PDP peak over ``trials`` exact draws, so that link is missed
-    with probability p_miss.
+    link's PDP peak over ``trials`` exact draws from ``seed``, so that link
+    is missed with probability p_miss.
 
     The quantile is ``np.quantile``'s default (linear) one, bit for bit,
     from the two order statistics around it: one partition puts the upper

@@ -177,7 +177,7 @@ def _coordinated_schedule(cells: np.ndarray, sc_codebook: BeamCodebook,
     return schedule, estimates
 
 
-def run_batch(cfg: SimConfig, gamma: float, draw, seed=None,
+def run_batch(cfg: SimConfig, gamma: float, draw, seed,
               schemes=(EXHAUSTIVE, COORDINATED)) -> tuple[IaOutcomes, ...]:
     """The outcomes under each of ``schemes``, in that order, of the trials
     ``draw`` at the grid point ``cfg`` with detection threshold ``gamma``.
@@ -199,7 +199,7 @@ def run_batch(cfg: SimConfig, gamma: float, draw, seed=None,
     rng = np.random.default_rng(seed)
     orders = _rx_orders(cells, sc_cb.n_beams, rng)
     budget = link_budget_dbm(cells, ue, blocking, ue_cb, sc_cb, cfg.channel.p_ue_dbm)
-    noise_mw = dbm_to_mw(noise_power(cfg.link_params()))
+    noise_mw = dbm_to_mw(noise_power(cfg.channel))
     hit = np.full(n_trials, -1)
     peaks = _sweep(budget, noise_mw, n_zc, gamma, orders[:, :, :1].transpose(0, 2, 1),
                    0, hit, rng)

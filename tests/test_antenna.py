@@ -7,17 +7,8 @@ from hypothesis import strategies as st
 
 from mmwia.antenna import make_codebook, make_pattern
 from mmwia.protocol import reorder_rx_beams
-from mmwia.selftest import pattern_22p5deg, pattern_45deg
 
 beamwidths = st.floats(min_value=math.radians(2.0), max_value=math.radians(170.0))
-
-
-def test_pattern_constants_45deg():
-    pattern_45deg()
-
-
-def test_pattern_constant_22p5deg():
-    pattern_22p5deg()
 
 
 @given(beamwidths)

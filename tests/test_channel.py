@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mmwia.antenna import make_codebook, make_pattern
 from mmwia.channel import (
     Blocking,
-    LinkBudgetParams,
     NLOS_FLOOR_DB,
     best_pair_dbm,
     link_budget_dbm,
@@ -16,13 +15,9 @@ from mmwia.channel import (
     pathloss,
     sample_blocking,
 )
+from mmwia.config import ChannelConfig
 from mmwia.geometry import build_cluster, circular_distance, place_ue
-from mmwia.selftest import (
-    aligned_link_composition,
-    back_lobe_drop,
-    link_bearings,
-    received_power,
-)
+from mmwia.selftest import link_bearings, received_power
 
 D = 200.0
 
@@ -48,44 +43,66 @@ def test_pathloss_strictly_increasing(d1, d2):
         assert pathloss(lo) < pathloss(hi)
 
 
+def _channel(bandwidth_hz):
+    return ChannelConfig(noise_density_dbm_hz=-171.0, bandwidth_hz=bandwidth_hz)
+
+
 def test_noise_power_values():
-    assert noise_power(LinkBudgetParams(23.0, -171.0, 1.08e6)) == pytest.approx(-110.666, abs=1e-3)
-    assert noise_power(LinkBudgetParams(23.0, -171.0, 1.0)) == pytest.approx(-171.0)
-    one = noise_power(LinkBudgetParams(23.0, -171.0, 5e5))
-    two = noise_power(LinkBudgetParams(23.0, -171.0, 1e6))
+    assert noise_power(_channel(1.08e6)) == pytest.approx(-110.666, abs=1e-3)
+    assert noise_power(_channel(1.0)) == pytest.approx(-171.0)
+    one = noise_power(_channel(5e5))
+    two = noise_power(_channel(1e6))
     assert two - one == pytest.approx(10.0 * math.log10(2.0))
 
 
 @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan])
 def test_noise_power_needs_a_positive_bandwidth(bandwidth):
     with pytest.raises(ValueError, match="bandwidth must be positive"):
-        noise_power(LinkBudgetParams(23.0, -171.0, bandwidth))
+        noise_power(_channel(bandwidth))
 
 
 CELL0 = (0.0, 0.0)
 WEST_UE = (-D, 0.0)  # 200 m due west of cell 0
 
 
+def _west_link_tensor():
+    """The program's link budget from a UE 200 m due west of cell 0, with
+    45 deg beams at both ends: the (n_tx,) powers at cell 0 under its Rx beam
+    that points back west, and the codebook."""
+    cb = make_codebook(8)  # beam t centred at t * 45 deg
+    base, rx_gain = link_budget_dbm(np.array([CELL0]), np.array(WEST_UE),
+                                    None, cb, cb, 23.0)
+    return base[:, 0] + rx_gain[4, 0], cb
+
+
 def test_received_power_aligned_composition():
-    aligned_link_composition()
+    """The aligned LOS link is P_UE + 2 g0 - PL(200 m), about -61.70 dBm."""
+    powers, cb = _west_link_tensor()
+    expect = 23.0 + 2.0 * cb.pattern.g0 - pathloss(D)
+    assert powers[0] == pytest.approx(expect, abs=1e-9)
+    assert powers[0] == pytest.approx(-61.70, abs=0.02)
+    assert int(np.argmax(powers)) == 0
 
 
 def test_received_power_back_lobe_drop():
-    back_lobe_drop()
+    """Turning the UE beam around costs exactly g0 - g_sl, about 24.65 dB."""
+    powers, cb = _west_link_tensor()
+    drop = cb.pattern.g0 - cb.pattern.g_sl
+    assert powers[0] - powers[4] == pytest.approx(drop, abs=1e-9)
+    assert drop == pytest.approx(24.65, abs=0.02)
 
 
 def test_blocked_link_below_aligned_los():
     """Best-case blocked reception sits >= 1.55 dB under best-case LOS."""
     pat = make_pattern(math.radians(45.0))
-    params = LinkBudgetParams(23.0, -171.0, 1.08e6)
     rng = np.random.default_rng(0)
     for _ in range(25):
         reflector = rng.uniform(0, 2 * math.pi)
         penalty = NLOS_FLOOR_DB + rng.exponential(5.0)
         depart, arrive = link_bearings(CELL0, WEST_UE, reflector)
-        blocked_best = received_power(params, CELL0, WEST_UE, depart, pat,
+        blocked_best = received_power(23.0, CELL0, WEST_UE, depart, pat,
                                       arrive, pat, reflector, penalty)
-        los_best = received_power(params, CELL0, WEST_UE, 0.0, pat,
+        los_best = received_power(23.0, CELL0, WEST_UE, 0.0, pat,
                                   math.pi, pat)
         assert blocked_best <= los_best - NLOS_FLOOR_DB + 1e-9
 
@@ -93,10 +110,9 @@ def test_blocked_link_below_aligned_los():
 def test_blocked_argmax_beam_points_at_reflector():
     """The best Tx beam for a blocked link is the one nearest the reflector."""
     cb = make_codebook(8)
-    params = LinkBudgetParams(0.0, -171.0, 1.08e6)
     reflector = math.radians(222.0)
     depart, _ = link_bearings(CELL0, WEST_UE, reflector)
-    powers = [received_power(params, CELL0, WEST_UE, float(c), cb.pattern,
+    powers = [received_power(0.0, CELL0, WEST_UE, float(c), cb.pattern,
                              math.pi, cb.pattern, reflector, 3.0)
               for c in cb.beam_centers]
     best = int(np.argmax(powers))

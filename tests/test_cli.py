@@ -1,8 +1,10 @@
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -417,7 +419,8 @@ def test_selftest_on_a_closed_stdout_keeps_its_exit_code(passed, code):
                  "def second():\n"
                  "    sys.stdin.read()\n"
                  f"    assert {passed}\n"
-                 "selftest.CHECKS = [('first', lambda: None), ('second', second)]\n"
+                 "selftest.CHECKS = [('first', lambda: None, ((),)),\n"
+                 "                   ('second', second, ((),))]\n"
                  "sys.exit(cli.main(['selftest']))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.Popen([sys.executable, "-c", code_text], stdin=subprocess.PIPE,
@@ -455,3 +458,21 @@ def test_campaign_leaks_no_floating_point_warning(tmp_path, capsys, command, con
         warnings.simplefilter("error")
         assert main(args) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_run_figures_config_alone_writes_to_its_output_dir(tmp_path, monkeypatch):
+    """scripts/run_figures.py --quick --config, without --out: every campaign
+    writes to the config's [output] dir and nothing to the working directory."""
+    run_figures = runpy.run_path(str(Path(__file__).parents[1] / "scripts/run_figures.py"))
+    out = tmp_path / "fromcfg"
+    cfg = _write(tmp_path, f"[output]\ndir = {out}\n[experiment]\n"
+                           "p_los_cluster_sizes = 4\np_los_p_blk = 0.2\n"
+                           "power_grid_dbm = -14\npmiss_grid = 0.1\n"
+                           "cluster_grid = 1, 3\nn_tx_values = 4\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run_figures["main"](["--quick", "--config", cfg]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "p_los.csv", "reduction_pmiss.csv", "reduction_power.csv", "time_cluster.csv"]
+    assert not any(work.iterdir())

@@ -20,7 +20,7 @@ from mmwia.estimation import (
 )
 from mmwia.geometry import build_cluster, place_ue
 from mmwia.protocol import reorder_rx_beams
-from mmwia.selftest import locate_case, reproduces_angles, round_trip, true_angles
+from mmwia.selftest import reproduces_angles, true_angles
 
 D = 200.0
 
@@ -97,18 +97,6 @@ def test_wrapped_differences_telescope(n_tx, a, b, c):
 
 
 SYMMETRIC = (2 * math.pi / 3,) * 3
-
-
-def test_solve_symmetric_case():
-    locate_case("symmetric")
-
-
-def test_solve_side_midpoint_case():
-    locate_case("side midpoint")
-
-
-def test_solve_exterior_case():
-    locate_case("exterior")
 
 
 def test_solve_rejects_inconsistent_sum():
@@ -296,11 +284,6 @@ def test_failed_triangulation_on_every_call():
     for _ in range(3):
         point, status = _estimate(peaks, tri)
         assert status == FAILED and np.isnan(point).all()
-
-
-def test_round_trip_exact_angles_on_triangle_edges():
-    """A UE inside an edge sees that pair at an angle of pi."""
-    round_trip(on_edges=True)
 
 
 def test_extra_cell_next_to_a_base_cell():

@@ -122,7 +122,7 @@ def test_batch_needs_a_trial_axis():
     cells, ue, _ = _draw()
     for draw in ((cells[0], ue, None), (cells, ue[0], None)):
         with pytest.raises(ValueError, match="batch"):
-            run_batch(_cfg(), 1e-5, draw)
+            run_batch(_cfg(), 1e-5, draw, 0)
 
 
 def test_a_broadcast_cluster_runs_as_its_copy():
@@ -234,7 +234,7 @@ def test_blocked_links_degrade_but_stay_bounded():
 def test_blocking_needs_one_state_per_cell():
     draw = _draw(blocking=sample_blocking(4, 0.5, 2, excess_mean_db=10.0))
     with pytest.raises(ValueError, match="per cell"):
-        run_batch(_cfg(), 1e-5, draw)
+        run_batch(_cfg(), 1e-5, draw, 0)
 
 
 def test_backhaul_latency_defers_reordering():

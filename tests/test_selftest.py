@@ -1,10 +1,8 @@
-"""Every oracle of the built-in selftest, one test per check.
+"""Every oracle of the built-in selftest, one test per case of each check.
 
-Many inputs of these checks also run under tests named after them (the ZC,
-false-alarm, miss, closed-form solve and sampler cases, the edge round
-trip, the link-budget scalars, the pattern constants and the UE
-centroid). The selftest caches each input's result, so within one session
-an input runs once, under whichever test reaches it first.
+A case's test id is its check's name and its arguments, joined by "-"
+(``false-alarm threshold closed form-0.05``); a check with one input has
+the single case ``()`` and its name alone.
 """
 
 import ast
@@ -13,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mmwia
-from mmwia.selftest import CHECKS, FALSE_ALARM_CASES, LOCATE_CASES
+from mmwia import selftest
 
 PACKAGE = Path(mmwia.__file__).parent
 # the simulator modules: what they define, the program runs
@@ -21,15 +19,36 @@ SIMULATOR = ("geometry", "antenna", "channel", "preamble", "estimation", "protoc
              "experiments")
 
 
-@pytest.mark.parametrize("check", [pytest.param(fn, id=name) for name, fn in CHECKS])
-def test_check(check):
-    check()
+@pytest.mark.parametrize("check,case", [
+    pytest.param(check, case, id="-".join([name, *map(str, case)]))
+    for name, check, cases in selftest.CHECKS for case in cases])
+def test_check(check, case):
+    check(*case)
 
 
-def test_every_case_has_a_test_of_its_own():
-    # a new case needs a test named after it before it joins its table
-    assert set(FALSE_ALARM_CASES) == {0.1, 0.01, 0.05}
-    assert set(LOCATE_CASES) == {"symmetric", "side midpoint", "exterior"}
+def test_run_selftest_reports_one_line_per_check(monkeypatch, capsys):
+    """Every case of a check runs; a failing case fails its check, with its
+    traceback on stderr, and the checks after it still run."""
+    calls = []
+
+    def record(*case):
+        calls.append(case)
+
+    def second_fails(x):
+        calls.append(("second_fails", x))
+        assert x == 1, "the second case fails"
+
+    monkeypatch.setattr(selftest, "CHECKS", [
+        ("two cases", record, ((1, "a"), (2, "b"))),
+        ("fails at its second case", second_fails, ((1,), (2,))),
+        ("after", record, ((),)),
+    ])
+    lines = []
+    assert selftest.run_selftest(lines.append) is False
+    assert lines == ["[PASS] two cases", "[FAIL] fails at its second case", "[PASS] after"]
+    assert calls == [(1, "a"), (2, "b"), ("second_fails", 1), ("second_fails", 2), ()]
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "AssertionError: the second case fails" in err
 
 
 def _public_definitions(tree: ast.Module) -> set[str]:
