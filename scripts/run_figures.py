@@ -6,9 +6,9 @@ packaged defaults. Pass --quick for a fast smoke pass (reduced trials),
 --out / --seed / --config as with the CLI. Each campaign's time prints to
 0.01 s, and the last line is the total wall time. Measured on one core of
 a shared 2-vCPU Intel Xeon cloud host with numpy 2.4.6, five runs each:
-the full defaults took 1.54-2.18 s, median 1.92 s (p-los 1.06-1.49 s of
-it, the two reduction campaigns 0.19-0.29 s each, time-cluster
-0.10-0.15 s); --quick took 0.12-0.18 s, median 0.17 s.
+the full defaults took 0.96-1.04 s, median 0.99 s (p-los 0.61-0.68 s of
+it, the two reduction campaigns 0.12-0.16 s each, time-cluster
+0.08-0.09 s); --quick took 0.09 s in every run.
 """
 
 import argparse

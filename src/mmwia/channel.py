@@ -75,7 +75,14 @@ def sample_blocking(n_sc: int, p_blk: float, seed=None, *,
 def _paths(cells: np.ndarray, ue: np.ndarray, blocking: Blocking | None):
     """(distances, departure bearings at the UE, arrival bearings at the
     cells) of every link, each (..., n_sc); ``link_budget_dbm`` documents
-    the reflector routing of blocked links."""
+    the reflector routing of blocked links.
+
+    Only the blocked links are routed: their flat indices pick, by 1-D
+    ``take``, their UE coordinates (one UE per ``n_sc`` links), cell
+    coordinates, distances and reflector bearings, and the four routed
+    differences are written over the direct ones, so a routed link's
+    bits do not depend on which other links are blocked.
+    """
     ue = np.asarray(ue)
     ux, uy = ue[..., 0, None], ue[..., 1, None]
     cx, cy = cells[..., 0], cells[..., 1]
@@ -84,12 +91,18 @@ def _paths(cells: np.ndarray, ue: np.ndarray, blocking: Blocking | None):
     if not d.all():
         raise ValueError("link undefined: the UE coincides with a cell")
     ax, ay = ux - cx, uy - cy
-    if blocking is not None and blocking.blocked.any():
-        b, via = blocking.reflector, blocking.blocked
-        rx = ux + 0.5 * d * np.cos(b)
-        ry = uy + 0.5 * d * np.sin(b)
-        dx, dy = np.where(via, rx - ux, dx), np.where(via, ry - uy, dy)
-        ax, ay = np.where(via, rx - cx, ax), np.where(via, ry - cy, ay)
+    if blocking is not None:
+        via = np.flatnonzero(blocking.blocked)
+        ue_of = via // d.shape[-1]
+        u0 = ue[..., 0].reshape(-1).take(ue_of)
+        v0 = ue[..., 1].reshape(-1).take(ue_of)
+        half, b = 0.5 * d.take(via), blocking.reflector.take(via)
+        rx = u0 + half * np.cos(b)
+        ry = v0 + half * np.sin(b)
+        dx.reshape(-1)[via] = rx - u0
+        dy.reshape(-1)[via] = ry - v0
+        ax.reshape(-1)[via] = rx - cx.reshape(-1).take(via)
+        ay.reshape(-1)[via] = ry - cy.reshape(-1).take(via)
     return d, bearings(dx, dy), bearings(ax, ay)
 
 
@@ -116,9 +129,24 @@ def _nearest_beam_gain(cb: BeamCodebook, azimuth: np.ndarray) -> np.ndarray:
     """
     k = (azimuth * (cb.n_beams / TWO_PI)).astype(np.intp)
     centers = cb.beam_centers
-    off = np.minimum(circular_distance(np.take(centers, k, mode="wrap"), azimuth),
-                     circular_distance(np.take(centers, k + 1, mode="wrap"), azimuth))
+    off = np.minimum(_near_offset(np.take(centers, k, mode="wrap"), azimuth),
+                     _near_offset(np.take(centers, k + 1, mode="wrap"), azimuth))
     return cb.pattern.gain(off)[..., None, :]
+
+
+def _near_offset(center: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """``circular_distance(center, azimuth)``, bit for bit, for either of
+    the two centres around an azimuth in [0, 2*pi) in a codebook of n
+    beams. Such a centre lies less than a turn below the azimuth or at
+    most min(pi, 2*pi/n) above it (the one centre of a single beam, at 0,
+    is never above), so ``(center - azimuth) + pi`` lies in [-pi, 2*pi]:
+    one wrap of a negative value suffices, and at 2*pi, which
+    ``circular_distance`` wraps to 0, both give pi."""
+    r = center - azimuth
+    r += np.pi
+    np.add(r, TWO_PI, out=r, where=r < 0.0)
+    r -= np.pi
+    return np.abs(r, out=r)
 
 
 def link_budget_dbm(cells: np.ndarray, ue: np.ndarray,

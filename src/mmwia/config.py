@@ -132,11 +132,15 @@ class SimConfig(NamedTuple):
     def threshold(self, noise_dbm: float, seq: ZcSequence, seed=None,
                   target: float | None = None) -> float:
         """gamma_ra for the configured mode: closed form for a false-alarm
-        target, Monte Carlo on the reference link for a miss target."""
+        target, Monte Carlo on the reference link for a miss target, which
+        needs ``seed``: without it the calibration would draw from OS
+        entropy and the threshold would not rerun."""
         det = self.detection
         t = det.target if target is None else target
         if det.mode == "fa":
             return false_alarm_threshold(t, noise_dbm, seq.n_zc)
+        if seed is None:
+            raise ValueError("a miss-mode threshold needs a calibration seed")
         return preamble.miss_threshold(t, self.reference_rx_dbm(), noise_dbm, seq,
                                        trials=det.calibration_trials, seed=seed)
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .channel import best_pair_dbm, noise_power, sample_blocking
 from .config import SimConfig
-from .estimation import select_top3
 from .geometry import build_cluster, place_ue
 from .protocol import COORDINATED, EXHAUSTIVE, ia_time_reduction, run_batch
 
@@ -129,13 +128,31 @@ def _ratio_delta_se(x: np.ndarray, y: np.ndarray) -> float:
 # Fig. 7: probability that the three selected cells are all line-of-sight
 # ---------------------------------------------------------------------------
 
+def _top3_los_count(power: np.ndarray, blocked: np.ndarray) -> int:
+    """How many rows of the (trials, n_sc) powers have three unblocked
+    cells first in ``select_top3``'s order (descending power, ties to the
+    lower index), without sorting.
+
+    The rival is each row's first blocked cell in that order, the
+    strongest with the lowest index on ties; every cell ranked above it is
+    unblocked, so a row wins when at least three are. A row with no
+    blocked cell has rival power -inf, below every cell.
+    """
+    masked = np.where(blocked, power, -np.inf)
+    rival = masked.argmax(-1)[:, None]
+    rival_power = np.take_along_axis(masked, rival, -1)
+    above = power > rival_power
+    above |= (power == rival_power) & (np.arange(power.shape[-1]) < rival)
+    return int(np.count_nonzero(above.sum(-1) >= 3))
+
+
 def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
     """LOS-selection probability over (cluster size, blocking probability).
 
     Per chunk of trials: draw the clusters, UEs and blocking, take every
     cell's received power under its best beam pair (``best_pair_dbm``),
-    pick each trial's three strongest cells as the coordinated scheme
-    does, and count the trials whose three are all unblocked. The noiseless PDP
+    and count the trials whose three strongest cells, in the order the
+    coordinated scheme ranks them, are all unblocked. The noiseless PDP
     peak of a cell is N^2 times its received power, so ranking received
     powers ranks the peaks.
     """
@@ -158,9 +175,7 @@ def run_p_los(cfg: SimConfig, trials: int, master_seed: int) -> ResultTable:
                 continue
             power = best_pair_dbm(cells, ue, blocking, ue_cb, sc_cb,
                                   cfg.channel.p_ue_dbm)
-            top3 = select_top3(power[:, None, :])
-            blocked = np.take_along_axis(blocking.blocked, top3, axis=-1)
-            wins += int(np.count_nonzero(~blocked.any(axis=-1)))
+            wins += _top3_los_count(power, blocking.blocked)
         p_hat = wins / trials
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
         table.add(n_sc, p_blk, p_hat, se, trials)

@@ -9,6 +9,8 @@ from mmwia.antenna import make_codebook, make_pattern
 from mmwia.channel import (
     Blocking,
     NLOS_FLOOR_DB,
+    _nearest_beam_gain,
+    _paths,
     best_pair_dbm,
     link_budget_dbm,
     noise_power,
@@ -16,7 +18,7 @@ from mmwia.channel import (
     sample_blocking,
 )
 from mmwia.config import ChannelConfig
-from mmwia.geometry import build_cluster, circular_distance, place_ue
+from mmwia.geometry import TWO_PI, build_cluster, circular_distance, place_ue
 from mmwia.selftest import link_bearings, received_power
 
 D = 200.0
@@ -269,3 +271,65 @@ def test_best_pair_equals_the_maps_maximum_bit_for_bit(n_sc, n_tx, n_rx, ue_deg,
     np.testing.assert_allclose(
         best[0], _best_pair_of_trial_0(cells, ue, blocking, ue_cb, sc_cb, -14.0),
         rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_sc=st.integers(3, 22), count=st.none() | st.integers(1, 12),
+       p_blk=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       broadcast=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n_sc=3, count=None, p_blk=0.5, broadcast=False, seed=0)
+@example(n_sc=22, count=12, p_blk=0.5, broadcast=True, seed=1)
+def test_paths_route_each_blocked_link_on_its_own_geometry(n_sc, count, p_blk,
+                                                          broadcast, seed):
+    """Routing only the blocked links lines each up with its own UE, cell,
+    distance and reflector: a mixed draw's blocked links are, bit for bit,
+    the links of the same draw routed with every link blocked, and its LOS
+    links those of ``blocking=None``; every routed link also matches the
+    scalar reference. Unbatched draws, and read-only broadcast clusters
+    and UEs, take the same route."""
+    rng = np.random.default_rng(seed)
+    cells = build_cluster(n_sc, D, rng, count=count)
+    ue = place_ue(cells, rng, count=count)
+    blocking = sample_blocking(n_sc, p_blk, rng, excess_mean_db=10.0, count=count)
+    if broadcast and count is not None:
+        cells = np.broadcast_to(cells[0], cells.shape)
+        ue = np.broadcast_to(ue[0], ue.shape)
+    via = blocking.blocked
+    mixed, los = _paths(cells, ue, blocking), _paths(cells, ue, None)
+    every = _paths(cells, ue, blocking._replace(blocked=np.ones_like(via)))
+    for got, routed, direct in zip(mixed, every, los):
+        assert got.tobytes() == np.where(via, routed, direct).tobytes()
+    cells_2d = np.broadcast_to(cells, via.shape + (2,)).reshape(-1, 2)
+    ue_2d = np.broadcast_to(ue[..., None, :], via.shape + (2,)).reshape(-1, 2)
+    for i, (cell, u, reflector) in enumerate(zip(
+            cells_2d.tolist(), ue_2d.tolist(), blocking.reflector.reshape(-1).tolist())):
+        expect = link_bearings(cell, u, reflector)
+        got = every[1].reshape(-1)[i], every[2].reshape(-1)[i]
+        assert circular_distance(np.array(got), np.array(expect)).max() < 1e-9, i
+
+
+def _every_beam_gain(cb, azimuth):
+    """The largest gain of any beam of ``cb`` at each azimuth."""
+    return cb.pattern.gain(circular_distance(cb.beam_centers[:, None], azimuth)).max(0)
+
+
+@pytest.mark.parametrize("n_beams", range(1, 9))
+@pytest.mark.parametrize("deg", [None, 10.0, 90.0, 179.0])
+def test_nearest_beam_gain_at_the_codebook_edges(n_beams, deg):
+    """The nearest beam's gain is the largest of any beam, bit for bit, at
+    azimuth 0, on every centre and midpoint and one ulp either side of a
+    centre, and at the last double below 2*pi, where ``azimuth * n / 2*pi``
+    rounds up to n for five and seven beams and both candidate centres
+    wrap."""
+    cb = make_codebook(n_beams, None if deg is None else math.radians(deg))
+    centers = cb.beam_centers
+    last = np.nextafter(TWO_PI, 0.0)
+    azimuth = np.concatenate([
+        [0.0, last], centers, centers + math.pi / n_beams,
+        np.nextafter(centers, TWO_PI), np.nextafter(centers[1:], 0.0)])
+    assert azimuth.min() >= 0.0 and azimuth.max() < TWO_PI
+    if n_beams in (5, 7):
+        assert int(last * (n_beams / TWO_PI)) == n_beams
+    got = _nearest_beam_gain(cb, azimuth)
+    assert got.shape == (1, azimuth.size)
+    assert got[0].tobytes() == _every_beam_gain(cb, azimuth).tobytes()

@@ -232,6 +232,19 @@ def test_threshold_follows_detection_mode():
         0.01, cfg.reference_rx_dbm(), -110.67, seq, trials=10_000, seed=4)
 
 
+def test_miss_threshold_needs_a_seed():
+    """A miss-mode threshold calibrates from its seed and never from OS
+    entropy; the closed-form fa threshold draws nothing and needs none."""
+    cfg = SimConfig().replace(detection={"mode": "miss"})
+    seq = cfg.sequence()
+    for call in (lambda: cfg.threshold(-110.67, seq),
+                 lambda: cfg.threshold(-110.67, seq, seed=None, target=0.1)):
+        with pytest.raises(ValueError, match="calibration seed"):
+            call()
+    fa = cfg.replace(detection={"mode": "fa"})
+    assert fa.threshold(-110.67, seq) == fa.threshold(-110.67, seq, seed=None)
+
+
 def test_config_hash_is_pinned():
     """Every CSV and SVG stamp carries this hash of the defaults; it covers
     the config's repr, so a schema change moves it and fails here."""

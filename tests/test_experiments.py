@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from mmwia import experiments, protocol
 from mmwia.channel import link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig, load_config
+from mmwia.estimation import select_top3
 from mmwia.experiments import (
     ResultTable,
     CHUNK,
     _paired_point,
+    _top3_los_count,
     draw_trial,
     point_threshold,
     run_p_los,
@@ -230,6 +233,51 @@ def _spy(monkeypatch, name, record):
 
     monkeypatch.setattr(experiments, name, spy)
     return seen
+
+
+def _sorted_top3_los_count(power, blocked):
+    """Rows whose ``select_top3`` cells are all unblocked."""
+    top3 = select_top3(power[:, None, :])
+    return int(np.count_nonzero(~np.take_along_axis(blocked, top3, -1).any(-1)))
+
+
+# (powers, blocked) rows of five cells; -60 ties a LOS cell with the
+# strongest blocked cell
+TIE_CASES = {
+    "blocked cell first in a tie": ([-50, -55, -60, -60, -70], [0, 0, 1, 0, 1]),
+    "blocked cell last in a tie": ([-50, -55, -60, -60, -70], [0, 0, 0, 1, 1]),
+    "tie for third behind two LOS": ([-60, -50, -55, -60, -60], [1, 0, 0, 0, 0]),
+    "tie ranked fourth": ([-60, -50, -55, -52, -60], [0, 0, 0, 0, 1]),
+    "all LOS": ([-60, -60, -60, -60, -60], [0, 0, 0, 0, 0]),
+    "all blocked": ([-60, -50, -60, -70, -40], [1, 1, 1, 1, 1]),
+    "exactly three LOS, strongest": ([-50, -90, -51, -52, -91], [0, 1, 0, 0, 1]),
+    "exactly three LOS, one below a blocked": ([-50, -51, -52, -53, -54],
+                                               [0, 0, 1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_p_los_score_breaks_ties_as_select_top3(case):
+    """Counting the cells ranked above the strongest blocked cell scores
+    a row as ``select_top3``'s stable order does, ties to the lower index."""
+    power, blocked = TIE_CASES[case]
+    power, blocked = np.array([power], dtype=float), np.array([blocked], dtype=bool)
+    assert _top3_los_count(power, blocked) == _sorted_top3_los_count(power, blocked)
+
+
+def test_p_los_score_matches_select_top3_on_every_small_tie():
+    """Every row of 3-5 cells over three power levels and every blocking
+    pattern scores as ``select_top3`` ranks it."""
+    for n_sc in (3, 4, 5):
+        rows = list(itertools.product(
+            itertools.product((-60.0, -61.0, -62.0), repeat=n_sc),
+            itertools.product((False, True), repeat=n_sc)))
+        power = np.array([p for p, _ in rows])
+        blocked = np.array([b for _, b in rows])
+        for row in range(len(rows)):
+            one = power[row:row + 1], blocked[row:row + 1]
+            assert _top3_los_count(*one) == _sorted_top3_los_count(*one), one
+        assert _top3_los_count(power, blocked) == _sorted_top3_los_count(power, blocked)
 
 
 def test_p_los_point_config_carries_its_axis_values(monkeypatch):
