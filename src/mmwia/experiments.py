@@ -52,10 +52,6 @@ class ResultTable:
             lines.append(",".join(_fmt(v) for v in row))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):

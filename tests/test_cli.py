@@ -1,3 +1,5 @@
+import builtins
+import io
 import math
 import os
 import runpy
@@ -241,14 +243,115 @@ def test_p_los_writes_csv_and_svg(tmp_path, capsys):
     assert "<svg" in svg and "<polyline" in svg
 
 
+def _p_los_into(tmp_path, out) -> int:
+    return main(["p-los", "--config", _write(tmp_path, TINY), "--trials", "40",
+                 "--seed", "5", "--out", str(out)])
+
+
 def test_byte_identical_reruns(tmp_path):
-    cfg = _write(tmp_path, TINY)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["p-los", "--config", cfg, "--trials", "40", "--seed", "5",
-                 "--out", str(out_a)]) == 0
-    assert main(["p-los", "--config", cfg, "--trials", "40", "--seed", "5",
-                 "--out", str(out_b)]) == 0
-    assert (out_a / "p_los.csv").read_bytes() == (out_b / "p_los.csv").read_bytes()
+    assert _p_los_into(tmp_path, out_a) == 0
+    assert _p_los_into(tmp_path, out_b) == 0
+    for name in ("p_los.csv", "p_los.svg"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _fresh_outputs(tmp_path) -> dict:
+    """{name: bytes} of the p-los outputs written into a new directory."""
+    out = tmp_path / "fresh"
+    assert _p_los_into(tmp_path, out) == 0
+    return {name: (out / name).read_bytes() for name in ("p_los.csv", "p_los.svg")}
+
+
+@pytest.mark.parametrize("kind", ["longer-junk", "shorter-junk", "previous"])
+def test_rerun_over_existing_outputs_writes_the_fresh_bytes(tmp_path, kind):
+    """Outputs rewritten in place over longer or shorter files, or over the
+    previous run's outputs, hold the bytes of a run into a new directory."""
+    fresh = _fresh_outputs(tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    for name, data in fresh.items():
+        junk = {"longer-junk": b"x" * (len(data) + 999), "shorter-junk": b"y\n",
+                "previous": data}[kind]
+        (out / name).write_bytes(junk)
+    assert _p_los_into(tmp_path, out) == 0
+    assert {name: (out / name).read_bytes() for name in fresh} == fresh
+
+
+def test_rerun_keeps_symlinks_hard_links_and_mode(tmp_path):
+    """An output that is a symlink stays one and its target, a file with a
+    second hard link and its own mode, gets the new bytes; one that links
+    to a device takes the bytes as open(path, "w") does."""
+    fresh = _fresh_outputs(tmp_path)
+    out, elsewhere = tmp_path / "o", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    target = elsewhere / "p_los.csv"
+    target.write_bytes(b"z" * 5000)
+    target.chmod(0o640)
+    os.link(target, elsewhere / "second-link.csv")
+    (out / "p_los.csv").symlink_to(target)
+    (out / "p_los.svg").symlink_to(os.devnull)
+    assert _p_los_into(tmp_path, out) == 0
+    assert (out / "p_los.csv").is_symlink() and (out / "p_los.svg").is_symlink()
+    assert target.read_bytes() == fresh["p_los.csv"]
+    assert (elsewhere / "second-link.csv").read_bytes() == fresh["p_los.csv"]
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("kind", ["read-only", "directory", "out-is-a-file"])
+def test_unwritable_output_is_experiment_error(tmp_path, capsys, kind):
+    """An existing output that cannot be opened for writing, or an --out
+    that names a file, fails the campaign with exit 3 and the error that
+    open(path, "w") and mkdir give, and leaves the file or directory as
+    it was."""
+    out = tmp_path / "o"
+    blocker = out
+    if kind != "out-is-a-file":
+        out.mkdir()
+        blocker = out / "p_los.csv"
+    if kind == "directory":
+        blocker.mkdir()
+    else:
+        blocker.write_bytes(b"kept")
+        blocker.chmod(0o444)
+        if kind == "read-only" and os.access(blocker, os.W_OK):
+            pytest.skip("this user writes through a read-only mode")
+    assert _p_los_into(tmp_path, out) == 3
+    errno_text = {"read-only": "[Errno 13] Permission denied",
+                  "directory": "[Errno 21] Is a directory",
+                  "out-is-a-file": "[Errno 17] File exists"}[kind]
+    assert capsys.readouterr().err.startswith(f"experiment error: {errno_text}")
+    assert blocker.is_dir() if kind == "directory" else blocker.read_bytes() == b"kept"
+
+
+def test_outputs_are_never_opened_with_truncation(tmp_path, monkeypatch):
+    """No output is opened with O_TRUNC or a truncating open() mode, so a
+    rewrite never empties the file first; both outputs are opened."""
+    opened, truncating = [], []
+    os_open, builtin_open = os.open, builtins.open
+
+    def watched_os_open(path, flags, *args, **kwargs):
+        opened.append(Path(path).name)
+        if flags & os.O_TRUNC:
+            truncating.append(path)
+        return os_open(path, flags, *args, **kwargs)
+
+    def watched_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and "w" in mode:
+            truncating.append(file)
+        return builtin_open(file, mode, *args, **kwargs)
+
+    argv = ["p-los", "--config", _write(tmp_path, TINY), "--trials", "40",
+            "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(os, "open", watched_os_open)
+    monkeypatch.setattr(builtins, "open", watched_open)
+    monkeypatch.setattr(io, "open", watched_open)  # Path.write_text opens through it
+    for _ in range(2):  # into a new directory, then over the outputs
+        assert main(argv) == 0
+    monkeypatch.undo()
+    assert truncating == []
+    assert {"p_los.csv", "p_los.svg"} <= set(opened)
 
 
 @pytest.mark.parametrize("trials", ["-3", "0"])
