@@ -99,8 +99,8 @@ class SimConfig(NamedTuple):
     # -- derived helpers -------------------------------------------------
 
     def link_params(self) -> ChannelConfig:
-        """The channel section. Kept only because the benchmark harness and
-        the acceptance tests call ``noise_power(cfg.link_params())``."""
+        """The channel section. Kept only because the benchmark harness
+        calls ``noise_power(cfg.link_params())``."""
         return self.channel
 
     def sequence(self) -> ZcSequence:

@@ -1,8 +1,12 @@
 """Built-in oracle suite: every derived expected value, checked analytically.
 
 Each check recomputes its expectation from an independent route (hand
-algebra, brute-force correlation, closed-form statistics) and compares
-the implementation against it. This module holds the only copy of each
+algebra, brute-force correlation, closed-form statistics, the scalar
+link budget, exact angles) and compares the implementation against it.
+Only such checks live here, with the input checks of the functions they
+cover; a property without an independent reference (reproducibility,
+shapes, tie rules) is asserted in the test suite, and no property is
+asserted in both. This module holds the only copy of each
 oracle, including the reference implementations that no campaign runs:
 the scalar link budget (``received_power``), the exact subtended angles
 (``true_angles``), the modulo angle wrap that ``geometry.bearings``
@@ -36,25 +40,6 @@ def _assert_raises(exc, fn, *args, **kwargs):
     raise AssertionError(f"{fn.__name__} must raise {exc.__name__}")
 
 
-def _check_cluster_reproducible():
-    c1 = geometry.build_cluster(12, D, layout_seed=7)
-    c2 = geometry.build_cluster(12, D, layout_seed=7)
-    assert np.array_equal(c1, c2), "same seed must give same layout"
-    for i in range(3):
-        for j in range(i + 1, 3):
-            dij = math.dist(c1[i], c1[j])
-            assert abs(dij - D) < 1e-9, "first three cells must form the triangle"
-
-
-def _check_ue_centroid():
-    """The mean of 100k uniform UE placements is within 2 m of the centroid."""
-    cells = geometry.build_cluster(3, D)
-    rng = np.random.default_rng(123)
-    pts = geometry.place_ue(cells, rng, count=100_000)
-    err = math.dist(pts.mean(axis=0), cells.mean(axis=0))
-    assert err < 2.0, f"empirical centroid off by {err:.2f} m"
-
-
 def normalize_angle(angle):
     """Wrap angle(s) to [0, 2*pi) (array-safe)."""
     a = np.mod(angle, geometry.TWO_PI)
@@ -76,14 +61,6 @@ def true_angles(cells: np.ndarray, ue) -> tuple[float, float, float]:
         raise ValueError("angles undefined at a UE on a cell")
     b = geometry.bearings(vectors[:, 0], vectors[:, 1])
     return tuple(normalize_angle(np.roll(b, -1) - b).tolist())
-
-
-def _check_angle_sum():
-    cells = geometry.build_cluster(3, D)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        total = sum(true_angles(cells, geometry.place_ue(cells, rng)))
-        assert abs(total - 2.0 * math.pi) < 1e-12, "angles must close to 2*pi"
 
 
 # half-power beamwidth (deg) -> peak gain g0 and side-lobe gain g_sl (dBi),
@@ -145,60 +122,62 @@ def received_power(
     return float(p_ue_dbm + g_ue + g_sc - channel.pathloss(d) - penalty_db)
 
 
-def _west_link(ue_beam: float):
-    """Received power from a UE 200 m due west of cell 0, whose beam points
-    west, with 45 deg beams at both ends; also returns the pattern."""
-    pat = antenna.make_pattern(math.radians(45.0))
-    p = received_power(
-        23.0, geometry.build_cluster(3, D)[0], (-D, 0.0),
-        ue_beam=ue_beam, ue_pattern=pat, sc_beam=math.pi, sc_pattern=pat)
-    return p, pat
-
-
 def _check_link_budget():
-    assert abs(channel.pathloss(200.0) - 109.7224) < 1e-3
+    assert abs(channel.pathloss(200.0) - 109.72163) < 1e-4
     ch = ChannelConfig(noise_density_dbm_hz=-171.0, bandwidth_hz=1.08e6)
     assert abs(channel.noise_power(ch) + 110.6658) < 1e-3
-    # the aligned LOS link is P_UE + 2 g0 - PL(200 m), about -61.70 dBm
-    (aligned, pat), (backlobe, _) = _west_link(0.0), _west_link(math.pi)
-    expect = 23.0 + 2.0 * pat.g0 - channel.pathloss(200.0)
-    assert abs(aligned - expect) < 1e-9 and abs(aligned + 61.70) < 0.02, aligned
-    # turning the UE beam around costs exactly g0 - g_sl, about 24.65 dB
-    assert abs((aligned - backlobe) - (pat.g0 - pat.g_sl)) < 1e-9
-    assert abs((pat.g0 - pat.g_sl) - 24.65) < 0.02
 
-    # the (tx, cell, rx) tensor against the scalar reference, LOS and blocked
-    ue_cb, sc_cb = antenna.make_codebook(8), antenna.make_codebook(6)
-    rng = np.random.default_rng(19)
-    seen = set()
+    # the (tx, cell, rx) tensor against the scalar reference: a UE 200 m due
+    # west of cell 0, with 8 beams of 45 deg at both ends (beam t centred at
+    # t * 45 deg), then 20 six-cell layouts with 6 Rx beams, LOS and blocked
+    ue_cb, rng = antenna.make_codebook(8), np.random.default_rng(19)
+    west = (-D, 0.0)
+    layouts = [(geometry.build_cluster(3, D)[:1], np.array(west), None, ue_cb)]
     for _ in range(20):
         cells = geometry.build_cluster(6, D, rng)
         ue = geometry.place_ue(cells, rng)
         blk = channel.sample_blocking(6, 0.5, rng, excess_mean_db=10.0)
+        layouts.append((cells, ue, blk, antenna.make_codebook(6)))
+    seen, tensors = set(), []
+    for cells, ue, blk, sc_cb in layouts:
         base, rx_gain = channel.link_budget_dbm(cells, ue, blk, ue_cb, sc_cb, 23.0)
+        tensor = base[:, :, None] + rx_gain.T  # (tx, cell, rx)
+        tensors.append(tensor)
         for i, cell in enumerate(cells.tolist()):
             if math.dist(ue, cell) < 1.0:
                 continue
-            blocked = bool(blk.blocked[i])
+            blocked = blk is not None and bool(blk.blocked[i])
             seen.add(blocked)
             reflector = float(blk.reflector[i]) if blocked else None
+            penalty = 0.0 if blk is None else float(blk.penalty_db[i])
             for t, ue_beam in enumerate(ue_cb.beam_centers):
                 for b, sc_beam in enumerate(sc_cb.beam_centers):
                     ref = received_power(
                         23.0, cell, ue.tolist(), float(ue_beam), ue_cb.pattern,
-                        float(sc_beam), sc_cb.pattern, reflector,
-                        float(blk.penalty_db[i]))
-                    err = abs(base[t, i] + rx_gain[b, i] - ref)
+                        float(sc_beam), sc_cb.pattern, reflector, penalty)
+                    err = abs(tensor[t, i, b] - ref)
                     assert err < 1e-9, f"tensor off by {err:.1e} dB at {(t, i, b)}"
     assert seen == {False, True}, "both LOS and blocked links must be checked"
+
+    # under cell 0's Rx beam 4, which points back west, the aligned LOS link
+    # is the strongest, P_UE + 2 g0 - PL(200 m), about -61.70 dBm, and turning
+    # the UE beam around costs exactly g0 - g_sl, about 24.65 dB: in the
+    # scalar reference and in the program's tensor alike
+    pat = ue_cb.pattern
+    expect = 23.0 + 2.0 * pat.g0 - channel.pathloss(D)
+    oracle = [received_power(23.0, (0.0, 0.0), west, float(c), pat, math.pi, pat)
+              for c in ue_cb.beam_centers]
+    for powers in (np.array(oracle), tensors[0][:, 0, 4]):
+        assert abs(powers[0] - expect) < 1e-9 and abs(powers[0] + 61.70) < 0.02, powers
+        assert np.argmax(powers) == 0, powers
+        assert abs((powers[0] - powers[4]) - (pat.g0 - pat.g_sl)) < 1e-9
+    assert abs((pat.g0 - pat.g_sl) - 24.65) < 0.02
 
 
 def _check_blocking_rate():
     blk = channel.sample_blocking(100_000, 0.5, seed=42, excess_mean_db=10.0)
     frac = float(blk.blocked.mean())
     assert abs(frac - 0.5) < 0.01, f"blocked fraction {frac:.3f}"
-    again = channel.sample_blocking(100_000, 0.5, seed=42, excess_mean_db=10.0)
-    assert all(map(np.array_equal, blk, again)), "same seed must give the same states"
     _assert_raises(ValueError, channel.sample_blocking, 10, 1.5, seed=0,
                    excess_mean_db=10.0)
 
@@ -394,15 +373,6 @@ def _miss_case(p_miss: float, ref_dbm: float):
         f"oracle miss rate {rate:.4f} at target {p_miss}, {ref_dbm} dBm"
 
 
-def _check_index_angles():
-    # three cells whose best Tx indices are 1, 3 and 6 of 8
-    peaks = np.eye(8)[:, [1, 3, 6]]
-    thetas = estimation.index_angles(peaks.argmax(axis=0), 8)
-    assert abs(thetas[0] - math.pi / 2) < 1e-12
-    assert abs(estimation.index_angles([7, 2, 4], 8)[0] - 3 * math.pi / 4) < 1e-12
-    assert abs(sum(thetas) - 2 * math.pi) < 1e-12
-
-
 # cyclic subtended angles -> the point that sees them, at D = 200 m
 LOCATE_CASES = {
     "symmetric": ((2 * math.pi / 3,) * 3, (D / 2.0, D / (2.0 * math.sqrt(3.0)))),
@@ -412,21 +382,23 @@ LOCATE_CASES = {
 
 
 def _locate_case(name: str):
-    """The closed-form solve puts the case's angles at its point within 1e-6 m."""
+    """The closed-form solve puts the case's angles at its point within 1e-9 m."""
     thetas, expect = LOCATE_CASES[name]
     (p,), (status,) = estimation.locate_points([thetas], [geometry.build_cluster(3, D)])
-    assert status == estimation.CLOSED_FORM and math.dist(p, expect) < 1e-6, (name, p)
+    assert status == estimation.CLOSED_FORM and math.dist(p, expect) < 1e-9, (name, p)
 
 
 def _round_trip(where: str):
-    """UEs come back from their true angles within 1e-6 m: 1000 "uniform"
-    ones, or 19 inside each edge ("on edges"), where that pair subtends pi."""
+    """UEs come back from their true angles through the closed form, within
+    1e-6 m: 1000 "uniform" ones, or 19 inside each edge ("on edges"), where
+    that pair subtends pi."""
     tri, rng = geometry.build_cluster(3, D), np.random.default_rng(31)
     ues = ([tri[i] + f * (tri[(i + 1) % 3] - tri[i])
             for i in range(3) for f in np.linspace(0.05, 0.95, 19)] if where == "on edges"
            else [geometry.place_ue(tri, rng) for _ in range(1000)])
     thetas = [true_angles(tri, ue) for ue in ues]
-    points, _ = estimation.locate_points(thetas, np.broadcast_to(tri, (len(ues), 3, 2)))
+    points, status = estimation.locate_points(thetas, np.broadcast_to(tri, (len(ues), 3, 2)))
+    assert (status == estimation.CLOSED_FORM).all(), np.flatnonzero(status)
     for ue, p in zip(ues, points):
         err = math.dist(p, ue)
         assert err < 1e-6, f"round-trip error {err:.2e} m at {ue}"
@@ -477,11 +449,6 @@ def _check_schedule_arithmetic():
 
     draw = (np.broadcast_to(cells, (n_trials, n_sc, 2)), ues, None)
     (out,) = protocol.run_batch(cfg, gamma, draw, seed=9, schemes=(protocol.EXHAUSTIVE,))
-    (again,) = protocol.run_batch(cfg, gamma, draw, seed=9, schemes=(protocol.EXHAUSTIVE,))
-    # NaN, the estimate of a trial that made none, equals NaN
-    same = all(np.array_equal(a, b, equal_nan=name == "estimated_ue")
-               for name, a, b in zip(out._fields[1:], out[1:], again[1:]))
-    assert out.scheme == again.scheme and same, "same seed must reproduce the outcome"
     for k, (slots, cell, pair) in enumerate(expect):
         assert out.success[k]
         assert out.slots_used[k] == slots, (k, out.slots_used[k], slots)
@@ -499,9 +466,6 @@ def _check_reduction_formula():
 
 # (name, check, cases): each case is an argument tuple of the check
 CHECKS = [
-    ("cluster layout reproducible", _check_cluster_reproducible, ((),)),
-    ("uniform UE placement centroid", _check_ue_centroid, ((),)),
-    ("subtended angles close to 2*pi", _check_angle_sum, ((),)),
     ("antenna pattern closed forms", _pattern_case,
      tuple((deg,) for deg in PATTERN_CASES)),
     ("link budget composition", _check_link_budget, ((),)),
@@ -514,7 +478,6 @@ CHECKS = [
     ("miss-mode calibration consistency", _miss_case, tuple(MISS_CASES)),
     ("exact peak sampler vs FFT oracle", _sampler_case,
      tuple((rx_dbm,) for rx_dbm in SAMPLER_GRID_DBM)),
-    ("beam-index angle recovery", _check_index_angles, ((),)),
     ("closed-form angle solve", _locate_case, tuple((name,) for name in LOCATE_CASES)),
     ("angle->position round trip", _round_trip, (("uniform",), ("on edges",))),
     ("sweep schedule arithmetic", _check_schedule_arithmetic, ((),)),

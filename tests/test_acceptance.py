@@ -182,7 +182,7 @@ def test_criterion_6e_paired_dominance():
     """Coordinated never loses on average at alignment-limited power."""
     cfg = SimConfig()
     from mmwia.channel import noise_power
-    gamma = cfg.threshold(noise_power(cfg.link_params()), cfg.sequence(), seed=SEED)
+    gamma = cfg.threshold(noise_power(cfg.channel), cfg.sequence(), seed=SEED)
     trials = 2000
     triangle = build_cluster(3, D)
     draw = (np.broadcast_to(triangle, (trials, 3, 2)),

@@ -248,14 +248,6 @@ def _p_los_into(tmp_path, out) -> int:
                  "--seed", "5", "--out", str(out)])
 
 
-def test_byte_identical_reruns(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert _p_los_into(tmp_path, out_a) == 0
-    assert _p_los_into(tmp_path, out_b) == 0
-    for name in ("p_los.csv", "p_los.svg"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-
 def _fresh_outputs(tmp_path) -> dict:
     """{name: bytes} of the p-los outputs written into a new directory."""
     out = tmp_path / "fresh"

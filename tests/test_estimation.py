@@ -74,9 +74,13 @@ def test_select_top3_batch_equals_per_row_calls():
 
 
 def test_wrapped_index_angle_branches():
-    assert index_angles([1, 3, 6], 8) == pytest.approx([math.pi / 2, 3 * math.pi / 4,
-                                                        3 * math.pi / 4])
-    assert index_angles([7, 2, 5], 8)[0] == pytest.approx(3 * math.pi / 4)
+    """Best indices 1, 3 and 6 of 8 give pi/2, 3 pi/4 and 3 pi/4, which sum
+    to 2 pi; a pair that wraps past index 0 counts forwards."""
+    thetas = index_angles([1, 3, 6], 8)
+    expect = [math.pi / 2, 3 * math.pi / 4, 3 * math.pi / 4]
+    assert np.abs(thetas - expect).max() < 1e-12
+    assert abs(sum(thetas) - 2 * math.pi) < 1e-12
+    assert abs(index_angles([7, 2, 5], 8)[0] - 3 * math.pi / 4) < 1e-12
     # equal indices give 0: the angle is unresolvable
     assert index_angles([4, 4, 1], 8).tolist()[0] == 0.0
     assert index_angles([[1, 3, 6], [4, 4, 1]], 8).shape == (2, 3)
@@ -119,21 +123,6 @@ def test_solve_noisy_angles():
     noisy = (t[0] + eps, t[1] - eps, t[2])
     point, status = _locate(noisy, tri)
     assert status == CLOSED_FORM and math.dist(point, ue) < 8.0
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_round_trip_exact_angles(seed):
-    tri = build_cluster(3, D)
-    ue = place_ue(tri, seed)
-    p, status = _locate(true_angles(tri, ue), tri)
-    assert status == CLOSED_FORM and math.dist(p, ue) < 1e-6
-
-
-def test_locate_equal_distances_gives_centroid():
-    """Equal angles put the UE at equal distances from the three cells."""
-    tri = build_cluster(3, D)
-    assert math.dist(_locate(SYMMETRIC, tri)[0], tri.mean(axis=0)) < 1e-9
 
 
 def test_locate_rejects_bad_anchors():

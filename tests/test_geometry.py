@@ -21,13 +21,7 @@ def test_triangle_side_lengths():
     cells = build_cluster(3, D)
     for i in range(3):
         for j in range(i + 1, 3):
-            assert math.dist(cells[i], cells[j]) == pytest.approx(D)
-
-
-def test_single_cell_at_origin():
-    """A one-cell cluster is the base triangle's first cell."""
-    cells, _, _ = draw_trial(SimConfig().replace(geometry={"n_sc": 1}), 5, 4)
-    assert np.array_equal(cells, np.zeros((4, 1, 2)))
+            assert abs(math.dist(cells[i], cells[j]) - D) < 1e-9
 
 
 def test_bad_arguments_rejected():
@@ -96,11 +90,6 @@ def test_place_ue_inside_triangle(seed):
     assert min(l1, l2, l3) >= -1e-12
 
 
-def test_place_ue_deterministic():
-    cells = build_cluster(3, D)
-    assert np.array_equal(place_ue(cells, 42), place_ue(cells, 42))
-
-
 def test_place_ue_empirical_centroid():
     """100k batched trials: UEs sit on average within 2 m of their own
     triangle's centroid."""
@@ -138,15 +127,6 @@ def test_angle_sum_and_cosine_rule(seed):
         j = (i + 1) % 3
         lhs = d[i] ** 2 + d[j] ** 2 - 2 * d[i] * d[j] * math.cos(thetas[i])
         assert abs(lhs - D * D) <= 1e-9 * D * D
-
-
-def test_distances_at_centroid_and_midpoint():
-    cells = build_cluster(3, D)
-    centroid = cells.mean(axis=0)
-    assert _distances(cells, centroid) == pytest.approx([D / math.sqrt(3)] * 3)
-    mid = (D / 2.0, 0.0)
-    assert sorted(_distances(cells, mid)) == pytest.approx(
-        [100.0, 100.0, 100.0 * math.sqrt(3)])
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0),

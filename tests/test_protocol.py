@@ -146,7 +146,6 @@ def test_exhaustive_worst_case_full_sweep():
     out = _run(EXHAUSTIVE, cfg, 1e12, _draw(), 0)  # nothing can clear this
     assert not out.success[0]
     assert out.slots_used[0] == 4 * 8
-    assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * cfg.protocol.t_ra_s)
     assert out.detecting_cell[0] == -1
 
 
@@ -370,14 +369,6 @@ def test_each_scheme_runs_alike_alone_paired_or_reversed():
 def test_an_unknown_scheme_is_refused():
     with pytest.raises(ValueError, match="scheme"):
         run_batch(_cfg(), 1e-5, _draw(), 0, (EXHAUSTIVE, "random"))
-
-
-def test_outcome_invariants():
-    cfg = _cfg(p_ue=80.0)
-    out = _run(EXHAUSTIVE, cfg, 1e-5, _draw(), 1)
-    assert out.ia_time_s[0] == pytest.approx(out.slots_used[0] * cfg.protocol.t_ra_s)
-    assert out.success[0]
-    assert out.detecting_cell[0] >= 0 and (out.detecting_pair[0] >= 0).all()
 
 
 def test_a_shorter_slot_sets_ia_time_and_backhaul_delay(monkeypatch):
