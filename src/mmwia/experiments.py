@@ -5,16 +5,27 @@ fields replaced (``SimConfig.replace``); every function below it reads
 every setting from that one config. The chunk is the unit of trials.
 Every campaign runs its trials in chunks of ``CHUNK`` trials (the last
 chunk holds what is left). Every random draw descends from (master seed,
-grid point index, chunk index, stream), so any point of any experiment
-reruns bit-identically on its own; the chunk size is part of the stream.
-``draw_trial`` is every campaign's draw of clusters, UEs and blocking,
-one call per chunk. A chunk of protocol trials is its grid point's
-config plus the draw from its stream 0, which ``protocol.run_batch``
-runs with one link budget, one round one and one estimator call, seeded
-from the chunk's stream 2; each scheme's later rounds start from the
-generator state round one left, so a scheme's IA times are the same
-whether it runs alone or paired. A P_LOS chunk is drawn from its stream 3 and
-scored with one best-beam-pair power and one ranking call.
+grid point index, chunk index, stream); the chunk size is part of the
+stream. ``draw_trial`` is every campaign's draw of clusters, UEs and
+blocking, one call per chunk. A chunk of paired protocol trials is its
+grid point's config plus the draw from its stream 0, which
+``protocol.run_batch`` runs with one link budget, one round one and one
+estimator call, seeded from the chunk's stream 2; each scheme's later
+rounds start from the generator state round one left, so a scheme's IA
+times are the same whether it runs alone or paired. A P_LOS chunk is
+drawn from its stream 3 and scored with one best-beam-pair power and one
+ranking call. Any point of these campaigns reruns bit-identically on its
+own.
+
+The time-cluster campaign instead runs every cluster size on the same
+trials: a chunk is drawn once at the grid's largest size (at least 3)
+from stream 0 of (master seed, 0, chunk), and ``protocol.round_one``
+runs once on it from stream 1; each size sweeps its scheme from round
+two on its first n cells (``RoundOne.first_cells``), seeded from stream
+2 of its own grid point. Each size keeps its own cluster's distribution,
+since the extra cells, Rx orders and peaks are i.i.d. per cell, but a
+row depends on the grid's largest size, and its ``stderr`` is the paired
+delta-method SE of the normalized time.
 """
 
 from __future__ import annotations
@@ -26,7 +37,14 @@ import numpy as np
 from .channel import best_pair_dbm, noise_power, sample_blocking
 from .config import SimConfig
 from .geometry import build_cluster, place_ue
-from .protocol import COORDINATED, EXHAUSTIVE, ia_time_reduction, run_batch
+from .protocol import (
+    COORDINATED,
+    EXHAUSTIVE,
+    ia_time_reduction,
+    later_rounds,
+    round_one,
+    run_batch,
+)
 
 
 class ResultTable:
@@ -69,8 +87,9 @@ CHUNK = 256
 
 
 def _seed(master: int, point: int, chunk: int, stream: int):
-    """Seed of a protocol chunk's draw (stream 0) or protocol (stream 2), or
-    of a P_LOS chunk (stream 3)."""
+    """Seed of a protocol chunk's draw (stream 0) or protocol (stream 2), of
+    a time-cluster chunk's shared round one (stream 1), or of a P_LOS
+    chunk (stream 3)."""
     return np.random.SeedSequence((master, point, chunk, stream))
 
 
@@ -89,34 +108,28 @@ def draw_trial(cfg: SimConfig, seed, count: int):
     The draw goes field by field across the trials: the extra cells'
     radii, then their angles, the UEs, then the blocked flags, reflector
     bearings and excess losses, so a draw of one consumes the stream as
-    one trial always has. A cluster of fewer than three cells is the
-    first cells of the base triangle; the UE lies in the triangle. At
-    ``p_blk`` 0 no link is blocked whatever the flags' draws, and the
-    reflector and excess draws are read on blocked links only; as they
-    come last, the draw skips all three and moves no other.
+    one trial always has. At ``p_blk`` 0 no link is blocked whatever the
+    flags' draws, and the reflector and excess draws are read on blocked
+    links only; as they come last, the draw skips all three and moves no
+    other.
     """
     n_sc, p_blk = cfg.geometry.n_sc, cfg.channel.p_blk
     rng = np.random.default_rng(seed)
-    cells = build_cluster(max(n_sc, 3), cfg.geometry.side_m, rng, count)
+    cells = build_cluster(n_sc, cfg.geometry.side_m, rng, count)
     ue = place_ue(cells, rng, count)
     blocking = None if p_blk == 0 else sample_blocking(
         n_sc, p_blk, rng, count=count, excess_mean_db=cfg.channel.nlos_excess_mean_db)
-    return cells[:, :n_sc], ue, blocking
+    return cells, ue, blocking
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    n = len(x)
-    se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(x)), se
-
-
-def _ratio_delta_se(x: np.ndarray, y: np.ndarray) -> float:
-    """Std-error of 100*(mean(x)-mean(y))/mean(y) for paired samples."""
+def _ratio_se(x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> float:
+    """Delta-method std-error of scale*mean(x)/mean(y) for paired samples;
+    scale 100 gives that of the percent change 100*(mean(x)-mean(y))/mean(y)."""
     n = len(x)
     if n < 2:
         return 0.0
     ybar = float(np.mean(y))
-    h = 100.0 * (x - (np.mean(x) / ybar) * y) / ybar
+    h = scale * (x - (np.mean(x) / ybar) * y) / ybar
     return float(np.std(h, ddof=1) / math.sqrt(n))
 
 
@@ -212,7 +225,7 @@ def _paired_point(cfg: SimConfig, gamma: float, trials: int, master_seed: int,
     exh, coord = _ia_times(cfg, gamma, trials, master_seed, point,
                            (EXHAUSTIVE, COORDINATED))
     mc, me = float(np.mean(coord)), float(np.mean(exh))
-    return ia_time_reduction(mc, me), _ratio_delta_se(coord, exh), mc, me
+    return ia_time_reduction(mc, me), _ratio_se(coord, exh, 100.0), mc, me
 
 
 def point_threshold(cfg: SimConfig, master_seed: int, point: int) -> float:
@@ -268,7 +281,17 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
 
     Size 1 runs the exhaustive search against the first triangle vertex;
     sizes >= 3 run the coordinated scheme. Each size runs only the scheme
-    its row reports. The UE placement distribution is identical throughout.
+    its row reports. Every size sees the same trials: a chunk is drawn
+    once at the grid's largest size (at least 3) from stream 0 of
+    (master seed, 0, chunk), and its Rx orders and round one are drawn
+    once from stream 1. Each size takes its first n cells' columns of
+    the draw, link budget, orders and round-one peaks (``first_cells``)
+    and sweeps its scheme from round two seeded by stream 2 of its own
+    grid point. A size's marginal distribution is that of its own
+    cluster, since the extra cells, orders and peaks are i.i.d. per
+    cell; a row depends on the grid's largest size, so unlike the other
+    campaigns it reruns bit-identically only within the same grid. The
+    ``stderr`` of the normalized time is the paired delta-method one.
     """
     table = ResultTable(
         "time_cluster",
@@ -280,20 +303,23 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
         raise ValueError("cluster grid must include the single-cell baseline "
                          "and no size twice")
 
-    results = {}
-    for point, n_sc in enumerate(sizes):
-        (results[n_sc],) = _ia_times(
-            cfg.replace(geometry={"n_sc": n_sc}), gamma, trials, master_seed, point,
-            (EXHAUSTIVE,) if n_sc == 1 else (COORDINATED,))
+    top = cfg.replace(geometry={"n_sc": max(3, *sizes)})
+    points = [(n_sc, cfg.replace(geometry={"n_sc": n_sc}),
+               EXHAUSTIVE if n_sc == 1 else COORDINATED) for n_sc in sizes]
+    times = [[] for _ in sizes]
+    for chunk, count in _chunks(trials, CHUNK):
+        draw = draw_trial(top, _seed(master_seed, 0, chunk, 0), count)
+        first = round_one(top, draw, np.random.default_rng(_seed(master_seed, 0, chunk, 1)))
+        for point, (n_sc, point_cfg, scheme) in enumerate(points):
+            out = later_rounds(point_cfg, gamma, first.first_cells(n_sc),
+                               np.random.default_rng(_seed(master_seed, point, chunk, 2)),
+                               scheme)
+            times[point].append(out.ia_time_s)
 
-    base = results[1]
-    base_mean, base_se = _mean_se(base)
-    for n_sc in sizes:
-        mean, se = _mean_se(results[n_sc])
-        norm = mean / base_mean
-        if n_sc == 1:
-            nse = 0.0  # normalization identity
-        else:
-            nse = norm * math.sqrt((se / mean) ** 2 + (base_se / base_mean) ** 2)
-        table.add(n_sc, norm, nse, mean, trials)
+    times = [np.concatenate(t) for t in times]
+    base = times[sizes.index(1)]
+    base_mean = float(np.mean(base))
+    for n_sc, t in zip(sizes, times):
+        mean = float(np.mean(t))
+        table.add(n_sc, mean / base_mean, _ratio_se(t, base), mean, trials)
     return table

@@ -18,10 +18,13 @@ estimate.
 ``run_batch`` is the one runner. It takes a grid point's ``SimConfig``,
 the calibrated threshold and a draw of trials (cells, UEs, blocking), and
 reads every setting (codebooks, link budget, preamble length, slot
-duration, backhaul latency) from the config. It walks round one once,
-then restarts the generator from the state round one left for each
-scheme's later rounds, so a scheme's outcomes do not depend on which
-other schemes run beside it.
+duration, backhaul latency) from the config. It is its two steps on one
+generator: ``round_one`` draws the Rx orders and round one's peaks once,
+and ``later_rounds`` sweeps one scheme from round two, with the
+generator restarted from the state round one left for each scheme, so a
+scheme's outcomes do not depend on which other schemes run beside it.
+A cell's link, Rx order and peaks are its own, so ``RoundOne.first_cells``
+turns round one of a cluster into round one of its first n cells.
 """
 
 from __future__ import annotations
@@ -97,39 +100,47 @@ def _rx_orders(cells: np.ndarray, n_rx: int, rng) -> np.ndarray:
     return rng.permuted(beams, axis=-1)
 
 
+def _peaks(budget, rows: np.ndarray, beams: np.ndarray, noise_mw: float, n_zc: int,
+           rng) -> np.ndarray:
+    """The length-``n_zc`` peaks (len(rows), n_tx, n_sc), drawn from ``rng``,
+    of one round of the trials ``rows`` of the ``link_budget_dbm``
+    ``budget``, each cell on its beam of ``beams`` (len(rows), n_sc) and
+    slot t carrying Tx beam t."""
+    base_dbm, rx_gain = budget
+    # the received power in mW, 10 ** (dBm / 10), in one buffer
+    rx = base_dbm[rows]
+    rx += rx_gain[rows[:, None], beams, np.arange(beams.shape[-1])][:, None, :]
+    rx /= 10.0
+    np.power(10.0, rx, out=rx)
+    return sample_peaks(rx, noise_mw, n_zc, rng)
+
+
+def _first_hits(peaks: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's index of its first peak of ``peaks`` (T, n_tx, n_sc) to
+    clear ``gamma``, row-major (the earliest slot, then the lowest cell
+    within it), and whether it has one, as two (T,) arrays."""
+    hits = (peaks > gamma).reshape(len(peaks), -1)
+    first = hits.argmax(axis=1)
+    return first, hits[np.arange(len(peaks)), first]
+
+
 def _sweep(budget, noise_mw: float, n_zc: int, gamma: float, schedule: np.ndarray,
-           start: int, hit: np.ndarray, rng):
-    """Walk rounds ``start`` on of ``schedule`` (T, rounds, n_sc) for every
-    trial whose ``hit`` is still -1, slot t carrying Tx beam t, with the
-    length-``n_zc`` peaks drawn from ``rng`` on the ``link_budget_dbm``
-    ``budget`` of the trials.
+           hit: np.ndarray, rng) -> None:
+    """Walk rounds two on of ``schedule`` (T, rounds, n_sc) for every trial
+    whose ``hit`` is still -1, with the peaks drawn from ``rng``.
 
     Sets each such trial's ``hit`` (T,) to the index of its first peak to
     clear ``gamma`` in its (rounds, n_tx, n_sc) hit map, row-major: the
-    earliest round, then slot, then the lowest cell within it. Returns the
-    peaks of the last round drawn, one (n_tx, n_sc) matrix per trial that
-    drew it."""
-    base_dbm, rx_gain = budget
-    n_sc = base_dbm.shape[-1]
-    cells = np.arange(n_sc)
-    per_round = base_dbm.shape[-2] * n_sc
+    earliest round, then slot, then the lowest cell within it."""
+    per_round = budget[0].shape[-2] * budget[0].shape[-1]
     todo = np.flatnonzero(hit < 0)
-    peaks = None
-    for r in range(start, schedule.shape[1]):
+    for r in range(1, schedule.shape[1]):
         if not todo.size:
             break
-        # the received power in mW, 10 ** (dBm / 10), in one buffer
-        rx = base_dbm[todo]
-        rx += rx_gain[todo[:, None], schedule[todo, r], cells][:, None, :]
-        rx /= 10.0
-        np.power(10.0, rx, out=rx)
-        peaks = sample_peaks(rx, noise_mw, n_zc, rng)
-        hits = (peaks > gamma).reshape(todo.size, -1)
-        first = hits.argmax(axis=1)
-        found = hits[np.arange(todo.size), first]
+        first, found = _first_hits(
+            _peaks(budget, todo, schedule[todo, r], noise_mw, n_zc, rng), gamma)
         hit[todo[found]] = r * per_round + first[found]
         todo = todo[~found]
-    return peaks
 
 
 def _outcomes(scheme: str, schedule: np.ndarray, hit: np.ndarray,
@@ -177,45 +188,83 @@ def _coordinated_schedule(cells: np.ndarray, sc_codebook: BeamCodebook,
     return schedule, estimates
 
 
-def run_batch(cfg: SimConfig, gamma: float, draw, seed,
-              schemes=(EXHAUSTIVE, COORDINATED)) -> tuple[IaOutcomes, ...]:
-    """The outcomes under each of ``schemes``, in that order, of the trials
-    ``draw`` at the grid point ``cfg`` with detection threshold ``gamma``.
+class RoundOne(NamedTuple):
+    """A batch of trials at the end of round one: the cells (T, n_sc, 2),
+    the ``link_budget_dbm`` maps of every link, each cell's random Rx
+    order (T, n_sc, n_rx) and the round's peaks (T, n_tx, n_sc), each cell
+    on the first beam of its order under the UE's full Tx sweep."""
+
+    cells: np.ndarray
+    budget: tuple[np.ndarray, np.ndarray]
+    orders: np.ndarray
+    peaks: np.ndarray
+
+    def first_cells(self, n: int) -> RoundOne:
+        """Round one of the same trials on the clusters of their first
+        ``n`` cells: every per-cell array's first n columns. A cell's link
+        budget, Rx order and peaks depend on no other cell, so these
+        columns are a round one of the n-cell clusters."""
+        base, rx_gain = self.budget
+        return RoundOne(self.cells[:, :n], (base[..., :n], rx_gain[..., :n]),
+                        self.orders[:, :n], self.peaks[..., :n])
+
+
+def round_one(cfg: SimConfig, draw, rng) -> RoundOne:
+    """Round one of the trials ``draw`` at the grid point ``cfg``: the Rx
+    orders, then the round's peaks, drawn from ``rng``.
 
     ``draw`` is the (cells (T, n_sc, 2), UEs (T, 2), blocking) triple of
-    ``experiments.draw_trial``; blocking None leaves every link LOS. Seeds
-    the generator, draws the Rx orders and walks round one, each cell on
-    the first beam of its order under the UE's full Tx sweep, once for
-    every scheme. Each scheme then sweeps its own schedule from round two
-    on a copy of round one's hits, with the generator restarted from the
-    state round one left: its outcomes are those it has run alone."""
+    ``experiments.draw_trial``; blocking None leaves every link LOS."""
     cells, ue, blocking = draw
     if cells.ndim != 3 or np.shape(ue) != (len(cells), 2):
         raise ValueError("a batch needs cells (T, n_sc, 2) and UEs (T, 2)")
     if blocking is not None and blocking.blocked.shape != cells.shape[:2]:
         raise ValueError("one blocking state per cell required")
-    n_trials, ue_cb, sc_cb = len(cells), cfg.ue_codebook(), cfg.sc_codebook()
-    n_tx, n_zc, t_ra_s = ue_cb.n_beams, cfg.preamble.n_zc, cfg.protocol.t_ra_s
-    rng = np.random.default_rng(seed)
+    sc_cb = cfg.sc_codebook()
     orders = _rx_orders(cells, sc_cb.n_beams, rng)
-    budget = link_budget_dbm(cells, ue, blocking, ue_cb, sc_cb, cfg.channel.p_ue_dbm)
-    noise_mw = dbm_to_mw(noise_power(cfg.channel))
-    hit = np.full(n_trials, -1)
-    peaks = _sweep(budget, noise_mw, n_zc, gamma, orders[:, :, :1].transpose(0, 2, 1),
-                   0, hit, rng)
+    budget = link_budget_dbm(cells, ue, blocking, cfg.ue_codebook(), sc_cb,
+                             cfg.channel.p_ue_dbm)
+    peaks = _peaks(budget, np.arange(len(cells)), orders[..., 0],
+                   dbm_to_mw(noise_power(cfg.channel)), cfg.preamble.n_zc, rng)
+    return RoundOne(cells, budget, orders, peaks)
+
+
+def later_rounds(cfg: SimConfig, gamma: float, first: RoundOne, rng,
+                 scheme: str) -> IaOutcomes:
+    """``scheme``'s outcomes of the trials of ``first`` at the grid point
+    ``cfg`` with detection threshold ``gamma``: round one's hits, read
+    from its peaks, then the scheme's schedule swept from round two with
+    the peaks drawn from ``rng``."""
+    n_tx, t_ra_s = first.peaks.shape[-2], cfg.protocol.t_ra_s
+    slot, found = _first_hits(first.peaks, gamma)
+    hit = np.where(found, slot, -1)
+    if scheme == EXHAUSTIVE:
+        schedule = first.orders.transpose(0, 2, 1)
+        estimates = np.full((len(hit), 2), np.nan)
+    elif scheme == COORDINATED:
+        delay = backhaul_delay_rounds(cfg.protocol.backhaul_latency_s, n_tx * t_ra_s)
+        schedule, estimates = _coordinated_schedule(first.cells, cfg.sc_codebook(),
+                                                    first.orders, hit, first.peaks, delay)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    _sweep(first.budget, dbm_to_mw(noise_power(cfg.channel)), cfg.preamble.n_zc, gamma,
+           schedule, hit, rng)
+    return _outcomes(scheme, schedule, hit, estimates, n_tx, t_ra_s)
+
+
+def run_batch(cfg: SimConfig, gamma: float, draw, seed,
+              schemes=(EXHAUSTIVE, COORDINATED)) -> tuple[IaOutcomes, ...]:
+    """The outcomes under each of ``schemes``, in that order, of the trials
+    ``draw`` at the grid point ``cfg`` with detection threshold ``gamma``.
+
+    Seeds one generator, runs ``round_one`` on it once for every scheme,
+    then each scheme's ``later_rounds`` with the generator restarted from
+    the state round one left: its outcomes are those it has run alone."""
+    rng = np.random.default_rng(seed)
+    first = round_one(cfg, draw, rng)
     state = rng.bit_generator.state
     outcomes = []
     for scheme in schemes:
-        if scheme == EXHAUSTIVE:
-            schedule, estimates = orders.transpose(0, 2, 1), np.full((n_trials, 2), np.nan)
-        elif scheme == COORDINATED:
-            delay = backhaul_delay_rounds(cfg.protocol.backhaul_latency_s, n_tx * t_ra_s)
-            schedule, estimates = _coordinated_schedule(cells, sc_cb, orders, hit, peaks,
-                                                        delay)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
         rng.bit_generator.state = state
-        scheme_hit = hit.copy()
-        _sweep(budget, noise_mw, n_zc, gamma, schedule, 1, scheme_hit, rng)
-        outcomes.append(_outcomes(scheme, schedule, scheme_hit, estimates, n_tx, t_ra_s))
+        outcomes.append(later_rounds(cfg, gamma, first, rng, scheme))
     return tuple(outcomes)

@@ -137,8 +137,12 @@ def test_selftest_exit_code(monkeypatch, passed, code):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
+    """A config that fails to load exits with code 2 before anything is
+    written; tests/test_config.py asserts each load-time rule."""
     cfg = _write(tmp_path, "[preamble]\nn_zc = 840\n")
-    assert main(["p-los", "--config", cfg]) == 2
+    out = tmp_path / "o"
+    assert main(["time-cluster", "--config", cfg, "--trials", "2", "--out", str(out)]) == 2
+    assert not out.exists()
     # a negative master seed fails on load, not inside the seed sequence
     cfg = _write(tmp_path, "[experiment]\nmaster_seed = -1\n")
     assert main(["p-los", "--config", cfg]) == 2
@@ -147,32 +151,6 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["single-trial", "--config", cfg]) == 2
     assert "unknown section [single_trial]" in capsys.readouterr().err
-
-
-def test_small_codebook_is_config_error(tmp_path):
-    cfg = _write(tmp_path, "[antenna]\nn_rx = 2\n")
-    assert main(["single-trial", "--config", cfg, "--seed", "3"]) == 2
-    cfg = _write(tmp_path, "[experiment]\nn_tx_values = 2\n")
-    assert main(["reduction-pmiss", "--config", cfg, "--trials", "2",
-                 "--out", str(tmp_path / "o")]) == 2
-
-
-def test_small_cluster_is_config_error(tmp_path):
-    cfg = _write(tmp_path, "[geometry]\nn_sc = 2\n")
-    assert main(["reduction-pmiss", "--config", cfg, "--trials", "5",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("text", ["[channel]\np_ue_dbm = nan\n",
-                                  "[experiment]\ncluster_grid =\n"],
-                         ids=["nan", "empty-grid"])
-def test_non_finite_or_empty_value_is_config_error(tmp_path, text):
-    cfg = _write(tmp_path, text)
-    out = tmp_path / "o"
-    assert main(["time-cluster", "--config", cfg, "--trials", "2",
-                 "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 def test_experiment_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -193,16 +171,6 @@ def test_six_beam_estimate_on_a_cell_takes_the_fallback_sweep(tmp_path):
                  "--seed", "3", "--out", str(tmp_path / "o")]) == 0
 
 
-@pytest.mark.parametrize("command,key", [("p-los", "ue_phi_3db_deg"),
-                                         ("time-cluster", "sc_phi_3db_deg")])
-def test_overflowing_beamwidth_is_config_error(tmp_path, command, key):
-    """A beamwidth whose peak gain overflows fails on load, not in the run."""
-    cfg = _write(tmp_path, f"[antenna]\n{key} = 1e-200\n")
-    out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--trials", "4", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("kind", ["empty-path", "directory", "not-utf-8"])
 def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
     bad = tmp_path / "bad.ini"
@@ -211,17 +179,6 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
     out = tmp_path / "o"
     assert main(["p-los", "--config", path, "--trials", "2", "--out", str(out)]) == 2
     assert "config error: cannot read" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("grid", ["3, 5", "1, 3, 3"], ids=["no-baseline", "repeat"])
-def test_bad_cluster_grid_is_config_error(tmp_path, grid):
-    """A grid without the single-cell baseline, or with a size twice, is
-    rejected before anything is written."""
-    cfg = _write(tmp_path, f"[experiment]\ncluster_grid = {grid}\n")
-    out = tmp_path / "o"
-    assert main(["time-cluster", "--config", cfg, "--trials", "2",
-                 "--out", str(out)]) == 2
     assert not out.exists()
 
 

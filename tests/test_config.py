@@ -122,6 +122,7 @@ def test_unparsable_value_rejected(tmp_path):
     ("experiment", "power_grid_dbm", "-14, nan"),
     ("experiment", "pmiss_grid", ""),
     ("experiment", "n_tx_values", ""),
+    ("experiment", "cluster_grid", ""),
     ("experiment", "p_los_cluster_sizes", ","),
 ])
 def test_non_finite_and_empty_values_rejected(tmp_path, section, key, value):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmwia import experiments, protocol
-from mmwia.channel import link_budget_dbm, sample_blocking
+from mmwia.channel import Blocking, link_budget_dbm, sample_blocking
 from mmwia.config import SimConfig, load_config
 from mmwia.estimation import select_top3
 from mmwia.experiments import (
@@ -20,7 +20,7 @@ from mmwia.experiments import (
     run_time_vs_cluster,
     trial_batches,
 )
-from mmwia.protocol import run_batch
+from mmwia.protocol import COORDINATED, EXHAUSTIVE, run_batch
 
 
 def _cfg(**exp_kwargs):
@@ -296,11 +296,103 @@ def test_reduction_pmiss_point_config_carries_its_axis_values(monkeypatch):
 
 
 def test_time_cluster_point_config_carries_its_axis_value(monkeypatch):
-    """A cluster-size point is the config at that size."""
+    """A cluster-size point is the config at that size, and sweeps its
+    scheme on that many cells of every chunk."""
     cfg = _cfg(cluster_grid=(1, 3, 5))
-    seen = _spy(monkeypatch, "trial_batches", lambda c, *rest: c.geometry.n_sc)
+    seen = _spy(monkeypatch, "later_rounds", lambda c, gamma, first, rng, scheme: (
+        c.geometry.n_sc, first.cells.shape[1], scheme))
     run_time_vs_cluster(cfg, 4, 5)
-    assert seen == [1, 3, 5]
+    assert seen == [(1, 1, EXHAUSTIVE), (3, 3, COORDINATED), (5, 5, COORDINATED)]
+
+
+def _results(monkeypatch, name):
+    """Replace ``experiments.<name>`` by a wrapper that appends the
+    (arguments, result) of each call."""
+    original, seen = getattr(experiments, name), []
+
+    def spy(*args):
+        seen.append((args, original(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(experiments, name, spy)
+    return seen
+
+
+def test_time_cluster_sizes_share_one_draw_and_round_one(monkeypatch):
+    """Each chunk is drawn once at the grid's largest size from its stream
+    0 and runs round one once; every size sweeps the first n cells'
+    columns of that cluster, link budget (and so the UE), Rx orders and
+    round-one peaks. No seed's entropy seeds two generators, and a row's
+    stderr is the paired delta-method SE of mean(size)/mean(size 1)."""
+    cfg = _cfg(cluster_grid=(3, 1, 5)).replace(channel={"p_blk": 0.3})
+    original_rng, entropies = np.random.default_rng, []
+
+    def seeding(seed=None):
+        if isinstance(seed, np.random.SeedSequence):
+            entropies.append(seed.entropy)
+        return original_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", seeding)
+    shared = _results(monkeypatch, "round_one")
+    swept = _results(monkeypatch, "later_rounds")
+    trials = CHUNK + 3
+    table = run_time_vs_cluster(cfg, trials, 9)
+
+    sizes = (3, 1, 5)
+    assert len(entropies) == len(set(entropies)) == 1 + 2 * (2 + len(sizes))
+    assert [args[0].geometry.n_sc for args, _ in shared] == [5, 5]
+    times = {n: [] for n in sizes}
+    for chunk, ((top, draw, _), first) in enumerate(shared):
+        count = (CHUNK, 3)[chunk]
+        ours = draw_trial(top, np.random.SeedSequence((9, 0, chunk, 0)), count)
+        for mine, theirs in zip((*ours[:2], *ours[2]), (*draw[:2], *draw[2])):
+            np.testing.assert_array_equal(mine, theirs)
+        np.testing.assert_array_equal(first.cells, draw[0])
+        for n, ((_, _, part, _, _), out) in zip(sizes, swept[3 * chunk:3 * chunk + 3]):
+            np.testing.assert_array_equal(part.cells, first.cells[:, :n])
+            np.testing.assert_array_equal(part.orders, first.orders[:, :n])
+            np.testing.assert_array_equal(part.peaks, first.peaks[..., :n])
+            for mine, theirs in zip(part.budget, first.budget):
+                np.testing.assert_array_equal(mine, theirs[..., :n])
+            times[n].append(out.ia_time_s)
+
+    y = np.concatenate(times[1])
+    for n, norm, se in zip(sizes, table.column("norm_ia_time"), table.column("stderr")):
+        x = np.concatenate(times[n])
+        ratio = x.mean() / y.mean()
+        assert norm == pytest.approx(ratio, rel=1e-12)
+        paired = np.std((x - ratio * y) / y.mean(), ddof=1) / np.sqrt(trials)
+        assert se == pytest.approx(paired, rel=1e-9, abs=1e-15)
+    assert table.column("stderr")[1] == 0.0
+
+
+def _first_cells(draw, n: int):
+    """The trials of ``draw`` on their first ``n`` cells."""
+    cells, ue, blocking = draw
+    if blocking is not None:
+        blocking = Blocking(*(field[:, :n] for field in blocking))
+    return cells[:, :n], ue, blocking
+
+
+def test_time_cluster_sizes_keep_their_own_distribution():
+    """Each size's mean IA time in the campaign agrees, within four
+    standard errors, with that of independent trials run through
+    ``run_batch`` on draws of that size alone (a one-cell cluster is the
+    triangle's first cell) under the same threshold. Both means average
+    8000 i.i.d. trials of one distribution if the sizes' marginals are
+    kept, so their difference has sqrt(2) times the independent SE."""
+    cfg, trials = _cfg(cluster_grid=(1, 3, 5, 7, 9)), 8000
+    table = run_time_vs_cluster(cfg, trials, 41)
+    gamma = point_threshold(cfg, 41, 0)
+    for point, (n, mean) in enumerate(zip(table.column("n_sc"),
+                                          table.column("mean_ia_time_s"))):
+        own = cfg.replace(geometry={"n_sc": max(n, 3)})
+        scheme = EXHAUSTIVE if n == 1 else COORDINATED
+        times = np.concatenate([
+            run_batch(own, gamma, _first_cells(draw, n), seed, (scheme,))[0].ia_time_s
+            for draw, seed in trial_batches(own, trials, 42, point)])
+        z = (mean - times.mean()) / (np.sqrt(2.0) * np.std(times, ddof=1) / np.sqrt(trials))
+        assert abs(z) < 4.0, (n, z)
 
 
 def test_p_los_chunks_cover_every_trial(monkeypatch):
@@ -335,16 +427,3 @@ def test_p_los_batch_with_a_ue_on_a_cell_raises(monkeypatch):
     monkeypatch.setattr(experiments, "place_ue", onto_a_cell)
     with pytest.raises(ValueError, match="coincides"):
         run_p_los(cfg, 10, 3)
-
-
-def test_single_cell_trial_keeps_the_triangle_ue():
-    """A one-cell draw is a read-only (count, 1, 2) slice of the base
-    triangle's draw, with the same UEs."""
-    cfg = SimConfig().replace(channel={"p_blk": 0.5})
-    seed = np.random.SeedSequence((3, 0, 0, 0))
-    cells, ue, blocking = draw_trial(cfg.replace(geometry={"n_sc": 1}), seed, 20)
-    triangle, ue3, _ = draw_trial(cfg, seed, 20)
-    assert cells.shape == (20, 1, 2) and not cells.flags.writeable
-    np.testing.assert_array_equal(cells, triangle[:, :1])
-    np.testing.assert_array_equal(ue, ue3)
-    assert blocking.blocked.shape == (20, 1)

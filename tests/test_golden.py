@@ -50,9 +50,9 @@ DIGESTS = {
     "reduction-pmiss":
         "df2790f8664df318961371027100d2eae5f6422a28bbfc71c2b560242b5662ce",
     "time-cluster":
-        "9ad12cf0eee5f0aabf361ecb5d65efceb31f91a6b899d8b4feda479b1c37e001",
+        "0c94327766d3e1b02388396af40820ad4cf95f25ca3eff9f63cf1a63f4a03499",
     "time-cluster two chunks":
-        "a9f6219b534dcaef307e0c6aac41d5d9589cf46b064f96701420c22b739451ee",
+        "280f1a2c5ca52e6ea796a5bd1da87bce442c7b76de70020a83ec9cf837841b80",
     "single-trial coordinated 3":
         "309d42dd05d4b6bc5820b418b79054de9c03242539256b2268ad68ec66edd1f3",
     "single-trial coordinated 4":

@@ -236,12 +236,34 @@ def test_blocking_needs_one_state_per_cell():
         run_batch(_cfg(), 1e-5, draw, 0)
 
 
-def test_backhaul_latency_defers_reordering():
-    slow, fast = (_run(COORDINATED, _cfg(backhaul_latency_s=latency), 1e-5, _draw(), 11)
-                  for latency in (1.0, 0.0))  # 1 s: the reordering never lands
-    slow_slots, fast_slots = slow.slots_used[0], fast.slots_used[0]
-    assert slow_slots <= 4 * 8 + 4
-    assert fast_slots <= slow_slots + 4 * 8  # sanity only
+def test_backhaul_latency_defers_reordering(monkeypatch):
+    """With a backhaul latency of k rounds every trial's coordinated schedule
+    keeps its original Rx order (wrapping past the round-1 beam) through
+    row k, and a located trial sweeps towards its estimate from row 1 + k;
+    at 9 rounds the reordering never lands. No trial detects, so every
+    trial sweeps every round."""
+    schedules, original = {}, protocol._outcomes
+
+    def spy(scheme, schedule, hit, estimates, *rest):
+        schedules[scheme] = schedule, estimates
+        return original(scheme, schedule, hit, estimates, *rest)
+
+    monkeypatch.setattr(protocol, "_outcomes", spy)
+    cells = build_cluster(3, D)
+    draw = _draw(ue=place_ue(cells, 2, count=64), count=64)
+    for rounds in (2, 9):
+        cfg = _cfg(backhaul_latency_s=rounds * 4 * CFG.protocol.t_ra_s)
+        run_batch(cfg, math.inf, draw, 5)
+        orders, _ = schedules[EXHAUSTIVE]
+        coordinated, estimates = schedules[COORDINATED]
+        walked = orders[:, [*range(8), 0]]
+        located = ~np.isnan(estimates[:, 0])
+        assert located.sum() > 32
+        np.testing.assert_array_equal(coordinated[:, :1 + rounds], walked[:, :1 + rounds])
+        np.testing.assert_array_equal(coordinated[~located], walked[~located])
+        reordered = reorder_rx_beams(cfg.sc_codebook(), estimates[located], draw[0][located])
+        np.testing.assert_array_equal(coordinated[located, 1 + rounds:],
+                                      reordered[:, :max(0, 8 - rounds)])
 
 
 def test_backhaul_bus_rounds():
