@@ -9,9 +9,9 @@ protocol in its alignment-limited operating regime.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -258,6 +258,47 @@ def _validate(cfg: SimConfig) -> SimConfig:
     return cfg
 
 
+def _read_ini(text: str, path: Path) -> dict[str, dict[str, str]]:
+    """{section: {key: raw value}} of ``text``, in file order.
+
+    ``#`` and ``;`` start full-line comments, and ``#`` also starts an
+    inline comment where whitespace precedes it. The first ``=`` or ``:``
+    splits key from value; keys are lower-cased, section names keep their
+    case. A line indented deeper than its key's line continues the value,
+    joined with a newline, as does a blank line before such a line. A
+    repeated section or key, a key before any section header, an empty key
+    and a line with neither delimiter cannot be parsed.
+    """
+    sections: dict[str, dict[str, list[str]]] = {}
+    keys = lines = None  # the current section's keys and value's lines
+    indent = 0  # of the current key's line
+    for number, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped.startswith(("#", ";")):
+            continue
+        if not stripped:
+            if lines is not None:
+                lines.append("")
+            continue
+        comment = re.search(r"(?<!\S)#", line)
+        value = line[:comment.start()].strip() if comment else stripped
+        level = len(line) - len(line.lstrip())
+        if lines is not None and level > indent:
+            lines.append(value)
+            continue
+        indent, lines = level, None
+        header = re.match(r"\[(.+)\]", value)
+        item = re.match(r"([^=:]+?)\s*[=:]\s*(.*)", value)
+        if header and header[1] not in sections:
+            keys = sections[header[1]] = {}
+        elif header or keys is None or not item or item[1].lower() in keys:
+            raise ConfigError(f"cannot parse {path}, line {number}: {stripped!r}")
+        else:
+            lines = keys[item[1].lower()] = [item[2]]
+    return {name: {key: "\n".join(parts) for key, parts in items.items()}
+            for name, items in sections.items()}
+
+
 def load_config(path: str | Path | None = None) -> SimConfig:
     """Parse and validate a config file; None or an empty file gives defaults."""
     cfg = SimConfig()
@@ -266,29 +307,20 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    # no header can spell a newline, so [DEFAULT] is an ordinary section
-    # (rejected below) rather than keys copied into every section
-    parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#",),
-                                       default_section="\n")
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     # every section is a SimConfig field; its keys are its class's fields,
     # each parsed as its default
     schema = {name: section._asdict() for name, section in cfg._asdict().items()}
     updates: dict[str, dict] = {}
-    for section in parser.sections():
+    for section, items in _read_ini(text, path).items():
         if section not in schema:
             raise ConfigError(f"unknown section [{section}]")
         known = schema[section]
-        for key, raw in parser.items(section):
+        for key, raw in items.items():
             if key not in known:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             updates.setdefault(section, {})[key] = _parse_value(

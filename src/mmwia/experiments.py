@@ -15,7 +15,10 @@ rounds start from the generator state round one left, so a scheme's IA
 times are the same whether it runs alone or paired. A P_LOS chunk is
 drawn from its stream 3 and scored with one best-beam-pair power and one
 ranking call. Any point of these campaigns reruns bit-identically on its
-own.
+own. A miss-mode threshold is calibrated from (master seed, index,
+0xCA1) (``point_threshold``): at index 0 in a campaign that calibrates
+once, and at a miss target's index in ``pmiss_grid`` in
+``reduction-pmiss``, whose codebook sizes share their target's threshold.
 
 The time-cluster campaign instead runs every cluster size on the same
 trials: a chunk is drawn once at the grid's largest size (at least 3)
@@ -228,28 +231,30 @@ def _paired_point(cfg: SimConfig, gamma: float, trials: int, master_seed: int,
     return ia_time_reduction(mc, me), _ratio_se(coord, exh, 100.0), mc, me
 
 
-def point_threshold(cfg: SimConfig, master_seed: int, point: int) -> float:
-    """gamma_ra of ``cfg`` calibrated on grid point ``point``'s own seed."""
+def point_threshold(cfg: SimConfig, master_seed: int, index: int) -> float:
+    """gamma_ra of ``cfg`` calibrated on the seed (master seed, ``index``,
+    0xCA1): ``index`` is 0 where a campaign calibrates once, and a miss
+    target's index in ``pmiss_grid`` in ``reduction-pmiss``, whose
+    codebook sizes all run under their target's threshold."""
     return cfg.threshold(noise_power(cfg.channel), cfg.sequence(),
-                         seed=np.random.SeedSequence((master_seed, point, 0xCA1)))
+                         seed=np.random.SeedSequence((master_seed, index, 0xCA1)))
 
 
 def _reduction(name: str, x_col: str, axis: tuple[str, str], xs, cfg: SimConfig,
-               trials: int, master_seed: int, gamma: float | None = None) -> ResultTable:
+               trials: int, master_seed: int, gammas) -> ResultTable:
     """Paired reduction over ``xs`` × ``n_tx_values``: a grid point is
     ``cfg`` with ``axis``, its (section, key), at x and ``[antenna] n_tx``
-    replaced. ``gamma`` None calibrates each point's own threshold."""
+    replaced, and runs under the threshold ``gammas`` holds for its x."""
     section, key = axis
     table = ResultTable(
         name,
         (x_col, "n_tx", "p_er_pct", "stderr_pct",
          "coord_ia_time_s", "exh_ia_time_s", "trials"),
         config_hash=cfg.config_hash(), master_seed=master_seed)
-    grid = [(x, n) for n in cfg.experiment.n_tx_values for x in xs]
-    for point, (x, n_tx) in enumerate(grid):
+    grid = [(x, g, n) for n in cfg.experiment.n_tx_values for x, g in zip(xs, gammas)]
+    for point, (x, gamma, n_tx) in enumerate(grid):
         point_cfg = cfg.replace(antenna={"n_tx": n_tx}, **{section: {key: x}})
-        g = point_threshold(point_cfg, master_seed, point) if gamma is None else gamma
-        table.add(x, n_tx, *_paired_point(point_cfg, g, trials, master_seed, point),
+        table.add(x, n_tx, *_paired_point(point_cfg, gamma, trials, master_seed, point),
                   trials)
     return table
 
@@ -261,18 +266,27 @@ def run_reduction_vs_power(cfg: SimConfig, trials: int,
     The detection threshold is calibrated once from the base config (a
     receiver property) and held fixed while the transmit power sweeps.
     """
+    powers = cfg.experiment.power_grid_dbm
+    gamma = point_threshold(cfg, master_seed, 0)
     return _reduction("reduction_power", "p_ue_dbm", ("channel", "p_ue_dbm"),
-                      cfg.experiment.power_grid_dbm, cfg, trials, master_seed,
-                      gamma=point_threshold(cfg, master_seed, 0))
+                      powers, cfg, trials, master_seed, [gamma] * len(powers))
 
 
 def run_reduction_vs_pmiss(cfg: SimConfig, trials: int,
                            master_seed: int) -> ResultTable:
-    """Mean IA-time reduction across miss-detection targets (miss-mode γ),
-    calibrated per grid point."""
+    """Mean IA-time reduction across miss-detection targets (miss-mode γ).
+
+    Each target's threshold is calibrated once, on the seed of its index
+    in ``pmiss_grid``, and every ``n_tx_values`` row of that target runs
+    under it: the reference link the calibration runs on reads the cell
+    codebook, not the UE's.
+    """
     cfg = cfg.replace(detection={"mode": "miss"})
+    targets = cfg.experiment.pmiss_grid
+    gammas = [point_threshold(cfg.replace(detection={"target": p}), master_seed, i)
+              for i, p in enumerate(targets)]
     return _reduction("reduction_pmiss", "p_miss", ("detection", "target"),
-                      cfg.experiment.pmiss_grid, cfg, trials, master_seed)
+                      targets, cfg, trials, master_seed, gammas)
 
 
 def run_time_vs_cluster(cfg: SimConfig, trials: int,

@@ -1,9 +1,11 @@
+import configparser
 import math
 import re
 from pathlib import Path
 
 import pytest
 
+from mmwia import config
 from mmwia.config import ConfigError, SimConfig, _parser, load_config
 from mmwia.preamble import false_alarm_threshold, miss_threshold
 
@@ -100,11 +102,62 @@ def test_unknown_key_and_section_rejected(tmp_path):
     p.write_text("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown section \[nonsense\]"):
         load_config(p)
-    # configparser would copy [DEFAULT] keys into every section
+    # [DEFAULT] is a section like any other, and no SimConfig field
     for text in ("[DEFAULT]\nbogus = 1\n", "[DEFAULT]\nn_sc = 5\n[geometry]\n"):
         p.write_text(text)
         with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
             load_config(p)
+
+
+def _configparser_sections(text, path):
+    """{section: {key: raw value}} of ``text`` as configparser, with the
+    settings ``load_config`` once gave it, reads it."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#",),
+                                       default_section="\n")
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+FIVE_CELLS = SimConfig().replace(geometry={"n_sc": 5})
+
+# name -> (text, the config it loads to or the start of its error)
+READER_CASES = {
+    "example": (EXAMPLE.read_text(), SimConfig()),
+    "list over two lines": ("[experiment]\npmiss_grid = 0.01,\n    0.1\n",
+                            SimConfig().replace(experiment={"pmiss_grid": (0.01, 0.1)})),
+    "colon": ("[geometry]\nn_sc: 5\n", FIVE_CELLS),
+    "upper-case key": ("[geometry]\nN_SC = 5\n", FIVE_CELLS),
+    "semicolon comment": ("; note\n[geometry]\n; n_sc = 4\nn_sc = 5\n", FIVE_CELLS),
+    "hash in a value": ("[output]\ndir = a#b\n", SimConfig().replace(output={"dir": "a#b"})),
+    "hash after a space": ("[output]\ndir = a #b\n", SimConfig().replace(output={"dir": "a"})),
+    "hash after a tab": ("[output]\ndir = a\t#b\n", SimConfig().replace(output={"dir": "a"})),
+    "repeated section": ("[geometry]\nn_sc = 5\n[geometry]\n", "cannot parse"),
+    "repeated key": ("[geometry]\nn_sc = 5\nn_sc = 6\n", "cannot parse"),
+    "key before any header": ("n_sc = 5\n[geometry]\n", "cannot parse"),
+    "no delimiter": ("[geometry]\nn_sc 5\n", "cannot parse"),
+    "DEFAULT": ("[DEFAULT]\n", "unknown section [DEFAULT]"),
+    "empty": ("", SimConfig()),
+}
+
+
+@pytest.mark.parametrize("text,expected", READER_CASES.values(), ids=READER_CASES)
+def test_reader_agrees_with_configparser(tmp_path, monkeypatch, text, expected):
+    """Each text loads to the same config, or fails with the same error,
+    whether ``load_config``'s reader or configparser reads it."""
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    results = []
+    for reader in (config._read_ini, _configparser_sections):
+        monkeypatch.setattr(config, "_read_ini", reader)
+        try:
+            results.append(load_config(p))
+        except ConfigError as exc:
+            results.append(re.sub(r"^cannot parse .*", "cannot parse", str(exc), flags=re.S))
+    assert results == [expected, expected]
 
 
 def test_unparsable_value_rejected(tmp_path):

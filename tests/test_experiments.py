@@ -281,18 +281,29 @@ def test_reduction_power_point_config_carries_its_axis_values(monkeypatch):
 
 def test_reduction_pmiss_point_config_carries_its_axis_values(monkeypatch):
     """A miss point is the config in miss mode at its target and codebook
-    size, calibrated on its own seed, whatever the configured mode."""
+    size, whatever the configured mode. Each target calibrates once, on
+    the seed (master, target index, 0xCA1), and every codebook size's row
+    at that target runs under its threshold. Calibrating per grid point
+    again, seeded by the point index, makes four calls and fails here."""
     cfg = _cfg(pmiss_grid=(0.01, 0.1), n_tx_values=(4, 6)).replace(
         detection={"mode": "fa", "calibration_trials": 500})
+    original, calls = SimConfig.threshold, []
+
+    def threshold(c, noise_dbm, seq, seed=None, target=None):
+        gamma = original(c, noise_dbm, seq, seed=seed, target=target)
+        calls.append((c.detection.target, c.detection.mode, seed.entropy, gamma))
+        return gamma
+
+    monkeypatch.setattr(SimConfig, "threshold", threshold)
     seen = _spy(monkeypatch, "_ia_times", lambda c, gamma, trials, seed, point, _: (
         c.detection.target, c.antenna.n_tx, c.detection.mode, gamma, point))
     run_reduction_vs_pmiss(cfg, 4, 5)
-    expected = []
-    for point, (n, p) in enumerate((n, p) for n in (4, 6) for p in (0.01, 0.1)):
-        point_cfg = cfg.replace(detection={"mode": "miss", "target": p})
-        expected.append((p, n, "miss", point_threshold(point_cfg, 5, point), point))
-    assert seen == expected
-    assert len({gamma for *_, gamma, _ in seen}) == 4
+    assert [call[:3] for call in calls] == [(0.01, "miss", (5, 0, 0xCA1)),
+                                            (0.1, "miss", (5, 1, 0xCA1))]
+    gammas = [call[3] for call in calls]
+    grid = [(p, n, gamma) for n in (4, 6) for p, gamma in zip((0.01, 0.1), gammas)]
+    assert seen == [(p, n, "miss", gamma, point) for point, (p, n, gamma) in enumerate(grid)]
+    assert len(set(gammas)) == len(cfg.experiment.pmiss_grid)
 
 
 def test_time_cluster_point_config_carries_its_axis_value(monkeypatch):
