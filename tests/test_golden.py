@@ -35,11 +35,26 @@ CAMPAIGNS = {
     "reduction-pmiss": ("reduction-pmiss", "reduction_pmiss",
                         "[experiment]\npmiss_grid = 0.01, 0.1\nn_tx_values = 4, 8\n",
                         20, 5),
+    # a target's threshold moves with its calibration seed only where few
+    # draws calibrate it and many decisions sit near it: pins which target
+    # and which seed each row's threshold comes from
+    "reduction-pmiss thresholds": ("reduction-pmiss", "reduction_pmiss",
+                                   "[detection]\ncalibration_trials = 100\n"
+                                   "[experiment]\npmiss_grid = 0.01, 0.2\n"
+                                   "n_tx_values = 4, 8\n",
+                                   60, 5),
     "time-cluster": ("time-cluster", "time_cluster",
                      "[experiment]\ncluster_grid = 1, 3, 5, 9\n", 20, 6),
     # more trials than one protocol chunk: pins a second chunk's streams
     "time-cluster two chunks": ("time-cluster", "time_cluster",
                                 "[experiment]\ncluster_grid = 1, 3, 5\n", 300, 7),
+    # blocked links, reorders landing a round late, and coordinated sizes
+    # below the grid's largest over two chunks
+    "time-cluster blocked, latency": ("time-cluster", "time_cluster",
+                                      "[channel]\np_blk = 0.3\n"
+                                      "[protocol]\nbackhaul_latency_s = 0.002\n"
+                                      "[experiment]\ncluster_grid = 1, 3, 4, 9\n",
+                                      300, 8),
 }
 
 DIGESTS = {
@@ -49,10 +64,14 @@ DIGESTS = {
         "158aeec24563f279568d6c35cdad53541e1c15b4af3c60ac259f8976d85b3c9f",
     "reduction-pmiss":
         "df2790f8664df318961371027100d2eae5f6422a28bbfc71c2b560242b5662ce",
+    "reduction-pmiss thresholds":
+        "28f0a98e83cdfa3a61d196c0dcf9d6e4c0bac0f33150ff142f83c3106b7378dd",
     "time-cluster":
         "0c94327766d3e1b02388396af40820ad4cf95f25ca3eff9f63cf1a63f4a03499",
     "time-cluster two chunks":
         "280f1a2c5ca52e6ea796a5bd1da87bce442c7b76de70020a83ec9cf837841b80",
+    "time-cluster blocked, latency":
+        "89522576430e279846eaa4d31f5d75335293c0c9eb19bdefea160b5cd0bc63f6",
     "single-trial coordinated 3":
         "309d42dd05d4b6bc5820b418b79054de9c03242539256b2268ad68ec66edd1f3",
     "single-trial coordinated 4":
