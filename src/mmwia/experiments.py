@@ -25,7 +25,9 @@ trials: a chunk is drawn once at the grid's largest size (at least 3)
 from stream 0 of (master seed, 0, chunk), and ``protocol.round_one``
 runs once on it from stream 1; each size sweeps its scheme from round
 two on its first n cells (``RoundOne.first_cells``), seeded from stream
-2 of its own grid point. Each size keeps its own cluster's distribution,
+2 of its own grid point, in one ``protocol.later_rounds`` call per
+scheme, whose coordinated sizes share one estimator call and one
+reorder call and move no stream. Each size keeps its own cluster's distribution,
 since the extra cells, Rx orders and peaks are i.i.d. per cell, but a
 row depends on the grid's largest size, and its ``stderr`` is the paired
 delta-method SE of the normalized time.
@@ -301,7 +303,9 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
     once from stream 1. Each size takes its first n cells' columns of
     the draw, link budget, orders and round-one peaks (``first_cells``)
     and sweeps its scheme from round two seeded by stream 2 of its own
-    grid point. A size's marginal distribution is that of its own
+    grid point: one ``later_rounds`` call per scheme and chunk, the
+    coordinated sizes sharing one estimator call and one reorder call,
+    which moves no stream. A size's marginal distribution is that of its own
     cluster, since the extra cells, orders and peaks are i.i.d. per
     cell; a row depends on the grid's largest size, so unlike the other
     campaigns it reruns bit-identically only within the same grid. The
@@ -318,17 +322,20 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
                          "and no size twice")
 
     top = cfg.replace(geometry={"n_sc": max(3, *sizes)})
-    points = [(n_sc, cfg.replace(geometry={"n_sc": n_sc}),
-               EXHAUSTIVE if n_sc == 1 else COORDINATED) for n_sc in sizes]
+    points = [cfg.replace(geometry={"n_sc": n_sc}) for n_sc in sizes]
+    groups = [(EXHAUSTIVE, [sizes.index(1)])]
+    if len(sizes) > 1:
+        groups.append((COORDINATED, [i for i, n_sc in enumerate(sizes) if n_sc != 1]))
     times = [[] for _ in sizes]
     for chunk, count in _chunks(trials, CHUNK):
         draw = draw_trial(top, _seed(master_seed, 0, chunk, 0), count)
         first = round_one(top, draw, np.random.default_rng(_seed(master_seed, 0, chunk, 1)))
-        for point, (n_sc, point_cfg, scheme) in enumerate(points):
-            out = later_rounds(point_cfg, gamma, first.first_cells(n_sc),
-                               np.random.default_rng(_seed(master_seed, point, chunk, 2)),
-                               scheme)
-            times[point].append(out.ia_time_s)
+        for scheme, group in groups:
+            outs = later_rounds(
+                [(points[i], np.random.default_rng(_seed(master_seed, i, chunk, 2)))
+                 for i in group], gamma, first, scheme)
+            for i, out in zip(group, outs):
+                times[i].append(out.ia_time_s)
 
     times = [np.concatenate(t) for t in times]
     base = times[sizes.index(1)]

@@ -24,7 +24,12 @@ and ``later_rounds`` sweeps one scheme from round two, with the
 generator restarted from the state round one left for each scheme, so a
 scheme's outcomes do not depend on which other schemes run beside it.
 A cell's link, Rx order and peaks are its own, so ``RoundOne.first_cells``
-turns round one of a cluster into round one of its first n cells.
+turns round one of a cluster into round one of its first n cells, and
+``later_rounds`` sweeps one scheme for every grid point that shares a
+round one, each on its first n cells and its own generator. Its
+coordinated points share one estimator call and one reorder call, a
+point's extra cells ranked at a peak of -inf, so each point's outcomes
+and draws are those of a call of its own.
 """
 
 from __future__ import annotations
@@ -63,16 +68,21 @@ class IaOutcomes(NamedTuple):
     estimated_ue: np.ndarray    # (T, 2) float
 
 
-def reorder_rx_beams(codebook: BeamCodebook, estimates,
-                     cells: np.ndarray) -> np.ndarray:
+def reorder_rx_beams(codebook: BeamCodebook, estimates, cells: np.ndarray,
+                     n_cells=None) -> np.ndarray:
     """(T, n_rx, n_sc) Rx sweeps for T estimates (T, 2) and their clusters
     (T, n_sc, 2): column i of trial t holds the beam indices of the cell at
     ``cells[t, i]`` sorted by angular distance to its bearing towards
-    ``estimates[t]``, the lower index first on ties."""
+    ``estimates[t]``, the lower index first on ties. With ``n_cells`` (T,),
+    trial t's cluster is its first ``n_cells[t]`` cells: only those must
+    lie off its estimate, and its columns past them are undefined."""
     estimates = np.asarray(estimates)
     x = estimates[..., 0, None] - cells[..., 0]
     y = estimates[..., 1, None] - cells[..., 1]
-    if not np.hypot(x, y).all():
+    apart = (x != 0) | (y != 0)
+    if n_cells is not None:
+        apart |= np.arange(cells.shape[-2]) >= n_cells[:, None]
+    if not apart.all():
         raise ValueError("no bearing from a cell to an estimate on it")
     dist = circular_distance(codebook.beam_centers[:, None],
                              bearings(x, y)[..., None, :])
@@ -161,33 +171,6 @@ def _outcomes(scheme: str, schedule: np.ndarray, hit: np.ndarray,
                       cell, pair, estimates)
 
 
-def _coordinated_schedule(cells: np.ndarray, sc_codebook: BeamCodebook,
-                          orders: np.ndarray, hit: np.ndarray, peaks: np.ndarray,
-                          delay: int) -> tuple[np.ndarray, np.ndarray]:
-    """Backhaul exchange of the round-1 ``peaks``, estimate, and sweeps
-    reordered ``delay`` rounds after round one: the (T, n_rx + 1, n_sc)
-    schedule and the (T, 2) estimates."""
-    if cells.shape[-2] < 3:
-        raise ValueError("coordinated IA needs a cluster of at least three cells")
-    n_rx = sc_codebook.n_beams
-    estimates = np.full((len(cells), 2), np.nan)
-    estimated = np.flatnonzero(hit < 0)  # the trials round one missed ...
-    if estimated.size:
-        points, status = estimate_points(peaks[estimated], cells[estimated])
-        located = status <= CENTROID
-        estimated = estimated[located]  # ... and of those, the ones located
-        estimates[estimated] = points[located]
-
-    # n_rx more rounds. Until the reports have crossed the backhaul (and for
-    # good without an estimate) each cell keeps walking its original order,
-    # wrapping past the round-1 beam, so a full sweep still completes.
-    schedule = orders[..., [*range(n_rx), 0]].transpose(0, 2, 1)
-    if estimated.size:
-        reordered = reorder_rx_beams(sc_codebook, estimates[estimated], cells[estimated])
-        schedule[estimated, 1 + delay:] = reordered[:, :max(0, n_rx - delay)]
-    return schedule, estimates
-
-
 class RoundOne(NamedTuple):
     """A batch of trials at the end of round one: the cells (T, n_sc, 2),
     the ``link_budget_dbm`` maps of every link, each cell's random Rx
@@ -207,6 +190,50 @@ class RoundOne(NamedTuple):
         base, rx_gain = self.budget
         return RoundOne(self.cells[:, :n], (base[..., :n], rx_gain[..., :n]),
                         self.orders[:, :n], self.peaks[..., :n])
+
+
+def _coordinated_schedules(cfgs, first: RoundOne, hits) -> list:
+    """Backhaul exchange of the round-1 peaks of ``first``, estimate, and
+    sweeps reordered each point's backhaul delay after round one, for the
+    grid points ``cfgs`` whose round-one hits are ``hits``: each point's
+    (T, n_rx + 1, n) schedule and (T, 2) estimates. One estimator call and
+    one reorder call serve every point: a row of a point of n cells ranks
+    the cells past n at a peak of -inf, and its reordering reads only its
+    n cells."""
+    sizes = [cfg.geometry.n_sc for cfg in cfgs]
+    if min(sizes) < 3:
+        raise ValueError("coordinated IA needs a cluster of at least three cells")
+    n_tx, (_, width, n_rx) = first.peaks.shape[-2], first.orders.shape
+    misses = [np.flatnonzero(hit < 0) for hit in hits]  # the trials round one missed ...
+    rows = misses[0] if len(misses) == 1 else np.concatenate(misses)
+    peaks, cells, own = first.peaks[rows], first.cells[rows], None
+    if min(sizes) < width:
+        own = np.repeat(sizes, [len(miss) for miss in misses])
+        np.copyto(peaks, -np.inf, where=(np.arange(width) >= own[:, None])[:, None])
+    if rows.size:
+        points, status = estimate_points(peaks, cells)
+        located = status <= CENTROID  # ... and of those, the ones located
+        reordered = reorder_rx_beams(cfgs[0].sc_codebook(), points[located], cells[located],
+                                     None if own is None else own[located])
+    plans, stop, done = [], 0, 0
+    for cfg, n, miss in zip(cfgs, sizes, misses):
+        # n_rx more rounds. Until the reports have crossed the backhaul (and
+        # for good without an estimate) each cell keeps walking its original
+        # order, wrapping past the round-1 beam, so a full sweep still completes.
+        schedule = first.orders[:, :n, [*range(n_rx), 0]].transpose(0, 2, 1)
+        estimates = np.full((len(first.cells), 2), np.nan)
+        start, stop = stop, stop + miss.size
+        if miss.size:
+            ok = located[start:stop]
+            estimated = miss[ok]
+            estimates[estimated] = points[start:stop][ok]
+            delay = backhaul_delay_rounds(cfg.protocol.backhaul_latency_s,
+                                          n_tx * cfg.protocol.t_ra_s)
+            schedule[estimated, 1 + delay:] = reordered[done:done + len(estimated),
+                                                        :max(0, n_rx - delay), :n]
+            done += len(estimated)
+        plans.append((schedule, estimates))
+    return plans
 
 
 def round_one(cfg: SimConfig, draw, rng) -> RoundOne:
@@ -229,27 +256,32 @@ def round_one(cfg: SimConfig, draw, rng) -> RoundOne:
     return RoundOne(cells, budget, orders, peaks)
 
 
-def later_rounds(cfg: SimConfig, gamma: float, first: RoundOne, rng,
-                 scheme: str) -> IaOutcomes:
-    """``scheme``'s outcomes of the trials of ``first`` at the grid point
-    ``cfg`` with detection threshold ``gamma``: round one's hits, read
-    from its peaks, then the scheme's schedule swept from round two with
-    the peaks drawn from ``rng``."""
-    n_tx, t_ra_s = first.peaks.shape[-2], cfg.protocol.t_ra_s
-    slot, found = _first_hits(first.peaks, gamma)
-    hit = np.where(found, slot, -1)
-    if scheme == EXHAUSTIVE:
-        schedule = first.orders.transpose(0, 2, 1)
-        estimates = np.full((len(hit), 2), np.nan)
-    elif scheme == COORDINATED:
-        delay = backhaul_delay_rounds(cfg.protocol.backhaul_latency_s, n_tx * t_ra_s)
-        schedule, estimates = _coordinated_schedule(first.cells, cfg.sc_codebook(),
-                                                    first.orders, hit, first.peaks, delay)
-    else:
+def later_rounds(points, gamma: float, first: RoundOne, scheme: str) -> list[IaOutcomes]:
+    """``scheme``'s outcomes of the trials of ``first`` at each of
+    ``points``, (grid point config, generator) pairs that share round one,
+    with detection threshold ``gamma``. A point of ``geometry.n_sc`` n runs
+    on the first n cells of ``first`` (``RoundOne.first_cells``): round
+    one's hits, read from their peaks, then the scheme's schedule swept
+    from round two with the peaks drawn from the point's generator. The
+    coordinated points share one estimator call and one reorder call; each
+    point's outcomes are those it gets alone."""
+    if scheme not in (EXHAUSTIVE, COORDINATED):
         raise ValueError(f"unknown scheme {scheme!r}")
-    _sweep(first.budget, dbm_to_mw(noise_power(cfg.channel)), cfg.preamble.n_zc, gamma,
-           schedule, hit, rng)
-    return _outcomes(scheme, schedule, hit, estimates, n_tx, t_ra_s)
+    parts = [first.first_cells(cfg.geometry.n_sc) for cfg, _ in points]
+    hits = [np.where(found, slot, -1)
+            for slot, found in (_first_hits(part.peaks, gamma) for part in parts)]
+    if scheme == EXHAUSTIVE:
+        plans = [(part.orders.transpose(0, 2, 1), np.full((len(hit), 2), np.nan))
+                 for part, hit in zip(parts, hits)]
+    else:
+        plans = _coordinated_schedules([cfg for cfg, _ in points], first, hits)
+    outcomes = []
+    for (cfg, rng), part, hit, (schedule, estimates) in zip(points, parts, hits, plans):
+        _sweep(part.budget, dbm_to_mw(noise_power(cfg.channel)), cfg.preamble.n_zc,
+               gamma, schedule, hit, rng)
+        outcomes.append(_outcomes(scheme, schedule, hit, estimates,
+                                  part.peaks.shape[-2], cfg.protocol.t_ra_s))
+    return outcomes
 
 
 def run_batch(cfg: SimConfig, gamma: float, draw, seed,
@@ -262,9 +294,11 @@ def run_batch(cfg: SimConfig, gamma: float, draw, seed,
     the state round one left: its outcomes are those it has run alone."""
     rng = np.random.default_rng(seed)
     first = round_one(cfg, draw, rng)
+    if cfg.geometry.n_sc != first.cells.shape[1]:  # the draw sets the cluster size
+        cfg = cfg.replace(geometry={"n_sc": first.cells.shape[1]})
     state = rng.bit_generator.state
     outcomes = []
     for scheme in schemes:
         rng.bit_generator.state = state
-        outcomes.append(later_rounds(cfg, gamma, first, rng, scheme))
+        outcomes.extend(later_rounds([(cfg, rng)], gamma, first, scheme))
     return tuple(outcomes)

@@ -308,12 +308,45 @@ def test_reduction_pmiss_point_config_carries_its_axis_values(monkeypatch):
 
 def test_time_cluster_point_config_carries_its_axis_value(monkeypatch):
     """A cluster-size point is the config at that size, and sweeps its
-    scheme on that many cells of every chunk."""
+    scheme on that many cells of every chunk: one ``later_rounds`` call
+    per scheme, size 1 exhaustive and the other sizes coordinated."""
     cfg = _cfg(cluster_grid=(1, 3, 5))
-    seen = _spy(monkeypatch, "later_rounds", lambda c, gamma, first, rng, scheme: (
-        c.geometry.n_sc, first.cells.shape[1], scheme))
+    seen = _spy(monkeypatch, "later_rounds", lambda points, gamma, first, scheme: [
+        (c.geometry.n_sc, scheme) for c, _ in points])
+    original, swept = protocol._sweep, []
+
+    def sweep(budget, noise_mw, n_zc, gamma, schedule, *rest):
+        swept.append((budget[0].shape[-1], budget[1].shape[-1], schedule.shape[-1]))
+        return original(budget, noise_mw, n_zc, gamma, schedule, *rest)
+
+    monkeypatch.setattr(protocol, "_sweep", sweep)
     run_time_vs_cluster(cfg, 4, 5)
-    assert seen == [(1, 1, EXHAUSTIVE), (3, 3, COORDINATED), (5, 5, COORDINATED)]
+    assert seen == [[(1, EXHAUSTIVE)], [(3, COORDINATED), (5, COORDINATED)]]
+    assert swept == [(1, 1, 1), (3, 3, 3), (5, 5, 5)]
+
+
+def test_time_cluster_plans_each_chunk_in_one_estimator_and_one_reorder_call(monkeypatch):
+    """The coordinated sizes of a chunk share one ``estimate_points`` call
+    and one ``reorder_rx_beams`` call over the stacked trials that round
+    one missed at each size."""
+    cfg = _cfg(cluster_grid=(1, 3, 5, 9)).replace(channel={"p_blk": 0.3})
+    calls = {"estimate_points": [], "reorder_rx_beams": []}
+    for name, seen in calls.items():
+        def spy(*args, original=getattr(protocol, name), seen=seen):
+            seen.append(len(args[1]))
+            return original(*args)
+        monkeypatch.setattr(protocol, name, spy)
+    hits = _results(monkeypatch, "later_rounds")
+    run_time_vs_cluster(cfg, CHUNK + 40, 3)
+    assert [len(calls["estimate_points"]), len(calls["reorder_rx_beams"])] == [2, 2]
+    coordinated = [outs for (_, _, _, scheme), outs in hits if scheme == COORDINATED]
+    for chunk, outs in enumerate(coordinated):
+        assert len(outs) == 3
+        # every trial that round one missed, at every size, was estimated
+        assert calls["estimate_points"][chunk] == sum(
+            int(np.count_nonzero(out.rounds > 1)) for out in outs)
+        assert calls["reorder_rx_beams"][chunk] == sum(
+            int(np.count_nonzero(~np.isnan(out.estimated_ue[:, 0]))) for out in outs)
 
 
 def _results(monkeypatch, name):
@@ -346,12 +379,20 @@ def test_time_cluster_sizes_share_one_draw_and_round_one(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", seeding)
     shared = _results(monkeypatch, "round_one")
     swept = _results(monkeypatch, "later_rounds")
+    cut, first_cells = [], protocol.RoundOne.first_cells
+
+    def cutting(self, n):
+        cut.append((self, n, first_cells(self, n)))
+        return cut[-1][2]
+
+    monkeypatch.setattr(protocol.RoundOne, "first_cells", cutting)
     trials = CHUNK + 3
     table = run_time_vs_cluster(cfg, trials, 9)
 
     sizes = (3, 1, 5)
     assert len(entropies) == len(set(entropies)) == 1 + 2 * (2 + len(sizes))
     assert [args[0].geometry.n_sc for args, _ in shared] == [5, 5]
+    assert len(cut) == len(shared) * len(sizes)
     times = {n: [] for n in sizes}
     for chunk, ((top, draw, _), first) in enumerate(shared):
         count = (CHUNK, 3)[chunk]
@@ -359,13 +400,20 @@ def test_time_cluster_sizes_share_one_draw_and_round_one(monkeypatch):
         for mine, theirs in zip((*ours[:2], *ours[2]), (*draw[:2], *draw[2])):
             np.testing.assert_array_equal(mine, theirs)
         np.testing.assert_array_equal(first.cells, draw[0])
-        for n, ((_, _, part, _, _), out) in zip(sizes, swept[3 * chunk:3 * chunk + 3]):
+        calls = swept[2 * chunk:2 * chunk + 2]
+        assert [len(points) for (points, *_), _ in calls] == [1, 2]
+        for (points, _, of, _), outs in calls:
+            assert of is first
+            for (c, _), out in zip(points, outs):
+                times[c.geometry.n_sc].append(out.ia_time_s)
+        for whole, n, part in cut[len(sizes) * chunk:len(sizes) * (chunk + 1)]:
+            assert whole is first
             np.testing.assert_array_equal(part.cells, first.cells[:, :n])
             np.testing.assert_array_equal(part.orders, first.orders[:, :n])
             np.testing.assert_array_equal(part.peaks, first.peaks[..., :n])
             for mine, theirs in zip(part.budget, first.budget):
                 np.testing.assert_array_equal(mine, theirs[..., :n])
-            times[n].append(out.ia_time_s)
+    assert sorted(n for _, n, _ in cut) == sorted(sizes * 2)
 
     y = np.concatenate(times[1])
     for n, norm, se in zip(sizes, table.column("norm_ia_time"), table.column("stderr")):

@@ -106,6 +106,25 @@ def test_reorder_batch_equals_per_trial_calls():
         assert np.array_equal(order[t], one[0])
 
 
+def test_reorder_reads_only_each_rows_own_cells():
+    """With ``n_cells`` a row's first n columns are the sweeps of its own
+    n-cell cluster, and only those cells must lie off its estimate: an
+    estimate on a cell past them is no error."""
+    rng = np.random.default_rng(5)
+    cells = build_cluster(6, D, rng, count=4)
+    estimates = place_ue(cells, rng, count=4)
+    estimates[1] = cells[1, 4]  # on a cell past its row's three
+    n_cells = np.array([6, 3, 4, 5])
+    cb = make_codebook(8)
+    order = reorder_rx_beams(cb, estimates, cells, n_cells)
+    for t, n in enumerate(n_cells):
+        one = reorder_rx_beams(cb, estimates[t:t + 1], cells[t:t + 1, :n])
+        np.testing.assert_array_equal(order[t, :, :n], one[0])
+    n_cells[1] = 5
+    with pytest.raises(ValueError, match="estimate on it"):
+        reorder_rx_beams(cb, estimates, cells, n_cells)
+
+
 @given(st.integers(min_value=1, max_value=24),
        st.floats(min_value=-300.0, max_value=300.0),
        st.floats(min_value=-300.0, max_value=300.0))
@@ -386,6 +405,40 @@ def test_each_scheme_runs_alike_alone_paired_or_reversed():
         assert {1} < set(out.rounds[out.success]) and not out.success.all()
     coord = alone[COORDINATED]
     assert (coord.rounds[coord.success & ~np.isnan(coord.estimated_ue[:, 0])] > 3).any()
+
+
+@pytest.mark.parametrize("rounds", [0, 2])
+def test_one_call_over_sizes_equals_one_call_per_size(rounds):
+    """One coordinated ``later_rounds`` call over sizes 3, 4 and 9 of one
+    9-cell round one gives each size, field by field, the outcomes of its
+    own call on its first n cells (``first_cells``) under the same
+    generator seed. The chunk has blocked links, located trials whose
+    strongest cell lies past a smaller size, and reorderings that land at
+    once or ``rounds`` rounds late."""
+    count, sizes, gamma = 200, (3, 4, 9), 1e-5
+    rng = np.random.default_rng(21)
+    cells = build_cluster(9, D, rng, count=count)
+    draw = (cells, place_ue(cells, rng, count=count),
+            sample_blocking(9, 0.3, rng, excess_mean_db=10.0, count=count))
+    round_s = 4 * CFG.protocol.t_ra_s
+    cfg = _cfg(p_ue=-25.0, backhaul_latency_s=rounds * round_s)
+    assert backhaul_delay_rounds(cfg.protocol.backhaul_latency_s, round_s) == rounds
+    points = [cfg.replace(geometry={"n_sc": n}) for n in sizes]
+    first = protocol.round_one(points[-1], draw, np.random.default_rng(4))
+    together = protocol.later_rounds(
+        [(c, np.random.default_rng(n)) for c, n in zip(points, sizes)], gamma, first,
+        COORDINATED)
+    assert len(together) == len(sizes)
+    for c, n, out in zip(points, sizes, together):
+        (alone,) = protocol.later_rounds([(c, np.random.default_rng(n))], gamma,
+                                         first.first_cells(n), COORDINATED)
+        _assert_rows_equal(out, alone)
+        located = ~np.isnan(out.estimated_ue[:, 0])
+        assert (out.success & located & (out.rounds > 2 + rounds)).any()
+        if n < 9:
+            missed = out.rounds > 1
+            strongest = first.peaks[missed].max(axis=-2).argmax(axis=-1)
+            assert (strongest >= n).any()
 
 
 def test_an_unknown_scheme_is_refused():
