@@ -220,7 +220,7 @@ def _coordinated_schedules(cfgs, first: RoundOne, hits) -> list:
         # n_rx more rounds. Until the reports have crossed the backhaul (and
         # for good without an estimate) each cell keeps walking its original
         # order, wrapping past the round-1 beam, so a full sweep still completes.
-        schedule = first.orders[:, :n, [*range(n_rx), 0]].transpose(0, 2, 1)
+        schedule = first.orders[:, :n][..., [*range(n_rx), 0]].transpose(0, 2, 1)
         estimates = np.full((len(first.cells), 2), np.nan)
         start, stop = stop, stop + miss.size
         if miss.size:
