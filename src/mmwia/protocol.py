@@ -79,10 +79,10 @@ def reorder_rx_beams(codebook: BeamCodebook, estimates, cells: np.ndarray,
     estimates = np.asarray(estimates)
     x = estimates[..., 0, None] - cells[..., 0]
     y = estimates[..., 1, None] - cells[..., 1]
-    apart = (x != 0) | (y != 0)
+    on = (x == 0.0) & (y == 0.0)
     if n_cells is not None:
-        apart |= np.arange(cells.shape[-2]) >= n_cells[:, None]
-    if not apart.all():
+        on &= np.arange(cells.shape[-2]) < n_cells[:, None]
+    if on.any():
         raise ValueError("no bearing from a cell to an estimate on it")
     dist = circular_distance(codebook.beam_centers[:, None],
                              bearings(x, y)[..., None, :])
