@@ -26,11 +26,11 @@ from stream 0 of (master seed, 0, chunk), and ``protocol.round_one``
 runs once on it from stream 1; each size sweeps its scheme from round
 two on its first n cells (``RoundOne.first_cells``), seeded from stream
 2 of its own grid point, in one ``protocol.later_rounds`` call per
-scheme, whose coordinated sizes share one estimator call and one
-reorder call and move no stream. Each size keeps its own cluster's distribution,
-since the extra cells, Rx orders and peaks are i.i.d. per cell, but a
-row depends on the grid's largest size, and its ``stderr`` is the paired
-delta-method SE of the normalized time.
+scheme, whose coordinated sizes share one estimator call and one reorder
+call and move no stream. Each size keeps its own cluster's
+distribution, since the extra cells, Rx orders and peaks are i.i.d. per
+cell, but a row depends on the grid's largest size, and its ``stderr``
+is the paired delta-method SE of the normalized time.
 """
 
 from __future__ import annotations
@@ -305,8 +305,8 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
     and sweeps its scheme from round two seeded by stream 2 of its own
     grid point: one ``later_rounds`` call per scheme and chunk, the
     coordinated sizes sharing one estimator call and one reorder call,
-    which moves no stream. A size's marginal distribution is that of its own
-    cluster, since the extra cells, orders and peaks are i.i.d. per
+    which moves no stream. A size's marginal distribution is that of its
+    own cluster, since the extra cells, orders and peaks are i.i.d. per
     cell; a row depends on the grid's largest size, so unlike the other
     campaigns it reruns bit-identically only within the same grid. The
     ``stderr`` of the normalized time is the paired delta-method one.
@@ -324,8 +324,8 @@ def run_time_vs_cluster(cfg: SimConfig, trials: int,
     top = cfg.replace(geometry={"n_sc": max(3, *sizes)})
     points = [cfg.replace(geometry={"n_sc": n_sc}) for n_sc in sizes]
     groups = [(EXHAUSTIVE, [sizes.index(1)])]
-    if len(sizes) > 1:
-        groups.append((COORDINATED, [i for i, n_sc in enumerate(sizes) if n_sc != 1]))
+    if len(sizes) > 1:  # the sizes past the single cell, all coordinated
+        groups.append((COORDINATED, [i for i, n in enumerate(sizes) if n != 1]))
     times = [[] for _ in sizes]
     for chunk, count in _chunks(trials, CHUNK):
         draw = draw_trial(top, _seed(master_seed, 0, chunk, 0), count)

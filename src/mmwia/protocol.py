@@ -213,8 +213,8 @@ def _coordinated_schedules(cfgs, first: RoundOne, hits) -> list:
     if rows.size:
         points, status = estimate_points(peaks, cells)
         located = status <= CENTROID  # ... and of those, the ones located
-        reordered = reorder_rx_beams(cfgs[0].sc_codebook(), points[located], cells[located],
-                                     None if own is None else own[located])
+        reordered = reorder_rx_beams(cfgs[0].sc_codebook(), points[located],
+                                     cells[located], own if own is None else own[located])
     plans, stop, done = [], 0, 0
     for cfg, n, miss in zip(cfgs, sizes, misses):
         # n_rx more rounds. Until the reports have crossed the backhaul (and

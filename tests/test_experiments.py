@@ -392,7 +392,6 @@ def test_time_cluster_sizes_share_one_draw_and_round_one(monkeypatch):
     sizes = (3, 1, 5)
     assert len(entropies) == len(set(entropies)) == 1 + 2 * (2 + len(sizes))
     assert [args[0].geometry.n_sc for args, _ in shared] == [5, 5]
-    assert len(cut) == len(shared) * len(sizes)
     times = {n: [] for n in sizes}
     for chunk, ((top, draw, _), first) in enumerate(shared):
         count = (CHUNK, 3)[chunk]
